@@ -10,8 +10,7 @@ from fractions import Fraction
 from shadowlab.constructions import flats_example, tripartite_mixed
 from shadowlab.hypergraph import (
     ColoredHypergraph,
-    check_color_covering,
-    check_mixed_4subsets,
+    check_ratio,
     count_good_6subsets,
     spectral_trace_check,
     weighted_joint_sum,
@@ -27,8 +26,9 @@ print("2/7 is the conjectured optimum; nothing larger is known\n")
 
 print("== mixed 2/3-edge 4-subsets ==")
 for size in (2, 3, 4):
-    rep = check_mixed_4subsets(tripartite_mixed(size).graph)
-    print(f"tripartite n={size}: J={rep.j}, N2={rep.n2}, N3={rep.n3}, ratio {rep.ratio_exact}")
+    rep = check_ratio("mixed4", tripartite_mixed(size).graph)
+    print(f"tripartite n={size}: J={rep.counts['J']}, N2={rep.counts['N2']}, N3={rep.counts['N3']}, "
+          f"ratio {rep.ratio_exact}")
 print("the construction climbs toward 3/2; the proven window is [3/2, 3]")
 res = search_mixed_4subsets(4)
 print(f"exhaustive n=4: best ratio {res.best_ratio_exact} over {res.explored} states\n")
@@ -37,8 +37,8 @@ print("== color-covering subsets at higher uniformity ==")
 h = ColoredHypergraph.from_edges(
     4, [((0, 1, 2), "red"), ((0, 1, 3), "green"), ((0, 2, 3), "blue")]
 )
-rep = check_color_covering(h, 1)
-print(f"delta=1 example: J={rep.j}, ratio {rep.ratio_exact}")
+rep = check_ratio("covering_delta", h, delta=1)
+print(f"delta=1 example: J={rep.counts['J']}, ratio {rep.ratio_exact}")
 for b in rep.reports:
     tag = "conjecture" if b.conjecture else "proven"
     print(f"  {tag}: ratio <= {b.bound:g} [{b.source}] -> {b.satisfied}")

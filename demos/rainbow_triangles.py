@@ -6,23 +6,23 @@ upper bounds, and the exhaustive search that rediscovers the tight example.
 """
 
 from shadowlab.constructions import k4_blowup, kappa_lift, matching_construction, rainbow_tripartite
-from shadowlab.hypergraph import color_isomorphic, kappa_ratio
+from shadowlab.hypergraph import check_ratio, color_isomorphic
 from shadowlab.search import search_rainbow_triangle
 
 print("== blowups of the opposite-edge K4 coloring ==")
 for n in (1, 2, 3):
     c = k4_blowup(n)
-    rep = kappa_ratio(c.graph, 3)
+    rep = check_ratio("rainbow_d", c.graph, 3, colors=c.graph.colors())
     print(
-        f"n={n}: {c.graph.n} vertices, R=G=B={rep.color_counts[0]}, "
-        f"T={rep.t_count}, T^2/(RGB) = {rep.ratio_exact}"
+        f"n={n}: {c.graph.n} vertices, R=G=B={rep.counts['C'][0]}, "
+        f"T={rep.counts['T']}, T^2/(RGB) = {rep.ratio_exact}"
     )
 print("the ratio is exactly 2 for every n, so the bound T^2 <= 2RGB is sharp\n")
 
 print("== complete tripartite blowup of one rainbow triangle ==")
 c = rainbow_tripartite(2, 3, 4)
-rep = kappa_ratio(c.graph, 3)
-print(f"parts (2,3,4): T={rep.t_count}, classes {rep.color_counts}, ratio {rep.ratio_exact}")
+rep = check_ratio("rainbow_d", c.graph, 3, colors=c.graph.colors())
+print(f"parts (2,3,4): T={rep.counts['T']}, classes {tuple(rep.counts['C'])}, ratio {rep.ratio_exact}")
 print("tripartite blowups sit at ratio 1: the loss lives elsewhere in the"
       " entropy argument\n")
 
@@ -42,6 +42,6 @@ for d in (3, 5, 7):
 base = matching_construction(5)
 lifted = kappa_lift(base.graph)
 print(f"lift of d=5: ratio {lifted.expected['ratio']} (preserved exactly)")
-rep = kappa_ratio(lifted.graph, 6)
+rep = check_ratio("rainbow_d", lifted.graph, 6, colors=lifted.graph.colors())
 for b in rep.reports:
     print(f"  bound check: {b.quantity} <= {b.bound:g} [{b.source}] -> {b.satisfied}")

@@ -26,18 +26,19 @@ from .forbidding import (
     verify_forbidding_axioms,
 )
 from .hypergraph import (
+    PROBLEMS,
     ColoredHypergraph,
+    Problem,
+    RatioReport,
     SetFamily,
-    check_color_covering,
     check_kruskal_katona,
-    check_mixed_4subsets,
     check_partial_shadow_bound,
+    check_ratio,
     count_color_covering_subsets,
     count_good_4subsets_mixed,
     count_good_6subsets,
     count_partial_shadow_targets,
     count_rainbow_cliques,
-    kappa_ratio,
     rainbow_cliques,
     shadow,
     spectral_trace_check,
@@ -53,6 +54,7 @@ from .numkit import (
     invert_gaussian,
     invert_product,
     product_falling,
+    shadow_bound_holds,
 )
 from .qlinalg import (
     SubspaceFamily,

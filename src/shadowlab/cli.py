@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -105,15 +104,6 @@ def _parse_vector_set(text: str) -> list[tuple[int, ...]]:
     return [tuple(_parse_ints(part)) for part in text.split(";") if part.strip()]
 
 
-def _kappa_quantities(rep: hg.KappaReport) -> dict:
-    return {
-        "T": rep.t_count,
-        "C": list(rep.color_counts),
-        "ratio": rep.ratio_exact,
-        "ratio_real": rep.ratio,
-    }
-
-
 def cmd_validate(args) -> tuple[dict, list[BoundReport], list[str]]:
     h = formats.load_hypergraph(args.input)
     report = hg.validate(h)
@@ -122,49 +112,39 @@ def cmd_validate(args) -> tuple[dict, list[BoundReport], list[str]]:
     return {"vertices": h.n, "edges": len(h.edges), "valid": True}, [], []
 
 
+# count kinds that are ratio problems of the registry
+_COUNT_PROBLEMS = {"good6": "good6", "mixed4": "mixed4", "covering": "covering_delta"}
+
+
 def cmd_count(args) -> tuple[dict, list[BoundReport], list[str]]:
     h = formats.load_hypergraph(args.input)
-    notes: list[str] = []
-    bounds: list[BoundReport] = []
     if args.kind == "rainbow":
         colors = _parse_colors(args.colors)
         t = hg.count_rainbow_cliques(h, args.d, colors)
-        return {"T": t, "d": args.d, "colors": list(colors)}, bounds, notes
-    if args.kind == "good6":
-        j = hg.count_good_6subsets(h)
-        n = len(h.edges)
-        q = {"J": j, "N": n}
-        if n:
-            q["ratio"] = Fraction(j * j, n**3)
-            notes.append("conjectured optimum for J^2/N^3 is 2/7; exceeding it is not a failure")
-        return q, bounds, notes
-    if args.kind == "mixed4":
-        rep = hg.check_mixed_4subsets(h)
-        notes.append("conjectured optimum for J^2/(N2 N3^2) is 3/2; exceeding it is not a failure")
-        return (
-            {"J": rep.j, "N2": rep.n2, "N3": rep.n3, "ratio": rep.ratio_exact},
-            list(rep.reports),
-            notes,
-        )
-    if args.kind == "covering":
-        rep = hg.check_color_covering(h, args.delta)
-        return (
-            {"J": rep.j, "R": rep.color_counts[0], "G": rep.color_counts[1],
-             "B": rep.color_counts[2], "ratio": rep.ratio_exact, "delta": args.delta},
-            list(rep.reports),
-            notes,
-        )
+        return {"T": t, "d": args.d, "colors": list(colors)}, [], []
     if args.kind == "partial":
         m = hg.count_partial_shadow_targets(h, args.r, args.k)
-        return {"m": m, "r": args.r, "k": args.k, "edges": len(h.edges)}, bounds, notes
-    raise ValidationError(f"unknown count kind {args.kind!r}")
+        return {"m": m, "r": args.r, "k": args.k, "edges": len(h.edges)}, [], []
+    problem = hg.PROBLEMS[_COUNT_PROBLEMS[args.kind]]
+    counts, num, den = problem.measure(h, args.d, args.delta, None)
+    q = dict(counts)
+    bounds: list[BoundReport] = []
+    notes: list[str] = []
+    if den:  # the ratio, its bounds and its note exist only with every class nonempty
+        q["ratio"] = Fraction(num, den)
+        bounds = problem.reports(q["ratio"], args.d, args.delta)
+        notes = list(problem.notes)
+    if args.kind == "covering":
+        q["delta"] = args.delta
+    return q, bounds, notes
 
 
 def cmd_kappa(args) -> tuple[dict, list[BoundReport], list[str]]:
     h = formats.load_hypergraph(args.input)
-    colors = _parse_colors(args.colors) if args.colors else None
-    rep = hg.kappa_ratio(h, args.d, colors)
-    return _kappa_quantities(rep), list(rep.reports), []
+    colors = _parse_colors(args.colors) if args.colors else h.colors()
+    rep = hg.check_ratio("rainbow_d", h, args.d, colors=colors)
+    q = {**rep.counts, "ratio": rep.ratio_exact, "ratio_real": rep.ratio}
+    return q, list(rep.reports), list(hg.PROBLEMS["rainbow_d"].notes)
 
 
 def cmd_shadow(args) -> tuple[dict, list[BoundReport], list[str]]:
@@ -328,43 +308,19 @@ def cmd_construct(args) -> tuple[dict, list[BoundReport], list[str]]:
     return q, [], []
 
 
-_PROBE_CAPS = {
-    "mixed4": (Fraction(9, 2), "shearer 9/2"),
-    "covering_delta": (Fraction(6), "joints 6"),
-}
-
-
 def cmd_search(args) -> tuple[dict, list[BoundReport], list[str]]:
-    notes: list[str] = []
-    bounds: list[BoundReport] = []
     if args.mode == "rainbow-triangle":
-        res = srch.search_rainbow_triangle(args.max_vertices, prune=args.prune)
-        if res.witness is not None:
-            bounds.append(
-                upper_report("best ratio", res.best_ratio_exact, Fraction(2), "rainbow triangles 2")
-            )
+        res = srch.search_rainbow_triangle(args.max_vertices)
+        name, d, delta = "rainbow_d", 3, 0
     elif args.mode == "mixed4":
         res = srch.search_mixed_4subsets(args.max_vertices)
-        if res.witness is not None:
-            bounds.append(
-                upper_report("best ratio", res.best_ratio_exact, Fraction(9, 2), "shearer 9/2")
-            )
-        notes.append("known window for the true optimum: [3/2, 3]")
-    elif args.mode == "probe":
+        name, d, delta = "mixed4", 3, 0
+    else:
         params = {"vertices": args.vertices, "d": args.d, "delta": args.delta}
         res = srch.random_probe(args.problem, params, args.trials, seed=args.seed)
-        if res.witness is not None:
-            if args.problem == "rainbow_d":
-                cap = Fraction(2) if args.d == 3 else Fraction(math.factorial(args.d))
-                src = "rainbow triangles 2" if args.d == 3 else "joints d!"
-                bounds.append(upper_report("best ratio", res.best_ratio_exact, cap, src))
-            elif args.problem in _PROBE_CAPS:
-                cap, src = _PROBE_CAPS[args.problem]
-                bounds.append(upper_report("best ratio", res.best_ratio_exact, cap, src))
-            if args.problem == "good6":
-                notes.append("conjectured optimum 2/7; larger values are not failures")
-    else:
-        raise ValidationError(f"unknown search mode {args.mode!r}")
+        name, d, delta = args.problem, args.d, args.delta
+    problem = hg.PROBLEMS[name]
+    bounds = problem.reports(res.best_ratio_exact, d, delta) if res.witness is not None else []
     if args.out and res.witness is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(formats.hypergraph_to_obj(res.witness), fh)
@@ -375,7 +331,7 @@ def cmd_search(args) -> tuple[dict, list[BoundReport], list[str]]:
         "explored": res.explored,
         "exhaustive": res.exhaustive,
     }
-    return q, bounds, notes
+    return q, bounds, list(problem.notes)
 
 
 def cmd_weighted(args) -> tuple[dict, list[BoundReport], list[str]]:
@@ -417,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="emit a canonical JSON report")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized operations")
-        p.add_argument("--threads", type=int, default=1, help="worker cap (current build runs sequentially)")
 
     p = sub.add_parser("validate", help="check hypergraph invariants")
     p.add_argument("--input", required=True)
@@ -493,8 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive search or seeded random probe")
     p.add_argument("mode", choices=["rainbow-triangle", "mixed4", "probe"])
     p.add_argument("--max-vertices", type=int, default=4)
-    p.add_argument("--prune", action="store_true")
-    p.add_argument("--problem", default="rainbow_d", choices=list(srch.PROBE_PROBLEMS))
+    p.add_argument("--problem", default="rainbow_d", choices=list(hg.PROBLEMS))
     p.add_argument("--vertices", type=int, default=8)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--d", type=int, default=3)
@@ -546,8 +500,6 @@ def run(argv: list[str]) -> tuple[dict, int]:
     """Execute one command; returns (report dict, exit code)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        raise ValidationError("--threads must be >= 1")
     paths = _input_paths(args)
     digest = _digest_files(paths) if paths else _digest_params(" ".join(argv))
     quantities, bounds, notes = _HANDLERS[args.cmd](args)

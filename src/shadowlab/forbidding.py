@@ -18,7 +18,8 @@ from itertools import combinations_with_replacement, product
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import ValidationError, check_cap
-from .numkit import CVector, invert_product, product_falling
+from .numkit import CVector, invert_product, product_falling, shadow_bound_holds
+from .qlinalg import is_prime, rref
 from .reports import BoundReport, lower_report
 
 UNIVERSE_CAP = 64
@@ -90,38 +91,19 @@ def repeats_system(n: int, d: int) -> ForbiddingSystem:
     )
 
 
-def _rank_mod_q(vectors: Sequence[tuple[int, ...]], q: int) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % q), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], q - 2, q)
-        rows[rank] = [(x * inv) % q for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % q:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def qlinear_system(q: int, n: int, d: int) -> ForbiddingSystem:
     """Bad = linearly dependent over F_q; the (q-1, q^2-1, ...) system.
 
     Universe is F_q^n minus the zero vector; q must be prime.
     """
-    if any(q % p == 0 for p in range(2, q)) or q < 2:
+    if not is_prime(q):
         raise ValidationError(f"q must be prime, got {q}")
     check_cap("field size q^n", q**n, 2**16)
     universe = [v for v in product(range(q), repeat=n) if any(v)]
     return ForbiddingSystem(
         universe=universe,
         d=d,
-        classify_good=lambda ms: _rank_mod_q(ms, q) == len(ms),
+        classify_good=lambda ms: len(rref(ms, q)) == len(ms),
         c_vector=tuple(q**k - 1 for k in range(1, d)),
         name=f"qlinear:{q},{n}",
     )
@@ -276,11 +258,11 @@ def tuple_shadow(fam: TupleFamily) -> TupleFamily:
 def check_generalized_kk(
     sys: ForbiddingSystem,
     sets: Sequence[Iterable[Hashable]],
-    tol: float = 1e-9,
 ) -> BoundReport:
     """|shadow(F)| >= t(t-c_1)...(t-c_{d-2}) where |F| = t(t-c_1)...(t-c_{d-1}).
 
-    F is the union of the S_i^(d), which must be mutually disjoint.
+    F is the union of the S_i^(d), which must be mutually disjoint.  The
+    verdict is exact; t and the bound are floats for display.
     """
     if sys.d < 2:
         raise ValidationError("the shadow bound needs d >= 2")
@@ -305,6 +287,6 @@ def check_generalized_kk(
         shadow_size,
         bound,
         "generalized kruskal-katona",
-        tol=tol,
+        holds=shadow_bound_holds(shadow_size, len(big), sys.c_vector),
         extra={"t": t, "family_size": len(big), "c_vector": sys.c_vector.entries},
     )

@@ -2,21 +2,22 @@
 
 Counts are exact big integers; ratios become floats only inside reports.
 Graphs are immutable after construction, so every operation here is safe to
-call concurrently.
+call concurrently.  `PROBLEMS` at the bottom is the one registry of the ratio
+problems (formula, bounds, note, random instances) that the checks, the
+search and the command line all read.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, ValidationError, check_cap
-from .numkit import binom_real, invert_binom
+from .numkit import binom_real, invert_binom, shadow_bound_holds
 from .reports import BoundReport, ValidationReport, lower_report, upper_report
 
 VERTEX_CAP = 64
@@ -182,71 +183,6 @@ def count_rainbow_cliques(h: ColoredHypergraph, d: int, colors: Sequence[str]) -
     return len(rainbow_cliques(h, d, colors))
 
 
-@dataclass(frozen=True)
-class KappaReport:
-    """T^{d-1} / (C_1 ... C_d) plus all proven upper bounds on it."""
-
-    d: int
-    colors: tuple[str, ...]
-    t_count: int
-    color_counts: tuple[int, ...]
-    ratio_exact: Fraction
-    reports: tuple[BoundReport, ...]
-
-    @property
-    def ratio(self) -> float:
-        return float(self.ratio_exact)
-
-
-def kappa_ratio(h: ColoredHypergraph, d: int, colors: Sequence[str] | None = None) -> KappaReport:
-    """Compute the clique/edge-count ratio and check it against its upper bounds."""
-    if colors is None:
-        colors = h.colors()
-    color_list = tuple(colors)
-    counts = h.color_counts()
-    sizes = tuple(counts.get(c, 0) for c in color_list)
-    if any(s == 0 for s in sizes):
-        missing = [c for c, s in zip(color_list, sizes) if s == 0]
-        raise ValidationError(f"every color class must be nonempty; empty: {missing}")
-    t = count_rainbow_cliques(h, d, color_list)
-    denom = math.prod(sizes)
-    ratio = Fraction(t ** (d - 1), denom)
-    reports = [
-        upper_report(
-            "clique ratio",
-            ratio,
-            Fraction(math.factorial(d - 1) ** d),
-            f"shearer ((d-1)!)^d = {math.factorial(d - 1) ** d}",
-        )
-    ]
-    if d >= 3:
-        inductive = Fraction(math.prod(i**i for i in range(1, d)), 2)
-        reports.append(
-            upper_report("clique ratio", ratio, inductive, f"induction (1/2) prod i^i = {inductive}")
-        )
-    reports.append(
-        upper_report("clique ratio", ratio, Fraction(math.factorial(d)), f"joints d! = {math.factorial(d)}")
-    )
-    if d == 3:
-        reports.append(
-            upper_report(
-                "T^2",
-                t * t,
-                2 * denom,
-                "rainbow triangles T^2 <= 2 C1 C2 C3",
-                extra={"T": t, "2*C1*C2*C3": 2 * denom},
-            )
-        )
-    return KappaReport(
-        d=d,
-        colors=color_list,
-        t_count=t,
-        color_counts=sizes,
-        ratio_exact=ratio,
-        reports=tuple(reports),
-    )
-
-
 def shadow(fam: SetFamily) -> SetFamily:
     """All (d-1)-subsets contained in some member."""
     if fam.d < 1:
@@ -258,8 +194,17 @@ def shadow(fam: SetFamily) -> SetFamily:
     return SetFamily(n=fam.n, d=fam.d - 1, sets=tuple(sorted(out)))
 
 
-def check_kruskal_katona(fam: SetFamily, tol: float = 1e-9) -> BoundReport:
-    """|shadow| >= binom(t, d-1) where binom(t, d) = |family|, t real >= d."""
+def _binom_bound_holds(shadow_size: int, family_size: int, d: int) -> bool:
+    """Exactly: shadow_size >= binom(t, d-1) where binom(t, d) = family_size."""
+    f = math.factorial(d - 1)
+    return shadow_bound_holds(f * shadow_size, f * d * family_size, range(1, d))
+
+
+def check_kruskal_katona(fam: SetFamily) -> BoundReport:
+    """|shadow| >= binom(t, d-1) where binom(t, d) = |family|, t real >= d.
+
+    The verdict is exact; t and the bound are floats for display.
+    """
     if len(fam) < 1:
         raise ValidationError("family must be nonempty")
     t = invert_binom(len(fam), fam.d).t
@@ -270,7 +215,7 @@ def check_kruskal_katona(fam: SetFamily, tol: float = 1e-9) -> BoundReport:
         shadow_size,
         bound,
         "kruskal-katona (lovasz form)",
-        tol=tol,
+        holds=_binom_bound_holds(shadow_size, len(fam), fam.d),
         extra={"t": t, "family_size": len(fam)},
     )
 
@@ -350,35 +295,6 @@ def count_good_4subsets_mixed(h: ColoredHypergraph) -> int:
     return len(good_4subsets_mixed(h))
 
 
-@dataclass(frozen=True)
-class MixedSubsetReport:
-    j: int
-    n2: int
-    n3: int
-    ratio_exact: Fraction
-    reports: tuple[BoundReport, ...]
-
-    @property
-    def ratio(self) -> float:
-        return float(self.ratio_exact)
-
-
-def check_mixed_4subsets(h: ColoredHypergraph) -> MixedSubsetReport:
-    """J^2 / (N2 N3^2) against the proven caps 9/2 and 3."""
-    good = good_4subsets_mixed(h)
-    n2 = sum(1 for e in h.edges if len(e.verts) == 2)
-    n3 = sum(1 for e in h.edges if len(e.verts) == 3)
-    if n2 == 0 or n3 == 0:
-        raise ValidationError("mixed ratio needs N2 >= 1 and N3 >= 1")
-    j = len(good)
-    ratio = Fraction(j * j, n2 * n3 * n3)
-    reports = (
-        upper_report("mixed ratio", ratio, Fraction(9, 2), "shearer 9/2"),
-        upper_report("mixed ratio", ratio, Fraction(3), "joints 3"),
-    )
-    return MixedSubsetReport(j=j, n2=n2, n3=n3, ratio_exact=ratio, reports=reports)
-
-
 COVERING_COLORS = ("red", "green", "blue")
 
 
@@ -419,37 +335,6 @@ def count_color_covering_subsets(h: ColoredHypergraph, delta: int) -> int:
     return len(color_covering_subsets(h, delta))
 
 
-@dataclass(frozen=True)
-class CoveringReport:
-    j: int
-    color_counts: tuple[int, int, int]
-    ratio_exact: Fraction
-    reports: tuple[BoundReport, ...]
-
-    @property
-    def ratio(self) -> float:
-        return float(self.ratio_exact)
-
-
-def check_color_covering(h: ColoredHypergraph, delta: int) -> CoveringReport:
-    """J^2 / (RGB) against the proven cap 6; the cap 2 is proven only at delta=0."""
-    good = color_covering_subsets(h, delta)
-    counts = h.color_counts()
-    rgb = tuple(counts.get(c, 0) for c in COVERING_COLORS)
-    if any(x == 0 for x in rgb):
-        raise ValidationError("covering ratio needs a nonempty class of each color")
-    j = len(good)
-    ratio = Fraction(j * j, rgb[0] * rgb[1] * rgb[2])
-    reports = [upper_report("covering ratio", ratio, Fraction(6), "joints 6")]
-    if delta == 0:
-        reports.append(upper_report("covering ratio", ratio, Fraction(2), "rainbow triangles 2"))
-    else:
-        reports.append(
-            upper_report("covering ratio", ratio, Fraction(2), "conjectured 2", conjecture=True)
-        )
-    return CoveringReport(j=j, color_counts=rgb, ratio_exact=ratio, reports=tuple(reports))
-
-
 def count_partial_shadow_targets(h: ColoredHypergraph, r: int, k: int) -> int:
     """Number of r-subsets containing at least r-k edges of an (r-1)-uniform h."""
     if r < 1 or k < 0 or k > r:
@@ -475,8 +360,11 @@ def count_partial_shadow_targets(h: ColoredHypergraph, r: int, k: int) -> int:
     return len(found)
 
 
-def check_partial_shadow_bound(h: ColoredHypergraph, r: int, k: int, tol: float = 1e-9) -> BoundReport:
-    """e(h) >= binom(x, r-k-1) where binom(x, r-k) = m, x real >= r-k."""
+def check_partial_shadow_bound(h: ColoredHypergraph, r: int, k: int) -> BoundReport:
+    """e(h) >= binom(x, r-k-1) where binom(x, r-k) = m, x real >= r-k.
+
+    The verdict is exact; x and the bound are floats for display.
+    """
     if not (0 <= k < r):
         raise ValidationError(f"bound check needs 0 <= k < r, got r={r}, k={k}")
     m = count_partial_shadow_targets(h, r, k)
@@ -489,7 +377,7 @@ def check_partial_shadow_bound(h: ColoredHypergraph, r: int, k: int, tol: float 
         len(h.edges),
         bound,
         "partial shadow",
-        tol=tol,
+        holds=_binom_bound_holds(len(h.edges), m, r - k),
         extra={"m": m, "x": x, "r": r, "k": k},
     )
 
@@ -575,13 +463,17 @@ def spectral_trace_check(h: ColoredHypergraph, tol: float = 1e-6) -> SpectralRep
     _require_valid(h)
     table = _weights(h, 2)
     total = sum(table.values())
-    m = np.zeros((h.n, h.n))
+    # M is symmetric with a zero diagonal: traces are sums over closed walks
+    adj: dict[int, dict[int, float]] = {v: {} for v in range(h.n)}
     for (i, j), w in table.items():
-        m[i, j] = m[j, i] = math.sqrt(w)
-    m2 = m @ m
-    m3 = m2 @ m
-    tr2 = float(np.trace(m2))
-    tr3 = float(np.trace(m3))
+        adj[i][j] = adj[j][i] = math.sqrt(w)
+    tr2 = sum(x * x for row in adj.values() for x in row.values())
+    tr3 = sum(
+        mij * mjk * adj[k].get(i, 0.0)
+        for i, row in adj.items()
+        for j, mij in row.items()
+        for k, mjk in adj[j].items()
+    )
     sum_w32 = sum(
         math.sqrt(p) for p in weighted_joint_sum(h, 3).terms
     )
@@ -626,3 +518,167 @@ def color_isomorphic(h1: ColoredHypergraph, h2: ColoredHypergraph) -> bool:
             if mapped == edges2:
                 return True
     return False
+
+
+Bound = tuple[Fraction, str, bool]  # (upper bound on the ratio, source, conjecture)
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One ratio problem: its exact ratio, its bounds, its notes and its random instances.
+
+    measure(h, d, delta, colors) gives the named counts and the ratio as
+    (numerator, denominator), the denominator 0 when a class is empty.
+    bounds(d, delta) lists every proven and conjectured upper bound on the
+    ratio; instance(rng, n, d, delta) draws one seeded random graph on n
+    vertices.  Only rainbow_d reads colors; d and delta are ignored where
+    the problem has no such parameter.
+    """
+
+    name: str
+    quantity: str
+    measure: Callable[[ColoredHypergraph, int, int, Sequence[str] | None], tuple[dict, int, int]]
+    bounds: Callable[[int, int], tuple[Bound, ...]]
+    notes: tuple[str, ...]
+    instance: Callable[[random.Random, int, int, int], ColoredHypergraph]
+
+    def ratio(
+        self, h: ColoredHypergraph, d: int = 3, delta: int = 0, colors: Sequence[str] | None = None
+    ) -> tuple[int, int] | None:
+        """The exact ratio as (numerator, denominator), or None when a class is empty."""
+        _, num, den = self.measure(h, d, delta, colors)
+        return (num, den) if den else None
+
+    def reports(self, value: Fraction, d: int = 3, delta: int = 0) -> list[BoundReport]:
+        """A ratio value checked against every bound of the problem."""
+        return [
+            upper_report(self.quantity, value, bound, source, conjecture=conjecture)
+            for bound, source, conjecture in self.bounds(d, delta)
+        ]
+
+
+def _rainbow_colors(d: int) -> tuple[str, ...]:
+    return tuple(f"c{i + 1}" for i in range(d))
+
+
+def _random_colored(rng: random.Random, n: int, size: int, colors: Sequence[str]) -> ColoredHypergraph:
+    """Each size-subset of [n] is no edge or an edge of a uniformly drawn color."""
+    edges = []
+    for verts in combinations(range(n), size):
+        pick = rng.randrange(len(colors) + 1)
+        if pick:
+            edges.append((verts, colors[pick - 1]))
+    return ColoredHypergraph.from_edges(n, edges)
+
+
+def _random_plain(rng: random.Random, n: int, sizes: Sequence[int]) -> ColoredHypergraph:
+    """Each subset of [n] of each listed size is an edge with probability 1/2."""
+    edges = [(v, "plain") for size in sizes for v in combinations(range(n), size) if rng.random() < 0.5]
+    return ColoredHypergraph.from_edges(n, edges)
+
+
+def _rainbow_measure(h, d, delta, colors):
+    colors = _rainbow_colors(d) if colors is None else tuple(colors)
+    t = count_rainbow_cliques(h, d, colors)
+    counts = h.color_counts()
+    sizes = [counts.get(c, 0) for c in colors]
+    return {"T": t, "C": sizes}, t ** (d - 1), math.prod(sizes)
+
+
+def _rainbow_bounds(d, delta):
+    shearer = math.factorial(d - 1) ** d
+    bounds = [(Fraction(shearer), f"shearer ((d-1)!)^d = {shearer}", False)]
+    if d >= 3:
+        inductive = Fraction(math.prod(i**i for i in range(1, d)), 2)
+        bounds.append((inductive, f"induction (1/2) prod i^i = {inductive}", False))
+    bounds.append((Fraction(math.factorial(d)), f"joints d! = {math.factorial(d)}", False))
+    if d == 3:
+        bounds.append((Fraction(2), "rainbow triangles T^2 <= 2 C1 C2 C3", False))
+    return tuple(bounds)
+
+
+def _good6_measure(h, d, delta, colors):
+    j = count_good_6subsets(h)
+    n = len(h.edges)
+    return {"J": j, "N": n}, j * j, n**3
+
+
+def _mixed4_measure(h, d, delta, colors):
+    j = count_good_4subsets_mixed(h)
+    n2 = sum(1 for e in h.edges if len(e.verts) == 2)
+    n3 = sum(1 for e in h.edges if len(e.verts) == 3)
+    return {"J": j, "N2": n2, "N3": n3}, j * j, n2 * n3 * n3
+
+
+def _covering_measure(h, d, delta, colors):
+    j = count_color_covering_subsets(h, delta)
+    counts = h.color_counts()
+    r, g, b = (counts.get(c, 0) for c in COVERING_COLORS)
+    return {"J": j, "R": r, "G": g, "B": b}, j * j, r * g * b
+
+
+def _covering_bounds(d, delta):
+    # at delta = 0 the covering 3-sets are exactly the rainbow triangles
+    two = (Fraction(2), "rainbow triangles 2", False) if delta == 0 else (Fraction(2), "conjectured 2", True)
+    return ((Fraction(6), "joints 6", False), two)
+
+
+PROBLEMS: dict[str, Problem] = {
+    p.name: p
+    for p in (
+        Problem(
+            "rainbow_d", "clique ratio", _rainbow_measure, _rainbow_bounds, (),
+            lambda rng, n, d, delta: _random_colored(rng, n, d - 1, _rainbow_colors(d)),
+        ),
+        Problem(
+            "good6", "good6 ratio", _good6_measure, lambda d, delta: (),
+            ("conjectured optimum for J^2/N^3 is 2/7; exceeding it is not a failure",),
+            lambda rng, n, d, delta: _random_plain(rng, n, (4,)),
+        ),
+        Problem(
+            "mixed4", "mixed ratio", _mixed4_measure,
+            lambda d, delta: ((Fraction(9, 2), "shearer 9/2", False), (Fraction(3), "joints 3", False)),
+            ("conjectured optimum for J^2/(N2 N3^2) is 3/2, in the known window [3/2, 3]; "
+             "exceeding it is not a failure",),
+            lambda rng, n, d, delta: _random_plain(rng, n, (2, 3)),
+        ),
+        Problem(
+            "covering_delta", "covering ratio", _covering_measure, _covering_bounds, (),
+            lambda rng, n, d, delta: _random_colored(rng, n, delta + 2, COVERING_COLORS),
+        ),
+    )
+}
+
+
+def get_problem(name: str) -> Problem:
+    if name not in PROBLEMS:
+        raise ValidationError(f"problem must be one of {tuple(PROBLEMS)}, got {name!r}")
+    return PROBLEMS[name]
+
+
+@dataclass(frozen=True)
+class RatioReport:
+    """A problem's named counts and exact ratio on one graph, with its bound reports."""
+
+    counts: dict
+    ratio_exact: Fraction
+    reports: tuple[BoundReport, ...]
+
+    @property
+    def ratio(self) -> float:
+        return float(self.ratio_exact)
+
+
+def check_ratio(
+    name: str, h: ColoredHypergraph, d: int = 3, delta: int = 0, colors: Sequence[str] | None = None
+) -> RatioReport:
+    """The problem's exact ratio on h, checked against every bound it has.
+
+    Raises ValidationError when a class in the denominator is empty.
+    """
+    problem = get_problem(name)
+    counts, num, den = problem.measure(h, d, delta, colors)
+    if den == 0:
+        raise ValidationError(f"the {name} ratio needs every class nonempty, got {counts}")
+    ratio = Fraction(num, den)
+    return RatioReport(counts, ratio, tuple(problem.reports(ratio, d, delta)))

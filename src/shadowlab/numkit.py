@@ -1,14 +1,17 @@
 """Falling-factorial products, real binomials, Gaussian binomials, inversion.
 
-Counting paths stay in exact integer arithmetic; the real-valued parameter t
-is recovered by bisection on a provably monotone branch, so no derivative
+Counting paths stay in exact integer arithmetic.  Shadow bounds are decided
+exactly by `shadow_bound_holds`; the real-valued parameter t is recovered by
+bisection on a provably monotone branch for display only, so no derivative
 bookkeeping is needed.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import ValidationError
@@ -82,10 +85,12 @@ def binom_real(t, d: int):
         raise ValidationError(f"binom_real requires t >= d-1 (monotone regime), got t={t}, d={d}")
     if isinstance(t, int):
         return math.comb(t, d) if t >= 0 else 1  # t = -1 only reachable with d = 0
-    num = 1.0
+    # one factor at a time: d! and the falling product leave the float range
+    # long before the binomial does
+    result = 1.0
     for i in range(d):
-        num *= t - i
-    return num / math.factorial(d)
+        result = result * (t - i) / (i + 1)
+    return result
 
 
 def gaussian_binom(t, d: int, q: int):
@@ -145,8 +150,17 @@ def invert_product(target, c: CVector | Sequence[int], tol: float = DEFAULT_INVE
         raise ValidationError("tolerance must be positive")
     cv = CVector.coerce(c)
     lo = float(cv.last)
-    hi = lo + 1.0 + float(target)
-    t = _bisect_increasing(lambda x: product_falling(x, cv), lo, hi, float(target), tol)
+    if target <= sys.float_info.max:
+        hi = lo + 1.0 + float(target)
+        t = _bisect_increasing(lambda x: product_falling(x, cv), lo, hi, float(target), tol)
+    else:  # beyond the float range: bisect on logarithms, with t <= c_{d-1} + target^(1/d)
+
+        def log_product(x):
+            return math.log(x) + sum(math.log(x - ci) for ci in cv.entries)
+
+        goal = math.log(target)
+        hi = lo + 1.0 + math.exp(goal / (len(cv) + 1))
+        t = _bisect_increasing(log_product, lo, hi, goal, tol)
     return RealParam(t=t, tolerance=tol)
 
 
@@ -172,3 +186,24 @@ def invert_gaussian(target, d: int, q: int, tol: float = DEFAULT_INVERSION_TOL) 
         hi = lo + 2 * (hi - lo)
     t = _bisect_increasing(lambda x: gaussian_binom(x, d, q), lo, hi, float(target), tol)
     return RealParam(t=t, tolerance=tol)
+
+
+def shadow_bound_holds(shadow: int, family: int, c: CVector | Sequence[int]) -> bool:
+    """Exactly decide shadow >= P_{d-1}(t), where P_d(t) = product_falling(t, c) = family.
+
+    P_d(t) = P_{d-1}(t) (t - c_{d-1}) and P_{d-1} increases beyond c_{d-1}, so
+    the bound holds iff P_{d-1}(family / shadow + c_{d-1}) <= shadow: one
+    Fraction evaluation, no root finding and no tolerance.  P_0 = 1 for the
+    empty c-vector (d = 1).  Scaled callers: binomials use c = (1, ..., d-1)
+    with family * d! and shadow * (d-1)!; Gaussian binomials use
+    c = (q-1, ..., q^{d-1}-1) in y - 1 = q^t - 1 with family * |GL_d(q)| and
+    shadow * |GL_{d-1}(q)|, which puts the test at y* = q^{d-1}(1 + (q^d-1) family / shadow).
+    """
+    if family < 1:
+        raise ValidationError(f"shadow bound needs family >= 1, got {family}")
+    cv = CVector.coerce(c)
+    if shadow < 1:
+        return False
+    if not cv.entries:
+        return True
+    return product_falling(Fraction(family, shadow) + cv.last, cv.drop_last()) <= shadow

@@ -1,8 +1,9 @@
 """Bound reports: one computed quantity compared against one bound value.
 
 Counts stay exact (int or Fraction); the float side only appears at the
-reporting boundary.  When both sides are exact the comparison is exact,
-otherwise an absolute tolerance applies.
+reporting boundary.  When both sides are exact the comparison is exact; a
+caller that decided an irrational bound exactly passes its verdict as
+`holds`; otherwise an absolute tolerance applies.
 """
 
 from __future__ import annotations
@@ -88,10 +89,16 @@ def lower_report(
     *,
     conjecture: bool = False,
     tol: float = DEFAULT_TOL,
+    holds: bool | None = None,
     extra: Mapping[str, object] | None = None,
 ) -> BoundReport:
-    """Report for computed >= bound; exact comparison when both sides are exact."""
-    if _is_exact(computed) and _is_exact(bound):
+    """Report for computed >= bound; exact comparison when both sides are exact.
+
+    `holds` is the caller's exact verdict; `bound` is then for display only.
+    """
+    if holds is not None:
+        ok = holds
+    elif _is_exact(computed) and _is_exact(bound):
         ok = Fraction(computed) >= Fraction(bound)
     else:
         ok = float(computed) >= float(bound) - tol

@@ -11,11 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Mapping
 
-from .errors import CapacityError, ValidationError
-from .hypergraph import ColoredHypergraph
+from .errors import CapacityError, ValidationError, check_cap
+from .hypergraph import VERTEX_CAP, ColoredHypergraph, get_problem
 
 RAINBOW_CAP = 7  # hard cap: 4^binom(n,2) states
 MIXED_CAP = 6  # hard cap: 2^(pairs + triples) states
@@ -46,19 +46,10 @@ class SearchResult:
         return Fraction(self.best_numerator, self.best_denominator)
 
 
-def _is_canonical(state: tuple[int, ...], slot_perms: list[tuple[int, ...]]) -> bool:
-    for sp in slot_perms:
-        if tuple(state[i] for i in sp) < state:
-            return False
-    return True
-
-
-def search_rainbow_triangle(max_vertices: int, prune: bool = False) -> SearchResult:
+def search_rainbow_triangle(max_vertices: int) -> SearchResult:
     """Exhaustively maximize T^2 / (RGB) over 3-colorings of the pairs of [n].
 
-    Every pair slot takes one of {absent, red, green, blue}.  With pruning,
-    states that are not lexicographically minimal under vertex permutations
-    are skipped (sound, but the exhaustive flag is cleared).
+    Every pair slot takes one of {absent, red, green, blue}.
     """
     n = max_vertices
     if n < 3:
@@ -71,20 +62,12 @@ def search_rainbow_triangle(max_vertices: int, prune: bool = False) -> SearchRes
         (index[(a, b)], index[(a, c)], index[(b, c)])
         for a, b, c in combinations(range(n), 3)
     ]
-    slot_perms = []
-    if prune:
-        for perm in permutations(range(n)):
-            slot_perms.append(
-                tuple(index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs)
-            )
     best_num = 0
     best_den = 1
     best_state = None
     explored = 0
     for state in product((0, 1, 2, 3), repeat=len(pairs)):
         explored += 1
-        if prune and not _is_canonical(state, slot_perms):
-            continue
         r = state.count(1)
         g = state.count(2)
         b = state.count(3)
@@ -121,8 +104,8 @@ def search_rainbow_triangle(max_vertices: int, prune: bool = False) -> SearchRes
         best_denominator=best_den,
         witness=witness,
         explored=explored,
-        exhaustive=not prune,
-        params={"max_vertices": n, "prune": prune},
+        exhaustive=True,
+        params={"max_vertices": n},
     )
 
 
@@ -189,95 +172,31 @@ def search_mixed_4subsets(max_vertices: int) -> SearchResult:
     )
 
 
-PROBE_PROBLEMS = ("rainbow_d", "good6", "mixed4", "covering_delta")
-
-
-def _probe_ratio(problem: str, h: ColoredHypergraph, d: int, delta: int):
-    """(numerator, denominator) of the problem's ratio, or None if undefined."""
-    from . import hypergraph as hg
-
-    if problem == "rainbow_d":
-        counts = h.color_counts()
-        colors = [f"c{i + 1}" for i in range(d)]
-        if any(counts.get(c, 0) == 0 for c in colors):
-            return None
-        t = hg.count_rainbow_cliques(h, d, colors)
-        den = 1
-        for c in colors:
-            den *= counts[c]
-        return (t ** (d - 1), den)
-    if problem == "good6":
-        n_edges = len(h.edges)
-        if n_edges == 0:
-            return None
-        j = hg.count_good_6subsets(h)
-        return (j * j, n_edges**3)
-    if problem == "mixed4":
-        n2 = sum(1 for e in h.edges if len(e.verts) == 2)
-        n3 = sum(1 for e in h.edges if len(e.verts) == 3)
-        if n2 == 0 or n3 == 0:
-            return None
-        j = len(hg.good_4subsets_mixed(h))
-        return (j * j, n2 * n3 * n3)
-    if problem == "covering_delta":
-        counts = h.color_counts()
-        if any(counts.get(c, 0) == 0 for c in RGB):
-            return None
-        j = hg.count_color_covering_subsets(h, delta)
-        return (j * j, counts["red"] * counts["green"] * counts["blue"])
-    raise ValidationError(f"unknown problem {problem!r}")
-
-
-def _probe_instance(problem: str, rng: random.Random, n: int, d: int, delta: int) -> ColoredHypergraph:
-    if problem == "rainbow_d":
-        colors = [f"c{i + 1}" for i in range(d)]
-        edges = []
-        for verts in combinations(range(n), d - 1):
-            pick = rng.randrange(d + 1)
-            if pick:
-                edges.append((verts, colors[pick - 1]))
-        return ColoredHypergraph.from_edges(n, edges)
-    if problem == "good6":
-        edges = [(v, "plain") for v in combinations(range(n), 4) if rng.random() < 0.5]
-        return ColoredHypergraph.from_edges(n, edges)
-    if problem == "mixed4":
-        edges = [(v, "plain") for v in combinations(range(n), 2) if rng.random() < 0.5]
-        edges += [(v, "plain") for v in combinations(range(n), 3) if rng.random() < 0.5]
-        return ColoredHypergraph.from_edges(n, edges)
-    if problem == "covering_delta":
-        edges = []
-        for verts in combinations(range(n), delta + 2):
-            pick = rng.randrange(4)
-            if pick:
-                edges.append((verts, RGB[pick - 1]))
-        return ColoredHypergraph.from_edges(n, edges)
-    raise ValidationError(f"unknown problem {problem!r}")
-
-
 def random_probe(
     problem: str,
     params: Mapping[str, int],
     trials: int,
     seed: int = 0,
 ) -> SearchResult:
-    """Best ratio over seeded-random configurations; deterministic per seed."""
-    if problem not in PROBE_PROBLEMS:
-        raise ValidationError(f"problem must be one of {PROBE_PROBLEMS}, got {problem!r}")
+    """Best ratio of a registered problem over seeded-random instances.
+
+    Instances and ratios come from `hypergraph.PROBLEMS`; deterministic per seed.
+    """
+    prob = get_problem(problem)
     if trials < 0:
         raise ValidationError("trials must be nonnegative")
     n = int(params.get("vertices", 8))
     d = int(params.get("d", 3))
     delta = int(params.get("delta", 0))
-    if problem == "rainbow_d" and d < 2:
-        raise ValidationError(f"rainbow_d needs d >= 2, got {d}")
-    if problem == "covering_delta" and delta < 0:
-        raise ValidationError(f"covering_delta needs delta >= 0, got {delta}")
+    if d < 2 or delta < 0:
+        raise ValidationError(f"probes need d >= 2 and delta >= 0, got d={d}, delta={delta}")
+    check_cap("vertex count", n, VERTEX_CAP)  # before drawing an instance of up to C(n, 4) edges
     rng = random.Random(seed)
     best_num, best_den = 0, 1
     best: ColoredHypergraph | None = None
     for _ in range(trials):
-        h = _probe_instance(problem, rng, n, d, delta)
-        ratio = _probe_ratio(problem, h, d, delta)
+        h = prob.instance(rng, n, d, delta)
+        ratio = prob.ratio(h, d, delta)
         if ratio is None:
             continue
         num, den = ratio

@@ -127,10 +127,10 @@ def test_criterion_06_kruskal_katona():
         d = rng.randint(1, 4)
         n = rng.randint(d, 10)
         fam = random_set_family(rng, n, d, 40)
-        assert check_kruskal_katona(fam, tol=TOL).satisfied
+        assert check_kruskal_katona(fam).satisfied
     for d in (2, 3, 4):
         for m in range(d, 9):
-            rep = check_kruskal_katona(complete_family(m, d), tol=TOL)
+            rep = check_kruskal_katona(complete_family(m, d))
             assert rep.satisfied
             assert rep.computed == math.comb(m, d - 1)
             assert abs(rep.computed - rep.bound) <= TOL
@@ -282,10 +282,10 @@ def test_criterion_14_partial_shadow():
         h = random_uniform_hypergraph(rng, rng.randint(r, 7), r - 1, p=0.55)
         if count_partial_shadow_targets(h, r, k) < 1:
             continue
-        assert check_partial_shadow_bound(h, r, k, tol=TOL).satisfied
+        assert check_partial_shadow_bound(h, r, k).satisfied
         checked += 1
     star = ColoredHypergraph.from_edges(4, [((0, v), "plain") for v in (1, 2, 3)])
-    rep = check_partial_shadow_bound(star, 3, 1, tol=TOL)
+    rep = check_partial_shadow_bound(star, 3, 1)
     assert rep.satisfied
     assert rep.extra["m"] == 3
     assert abs(rep.extra["x"] - 3.0) <= TOL

@@ -1,6 +1,9 @@
 """File formats, canonical JSON reports, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -203,6 +206,23 @@ class TestCli:
         )
         assert report["quantities"]["family_size"] == 210
         assert report["quantities"]["shadow_size"] == 15
+
+    def test_kk_target_beyond_float_range(self, tmp_path):
+        # one 180-set: binom(t, 180) = 1 puts 180! into the inversion
+        fam = str(tmp_path / "big.json")
+        with open(fam, "w") as fh:
+            json.dump({"n": 200, "d": 180, "sets": [list(range(180))]}, fh)
+        report = self.run_ok(["kk", "--family", fam, "--json"])
+        assert report["quantities"]["shadow_size"] == 180
+        assert report["quantities"]["t"] == pytest.approx(180.0, abs=1e-6)
+        assert report["bounds"][0]["satisfied"]
+
+    def test_import_leaves_numpy_out(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = "import sys, shadowlab.cli; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_shadow_out(self, tmp_path):
         fam = str(tmp_path / "fam.json")

@@ -18,10 +18,9 @@ from shadowlab.constructions import (
 )
 from shadowlab.errors import ValidationError
 from shadowlab.hypergraph import (
-    check_mixed_4subsets,
+    check_ratio,
     count_good_6subsets,
     count_rainbow_cliques,
-    kappa_ratio,
     rainbow_cliques,
     validate,
 )
@@ -102,7 +101,7 @@ class TestKappaLift:
         once = kappa_lift(k4_blowup(1).graph)
         twice = kappa_lift(once.graph)
         assert twice.expected["ratio"] == Fraction(2)
-        rep = kappa_ratio(twice.graph, 5)
+        rep = check_ratio("rainbow_d", twice.graph, 5, colors=twice.graph.colors())
         assert rep.ratio_exact == Fraction(2)
 
     def test_preserves_ratio_on_matching(self):
@@ -165,8 +164,8 @@ class TestTripartiteMixed:
         assert c.expected["N2"] == 3
         assert c.expected["N3"] == 8
         assert c.expected["J"] == 12  # 3 * binom(2,2)... 3 * 1 * 4
-        rep = check_mixed_4subsets(c.graph)
-        assert rep.j == 12
+        rep = check_ratio("mixed4", c.graph)
+        assert rep.counts["J"] == 12
 
     @pytest.mark.parametrize("n,expected_ratio", [(2, Fraction(144, 3 * 64)), (3, Fraction(1)), (4, Fraction(288**2, 18 * 64 * 64))])
     def test_ratio_values(self, n, expected_ratio):

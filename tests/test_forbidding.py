@@ -1,7 +1,7 @@
 """Forbidding-system axioms, compatible sets, S^(d), and the shadow bound."""
 
 import random
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -201,6 +201,12 @@ class TestGeneralizedKK:
         assert rep.extra["t"] == pytest.approx(3.0, abs=1e-9)
         assert rep.computed == 6  # ordered pairs from a 3-set
         assert rep.bound == pytest.approx(6.0, abs=1e-6)
+
+    def test_tight_repeats_universe10_d6(self):
+        rep = check_generalized_kk(repeats_system(10, 6), list(combinations(range(10), 6)))
+        assert rep.extra["family_size"] == 151200
+        assert rep.computed == 30240
+        assert rep.satisfied
 
     def test_overlapping_families_rejected(self):
         sys = repeats_system(6, 3)

@@ -19,17 +19,15 @@ from shadowlab.errors import ValidationError
 from shadowlab.hypergraph import (
     ColoredHypergraph,
     SetFamily,
-    check_color_covering,
     check_kruskal_katona,
-    check_mixed_4subsets,
     check_partial_shadow_bound,
+    check_ratio,
     color_isomorphic,
     count_color_covering_subsets,
     count_good_6subsets,
     count_partial_shadow_targets,
     count_rainbow_cliques,
     good_4subsets_mixed,
-    kappa_ratio,
     shadow,
     spectral_trace_check,
     validate,
@@ -135,26 +133,26 @@ class TestKappaRatio:
                 for j in range(2):
                     edges.append(((2 * u + i, 2 * v + j), e.color))
         h = ColoredHypergraph.from_edges(8, edges)
-        rep = kappa_ratio(h, 3, RGB)
-        assert rep.t_count == 32
-        assert rep.color_counts == (8, 8, 8)
+        rep = check_ratio("rainbow_d", h, 3, colors=RGB)
+        assert rep.counts["T"] == 32
+        assert rep.counts["C"] == [8, 8, 8]
         assert rep.ratio_exact == Fraction(2)
         assert all(r.satisfied for r in rep.reports)
-        thm = [r for r in rep.reports if r.quantity == "T^2"][0]
-        assert thm.computed == 32 * 32 == 2 * 8 * 8 * 8  # tight
+        thm = [r for r in rep.reports if r.source.startswith("rainbow triangles")][0]
+        assert thm.computed == thm.bound == 2  # T^2 = 32^2 = 2 * 8^3: tight
 
     def test_single_rainbow_triangle(self):
         h = ColoredHypergraph.from_edges(
             3, [((0, 1), "red"), ((1, 2), "green"), ((0, 2), "blue")]
         )
-        rep = kappa_ratio(h, 3, RGB)
+        rep = check_ratio("rainbow_d", h, 3, colors=RGB)
         assert rep.ratio_exact == 1
         assert all(r.satisfied for r in rep.reports)
 
     def test_empty_color_class_rejected(self):
         h = ColoredHypergraph.from_edges(3, [((0, 1), "red"), ((1, 2), "green")])
         with pytest.raises(ValidationError):
-            kappa_ratio(h, 3, RGB)
+            check_ratio("rainbow_d", h, 3, colors=RGB)
 
     def test_thm11_on_random_graphs(self):
         rng = random.Random(2024)
@@ -225,6 +223,13 @@ class TestKruskalKatona:
             n = rng.randint(d, 10)
             fam = random_set_family(rng, n, d, 30)
             assert check_kruskal_katona(fam).satisfied
+
+    @pytest.mark.parametrize("m,d", [(22, 6), (29, 5)])
+    def test_tight_complete_family_is_not_a_violation(self, m, d):
+        # the float bound exceeds the shadow size by ~2e-9 here; the verdict is exact
+        rep = check_kruskal_katona(SetFamily.make(m, combinations(range(m), d)))
+        assert rep.computed == math.comb(m, d - 1)
+        assert rep.satisfied
 
 
 def brute_good_6subsets(h):
@@ -301,7 +306,7 @@ class TestMixed4Subsets:
         h = ColoredHypergraph.from_edges(4, [((0, 1), "plain")])
         assert len(good_4subsets_mixed(h)) == 0
         with pytest.raises(ValidationError):
-            check_mixed_4subsets(h)
+            check_ratio("mixed4", h)
 
     def test_tripartite_n3(self):
         n = 3
@@ -315,12 +320,12 @@ class TestMixed4Subsets:
                 for c in parts[2]:
                     edges.append(((a, b, c), "plain"))
         h = ColoredHypergraph.from_edges(9, edges)
-        rep = check_mixed_4subsets(h)
-        assert rep.n2 == 9
-        assert rep.n3 == 27
+        rep = check_ratio("mixed4", h)
+        assert rep.counts["N2"] == 9
+        assert rep.counts["N3"] == 27
         # brute force over all 4-subsets of the 9 vertices
         expected = brute_mixed_4subsets(h)
-        assert rep.j == expected == 81
+        assert rep.counts["J"] == expected == 81
         assert all(r.satisfied for r in rep.reports)
 
 
@@ -368,8 +373,8 @@ class TestColorCovering:
         h = ColoredHypergraph.from_edges(
             4, [((0, 1, 2), "red"), ((0, 1, 3), "green"), ((0, 2, 3), "blue")]
         )
-        rep = check_color_covering(h, 1)
-        assert rep.j == 1
+        rep = check_ratio("covering_delta", h, delta=1)
+        assert rep.counts["J"] == 1
         assert rep.ratio_exact == Fraction(1)
         proven = [r for r in rep.reports if not r.conjecture]
         assert all(r.satisfied for r in proven)

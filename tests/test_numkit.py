@@ -17,6 +17,7 @@ from shadowlab.numkit import (
     invert_gaussian,
     invert_product,
     product_falling,
+    shadow_bound_holds,
 )
 
 
@@ -203,3 +204,55 @@ class TestCVector:
 
     def test_last_of_empty(self):
         assert CVector(()).last == 0
+
+
+def _gl_order(q, k):
+    return math.prod(q**k - q**i for i in range(k))
+
+
+# (shadow, family, c) of tight cases, where shadow equals the bound exactly;
+# the bisected float bound lands above the shadow size in all four.
+TIGHT = {
+    # complete families C(m, d): shadow (d-1)! C(m, d-1), family d! C(m, d), c = (1..d-1)
+    "C(22,6)": (math.factorial(5) * math.comb(22, 5), math.factorial(6) * math.comb(22, 6), range(1, 6)),
+    "C(29,5)": (math.factorial(4) * math.comb(29, 4), math.factorial(5) * math.comb(29, 5), range(1, 5)),
+    # all 6-subsets of [10] under the repeats system: ordered tuples, c = (1..5)
+    "repeats 10, d=6": (math.perm(10, 5), math.perm(10, 6), range(1, 6)),
+    # all 4-subspaces of F_2^17 against all 3-subspaces, in y - 1 = 2^t - 1
+    "[17,4]_2": (
+        gaussian_binom(17, 3, 2) * _gl_order(2, 3),
+        gaussian_binom(17, 4, 2) * _gl_order(2, 4),
+        (1, 3, 7),
+    ),
+}
+
+
+class TestShadowBoundHolds:
+    @pytest.mark.parametrize("case", sorted(TIGHT))
+    def test_tight_case_holds_and_one_less_fails(self, case):
+        shadow, family, c = TIGHT[case]
+        assert shadow_bound_holds(shadow, family, c)
+        assert not shadow_bound_holds(shadow - 1, family, c)
+
+    def test_agrees_with_float_bound_away_from_equality(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            c = tuple(range(1, rng.randint(1, 5)))
+            family = rng.randint(1, 10**6)
+            bound = product_falling(invert_product(family, c).t, c[:-1]) if c else 1.0
+            shadow = rng.randint(1, 2 * int(bound) + 2)
+            if abs(shadow - bound) > 1e-6 * bound:
+                assert shadow_bound_holds(shadow, family, c) == (shadow > bound)
+
+    def test_empty_cvector_needs_one_shadow_member(self):
+        assert shadow_bound_holds(1, 5, ())
+        assert not shadow_bound_holds(0, 5, ())
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValidationError):
+            shadow_bound_holds(1, 0, (1, 2))
+
+    def test_target_beyond_float_range_inverts(self):
+        # binom(t, 180) = 1 at t = 180, so 180! * 1 = t(t-1)...(t-179)
+        assert invert_binom(1, 180).t == pytest.approx(180.0, abs=1e-6)
+        assert binom_real(180.0, 179) == pytest.approx(180.0, rel=1e-9)

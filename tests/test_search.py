@@ -6,7 +6,7 @@ import pytest
 
 from shadowlab.constructions import k4_blowup
 from shadowlab.errors import CapacityError, ValidationError
-from shadowlab.hypergraph import color_isomorphic, good_4subsets_mixed, kappa_ratio
+from shadowlab.hypergraph import check_ratio, color_isomorphic, good_4subsets_mixed
 from shadowlab.search import random_probe, search_mixed_4subsets, search_rainbow_triangle
 
 RGB = ("red", "green", "blue")
@@ -27,15 +27,9 @@ class TestRainbowSearch:
 
     def test_witness_recounts_exactly(self):
         res = search_rainbow_triangle(4)
-        rep = kappa_ratio(res.witness, 3, RGB)
-        t = rep.t_count
-        assert Fraction(t * t, rep.color_counts[0] * rep.color_counts[1] * rep.color_counts[2]) == res.best_ratio_exact
-
-    def test_pruned_agrees(self):
-        plain = search_rainbow_triangle(4)
-        pruned = search_rainbow_triangle(4, prune=True)
-        assert pruned.best_ratio_exact == plain.best_ratio_exact
-        assert not pruned.exhaustive
+        rep = check_ratio("rainbow_d", res.witness, 3, colors=RGB)
+        t = rep.counts["T"]
+        assert Fraction(t * t, rep.counts["C"][0] * rep.counts["C"][1] * rep.counts["C"][2]) == res.best_ratio_exact
 
     def test_never_exceeds_proven_cap(self):
         for n in (3, 4):
@@ -91,9 +85,9 @@ class TestRandomProbe:
     def test_witness_recounts(self):
         res = random_probe("rainbow_d", {"vertices": 6, "d": 3}, 100, seed=11)
         if res.witness is not None:
-            rep = kappa_ratio(res.witness, 3, ("c1", "c2", "c3"))
-            num = rep.t_count ** 2
-            den = rep.color_counts[0] * rep.color_counts[1] * rep.color_counts[2]
+            rep = check_ratio("rainbow_d", res.witness, 3, colors=("c1", "c2", "c3"))
+            num = rep.counts["T"] ** 2
+            den = rep.counts["C"][0] * rep.counts["C"][1] * rep.counts["C"][2]
             assert Fraction(num, den) == res.best_ratio_exact
 
     def test_mixed_probe_within_shearer_cap(self):
@@ -105,6 +99,10 @@ class TestRandomProbe:
         res = random_probe("covering_delta", {"vertices": 5, "delta": 1}, 200, seed=3)
         if res.witness is not None:
             assert res.best_ratio_exact <= 6
+
+    def test_vertex_cap_checked_before_drawing(self):
+        with pytest.raises(CapacityError):
+            random_probe("good6", {"vertices": 65}, 0)
 
     def test_unknown_problem_rejected(self):
         with pytest.raises(ValidationError):
