@@ -54,6 +54,25 @@ def rref(rows: Iterable[Sequence[int]], q: int) -> Matrix:
     return tuple(tuple(r) for r in work[:rank])
 
 
+def _is_reduced_echelon(mat: Matrix) -> bool:
+    """True iff rref(mat, q) == mat for a matrix with entries already in [0, q).
+
+    Every row is nonzero with a leading 1, the pivots strictly increase, and
+    every pivot column is a unit vector.
+    """
+    last = -1
+    for row in mat:
+        for lead, x in enumerate(row):
+            if x:
+                break
+        else:
+            return False
+        if lead <= last or x != 1 or [other[lead] for other in mat].count(0) != len(mat) - 1:
+            return False
+        last = lead
+    return True
+
+
 @dataclass(frozen=True)
 class SubspaceFamily:
     """d-dimensional subspaces of F_q^n in canonical echelon form."""
@@ -75,7 +94,7 @@ class SubspaceFamily:
             for row in mat:
                 if len(row) != n:
                     raise ValidationError(f"row {row} has length {len(row)}, expected {n}")
-            if rref(mat, q) != mat or len(mat) != d:
+            if len(mat) != d or not _is_reduced_echelon(mat):
                 raise ValidationError(f"member {mat} is not a rank-{d} reduced echelon matrix")
             canon.append(mat)
         if len(set(canon)) != len(canon):
@@ -120,12 +139,6 @@ def enumerate_subspaces(q: int, n: int, d: int) -> SubspaceFamily:
     return fam
 
 
-def _matmul_mod(a: Matrix, b: Matrix, q: int) -> Matrix:
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)) for row in a
-    )
-
-
 def subspace_points(member: Matrix, q: int, n: int) -> frozenset[tuple[int, ...]]:
     """All q^rank vectors of the row space, including zero."""
     points = set()
@@ -138,20 +151,41 @@ def subspace_points(member: Matrix, q: int, n: int) -> frozenset[tuple[int, ...]
     return frozenset(points)
 
 
+def _combine_rows(member: Matrix, terms: Sequence[tuple[int, int]], q: int) -> tuple[int, ...]:
+    """The row sum of c * member[j] over (j, c) in terms, mod q.
+
+    terms come from a reduced echelon row, so the first term is its leading
+    1, and a lone term selects member[j] as it is.
+    """
+    (lead, _), *rest = terms
+    acc = member[lead]
+    for j, c in rest:
+        acc = tuple([(a + c * b) % q for a, b in zip(acc, member[j])])
+    return acc
+
+
 def subspace_shadow(fam: SubspaceFamily) -> SubspaceFamily:
     """All (d-1)-dim subspaces contained in some member.
 
-    Hyperplanes of a member are the (d-1)-dim subspaces of its coefficient
-    space mapped through the member's rows, so no ambient enumeration is needed.
+    The hyperplanes of a member M are the row spaces of C·M, C running over
+    the reduced echelon (d-1)×d matrices, so no ambient enumeration is needed.
+    C·M is already in reduced echelon form: row i leads with the 1 in the
+    pivot column of M's row p_i (p_i the i-th pivot of C), and that column
+    of C·M is the i-th unit vector.  The products are therefore assembled
+    from combinations of M's rows, each computed once per member, with no
+    re-reduction.
     """
     if fam.d < 1:
         raise ValidationError("shadow needs d >= 1")
-    coeff = enumerate_subspaces(fam.q, fam.d, fam.d - 1)
+    coeff = enumerate_subspaces(fam.q, fam.d, fam.d - 1).members
+    vectors = sorted({row for cmat in coeff for row in cmat})
+    index = {v: i for i, v in enumerate(vectors)}
+    shapes = [tuple(index[row] for row in cmat) for cmat in coeff]
+    terms = [[(j, c) for j, c in enumerate(v) if c] for v in vectors]
     out = set()
     for member in fam.members:
-        for cmat in coeff.members:
-            rows = _matmul_mod(cmat, member, fam.q) if cmat else ()
-            out.add(rref(rows, fam.q))
+        rows = [_combine_rows(member, t, fam.q) for t in terms]
+        out.update(tuple(rows[i] for i in shape) for shape in shapes)
     return SubspaceFamily(q=fam.q, n=fam.n, d=fam.d - 1, members=tuple(sorted(out)))
 
 

@@ -3,11 +3,13 @@
 Counts stay exact (int or Fraction); the float side only appears at the
 reporting boundary.  When both sides are exact the comparison is exact; a
 caller that decided an irrational bound exactly passes its verdict as
-`holds`; otherwise an absolute tolerance applies.
+`holds`; otherwise an absolute tolerance applies.  An exact bound beyond
+the float range displays as inf, and its ratio comes from the exact quotient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -46,8 +48,18 @@ class BoundReport:
             raise ValueError(f"kind must be 'upper' or 'lower', got {self.kind!r}")
 
 
+def _display(x: Exactish) -> float:
+    """float(x), or a signed infinity for an exact value beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _ratio(computed: Exactish, bound: Exactish) -> float:
-    b = float(bound)
+    b = _display(bound)
+    if math.isinf(b) and _is_exact(bound):
+        return float(Fraction(computed) / Fraction(bound))
     if b == 0.0:
         return float("inf") if float(computed) > 0 else float("nan")
     return float(computed) / b
@@ -67,11 +79,11 @@ def upper_report(
     if _is_exact(computed) and _is_exact(bound):
         ok = Fraction(computed) <= Fraction(bound)
     else:
-        ok = float(computed) <= float(bound) + tol
+        ok = float(computed) <= _display(bound) + tol
     return BoundReport(
         quantity=quantity,
         computed=computed,
-        bound=float(bound),
+        bound=_display(bound),
         ratio=_ratio(computed, bound),
         satisfied=ok,
         source=source,
@@ -101,11 +113,11 @@ def lower_report(
     elif _is_exact(computed) and _is_exact(bound):
         ok = Fraction(computed) >= Fraction(bound)
     else:
-        ok = float(computed) >= float(bound) - tol
+        ok = float(computed) >= _display(bound) - tol
     return BoundReport(
         quantity=quantity,
         computed=computed,
-        bound=float(bound),
+        bound=_display(bound),
         ratio=_ratio(computed, bound),
         satisfied=ok,
         source=source,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +26,7 @@ from shadowlab.formats import (
 )
 from shadowlab.hypergraph import SetFamily
 from shadowlab.qlinalg import enumerate_subspaces
+from shadowlab.reports import upper_report
 
 
 class TestHypergraphJson:
@@ -111,6 +113,11 @@ class TestCanonicalJson:
     def test_float_formatting(self):
         assert dumps_canonical({"x": 2.0}) == '{"x":"2"}'
         assert dumps_canonical({"x": 1 / 3}) == '{"x":"0.333333333333"}'
+
+    def test_bound_beyond_float_range(self):
+        rep = upper_report("x", 10**400, Fraction(2 * 10**400), "s")
+        assert rep.satisfied
+        assert dumps_canonical({"bound": rep.bound, "ratio": rep.ratio}) == '{"bound":"inf","ratio":"0.5"}'
 
 
 class TestCli:
@@ -216,6 +223,19 @@ class TestCli:
         assert report["quantities"]["shadow_size"] == 180
         assert report["quantities"]["t"] == pytest.approx(180.0, abs=1e-6)
         assert report["bounds"][0]["satisfied"]
+
+    def test_kappa_bound_beyond_float_range(self, tmp_path, capsys):
+        # d = 40 puts the shearer bound (39!)^40 past the float range
+        g = str(tmp_path / "g.json")
+        with open(g, "w") as fh:
+            json.dump({"vertices": 64, "edges": [
+                {"v": sorted((i + j) % 64 for j in range(39)), "color": f"c{i}"} for i in range(40)
+            ]}, fh)
+        assert cli.main(["kappa", "--input", g, "--d", "40", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        shearer = report["bounds"][0]
+        assert shearer["source"].startswith("shearer")
+        assert (shearer["bound"], shearer["ratio"], shearer["satisfied"]) == ("inf", "0", True)
 
     def test_import_leaves_numpy_out(self):
         src = os.path.dirname(os.path.dirname(cli.__file__))

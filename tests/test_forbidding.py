@@ -146,6 +146,12 @@ class TestEnumerateSd:
                     expected *= len(s) - c
                 assert count == expected
 
+    def test_wrong_c_vector_rejected(self):
+        # the repeats classifier has c = (1, 2): 5*4*3 = 60 tuples, not the declared 5*4*4 = 80
+        sys = ForbiddingSystem(range(5), 3, lambda ms: len(set(ms)) == len(ms), (1, 1))
+        with pytest.raises(ValidationError, match="c-vector predicts 80"):
+            enumerate_sd(sys, range(5))
+
     def test_incompatible_set_rejected(self):
         sys = qlinear_system(2, 3, 3)
         with pytest.raises(ValidationError):

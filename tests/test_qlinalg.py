@@ -109,20 +109,25 @@ class TestSubspaceShadow:
         fam = SubspaceFamily(q=2, n=3, d=2, members=())
         assert len(subspace_shadow(fam)) == 0
 
-    def test_matches_brute_force(self):
+    @pytest.mark.parametrize("q,n,d", [(2, 4, 2), (2, 5, 3), (3, 4, 2), (3, 4, 3), (5, 3, 2)])
+    def test_matches_brute_force(self, q, n, d):
         rng = random.Random(5)
-        all_planes = enumerate_subspaces(2, 4, 2)
+        all_members = enumerate_subspaces(q, n, d).members
+        below = brute_subspaces(q, n, d - 1)
         for _ in range(20):
-            members = rng.sample(all_planes.members, rng.randint(1, 10))
-            fam = SubspaceFamily.make(2, 4, 2, members)
-            got = {span_set(m, 2, 4) for m in subspace_shadow(fam).members}
+            members = rng.sample(all_members, rng.randint(1, 10))
+            shadow = subspace_shadow(SubspaceFamily.make(q, n, d, members))
+            assert all(rref(m, q) == m for m in shadow.members)
+            got = {span_set(m, q, n) for m in shadow.members}
             expected = set()
             for m in members:
-                pts = span_set(m, 2, 4)
-                for line in brute_subspaces(2, 4, 1):
-                    if line <= pts:
-                        expected.add(line)
+                pts = span_set(m, q, n)
+                expected |= {sub for sub in below if sub <= pts}
             assert got == expected
+
+    def test_complete_grassmannian_at_benchmark_scale(self):
+        shadow = subspace_shadow(enumerate_subspaces(2, 7, 3))
+        assert len(shadow) == gaussian_binom(7, 2, 2) == 2667
 
 
 class TestQKruskalKatona:
@@ -170,6 +175,16 @@ class TestSubspaceFamilyValidation:
     def test_wrong_rank_rejected(self):
         with pytest.raises(ValidationError):
             SubspaceFamily.make(2, 3, 2, [[[1, 0, 0], [1, 0, 0]]])
+
+    @pytest.mark.parametrize("q,n,d", [(2, 3, 2), (3, 3, 2), (2, 4, 2)])
+    def test_accepts_exactly_the_reduced_echelon_matrices(self, q, n, d):
+        for entries in product(range(q), repeat=d * n):
+            m = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(d))
+            if rref(m, q) == m and len(m) == d:
+                assert SubspaceFamily.make(q, n, d, [m]).members == (m,)
+            else:
+                with pytest.raises(ValidationError):
+                    SubspaceFamily.make(q, n, d, [m])
 
     def test_duplicates_rejected(self):
         m = [[1, 0, 0], [0, 1, 0]]
