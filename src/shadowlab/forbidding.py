@@ -12,9 +12,10 @@ memoized per system instance.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import ValidationError, check_cap
@@ -24,6 +25,9 @@ from .reports import BoundReport, lower_report
 
 UNIVERSE_CAP = 64
 DEPTH_CAP = 5
+SYSTEM_UNIVERSE_CAP = 2**16  # elements of a built-in system's universe
+SD_TUPLE_CAP = 10**7  # enumerate_sd builds every tuple, as entropy.TUPLE_CAP does
+GKK_MULTISET_CAP = 5 * 10**5  # measured 3-8 µs a good d-multiset for repeats, 17-30 µs for qlinear
 
 Multiset = tuple  # sorted tuple with repetition, canonical by element order
 
@@ -82,6 +86,7 @@ class ForbiddingSystem:
 
 def repeats_system(n: int, d: int) -> ForbiddingSystem:
     """Bad = contains a repeated element; the (1, 2, ..., d-1) system."""
+    check_cap("universe size", n, SYSTEM_UNIVERSE_CAP)
     return ForbiddingSystem(
         universe=range(n),
         d=d,
@@ -98,7 +103,7 @@ def qlinear_system(q: int, n: int, d: int) -> ForbiddingSystem:
     """
     if not is_prime(q):
         raise ValidationError(f"q must be prime, got {q}")
-    check_cap("field size q^n", q**n, 2**16)
+    check_cap("field size q^n", q**n, SYSTEM_UNIVERSE_CAP)
     universe = [v for v in product(range(q), repeat=n) if any(v)]
     return ForbiddingSystem(
         universe=universe,
@@ -201,51 +206,90 @@ class CompatibilityResult:
         return self.ok
 
 
-def is_compatible(sys: ForbiddingSystem, s: Iterable[Hashable]) -> CompatibilityResult:
-    """A set is compatible when bad-extending elements of its good multisets stay inside."""
-    inside = tuple(sorted(set(s)))
-    unknown = [x for x in inside if x not in set(sys.universe)]
+def _orderings(ms: Multiset) -> int:
+    """Distinct orderings of a sorted multiset: len! / prod(multiplicity!)."""
+    count = math.factorial(len(ms))
+    distinct = set(ms)
+    if len(distinct) != len(ms):
+        for x in distinct:
+            count //= math.factorial(ms.count(x))
+    return count
+
+
+def _walk(sys: ForbiddingSystem, inside: tuple, depth: int) -> tuple[tuple | None, list[Multiset]]:
+    """Walk the good sorted multisets of a sorted set to `depth`, by size then lexicographically.
+
+    A multiset is extended only by elements >= its last one, and a bad one is
+    not extended: under the forbidding axioms every sub-multiset of a good
+    multiset is good, so nothing good is missed.  Each good multiset below
+    size d is checked for compatibility as it is reached.  Returns the first
+    witness (multiset, outside element), or None and the good multisets of
+    size `depth`.
+    """
+    universe, inside_set = set(sys.universe), set(inside)
+    unknown = [x for x in inside if x not in universe]
     if unknown:
         raise ValidationError(f"elements {unknown} are not in the universe")
-    outside = [x for x in sys.universe if x not in set(inside)]
-    for k in range(1, sys.d):
-        for ms in combinations_with_replacement(inside, k):
-            if not sys.is_good(ms):
-                continue
-            for x in outside:
-                if not sys.is_good(ms + (x,)):
-                    return CompatibilityResult(False, witness=(ms, x))
-    return CompatibilityResult(True)
+    outside = [x for x in sys.universe if x not in inside_set]
+    memo, classify = sys._memo, sys._classify
+    level: list[tuple[Multiset, int]] = [((), 0)]
+    for size in range(1, depth + 1):
+        grown = []
+        for ms, start in level:
+            for i in range(start, len(inside)):
+                key = ms + (inside[i],)
+                good = memo.get(key)
+                if good is None:
+                    good = memo[key] = bool(classify(key))
+                if not good:
+                    continue
+                grown.append((key, i))
+                if size < sys.d:
+                    for x in outside:
+                        if not sys.is_good(key + (x,)):
+                            return (key, x), []
+        level = grown
+    return None, [ms for ms, _ in level]
+
+
+def is_compatible(sys: ForbiddingSystem, s: Iterable[Hashable]) -> CompatibilityResult:
+    """A set is compatible when bad-extending elements of its good multisets stay inside.
+
+    Assumes the forbidding axioms: only good multisets whose sub-multisets
+    are all good are reached, so a classifier that is not downward-closed
+    may pass here; `enumerate_sd` and `check_generalized_kk` catch it by count.
+    """
+    inside = tuple(sorted(set(s)))
+    witness, _ = _walk(sys, inside, sys.d - 1)
+    return CompatibilityResult(witness is None, witness)
+
+
+def _sd_multisets(sys: ForbiddingSystem, inside: tuple) -> tuple[list[Multiset], int]:
+    """The good d-multisets of a compatible set and |S^(d)|, the number of their orderings.
+
+    Their orderings must number |S|(|S|-c_1)...(|S|-c_{d-1}); a mismatch
+    means the declared system is not actually forbidding.
+    """
+    witness, members = _walk(sys, inside, sys.d)
+    if witness is not None:
+        raise ValidationError(f"set is not compatible; witness {witness}")
+    found = sum(map(_orderings, members))
+    expected = product_falling(len(inside), sys.c_vector)
+    if found != expected:
+        raise ValidationError(
+            f"|S^(d)| = {found} but the declared c-vector predicts {expected}; "
+            "the classifier does not satisfy the forbidding axioms"
+        )
+    return members, found
 
 
 def enumerate_sd(sys: ForbiddingSystem, s: Iterable[Hashable]) -> TupleFamily:
-    """All ordered d-tuples from a compatible set whose multiset is good.
-
-    The count must match the falling product |S|(|S|-c_1)...(|S|-c_{d-1});
-    a mismatch means the declared system is not actually forbidding.
-    """
+    """All ordered d-tuples from a compatible set whose multiset is good."""
     inside = tuple(sorted(set(s)))
-    compat = is_compatible(sys, inside)
-    if not compat:
-        raise ValidationError(f"set is not compatible; witness {compat.witness}")
-    out: list[tuple] = []
-
-    def extend(prefix: tuple) -> None:
-        if len(prefix) == sys.d:
-            out.append(prefix)
-            return
-        for x in inside:
-            if sys.is_good(tuple(sorted(prefix + (x,)))):
-                extend(prefix + (x,))
-
-    extend(())
-    expected = product_falling(len(inside), sys.c_vector)
-    if len(out) != expected:
-        raise ValidationError(
-            f"|S^(d)| = {len(out)} but the declared c-vector predicts {expected}; "
-            "the classifier does not satisfy the forbidding axioms"
-        )
-    return TupleFamily.make(sys.d, out)
+    check_cap("ordered tuples", max(0, product_falling(len(inside), sys.c_vector)), SD_TUPLE_CAP)
+    members, _ = _sd_multisets(sys, inside)
+    # distinct multisets have disjoint orderings, so the tuples are distinct by construction
+    return TupleFamily(sys.d, tuple(sorted(t for ms in members for t in set(permutations(ms)))))
 
 
 def tuple_shadow(fam: TupleFamily) -> TupleFamily:
@@ -261,32 +305,42 @@ def check_generalized_kk(
 ) -> BoundReport:
     """|shadow(F)| >= t(t-c_1)...(t-c_{d-2}) where |F| = t(t-c_1)...(t-c_{d-1}).
 
-    F is the union of the S_i^(d), which must be mutually disjoint.  The
-    verdict is exact; t and the bound are floats for display.
+    F is the union of the S_i^(d), which must be mutually disjoint.  Every
+    S_i^(d) is closed under permutation, so F is counted by its good
+    d-multisets and its (d-1)-prefix shadow by their distinct (d-1)-sub-multisets,
+    without building a tuple.  The verdict is exact; t and the bound are
+    floats for display.
     """
     if sys.d < 2:
         raise ValidationError("the shadow bound needs d >= 2")
-    families = [enumerate_sd(sys, s) for s in sets]
-    merged: set[tuple] = set()
-    total = 0
-    for fam in families:
-        total += len(fam)
-        merged |= set(fam.tuples)
-        if len(merged) != total:
+    insides = [tuple(sorted(set(s))) for s in sets]
+    # |S|(|S|-c_1)...(|S|-c_{d-1}) / d! good d-multisets, exact when none repeats an element
+    predicted = sum(max(0, product_falling(len(inside), sys.c_vector)) for inside in insides)
+    check_cap("good d-multisets", predicted // math.factorial(sys.d), GKK_MULTISET_CAP)
+    per_set = [_sd_multisets(sys, inside) for inside in insides]
+    members: set[Multiset] = set()
+    total = family_size = 0
+    for found, size in per_set:
+        total += len(found)
+        family_size += size
+        members.update(found)
+        if len(members) != total:
             raise ValidationError("the S_i^(d) are not mutually disjoint")
-    if not merged:
+    if not members:
         raise ValidationError(
             "union of tuple families is empty; the bound needs |F| >= 1"
         )
-    big = TupleFamily.make(sys.d, merged)
-    t = invert_product(len(big), sys.c_vector).t
+    shadow: set[Multiset] = set()
+    for ms in members:
+        shadow.update(combinations(ms, sys.d - 1))
+    shadow_size = sum(map(_orderings, shadow))
+    t = invert_product(family_size, sys.c_vector).t
     bound = product_falling(t, sys.c_vector.drop_last())
-    shadow_size = len(tuple_shadow(big))
     return lower_report(
         "tuple shadow size",
         shadow_size,
         bound,
         "generalized kruskal-katona",
-        holds=shadow_bound_holds(shadow_size, len(big), sys.c_vector),
-        extra={"t": t, "family_size": len(big), "c_vector": sys.c_vector.entries},
+        holds=shadow_bound_holds(shadow_size, family_size, sys.c_vector),
+        extra={"t": t, "family_size": family_size, "c_vector": sys.c_vector.entries},
     )

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -213,6 +214,29 @@ class TestCli:
         )
         assert report["quantities"]["family_size"] == 210
         assert report["quantities"]["shadow_size"] == 15
+
+    def test_forbidding_caps_exit_code(self, tmp_path, capsys):
+        everything = ",".join(str(i) for i in range(30))
+        assert cli.main(["forbidding", "sd", "--system", "repeats", "--universe-size", "30",
+                         "--d", "6", "--set", everything]) == 4
+        fam = str(tmp_path / "one.json")
+        with open(fam, "w") as fh:
+            json.dump({"n": 30, "d": 30, "sets": [list(range(30))]}, fh)
+        assert cli.main(["forbidding", "gkk", "--system", "repeats", "--universe-size", "30",
+                         "--d", "6", "--family", fam]) == 4
+
+    def test_forbidding_desk_scale_within_caps(self, tmp_path):
+        # 924 sets: the walk's lookups repeat across sets and hit the shared memo
+        fam = str(tmp_path / "sixes.json")
+        with open(fam, "w") as fh:
+            json.dump({"n": 12, "d": 6, "sets": [list(s) for s in combinations(range(12), 6)]}, fh)
+        report = self.run_ok(["forbidding", "gkk", "--system", "repeats", "--universe-size", "12",
+                              "--d", "6", "--family", fam])
+        assert report["quantities"]["family_size"] == 924 * 720
+        # each of the 8 singletons is checked against 65,528 outside elements
+        report = self.run_ok(["forbidding", "compatible", "--system", "repeats",
+                              "--universe-size", "65536", "--d", "2", "--set", "0,1,2,3,4,5,6,7"])
+        assert report["quantities"]["compatible"] is True
 
     def test_kk_target_beyond_float_range(self, tmp_path):
         # one 180-set: binom(t, 180) = 1 puts 180! into the inversion

@@ -1,13 +1,15 @@
 """Forbidding-system axioms, compatible sets, S^(d), and the shadow bound."""
 
 import random
+import re
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
 from conftest import random_set_family
-from shadowlab.errors import ValidationError
+from shadowlab.errors import CapacityError, ValidationError
 from shadowlab.forbidding import (
+    CompatibilityResult,
     ForbiddingSystem,
     TupleFamily,
     check_generalized_kk,
@@ -20,6 +22,8 @@ from shadowlab.forbidding import (
     verify_forbidding_axioms,
 )
 from shadowlab.hypergraph import check_kruskal_katona
+from shadowlab.numkit import shadow_bound_holds
+from shadowlab.qlinalg import enumerate_subspaces, subspace_points
 
 
 def span_f2(vectors, n):
@@ -35,6 +39,79 @@ def span_f2(vectors, n):
                 v = [(a + b) % 2 for a, b in zip(v, g)]
         out.add(tuple(v))
     return out
+
+
+def reference_sd(sys, s):
+    """S^(d) by the tuple-prefix walk: extend every ordered prefix whose multiset is good."""
+    inside = sorted(set(s))
+    out = []
+
+    def extend(prefix):
+        if len(prefix) == sys.d:
+            out.append(prefix)
+            return
+        for x in inside:
+            if sys.is_good(prefix + (x,)):
+                extend(prefix + (x,))
+
+    extend(())
+    return out
+
+
+def reference_gkk(sys, sets):
+    """(|F|, |shadow(F)|) from the union of the S_i^(d) built as tuples."""
+    merged, total = set(), 0
+    for s in sets:
+        fam = reference_sd(sys, s)
+        total += len(fam)
+        merged |= set(fam)
+        if len(merged) != total:
+            raise ValidationError("the S_i^(d) are not mutually disjoint")
+    return len(merged), len({t[:-1] for t in merged})
+
+
+def reference_witness(sys, s):
+    """First (good multiset, outside element) with a bad extension, by size then lexicographically."""
+    inside = sorted(set(s))
+    outside = [x for x in sys.universe if x not in inside]
+    for k in range(1, sys.d):
+        for ms in combinations_with_replacement(inside, k):
+            if sys.is_good(ms):
+                for x in outside:
+                    if not sys.is_good(ms + (x,)):
+                        return ms, x
+    return None
+
+
+def subspace_sets(q, n, k):
+    zero = (0,) * n
+    return [sorted(subspace_points(m, q, n) - {zero}) for m in enumerate_subspaces(q, n, k).members]
+
+
+def assert_gkk_matches_reference(sys, sets):
+    try:
+        expected = reference_gkk(sys, sets)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=re.escape(str(exc))):
+            check_generalized_kk(sys, sets)
+        return
+    if expected[0] == 0:
+        with pytest.raises(ValidationError, match="empty"):
+            check_generalized_kk(sys, sets)
+        return
+    rep = check_generalized_kk(sys, sets)
+    assert (rep.extra["family_size"], rep.computed) == expected
+    assert rep.satisfied == shadow_bound_holds(expected[1], expected[0], sys.c_vector)
+
+
+def all_good_system(n, d):
+    """Every multiset is good, c = (0, ..., 0): S^(d) is every d-tuple over S, repeats included."""
+    return ForbiddingSystem(range(n), d, lambda ms: True, (0,) * (d - 1), name="all-good")
+
+
+def not_downward_closed():
+    """Declared (1, 2) like repeats, but (0, 1) is bad while (0, 1, 2) is good."""
+    return ForbiddingSystem(range(4), 3, lambda ms: len(set(ms)) == len(ms) and ms != (0, 1), (1, 2))
 
 
 class TestAxiomVerification:
@@ -79,6 +156,12 @@ class TestAxiomVerification:
         report = verify_forbidding_axioms(repeats_system(5, 3), mode="spot", trials=200, seed=1)
         assert report.ok and not report.exhaustive
 
+    def test_builtin_universe_capped(self):
+        with pytest.raises(CapacityError, match="universe size"):
+            system_from_name("repeats", 2, universe_size=10**8)
+        with pytest.raises(CapacityError, match="field size"):
+            system_from_name("qlinear:2,17", 2)
+
     def test_builtin_names(self):
         assert system_from_name("repeats", 3, universe_size=5).name == "repeats"
         assert system_from_name("qlinear:2,3", 2).name == "qlinear:2,3"
@@ -106,6 +189,34 @@ class TestCompatibility:
         ms, x = result.witness
         assert x == (1, 1, 0)
         assert is_compatible(qlinear_system(2, 3, 2), [(1, 0, 0), (0, 1, 0)]).ok
+
+    @pytest.mark.parametrize(
+        "q, n, d", [(2, 3, 3), (2, 4, 3), (2, 4, 4), (3, 2, 2), (3, 3, 3), (5, 2, 3)]
+    )
+    def test_witness_is_first_in_size_then_lex_order(self, q, n, d):
+        sys = qlinear_system(q, n, d)
+        rng = random.Random(q * 100 + n * 10 + d)
+        incompatible = 0
+        for trial in range(40):
+            s = rng.sample(sys.universe, rng.randint(1, min(6, len(sys.universe))))
+            if trial % 2:
+                # closed under scalars, so for odd q the witness is a pair with several bad extensions
+                s = {tuple(c * x % q for x in v) for v in s for c in range(1, q)}
+            expected = reference_witness(qlinear_system(q, n, d), s)
+            result = is_compatible(sys, s)
+            assert result.ok == (expected is None)
+            assert result.witness == expected
+            incompatible += expected is not None
+        assert incompatible > 0
+
+    def test_walk_assumes_downward_closed(self):
+        # (0,) is bad but (0, 1) is good: the walk never reaches (0, 1), whose bad extension is (0, 1, 2)
+        def classify(ms):
+            return len(set(ms)) == len(ms) and ms not in {(0,), (0, 1, 2)}
+
+        sys = ForbiddingSystem(range(3), 3, classify, (1, 2))
+        assert reference_witness(sys, [0, 1]) == ((0, 1), 2)
+        assert is_compatible(sys, [0, 1]) == CompatibilityResult(True, None)
 
 
 class TestEnumerateSd:
@@ -156,6 +267,44 @@ class TestEnumerateSd:
         sys = qlinear_system(2, 3, 3)
         with pytest.raises(ValidationError):
             enumerate_sd(sys, [(1, 0, 0), (0, 1, 0)])
+
+    def test_not_downward_closed_rejected(self):
+        with pytest.raises(ValidationError, match="c-vector predicts 24"):
+            enumerate_sd(not_downward_closed(), range(4))
+        with pytest.raises(ValidationError, match="c-vector predicts 24"):
+            check_generalized_kk(not_downward_closed(), [range(4)])
+
+    @pytest.mark.parametrize("make", [repeats_system, all_good_system])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_tuple_prefix_walk(self, make, d):
+        rng = random.Random(d)
+        for _ in range(15):
+            s = rng.sample(range(7), rng.randint(0, 6))
+            assert enumerate_sd(make(7, d), s).tuples == tuple(sorted(reference_sd(make(7, d), s)))
+
+    @pytest.mark.parametrize("q, n, k, d", [(2, 4, 3, 2), (2, 4, 3, 3), (3, 3, 2, 2)])
+    def test_matches_tuple_prefix_walk_qlinear(self, q, n, k, d):
+        for s in subspace_sets(q, n, k)[:6]:
+            sys = qlinear_system(q, n, d)
+            expected = sorted(reference_sd(qlinear_system(q, n, d), s))
+            assert enumerate_sd(sys, s).tuples == tuple(expected)
+
+    def test_caps_refuse_before_classifying(self):
+        calls = []
+
+        def classify(ms):
+            calls.append(ms)
+            return len(set(ms)) == len(ms)
+
+        sys = ForbiddingSystem(range(40), 6, classify, (1, 2, 3, 4, 5))
+        with pytest.raises(CapacityError, match="ordered tuples"):
+            enumerate_sd(sys, range(30))  # 427,518,000 tuples
+        with pytest.raises(CapacityError, match="good d-multisets = 593775"):
+            check_generalized_kk(sys, [range(30)])  # binom(30, 6)
+        pairs = ForbiddingSystem(range(2000), 2, classify, (1,))
+        with pytest.raises(CapacityError, match="good d-multisets = 500028"):
+            check_generalized_kk(pairs, [range(1000), range(1000, 1033)])  # binom(1000, 2) + binom(33, 2)
+        assert calls == []
 
 
 class TestTupleShadow:
@@ -213,6 +362,29 @@ class TestGeneralizedKK:
         assert rep.extra["family_size"] == 151200
         assert rep.computed == 30240
         assert rep.satisfied
+
+    def test_large_family_counted_without_tuples(self):
+        rep = check_generalized_kk(repeats_system(20, 6), [range(20)])
+        assert rep.extra["family_size"] == 27907200  # 20 * 19 * ... * 15
+        assert rep.computed == 1860480  # 20 * 19 * ... * 16
+        assert rep.satisfied
+
+    @pytest.mark.parametrize("make", [repeats_system, all_good_system])
+    @pytest.mark.parametrize("n, d", [(6, 2), (7, 3), (7, 4)])
+    def test_matches_tuple_prefix_walk(self, make, n, d):
+        rng = random.Random(n * 10 + d)
+        for _ in range(25):
+            sets = [rng.sample(range(n), rng.randint(d - 1, n)) for _ in range(rng.randint(1, 4))]
+            assert_gkk_matches_reference(make(n, d), sets)
+
+    @pytest.mark.parametrize("q, n, k, d", [(2, 4, 2, 2), (2, 4, 3, 2), (2, 4, 3, 3), (3, 3, 2, 2)])
+    def test_matches_tuple_prefix_walk_qlinear(self, q, n, k, d):
+        # k-dimensional subspaces with k > d share d-dimensional ones, so some families overlap
+        rng = random.Random(q * 1000 + n * 100 + k * 10 + d)
+        pool = subspace_sets(q, n, k)
+        for _ in range(10):
+            sets = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+            assert_gkk_matches_reference(qlinear_system(q, n, d), sets)
 
     def test_overlapping_families_rejected(self):
         sys = repeats_system(6, 3)
