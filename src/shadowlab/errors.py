@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
-CAP_ENV_VAR = "SHADOWLAB_CAP"
-
 
 class ValidationError(ValueError):
     """Input violates an invariant or a precondition of an operation."""
@@ -19,25 +15,7 @@ class BoundViolationError(RuntimeError):
     """A proven bound failed: either an implementation bug or a counterexample."""
 
 
-def effective_cap(default: int) -> int:
-    """Return the capacity cap, honoring the SHADOWLAB_CAP override."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ValidationError(f"{CAP_ENV_VAR} must be positive, got {value}")
-    return value
-
-
-def check_cap(quantity: str, value: int, default_cap: int) -> None:
-    """Raise CapacityError if value exceeds the (possibly overridden) cap."""
-    cap = effective_cap(default_cap)
+def check_cap(quantity: str, value: int, cap: int) -> None:
+    """Raise CapacityError if value exceeds cap."""
     if value > cap:
-        raise CapacityError(
-            f"{quantity} = {value} exceeds cap {cap} "
-            f"(override with {CAP_ENV_VAR})"
-        )
+        raise CapacityError(f"{quantity} = {value} exceeds cap {cap}")

@@ -28,6 +28,7 @@ DEPTH_CAP = 5
 SYSTEM_UNIVERSE_CAP = 2**16  # elements of a built-in system's universe
 SD_TUPLE_CAP = 10**7  # enumerate_sd builds every tuple, as entropy.TUPLE_CAP does
 GKK_MULTISET_CAP = 5 * 10**5  # measured 3-8 µs a good d-multiset for repeats, 17-30 µs for qlinear
+SPOT_LOOKUP_CAP = 10**6  # trials x universe size; measured 1.5-2 µs a lookup for repeats, 14-16 µs for qlinear
 
 Multiset = tuple  # sorted tuple with repetition, canonical by element order
 
@@ -184,6 +185,8 @@ def verify_forbidding_axioms(
                     return AxiomReport(False, True, checked, issue)
         return AxiomReport(True, True, checked, None)
 
+    # each trial classifies every extension of its multiset by a universe element
+    check_cap("spot-check lookups (trials x universe size)", trials * len(sys.universe), SPOT_LOOKUP_CAP)
     rng = random.Random(seed)
     for _ in range(trials):
         checked += 1

@@ -238,6 +238,16 @@ class TestCli:
                               "--universe-size", "65536", "--d", "2", "--set", "0,1,2,3,4,5,6,7"])
         assert report["quantities"]["compatible"] is True
 
+    def test_forbidding_verify_spot_check_cap(self, capsys):
+        # 2000 trials x 65,536 elements; each trial classifies every extension of its multiset
+        assert cli.main(["forbidding", "verify", "--system", "repeats", "--universe-size", "65536",
+                         "--d", "2"]) == 4
+        assert "spot-check lookups" in capsys.readouterr().err
+        # 2000 x 242 lookups, under the cap; qlinear:2,8 at d = 3 needs 2000 x 255
+        report = self.run_ok(["forbidding", "verify", "--system", "qlinear:3,5", "--d", "2"])
+        assert report["quantities"]["ok"] is True
+        assert report["quantities"]["exhaustive"] is False
+
     def test_kk_target_beyond_float_range(self, tmp_path):
         # one 180-set: binom(t, 180) = 1 puts 180! into the inversion
         fam = str(tmp_path / "big.json")

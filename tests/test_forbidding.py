@@ -156,6 +156,20 @@ class TestAxiomVerification:
         report = verify_forbidding_axioms(repeats_system(5, 3), mode="spot", trials=200, seed=1)
         assert report.ok and not report.exhaustive
 
+    def test_spot_check_capped_before_classifying(self):
+        calls = []
+
+        def classify(ms):
+            calls.append(ms)
+            return len(set(ms)) == len(ms)
+
+        with pytest.raises(CapacityError, match=r"spot-check lookups \(trials x universe size\) = 1002000"):
+            verify_forbidding_axioms(ForbiddingSystem(range(501), 2, classify, (1,)), mode="spot")
+        assert calls == []
+        # 2000 trials x 500 elements is exactly the cap
+        report = verify_forbidding_axioms(ForbiddingSystem(range(500), 2, classify, (1,)), mode="spot")
+        assert report.ok and not report.exhaustive and report.checked == 2000
+
     def test_builtin_universe_capped(self):
         with pytest.raises(CapacityError, match="universe size"):
             system_from_name("repeats", 2, universe_size=10**8)

@@ -22,12 +22,14 @@ from shadowlab.hypergraph import (
     check_kruskal_katona,
     check_partial_shadow_bound,
     check_ratio,
+    color_covering_subsets,
     color_isomorphic,
     count_color_covering_subsets,
     count_good_6subsets,
     count_partial_shadow_targets,
     count_rainbow_cliques,
     good_4subsets_mixed,
+    rainbow_cliques,
     shadow,
     spectral_trace_check,
     validate,
@@ -116,6 +118,19 @@ class TestRainbowCliques:
         h = ColoredHypergraph.from_edges(4, [((0, 1, 2), "red"), ((0, 1), "green")])
         with pytest.raises(ValidationError):
             count_rainbow_cliques(h, 3, RGB)
+
+    def test_d4_matches_brute_force_with_unlisted_colors(self):
+        listed = ("c1", "c2", "c3", "c4")
+        rng = random.Random(61)
+        for _ in range(150):
+            h = random_uniform_hypergraph(rng, rng.randint(4, 8), 3, p=0.8)
+            h = ColoredHypergraph.from_edges(h.n, [(e.verts, rng.choice(listed + ("x", "y"))) for e in h.edges])
+            lookup = {e.verts: e.color for e in h.edges}
+            brute = tuple(
+                quad for quad in combinations(range(h.n), 4)
+                if sorted(lookup.get(f, "") for f in combinations(quad, 3)) == sorted(listed)
+            )
+            assert rainbow_cliques(h, 4, listed) == brute
 
     def test_listed_color_with_no_edges_is_zero(self):
         h = ColoredHypergraph.from_edges(3, [((0, 1), "red"), ((1, 2), "green")])
@@ -356,6 +371,21 @@ class TestColorCovering:
             h = random_colored_graph(rng, rng.randint(3, 8))
             assert count_color_covering_subsets(h, 0) == count_rainbow_cliques(h, 3, RGB)
 
+    @pytest.mark.parametrize("delta", [1, 2])
+    def test_matches_brute_force(self, delta):
+        rng = random.Random(67 + delta)
+        for _ in range(100):
+            n = rng.randint(delta + 3, 8)
+            h = ColoredHypergraph.from_edges(n, [
+                (verts, rng.choice(RGB)) for verts in combinations(range(n), delta + 2) if rng.random() < 0.6
+            ])
+            lookup = {e.verts: e.color for e in h.edges}
+            brute = tuple(
+                s for s in combinations(range(n), delta + 3)
+                if {lookup.get(f) for f in combinations(s, delta + 2)} >= set(RGB)
+            )
+            assert color_covering_subsets(h, delta) == brute
+
     def test_fig1_delta0(self):
         assert count_color_covering_subsets(fig1_k4(), 0) == 4
 
@@ -410,6 +440,18 @@ class TestPartialShadow:
         assert rep.bound == pytest.approx(10.0, abs=1e-9)
         assert rep.computed == 10
 
+    @pytest.mark.parametrize("r,k", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2)])
+    def test_matches_brute_force(self, r, k):
+        rng = random.Random(71 + 10 * r + k)
+        for _ in range(60):
+            h = random_uniform_hypergraph(rng, rng.randint(r, 8), r - 1, p=rng.choice((0.2, 0.5, 0.8)))
+            edges = {e.verts for e in h.edges}
+            brute = sum(
+                1 for s in combinations(range(h.n), r)
+                if sum(f in edges for f in combinations(s, r - 1)) >= r - k
+            )
+            assert count_partial_shadow_targets(h, r, k) == brute
+
     def test_empty_graph(self):
         h = ColoredHypergraph.from_edges(5, [])
         assert count_partial_shadow_targets(h, 3, 1) == 0
@@ -442,6 +484,27 @@ class TestWeightedJointSum:
         rep = weighted_joint_sum(h, 3)
         assert rep.value == pytest.approx(m**1.5, rel=1e-12)
         assert rep.value <= math.sqrt(2) / 3 * (3 * m) ** 1.5 + 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_terms_match_brute_force(self, d):
+        # facets are absent, of weight 0, or of weight 1..9, listed in random order;
+        # the terms keep combinations order
+        rng = random.Random(73 + d)
+        for _ in range(80):
+            n = rng.randint(d, 8)
+            edges = [(f, "plain", rng.choice((0, 0, 1, 2, 3, 9))) for f in combinations(range(n), d - 1)
+                     if rng.random() < 0.8]
+            rng.shuffle(edges)
+            h = ColoredHypergraph.from_edges(n, edges)
+            table = {e.verts: e.weight for e in h.edges}
+            brute = []
+            for s in combinations(range(n), d):
+                prod = math.prod(table.get(f, 0) for f in combinations(s, d - 1))
+                if prod:
+                    brute.append(prod)
+            rep = weighted_joint_sum(h, d)
+            assert rep.terms == tuple(brute)
+            assert rep.value == float(sum(p ** (1.0 / (d - 1)) for p in brute))
 
     def test_negative_weight_rejected(self):
         h = ColoredHypergraph.from_edges(3, [((0, 1), "plain", -2)])
@@ -477,14 +540,12 @@ class TestSpectralTrace:
 
 
 class TestCapacity:
-    def test_vertex_cap_and_override(self, monkeypatch):
+    def test_vertex_cap(self):
         from shadowlab.errors import CapacityError
 
         h = ColoredHypergraph.from_edges(70, [((0, 1), "red"), ((1, 2), "green"), ((0, 2), "blue")])
         with pytest.raises(CapacityError):
             count_rainbow_cliques(h, 3, RGB)
-        monkeypatch.setenv("SHADOWLAB_CAP", "128")
-        assert count_rainbow_cliques(h, 3, RGB) == 1
 
 
 class TestColorIsomorphic:
