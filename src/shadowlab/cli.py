@@ -194,7 +194,6 @@ def cmd_entropy(args) -> tuple[dict, list[BoundReport], list[str]]:
             max((-g for g in rep.gaps), default=0.0),
             0.0,
             "key inequality 2^{H_k} >= 2^{H_{k+1}} + 1",
-            tol=1e-9,
         )
         return {"sizes": list(rep.sizes), "gaps": list(rep.gaps), "ok": rep.ok}, [bound], []
     if not args.dist:
@@ -245,8 +244,8 @@ def cmd_forbidding(args) -> tuple[dict, list[BoundReport], list[str]]:
     if args.action == "sd":
         if args.set is None:
             raise ValidationError("sd needs --set")
-        fam = forb.enumerate_sd(system, _parse_set(args.system, args.set))
-        return {"system": system.name, "tuples": len(fam), "d": system.d}, [], []
+        [(_, size)] = forb.sd_orbits(system, [_parse_set(args.system, args.set)])
+        return {"system": system.name, "tuples": size, "d": system.d}, [], []
     if args.action == "gkk":
         if args.family:
             sets = formats.set_family_from_obj(formats.load_json(args.family)).sets

@@ -1,23 +1,24 @@
 """Exact finite joint distributions and the entropy identities used here.
 
 Probabilities are exact rationals end to end; base-2 logarithms enter only
-inside entropy evaluation.  All inequality checks run at absolute tolerance
-1e-9 unless stated otherwise.
+inside entropy evaluation; the key inequality needs only integer subset
+degrees.  Every inequality check runs at absolute tolerance 1e-9.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ValidationError, check_cap
 from .reports import BoundReport, lower_report, upper_report
 
 TOL = 1e-9
-TUPLE_CAP = 10**7
+SUBSET_VISIT_CAP = 10**7  # members x 2^d; measured 0.16-0.48 µs a visit and at most 350 MB at the cap
 
 
 @dataclass(frozen=True)
@@ -139,19 +140,6 @@ def check_shearer(dist: ExactDistribution, cover: CoverSpec) -> BoundReport:
     )
 
 
-def ordered_family_distribution(fam) -> ExactDistribution:
-    """Uniform member of the family, then uniform ordering of its elements."""
-    if len(fam.sets) == 0:
-        raise ValidationError("family must be nonempty")
-    d = fam.d
-    total = len(fam.sets) * math.factorial(d)
-    check_cap("ordered tuples", total, TUPLE_CAP)
-    tuples = []
-    for s in fam.sets:
-        tuples.extend(permutations(s))
-    return ExactDistribution.uniform(d, tuples)
-
-
 @dataclass(frozen=True)
 class KeyInequalityReport:
     """Per-step conditional support sizes s_k = 2^{H(X_k | X_1..X_{k-1})}."""
@@ -165,24 +153,31 @@ class KeyInequalityReport:
         return len(self.sizes)
 
 
-def check_key_inequality(fam, tol: float = TOL) -> KeyInequalityReport:
-    """Verify s_k >= s_{k+1} + 1 for the uniform-ordering distribution of a family."""
-    dist = ordered_family_distribution(fam)
-    d = fam.d
-    sizes = []
-    for k in range(1, d + 1):
-        h = conditional_entropy(dist, [k - 1], list(range(k - 1)))
-        sizes.append(2.0**h)
+def check_key_inequality(fam) -> KeyInequalityReport:
+    """Verify s_k >= s_{k+1} + 1 for a uniform member of a family in uniform random order.
+
+    A k-prefix with set T has probability deg(T)(d-k)!/(|F| d!), deg(T) counting the members
+    that contain T.  So H(X_1..X_k) = log2(|F| d!/(d-k)!) - A_k, with A_k the mean of log2 deg
+    over the members' k-subsets, and s_k = 2^{H(X_k | X_1..X_{k-1})} = (d-k+1) 2^{A_{k-1} - A_k}.
+    """
+    d, members = fam.d, len(fam.sets)
+    if members == 0:
+        raise ValidationError("family must be nonempty")
+    check_cap("subset visits (members x 2^d)", members * 2**d, SUBSET_VISIT_CAP)
+    logs = []
+    for k in range(d + 1):
+        # equal degrees are summed together, so A_k is exactly log2 g when every k-subset has degree g
+        degrees = Counter(Counter(t for s in fam.sets for t in combinations(s, k)).values())
+        logs.append(sum(g * times * math.log2(g) for g, times in degrees.items()) / (members * math.comb(d, k)))
+    sizes = tuple((d - k + 1) * 2.0 ** (logs[k - 1] - logs[k]) for k in range(1, d + 1))
     gaps = tuple(sizes[k] - sizes[k + 1] - 1.0 for k in range(d - 1))
-    ok = all(g >= -tol for g in gaps)
-    return KeyInequalityReport(sizes=tuple(sizes), gaps=gaps, ok=ok)
+    return KeyInequalityReport(sizes=sizes, gaps=gaps, ok=all(g >= -TOL for g in gaps))
 
 
 def check_lemma_disjoint_support(
     dist: ExactDistribution,
     d1: Iterable[tuple],
     d2: Iterable[tuple],
-    tol: float = TOL,
 ) -> BoundReport:
     """For (X1, X2, Y) with (Xi, Y) supported in Di and equal laws of X1, X2:
     2^{H(X1)} >= 2^{H(X1|Y)} + 2^{H(X2|Y)}.
@@ -213,7 +208,7 @@ def check_lemma_disjoint_support(
         lhs,
         rhs,
         "disjoint-support lemma",
-        tol=tol,
+        tol=TOL,
         extra={"lhs": lhs, "rhs": rhs},
     )
 
@@ -223,7 +218,6 @@ def check_cregular_corollary(
     v_size: int,
     bad: Iterable[tuple[int, int]],
     balanced_sets: Sequence[tuple[Iterable[int], Iterable[int], int | Fraction]],
-    tol: float = TOL,
 ) -> BoundReport:
     """2^{H(X)} - 2^{H(X|Y)} >= c for (X, Y) = weighted balanced rectangle,
     then a uniform good pair inside it.
@@ -273,6 +267,6 @@ def check_cregular_corollary(
         lhs,
         float(c),
         "c-regular partition corollary",
-        tol=tol,
+        tol=TOL,
         extra={"c": c},
     )

@@ -26,7 +26,7 @@ from .reports import BoundReport, lower_report
 UNIVERSE_CAP = 64
 DEPTH_CAP = 5
 SYSTEM_UNIVERSE_CAP = 2**16  # elements of a built-in system's universe
-SD_TUPLE_CAP = 10**7  # enumerate_sd builds every tuple, as entropy.TUPLE_CAP does
+SD_TUPLE_CAP = 10**7  # enumerate_sd builds every tuple
 GKK_MULTISET_CAP = 5 * 10**5  # measured 3-8 µs a good d-multiset for repeats, 17-30 µs for qlinear
 SPOT_LOOKUP_CAP = 10**6  # trials x universe size; measured 1.5-2 µs a lookup for repeats, 14-16 µs for qlinear
 
@@ -286,6 +286,18 @@ def _sd_multisets(sys: ForbiddingSystem, inside: tuple) -> tuple[list[Multiset],
     return members, found
 
 
+def sd_orbits(sys: ForbiddingSystem, sets: Iterable[Iterable[Hashable]]) -> list[tuple[list[Multiset], int]]:
+    """Per compatible set, the orbits of S^(d) under permutation (its good d-multisets) and |S^(d)|.
+
+    Builds no tuple.  Refuses more than GKK_MULTISET_CAP predicted good d-multisets in all, before
+    classifying: |S|(|S|-c_1)...(|S|-c_{d-1}) / d! a set, exact when none repeats an element.
+    """
+    insides = [tuple(sorted(set(s))) for s in sets]
+    predicted = sum(max(0, product_falling(len(inside), sys.c_vector)) for inside in insides)
+    check_cap("good d-multisets", predicted // math.factorial(sys.d), GKK_MULTISET_CAP)
+    return [_sd_multisets(sys, inside) for inside in insides]
+
+
 def enumerate_sd(sys: ForbiddingSystem, s: Iterable[Hashable]) -> TupleFamily:
     """All ordered d-tuples from a compatible set whose multiset is good."""
     inside = tuple(sorted(set(s)))
@@ -316,14 +328,9 @@ def check_generalized_kk(
     """
     if sys.d < 2:
         raise ValidationError("the shadow bound needs d >= 2")
-    insides = [tuple(sorted(set(s))) for s in sets]
-    # |S|(|S|-c_1)...(|S|-c_{d-1}) / d! good d-multisets, exact when none repeats an element
-    predicted = sum(max(0, product_falling(len(inside), sys.c_vector)) for inside in insides)
-    check_cap("good d-multisets", predicted // math.factorial(sys.d), GKK_MULTISET_CAP)
-    per_set = [_sd_multisets(sys, inside) for inside in insides]
     members: set[Multiset] = set()
     total = family_size = 0
-    for found, size in per_set:
+    for found, size in sd_orbits(sys, sets):
         total += len(found)
         family_size += size
         members.update(found)

@@ -387,11 +387,11 @@ def weighted_joint_sum(h: ColoredHypergraph, d: int) -> WeightedSumReport:
     if d < 2:
         raise ValidationError(f"need d >= 2, got {d}")
     check_cap("vertex count", h.n, VERTEX_CAP)
-    check_cap("d-subset count", math.comb(h.n, d), 10**7)
     _require_valid(h)
     table = _weights(h, d - 1)
     total = sum(table.values())
     bases = [f for f, w in table.items() if w]
+    check_cap("coface visits (nonzero edges x n)", len(bases) * h.n, 10**7)  # measured 0.65-1.6 µs a visit
     # sorted, the terms and the float sum keep the combinations(range(n), d) order
     cliques = sorted((c, math.prod(got)) for c, got in _cofaces(table, bases, h.n) if all(got))
     terms = [p for _, p in cliques]

@@ -233,6 +233,10 @@ class TestCli:
         report = self.run_ok(["forbidding", "gkk", "--system", "repeats", "--universe-size", "12",
                               "--d", "6", "--family", fam])
         assert report["quantities"]["family_size"] == 924 * 720
+        # counted from 38,760 good 6-multisets, not built as tuples
+        report = self.run_ok(["forbidding", "sd", "--system", "repeats", "--universe-size", "40",
+                              "--d", "6", "--set", ",".join(str(i) for i in range(20))])
+        assert report["quantities"]["tuples"] == 20 * 19 * 18 * 17 * 16 * 15
         # each of the 8 singletons is checked against 65,528 outside elements
         report = self.run_ok(["forbidding", "compatible", "--system", "repeats",
                               "--universe-size", "65536", "--d", "2", "--set", "0,1,2,3,4,5,6,7"])

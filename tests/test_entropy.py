@@ -1,5 +1,6 @@
 """Entropy identities and inequalities on exact finite distributions."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -17,9 +18,8 @@ from shadowlab.entropy import (
     check_shearer,
     conditional_entropy,
     entropy,
-    ordered_family_distribution,
 )
-from shadowlab.errors import ValidationError
+from shadowlab.errors import CapacityError, ValidationError
 from shadowlab.hypergraph import SetFamily, rainbow_cliques
 
 
@@ -41,6 +41,12 @@ def conditional_entropy_defining_sum(dist, target, given):
         h = -sum(float(c) * math.log2(float(c)) for c in cond if c != 1)
         total += float(p_y) * h
     return total
+
+
+def ordered_tuple_sizes(fam):
+    """s_k from all d!|F| ordered tuples as one exact distribution; brute-force reference."""
+    dist = ExactDistribution.uniform(fam.d, [t for s in fam.sets for t in permutations(s)])
+    return [2.0 ** conditional_entropy(dist, [k - 1], list(range(k - 1))) for k in range(1, fam.d + 1)]
 
 
 class TestEntropy:
@@ -181,9 +187,32 @@ class TestKeyInequality:
             for k, s_k in enumerate(rep.sizes, start=1):
                 assert s_k >= s_d + (rep.d - k) - 1e-9
 
+    def test_matches_ordered_tuple_reference(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            d = rng.randint(1, 5)
+            fam = random_set_family(rng, rng.randint(d, 9), d, 25)
+            assert check_key_inequality(fam).sizes == pytest.approx(ordered_tuple_sizes(fam), abs=1e-9)
+
+    def test_complete_family_tight_at_scale(self):
+        # C(32, 4): s_k = 33 - k, so every gap is 0
+        rep = check_key_inequality(SetFamily.make(32, combinations(range(32), 4)))
+        assert rep.sizes == pytest.approx((32.0, 31.0, 30.0, 29.0), abs=1e-9)
+        assert all(abs(g) < 1e-9 for g in rep.gaps)
+        assert rep.ok
+
+    def test_cap_refuses_before_counting(self, monkeypatch):
+        def no_counting(*args):
+            raise AssertionError("subsets were visited before the cap check")
+
+        monkeypatch.setattr(importlib.import_module("shadowlab.entropy"), "combinations", no_counting)
+        # one member at d = 30 is 2^30 subset visits
+        with pytest.raises(CapacityError, match="subset visits"):
+            check_key_inequality(SetFamily.make(30, [tuple(range(30))]))
+
     def test_empty_family_rejected(self):
         with pytest.raises(ValidationError):
-            ordered_family_distribution(SetFamily.make(4, [], d=3))
+            check_key_inequality(SetFamily.make(4, [], d=3))
 
 
 class TestDisjointSupportLemma:

@@ -17,6 +17,7 @@ from shadowlab.forbidding import (
     is_compatible,
     qlinear_system,
     repeats_system,
+    sd_orbits,
     system_from_name,
     tuple_shadow,
     verify_forbidding_axioms,
@@ -294,7 +295,9 @@ class TestEnumerateSd:
         rng = random.Random(d)
         for _ in range(15):
             s = rng.sample(range(7), rng.randint(0, 6))
-            assert enumerate_sd(make(7, d), s).tuples == tuple(sorted(reference_sd(make(7, d), s)))
+            expected = reference_sd(make(7, d), s)
+            assert enumerate_sd(make(7, d), s).tuples == tuple(sorted(expected))
+            assert sd_orbits(make(7, d), [s])[0][1] == len(expected)
 
     @pytest.mark.parametrize("q, n, k, d", [(2, 4, 3, 2), (2, 4, 3, 3), (3, 3, 2, 2)])
     def test_matches_tuple_prefix_walk_qlinear(self, q, n, k, d):
@@ -302,6 +305,7 @@ class TestEnumerateSd:
             sys = qlinear_system(q, n, d)
             expected = sorted(reference_sd(qlinear_system(q, n, d), s))
             assert enumerate_sd(sys, s).tuples == tuple(expected)
+            assert sd_orbits(sys, [s])[0][1] == len(expected)
 
     def test_caps_refuse_before_classifying(self):
         calls = []
@@ -315,6 +319,8 @@ class TestEnumerateSd:
             enumerate_sd(sys, range(30))  # 427,518,000 tuples
         with pytest.raises(CapacityError, match="good d-multisets = 593775"):
             check_generalized_kk(sys, [range(30)])  # binom(30, 6)
+        with pytest.raises(CapacityError, match="good d-multisets = 593775"):
+            sd_orbits(sys, [range(30)])
         pairs = ForbiddingSystem(range(2000), 2, classify, (1,))
         with pytest.raises(CapacityError, match="good d-multisets = 500028"):
             check_generalized_kk(pairs, [range(1000), range(1000, 1033)])  # binom(1000, 2) + binom(33, 2)

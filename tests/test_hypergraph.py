@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -15,7 +15,8 @@ from conftest import (
     random_uniform_hypergraph,
     random_weighted_complete,
 )
-from shadowlab.errors import ValidationError
+from shadowlab import hypergraph
+from shadowlab.errors import CapacityError, ValidationError
 from shadowlab.hypergraph import (
     ColoredHypergraph,
     SetFamily,
@@ -510,6 +511,22 @@ class TestWeightedJointSum:
         h = ColoredHypergraph.from_edges(3, [((0, 1), "plain", -2)])
         with pytest.raises(ValidationError):
             weighted_joint_sum(h, 3)
+
+    def test_cap_counts_coface_visits_not_d_subsets(self):
+        # the 5-subsets of [7]: 21 edges x 64 vertices visits, although C(64, 6) > 10^7
+        edges = [(f, "plain", 1) for f in combinations(range(7), 5)]
+        for n in (40, 64):
+            assert weighted_joint_sum(ColoredHypergraph.from_edges(n, edges), 6).value == 7.0
+
+    def test_cap_refuses_before_counting(self, monkeypatch):
+        def no_counting(*args):
+            raise AssertionError("cofaces were visited before the cap check")
+
+        monkeypatch.setattr(hypergraph, "_cofaces", no_counting)
+        # 156,251 edges x 64 vertices > 10^7 visits
+        edges = [(f, "plain", 1) for f in islice(combinations(range(64), 4), 156_251)]
+        with pytest.raises(CapacityError, match="coface visits"):
+            weighted_joint_sum(ColoredHypergraph.from_edges(64, edges), 5)
 
 
 class TestSpectralTrace:

@@ -36,8 +36,9 @@ class TestRainbowSearch:
             assert search_rainbow_triangle(n).best_ratio_exact <= 2
 
     def test_cap(self):
-        with pytest.raises(CapacityError):
-            search_rainbow_triangle(8)
+        for n in (6, 8):
+            with pytest.raises(CapacityError):
+                search_rainbow_triangle(n)
 
 
 class TestMixedSearch:
@@ -61,8 +62,9 @@ class TestMixedSearch:
             search_mixed_4subsets(3)
 
     def test_cap(self):
-        with pytest.raises(CapacityError):
-            search_mixed_4subsets(7)
+        for n in (6, 7):
+            with pytest.raises(CapacityError):
+                search_mixed_4subsets(n)
 
 
 class TestRandomProbe:
