@@ -191,7 +191,7 @@ def cmd_entropy(args) -> tuple[dict, list[BoundReport], list[str]]:
         rep = check_key_inequality(fam)
         bound = upper_report(
             "max (s_{k+1} + 1 - s_k)",
-            max((-g for g in rep.gaps), default=0.0),
+            0.0 - min(rep.gaps, default=0.0),  # +0, not -0, when the smallest gap is 0
             0.0,
             "key inequality 2^{H_k} >= 2^{H_{k+1}} + 1",
         )

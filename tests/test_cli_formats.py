@@ -142,6 +142,15 @@ class TestCli:
         assert report["quantities"]["shadow_size"] == 5
         assert report["quantities"]["t"] == pytest.approx(3.434841368, abs=1e-6)
 
+    def test_key_tight_family_prints_zero(self, tmp_path):
+        fam = str(tmp_path / "fam.json")
+        with open(fam, "w") as fh:
+            json.dump({"n": 9, "d": 5, "sets": [list(s) for s in combinations(range(9), 5)]}, fh)
+        report = self.run_ok(["entropy", "--key", "--family", fam, "--json"])
+        assert min(report["quantities"]["gaps"]) == 0.0
+        # the largest violation, when the smallest gap is exactly 0, is +0, not -0
+        assert '"computed":"0"' in dumps_canonical(report)
+
     def test_search_json_deterministic(self):
         a, _ = cli.run(["search", "probe", "--problem", "rainbow_d", "--vertices", "6",
                         "--trials", "50", "--seed", "9", "--json"])
