@@ -47,7 +47,6 @@ from .hypergraph import (
 )
 from .numkit import (
     CVector,
-    RealParam,
     binom_real,
     gaussian_binom,
     invert_binom,

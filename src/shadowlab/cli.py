@@ -91,7 +91,10 @@ def _render_text(report: dict) -> str:
 
 
 def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError as exc:
+        raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _parse_colors(text: str | None, default=("red", "green", "blue")) -> tuple[str, ...]:

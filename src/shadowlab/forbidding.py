@@ -4,7 +4,9 @@ A system classifies every multiset of size <= d over a finite universe as
 good or bad, subject to two axioms: bad multisets stay bad under extension
 (and every singleton is good), and every good k-multiset has exactly c_k bad
 extensions.  Compatible subsets then yield symmetric tuple families S^(d)
-whose unions obey a falling-product shadow bound.
+whose unions obey a falling-product shadow bound.  Compatibility is decided
+by that count: S is compatible exactly when its good ordered k-tuples number
+|S|(|S|-c_1)...(|S|-c_{k-1}) at every size k <= d.
 
 Oracles must be pure functions of the multiset; classification results are
 memoized per system instance.
@@ -219,24 +221,34 @@ def _orderings(ms: Multiset) -> int:
     return count
 
 
-def _walk(sys: ForbiddingSystem, inside: tuple, depth: int) -> tuple[tuple | None, list[Multiset]]:
-    """Walk the good sorted multisets of a sorted set to `depth`, by size then lexicographically.
+def _witness(sys: ForbiddingSystem, inside: tuple, level: list[Multiset], c: int) -> tuple | None:
+    """First multiset of `level` with fewer than c bad extensions inside, and its first bad outside extension."""
+    for ms in level:
+        if sum(not sys.is_good(ms + (x,)) for x in inside) < c:
+            inside_set = set(inside)
+            return next(((ms, x) for x in sys.universe if x not in inside_set and not sys.is_good(ms + (x,))), None)
+    return None
+
+
+def _walk(sys: ForbiddingSystem, inside: tuple) -> tuple[tuple | None, list[Multiset]]:
+    """Walk the good sorted multisets of a sorted set S to size d, by size then lexicographically.
 
     A multiset is extended only by elements >= its last one, and a bad one is
     not extended: under the forbidding axioms every sub-multiset of a good
-    multiset is good, so nothing good is missed.  Each good multiset below
-    size d is checked for compatibility as it is reached.  Returns the first
-    witness (multiset, outside element), or None and the good multisets of
-    size `depth`.
+    multiset is good, so nothing good is missed.  A good k-multiset has c_k
+    bad extensions, so the good ordered (k+1)-tuples over S number at least
+    (|S| - c_k) times the good k-tuples, with equality iff all of them lie in
+    S.  Equal goes on; more yields the first witness (multiset, outside
+    element); fewer, or more with no witness, breaks the declared axioms.
+    Returns the witness, or None and the good d-multisets.
     """
-    universe, inside_set = set(sys.universe), set(inside)
-    unknown = [x for x in inside if x not in universe]
+    unknown = sorted(set(inside).difference(sys.universe))
     if unknown:
         raise ValidationError(f"elements {unknown} are not in the universe")
-    outside = [x for x in sys.universe if x not in inside_set]
     memo, classify = sys._memo, sys._classify
     level: list[tuple[Multiset, int]] = [((), 0)]
-    for size in range(1, depth + 1):
+    expected = 1
+    for size, c in enumerate((0,) + sys.c_vector.entries, 1):  # c_0 = 0: all |S| singletons are good
         grown = []
         for ms, start in level:
             for i in range(start, len(inside)):
@@ -244,57 +256,57 @@ def _walk(sys: ForbiddingSystem, inside: tuple, depth: int) -> tuple[tuple | Non
                 good = memo.get(key)
                 if good is None:
                     good = memo[key] = bool(classify(key))
-                if not good:
-                    continue
-                grown.append((key, i))
-                if size < sys.d:
-                    for x in outside:
-                        if not sys.is_good(key + (x,)):
-                            return (key, x), []
+                if good:
+                    grown.append((key, i))
+        expected *= len(inside) - c
+        found = sum(_orderings(ms) for ms, _ in grown)
+        if found > expected and (witness := _witness(sys, inside, [ms for ms, _ in level], c)):
+            return witness, []
+        if found != expected:
+            raise ValidationError(
+                f"|S^({size})| = {found} but the declared c-vector predicts {expected}; "
+                "the classifier does not satisfy the forbidding axioms"
+            )
         level = grown
     return None, [ms for ms, _ in level]
+
+
+def _check_multiset_cap(sys: ForbiddingSystem, insides: list[tuple]) -> None:
+    """Refuse more than GKK_MULTISET_CAP predicted good d-multisets in all, before classifying:
+    |S|(|S|-c_1)...(|S|-c_{d-1}) / d! a set, exact when none repeats an element."""
+    predicted = sum(max(0, product_falling(len(inside), sys.c_vector)) for inside in insides)
+    check_cap("good d-multisets", predicted // math.factorial(sys.d), GKK_MULTISET_CAP)
 
 
 def is_compatible(sys: ForbiddingSystem, s: Iterable[Hashable]) -> CompatibilityResult:
     """A set is compatible when bad-extending elements of its good multisets stay inside.
 
-    Assumes the forbidding axioms: only good multisets whose sub-multisets
-    are all good are reached, so a classifier that is not downward-closed
-    may pass here; `enumerate_sd` and `check_generalized_kk` catch it by count.
+    Decided by the walk's level counts: no element outside the set is
+    classified unless it is not compatible.  Raises ValidationError where the
+    classifier breaks the declared axioms; capped like `sd_orbits`.
     """
     inside = tuple(sorted(set(s)))
-    witness, _ = _walk(sys, inside, sys.d - 1)
+    _check_multiset_cap(sys, [inside])
+    witness, _ = _walk(sys, inside)
     return CompatibilityResult(witness is None, witness)
 
 
 def _sd_multisets(sys: ForbiddingSystem, inside: tuple) -> tuple[list[Multiset], int]:
-    """The good d-multisets of a compatible set and |S^(d)|, the number of their orderings.
-
-    Their orderings must number |S|(|S|-c_1)...(|S|-c_{d-1}); a mismatch
-    means the declared system is not actually forbidding.
-    """
-    witness, members = _walk(sys, inside, sys.d)
+    """The good d-multisets of a compatible set and |S^(d)| = |S|(|S|-c_1)...(|S|-c_{d-1})."""
+    witness, members = _walk(sys, inside)
     if witness is not None:
         raise ValidationError(f"set is not compatible; witness {witness}")
-    found = sum(map(_orderings, members))
-    expected = product_falling(len(inside), sys.c_vector)
-    if found != expected:
-        raise ValidationError(
-            f"|S^(d)| = {found} but the declared c-vector predicts {expected}; "
-            "the classifier does not satisfy the forbidding axioms"
-        )
-    return members, found
+    return members, product_falling(len(inside), sys.c_vector)
 
 
 def sd_orbits(sys: ForbiddingSystem, sets: Iterable[Iterable[Hashable]]) -> list[tuple[list[Multiset], int]]:
     """Per compatible set, the orbits of S^(d) under permutation (its good d-multisets) and |S^(d)|.
 
-    Builds no tuple.  Refuses more than GKK_MULTISET_CAP predicted good d-multisets in all, before
-    classifying: |S|(|S|-c_1)...(|S|-c_{d-1}) / d! a set, exact when none repeats an element.
+    Builds no tuple.  Refuses more than GKK_MULTISET_CAP predicted good
+    d-multisets in all, before classifying.
     """
     insides = [tuple(sorted(set(s))) for s in sets]
-    predicted = sum(max(0, product_falling(len(inside), sys.c_vector)) for inside in insides)
-    check_cap("good d-multisets", predicted // math.factorial(sys.d), GKK_MULTISET_CAP)
+    _check_multiset_cap(sys, insides)
     return [_sd_multisets(sys, inside) for inside in insides]
 
 
@@ -344,7 +356,7 @@ def check_generalized_kk(
     for ms in members:
         shadow.update(combinations(ms, sys.d - 1))
     shadow_size = sum(map(_orderings, shadow))
-    t = invert_product(family_size, sys.c_vector).t
+    t = invert_product(family_size, sys.c_vector)
     bound = product_falling(t, sys.c_vector.drop_last())
     return lower_report(
         "tuple shadow size",

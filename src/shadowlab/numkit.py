@@ -16,8 +16,6 @@ from typing import Sequence
 
 from .errors import ValidationError
 
-DEFAULT_INVERSION_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class CVector:
@@ -51,18 +49,6 @@ class CVector:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@dataclass(frozen=True)
-class RealParam:
-    """A real parameter t recovered by inversion, with its achieved tolerance."""
-
-    t: float
-    tolerance: float
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
 
 
 def product_falling(t, c: CVector | Sequence[int]):
@@ -125,10 +111,10 @@ def gaussian_binom(t, d: int, q: int):
     return num / den
 
 
-def _bisect_increasing(f, lo: float, hi: float, target: float, tol: float) -> float:
-    """Root of f(t) = target for f increasing on [lo, hi] with f(lo) <= target <= f(hi)."""
+def _bisect_increasing(f, lo: float, hi: float, target: float) -> float:
+    """Root of f(t) = target for f increasing on [lo, hi] with f(lo) <= target <= f(hi), to width 1e-12."""
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= 1e-12:
             break
         mid = (lo + hi) / 2
         if f(mid) < target:
@@ -138,7 +124,7 @@ def _bisect_increasing(f, lo: float, hi: float, target: float, tol: float) -> fl
     return (lo + hi) / 2
 
 
-def invert_product(target, c: CVector | Sequence[int], tol: float = DEFAULT_INVERSION_TOL) -> RealParam:
+def invert_product(target, c: CVector | Sequence[int]) -> float:
     """The unique t >= c_{d-1} with product_falling(t, c) = target.
 
     The product is 0 at t = c_{d-1} and strictly increasing beyond it, so
@@ -146,46 +132,40 @@ def invert_product(target, c: CVector | Sequence[int], tol: float = DEFAULT_INVE
     """
     if target < 0:
         raise ValidationError(f"inversion target must be nonnegative, got {target}")
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
     cv = CVector.coerce(c)
     lo = float(cv.last)
     if target <= sys.float_info.max:
         hi = lo + 1.0 + float(target)
-        t = _bisect_increasing(lambda x: product_falling(x, cv), lo, hi, float(target), tol)
-    else:  # beyond the float range: bisect on logarithms, with t <= c_{d-1} + target^(1/d)
+        return _bisect_increasing(lambda x: product_falling(x, cv), lo, hi, float(target))
 
-        def log_product(x):
-            return math.log(x) + sum(math.log(x - ci) for ci in cv.entries)
+    # beyond the float range: bisect on logarithms, with t <= c_{d-1} + target^(1/d)
+    def log_product(x):
+        return math.log(x) + sum(math.log(x - ci) for ci in cv.entries)
 
-        goal = math.log(target)
-        hi = lo + 1.0 + math.exp(goal / (len(cv) + 1))
-        t = _bisect_increasing(log_product, lo, hi, goal, tol)
-    return RealParam(t=t, tolerance=tol)
+    goal = math.log(target)
+    hi = lo + 1.0 + math.exp(goal / (len(cv) + 1))
+    return _bisect_increasing(log_product, lo, hi, goal)
 
 
-def invert_binom(target, d: int, tol: float = DEFAULT_INVERSION_TOL) -> RealParam:
+def invert_binom(target, d: int) -> float:
     """The unique t >= d-1 with binom_real(t, d) = target (target >= 0)."""
     if d < 1:
         raise ValidationError(f"invert_binom requires d >= 1, got {d}")
     scaled = target * math.factorial(d)
-    return invert_product(scaled, CVector(tuple(range(1, d))), tol)
+    return invert_product(scaled, CVector(tuple(range(1, d))))
 
 
-def invert_gaussian(target, d: int, q: int, tol: float = DEFAULT_INVERSION_TOL) -> RealParam:
+def invert_gaussian(target, d: int, q: int) -> float:
     """The unique t >= d with gaussian_binom(t, d, q) = target (target >= 1)."""
     if target < 1:
         raise ValidationError(f"invert_gaussian requires target >= 1, got {target}")
     if d < 1:
         raise ValidationError(f"invert_gaussian requires d >= 1, got {d}")
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
     lo = float(d)
     hi = lo + 1.0
     while gaussian_binom(hi, d, q) < target:
         hi = lo + 2 * (hi - lo)
-    t = _bisect_increasing(lambda x: gaussian_binom(x, d, q), lo, hi, float(target), tol)
-    return RealParam(t=t, tolerance=tol)
+    return _bisect_increasing(lambda x: gaussian_binom(x, d, q), lo, hi, float(target))
 
 
 def shadow_bound_holds(shadow: int, family: int, c: CVector | Sequence[int]) -> bool:

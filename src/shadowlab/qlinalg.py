@@ -202,7 +202,7 @@ def check_q_kruskal_katona(fam: SubspaceFamily) -> BoundReport:
     if len(fam) < 1:
         raise ValidationError("family must be nonempty")
     q, d = fam.q, fam.d
-    t = invert_gaussian(len(fam), d, q).t
+    t = invert_gaussian(len(fam), d, q)
     bound = gaussian_binom(t, d - 1, q)
     shadow_size = len(subspace_shadow(fam))
     # in y - 1 = q^t - 1, [t, d]_q |GL_d(q)| is the falling product over c = (q-1, ..., q^{d-1}-1)

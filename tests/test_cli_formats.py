@@ -246,7 +246,7 @@ class TestCli:
         report = self.run_ok(["forbidding", "sd", "--system", "repeats", "--universe-size", "40",
                               "--d", "6", "--set", ",".join(str(i) for i in range(20))])
         assert report["quantities"]["tuples"] == 20 * 19 * 18 * 17 * 16 * 15
-        # each of the 8 singletons is checked against 65,528 outside elements
+        # decided by the walk's level counts; no outside element is classified
         report = self.run_ok(["forbidding", "compatible", "--system", "repeats",
                               "--universe-size", "65536", "--d", "2", "--set", "0,1,2,3,4,5,6,7"])
         assert report["quantities"]["compatible"] is True
@@ -260,6 +260,23 @@ class TestCli:
         report = self.run_ok(["forbidding", "verify", "--system", "qlinear:3,5", "--d", "2"])
         assert report["quantities"]["ok"] is True
         assert report["quantities"]["exhaustive"] is False
+
+    def test_forbidding_compatible_large_universe(self, capsys):
+        # 91,390 good 4-multisets of the set, and none of the 65,496 elements outside is classified
+        assert cli.main(["forbidding", "compatible", "--system", "repeats", "--universe-size", "65536",
+                         "--d", "4", "--set", ",".join(str(i) for i in range(40))]) == 0
+        assert "compatible = True" in capsys.readouterr().out
+
+    def test_malformed_integer_lists_exit_3(self, tmp_path, capsys):
+        dist = str(tmp_path / "dist.json")
+        with open(dist, "w") as fh:
+            json.dump({"arity": 2, "support": [{"values": [0, 1], "p": "1"}]}, fh)
+        for argv in (["forbidding", "compatible", "--system", "repeats", "--universe-size", "5",
+                      "--d", "2", "--set", "a"],
+                     ["entropy", "--dist", dist, "--coords", "0,x"],
+                     ["entropy", "--dist", dist, "--shearer", "0;1,y"]):
+            assert cli.main(argv) == 3
+            assert "expected comma-separated integers" in capsys.readouterr().err
 
     def test_kk_target_beyond_float_range(self, tmp_path):
         # one 180-set: binom(t, 180) = 1 puts 180! into the inversion

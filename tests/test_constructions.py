@@ -16,7 +16,7 @@ from shadowlab.constructions import (
     tetrahedra8,
     tripartite_mixed,
 )
-from shadowlab.errors import ValidationError
+from shadowlab.errors import CapacityError, ValidationError
 from shadowlab.hypergraph import (
     check_ratio,
     count_good_6subsets,
@@ -188,3 +188,16 @@ class TestCompleteFamily:
     def test_m_below_d_rejected(self):
         with pytest.raises(ValidationError):
             complete_family(2, 3)
+
+
+def test_generators_capped_before_building():
+    # each would build millions of edges or members before a counting kernel refused it
+    for build in (lambda: k4_blowup(3000), lambda: rainbow_tripartite(3000, 3000, 3000),
+                  lambda: tripartite_mixed(400)):
+        with pytest.raises(CapacityError, match="vertex count = (12000|9000|1200) exceeds cap 64"):
+            build()
+    with pytest.raises(CapacityError, match="vertex count = 68 exceeds cap 64"):
+        k4_blowup(17)
+    with pytest.raises(CapacityError, match="family members C\\(m, d\\) = 118264581564861424"):
+        complete_family(60, 30)
+    assert len(complete_family(20, 10)) == 184756

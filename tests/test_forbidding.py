@@ -225,13 +225,34 @@ class TestCompatibility:
         assert incompatible > 0
 
     def test_walk_assumes_downward_closed(self):
-        # (0,) is bad but (0, 1) is good: the walk never reaches (0, 1), whose bad extension is (0, 1, 2)
+        # (0,) is bad, against the first axiom, so the walk would never reach (0, 1), whose bad
+        # extension is (0, 1, 2); the level count catches it at size 1 (one good 1-tuple, not |S| = 2)
         def classify(ms):
             return len(set(ms)) == len(ms) and ms not in {(0,), (0, 1, 2)}
 
         sys = ForbiddingSystem(range(3), 3, classify, (1, 2))
         assert reference_witness(sys, [0, 1]) == ((0, 1), 2)
-        assert is_compatible(sys, [0, 1]) == CompatibilityResult(True, None)
+        with pytest.raises(ValidationError, match=re.escape("|S^(1)| = 1 but the declared c-vector predicts 2")):
+            is_compatible(sys, [0, 1])
+
+    def test_compatible_set_classifies_nothing_outside(self):
+        s = (3, 50, 700, 1234, 9999)
+
+        def recording_system():
+            seen = []
+
+            def classify(ms):
+                seen.append(ms)
+                return len(set(ms)) == len(ms)
+
+            return ForbiddingSystem(range(10**4), 4, classify, (1, 2, 3)), seen
+
+        sys, seen = recording_system()
+        assert is_compatible(sys, s) == CompatibilityResult(True, None)
+        assert seen and all(set(ms) <= set(s) for ms in seen)
+        sys, seen = recording_system()
+        assert sd_orbits(sys, [s])[0][1] == 5 * 4 * 3 * 2
+        assert seen and all(set(ms) <= set(s) for ms in seen)
 
 
 class TestEnumerateSd:
@@ -284,9 +305,10 @@ class TestEnumerateSd:
             enumerate_sd(sys, [(1, 0, 0), (0, 1, 0)])
 
     def test_not_downward_closed_rejected(self):
-        with pytest.raises(ValidationError, match="c-vector predicts 24"):
+        # caught at size 2: the good pairs have 10 orderings, not 4 * 3
+        with pytest.raises(ValidationError, match="c-vector predicts 12"):
             enumerate_sd(not_downward_closed(), range(4))
-        with pytest.raises(ValidationError, match="c-vector predicts 24"):
+        with pytest.raises(ValidationError, match="c-vector predicts 12"):
             check_generalized_kk(not_downward_closed(), [range(4)])
 
     @pytest.mark.parametrize("make", [repeats_system, all_good_system])
@@ -321,6 +343,8 @@ class TestEnumerateSd:
             check_generalized_kk(sys, [range(30)])  # binom(30, 6)
         with pytest.raises(CapacityError, match="good d-multisets = 593775"):
             sd_orbits(sys, [range(30)])
+        with pytest.raises(CapacityError, match="good d-multisets = 593775"):
+            is_compatible(sys, range(30))  # the compatibility walk also goes to size d
         pairs = ForbiddingSystem(range(2000), 2, classify, (1,))
         with pytest.raises(CapacityError, match="good d-multisets = 500028"):
             check_generalized_kk(pairs, [range(1000), range(1000, 1033)])  # binom(1000, 2) + binom(33, 2)
@@ -405,6 +429,16 @@ class TestGeneralizedKK:
         for _ in range(10):
             sets = rng.sample(pool, rng.randint(1, min(4, len(pool))))
             assert_gkk_matches_reference(qlinear_system(q, n, d), sets)
+
+    def test_planes_of_a_large_space(self):
+        # five planes among the 65,535 nonzero vectors of F_2^16, decided without classifying a vector outside them
+        basis = [tuple(int(j == i) for j in range(16)) for i in range(10)]
+        planes = [span_f2([basis[i], basis[i + 5]], 16) - {(0,) * 16} for i in range(5)]
+        rep = check_generalized_kk(qlinear_system(2, 16, 2), planes)
+        assert rep.extra["family_size"] == 5 * 3 * 2
+        assert rep.computed == 15
+        assert rep.extra["t"] == pytest.approx(6.0, abs=1e-9)
+        assert rep.satisfied
 
     def test_overlapping_families_rejected(self):
         sys = repeats_system(6, 3)

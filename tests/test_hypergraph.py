@@ -564,6 +564,20 @@ class TestCapacity:
         with pytest.raises(CapacityError):
             count_rainbow_cliques(h, 3, RGB)
 
+    def test_edge_pairs_capped_before_pairing(self):
+        # C(4473, 2) = 10,001,628 pairs, one over the cap; the good 6-subset loop takes about 1 µs a pair
+        fours = [(e, "plain") for e in islice(combinations(range(64), 4), 4473)]
+        with pytest.raises(CapacityError, match="4-edge pairs = 10001628 exceeds cap 10000000"):
+            count_good_6subsets(ColoredHypergraph.from_edges(64, fours))
+        threes = [(e, "plain") for e in islice(combinations(range(64), 3), 4473)]
+        with pytest.raises(CapacityError, match="3-edge pairs = 10001628 exceeds cap 10000000"):
+            good_4subsets_mixed(ColoredHypergraph.from_edges(64, threes))
+
+    def test_isomorphism_vertex_cap(self):
+        h = ColoredHypergraph.from_edges(9, [((0, 1), "red")])
+        with pytest.raises(CapacityError, match="isomorphism check vertices \\(brute force\\) = 9 exceeds cap 8"):
+            color_isomorphic(h, h)
+
 
 class TestColorIsomorphic:
     def test_relabeled_fig1(self):
