@@ -97,7 +97,7 @@ def _parse_ints(text: str) -> list[int]:
         raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _parse_colors(text: str | None, default=("red", "green", "blue")) -> tuple[str, ...]:
+def _parse_colors(text: str | None, default=hg.RGB) -> tuple[str, ...]:
     if text is None:
         return tuple(default)
     return tuple(x.strip() for x in text.split(",") if x.strip())
@@ -225,7 +225,7 @@ def _parse_set(sys_name: str, text: str):
 def cmd_forbidding(args) -> tuple[dict, list[BoundReport], list[str]]:
     system = _forbidding_system(args)
     if args.action == "verify":
-        rep = forb.verify_forbidding_axioms(system, mode=args.mode, seed=args.seed)
+        rep = forb.verify_forbidding_axioms(system, seed=args.seed)
         if not rep.ok:
             raise BoundViolationError(f"forbidding axioms failed: {rep.violation}")
         note = [] if rep.exhaustive else ["not exhaustively verified (spot-check mode)"]
@@ -423,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, help="'repeats' or 'qlinear:q,n'")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--universe-size", type=int)
-    p.add_argument("--mode", default="auto", choices=["auto", "exhaustive", "spot"])
     p.add_argument("--set", help="elements: ints '0,1,2' or vectors '1,0;0,1'")
     p.add_argument("--family")
     p.add_argument("--subspaces")

@@ -14,6 +14,7 @@ from itertools import combinations
 
 from .errors import BoundViolationError, ValidationError, check_cap
 from .hypergraph import (
+    RGB,
     VERTEX_CAP,
     ColoredHypergraph,
     SetFamily,
@@ -73,15 +74,14 @@ def k4_blowup(n: int) -> Construction:
             for b in group[gb]:
                 edges.append(((a, b), color))
     graph = ColoredHypergraph.from_edges(4 * n, edges)
-    colors = ("red", "green", "blue")
     counts = graph.color_counts()
-    t = count_rainbow_cliques(graph, 3, colors)
+    t = count_rainbow_cliques(graph, 3, RGB)
     _self_check(
         "k4_blowup",
         {
             "class sizes": (
                 (2 * n * n,) * 3,
-                tuple(counts[c] for c in colors),
+                tuple(counts[c] for c in RGB),
             ),
             "T": (4 * n**3, t),
             "T^2 = 2RGB": (t * t, 2 * counts["red"] * counts["green"] * counts["blue"]),
@@ -114,7 +114,7 @@ def rainbow_tripartite(a: int, b: int, c: int) -> Construction:
         for z in parts[2]:
             edges.append(((x, z), "blue"))
     graph = ColoredHypergraph.from_edges(a + b + c, edges)
-    t = count_rainbow_cliques(graph, 3, ("red", "green", "blue"))
+    t = count_rainbow_cliques(graph, 3, RGB)
     _self_check("rainbow_tripartite", {"T": (a * b * c, t)})
     expected = {"R": a * b, "G": b * c, "B": a * c, "T": a * b * c, "ratio": Fraction(t * t, a * b * b * c * a * c)}
     return Construction("rainbow_tripartite", graph, expected)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -226,41 +227,39 @@ def _edges_of_size(h: ColoredHypergraph, size: int, what: str) -> set[tuple[int,
     return {e.verts for e in h.edges}
 
 
-def _pair_partitions(delta: tuple[int, ...]):
-    """The 15 partitions of a 6-set into three unordered pairs."""
-    a = delta[0]
-    rest = delta[1:]
-    for b in rest:
-        four = [x for x in rest if x != b]
-        c = four[0]
-        for dd in four[1:]:
-            e, f = [x for x in four[1:] if x != dd]
-            yield ((a, b), tuple(sorted((c, dd))), tuple(sorted((e, f))))
+def _links(edges: Iterable[tuple[int, ...]], size: int) -> defaultdict[tuple[int, ...], set[tuple[int, ...]]]:
+    """For every size-subset T of an edge, the sorted complements S with T + S an edge."""
+    links: defaultdict[tuple[int, ...], set[tuple[int, ...]]] = defaultdict(set)
+    for e in edges:
+        # the complements of the size-subsets, in combinations order, are the rest in reverse order
+        for t, rest in zip(combinations(e, size), reversed(list(combinations(e, len(e) - size)))):
+            links[t].add(rest)
+    return links
+
+
+def _splits(e: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The 3 splits of a 4-set into two pairs."""
+    pairs = list(combinations(e, 2))
+    return zip(pairs[:3], pairs[:2:-1])
 
 
 def good_6subsets(h: ColoredHypergraph) -> tuple[tuple[int, ...], ...]:
-    """6-sets admitting three 4-edges inside whose complements partition the set."""
+    """6-sets admitting three 4-edges inside whose complements partition the set.
+
+    Such a set is p + q + r for disjoint pairs p, q, r with p + q, p + r and
+    q + r edges: each 4-edge split into pairs p, q gives one for every pair r
+    that completes both p and q to an edge.
+    """
     check_cap("vertex count", h.n, VERTEX_CAP)
     _require_valid(h)
-    edges = sorted(_edges_of_size(h, 4, "good 6-subset counting"))
-    check_cap("4-edge pairs", math.comb(len(edges), 2), 10**7)  # measured 0.87-1.1 µs a pair
-    candidates = set()
-    for e, f in combinations(edges, 2):
-        union = set(e) | set(f)
-        if len(union) == 6:
-            candidates.add(tuple(sorted(union)))
-    edge_set = set(edges)
-    good = []
-    for delta in sorted(candidates):
-        dset = set(delta)
-        hit = False
-        for pairs in _pair_partitions(delta):
-            if all(tuple(sorted(dset - set(p))) in edge_set for p in pairs):
-                hit = True
-                break
-        if hit:
-            good.append(delta)
-    return tuple(good)
+    edges = _edges_of_size(h, 4, "good 6-subset counting")
+    degree = Counter(p for e in edges for p in combinations(e, 2))
+    work = sum(min(degree[p], degree[q]) for e in edges for p, q in _splits(e))
+    # a split costs one step per edge through its smaller pair; measured about 0.3 µs a step
+    check_cap("link steps (smaller pair degree, summed over 4-edge splits)", work, 10**7)
+    links = _links(edges, 2)
+    good = {tuple(sorted(e + r)) for e in edges for p, q in _splits(e) for r in links[p] & links[q]}
+    return tuple(sorted(good))
 
 
 def count_good_6subsets(h: ColoredHypergraph) -> int:
@@ -268,27 +267,25 @@ def count_good_6subsets(h: ColoredHypergraph) -> int:
 
 
 def good_4subsets_mixed(h: ColoredHypergraph) -> tuple[tuple[int, ...], ...]:
-    """4-sets {v1..v4} with 3-edges {v1,v2,v3}, {v1,v2,v4} and 2-edge {v3,v4}."""
+    """4-sets {v1..v4} with 3-edges {v1,v2,v3}, {v1,v2,v4} and 2-edge {v3,v4}.
+
+    Each 2-edge {v3, v4} gives one for every pair {v1, v2} that completes both
+    v3 and v4 to a 3-edge.
+    """
     check_cap("vertex count", h.n, VERTEX_CAP)
     _require_valid(h)
-    pairs = set()
-    triples = set()
+    pairs = []
+    triples = []
     for e in h.edges:
         if len(e.verts) == 2:
-            pairs.add(e.verts)
+            pairs.append(e.verts)
         elif len(e.verts) == 3:
-            triples.add(e.verts)
+            triples.append(e.verts)
         else:
             raise ValidationError(f"mixed counting allows only 2- and 3-edges, got {e.verts}")
-    check_cap("3-edge pairs", math.comb(len(triples), 2), 10**7)  # measured 0.42-0.47 µs a pair
-    good = set()
-    for e, f in combinations(sorted(triples), 2):
-        shared = set(e) & set(f)
-        if len(shared) != 2:
-            continue
-        v34 = tuple(sorted(set(e) ^ set(f)))
-        if v34 in pairs:
-            good.add(tuple(sorted(set(e) | set(f))))
+    # no cap beyond the vertex cap: at most C(64, 2) 2-edges, each intersecting two sets of at most C(63, 2) pairs
+    links = _links(triples, 1)
+    good = {tuple(sorted(r + (v3, v4))) for v3, v4 in pairs for r in links[(v3,)] & links[(v4,)]}
     return tuple(sorted(good))
 
 
@@ -296,7 +293,7 @@ def count_good_4subsets_mixed(h: ColoredHypergraph) -> int:
     return len(good_4subsets_mixed(h))
 
 
-COVERING_COLORS = ("red", "green", "blue")
+RGB = ("red", "green", "blue")  # the colors of rainbow triangles and of covering sets
 
 
 def color_covering_subsets(h: ColoredHypergraph, delta: int) -> tuple[tuple[int, ...], ...]:
@@ -310,10 +307,10 @@ def color_covering_subsets(h: ColoredHypergraph, delta: int) -> tuple[tuple[int,
     for e in h.edges:
         if len(e.verts) != size:
             raise ValidationError(f"edge {e.verts} has size {len(e.verts)}, expected {size}")
-        if e.color not in COVERING_COLORS:
-            raise ValidationError(f"edge color {e.color!r} not among {COVERING_COLORS}")
+        if e.color not in RGB:
+            raise ValidationError(f"edge color {e.color!r} not among {RGB}")
         lookup[e.verts] = e.color
-    covering = (c for c, got in _cofaces(lookup, lookup, h.n) if set(got).issuperset(COVERING_COLORS))
+    covering = (c for c, got in _cofaces(lookup, lookup, h.n) if set(got).issuperset(RGB))
     return tuple(sorted(covering))
 
 
@@ -579,7 +576,7 @@ def _mixed4_measure(h, d, delta, colors):
 def _covering_measure(h, d, delta, colors):
     j = count_color_covering_subsets(h, delta)
     counts = h.color_counts()
-    r, g, b = (counts.get(c, 0) for c in COVERING_COLORS)
+    r, g, b = (counts.get(c, 0) for c in RGB)
     return {"J": j, "R": r, "G": g, "B": b}, j * j, r * g * b
 
 
@@ -610,7 +607,7 @@ PROBLEMS: dict[str, Problem] = {
         ),
         Problem(
             "covering_delta", "covering ratio", _covering_measure, _covering_bounds, (),
-            lambda rng, n, d, delta: _random_colored(rng, n, delta + 2, COVERING_COLORS),
+            lambda rng, n, d, delta: _random_colored(rng, n, delta + 2, RGB),
         ),
     )
 }

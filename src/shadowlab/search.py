@@ -15,12 +15,10 @@ from itertools import combinations, product
 from typing import Mapping
 
 from .errors import ValidationError, check_cap
-from .hypergraph import VERTEX_CAP, ColoredHypergraph, get_problem
+from .hypergraph import RGB, VERTEX_CAP, ColoredHypergraph, get_problem
 
 RAINBOW_CAP = 5  # 4^binom(n,2) states; n = 6 takes about 38 min at a measured 4.7e5 states/s
 MIXED_CAP = 5  # 2^(pairs + triples) states; n = 6 takes about 43 h at a measured 2.2e5 states/s
-
-RGB = ("red", "green", "blue")
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,11 @@ class TestCli:
         # the largest violation, when the smallest gap is exactly 0, is +0, not -0
         assert '"computed":"0"' in dumps_canonical(report)
 
+    def test_good6_probe_on_23_vertices_answers(self):
+        # a random 4-graph with about 4,400 edges: its good 6-sets come from edge links, not from ~10^7 edge pairs
+        report = self.run_ok(["search", "probe", "--problem", "good6", "--vertices", "23", "--trials", "1"])
+        assert report["quantities"]["explored"] == 1
+
     def test_search_json_deterministic(self):
         a, _ = cli.run(["search", "probe", "--problem", "rainbow_d", "--vertices", "6",
                         "--trials", "50", "--seed", "9", "--json"])

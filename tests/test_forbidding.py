@@ -2,11 +2,12 @@
 
 import random
 import re
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
 from conftest import random_set_family
+from shadowlab import cli, forbidding
 from shadowlab.errors import CapacityError, ValidationError
 from shadowlab.forbidding import (
     CompatibilityResult,
@@ -24,7 +25,7 @@ from shadowlab.forbidding import (
 )
 from shadowlab.hypergraph import check_kruskal_katona
 from shadowlab.numkit import shadow_bound_holds
-from shadowlab.qlinalg import enumerate_subspaces, subspace_points
+from shadowlab.qlinalg import enumerate_subspaces, rref, subspace_points
 
 
 def span_f2(vectors, n):
@@ -154,7 +155,8 @@ class TestAxiomVerification:
             assert not verify_forbidding_axioms(mutant).ok
 
     def test_spot_mode_flags_not_exhaustive(self):
-        report = verify_forbidding_axioms(repeats_system(5, 3), mode="spot", trials=200, seed=1)
+        # a universe of 65 elements is above the exhaustive cap of 64
+        report = verify_forbidding_axioms(repeats_system(65, 3), trials=200, seed=1)
         assert report.ok and not report.exhaustive
 
     def test_spot_check_capped_before_classifying(self):
@@ -165,10 +167,10 @@ class TestAxiomVerification:
             return len(set(ms)) == len(ms)
 
         with pytest.raises(CapacityError, match=r"spot-check lookups \(trials x universe size\) = 1002000"):
-            verify_forbidding_axioms(ForbiddingSystem(range(501), 2, classify, (1,)), mode="spot")
+            verify_forbidding_axioms(ForbiddingSystem(range(501), 2, classify, (1,)))
         assert calls == []
         # 2000 trials x 500 elements is exactly the cap
-        report = verify_forbidding_axioms(ForbiddingSystem(range(500), 2, classify, (1,)), mode="spot")
+        report = verify_forbidding_axioms(ForbiddingSystem(range(500), 2, classify, (1,)))
         assert report.ok and not report.exhaustive and report.checked == 2000
 
     def test_builtin_universe_capped(self):
@@ -271,6 +273,20 @@ class TestEnumerateSd:
         plane = span_f2([(1, 0, 0, 0), (0, 1, 0, 0)], 4) - {(0, 0, 0, 0)}
         fam = enumerate_sd(sys, plane)
         assert len(fam) == 6  # 3 * (3 - 1) ordered bases
+
+    def test_qlinear_skips_rank_tests_that_cannot_succeed(self, monkeypatch):
+        # 6 vectors of F_2^5 are always dependent, so the last level needs no rref
+        sizes = []
+
+        def counted(rows, q):
+            sizes.append(len(rows))
+            return rref(rows, q)
+
+        monkeypatch.setattr(forbidding, "rref", counted)
+        vectors = ";".join(",".join(map(str, v)) for v in product(range(2), repeat=5) if any(v))
+        report, status = cli.run(["forbidding", "sd", "--system", "qlinear:2,5", "--d", "6", "--set", vectors])
+        assert status == 0 and report["quantities"]["tuples"] == 0
+        assert sizes and max(sizes) == 5
 
     def test_symmetric_under_permutation(self):
         sys = repeats_system(5, 3)

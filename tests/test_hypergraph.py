@@ -318,6 +318,15 @@ class TestMixed4Subsets:
         )
         assert len(good_4subsets_mixed(h)) == 1
 
+    def test_matches_brute_force_on_random(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            n = rng.randint(4, 8)
+            p = rng.choice((0.3, 0.5, 0.8))
+            edges = [(e, "plain") for size in (2, 3) for e in combinations(range(n), size) if rng.random() < p]
+            h = ColoredHypergraph.from_edges(n, edges)
+            assert len(good_4subsets_mixed(h)) == brute_mixed_4subsets(h)
+
     def test_no_3edges_is_zero(self):
         h = ColoredHypergraph.from_edges(4, [((0, 1), "plain")])
         assert len(good_4subsets_mixed(h)) == 0
@@ -564,14 +573,19 @@ class TestCapacity:
         with pytest.raises(CapacityError):
             count_rainbow_cliques(h, 3, RGB)
 
-    def test_edge_pairs_capped_before_pairing(self):
-        # C(4473, 2) = 10,001,628 pairs, one over the cap; the good 6-subset loop takes about 1 µs a pair
-        fours = [(e, "plain") for e in islice(combinations(range(64), 4), 4473)]
-        with pytest.raises(CapacityError, match="4-edge pairs = 10001628 exceeds cap 10000000"):
-            count_good_6subsets(ColoredHypergraph.from_edges(64, fours))
-        threes = [(e, "plain") for e in islice(combinations(range(64), 3), 4473)]
-        with pytest.raises(CapacityError, match="3-edge pairs = 10001628 exceeds cap 10000000"):
-            good_4subsets_mixed(ColoredHypergraph.from_edges(64, threes))
+    def test_good6_link_steps_capped_before_linking(self, monkeypatch):
+        def refuse(edges, size):
+            raise AssertionError("the link index was built before the cap was checked")
+
+        monkeypatch.setattr(hypergraph, "_links", refuse)
+        # complete 4-graph on 26 vertices: C(26, 4) edges x 3 splits x C(24, 2) edges through a pair
+        fours = [(e, "plain") for e in combinations(range(26), 4)]
+        with pytest.raises(CapacityError, match=r"\) = 12378600 exceeds cap 10000000"):
+            count_good_6subsets(ColoredHypergraph.from_edges(26, fours))
+
+    def test_complete_mixed_graph_within_vertex_cap(self):
+        edges = [(e, "plain") for size in (2, 3) for e in combinations(range(64), size)]
+        assert len(good_4subsets_mixed(ColoredHypergraph.from_edges(64, edges))) == math.comb(64, 4)
 
     def test_isomorphism_vertex_cap(self):
         h = ColoredHypergraph.from_edges(9, [((0, 1), "red")])
