@@ -8,11 +8,10 @@ recover the set-family bound; linear independence over F_q forms a
 
 from shadowlab.forbidding import (
     check_generalized_kk,
-    enumerate_sd,
     is_compatible,
     qlinear_system,
     repeats_system,
-    tuple_shadow,
+    sd_orbits,
     verify_forbidding_axioms,
 )
 from shadowlab.hypergraph import SetFamily, check_kruskal_katona
@@ -22,8 +21,9 @@ print("== the repeats system ==")
 sys3 = repeats_system(6, 3)
 report = verify_forbidding_axioms(sys3)
 print(f"axioms verified exhaustively: {report.ok} ({report.checked} multisets checked)")
-fam = enumerate_sd(sys3, range(5))
-print(f"S = [5]: |S^(3)| = {len(fam)} = 5*4*3, shadow has {len(tuple_shadow(fam))} ordered pairs\n")
+[(_, size)] = sd_orbits(sys3, [range(5)])
+pairs = check_generalized_kk(sys3, [range(5)]).computed
+print(f"S = [5]: |S^(3)| = {size} = 5*4*3, shadow has {pairs} ordered pairs\n")
 
 print("== the linear-independence system over F_2 ==")
 qsys = qlinear_system(2, 4, 3)

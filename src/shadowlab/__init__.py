@@ -16,13 +16,10 @@ from .entropy import (
 from .errors import BoundViolationError, CapacityError, ValidationError
 from .forbidding import (
     ForbiddingSystem,
-    TupleFamily,
     check_generalized_kk,
-    enumerate_sd,
     is_compatible,
     qlinear_system,
     repeats_system,
-    tuple_shadow,
     verify_forbidding_axioms,
 )
 from .hypergraph import (

@@ -374,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit a canonical JSON report")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized operations")
 
     p = sub.add_parser("validate", help="check hypergraph invariants")
     p.add_argument("--input", required=True)
@@ -426,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="elements: ints '0,1,2' or vectors '1,0;0,1'")
     p.add_argument("--family")
     p.add_argument("--subspaces")
+    p.add_argument("--seed", type=int, default=0, help="seed of verify's spot-check")
     common(p)
 
     p = sub.add_parser("construct", help="generate a named configuration")
@@ -455,6 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--delta", type=int, default=0)
     p.add_argument("--out")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random probe")
     common(p)
 
     p = sub.add_parser("weighted", help="geometric-mean weighted clique sum")
@@ -499,8 +500,10 @@ def _input_paths(args) -> list[str]:
 
 def run(argv: list[str]) -> tuple[dict, int]:
     """Execute one command; returns (report dict, exit code)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return _execute(build_parser().parse_args(argv), argv)
+
+
+def _execute(args: argparse.Namespace, argv: list[str]) -> tuple[dict, int]:
     paths = _input_paths(args)
     digest = _digest_files(paths) if paths else _digest_params(" ".join(argv))
     quantities, bounds, notes = _HANDLERS[args.cmd](args)
@@ -519,8 +522,9 @@ def run(argv: list[str]) -> tuple[dict, int]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
     try:
-        report, status = run(argv)
+        report, status = _execute(args, argv)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_EXIT
@@ -530,8 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     except BoundViolationError as exc:
         print(f"PROVEN BOUND VIOLATED: {exc}", file=sys.stderr)
         return VIOLATION_EXIT
-    wants_json = "--json" in argv
-    if wants_json:
+    if args.json:
         print(formats.dumps_canonical(report))
     else:
         sys.stdout.write(_render_text(report))

@@ -35,11 +35,6 @@ class Construction:
     graph: ColoredHypergraph
     expected: dict[str, object]
 
-    @property
-    def ratio(self) -> Fraction | None:
-        value = self.expected.get("ratio")
-        return value if isinstance(value, Fraction) else None
-
 
 def _self_check(name: str, pairs: dict[str, tuple[object, object]]) -> None:
     for key, (want, got) in pairs.items():
@@ -173,7 +168,7 @@ def matching_construction(d: int) -> Construction:
     return Construction("matching_construction", graph, expected)
 
 
-def kappa_lift(h: ColoredHypergraph, new_color: str | None = None) -> Construction:
+def kappa_lift(h: ColoredHypergraph) -> Construction:
     """Ratio-preserving lift: add a distinguished vertex to every edge and
     turn each rainbow clique into an edge of a fresh color.
 
@@ -189,8 +184,7 @@ def kappa_lift(h: ColoredHypergraph, new_color: str | None = None) -> Constructi
         raise ValidationError(
             f"lift needs a (d-1)-uniform graph for d = {d} colors, got size {h.uniformity()}"
         )
-    if new_color is None:
-        new_color = f"lift{d + 1}"
+    new_color = f"lift{d + 1}"
     if new_color in colors:
         raise ValidationError(f"new color {new_color!r} already used")
     cliques = rainbow_cliques(h, d, colors)

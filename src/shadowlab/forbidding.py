@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import ValidationError, check_cap
@@ -25,35 +25,14 @@ from .numkit import CVector, invert_product, product_falling, shadow_bound_holds
 from .qlinalg import is_prime, rref
 from .reports import BoundReport, lower_report
 
-UNIVERSE_CAP = 64
-DEPTH_CAP = 5
 SYSTEM_UNIVERSE_CAP = 2**16  # elements of a built-in system's universe
-SD_TUPLE_CAP = 10**7  # enumerate_sd builds every tuple
 GKK_MULTISET_CAP = 5 * 10**5  # measured 3-8 µs a good d-multiset for repeats, 17-30 µs for qlinear
-SPOT_LOOKUP_CAP = 10**6  # trials x universe size; measured 1.5-2 µs a lookup for repeats, 14-16 µs for qlinear
+# verify's exhaustive branch classifies the C(|U|+d, d) - 1 multisets of size 1..d; its spot-check
+# makes trials x |U| lookups, measured 1.5-2 µs each for repeats, 14-16 µs for qlinear
+VERIFY_CAP = 10**6
+SPOT_TRIALS = 2000
 
 Multiset = tuple  # sorted tuple with repetition, canonical by element order
-
-
-@dataclass(frozen=True)
-class TupleFamily:
-    """Duplicate-free family of ordered d-tuples."""
-
-    d: int
-    tuples: tuple[tuple, ...]
-
-    @classmethod
-    def make(cls, d: int, tuples: Iterable[Sequence]) -> "TupleFamily":
-        items = [tuple(t) for t in tuples]
-        for t in items:
-            if len(t) != d:
-                raise ValidationError(f"tuple {t} has length {len(t)}, expected {d}")
-        if len(set(items)) != len(items):
-            raise ValidationError("duplicate tuples in family")
-        return cls(d=d, tuples=tuple(sorted(items)))
-
-    def __len__(self) -> int:
-        return len(self.tuples)
 
 
 class ForbiddingSystem:
@@ -155,14 +134,18 @@ def _check_multiset(sys: ForbiddingSystem, ms: Multiset) -> str | None:
     return None
 
 
-def verify_forbidding_axioms(sys: ForbiddingSystem, trials: int = 2000, seed: int = 0) -> AxiomReport:
-    """Check the two axioms over all multisets of size < d (or a random sample).
+def verify_forbidding_axioms(sys: ForbiddingSystem, seed: int = 0) -> AxiomReport:
+    """Check the two axioms over all multisets of size < d (or SPOT_TRIALS random ones).
 
-    Runs exhaustively within the universe/depth caps and falls back to a
-    seeded spot-check beyond them; the report carries which one ran.
+    Runs exhaustively when the C(|U|+d, d) - 1 multisets of size 1..d it
+    classifies and memoizes are within VERIFY_CAP, and falls back to a seeded
+    spot-check beyond that; the report carries which one ran.  A memoized
+    multiset holds up to d elements, so d times their number is held within
+    10 x VERIFY_CAP, which binds only for d > 10 over a small universe.
     """
     checked = 0
-    if len(sys.universe) <= UNIVERSE_CAP and sys.d <= DEPTH_CAP:
+    multisets = math.comb(len(sys.universe) + sys.d, sys.d) - 1
+    if multisets <= VERIFY_CAP and multisets * sys.d <= 10 * VERIFY_CAP:
         for x in sys.universe:
             checked += 1
             if not sys.is_good((x,)):
@@ -176,9 +159,9 @@ def verify_forbidding_axioms(sys: ForbiddingSystem, trials: int = 2000, seed: in
         return AxiomReport(True, True, checked, None)
 
     # each trial classifies every extension of its multiset by a universe element
-    check_cap("spot-check lookups (trials x universe size)", trials * len(sys.universe), SPOT_LOOKUP_CAP)
+    check_cap("spot-check lookups (trials x universe size)", SPOT_TRIALS * len(sys.universe), VERIFY_CAP)
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(SPOT_TRIALS):
         checked += 1
         k = rng.randint(1, max(1, sys.d - 1))
         ms = tuple(sorted(rng.choice(sys.universe) for _ in range(k)))
@@ -279,39 +262,21 @@ def is_compatible(sys: ForbiddingSystem, s: Iterable[Hashable]) -> Compatibility
     return CompatibilityResult(witness is None, witness)
 
 
-def _sd_multisets(sys: ForbiddingSystem, inside: tuple) -> tuple[list[Multiset], int]:
-    """The good d-multisets of a compatible set and |S^(d)| = |S|(|S|-c_1)...(|S|-c_{d-1})."""
-    witness, members = _walk(sys, inside)
-    if witness is not None:
-        raise ValidationError(f"set is not compatible; witness {witness}")
-    return members, product_falling(len(inside), sys.c_vector)
-
-
 def sd_orbits(sys: ForbiddingSystem, sets: Iterable[Iterable[Hashable]]) -> list[tuple[list[Multiset], int]]:
     """Per compatible set, the orbits of S^(d) under permutation (its good d-multisets) and |S^(d)|.
 
-    Builds no tuple.  Refuses more than GKK_MULTISET_CAP predicted good
-    d-multisets in all, before classifying.
+    |S^(d)| = |S|(|S|-c_1)...(|S|-c_{d-1}).  Builds no tuple.  Refuses more
+    than GKK_MULTISET_CAP predicted good d-multisets in all, before classifying.
     """
     insides = [tuple(sorted(set(s))) for s in sets]
     _check_multiset_cap(sys, insides)
-    return [_sd_multisets(sys, inside) for inside in insides]
-
-
-def enumerate_sd(sys: ForbiddingSystem, s: Iterable[Hashable]) -> TupleFamily:
-    """All ordered d-tuples from a compatible set whose multiset is good."""
-    inside = tuple(sorted(set(s)))
-    check_cap("ordered tuples", max(0, product_falling(len(inside), sys.c_vector)), SD_TUPLE_CAP)
-    members, _ = _sd_multisets(sys, inside)
-    # distinct multisets have disjoint orderings, so the tuples are distinct by construction
-    return TupleFamily(sys.d, tuple(sorted(t for ms in members for t in set(permutations(ms)))))
-
-
-def tuple_shadow(fam: TupleFamily) -> TupleFamily:
-    """Duplicate-free (d-1)-prefixes."""
-    if fam.d < 1:
-        raise ValidationError("shadow needs d >= 1")
-    return TupleFamily.make(fam.d - 1, {t[:-1] for t in fam.tuples})
+    orbits = []
+    for inside in insides:
+        witness, members = _walk(sys, inside)
+        if witness is not None:
+            raise ValidationError(f"set is not compatible; witness {witness}")
+        orbits.append((members, product_falling(len(inside), sys.c_vector)))
+    return orbits
 
 
 def check_generalized_kk(

@@ -44,6 +44,12 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def hypergraph_to_obj(h: ColoredHypergraph) -> dict:
     edges = []
     for e in h.edges:
@@ -60,11 +66,11 @@ def hypergraph_from_obj(obj: Any) -> ColoredHypergraph:
     _require_keys(obj, {"vertices", "edges"}, set(), "hypergraph")
     n = _int(obj["vertices"], "vertices")
     edges = []
-    for i, item in enumerate(obj["edges"]):
+    for i, item in enumerate(_list(obj["edges"], "edges")):
         if not isinstance(item, dict):
             raise ValidationError(f"edge {i} must be an object")
         _require_keys(item, {"v", "color"}, {"weight"}, f"edge {i}")
-        verts = [_int(v, f"edge {i} vertex") for v in item["v"]]
+        verts = [_int(v, f"edge {i} vertex") for v in _list(item["v"], f"edge {i} vertices")]
         if not isinstance(item["color"], str):
             raise ValidationError(f"edge {i} color must be a string")
         if "weight" in item:
@@ -91,9 +97,10 @@ def hypergraph_from_text(text: str) -> ColoredHypergraph:
             continue
         parts = line.split()
         if parts[0] == "vertices":
-            if len(parts) != 2:
-                raise ValidationError(f"line {lineno}: expected 'vertices N'")
-            declared = int(parts[1])
+            try:
+                [declared] = [int(p) for p in parts[1:]]
+            except ValueError as exc:
+                raise ValidationError(f"line {lineno}: expected 'vertices N'") from exc
             continue
         if len(parts) < 2:
             raise ValidationError(f"line {lineno}: expected 'color v1 v2 ...'")
@@ -119,7 +126,7 @@ def set_family_from_obj(obj: Any) -> SetFamily:
     _require_keys(obj, {"n", "d", "sets"}, set(), "set family")
     return SetFamily.make(
         _int(obj["n"], "n"),
-        [[_int(v, "element") for v in s] for s in obj["sets"]],
+        [[_int(v, "element") for v in _list(s, "set")] for s in _list(obj["sets"], "sets")],
         d=_int(obj["d"], "d"),
     )
 
@@ -141,7 +148,10 @@ def subspace_family_from_obj(obj: Any) -> SubspaceFamily:
         _int(obj["q"], "q"),
         _int(obj["n"], "n"),
         _int(obj["d"], "d"),
-        obj["members"],
+        [
+            [[_int(x, "subspace entry") for x in _list(row, "member row")] for row in _list(m, "member")]
+            for m in _list(obj["members"], "members")
+        ],
     )
 
 
@@ -150,13 +160,13 @@ def distribution_from_obj(obj: Any) -> ExactDistribution:
         raise ValidationError("distribution JSON must be an object")
     _require_keys(obj, {"arity", "support"}, set(), "distribution")
     pairs = []
-    for i, item in enumerate(obj["support"]):
+    for i, item in enumerate(_list(obj["support"], "support")):
         if not isinstance(item, dict):
             raise ValidationError(f"support item {i} must be an object")
         _require_keys(item, {"values", "p"}, set(), f"support item {i}")
         values = tuple(
             v if isinstance(v, str) else _int(v, f"support item {i} value")
-            for v in item["values"]
+            for v in _list(item["values"], f"support item {i} values")
         )
         try:
             p = Fraction(item["p"])

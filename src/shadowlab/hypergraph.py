@@ -22,6 +22,7 @@ from .numkit import binom_real, invert_binom, shadow_bound_holds
 from .reports import BoundReport, ValidationReport, lower_report, upper_report
 
 VERTEX_CAP = 64
+TRACE_TOL = 1e-6  # float slack of the spectral trace checks, scaled by tr(M^2)^3 in the power inequality
 
 
 @dataclass(frozen=True)
@@ -56,9 +57,6 @@ class ColoredHypergraph:
         for e in self.edges:
             counts[e.color] = counts.get(e.color, 0) + 1
         return counts
-
-    def edge_map(self) -> dict[tuple[int, ...], Edge]:
-        return {e.verts: e for e in self.edges}
 
     def uniformity(self) -> int:
         """Common edge size; raises if edges are absent or of mixed size."""
@@ -418,7 +416,7 @@ class SpectralReport:
         return all(c.satisfied for c in self.checks)
 
 
-def spectral_trace_check(h: ColoredHypergraph, tol: float = 1e-6) -> SpectralReport:
+def spectral_trace_check(h: ColoredHypergraph) -> SpectralReport:
     """d=3 trace identities for M = entrywise sqrt of the weight matrix.
 
     tr(M^2) = 2N, tr(M^3) = 6 * sum of w(triangle)^{3/2}, and
@@ -444,16 +442,16 @@ def spectral_trace_check(h: ColoredHypergraph, tol: float = 1e-6) -> SpectralRep
     )
     scale = max(1.0, tr2**3)
     checks = (
-        upper_report("|tr(M^2) - 2N|", abs(tr2 - 2 * total), tol, "trace identity 2N", tol=0.0),
+        upper_report("|tr(M^2) - 2N|", abs(tr2 - 2 * total), TRACE_TOL, "trace identity 2N", tol=0.0),
         upper_report(
-            "|tr(M^3) - 6 sum w^{3/2}|", abs(tr3 - 6 * sum_w32), tol, "trace identity 6S", tol=0.0
+            "|tr(M^3) - 6 sum w^{3/2}|", abs(tr3 - 6 * sum_w32), TRACE_TOL, "trace identity 6S", tol=0.0
         ),
         lower_report(
             "tr(M^2)^3 - tr(M^3)^2",
             tr2**3 - tr3**2,
             0.0,
             "trace power inequality",
-            tol=tol * scale,
+            tol=TRACE_TOL * scale,
         ),
     )
     return SpectralReport(trace2=tr2, trace3=tr3, total_weight=total, checks=checks)

@@ -29,7 +29,6 @@ class SearchResult:
     witness: ColoredHypergraph | None
     explored: int
     exhaustive: bool
-    params: Mapping[str, object]
 
     @property
     def best_ratio(self) -> float:
@@ -102,7 +101,6 @@ def search_rainbow_triangle(max_vertices: int) -> SearchResult:
         witness=witness,
         explored=explored,
         exhaustive=True,
-        params={"max_vertices": n},
     )
 
 
@@ -164,7 +162,6 @@ def search_mixed_4subsets(max_vertices: int) -> SearchResult:
         witness=witness,
         explored=explored,
         exhaustive=True,
-        params={"max_vertices": n},
     )
 
 
@@ -205,5 +202,4 @@ def random_probe(
         witness=best,
         explored=trials,
         exhaustive=False,
-        params={"vertices": n, "d": d, "delta": delta, "seed": seed, "trials": trials},
     )

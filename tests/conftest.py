@@ -1,6 +1,8 @@
 """Shared builders and seeded-random generators for the test suite."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +10,11 @@ from shadowlab.entropy import ExactDistribution
 from shadowlab.hypergraph import ColoredHypergraph, SetFamily
 
 RGB = ("red", "green", "blue")
+
+
+def orderings(ms) -> int:
+    """Distinct orderings of a multiset: d! / prod(m_i!)."""
+    return math.factorial(len(ms)) // math.prod(map(math.factorial, Counter(ms).values()))
 
 
 def fig1_k4() -> ColoredHypergraph:

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     RGB,
+    orderings,
     random_colored_graph,
     random_distribution,
     random_set_family,
@@ -36,7 +37,7 @@ from shadowlab.entropy import (
     conditional_entropy,
     entropy,
 )
-from shadowlab.forbidding import check_generalized_kk, enumerate_sd, qlinear_system, repeats_system
+from shadowlab.forbidding import check_generalized_kk, qlinear_system, repeats_system, sd_orbits
 from shadowlab.hypergraph import (
     ColoredHypergraph,
     check_kruskal_katona,
@@ -198,16 +199,17 @@ def test_criterion_09_generalized_kk_cross_oracle():
 
 
 def test_criterion_10_sd_product_formula():
+    def sd_size(sys, s):
+        # S^(d) is closed under permutation: it is the orderings of its good d-multisets
+        [(members, _)] = sd_orbits(sys, [s])
+        return sum(map(orderings, members))
+
     for size in range(3, 9):
         for d in (2, 3, 4):
-            sys = repeats_system(10, d)
-            fam = enumerate_sd(sys, range(size))
-            assert len(fam) == product_falling(size, tuple(range(1, d)))
-    qsys = qlinear_system(2, 4, 2)
+            assert sd_size(repeats_system(10, d), range(size)) == product_falling(size, tuple(range(1, d)))
     plane = enumerate_subspaces(2, 4, 2).members[0]
     pts = sorted(subspace_points(plane, 2, 4) - {(0, 0, 0, 0)})
-    fam = enumerate_sd(qsys, pts)
-    assert len(fam) == 3 * (3 - 1)
+    assert sd_size(qlinear_system(2, 4, 2), pts) == 3 * (3 - 1)
     passed(10, "|S^(d)| equals |S|(|S|-c_1)...(|S|-c_{d-1}) for repeats and qlinear systems")
 
 

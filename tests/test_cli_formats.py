@@ -257,14 +257,15 @@ class TestCli:
         assert report["quantities"]["compatible"] is True
 
     def test_forbidding_verify_spot_check_cap(self, capsys):
-        # 2000 trials x 65,536 elements; each trial classifies every extension of its multiset
+        # C(65538, 2) - 1 multisets are too many to classify, and a spot-check of 2000 trials
+        # x 65,536 elements too many lookups; each trial classifies every extension of its multiset
         assert cli.main(["forbidding", "verify", "--system", "repeats", "--universe-size", "65536",
                          "--d", "2"]) == 4
         assert "spot-check lookups" in capsys.readouterr().err
-        # 2000 x 242 lookups, under the cap; qlinear:2,8 at d = 3 needs 2000 x 255
+        # C(244, 2) - 1 = 29,645 multisets of size 1..2 over 242 vectors: classified exhaustively
         report = self.run_ok(["forbidding", "verify", "--system", "qlinear:3,5", "--d", "2"])
         assert report["quantities"]["ok"] is True
-        assert report["quantities"]["exhaustive"] is False
+        assert report["quantities"]["exhaustive"] is True
 
     def test_forbidding_compatible_large_universe(self, capsys):
         # 91,390 good 4-multisets of the set, and none of the 65,496 elements outside is classified
@@ -282,6 +283,32 @@ class TestCli:
                      ["entropy", "--dist", dist, "--shearer", "0;1,y"]):
             assert cli.main(argv) == 3
             assert "expected comma-separated integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, content", [
+        (["validate", "--input"], "header.txt", "vertices abc\nred 0 1\n"),
+        (["validate", "--input"], "edges.json", {"vertices": 3, "edges": 5}),
+        (["validate", "--input"], "vertices.json", {"vertices": 3, "edges": [{"v": 7, "color": "red"}]}),
+        (["kk", "--family"], "sets.json", {"n": 4, "d": 2, "sets": [1, 2]}),
+        (["entropy", "--dist"], "support.json", {"arity": 1, "support": 5}),
+        (["entropy", "--dist"], "values.json", {"arity": 1, "support": [{"values": 3, "p": "1"}]}),
+        (["qkk", "--family"], "members.json", {"q": 2, "n": 2, "d": 1, "members": [5]}),
+        (["qkk", "--family"], "letter.json", {"q": 2, "n": 2, "d": 1, "members": [[["a", 0]]]}),
+        (["qkk", "--family"], "float.json", {"q": 2, "n": 2, "d": 1, "members": [[[1.7, 0]]]}),
+        (["qkk", "--family"], "bool.json", {"q": 2, "n": 2, "d": 1, "members": [[[True, 0]]]}),
+    ])
+    def test_malformed_file_exits_3(self, tmp_path, capsys, command, name, content):
+        path = tmp_path / name
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        assert cli.main([*command, str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_json_flag_read_from_parsed_arguments(self, tmp_path, capsys):
+        # argparse accepts the unambiguous prefix --js for --json
+        fam = str(tmp_path / "fam.json")
+        with open(fam, "w") as fh:
+            json.dump({"n": 4, "d": 3, "sets": [[0, 1, 2], [0, 1, 3]]}, fh)
+        assert cli.main(["kk", "--family", fam, "--js"]) == 0
+        assert json.loads(capsys.readouterr().out)["quantities"]["shadow_size"] == "5"
 
     def test_kk_target_beyond_float_range(self, tmp_path):
         # one 180-set: binom(t, 180) = 1 puts 180! into the inversion

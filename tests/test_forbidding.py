@@ -6,21 +6,18 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 import pytest
 
-from conftest import random_set_family
+from conftest import orderings, random_set_family
 from shadowlab import cli, forbidding
 from shadowlab.errors import CapacityError, ValidationError
 from shadowlab.forbidding import (
     CompatibilityResult,
     ForbiddingSystem,
-    TupleFamily,
     check_generalized_kk,
-    enumerate_sd,
     is_compatible,
     qlinear_system,
     repeats_system,
     sd_orbits,
     system_from_name,
-    tuple_shadow,
     verify_forbidding_axioms,
 )
 from shadowlab.hypergraph import check_kruskal_katona
@@ -58,6 +55,14 @@ def reference_sd(sys, s):
 
     extend(())
     return out
+
+
+def assert_orbits_match_reference(sys, s):
+    """The orbits are the distinct sorted multisets of the tuple-prefix walk, and their orderings add up to it."""
+    expected = reference_sd(sys, s)
+    [(members, size)] = sd_orbits(sys, [s])
+    assert members == sorted({tuple(sorted(t)) for t in expected})
+    assert sum(map(orderings, members)) == size == len(expected)
 
 
 def reference_gkk(sys, sets):
@@ -155,9 +160,9 @@ class TestAxiomVerification:
             assert not verify_forbidding_axioms(mutant).ok
 
     def test_spot_mode_flags_not_exhaustive(self):
-        # a universe of 65 elements is above the exhaustive cap of 64
-        report = verify_forbidding_axioms(repeats_system(65, 3), trials=200, seed=1)
-        assert report.ok and not report.exhaustive
+        # C(204, 4) - 1 = 70,058,750 multisets of size 1..4 are past the exhaustive bound
+        report = verify_forbidding_axioms(repeats_system(200, 4), seed=1)
+        assert report.ok and not report.exhaustive and report.checked == forbidding.SPOT_TRIALS
 
     def test_spot_check_capped_before_classifying(self):
         calls = []
@@ -166,12 +171,37 @@ class TestAxiomVerification:
             calls.append(ms)
             return len(set(ms)) == len(ms)
 
+        # C(504, 3) - 1 multisets of size 1..3 are past the exhaustive bound, and so are 2000 x 501 lookups
         with pytest.raises(CapacityError, match=r"spot-check lookups \(trials x universe size\) = 1002000"):
-            verify_forbidding_axioms(ForbiddingSystem(range(501), 2, classify, (1,)))
+            verify_forbidding_axioms(ForbiddingSystem(range(501), 3, classify, (1, 2)))
         assert calls == []
         # 2000 trials x 500 elements is exactly the cap
-        report = verify_forbidding_axioms(ForbiddingSystem(range(500), 2, classify, (1,)))
+        report = verify_forbidding_axioms(ForbiddingSystem(range(500), 3, classify, (1, 2)))
         assert report.ok and not report.exhaustive and report.checked == 2000
+
+    def test_exhaustive_bound_counts_the_multisets_it_classifies(self, monkeypatch):
+        # C(6 + 3, 3) - 1 = 83 multisets of size 1..3 over 6 elements; 7 elements need 119
+        monkeypatch.setattr(forbidding, "VERIFY_CAP", 83)
+        calls = []
+
+        def classify(ms):
+            calls.append(ms)
+            return len(set(ms)) == len(ms)
+
+        report = verify_forbidding_axioms(ForbiddingSystem(range(6), 3, classify, (1, 2)))
+        assert report.ok and report.exhaustive
+        assert 0 < len(set(calls)) <= 83
+        calls.clear()
+        # past both bounds: the spot-check's 2000 x 7 lookups are refused too
+        with pytest.raises(CapacityError, match=r"spot-check lookups \(trials x universe size\) = 14000"):
+            verify_forbidding_axioms(ForbiddingSystem(range(7), 3, classify, (1, 2)))
+        assert calls == []
+
+    def test_exhaustive_bound_counts_key_elements(self):
+        # 2 elements at d = 300: C(302, 2) - 1 = 45,450 multisets, but of up to 300 elements each
+        assert verify_forbidding_axioms(repeats_system(2, 100)).exhaustive
+        report = verify_forbidding_axioms(repeats_system(2, 300))
+        assert report.ok and not report.exhaustive
 
     def test_builtin_universe_capped(self):
         with pytest.raises(CapacityError, match="universe size"):
@@ -260,19 +290,20 @@ class TestCompatibility:
 class TestEnumerateSd:
     def test_repeats_five_choose_ordered_three(self):
         sys = repeats_system(5, 3)
-        fam = enumerate_sd(sys, range(5))
-        assert len(fam) == 60  # 5 * 4 * 3
+        [(members, size)] = sd_orbits(sys, [range(5)])
+        assert members == list(combinations(range(5), 3))
+        assert size == 60  # 5 * 4 * 3
 
     def test_repeats_all_orderings(self):
         sys = repeats_system(3, 3)
-        fam = enumerate_sd(sys, range(3))
-        assert set(fam.tuples) == set(permutations(range(3)))
+        [(members, size)] = sd_orbits(sys, [range(3)])
+        assert members == [(0, 1, 2)] and size == len(list(permutations(range(3))))
 
     def test_qlinear_ordered_bases(self):
         sys = qlinear_system(2, 4, 2)
         plane = span_f2([(1, 0, 0, 0), (0, 1, 0, 0)], 4) - {(0, 0, 0, 0)}
-        fam = enumerate_sd(sys, plane)
-        assert len(fam) == 6  # 3 * (3 - 1) ordered bases
+        [(members, size)] = sd_orbits(sys, [plane])
+        assert len(members) == 3 and size == 6  # 3 * (3 - 1) ordered bases
 
     def test_qlinear_skips_rank_tests_that_cannot_succeed(self, monkeypatch):
         # 6 vectors of F_2^5 are always dependent, so the last level needs no rref
@@ -288,42 +319,21 @@ class TestEnumerateSd:
         assert status == 0 and report["quantities"]["tuples"] == 0
         assert sizes and max(sizes) == 5
 
-    def test_symmetric_under_permutation(self):
-        sys = repeats_system(5, 3)
-        fam = enumerate_sd(sys, (0, 2, 3, 4))
-        tuples = set(fam.tuples)
-        for t in tuples:
-            for p in permutations(t):
-                assert p in tuples
-
-    def test_prefix_count_law(self):
-        # completions of a good k-prefix number (|S| - c_k)...(|S| - c_{d-1})
-        sys = repeats_system(6, 3)
-        s = (0, 1, 3, 4, 5)
-        fam = enumerate_sd(sys, s)
-        for k in range(1, 4):
-            for prefix in permutations(s, k):
-                count = sum(1 for t in fam.tuples if t[:k] == prefix)
-                expected = 1
-                for c in sys.c_vector.entries[k - 1:]:
-                    expected *= len(s) - c
-                assert count == expected
-
     def test_wrong_c_vector_rejected(self):
         # the repeats classifier has c = (1, 2): 5*4*3 = 60 tuples, not the declared 5*4*4 = 80
         sys = ForbiddingSystem(range(5), 3, lambda ms: len(set(ms)) == len(ms), (1, 1))
         with pytest.raises(ValidationError, match="c-vector predicts 80"):
-            enumerate_sd(sys, range(5))
+            sd_orbits(sys, [range(5)])
 
     def test_incompatible_set_rejected(self):
         sys = qlinear_system(2, 3, 3)
         with pytest.raises(ValidationError):
-            enumerate_sd(sys, [(1, 0, 0), (0, 1, 0)])
+            sd_orbits(sys, [[(1, 0, 0), (0, 1, 0)]])
 
     def test_not_downward_closed_rejected(self):
         # caught at size 2: the good pairs have 10 orderings, not 4 * 3
         with pytest.raises(ValidationError, match="c-vector predicts 12"):
-            enumerate_sd(not_downward_closed(), range(4))
+            sd_orbits(not_downward_closed(), [range(4)])
         with pytest.raises(ValidationError, match="c-vector predicts 12"):
             check_generalized_kk(not_downward_closed(), [range(4)])
 
@@ -332,18 +342,12 @@ class TestEnumerateSd:
     def test_matches_tuple_prefix_walk(self, make, d):
         rng = random.Random(d)
         for _ in range(15):
-            s = rng.sample(range(7), rng.randint(0, 6))
-            expected = reference_sd(make(7, d), s)
-            assert enumerate_sd(make(7, d), s).tuples == tuple(sorted(expected))
-            assert sd_orbits(make(7, d), [s])[0][1] == len(expected)
+            assert_orbits_match_reference(make(7, d), rng.sample(range(7), rng.randint(0, 6)))
 
     @pytest.mark.parametrize("q, n, k, d", [(2, 4, 3, 2), (2, 4, 3, 3), (3, 3, 2, 2)])
     def test_matches_tuple_prefix_walk_qlinear(self, q, n, k, d):
         for s in subspace_sets(q, n, k)[:6]:
-            sys = qlinear_system(q, n, d)
-            expected = sorted(reference_sd(qlinear_system(q, n, d), s))
-            assert enumerate_sd(sys, s).tuples == tuple(expected)
-            assert sd_orbits(sys, [s])[0][1] == len(expected)
+            assert_orbits_match_reference(qlinear_system(q, n, d), s)
 
     def test_caps_refuse_before_classifying(self):
         calls = []
@@ -353,8 +357,6 @@ class TestEnumerateSd:
             return len(set(ms)) == len(ms)
 
         sys = ForbiddingSystem(range(40), 6, classify, (1, 2, 3, 4, 5))
-        with pytest.raises(CapacityError, match="ordered tuples"):
-            enumerate_sd(sys, range(30))  # 427,518,000 tuples
         with pytest.raises(CapacityError, match="good d-multisets = 593775"):
             check_generalized_kk(sys, [range(30)])  # binom(30, 6)
         with pytest.raises(CapacityError, match="good d-multisets = 593775"):
@@ -365,21 +367,6 @@ class TestEnumerateSd:
         with pytest.raises(CapacityError, match="good d-multisets = 500028"):
             check_generalized_kk(pairs, [range(1000), range(1000, 1033)])  # binom(1000, 2) + binom(33, 2)
         assert calls == []
-
-
-class TestTupleShadow:
-    def test_shared_prefix_deduplicates(self):
-        fam = TupleFamily.make(3, [(0, 1, 2), (0, 1, 3)])
-        assert tuple_shadow(fam).tuples == ((0, 1),)
-
-    def test_repeats_shadow_is_ordered_pairs(self):
-        sys = repeats_system(3, 3)
-        fam = enumerate_sd(sys, range(3))
-        shadow = tuple_shadow(fam)
-        assert set(shadow.tuples) == set(permutations(range(3), 2))
-
-    def test_empty(self):
-        assert len(tuple_shadow(TupleFamily.make(3, []))) == 0
 
 
 class TestGeneralizedKK:
