@@ -44,13 +44,10 @@ from .hypergraph import (
 )
 from .numkit import (
     CVector,
-    binom_real,
     gaussian_binom,
-    invert_binom,
-    invert_gaussian,
     invert_product,
     product_falling,
-    shadow_bound_holds,
+    shadow_bound,
 )
 from .qlinalg import (
     SubspaceFamily,

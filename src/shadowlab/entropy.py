@@ -15,9 +15,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ValidationError, check_cap
-from .reports import BoundReport, lower_report, upper_report
+from .reports import DEFAULT_TOL, BoundReport, lower_report, upper_report
 
-TOL = 1e-9
 SUBSET_VISIT_CAP = 10**7  # members x 2^d; measured 0.16-0.48 µs a visit and at most 350 MB at the cap
 
 
@@ -135,7 +134,6 @@ def check_shearer(dist: ExactDistribution, cover: CoverSpec) -> BoundReport:
         lhs,
         rhs,
         "shearer inequality",
-        tol=TOL,
         extra={"k": cover.k, "slack": rhs - lhs},
     )
 
@@ -171,7 +169,7 @@ def check_key_inequality(fam) -> KeyInequalityReport:
         logs.append(sum(g * times * math.log2(g) for g, times in degrees.items()) / (members * math.comb(d, k)))
     sizes = tuple((d - k + 1) * 2.0 ** (logs[k - 1] - logs[k]) for k in range(1, d + 1))
     gaps = tuple(sizes[k] - sizes[k + 1] - 1.0 for k in range(d - 1))
-    return KeyInequalityReport(sizes=sizes, gaps=gaps, ok=all(g >= -TOL for g in gaps))
+    return KeyInequalityReport(sizes=sizes, gaps=gaps, ok=all(g >= -DEFAULT_TOL for g in gaps))
 
 
 def check_lemma_disjoint_support(
@@ -208,7 +206,6 @@ def check_lemma_disjoint_support(
         lhs,
         rhs,
         "disjoint-support lemma",
-        tol=TOL,
         extra={"lhs": lhs, "rhs": rhs},
     )
 
@@ -267,6 +264,5 @@ def check_cregular_corollary(
         lhs,
         float(c),
         "c-regular partition corollary",
-        tol=TOL,
         extra={"c": c},
     )

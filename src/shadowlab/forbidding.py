@@ -21,7 +21,7 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import ValidationError, check_cap
-from .numkit import CVector, invert_product, product_falling, shadow_bound_holds
+from .numkit import CVector, product_falling, shadow_bound
 from .qlinalg import is_prime, rref
 from .reports import BoundReport, lower_report
 
@@ -140,8 +140,9 @@ def verify_forbidding_axioms(sys: ForbiddingSystem, seed: int = 0) -> AxiomRepor
     Runs exhaustively when the C(|U|+d, d) - 1 multisets of size 1..d it
     classifies and memoizes are within VERIFY_CAP, and falls back to a seeded
     spot-check beyond that; the report carries which one ran.  A memoized
-    multiset holds up to d elements, so d times their number is held within
-    10 x VERIFY_CAP, which binds only for d > 10 over a small universe.
+    multiset holds up to d elements, so d times the number either branch
+    classifies is held within 10 x VERIFY_CAP, which binds only for d > 10
+    over a small universe.
     """
     checked = 0
     multisets = math.comb(len(sys.universe) + sys.d, sys.d) - 1
@@ -158,8 +159,10 @@ def verify_forbidding_axioms(sys: ForbiddingSystem, seed: int = 0) -> AxiomRepor
                     return AxiomReport(False, True, checked, issue)
         return AxiomReport(True, True, checked, None)
 
-    # each trial classifies every extension of its multiset by a universe element
-    check_cap("spot-check lookups (trials x universe size)", SPOT_TRIALS * len(sys.universe), VERIFY_CAP)
+    # each trial classifies, and memoizes, every extension of its multiset by a universe element
+    lookups = SPOT_TRIALS * len(sys.universe)
+    check_cap("spot-check lookups (trials x universe size)", lookups, VERIFY_CAP)
+    check_cap("spot-check memo elements (trials x universe size x d)", lookups * sys.d, 10 * VERIFY_CAP)
     rng = random.Random(seed)
     for _ in range(SPOT_TRIALS):
         checked += 1
@@ -289,7 +292,7 @@ def check_generalized_kk(
     S_i^(d) is closed under permutation, so F is counted by its good
     d-multisets and its (d-1)-prefix shadow by their distinct (d-1)-sub-multisets,
     without building a tuple.  The verdict is exact; t and the bound are
-    floats for display.
+    for display.
     """
     if sys.d < 2:
         raise ValidationError("the shadow bound needs d >= 2")
@@ -309,13 +312,12 @@ def check_generalized_kk(
     for ms in members:
         shadow.update(combinations(ms, sys.d - 1))
     shadow_size = sum(map(_orderings, shadow))
-    t = invert_product(family_size, sys.c_vector)
-    bound = product_falling(t, sys.c_vector.drop_last())
+    holds, t, bound = shadow_bound(shadow_size, family_size, sys.c_vector)
     return lower_report(
         "tuple shadow size",
         shadow_size,
         bound,
         "generalized kruskal-katona",
-        holds=shadow_bound_holds(shadow_size, family_size, sys.c_vector),
+        holds=holds,
         extra={"t": t, "family_size": family_size, "c_vector": sys.c_vector.entries},
     )

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError, check_cap
-from .numkit import binom_real, invert_binom, shadow_bound_holds
+from .numkit import shadow_bound
 from .reports import BoundReport, ValidationReport, lower_report, upper_report
 
 VERTEX_CAP = 64
@@ -192,28 +192,28 @@ def shadow(fam: SetFamily) -> SetFamily:
     return SetFamily(n=fam.n, d=fam.d - 1, sets=tuple(sorted(out)))
 
 
-def _binom_bound_holds(shadow_size: int, family_size: int, d: int) -> bool:
-    """Exactly: shadow_size >= binom(t, d-1) where binom(t, d) = family_size."""
+def _binom_bound(shadow_size: int, family_size: int, d: int) -> tuple[bool, float, Fraction]:
+    """`shadow_bound` in binomials: (holds, t, binom(t, d-1)) where binom(t, d) = family_size."""
     f = math.factorial(d - 1)
-    return shadow_bound_holds(f * shadow_size, f * d * family_size, range(1, d))
+    holds, t, bound = shadow_bound(f * shadow_size, f * d * family_size, range(1, d))
+    return holds, t, bound / f
 
 
 def check_kruskal_katona(fam: SetFamily) -> BoundReport:
     """|shadow| >= binom(t, d-1) where binom(t, d) = |family|, t real >= d.
 
-    The verdict is exact; t and the bound are floats for display.
+    The verdict is exact; t and the bound are for display.
     """
     if len(fam) < 1:
         raise ValidationError("family must be nonempty")
-    t = invert_binom(len(fam), fam.d)
-    bound = binom_real(t, fam.d - 1)
     shadow_size = len(shadow(fam))
+    holds, t, bound = _binom_bound(shadow_size, len(fam), fam.d)
     return lower_report(
         "shadow size",
         shadow_size,
         bound,
         "kruskal-katona (lovasz form)",
-        holds=_binom_bound_holds(shadow_size, len(fam), fam.d),
+        holds=holds,
         extra={"t": t, "family_size": len(fam)},
     )
 
@@ -333,21 +333,20 @@ def count_partial_shadow_targets(h: ColoredHypergraph, r: int, k: int) -> int:
 def check_partial_shadow_bound(h: ColoredHypergraph, r: int, k: int) -> BoundReport:
     """e(h) >= binom(x, r-k-1) where binom(x, r-k) = m, x real >= r-k.
 
-    The verdict is exact; x and the bound are floats for display.
+    The verdict is exact; x and the bound are for display.
     """
     if not (0 <= k < r):
         raise ValidationError(f"bound check needs 0 <= k < r, got r={r}, k={k}")
     m = count_partial_shadow_targets(h, r, k)
     if m < 1:
         raise ValidationError("no r-subsets meet the threshold (m = 0)")
-    x = invert_binom(m, r - k)
-    bound = binom_real(x, r - k - 1)
+    holds, x, bound = _binom_bound(len(h.edges), m, r - k)
     return lower_report(
         "edge count",
         len(h.edges),
         bound,
         "partial shadow",
-        holds=_binom_bound_holds(len(h.edges), m, r - k),
+        holds=holds,
         extra={"m": m, "x": x, "r": r, "k": k},
     )
 
@@ -440,18 +439,18 @@ def spectral_trace_check(h: ColoredHypergraph) -> SpectralReport:
     sum_w32 = sum(
         math.sqrt(p) for p in weighted_joint_sum(h, 3).terms
     )
-    scale = max(1.0, tr2**3)
+    diff2, diff3, power = abs(tr2 - 2 * total), abs(tr3 - 6 * sum_w32), tr2**3 - tr3**2
     checks = (
-        upper_report("|tr(M^2) - 2N|", abs(tr2 - 2 * total), TRACE_TOL, "trace identity 2N", tol=0.0),
+        upper_report("|tr(M^2) - 2N|", diff2, TRACE_TOL, "trace identity 2N", holds=diff2 <= TRACE_TOL),
         upper_report(
-            "|tr(M^3) - 6 sum w^{3/2}|", abs(tr3 - 6 * sum_w32), TRACE_TOL, "trace identity 6S", tol=0.0
+            "|tr(M^3) - 6 sum w^{3/2}|", diff3, TRACE_TOL, "trace identity 6S", holds=diff3 <= TRACE_TOL
         ),
         lower_report(
             "tr(M^2)^3 - tr(M^3)^2",
-            tr2**3 - tr3**2,
+            power,
             0.0,
             "trace power inequality",
-            tol=TRACE_TOL * scale,
+            holds=power >= -TRACE_TOL * max(1.0, tr2**3),
         ),
     )
     return SpectralReport(trace2=tr2, trace3=tr3, total_weight=total, checks=checks)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import ValidationError, check_cap
-from .numkit import gaussian_binom, invert_gaussian, shadow_bound_holds
+from .numkit import gaussian_binom, shadow_bound
 from .reports import BoundReport, lower_report
 
 FIELD_CAP = 2**16
@@ -194,21 +195,23 @@ def _gl_order(q: int, k: int) -> int:
     return math.prod(q**k - q**i for i in range(k))
 
 
+def _gaussian_bound(shadow_size: int, family_size: int, d: int, q: int) -> tuple[bool, float, Fraction]:
+    """`shadow_bound` in Gaussian binomials: (holds, t, [t, d-1]_q) where [t, d]_q = family_size."""
+    # in y = q^t - 1, [t, d]_q |GL_d(q)| is the falling product over c = (q-1, ..., q^{d-1}-1)
+    gl = _gl_order(q, d - 1)
+    holds, y, bound = shadow_bound(shadow_size * gl, family_size * _gl_order(q, d), [q**k - 1 for k in range(1, d)])
+    return holds, math.log(y + 1, q), bound / gl
+
+
 def check_q_kruskal_katona(fam: SubspaceFamily) -> BoundReport:
     """|shadow| >= [t, d-1]_q where [t, d]_q = |family|, t real >= d.
 
-    The verdict is exact; t and the bound are floats for display.
+    The verdict is exact; t and the bound are for display.
     """
     if len(fam) < 1:
         raise ValidationError("family must be nonempty")
-    q, d = fam.q, fam.d
-    t = invert_gaussian(len(fam), d, q)
-    bound = gaussian_binom(t, d - 1, q)
     shadow_size = len(subspace_shadow(fam))
-    # in y - 1 = q^t - 1, [t, d]_q |GL_d(q)| is the falling product over c = (q-1, ..., q^{d-1}-1)
-    holds = shadow_bound_holds(
-        shadow_size * _gl_order(q, d - 1), len(fam) * _gl_order(q, d), [q**k - 1 for k in range(1, d)]
-    )
+    holds, t, bound = _gaussian_bound(shadow_size, len(fam), fam.d, fam.q)
     return lower_report(
         "subspace shadow size",
         shadow_size,

@@ -2,8 +2,9 @@
 
 Counts stay exact (int or Fraction); the float side only appears at the
 reporting boundary.  When both sides are exact the comparison is exact; a
-caller that decided an irrational bound exactly passes its verdict as
-`holds`; otherwise an absolute tolerance applies.  An exact bound beyond
+caller that decided its bound itself (an irrational bound exactly, or a
+float identity at its own tolerance) passes its verdict as `holds`;
+otherwise the absolute tolerance DEFAULT_TOL applies.  An exact bound beyond
 the float range displays as inf, and its ratio comes from the exact quotient.
 """
 
@@ -72,14 +73,19 @@ def upper_report(
     source: str,
     *,
     conjecture: bool = False,
-    tol: float = DEFAULT_TOL,
+    holds: bool | None = None,
     extra: Mapping[str, object] | None = None,
 ) -> BoundReport:
-    """Report for computed <= bound; exact comparison when both sides are exact."""
-    if _is_exact(computed) and _is_exact(bound):
+    """Report for computed <= bound; exact comparison when both sides are exact.
+
+    `holds` is the caller's own verdict; `bound` is then for display only.
+    """
+    if holds is not None:
+        ok = holds
+    elif _is_exact(computed) and _is_exact(bound):
         ok = Fraction(computed) <= Fraction(bound)
     else:
-        ok = float(computed) <= _display(bound) + tol
+        ok = float(computed) <= _display(bound) + DEFAULT_TOL
     return BoundReport(
         quantity=quantity,
         computed=computed,
@@ -100,20 +106,19 @@ def lower_report(
     source: str,
     *,
     conjecture: bool = False,
-    tol: float = DEFAULT_TOL,
     holds: bool | None = None,
     extra: Mapping[str, object] | None = None,
 ) -> BoundReport:
     """Report for computed >= bound; exact comparison when both sides are exact.
 
-    `holds` is the caller's exact verdict; `bound` is then for display only.
+    `holds` is the caller's own verdict; `bound` is then for display only.
     """
     if holds is not None:
         ok = holds
     elif _is_exact(computed) and _is_exact(bound):
         ok = Fraction(computed) >= Fraction(bound)
     else:
-        ok = float(computed) >= _display(bound) - tol
+        ok = float(computed) >= _display(bound) - DEFAULT_TOL
     return BoundReport(
         quantity=quantity,
         computed=computed,

@@ -262,6 +262,10 @@ class TestCli:
         assert cli.main(["forbidding", "verify", "--system", "repeats", "--universe-size", "65536",
                          "--d", "2"]) == 4
         assert "spot-check lookups" in capsys.readouterr().err
+        # one element at d = 8000: 2000 memoized multisets of up to 8000 elements each
+        assert cli.main(["forbidding", "verify", "--system", "repeats", "--universe-size", "1",
+                         "--d", "8000"]) == 4
+        assert "spot-check memo elements" in capsys.readouterr().err
         # C(244, 2) - 1 = 29,645 multisets of size 1..2 over 242 vectors: classified exhaustively
         report = self.run_ok(["forbidding", "verify", "--system", "qlinear:3,5", "--d", "2"])
         assert report["quantities"]["ok"] is True

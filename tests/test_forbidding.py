@@ -21,7 +21,7 @@ from shadowlab.forbidding import (
     verify_forbidding_axioms,
 )
 from shadowlab.hypergraph import check_kruskal_katona
-from shadowlab.numkit import shadow_bound_holds
+from shadowlab.numkit import shadow_bound
 from shadowlab.qlinalg import enumerate_subspaces, rref, subspace_points
 
 
@@ -108,7 +108,7 @@ def assert_gkk_matches_reference(sys, sets):
         return
     rep = check_generalized_kk(sys, sets)
     assert (rep.extra["family_size"], rep.computed) == expected
-    assert rep.satisfied == shadow_bound_holds(expected[1], expected[0], sys.c_vector)
+    assert rep.satisfied == shadow_bound(expected[1], expected[0], sys.c_vector)[0]
 
 
 def all_good_system(n, d):
@@ -178,6 +178,20 @@ class TestAxiomVerification:
         # 2000 trials x 500 elements is exactly the cap
         report = verify_forbidding_axioms(ForbiddingSystem(range(500), 3, classify, (1, 2)))
         assert report.ok and not report.exhaustive and report.checked == 2000
+
+    def test_spot_check_memo_capped_by_depth(self):
+        calls = []
+
+        def classify(ms):
+            calls.append(ms)
+            return len(set(ms)) == len(ms)
+
+        # one element at d = 8000: 2000 trials x 1 lookup is within the lookup cap, but each
+        # memoized multiset holds up to 8000 elements, 1.6 x 10^7 in all
+        system = ForbiddingSystem(range(1), 8000, classify, range(1, 8000))
+        with pytest.raises(CapacityError, match=r"memo elements \(trials x universe size x d\) = 16000000"):
+            verify_forbidding_axioms(system)
+        assert calls == []
 
     def test_exhaustive_bound_counts_the_multisets_it_classifies(self, monkeypatch):
         # C(6 + 3, 3) - 1 = 83 multisets of size 1..3 over 6 elements; 7 elements need 119

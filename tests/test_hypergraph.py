@@ -196,15 +196,13 @@ class TestShadow:
         assert len(shadow(fam)) == 10
 
     def test_iterated_shadow_chain(self):
-        # |shadow(shadow(A))| >= binom(t, d-2) with t from the first application
-        from shadowlab.numkit import binom_real
-
+        # |shadow(shadow(A))| >= binom(t, d-2) = binom(t, 1) = t with t from the first application
         rng = random.Random(3)
         for _ in range(100):
             fam = random_set_family(rng, rng.randint(3, 9), 3, 15)
             t = check_kruskal_katona(fam).extra["t"]
             second = shadow(shadow(fam))
-            assert len(second) >= binom_real(t, 1) - 1e-6
+            assert len(second) >= t - 1e-6
 
 
 class TestKruskalKatona:
@@ -239,6 +237,26 @@ class TestKruskalKatona:
             n = rng.randint(d, 10)
             fam = random_set_family(rng, n, d, 30)
             assert check_kruskal_katona(fam).satisfied
+
+    def test_singletons_bound_is_one(self):
+        # d = 1: the shadow is the empty set alone, and binom(t, 0) = 1 whatever t is
+        rep = check_kruskal_katona(SetFamily.make(3, [(0,), (1,), (2,)]))
+        assert rep.extra["t"] == pytest.approx(3.0, abs=1e-9)
+        assert (rep.computed, rep.bound, rep.satisfied) == (1, 1.0, True)
+
+    def test_one_60_set_is_tight(self):
+        # 60! * 1 is inside the float range but far past 2^200 times the bisection width
+        rep = check_kruskal_katona(SetFamily.make(60, [tuple(range(60))]))
+        assert (rep.computed, rep.satisfied) == (60, True)
+        assert rep.extra["t"] == pytest.approx(60.0, abs=1e-9)
+        assert rep.bound == pytest.approx(60.0, rel=1e-9)
+
+    def test_one_180_set_stays_in_float_range(self):
+        # 180! * 1 is past the float range; the displayed t and bound are not
+        rep = check_kruskal_katona(SetFamily.make(180, [tuple(range(180))]))
+        assert rep.satisfied and rep.computed == 180
+        assert rep.extra["t"] == pytest.approx(180.0, abs=1e-6)
+        assert rep.bound == pytest.approx(180.0, rel=1e-9)
 
     @pytest.mark.parametrize("m,d", [(22, 6), (29, 5)])
     def test_tight_complete_family_is_not_a_violation(self, m, d):
@@ -461,6 +479,13 @@ class TestPartialShadow:
                 if sum(f in edges for f in combinations(s, r - 1)) >= r - k
             )
             assert count_partial_shadow_targets(h, r, k) == brute
+
+    def test_one_needed_edge_bound_is_one(self):
+        # r - k = 1: binom(x, 0) = 1 whatever x is
+        h = ColoredHypergraph.from_edges(4, [((0, 1), "plain"), ((2, 3), "plain")])
+        rep = check_partial_shadow_bound(h, 3, 2)
+        assert rep.extra["m"] == 4
+        assert (rep.computed, rep.bound, rep.satisfied) == (2, 1.0, True)
 
     def test_empty_graph(self):
         h = ColoredHypergraph.from_edges(5, [])

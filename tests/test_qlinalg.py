@@ -147,6 +147,21 @@ class TestQKruskalKatona:
         assert rep.computed == 3
         assert rep.bound == pytest.approx(3.0, abs=1e-6)
 
+    def test_lines_bound_is_one(self):
+        # d = 1: the shadow is the zero subspace alone, and [t, 0]_q = 1 whatever t is
+        rep = check_q_kruskal_katona(enumerate_subspaces(2, 3, 1))
+        assert rep.extra["t"] == pytest.approx(3.0, abs=1e-9)
+        assert (rep.computed, rep.bound, rep.satisfied) == (1, 1.0, True)
+
+    def test_one_15_dim_subspace_is_tight(self):
+        # |GL_15(2)| ~ 2^224 scales the inversion target far past 2^200
+        n = 15
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        rep = check_q_kruskal_katona(SubspaceFamily.make(2, n, n, [identity]))
+        assert (rep.computed, rep.satisfied) == (32767, True)
+        assert rep.extra["t"] == pytest.approx(15.0, abs=1e-9)
+        assert rep.bound == pytest.approx(32767.0, rel=1e-12)
+
     def test_random_families(self):
         rng = random.Random(6)
         all_planes = enumerate_subspaces(2, 4, 2)
