@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -534,10 +535,15 @@ def main(argv: list[str] | None = None) -> int:
     except BoundViolationError as exc:
         print(f"PROVEN BOUND VIOLATED: {exc}", file=sys.stderr)
         return VIOLATION_EXIT
-    if args.json:
-        print(formats.dumps_canonical(report))
-    else:
-        sys.stdout.write(_render_text(report))
+    try:
+        if args.json:
+            print(formats.dumps_canonical(report))
+        else:
+            sys.stdout.write(_render_text(report))
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader is gone (`shadowlab ... | head`): send what is left to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if status == VIOLATION_EXIT:
         print("PROVEN BOUND VIOLATED: see the failed checks above", file=sys.stderr)
     return status

@@ -8,7 +8,6 @@ raises BoundViolationError because it can only mean an implementation bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,12 +22,12 @@ from .hypergraph import (
     good_4subsets_mixed,
     rainbow_cliques,
 )
+from .record import Record
 
 PLAIN = "plain"
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(Record):
     """A generated hypergraph together with its verified expected counts."""
 
     name: str

@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ValidationError, check_cap
+from .record import Record
 from .reports import DEFAULT_TOL, BoundReport, lower_report, upper_report
 
 SUBSET_VISIT_CAP = 10**7  # members x 2^d; measured 0.16-0.48 µs a visit and at most 350 MB at the cap
 
 
-@dataclass(frozen=True)
-class ExactDistribution:
+class ExactDistribution(Record):
     """A joint distribution over value tuples with exact rational weights."""
 
     arity: int
@@ -94,15 +93,14 @@ def conditional_entropy(dist: ExactDistribution, target: Sequence[int], given: S
     return entropy(dist, sorted(tset | gset)) - entropy(dist, sorted(gset))
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class CoverSpec(Record):
     """Index subsets I_1..I_m covering each coordinate at least k times."""
 
     n: int
     subsets: tuple[tuple[int, ...], ...]
     k: int
 
-    def __post_init__(self) -> None:
+    def _post_init(self) -> None:
         if self.k < 1:
             raise ValidationError(f"k must be positive, got {self.k}")
         cover = [0] * self.n
@@ -138,8 +136,7 @@ def check_shearer(dist: ExactDistribution, cover: CoverSpec) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
-class KeyInequalityReport:
+class KeyInequalityReport(Record):
     """Per-step conditional support sizes s_k = 2^{H(X_k | X_1..X_{k-1})}."""
 
     sizes: tuple[float, ...]

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import ValidationError, check_cap
 from .numkit import CVector, product_falling, shadow_bound
 from .qlinalg import is_prime, rref
+from .record import Record
 from .reports import BoundReport, lower_report
 
 SYSTEM_UNIVERSE_CAP = 2**16  # elements of a built-in system's universe
@@ -112,8 +112,7 @@ def system_from_name(name: str, d: int, universe_size: int | None = None) -> For
     raise ValidationError(f"unknown system {name!r}")
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     ok: bool
     exhaustive: bool
     checked: int
@@ -176,8 +175,7 @@ def verify_forbidding_axioms(sys: ForbiddingSystem, seed: int = 0) -> AxiomRepor
     return AxiomReport(True, False, checked, None)
 
 
-@dataclass(frozen=True)
-class CompatibilityResult:
+class CompatibilityResult(Record):
     ok: bool
     witness: tuple[Multiset, Hashable] | None = None
 

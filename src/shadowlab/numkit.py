@@ -10,28 +10,30 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import ValidationError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CVector:
+class CVector(Record):
     """Nondecreasing nonnegative integers c_1 <= ... <= c_{d-1}.
 
     Length d-1 for tuple length d; the empty vector corresponds to d = 1.
     """
 
+    __slots__ = ("entries",)
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for c in self.entries:
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        for c in entries:
             if not isinstance(c, int) or c < 0:
-                raise ValidationError(f"c-vector entries must be nonnegative integers: {self.entries}")
-        if any(a > b for a, b in zip(self.entries, self.entries[1:])):
-            raise ValidationError(f"c-vector entries must be nondecreasing: {self.entries}")
+                raise ValidationError(f"c-vector entries must be nonnegative integers: {entries}")
+        for a, b in zip(entries, entries[1:]):
+            if a > b:
+                raise ValidationError(f"c-vector entries must be nondecreasing: {entries}")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def coerce(cls, c: "CVector | Sequence[int]") -> "CVector":

@@ -9,13 +9,13 @@ also holds for prime powers but those would need polynomial field towers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import ValidationError, check_cap
 from .numkit import gaussian_binom, shadow_bound
+from .record import Record
 from .reports import BoundReport, lower_report
 
 FIELD_CAP = 2**16
@@ -74,8 +74,7 @@ def _is_reduced_echelon(mat: Matrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SubspaceFamily:
+class SubspaceFamily(Record):
     """d-dimensional subspaces of F_q^n in canonical echelon form."""
 
     q: int

@@ -11,10 +11,11 @@ the float range displays as inf, and its ratio comes from the exact quotient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Mapping
+
+from .record import Record
 
 DEFAULT_TOL = 1e-9
 
@@ -25,8 +26,7 @@ def _is_exact(x: Exactish) -> bool:
     return isinstance(x, Rational)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Outcome of checking a computed quantity against a bound.
 
     kind is "upper" (computed must be <= bound) or "lower" (>=).  A report
@@ -42,9 +42,11 @@ class BoundReport:
     source: str
     kind: str
     conjecture: bool = False
-    extra: Mapping[str, object] = field(default_factory=dict)
+    extra: Mapping[str, object] = None  # a fresh {} when left out
 
-    def __post_init__(self) -> None:
+    def _post_init(self) -> None:
+        if self.extra is None:
+            object.__setattr__(self, "extra", {})
         if self.kind not in ("upper", "lower"):
             raise ValueError(f"kind must be 'upper' or 'lower', got {self.kind!r}")
 
@@ -132,8 +134,7 @@ def lower_report(
     )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of invariant validation; violations are human-readable lines."""
 
     ok: bool

@@ -9,20 +9,19 @@ independent ranges, so scans never share mutable state.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping
 
 from .errors import ValidationError, check_cap
 from .hypergraph import RGB, VERTEX_CAP, ColoredHypergraph, get_problem
+from .record import Record
 
 RAINBOW_CAP = 5  # 4^binom(n,2) states; n = 6 takes about 38 min at a measured 4.7e5 states/s
 MIXED_CAP = 5  # 2^(pairs + triples) states; n = 6 takes about 43 h at a measured 2.2e5 states/s
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     problem: str
     best_numerator: int
     best_denominator: int

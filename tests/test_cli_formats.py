@@ -344,6 +344,37 @@ class TestCli:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_import_set(self):
+        # Every layer loads with the cli: the benchmark's trace launcher wraps each layer
+        # it finds in sys.modules after `import shadowlab.cli`, so none of them is lazy.
+        # The records build without `dataclasses`, which alone pulls in inspect, ast and dis.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        layers = ("cli", "formats", "hypergraph", "entropy", "qlinalg", "forbidding", "numkit", "reports",
+                  "search", "constructions")
+        code = "import json, sys, shadowlab.cli; print(json.dumps(list(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        loaded = set(json.loads(out.stdout))
+        assert not {"dataclasses", "inspect", "ast", "dis"} & loaded
+        assert {f"shadowlab.{m}" for m in layers} <= loaded
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_quietly(self, tmp_path, unbuffered):
+        fam = str(tmp_path / "fam.json")
+        with open(fam, "w") as fh:
+            json.dump({"n": 8, "d": 3, "sets": [list(c) for c in combinations(range(8), 3)]}, fh)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the command writes, as under `| head -c 0`
+        try:
+            out = subprocess.run([sys.executable, "-m", "shadowlab.cli", "kk", "--family", fam, "--json"],
+                                 env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered},
+                                 stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert out.returncode == 0
+        assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
+
     def test_shadow_out(self, tmp_path):
         fam = str(tmp_path / "fam.json")
         out = str(tmp_path / "sh.json")

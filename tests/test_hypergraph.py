@@ -1,6 +1,8 @@
 """Counting operations and bound checks on colored hypergraphs."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, islice
@@ -49,6 +51,13 @@ def brute_rainbow_triangles(h, colors=RGB):
         if got == sorted(colors):
             count += 1
     return count
+
+
+def test_graphs_pickle_and_copy():
+    h = random_weighted_complete(random.Random(3), 5, 3)
+    assert pickle.loads(pickle.dumps(h)) == h
+    assert copy.copy(h) == h and copy.deepcopy(h) == h
+    assert copy.deepcopy(h.edges[0]) == h.edges[0]
 
 
 class TestValidate:
