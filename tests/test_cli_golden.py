@@ -1,0 +1,176 @@
+"""Golden digests of the command line's output bytes.
+
+Every case runs `cli.main` in-process, in text and in `--json` mode, inside a
+fresh directory that holds the fixed input files below under relative names,
+so the report's `command` field does not depend on where the test runs.  For
+each run, tests/cli_golden.json records the exit code, the sha256 of stdout
+and of stderr, and the sha256 of the `--out` file when the case names one.
+
+A change that moves output on purpose rewrites the digests with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and says in CHANGES.md which entries moved and why.  Never rewrite them to
+hide a difference that has no explanation.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
+from pathlib import Path
+
+import pytest
+
+from shadowlab import cli
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+
+def _graph(n, edges):
+    return {"vertices": n, "edges": [dict(v=list(v), color=c, **({"weight": w} if w else {}))
+                                     for v, c, w in edges]}
+
+
+_FLATS = ["plain 0 1 2 3", "plain 4 5 6 7"] + [
+    "plain " + " ".join(map(str, ij + tuple(4 + k for k in kl)))
+    for ij in combinations(range(4), 2)
+    for kl in (ij, tuple(sorted(set(range(4)) - set(ij))))
+]
+
+# name -> file content; JSON objects are dumped, strings written as they are
+INPUTS = {
+    "k4.json": _graph(4, [((0, 1), "red", 0), ((2, 3), "red", 0), ((0, 3), "blue", 0),
+                          ((1, 2), "blue", 0), ((0, 2), "green", 0), ((1, 3), "green", 0)]),
+    "bad.json": {"vertices": 1, "edges": [{"v": [0, 5], "color": "red"}]},
+    "flats.txt": "\n".join(_FLATS) + "\n",
+    "mixed.txt": "plain 0 1\nplain 2 3\nplain 0 1 2\nplain 0 1 3\nplain 0 2 3\nplain 1 2 3\nplain 2 3 4\n",
+    "triples.txt": "plain 0 1 2\nplain 0 1 3\n",
+    "cover.txt": "red 0 1 2\ngreen 0 1 3\nblue 0 2 3\nred 1 2 3\n",
+    "star.txt": "plain 0 1\nplain 0 2\nplain 0 3\n",
+    "w.json": _graph(4, [(p, "plain", 1 + i) for i, p in enumerate(combinations(range(4), 2))]),
+    # weights near 10^15: the trace identities hold to the last float digit, not to 10^-6 absolute
+    "huge.json": _graph(12, [((i, j), "plain", 10**15 + 7 * i + j) for i, j in combinations(range(12), 2)]),
+    "fam.json": {"n": 5, "d": 3, "sets": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [0, 1, 4]]},
+    "subs.json": {"q": 2, "n": 3, "d": 2, "members": [[[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]]]},
+    "dist.json": {"arity": 3, "support": [{"values": [0, 0, 1], "p": "1/4"}, {"values": [0, 1, 1], "p": "1/4"},
+                                          {"values": [1, 0, 0], "p": "1/3"}, {"values": [1, 1, 0], "p": "1/6"}]},
+}
+
+CASES = [
+    "validate --input k4.json",
+    "validate --input bad.json",
+    "count rainbow --input k4.json",
+    "count rainbow --input k4.json --colors red,blue,green",
+    "count good6 --input flats.txt",
+    "count mixed4 --input mixed.txt",
+    "count mixed4 --input triples.txt",
+    "count covering --input cover.txt --delta 1",
+    "count partial --input star.txt --r 3 --k 1",
+    "kappa --input k4.json --d 3",
+    "kappa --input k4.json --d 3 --colors red,green,yellow",
+    "shadow --family fam.json --out shadow-out.json",
+    "kk --family fam.json",
+    "qkk --family subs.json",
+    "entropy --dist dist.json",
+    "entropy --dist dist.json --coords 0,2",
+    "entropy --dist dist.json --shearer 0,1;1,2;0,2 --k 2",
+    "entropy --key --family fam.json",
+    "entropy --key",
+    "entropy",
+    "forbidding verify --system repeats --universe-size 4 --d 3",
+    "forbidding verify --system qlinear:2,3 --d 2",
+    "forbidding compatible --system repeats --universe-size 6 --d 3 --set 0,1,2",
+    "forbidding compatible --system repeats --universe-size 6 --d 3",
+    "forbidding sd --system repeats --universe-size 6 --d 3 --set 0,1,2,3",
+    "forbidding sd --system qlinear:2,3 --d 2 --set 1,0,0;0,1,0;0,0,1",
+    "forbidding gkk --system repeats --universe-size 5 --d 3 --family fam.json",
+    "forbidding gkk --system qlinear:2,3 --d 2 --subspaces subs.json",
+    "construct k4-blowup --n 2 --out k4-out.json",
+    "construct k4-blowup --n 17",
+    "construct rainbow-tripartite --a 1 --b 2 --c 3",
+    "construct matching --d 5",
+    "construct lift --input k4.json --out lift-out.json",
+    "construct lift",
+    "construct tetrahedra8",
+    "construct flats",
+    "construct tripartite-mixed --n 2",
+    "construct complete-family --m 5 --d 3 --out family-out.json",
+    "search rainbow-triangle --max-vertices 4 --out witness-out.json",
+    "search rainbow-triangle --max-vertices 6",
+    "search mixed4 --max-vertices 4",
+    "search probe --problem rainbow_d --vertices 5 --trials 20 --seed 3 --out probe-out.json",
+    "search probe --problem rainbow_d --d 4 --vertices 6 --trials 20",
+    "search probe --problem good6 --vertices 7 --trials 5",
+    "search probe --problem mixed4 --vertices 5 --trials 10 --seed 1",
+    "search probe --problem covering_delta --vertices 5 --delta 1 --trials 10",
+    "search probe --problem mixed4 --trials 0",
+    "weighted --input w.json",
+    "weighted --input w.json --spectral",
+    "weighted --input huge.json --spectral",
+    "partial-shadow --input star.txt --r 3 --k 1",
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(command: str, json_mode: bool) -> dict:
+    """Write the inputs into the current directory, run one command, digest what it wrote."""
+    for name, content in INPUTS.items():
+        Path(name).write_text(content if isinstance(content, str) else json.dumps(content))
+    argv = command.split() + (["--json"] if json_mode else [])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    record = {"exit": code, "stdout": _sha(out.getvalue().encode()), "stderr": _sha(err.getvalue().encode())}
+    if "--out" in argv:
+        out_file = Path(argv[argv.index("--out") + 1])
+        record["out"] = _sha(out_file.read_bytes()) if out_file.exists() else None
+    return record
+
+
+def _key(command: str, json_mode: bool) -> str:
+    return command + (" --json" if json_mode else "")
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_file_lists_every_case(golden):
+    assert sorted(golden) == sorted(_key(c, m) for c in CASES for m in (False, True))
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", CASES)
+def test_output_bytes_match_golden(golden, tmp_path, monkeypatch, command, json_mode):
+    monkeypatch.chdir(tmp_path)
+    assert run_case(command, json_mode) == golden[_key(command, json_mode)]
+
+
+def _rewrite() -> None:
+    records = {}
+    for command in CASES:
+        for json_mode in (False, True):
+            with tempfile.TemporaryDirectory() as workdir:
+                cwd = os.getcwd()
+                os.chdir(workdir)
+                try:
+                    records[_key(command, json_mode)] = run_case(command, json_mode)
+                finally:
+                    os.chdir(cwd)
+    GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(records)} digests to {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _rewrite()
