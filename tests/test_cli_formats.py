@@ -202,6 +202,16 @@ class TestCli:
         assert report["quantities"]["sum"] == pytest.approx(4.0)
         assert report["quantities"]["trace_m2"] == pytest.approx(12.0)
 
+    def test_weighted_spectral_large_weights(self, tmp_path, capsys):
+        # K12 with weights near 10^15: an absolute 10^-6 slack on the trace identities called this a violation
+        g = tmp_path / "w.json"
+        g.write_text(json.dumps({"vertices": 12, "edges": [
+            {"v": [i, j], "color": "plain", "weight": 10**15 + 7 * i + j}
+            for i, j in combinations(range(12), 2)
+        ]}))
+        assert cli.main(["weighted", "--input", str(g), "--spectral"]) == 0
+        assert "VIOLATED" not in capsys.readouterr().out
+
     def test_partial_shadow_command(self, tmp_path):
         g = str(tmp_path / "star.txt")
         with open(g, "w") as fh:

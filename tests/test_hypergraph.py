@@ -598,6 +598,18 @@ class TestSpectralTrace:
             assert rep.trace2**3 >= rep.trace3**2 - 1e-6 * max(1.0, rep.trace2**3)
             assert rep.ok
 
+    def test_identities_scaled_by_their_magnitude(self):
+        # weights near 10^15: tr(M^3) misses 6S in float by far more than 10^-6, far less than 10^-6 of 6S
+        h = ColoredHypergraph.from_edges(12, [
+            ((i, j), "plain", (31 * i + 17 * j) % 97 * 10**13 + i * j + 1) for i, j in combinations(range(12), 2)
+        ])
+        rep = spectral_trace_check(h)
+        two_n, six_s = rep.checks[0], rep.checks[1]
+        assert six_s.computed > 1.0
+        assert two_n.bound == hypergraph.TRACE_TOL * 2 * rep.total_weight
+        assert six_s.bound == pytest.approx(hypergraph.TRACE_TOL * rep.trace3)
+        assert rep.ok
+
 
 class TestCapacity:
     def test_vertex_cap(self):
