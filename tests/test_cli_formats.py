@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -272,14 +273,28 @@ class TestCli:
         assert cli.main(["forbidding", "verify", "--system", "repeats", "--universe-size", "65536",
                          "--d", "2"]) == 4
         assert "spot-check lookups" in capsys.readouterr().err
-        # one element at d = 8000: 2000 memoized multisets of up to 8000 elements each
+        # 100 elements at d = 60: 2000 x 100 memoized multisets of up to 60 elements each
+        assert cli.main(["forbidding", "verify", "--system", "repeats", "--universe-size", "100",
+                         "--d", "60"]) == 4
+        assert "spot-check memo elements" in capsys.readouterr().err
+        # one element at d = 8000: no good multiset has more than one element, so S^(d) is empty
         assert cli.main(["forbidding", "verify", "--system", "repeats", "--universe-size", "1",
                          "--d", "8000"]) == 4
-        assert "spot-check memo elements" in capsys.readouterr().err
+        assert "depth d (largest good multiset + 1) = 8000 exceeds cap 2" in capsys.readouterr().err
         # C(244, 2) - 1 = 29,645 multisets of size 1..2 over 242 vectors: classified exhaustively
         report = self.run_ok(["forbidding", "verify", "--system", "qlinear:3,5", "--d", "2"])
         assert report["quantities"]["ok"] is True
         assert report["quantities"]["exhaustive"] is True
+
+    @pytest.mark.parametrize("system", [["repeats", "--universe-size", "3"], ["qlinear:2,3"]])
+    @pytest.mark.parametrize("action", ["verify", "gkk"])
+    def test_forbidding_depth_past_largest_good_multiset_refused(self, capsys, system, action):
+        # d = 10^8 once built a 10^8-entry c-vector (MemoryError) or q^k - 1 for every k < d (no answer in 20 s)
+        start = time.perf_counter()
+        assert cli.main(["forbidding", action, "--system", *system, "--d", "100000000"]) == 4
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: depth d") and "Traceback" not in err
 
     def test_forbidding_compatible_large_universe(self, capsys):
         # 91,390 good 4-multisets of the set, and none of the 65,496 elements outside is classified
