@@ -31,7 +31,7 @@ for size in (2, 3, 4):
           f"ratio {rep.ratio_exact}")
 print("the construction climbs toward 3/2; the proven window is [3/2, 3]")
 res = search_mixed_4subsets(4)
-print(f"exhaustive n=4: best ratio {res.best_ratio_exact} over {res.explored} states\n")
+print(f"exhaustive n=4: best ratio {res.best} over {res.explored} states\n")
 
 print("== color-covering subsets at higher uniformity ==")
 h = ColoredHypergraph.from_edges(
@@ -56,8 +56,8 @@ print(f"tr(M^2)^3 >= tr(M^3)^2: {spec.trace2**3:.1f} >= {spec.trace3**2:.1f}\n")
 
 print("== seeded random probes ==")
 res = random_probe("good6", {"vertices": 8}, 2000, seed=7)
-print(f"good6 over 2000 random 4-uniform graphs: best {res.best_ratio_exact} "
-      f"~ {res.best_ratio:.4f} (2/7 = {2/7:.4f} conjectured optimal)")
+print(f"good6 over 2000 random 4-uniform graphs: best {res.best} "
+      f"~ {float(res.best):.4f} (2/7 = {2/7:.4f} conjectured optimal)")
 res = random_probe("covering_delta", {"vertices": 6, "delta": 1}, 2000, seed=7)
-print(f"covering delta=1 over 2000 random graphs: best {res.best_ratio_exact} "
-      f"~ {res.best_ratio:.4f} (proven cap 6, conjectured 2)")
+print(f"covering delta=1 over 2000 random graphs: best {res.best} "
+      f"~ {float(res.best):.4f} (proven cap 6, conjectured 2)")

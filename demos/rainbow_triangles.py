@@ -28,11 +28,11 @@ print("tripartite blowups sit at ratio 1: the loss lives elsewhere in the"
 
 print("== exhaustive search over all 3-colorings ==")
 res = search_rainbow_triangle(4)
-print(f"n=4: explored {res.explored} states, best ratio {res.best_ratio_exact}")
+print(f"n=4: explored {res.explored} states, best ratio {res.best}")
 print(f"     witness isomorphic to the K4 coloring: "
       f"{color_isomorphic(res.witness, k4_blowup(1).graph)}")
 res5 = search_rainbow_triangle(5)
-print(f"n=5: explored {res5.explored} states, best ratio {res5.best_ratio_exact}")
+print(f"n=5: explored {res5.explored} states, best ratio {res5.best}")
 print("no 5-vertex coloring beats the K4 example\n")
 
 print("== higher uniformity: matchings and lifts ==")

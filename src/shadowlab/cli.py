@@ -44,17 +44,7 @@ def _digest_params(params: str) -> str:
 
 
 def _bound_obj(r: BoundReport) -> dict:
-    return {
-        "quantity": r.quantity,
-        "computed": r.computed,
-        "bound": r.bound,
-        "ratio": r.ratio,
-        "satisfied": r.satisfied,
-        "source": r.source,
-        "kind": r.kind,
-        "conjecture": r.conjecture,
-        "extra": dict(r.extra),
-    }
+    return {**{name: getattr(r, name) for name in r._fields}, "extra": dict(r.extra)}
 
 
 def _render_value(v) -> str:
@@ -130,13 +120,12 @@ def cmd_count(args) -> tuple[dict, list[BoundReport], list[str]]:
         m = hg.count_partial_shadow_targets(h, args.r, args.k)
         return {"m": m, "r": args.r, "k": args.k, "edges": len(h.edges)}, [], []
     problem = hg.PROBLEMS[_COUNT_PROBLEMS[args.kind]]
-    counts, num, den = problem.measure(h, args.d, args.delta, None)
-    q = dict(counts)
+    q, ratio = problem.exact(h, args.d, args.delta)
     bounds: list[BoundReport] = []
     notes: list[str] = []
-    if den:  # the ratio, its bounds and its note exist only with every class nonempty
-        q["ratio"] = Fraction(num, den)
-        bounds = problem.reports(q["ratio"], args.d, args.delta)
+    if ratio is not None:  # the ratio, its bounds and its note exist only with every class nonempty
+        q["ratio"] = ratio
+        bounds = problem.reports(ratio, args.d, args.delta)
         notes = list(problem.notes)
     if args.kind == "covering":
         q["delta"] = args.delta
@@ -213,95 +202,96 @@ def cmd_entropy(args) -> tuple[dict, list[BoundReport], list[str]]:
     return {"H": value, "coords": coords if coords else "all", "support": len(dist.support)}, [], []
 
 
-def _forbidding_system(args) -> forb.ForbiddingSystem:
-    return forb.system_from_name(args.system, args.d, universe_size=args.universe_size)
-
-
 def _parse_set(sys_name: str, text: str):
     if sys_name.startswith("qlinear"):
         return _parse_vector_set(text)
     return _parse_ints(text)
 
 
+def _verify(args, system: forb.ForbiddingSystem) -> tuple[dict, list[BoundReport], list[str]]:
+    rep = forb.verify_forbidding_axioms(system, seed=args.seed)
+    if not rep.ok:
+        raise BoundViolationError(f"forbidding axioms failed: {rep.violation}")
+    q = {"system": system.name, "ok": rep.ok, "exhaustive": rep.exhaustive, "checked": rep.checked,
+         "c_vector": list(system.c_vector.entries)}
+    note = [] if rep.exhaustive else ["not exhaustively verified (spot-check mode)"]
+    return q, [], note
+
+
+def _compatible(args, system: forb.ForbiddingSystem) -> tuple[dict, list[BoundReport], list[str]]:
+    if args.set is None:
+        raise ValidationError("compatible needs --set")
+    result = forb.is_compatible(system, _parse_set(args.system, args.set))
+    q = {"system": system.name, "compatible": result.ok}
+    if result.witness:
+        q["witness_multiset"] = list(result.witness[0])
+        q["witness_extension"] = result.witness[1]
+    return q, [], []
+
+
+def _sd(args, system: forb.ForbiddingSystem) -> tuple[dict, list[BoundReport], list[str]]:
+    if args.set is None:
+        raise ValidationError("sd needs --set")
+    [(_, size)] = forb.sd_orbits(system, [_parse_set(args.system, args.set)])
+    return {"system": system.name, "tuples": size, "d": system.d}, [], []
+
+
+def _gkk(args, system: forb.ForbiddingSystem) -> tuple[dict, list[BoundReport], list[str]]:
+    if args.family:
+        sets = formats.set_family_from_obj(formats.load_json(args.family)).sets
+    elif args.subspaces:
+        sub = formats.subspace_family_from_obj(formats.load_json(args.subspaces))
+        zero = tuple([0] * sub.n)
+        sets = [sorted(ql.subspace_points(member, sub.q, sub.n) - {zero}) for member in sub.members]
+    else:
+        raise ValidationError("gkk needs --family or --subspaces")
+    rep = forb.check_generalized_kk(system, sets)
+    q = {
+        "system": system.name,
+        "family_size": rep.extra["family_size"],
+        "t": rep.extra["t"],
+        "shadow_size": rep.computed,
+        "bound": rep.bound,
+    }
+    return q, [rep], []
+
+
+# the forbidding actions by name, each run on the system that --system and --d name
+_FORBIDDING_ACTIONS = {"verify": _verify, "compatible": _compatible, "sd": _sd, "gkk": _gkk}
+
+
 def cmd_forbidding(args) -> tuple[dict, list[BoundReport], list[str]]:
-    system = _forbidding_system(args)
-    if args.action == "verify":
-        rep = forb.verify_forbidding_axioms(system, seed=args.seed)
-        if not rep.ok:
-            raise BoundViolationError(f"forbidding axioms failed: {rep.violation}")
-        note = [] if rep.exhaustive else ["not exhaustively verified (spot-check mode)"]
-        return (
-            {"system": system.name, "ok": rep.ok, "exhaustive": rep.exhaustive,
-             "checked": rep.checked, "c_vector": list(system.c_vector.entries)},
-            [],
-            note,
-        )
-    if args.action == "compatible":
-        if args.set is None:
-            raise ValidationError("compatible needs --set")
-        result = forb.is_compatible(system, _parse_set(args.system, args.set))
-        q = {"system": system.name, "compatible": result.ok}
-        if result.witness:
-            q["witness_multiset"] = list(result.witness[0])
-            q["witness_extension"] = result.witness[1]
-        return q, [], []
-    if args.action == "sd":
-        if args.set is None:
-            raise ValidationError("sd needs --set")
-        [(_, size)] = forb.sd_orbits(system, [_parse_set(args.system, args.set)])
-        return {"system": system.name, "tuples": size, "d": system.d}, [], []
-    if args.action == "gkk":
-        if args.family:
-            sets = formats.set_family_from_obj(formats.load_json(args.family)).sets
-        elif args.subspaces:
-            sub = formats.subspace_family_from_obj(formats.load_json(args.subspaces))
-            zero = tuple([0] * sub.n)
-            sets = [
-                sorted(ql.subspace_points(member, sub.q, sub.n) - {zero})
-                for member in sub.members
-            ]
-        else:
-            raise ValidationError("gkk needs --family or --subspaces")
-        rep = forb.check_generalized_kk(system, sets)
-        q = {
-            "system": system.name,
-            "family_size": rep.extra["family_size"],
-            "t": rep.extra["t"],
-            "shadow_size": rep.computed,
-            "bound": rep.bound,
-        }
-        return q, [rep], []
-    raise ValidationError(f"unknown forbidding action {args.action!r}")
+    system = forb.system_from_name(args.system, args.d, universe_size=args.universe_size)
+    return _FORBIDDING_ACTIONS[args.action](args, system)
+
+
+def _lift(args) -> cons.Construction:
+    if not args.input:
+        raise ValidationError("lift needs --input")
+    return cons.kappa_lift(formats.load_hypergraph(args.input))
+
+
+# the graph constructions by name; each entry looks its generator up when called, so a
+# generator rebound on the module after import is the one that runs
+_CONSTRUCTIONS = {
+    "k4-blowup": lambda args: cons.k4_blowup(args.n),
+    "rainbow-tripartite": lambda args: cons.rainbow_tripartite(args.a, args.b, args.c),
+    "matching": lambda args: cons.matching_construction(args.d),
+    "lift": _lift,
+    "tetrahedra8": lambda args: cons.tetrahedra8(),
+    "flats": lambda args: cons.flats_example(),
+    "tripartite-mixed": lambda args: cons.tripartite_mixed(args.n),
+}
 
 
 def cmd_construct(args) -> tuple[dict, list[BoundReport], list[str]]:
-    name = args.name
-    out_obj = None
-    if name == "k4-blowup":
-        c = cons.k4_blowup(args.n)
-    elif name == "rainbow-tripartite":
-        c = cons.rainbow_tripartite(args.a, args.b, args.c)
-    elif name == "matching":
-        c = cons.matching_construction(args.d)
-    elif name == "lift":
-        if not args.input:
-            raise ValidationError("lift needs --input")
-        c = cons.kappa_lift(formats.load_hypergraph(args.input))
-    elif name == "tetrahedra8":
-        c = cons.tetrahedra8()
-    elif name == "flats":
-        c = cons.flats_example()
-    elif name == "tripartite-mixed":
-        c = cons.tripartite_mixed(args.n)
-    elif name == "complete-family":
+    if args.name == "complete-family":  # a set family, not a graph
         fam = cons.complete_family(args.m, args.d)
-        out_obj = formats.set_family_to_obj(fam)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(out_obj, fh)
-        return {"name": name, "family_size": len(fam), "d": fam.d, "self_check": "passed"}, [], []
-    else:
-        raise ValidationError(f"unknown construction {name!r}")
+                json.dump(formats.set_family_to_obj(fam), fh)
+        return {"name": args.name, "family_size": len(fam), "d": fam.d, "self_check": "passed"}, [], []
+    c = _CONSTRUCTIONS[args.name](args)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(formats.hypergraph_to_obj(c.graph), fh)
@@ -311,26 +301,31 @@ def cmd_construct(args) -> tuple[dict, list[BoundReport], list[str]]:
     return q, [], []
 
 
+# the exhaustive scans by mode: the registry problem they maximize, and the scan, looked up when called
+_SCANS = {
+    "rainbow-triangle": ("rainbow_d", lambda n: srch.search_rainbow_triangle(n)),
+    "mixed4": ("mixed4", lambda n: srch.search_mixed_4subsets(n)),
+}
+
+
 def cmd_search(args) -> tuple[dict, list[BoundReport], list[str]]:
-    if args.mode == "rainbow-triangle":
-        res = srch.search_rainbow_triangle(args.max_vertices)
-        name, d, delta = "rainbow_d", 3, 0
-    elif args.mode == "mixed4":
-        res = srch.search_mixed_4subsets(args.max_vertices)
-        name, d, delta = "mixed4", 3, 0
-    else:
+    if args.mode == "probe":
         params = {"vertices": args.vertices, "d": args.d, "delta": args.delta}
         res = srch.random_probe(args.problem, params, args.trials, seed=args.seed)
         name, d, delta = args.problem, args.d, args.delta
+    else:
+        name, scan = _SCANS[args.mode]
+        res = scan(args.max_vertices)
+        d, delta = 3, 0
     problem = hg.PROBLEMS[name]
-    bounds = problem.reports(res.best_ratio_exact, d, delta) if res.witness is not None else []
+    bounds = problem.reports(res.best, d, delta) if res.best is not None else []
     if args.out and res.witness is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(formats.hypergraph_to_obj(res.witness), fh)
     q = {
         "problem": res.problem,
-        "best_ratio": res.best_ratio_exact if res.witness is not None else "none",
-        "best_ratio_real": res.best_ratio if res.witness is not None else "nan",
+        "best_ratio": "none" if res.best is None else res.best,
+        "best_ratio_real": "nan" if res.best is None else float(res.best),
         "explored": res.explored,
         "exhaustive": res.exhaustive,
     }
@@ -373,41 +368,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
+    def common(p, handler):
+        p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="emit a canonical JSON report")
 
     p = sub.add_parser("validate", help="check hypergraph invariants")
     p.add_argument("--input", required=True)
-    common(p)
+    common(p, cmd_validate)
 
     p = sub.add_parser("count", help="exact counts: rainbow/good6/mixed4/covering/partial")
-    p.add_argument("kind", choices=["rainbow", "good6", "mixed4", "covering", "partial"])
+    p.add_argument("kind", choices=["rainbow", *_COUNT_PROBLEMS, "partial"])
     p.add_argument("--input", required=True)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--colors")
     p.add_argument("--delta", type=int, default=0)
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--k", type=int, default=0)
-    common(p)
+    common(p, cmd_count)
 
     p = sub.add_parser("kappa", help="clique ratio T^{d-1}/(C_1...C_d) with bounds")
     p.add_argument("--input", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--colors")
-    common(p)
+    common(p, cmd_kappa)
 
     p = sub.add_parser("shadow", help="set-family shadow")
     p.add_argument("--family", required=True)
     p.add_argument("--out")
-    common(p)
+    common(p, cmd_shadow)
 
     p = sub.add_parser("kk", help="shadow bound check for set families")
     p.add_argument("--family", required=True)
-    common(p)
+    common(p, cmd_kk)
 
     p = sub.add_parser("qkk", help="shadow bound check for subspace families")
     p.add_argument("--family", required=True)
-    common(p)
+    common(p, cmd_qkk)
 
     p = sub.add_parser("entropy", help="entropy of exact distributions; shearer/key checks")
     p.add_argument("--dist")
@@ -416,10 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--key", action="store_true", help="key inequality for a set family")
     p.add_argument("--family")
-    common(p)
+    common(p, cmd_entropy)
 
     p = sub.add_parser("forbidding", help="forbidding-system operations")
-    p.add_argument("action", choices=["verify", "compatible", "sd", "gkk"])
+    p.add_argument("action", choices=list(_FORBIDDING_ACTIONS))
     p.add_argument("--system", required=True, help="'repeats' or 'qlinear:q,n'")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--universe-size", type=int)
@@ -427,16 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family")
     p.add_argument("--subspaces")
     p.add_argument("--seed", type=int, default=0, help="seed of verify's spot-check")
-    common(p)
+    common(p, cmd_forbidding)
 
     p = sub.add_parser("construct", help="generate a named configuration")
-    p.add_argument(
-        "name",
-        choices=[
-            "k4-blowup", "rainbow-tripartite", "matching", "lift",
-            "tetrahedra8", "flats", "tripartite-mixed", "complete-family",
-        ],
-    )
+    p.add_argument("name", choices=[*_CONSTRUCTIONS, "complete-family"])
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--b", type=int, default=1)
@@ -445,10 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--input")
     p.add_argument("--out")
-    common(p)
+    common(p, cmd_construct)
 
     p = sub.add_parser("search", help="exhaustive search or seeded random probe")
-    p.add_argument("mode", choices=["rainbow-triangle", "mixed4", "probe"])
+    p.add_argument("mode", choices=[*_SCANS, "probe"])
     p.add_argument("--max-vertices", type=int, default=4)
     p.add_argument("--problem", default="rainbow_d", choices=list(hg.PROBLEMS))
     p.add_argument("--vertices", type=int, default=8)
@@ -457,37 +447,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--seed", type=int, default=0, help="seed of the random probe")
-    common(p)
+    common(p, cmd_search)
 
     p = sub.add_parser("weighted", help="geometric-mean weighted clique sum")
     p.add_argument("--input", required=True)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--spectral", action="store_true")
-    common(p)
+    common(p, cmd_weighted)
 
     p = sub.add_parser("partial-shadow", help="partial shadow bound check")
     p.add_argument("--input", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    common(p)
+    common(p, cmd_partial_shadow)
 
     return parser
-
-
-_HANDLERS = {
-    "validate": cmd_validate,
-    "count": cmd_count,
-    "kappa": cmd_kappa,
-    "shadow": cmd_shadow,
-    "kk": cmd_kk,
-    "qkk": cmd_qkk,
-    "entropy": cmd_entropy,
-    "forbidding": cmd_forbidding,
-    "construct": cmd_construct,
-    "search": cmd_search,
-    "weighted": cmd_weighted,
-    "partial-shadow": cmd_partial_shadow,
-}
 
 
 def _input_paths(args) -> list[str]:
@@ -507,7 +481,7 @@ def run(argv: list[str]) -> tuple[dict, int]:
 def _execute(args: argparse.Namespace, argv: list[str]) -> tuple[dict, int]:
     paths = _input_paths(args)
     digest = _digest_files(paths) if paths else _digest_params(" ".join(argv))
-    quantities, bounds, notes = _HANDLERS[args.cmd](args)
+    quantities, bounds, notes = args.handler(args)
     violated = [b for b in bounds if not b.satisfied and not b.conjecture]
     status = VIOLATION_EXIT if violated else 0
     report = {

@@ -1,8 +1,10 @@
 """Generators for the explicit extremal configurations used as witnesses.
 
-Every generator recounts its expected values with the hypergraph module
-before returning, so a returned Construction is already verified; a mismatch
-raises BoundViolationError because it can only mean an implementation bug.
+Every generator recounts its graph through `hypergraph.PROBLEMS`, which also
+gives its exact ratio, and checks the counts and the ratio against their
+closed forms before returning, so a returned Construction is already
+verified; a mismatch raises BoundViolationError because it can only mean an
+implementation bug.
 """
 
 from __future__ import annotations
@@ -12,16 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BoundViolationError, ValidationError, check_cap
-from .hypergraph import (
-    RGB,
-    VERTEX_CAP,
-    ColoredHypergraph,
-    SetFamily,
-    count_good_6subsets,
-    count_rainbow_cliques,
-    good_4subsets_mixed,
-    rainbow_cliques,
-)
+from .hypergraph import PROBLEMS, RGB, VERTEX_CAP, ColoredHypergraph, SetFamily, rainbow_cliques
 from .record import Record
 
 PLAIN = "plain"
@@ -68,26 +61,16 @@ def k4_blowup(n: int) -> Construction:
             for b in group[gb]:
                 edges.append(((a, b), color))
     graph = ColoredHypergraph.from_edges(4 * n, edges)
-    counts = graph.color_counts()
-    t = count_rainbow_cliques(graph, 3, RGB)
+    counts, ratio = PROBLEMS["rainbow_d"].exact(graph, 3, 0, RGB)
     _self_check(
         "k4_blowup",
         {
-            "class sizes": (
-                (2 * n * n,) * 3,
-                tuple(counts[c] for c in RGB),
-            ),
-            "T": (4 * n**3, t),
-            "T^2 = 2RGB": (t * t, 2 * counts["red"] * counts["green"] * counts["blue"]),
+            "class sizes": ((2 * n * n,) * 3, tuple(counts["C"])),
+            "T": (4 * n**3, counts["T"]),
+            "T^2 = 2RGB": (2, ratio),
         },
     )
-    expected = {
-        "R": 2 * n * n,
-        "G": 2 * n * n,
-        "B": 2 * n * n,
-        "T": 4 * n**3,
-        "ratio": Fraction(t * t, counts["red"] * counts["green"] * counts["blue"]),
-    }
+    expected = {"R": 2 * n * n, "G": 2 * n * n, "B": 2 * n * n, "T": 4 * n**3, "ratio": ratio}
     return Construction("k4_blowup", graph, expected)
 
 
@@ -108,9 +91,16 @@ def rainbow_tripartite(a: int, b: int, c: int) -> Construction:
         for z in parts[2]:
             edges.append(((x, z), "blue"))
     graph = ColoredHypergraph.from_edges(a + b + c, edges)
-    t = count_rainbow_cliques(graph, 3, RGB)
-    _self_check("rainbow_tripartite", {"T": (a * b * c, t)})
-    expected = {"R": a * b, "G": b * c, "B": a * c, "T": a * b * c, "ratio": Fraction(t * t, a * b * b * c * a * c)}
+    counts, ratio = PROBLEMS["rainbow_d"].exact(graph, 3, 0, RGB)
+    _self_check(
+        "rainbow_tripartite",
+        {
+            "class sizes": ((a * b, b * c, a * c), tuple(counts["C"])),
+            "T": (a * b * c, counts["T"]),
+            "T^2 = RGB": (1, ratio),
+        },
+    )
+    expected = {"R": a * b, "G": b * c, "B": a * c, "T": a * b * c, "ratio": ratio}
     return Construction("rainbow_tripartite", graph, expected)
 
 
@@ -151,18 +141,16 @@ def matching_construction(d: int) -> Construction:
         complement = tuple(v for v in vertices if v not in pair)
         edges.append((complement, color))
     graph = ColoredHypergraph.from_edges(d + 1, edges)
-    t = count_rainbow_cliques(graph, d, colors)
-    counts = graph.color_counts()
+    counts, ratio = PROBLEMS["rainbow_d"].exact(graph, d, 0, colors)
     _self_check(
         "matching_construction",
         {
-            "T": (d + 1, t),
-            "per-color edges": ((d + 1) // 2, min(counts.values())),
-            "classes equal": (min(counts.values()), max(counts.values())),
+            "T": (d + 1, counts["T"]),
+            "per-color edges": ((d + 1) // 2, min(counts["C"])),
+            "classes equal": (min(counts["C"]), max(counts["C"])),
+            "ratio": (Fraction(2**d, d + 1), ratio),
         },
     )
-    ratio = Fraction(t ** (d - 1), math.prod(counts[c] for c in colors))
-    _self_check("matching_construction", {"ratio": (Fraction(2**d, d + 1), ratio)})
     expected = {"T": d + 1, "C": tuple((d + 1) // 2 for _ in colors), "ratio": ratio}
     return Construction("matching_construction", graph, expected)
 
@@ -191,20 +179,17 @@ def kappa_lift(h: ColoredHypergraph) -> Construction:
     edges = [(e.verts + (v,), e.color) for e in h.edges]
     edges.extend((delta, new_color) for delta in cliques)
     graph = ColoredHypergraph.from_edges(h.n + 1, edges)
-    lifted_colors = colors + (new_color,)
-    t_new = count_rainbow_cliques(graph, d + 1, lifted_colors)
-    counts = graph.color_counts()
+    counts, ratio = PROBLEMS["rainbow_d"].exact(graph, d + 1, 0, colors + (new_color,))
     old_counts = h.color_counts()
     _self_check(
         "kappa_lift",
         {
-            "T preserved": (len(cliques), t_new),
-            "new class size": (len(cliques), counts[new_color]),
-            "old classes": (tuple(old_counts[c] for c in colors), tuple(counts[c] for c in colors)),
+            "T preserved": (len(cliques), counts["T"]),
+            "new class size": (len(cliques), counts["C"][-1]),
+            "old classes": (tuple(old_counts[c] for c in colors), tuple(counts["C"][:-1])),
         },
     )
-    ratio = Fraction(t_new**d, math.prod(counts[c] for c in lifted_colors))
-    expected = {"T": t_new, "C": tuple(counts[c] for c in lifted_colors), "ratio": ratio}
+    expected = {"T": counts["T"], "C": tuple(counts["C"]), "ratio": ratio}
     return Construction("kappa_lift", graph, expected)
 
 
@@ -245,24 +230,12 @@ def tetrahedra8() -> Construction:
     for subset in combinations(range(4), 3):
         edges.append((subset, "yellow"))
     graph = ColoredHypergraph.from_edges(8, edges)
-    colors = ("red", "blue", "green", "yellow")
-    counts = graph.color_counts()
-    t = count_rainbow_cliques(graph, 4, colors)
+    counts, ratio = PROBLEMS["rainbow_d"].exact(graph, 4, 0, ("red", "blue", "green", "yellow"))
     _self_check(
         "tetrahedra8",
-        {
-            "class sizes": ((16, 16, 12, 12), tuple(counts[c] for c in colors)),
-            "T": (48, t),
-        },
+        {"class sizes": ((16, 16, 12, 12), tuple(counts["C"])), "T": (48, counts["T"]), "ratio": (3, ratio)},
     )
-    expected = {
-        "R": 16,
-        "B": 16,
-        "G": 12,
-        "Y": 12,
-        "T": 48,
-        "ratio": Fraction(48**3, 16 * 16 * 12 * 12),
-    }
+    expected = {"R": 16, "B": 16, "G": 12, "Y": 12, "T": 48, "ratio": ratio}
     return Construction("tetrahedra8", graph, expected)
 
 
@@ -280,9 +253,9 @@ def flats_example() -> Construction:
             verts = tuple(sorted(ij + tuple(4 + k for k in kl)))
             edges.append((verts, PLAIN))
     graph = ColoredHypergraph.from_edges(8, edges)
-    j = count_good_6subsets(graph)
-    _self_check("flats_example", {"N": (14, len(graph.edges)), "J": (28, j)})
-    expected = {"N": 14, "J": 28, "ratio": Fraction(28 * 28, 14**3)}
+    counts, ratio = PROBLEMS["good6"].exact(graph)
+    _self_check("flats_example", {"N": (14, counts["N"]), "J": (28, counts["J"]), "ratio": (Fraction(2, 7), ratio)})
+    expected = {"N": 14, "J": 28, "ratio": ratio}
     return Construction("flats_example", graph, expected)
 
 
@@ -305,16 +278,10 @@ def tripartite_mixed(n: int) -> Construction:
             for z in parts[2]:
                 edges.append(((x, y, z), PLAIN))
     graph = ColoredHypergraph.from_edges(3 * n, edges)
-    j = len(good_4subsets_mixed(graph))
-    n2 = 3 * math.comb(n, 2)
-    n3 = n**3
-    _self_check("tripartite_mixed", {"J": (3 * math.comb(n, 2) * n * n, j)})
-    expected = {
-        "N2": n2,
-        "N3": n3,
-        "J": j,
-        "ratio": Fraction(j * j, n2 * n3 * n3) if n2 else None,
-    }
+    counts, ratio = PROBLEMS["mixed4"].exact(graph)
+    n2, n3, j = 3 * math.comb(n, 2), n**3, 3 * math.comb(n, 2) * n * n
+    _self_check("tripartite_mixed", {"N2": (n2, counts["N2"]), "N3": (n3, counts["N3"]), "J": (j, counts["J"])})
+    expected = {"N2": n2, "N3": n3, "J": j, "ratio": ratio}
     return Construction("tripartite_mixed", graph, expected)
 
 

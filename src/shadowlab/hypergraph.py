@@ -4,7 +4,7 @@ Counts are exact big integers; ratios become floats only inside reports.
 Graphs are immutable after construction, so every operation here is safe to
 call concurrently.  `PROBLEMS` at the bottom is the one registry of the ratio
 problems (formula, bounds, note, random instances) that the checks, the
-search and the command line all read.
+constructions, the search and the command line all read.
 """
 
 from __future__ import annotations
@@ -494,9 +494,10 @@ class Problem(Record):
     """One ratio problem: its exact ratio, its bounds, its notes and its random instances.
 
     measure(h, d, delta, colors) gives the named counts and the ratio as
-    (numerator, denominator), the denominator 0 when a class is empty.
-    bounds(d, delta) lists every proven and conjectured upper bound on the
-    ratio; instance(rng, n, d, delta) draws one seeded random graph on n
+    (numerator, denominator), the denominator 0 when a class is empty;
+    exact() turns that into a Fraction, or None.  bounds(d, delta) lists
+    every proven and conjectured upper bound on the ratio;
+    instance(rng, n, d, delta) draws one seeded random graph on n
     vertices.  Only rainbow_d reads colors; d and delta are ignored where
     the problem has no such parameter.
     """
@@ -508,12 +509,12 @@ class Problem(Record):
     notes: tuple[str, ...]
     instance: Callable[[random.Random, int, int, int], ColoredHypergraph]
 
-    def ratio(
+    def exact(
         self, h: ColoredHypergraph, d: int = 3, delta: int = 0, colors: Sequence[str] | None = None
-    ) -> tuple[int, int] | None:
-        """The exact ratio as (numerator, denominator), or None when a class is empty."""
-        _, num, den = self.measure(h, d, delta, colors)
-        return (num, den) if den else None
+    ) -> tuple[dict, Fraction | None]:
+        """The named counts and the exact ratio, None when a class in the denominator is empty."""
+        counts, num, den = self.measure(h, d, delta, colors)
+        return counts, Fraction(num, den) if den else None
 
     def reports(self, value: Fraction, d: int = 3, delta: int = 0) -> list[BoundReport]:
         """A ratio value checked against every bound of the problem."""
@@ -641,8 +642,7 @@ def check_ratio(
     Raises ValidationError when a class in the denominator is empty.
     """
     problem = get_problem(name)
-    counts, num, den = problem.measure(h, d, delta, colors)
-    if den == 0:
+    counts, ratio = problem.exact(h, d, delta, colors)
+    if ratio is None:
         raise ValidationError(f"the {name} ratio needs every class nonempty, got {counts}")
-    ratio = Fraction(num, den)
     return RatioReport(counts, ratio, tuple(problem.reports(ratio, d, delta)))

@@ -1,9 +1,10 @@
 """Exhaustive and seeded-random search for extremal ratios at desk scale.
 
 States are enumerated in a fixed order (base-4 or per-slot bits), ratios are
-compared by exact integer cross-multiplication, and every reported witness
-recounts to exactly the reported ratio.  The state space splits into
-independent ranges, so scans never share mutable state.
+compared by exact integer cross-multiplication, and every reported ratio is
+the registry's exact ratio of its witness: a scan whose own count differs
+raises BoundViolationError.  The state space splits into independent
+ranges, so scans never share mutable state.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping
 
-from .errors import ValidationError, check_cap
-from .hypergraph import RGB, VERTEX_CAP, ColoredHypergraph, get_problem
+from .errors import BoundViolationError, ValidationError, check_cap
+from .hypergraph import PROBLEMS, RGB, VERTEX_CAP, ColoredHypergraph, get_problem
 from .record import Record
 
 RAINBOW_CAP = 5  # 4^binom(n,2) states; n = 6 takes about 38 min at a measured 4.7e5 states/s
@@ -22,24 +23,23 @@ MIXED_CAP = 5  # 2^(pairs + triples) states; n = 6 takes about 43 h at a measure
 
 
 class SearchResult(Record):
+    """The best exact ratio found and its witness, both None when no instance had one."""
+
     problem: str
-    best_numerator: int
-    best_denominator: int
+    best: Fraction | None
     witness: ColoredHypergraph | None
     explored: int
     exhaustive: bool
 
-    @property
-    def best_ratio(self) -> float:
-        if self.witness is None:
-            return float("nan")
-        return self.best_numerator / self.best_denominator
 
-    @property
-    def best_ratio_exact(self) -> Fraction | None:
-        if self.witness is None:
-            return None
-        return Fraction(self.best_numerator, self.best_denominator)
+def _recounted(name: str, witness: ColoredHypergraph | None, num: int, den: int) -> Fraction | None:
+    """The registry's ratio of a scan's witness, which must equal the scan's own num/den."""
+    if witness is None:
+        return None
+    _, best = PROBLEMS[name].exact(witness, 3, 0, RGB)
+    if best != Fraction(num, den):
+        raise BoundViolationError(f"{name} witness recounts to {best}, the scan counted {num}/{den}")
+    return best
 
 
 def search_rainbow_triangle(max_vertices: int) -> SearchResult:
@@ -93,14 +93,8 @@ def search_rainbow_triangle(max_vertices: int) -> SearchResult:
                 if c
             ],
         )
-    return SearchResult(
-        problem="rainbow_triangle",
-        best_numerator=best_num,
-        best_denominator=best_den,
-        witness=witness,
-        explored=explored,
-        exhaustive=True,
-    )
+    best = _recounted("rainbow_d", witness, best_num, best_den)
+    return SearchResult("rainbow_triangle", best, witness, explored, exhaustive=True)
 
 
 def search_mixed_4subsets(max_vertices: int) -> SearchResult:
@@ -154,14 +148,8 @@ def search_mixed_4subsets(max_vertices: int) -> SearchResult:
         edges = [(p, "plain") for i, p in enumerate(pairs) if bits2 >> i & 1]
         edges += [(t, "plain") for i, t in enumerate(triples) if bits3 >> i & 1]
         witness = ColoredHypergraph.from_edges(n, edges)
-    return SearchResult(
-        problem="mixed_4subsets",
-        best_numerator=best_num,
-        best_denominator=best_den,
-        witness=witness,
-        explored=explored,
-        exhaustive=True,
-    )
+    best = _recounted("mixed4", witness, best_num, best_den)
+    return SearchResult("mixed_4subsets", best, witness, explored, exhaustive=True)
 
 
 def random_probe(
@@ -185,20 +173,11 @@ def random_probe(
     check_cap("vertex count", n, VERTEX_CAP)  # before drawing an instance of up to C(n, 4) edges
     rng = random.Random(seed)
     best_num, best_den = 0, 1
-    best: ColoredHypergraph | None = None
+    witness: ColoredHypergraph | None = None
     for _ in range(trials):
         h = prob.instance(rng, n, d, delta)
-        ratio = prob.ratio(h, d, delta)
-        if ratio is None:
-            continue
-        num, den = ratio
-        if best is None or num * best_den > best_num * den:
-            best_num, best_den, best = num, den, h
-    return SearchResult(
-        problem=problem,
-        best_numerator=best_num,
-        best_denominator=best_den,
-        witness=best,
-        explored=trials,
-        exhaustive=False,
-    )
+        _, num, den = prob.measure(h, d, delta, None)
+        if den and (witness is None or num * best_den > best_num * den):
+            best_num, best_den, witness = num, den, h
+    best = None if witness is None else Fraction(best_num, best_den)
+    return SearchResult(problem, best, witness, trials, exhaustive=False)

@@ -92,12 +92,12 @@ def test_criterion_02_rainbow_triangle_property():
 
 def test_criterion_03_exhaustive_tightness():
     res4 = search_rainbow_triangle(4)
-    assert res4.best_ratio_exact == Fraction(2)
+    assert res4.best == Fraction(2)
     assert color_isomorphic(res4.witness, k4_blowup(1).graph)
     start = time.perf_counter()
     res5 = search_rainbow_triangle(5)
     elapsed = time.perf_counter() - start
-    assert res5.best_ratio_exact == Fraction(2)
+    assert res5.best == Fraction(2)
     assert elapsed < 300.0
     passed(3, f"exhaustive max at n=4 and n=5 is exactly 2, n=4 witness is the opposite-edge K4 ({elapsed:.1f}s)")
 

@@ -18,6 +18,7 @@ from shadowlab.constructions import (
 )
 from shadowlab.errors import CapacityError, ValidationError
 from shadowlab.hypergraph import (
+    ColoredHypergraph,
     check_ratio,
     count_good_6subsets,
     count_rainbow_cliques,
@@ -112,6 +113,12 @@ class TestKappaLift:
     def test_wrong_uniformity_rejected(self):
         with pytest.raises(ValidationError):
             kappa_lift(flats_example().graph)
+
+    def test_lift_without_rainbow_clique_has_no_ratio(self):
+        # the new color class is empty, so the lifted ratio is undefined
+        path = ColoredHypergraph.from_edges(4, [((0, 1), "red"), ((1, 2), "green"), ((2, 3), "blue")])
+        c = kappa_lift(path)
+        assert c.expected == {"T": 0, "C": (1, 1, 1, 0), "ratio": None}
 
 
 class TestTetrahedra8:

@@ -85,9 +85,9 @@ CASES = [
      ("witness", ((0,), 1))),
     (SubspaceFamily, (2, 2, 1, (((0, 1),),)), 0, (),
      "SubspaceFamily(q=2, n=2, d=1, members=(((0, 1),),))", True, ("q", 3)),
-    (SearchResult, ("p", 1, 2, None, 5, True), 0, (),
-     "SearchResult(problem='p', best_numerator=1, best_denominator=2, witness=None, explored=5, "
-     "exhaustive=True)", True, ("explored", 6)),
+    (SearchResult, ("p", Fraction(1, 2), None, 5, True), 0, (),
+     "SearchResult(problem='p', best=Fraction(1, 2), witness=None, explored=5, exhaustive=True)",
+     True, ("explored", 6)),
     (Construction, ("x", GRAPH, {"a": 1}), 0, (),
      f"Construction(name='x', graph=ColoredHypergraph(n=2, edges=({EDGE_REPR},)), expected={{'a': 1}})",
      False, ("name", "y")),
@@ -111,7 +111,7 @@ FIELDS = {
     AxiomReport: ("ok", "exhaustive", "checked", "violation"),
     CompatibilityResult: ("ok", "witness"),
     SubspaceFamily: ("q", "n", "d", "members"),
-    SearchResult: ("problem", "best_numerator", "best_denominator", "witness", "explored", "exhaustive"),
+    SearchResult: ("problem", "best", "witness", "explored", "exhaustive"),
     Construction: ("name", "graph", "expected"),
 }
 

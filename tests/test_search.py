@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from shadowlab.constructions import k4_blowup
-from shadowlab.errors import CapacityError, ValidationError
-from shadowlab.hypergraph import check_ratio, color_isomorphic, good_4subsets_mixed
+from shadowlab.errors import BoundViolationError, CapacityError, ValidationError
+from shadowlab.hypergraph import PROBLEMS, Problem, check_ratio, color_isomorphic, good_4subsets_mixed
 from shadowlab.search import random_probe, search_mixed_4subsets, search_rainbow_triangle
 
 RGB = ("red", "green", "blue")
@@ -15,13 +15,13 @@ RGB = ("red", "green", "blue")
 class TestRainbowSearch:
     def test_n3_single_triangle(self):
         res = search_rainbow_triangle(3)
-        assert res.best_ratio_exact == 1
+        assert res.best == 1
         assert res.explored == 4**3
         assert res.exhaustive
 
     def test_n4_tight_and_isomorphic_to_opposite_coloring(self):
         res = search_rainbow_triangle(4)
-        assert res.best_ratio_exact == 2
+        assert res.best == 2
         assert res.explored == 4**6
         assert color_isomorphic(res.witness, k4_blowup(1).graph)
 
@@ -29,11 +29,11 @@ class TestRainbowSearch:
         res = search_rainbow_triangle(4)
         rep = check_ratio("rainbow_d", res.witness, 3, colors=RGB)
         t = rep.counts["T"]
-        assert Fraction(t * t, rep.counts["C"][0] * rep.counts["C"][1] * rep.counts["C"][2]) == res.best_ratio_exact
+        assert Fraction(t * t, rep.counts["C"][0] * rep.counts["C"][1] * rep.counts["C"][2]) == res.best
 
     def test_never_exceeds_proven_cap(self):
         for n in (3, 4):
-            assert search_rainbow_triangle(n).best_ratio_exact <= 2
+            assert search_rainbow_triangle(n).best <= 2
 
     def test_cap(self):
         for n in (6, 8):
@@ -45,9 +45,9 @@ class TestMixedSearch:
     def test_n4_exhaustive_value(self):
         res = search_mixed_4subsets(4)
         # one good 4-subset with minimal N2 = 1, N3 = 2 is optimal at n=4
-        assert res.best_ratio_exact == Fraction(1, 4)
+        assert res.best == Fraction(1, 4)
         assert res.exhaustive
-        assert res.best_ratio_exact <= Fraction(9, 2)
+        assert res.best <= Fraction(9, 2)
 
     def test_witness_recounts_exactly(self):
         res = search_mixed_4subsets(4)
@@ -55,7 +55,7 @@ class TestMixedSearch:
         j = len(good_4subsets_mixed(h))
         n2 = sum(1 for e in h.edges if len(e.verts) == 2)
         n3 = sum(1 for e in h.edges if len(e.verts) == 3)
-        assert Fraction(j * j, n2 * n3 * n3) == res.best_ratio_exact
+        assert Fraction(j * j, n2 * n3 * n3) == res.best
 
     def test_too_few_vertices_rejected(self):
         with pytest.raises(ValidationError):
@@ -71,7 +71,7 @@ class TestRandomProbe:
     def test_deterministic(self):
         a = random_probe("rainbow_d", {"vertices": 6, "d": 3}, 200, seed=7)
         b = random_probe("rainbow_d", {"vertices": 6, "d": 3}, 200, seed=7)
-        assert a.best_ratio_exact == b.best_ratio_exact
+        assert a.best == b.best
         assert a.witness == b.witness
 
     def test_zero_trials(self):
@@ -82,7 +82,7 @@ class TestRandomProbe:
     def test_rainbow_probe_respects_proven_cap(self):
         res = random_probe("rainbow_d", {"vertices": 7, "d": 3}, 300, seed=5)
         if res.witness is not None:
-            assert res.best_ratio_exact <= 2
+            assert res.best <= 2
 
     def test_witness_recounts(self):
         res = random_probe("rainbow_d", {"vertices": 6, "d": 3}, 100, seed=11)
@@ -90,17 +90,17 @@ class TestRandomProbe:
             rep = check_ratio("rainbow_d", res.witness, 3, colors=("c1", "c2", "c3"))
             num = rep.counts["T"] ** 2
             den = rep.counts["C"][0] * rep.counts["C"][1] * rep.counts["C"][2]
-            assert Fraction(num, den) == res.best_ratio_exact
+            assert Fraction(num, den) == res.best
 
     def test_mixed_probe_within_shearer_cap(self):
         res = random_probe("mixed4", {"vertices": 6}, 200, seed=2)
         if res.witness is not None:
-            assert res.best_ratio_exact <= Fraction(9, 2)
+            assert res.best <= Fraction(9, 2)
 
     def test_covering_probe(self):
         res = random_probe("covering_delta", {"vertices": 5, "delta": 1}, 200, seed=3)
         if res.witness is not None:
-            assert res.best_ratio_exact <= 6
+            assert res.best <= 6
 
     def test_vertex_cap_checked_before_drawing(self):
         with pytest.raises(CapacityError):
@@ -109,3 +109,13 @@ class TestRandomProbe:
     def test_unknown_problem_rejected(self):
         with pytest.raises(ValidationError):
             random_probe("mystery", {}, 10)
+
+
+@pytest.mark.parametrize("scan, name", [(search_rainbow_triangle, "rainbow_d"), (search_mixed_4subsets, "mixed4")])
+def test_scan_ratio_differing_from_the_registry_raises(monkeypatch, scan, name):
+    problem = PROBLEMS[name]
+    wrong = Problem(problem.name, problem.quantity, lambda h, d, delta, colors: ({}, 1, 1000),
+                    problem.bounds, problem.notes, problem.instance)
+    monkeypatch.setitem(PROBLEMS, name, wrong)
+    with pytest.raises(BoundViolationError, match="recounts to 1/1000"):
+        scan(4)
