@@ -16,7 +16,9 @@ from shadowlab.constructions import (
     tetrahedra8,
     tripartite_mixed,
 )
-from shadowlab.errors import CapacityError, ValidationError
+from conftest import fig1_k4
+from shadowlab import hypergraph
+from shadowlab.errors import BoundViolationError, CapacityError, ValidationError
 from shadowlab.hypergraph import (
     ColoredHypergraph,
     check_ratio,
@@ -208,3 +210,34 @@ def test_generators_capped_before_building():
     with pytest.raises(CapacityError, match="family members C\\(m, d\\) = 118264581564861424"):
         complete_family(60, 30)
     assert len(complete_family(20, 10)) == 184756
+
+
+# each generator with the counting kernel its registry problem calls
+RECOUNTED = {
+    "k4_blowup": (lambda: k4_blowup(2), "count_rainbow_cliques"),
+    "rainbow_tripartite": (lambda: rainbow_tripartite(1, 2, 3), "count_rainbow_cliques"),
+    "matching_construction": (lambda: matching_construction(5), "count_rainbow_cliques"),
+    "kappa_lift": (lambda: kappa_lift(fig1_k4()), "count_rainbow_cliques"),
+    "tetrahedra8": (tetrahedra8, "count_rainbow_cliques"),
+    "flats_example": (flats_example, "count_good_6subsets"),
+    "tripartite_mixed": (lambda: tripartite_mixed(2), "count_good_4subsets_mixed"),
+}
+
+
+@pytest.mark.parametrize("name", RECOUNTED)
+def test_self_check_fires_on_a_recount_off_by_one(name, monkeypatch):
+    build, kernel = RECOUNTED[name]
+    assert build().name == name
+    counted = getattr(hypergraph, kernel)
+    monkeypatch.setattr(hypergraph, kernel, lambda *args: counted(*args) + 1)
+    with pytest.raises(BoundViolationError, match=f"{name} self-check failed"):
+        build()
+
+
+@pytest.mark.parametrize("name", [n for n, (_, kernel) in RECOUNTED.items() if kernel == "count_rainbow_cliques"])
+def test_self_check_fires_on_a_class_size_off_by_one(name, monkeypatch):
+    build, _ = RECOUNTED[name]
+    counted = ColoredHypergraph.color_counts
+    monkeypatch.setattr(ColoredHypergraph, "color_counts", lambda h: {c: k + 1 for c, k in counted(h).items()})
+    with pytest.raises(BoundViolationError, match=f"{name} self-check failed"):
+        build()

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -632,6 +633,33 @@ class TestCapacity:
     def test_complete_mixed_graph_within_vertex_cap(self):
         edges = [(e, "plain") for size in (2, 3) for e in combinations(range(64), size)]
         assert len(good_4subsets_mixed(ColoredHypergraph.from_edges(64, edges))) == math.comb(64, 4)
+
+    # each count and the spectral check, with the edge size it reads and one size it refuses
+    ENTRIES = {
+        "rainbow": (lambda h: count_rainbow_cliques(h, 3, RGB), 2, 3),
+        "good6": (count_good_6subsets, 4, 3),
+        "mixed4": (hypergraph.count_good_4subsets_mixed, 3, 4),
+        "covering": (lambda h: count_color_covering_subsets(h, 1), 3, 2),
+        "partial": (lambda h: count_partial_shadow_targets(h, 3, 1), 2, 3),
+        "weighted": (lambda h: weighted_joint_sum(h, 3), 2, 3),
+        "spectral": (spectral_trace_check, 2, 1),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_every_count_refuses_bad_graphs(self, entry):
+        count, size, wrong = self.ENTRIES[entry]
+        edge = tuple(range(size))
+        over_cap = ColoredHypergraph.from_edges(hypergraph.VERTEX_CAP + 1, [(edge, "red", 1)])
+        with pytest.raises(CapacityError, match="vertex count = 65 exceeds cap 64"):
+            count(over_cap)
+        out_of_range = ColoredHypergraph.from_edges(6, [(edge, "red", 1), (tuple(range(7 - size, 7)), "green", 1)])
+        with pytest.raises(ValidationError, match="out of range"):
+            count(out_of_range)
+        odd = tuple(range(1, 1 + wrong))
+        wrong_size = ColoredHypergraph.from_edges(6, [(edge, "red", 1), (odd, "red", 1)])
+        with pytest.raises(ValidationError, match=re.escape(str(odd))):
+            count(wrong_size)
+        assert count(ColoredHypergraph.from_edges(6, [(edge, "red", 1)])) is not None
 
     def test_isomorphism_vertex_cap(self):
         h = ColoredHypergraph.from_edges(9, [((0, 1), "red")])
