@@ -1,10 +1,10 @@
 """Generators for the explicit extremal configurations used as witnesses.
 
-Every generator recounts its graph through `hypergraph.PROBLEMS`, which also
-gives its exact ratio, and checks the counts and the ratio against their
-closed forms before returning, so a returned Construction is already
-verified; a mismatch raises BoundViolationError because it can only mean an
-implementation bug.
+Every generator states its closed forms once, as the expected counts it
+returns, recounts its graph through `hypergraph.PROBLEMS`, which also gives
+its exact ratio, and checks each count against its closed form before
+returning, so a returned Construction is already verified; a mismatch raises
+BoundViolationError because it can only mean an implementation bug.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ class Construction(Record):
     expected: dict[str, object]
 
 
-def _self_check(name: str, pairs: dict[str, tuple[object, object]]) -> None:
-    for key, (want, got) in pairs.items():
-        if want != got:
-            raise BoundViolationError(
-                f"{name} self-check failed: {key} expected {want}, counted {got}"
-            )
+def _self_check(name: str, expected: dict[str, object], counted: dict[str, object]) -> dict[str, object]:
+    """expected, the closed forms, once each counted value equals the closed form of its key."""
+    for key, got in counted.items():
+        if expected[key] != got:
+            raise BoundViolationError(f"{name} self-check failed: {key} expected {expected[key]}, counted {got}")
+    return expected
 
 
 def k4_blowup(n: int) -> Construction:
@@ -62,16 +62,9 @@ def k4_blowup(n: int) -> Construction:
                 edges.append(((a, b), color))
     graph = ColoredHypergraph.from_edges(4 * n, edges)
     counts, ratio = PROBLEMS["rainbow_d"].exact(graph, 3, 0, RGB)
-    _self_check(
-        "k4_blowup",
-        {
-            "class sizes": ((2 * n * n,) * 3, tuple(counts["C"])),
-            "T": (4 * n**3, counts["T"]),
-            "T^2 = 2RGB": (2, ratio),
-        },
-    )
-    expected = {"R": 2 * n * n, "G": 2 * n * n, "B": 2 * n * n, "T": 4 * n**3, "ratio": ratio}
-    return Construction("k4_blowup", graph, expected)
+    expected = {"R": 2 * n * n, "G": 2 * n * n, "B": 2 * n * n, "T": 4 * n**3, "ratio": Fraction(2)}
+    counted = dict(zip("RGB", counts["C"]), T=counts["T"], ratio=ratio)
+    return Construction("k4_blowup", graph, _self_check("k4_blowup", expected, counted))
 
 
 def rainbow_tripartite(a: int, b: int, c: int) -> Construction:
@@ -92,16 +85,9 @@ def rainbow_tripartite(a: int, b: int, c: int) -> Construction:
             edges.append(((x, z), "blue"))
     graph = ColoredHypergraph.from_edges(a + b + c, edges)
     counts, ratio = PROBLEMS["rainbow_d"].exact(graph, 3, 0, RGB)
-    _self_check(
-        "rainbow_tripartite",
-        {
-            "class sizes": ((a * b, b * c, a * c), tuple(counts["C"])),
-            "T": (a * b * c, counts["T"]),
-            "T^2 = RGB": (1, ratio),
-        },
-    )
-    expected = {"R": a * b, "G": b * c, "B": a * c, "T": a * b * c, "ratio": ratio}
-    return Construction("rainbow_tripartite", graph, expected)
+    expected = {"R": a * b, "G": b * c, "B": a * c, "T": a * b * c, "ratio": Fraction(1)}
+    counted = dict(zip("RGB", counts["C"]), T=counts["T"], ratio=ratio)
+    return Construction("rainbow_tripartite", graph, _self_check("rainbow_tripartite", expected, counted))
 
 
 def round_robin_matchings(m: int) -> list[list[tuple[int, int]]]:
@@ -142,17 +128,9 @@ def matching_construction(d: int) -> Construction:
         edges.append((complement, color))
     graph = ColoredHypergraph.from_edges(d + 1, edges)
     counts, ratio = PROBLEMS["rainbow_d"].exact(graph, d, 0, colors)
-    _self_check(
-        "matching_construction",
-        {
-            "T": (d + 1, counts["T"]),
-            "per-color edges": ((d + 1) // 2, min(counts["C"])),
-            "classes equal": (min(counts["C"]), max(counts["C"])),
-            "ratio": (Fraction(2**d, d + 1), ratio),
-        },
-    )
-    expected = {"T": d + 1, "C": tuple((d + 1) // 2 for _ in colors), "ratio": ratio}
-    return Construction("matching_construction", graph, expected)
+    expected = {"T": d + 1, "C": tuple((d + 1) // 2 for _ in colors), "ratio": Fraction(2**d, d + 1)}
+    counted = {"T": counts["T"], "C": tuple(counts["C"]), "ratio": ratio}
+    return Construction("matching_construction", graph, _self_check("matching_construction", expected, counted))
 
 
 def kappa_lift(h: ColoredHypergraph) -> Construction:
@@ -181,16 +159,10 @@ def kappa_lift(h: ColoredHypergraph) -> Construction:
     graph = ColoredHypergraph.from_edges(h.n + 1, edges)
     counts, ratio = PROBLEMS["rainbow_d"].exact(graph, d + 1, 0, colors + (new_color,))
     old_counts = h.color_counts()
-    _self_check(
-        "kappa_lift",
-        {
-            "T preserved": (len(cliques), counts["T"]),
-            "new class size": (len(cliques), counts["C"][-1]),
-            "old classes": (tuple(old_counts[c] for c in colors), tuple(counts["C"][:-1])),
-        },
-    )
-    expected = {"T": counts["T"], "C": tuple(counts["C"]), "ratio": ratio}
-    return Construction("kappa_lift", graph, expected)
+    # the lift keeps T and the old classes, and its new class has one edge per clique
+    expected = {"T": len(cliques), "C": (*(old_counts[c] for c in colors), len(cliques)), "ratio": ratio}
+    counted = {"T": counts["T"], "C": tuple(counts["C"])}
+    return Construction("kappa_lift", graph, _self_check("kappa_lift", expected, counted))
 
 
 def tetrahedra8() -> Construction:
@@ -231,12 +203,9 @@ def tetrahedra8() -> Construction:
         edges.append((subset, "yellow"))
     graph = ColoredHypergraph.from_edges(8, edges)
     counts, ratio = PROBLEMS["rainbow_d"].exact(graph, 4, 0, ("red", "blue", "green", "yellow"))
-    _self_check(
-        "tetrahedra8",
-        {"class sizes": ((16, 16, 12, 12), tuple(counts["C"])), "T": (48, counts["T"]), "ratio": (3, ratio)},
-    )
-    expected = {"R": 16, "B": 16, "G": 12, "Y": 12, "T": 48, "ratio": ratio}
-    return Construction("tetrahedra8", graph, expected)
+    expected = {"R": 16, "B": 16, "G": 12, "Y": 12, "T": 48, "ratio": Fraction(3)}
+    counted = dict(zip("RBGY", counts["C"]), T=counts["T"], ratio=ratio)
+    return Construction("tetrahedra8", graph, _self_check("tetrahedra8", expected, counted))
 
 
 def flats_example() -> Construction:
@@ -254,9 +223,8 @@ def flats_example() -> Construction:
             edges.append((verts, PLAIN))
     graph = ColoredHypergraph.from_edges(8, edges)
     counts, ratio = PROBLEMS["good6"].exact(graph)
-    _self_check("flats_example", {"N": (14, counts["N"]), "J": (28, counts["J"]), "ratio": (Fraction(2, 7), ratio)})
-    expected = {"N": 14, "J": 28, "ratio": ratio}
-    return Construction("flats_example", graph, expected)
+    expected = {"N": 14, "J": 28, "ratio": Fraction(2, 7)}
+    return Construction("flats_example", graph, _self_check("flats_example", expected, {**counts, "ratio": ratio}))
 
 
 def tripartite_mixed(n: int) -> Construction:
@@ -279,10 +247,8 @@ def tripartite_mixed(n: int) -> Construction:
                 edges.append(((x, y, z), PLAIN))
     graph = ColoredHypergraph.from_edges(3 * n, edges)
     counts, ratio = PROBLEMS["mixed4"].exact(graph)
-    n2, n3, j = 3 * math.comb(n, 2), n**3, 3 * math.comb(n, 2) * n * n
-    _self_check("tripartite_mixed", {"N2": (n2, counts["N2"]), "N3": (n3, counts["N3"]), "J": (j, counts["J"])})
-    expected = {"N2": n2, "N3": n3, "J": j, "ratio": ratio}
-    return Construction("tripartite_mixed", graph, expected)
+    expected = {"N2": 3 * math.comb(n, 2), "N3": n**3, "J": 3 * math.comb(n, 2) * n * n, "ratio": ratio}
+    return Construction("tripartite_mixed", graph, _self_check("tripartite_mixed", expected, counts))
 
 
 def complete_family(m: int, d: int) -> SetFamily:

@@ -130,10 +130,20 @@ def validate(h: ColoredHypergraph) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def _require_valid(h: ColoredHypergraph) -> None:
+def _edges(h: ColoredHypergraph, *sizes: int, what: str = "") -> tuple[Edge, ...]:
+    """The edges of h, once h is within the vertex cap, valid, and of one of sizes (any, if none).
+
+    The one entry check of the counts; `what` names the count in the size refusal.
+    """
+    check_cap("vertex count", h.n, VERTEX_CAP)
     report = validate(h)
     if not report.ok:
         raise ValidationError("; ".join(report.violations))
+    if sizes:
+        for e in h.edges:
+            if len(e.verts) not in sizes:
+                raise ValidationError(f"{what} requires {'- or '.join(map(str, sizes))}-uniform edges, got {e.verts}")
+    return h.edges
 
 
 def _cofaces(
@@ -168,10 +178,8 @@ def rainbow_cliques(
     color_list = list(colors)
     if len(color_list) != d or len(set(color_list)) != d:
         raise ValidationError(f"expected {d} distinct colors, got {color_list}")
-    check_cap("vertex count", h.n, VERTEX_CAP)
-    _require_valid(h)
     listed = set(color_list)
-    for e in h.edges:
+    for e in _edges(h):
         if e.color in listed and len(e.verts) != d - 1:
             raise ValidationError(
                 f"edge {e.verts} with listed color {e.color!r} has {len(e.verts)} vertices, expected {d - 1}"
@@ -227,13 +235,6 @@ def check_kruskal_katona(fam: SetFamily) -> BoundReport:
     )
 
 
-def _edges_of_size(h: ColoredHypergraph, size: int, what: str) -> set[tuple[int, ...]]:
-    for e in h.edges:
-        if len(e.verts) != size:
-            raise ValidationError(f"{what} requires {size}-uniform edges, got {e.verts}")
-    return {e.verts for e in h.edges}
-
-
 def _links(edges: Iterable[tuple[int, ...]], size: int) -> defaultdict[tuple[int, ...], set[tuple[int, ...]]]:
     """For every size-subset T of an edge, the sorted complements S with T + S an edge."""
     links: defaultdict[tuple[int, ...], set[tuple[int, ...]]] = defaultdict(set)
@@ -257,9 +258,7 @@ def good_6subsets(h: ColoredHypergraph) -> tuple[tuple[int, ...], ...]:
     q + r edges: each 4-edge split into pairs p, q gives one for every pair r
     that completes both p and q to an edge.
     """
-    check_cap("vertex count", h.n, VERTEX_CAP)
-    _require_valid(h)
-    edges = _edges_of_size(h, 4, "good 6-subset counting")
+    edges = [e.verts for e in _edges(h, 4, what="good 6-subset counting")]
     degree = Counter(p for e in edges for p in combinations(e, 2))
     work = sum(min(degree[p], degree[q]) for e in edges for p, q in _splits(e))
     # a split costs one step per edge through its smaller pair; measured about 0.3 µs a step
@@ -279,17 +278,9 @@ def good_4subsets_mixed(h: ColoredHypergraph) -> tuple[tuple[int, ...], ...]:
     Each 2-edge {v3, v4} gives one for every pair {v1, v2} that completes both
     v3 and v4 to a 3-edge.
     """
-    check_cap("vertex count", h.n, VERTEX_CAP)
-    _require_valid(h)
-    pairs = []
-    triples = []
-    for e in h.edges:
-        if len(e.verts) == 2:
-            pairs.append(e.verts)
-        elif len(e.verts) == 3:
-            triples.append(e.verts)
-        else:
-            raise ValidationError(f"mixed counting allows only 2- and 3-edges, got {e.verts}")
+    edges = _edges(h, 2, 3, what="mixed counting")
+    pairs = [e.verts for e in edges if len(e.verts) == 2]
+    triples = [e.verts for e in edges if len(e.verts) == 3]
     # no cap beyond the vertex cap: at most C(64, 2) 2-edges, each intersecting two sets of at most C(63, 2) pairs
     links = _links(triples, 1)
     good = {tuple(sorted(r + (v3, v4))) for v3, v4 in pairs for r in links[(v3,)] & links[(v4,)]}
@@ -307,13 +298,8 @@ def color_covering_subsets(h: ColoredHypergraph, delta: int) -> tuple[tuple[int,
     """(delta+3)-sets of a (delta+2)-uniform 3-colored graph containing all colors."""
     if delta < 0:
         raise ValidationError(f"delta must be nonnegative, got {delta}")
-    check_cap("vertex count", h.n, VERTEX_CAP)
-    _require_valid(h)
-    size = delta + 2
     lookup = {}
-    for e in h.edges:
-        if len(e.verts) != size:
-            raise ValidationError(f"edge {e.verts} has size {len(e.verts)}, expected {size}")
+    for e in _edges(h, delta + 2, what="color covering counting"):
         if e.color not in RGB:
             raise ValidationError(f"edge color {e.color!r} not among {RGB}")
         lookup[e.verts] = e.color
@@ -329,9 +315,7 @@ def count_partial_shadow_targets(h: ColoredHypergraph, r: int, k: int) -> int:
     """Number of r-subsets containing at least r-k edges of an (r-1)-uniform h."""
     if r < 1 or k < 0 or k > r:
         raise ValidationError(f"need r >= 1 and 0 <= k <= r, got r={r}, k={k}")
-    check_cap("vertex count", h.n, VERTEX_CAP)
-    _require_valid(h)
-    edges = _edges_of_size(h, r - 1, "partial shadow counting")
+    edges = [e.verts for e in _edges(h, r - 1, what="partial shadow counting")]
     needed = r - k
     if needed <= 0:
         return math.comb(h.n, r)
@@ -361,15 +345,8 @@ def check_partial_shadow_bound(h: ColoredHypergraph, r: int, k: int) -> BoundRep
 
 
 def _weights(h: ColoredHypergraph, size: int) -> dict[tuple[int, ...], int]:
-    table = {}
-    for e in h.edges:
-        if len(e.verts) != size:
-            raise ValidationError(f"weighted ops require {size}-uniform edges, got {e.verts}")
-        w = 1 if e.weight is None else e.weight
-        if not isinstance(w, int) or w < 0:
-            raise ValidationError(f"weight of {e.verts} must be a nonnegative integer, got {w}")
-        table[e.verts] = w
-    return table
+    """Each edge's weight, 1 where it has none; the edges must have the given size."""
+    return {e.verts: 1 if e.weight is None else e.weight for e in _edges(h, size, what="weighted ops")}
 
 
 class WeightedSumReport(Record):
@@ -390,8 +367,6 @@ def weighted_joint_sum(h: ColoredHypergraph, d: int) -> WeightedSumReport:
     """
     if d < 2:
         raise ValidationError(f"need d >= 2, got {d}")
-    check_cap("vertex count", h.n, VERTEX_CAP)
-    _require_valid(h)
     table = _weights(h, d - 1)
     total = sum(table.values())
     bases = [f for f, w in table.items() if w]
@@ -429,8 +404,6 @@ def spectral_trace_check(h: ColoredHypergraph) -> SpectralReport:
     tr(M^2)^3 >= tr(M^3)^2.  Each identity holds to TRACE_TOL times its
     right side (at least 1), the inequality to TRACE_TOL times tr(M^2)^3.
     """
-    check_cap("vertex count", h.n, VERTEX_CAP)
-    _require_valid(h)
     table = _weights(h, 2)
     total = sum(table.values())
     # M is symmetric with a zero diagonal: traces are sums over closed walks

@@ -68,6 +68,31 @@ def _ratio(computed: Exactish, bound: Exactish) -> float:
     return float(computed) / b
 
 
+def _report(
+    kind: str, quantity: str, computed: Exactish, bound: Exactish, source: str,
+    conjecture: bool, holds: bool | None, extra: Mapping[str, object] | None,
+) -> BoundReport:
+    """The one verdict rule: kind "upper" checks computed <= bound, "lower" computed >= bound."""
+    # compared, never subtracted: an infinite bound must not meet inf - inf = nan
+    if holds is None:
+        if _is_exact(computed) and _is_exact(bound):
+            value, limit = Fraction(computed), Fraction(bound)
+        else:
+            value, limit = float(computed), _display(bound) + (DEFAULT_TOL if kind == "upper" else -DEFAULT_TOL)
+        holds = value <= limit if kind == "upper" else value >= limit
+    return BoundReport(
+        quantity=quantity,
+        computed=computed,
+        bound=_display(bound),
+        ratio=_ratio(computed, bound),
+        satisfied=holds,
+        source=source,
+        kind=kind,
+        conjecture=conjecture,
+        extra=dict(extra or {}),
+    )
+
+
 def upper_report(
     quantity: str,
     computed: Exactish,
@@ -82,23 +107,7 @@ def upper_report(
 
     `holds` is the caller's own verdict; `bound` is then for display only.
     """
-    if holds is not None:
-        ok = holds
-    elif _is_exact(computed) and _is_exact(bound):
-        ok = Fraction(computed) <= Fraction(bound)
-    else:
-        ok = float(computed) <= _display(bound) + DEFAULT_TOL
-    return BoundReport(
-        quantity=quantity,
-        computed=computed,
-        bound=_display(bound),
-        ratio=_ratio(computed, bound),
-        satisfied=ok,
-        source=source,
-        kind="upper",
-        conjecture=conjecture,
-        extra=dict(extra or {}),
-    )
+    return _report("upper", quantity, computed, bound, source, conjecture, holds, extra)
 
 
 def lower_report(
@@ -115,23 +124,7 @@ def lower_report(
 
     `holds` is the caller's own verdict; `bound` is then for display only.
     """
-    if holds is not None:
-        ok = holds
-    elif _is_exact(computed) and _is_exact(bound):
-        ok = Fraction(computed) >= Fraction(bound)
-    else:
-        ok = float(computed) >= _display(bound) - DEFAULT_TOL
-    return BoundReport(
-        quantity=quantity,
-        computed=computed,
-        bound=_display(bound),
-        ratio=_ratio(computed, bound),
-        satisfied=ok,
-        source=source,
-        kind="lower",
-        conjecture=conjecture,
-        extra=dict(extra or {}),
-    )
+    return _report("lower", quantity, computed, bound, source, conjecture, holds, extra)
 
 
 class ValidationReport(Record):
