@@ -16,6 +16,17 @@ class BoundViolationError(RuntimeError):
 
 
 def check_cap(quantity: str, value: int, cap: int) -> None:
-    """Raise CapacityError if value exceeds cap."""
+    """Raise CapacityError if value exceeds cap; a value too long to print shows its bit length."""
     if value > cap:
-        raise CapacityError(f"{quantity} = {value} exceeds cap {cap}")
+        try:
+            shown = str(value)
+        except ValueError:  # past the interpreter's limit on the digits of an int it prints
+            shown = f"a {value.bit_length()}-bit number"
+        raise CapacityError(f"{quantity} = {shown} exceeds cap {cap}")
+
+
+def check_power_cap(quantity: str, base: int, exponent: int, cap: int) -> None:
+    """check_cap on base^exponent for base >= 2, not formed when the exponent alone puts it past the cap."""
+    if exponent > cap.bit_length():  # base^exponent >= 2^exponent > cap
+        raise CapacityError(f"{quantity} = {base}^{exponent} exceeds cap {cap}")
+    check_cap(quantity, base**exponent, cap)

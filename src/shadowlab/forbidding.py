@@ -19,7 +19,7 @@ import random
 from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .errors import ValidationError, check_cap
+from .errors import ValidationError, check_cap, check_power_cap
 from .numkit import CVector, product_falling, shadow_bound
 from .qlinalg import is_prime, rref
 from .record import Record
@@ -85,7 +85,7 @@ def qlinear_system(q: int, n: int, d: int) -> ForbiddingSystem:
     """
     if not is_prime(q):
         raise ValidationError(f"q must be prime, got {q}")
-    check_cap("field size q^n", q**n, SYSTEM_UNIVERSE_CAP)
+    check_power_cap("field size q^n", q, n, SYSTEM_UNIVERSE_CAP)
     universe = [v for v in product(range(q), repeat=n) if any(v)]
     return ForbiddingSystem(
         universe=universe,

@@ -131,10 +131,8 @@ def validate(h: ColoredHypergraph) -> ValidationReport:
 
 
 def _edges(h: ColoredHypergraph, *sizes: int, what: str = "") -> tuple[Edge, ...]:
-    """The edges of h, once h is within the vertex cap, valid, and of one of sizes (any, if none).
-
-    The one entry check of the counts; `what` names the count in the size refusal.
-    """
+    """The edges of h, after the one entry check of the counts: the vertex cap, validity, and
+    every edge of one of sizes (any, if none), `what` naming the count in that refusal."""
     check_cap("vertex count", h.n, VERTEX_CAP)
     report = validate(h)
     if not report.ok:
@@ -178,17 +176,16 @@ def rainbow_cliques(
     color_list = list(colors)
     if len(color_list) != d or len(set(color_list)) != d:
         raise ValidationError(f"expected {d} distinct colors, got {color_list}")
-    listed = set(color_list)
-    for e in _edges(h):
-        if e.color in listed and len(e.verts) != d - 1:
-            raise ValidationError(
-                f"edge {e.verts} with listed color {e.color!r} has {len(e.verts)} vertices, expected {d - 1}"
-            )
-    lookup = {e.verts: e.color for e in h.edges if len(e.verts) == d - 1}
     by_color: dict[str, list[tuple[int, ...]]] = {c: [] for c in color_list}
-    for e in h.edges:
-        if e.color in listed:
+    for e in _edges(h):
+        if e.color in by_color:
+            if len(e.verts) != d - 1:
+                raise ValidationError(
+                    f"edge {e.verts} with listed color {e.color!r} has {len(e.verts)} vertices, expected {d - 1}"
+                )
             by_color[e.color].append(e.verts)
+    lookup = {e.verts: e.color for e in h.edges if len(e.verts) == d - 1}
+    listed = set(color_list)
     rarest = min(by_color.values(), key=len)
     # d facets carry the d listed colors once each iff their colors are exactly the listed set
     return tuple(sorted(c for c, got in _cofaces(lookup, rarest, h.n) if set(got) == listed))
@@ -374,8 +371,11 @@ def weighted_joint_sum(h: ColoredHypergraph, d: int) -> WeightedSumReport:
     # sorted, the terms and the float sum keep the combinations(range(n), d) order
     cliques = sorted((c, math.prod(got)) for c, got in _cofaces(table, bases, h.n) if all(got))
     terms = [p for _, p in cliques]
-    value = float(sum(p ** (1.0 / (d - 1)) for p in terms))
-    bound = (math.factorial(d - 1) ** (1.0 / (d - 1)) / d) * float(total) ** (d / (d - 1))
+    try:
+        value = float(sum(p ** (1.0 / (d - 1)) for p in terms))
+        bound = (math.factorial(d - 1) ** (1.0 / (d - 1)) / d) * float(total) ** (d / (d - 1))
+    except OverflowError:  # exact integer weights, with no bound on their size
+        raise ValidationError("edge weights too large: a term or the bound N^{d/(d-1)} overflows a float") from None
     report = upper_report(
         "weighted clique sum",
         value,
@@ -406,31 +406,30 @@ def spectral_trace_check(h: ColoredHypergraph) -> SpectralReport:
     """
     table = _weights(h, 2)
     total = sum(table.values())
-    # M is symmetric with a zero diagonal: traces are sums over closed walks
-    adj: dict[int, dict[int, float]] = {v: {} for v in range(h.n)}
-    for (i, j), w in table.items():
-        adj[i][j] = adj[j][i] = math.sqrt(w)
-    # fsum rounds each sum once, so the traces do not depend on how the Python version sums floats
-    tr2 = math.fsum(x * x for row in adj.values() for x in row.values())
-    tr3 = math.fsum(
-        mij * mjk * adj[k].get(i, 0.0)
-        for i, row in adj.items()
-        for j, mij in row.items()
-        for k, mjk in adj[j].items()
-    )
-    sum_w32 = math.fsum(math.sqrt(p) for p in weighted_joint_sum(h, 3).terms)
-    diff2, diff3, power = abs(tr2 - 2 * total), abs(tr3 - 6 * sum_w32), tr2**3 - tr3**2
-    tol2, tol3 = TRACE_TOL * max(1.0, 2 * total), TRACE_TOL * max(1.0, 6 * sum_w32)
+    terms = weighted_joint_sum(h, 3).terms
+    try:
+        # M is symmetric with a zero diagonal: traces are sums over closed walks
+        adj: dict[int, dict[int, float]] = {v: {} for v in range(h.n)}
+        for (i, j), w in table.items():
+            adj[i][j] = adj[j][i] = math.sqrt(w)
+        # fsum rounds each sum once, so the traces do not depend on how the Python version sums floats
+        tr2 = math.fsum(x * x for row in adj.values() for x in row.values())
+        tr3 = math.fsum(
+            mij * mjk * adj[k].get(i, 0.0)
+            for i, row in adj.items()
+            for j, mij in row.items()
+            for k, mjk in adj[j].items()
+        )
+        sum_w32 = math.fsum(math.sqrt(p) for p in terms)
+        diff2, diff3, power = abs(tr2 - 2 * total), abs(tr3 - 6 * sum_w32), tr2**3 - tr3**2
+        tol2, tol3 = TRACE_TOL * max(1.0, 2 * total), TRACE_TOL * max(1.0, 6 * sum_w32)
+        power_tol = TRACE_TOL * max(1.0, tr2**3)
+    except OverflowError:
+        raise ValidationError("edge weights too large: a trace or tr(M^2)^3 overflows a float") from None
     checks = (
         upper_report("|tr(M^2) - 2N|", diff2, tol2, "trace identity 2N", holds=diff2 <= tol2),
         upper_report("|tr(M^3) - 6 sum w^{3/2}|", diff3, tol3, "trace identity 6S", holds=diff3 <= tol3),
-        lower_report(
-            "tr(M^2)^3 - tr(M^3)^2",
-            power,
-            0.0,
-            "trace power inequality",
-            holds=power >= -TRACE_TOL * max(1.0, tr2**3),
-        ),
+        lower_report("tr(M^2)^3 - tr(M^3)^2", power, 0.0, "trace power inequality", holds=power >= -power_tol),
     )
     return SpectralReport(trace2=tr2, trace3=tr3, total_weight=total, checks=checks)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .errors import ValidationError, check_cap
+from .errors import ValidationError, check_power_cap
 from .numkit import gaussian_binom, shadow_bound
 from .record import Record
 from .reports import BoundReport, lower_report
@@ -115,7 +115,7 @@ def enumerate_subspaces(q: int, n: int, d: int) -> SubspaceFamily:
         raise ValidationError(f"q must be prime, got {q}")
     if not (0 <= d <= n):
         raise ValidationError(f"need 0 <= d <= n, got d={d}, n={n}")
-    check_cap("field size q^n", q**n, FIELD_CAP)
+    check_power_cap("field size q^n", q, n, FIELD_CAP)
     members = []
     for pivots in combinations(range(n), d):
         pivot_set = set(pivots)

@@ -72,7 +72,10 @@ def _report(
     kind: str, quantity: str, computed: Exactish, bound: Exactish, source: str,
     conjecture: bool, holds: bool | None, extra: Mapping[str, object] | None,
 ) -> BoundReport:
-    """The one verdict rule: kind "upper" checks computed <= bound, "lower" computed >= bound."""
+    """The one verdict rule: kind "upper" checks computed <= bound, "lower" computed >= bound.
+
+    `holds` is the caller's own verdict; `bound` is then for display only.
+    """
     # compared, never subtracted: an infinite bound must not meet inf - inf = nan
     if holds is None:
         if _is_exact(computed) and _is_exact(bound):
@@ -94,36 +97,18 @@ def _report(
 
 
 def upper_report(
-    quantity: str,
-    computed: Exactish,
-    bound: Exactish,
-    source: str,
-    *,
-    conjecture: bool = False,
-    holds: bool | None = None,
-    extra: Mapping[str, object] | None = None,
+    quantity: str, computed: Exactish, bound: Exactish, source: str, *,
+    conjecture: bool = False, holds: bool | None = None, extra: Mapping[str, object] | None = None,
 ) -> BoundReport:
-    """Report for computed <= bound; exact comparison when both sides are exact.
-
-    `holds` is the caller's own verdict; `bound` is then for display only.
-    """
+    """Report for computed <= bound; exact comparison when both sides are exact."""
     return _report("upper", quantity, computed, bound, source, conjecture, holds, extra)
 
 
 def lower_report(
-    quantity: str,
-    computed: Exactish,
-    bound: Exactish,
-    source: str,
-    *,
-    conjecture: bool = False,
-    holds: bool | None = None,
-    extra: Mapping[str, object] | None = None,
+    quantity: str, computed: Exactish, bound: Exactish, source: str, *,
+    conjecture: bool = False, holds: bool | None = None, extra: Mapping[str, object] | None = None,
 ) -> BoundReport:
-    """Report for computed >= bound; exact comparison when both sides are exact.
-
-    `holds` is the caller's own verdict; `bound` is then for display only.
-    """
+    """Report for computed >= bound; exact comparison when both sides are exact."""
     return _report("lower", quantity, computed, bound, source, conjecture, holds, extra)
 
 

@@ -409,3 +409,50 @@ class TestCli:
         assert report["quantities"]["shadow_size"] == 3
         written = set_family_from_obj(json.load(open(out)))
         assert len(written) == 3
+
+
+def _weighted_graph(n, weights):
+    return {"vertices": n, "edges": [{"v": v, "color": "plain", "weight": w} for v, w in weights]}
+
+
+# inputs whose caps or float evaluation once ended in a traceback (exit 1)
+OVERSIZED = {
+    "huge.json": _weighted_graph(3, [([0, 1], 10**400)]),
+    "triangle.json": _weighted_graph(3, [([0, 1], 10**103), ([0, 2], 10**103), ([1, 2], 10**103)]),
+    "path.json": _weighted_graph(3, [([0, 1], 10**110), ([1, 2], 10**110)]),
+    "points.json": _weighted_graph(2, [([0], 10**200)]),
+    "f.json": {"n": 3, "d": 2, "sets": [[1, 2]]},
+    "wide.json": {"n": 15000, "d": 15000, "sets": [list(range(15000))]},
+}
+CHILD = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+         "sys.argv[0] = 'shadowlab'; runpy.run_module('shadowlab.cli', run_name='__main__')")
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    # q^n and C(m, d) are refused without being formed, and d < 0 is refused as input
+    ("forbidding verify --system qlinear:2,100000 --d 2", 4, "field size q^n = 2^100000 exceeds cap 65536"),
+    ("forbidding gkk --system qlinear:3,1000000 --d 2 --family f.json", 4, "q^n = 3^1000000 exceeds"),
+    ("construct complete-family --m 100000 --d 50000", 4, "C(m, d) = C(100000, 50000) exceeds cap 1000000"),
+    ("construct complete-family --m 1000000 --d 500000", 4, "C(m, d) = C(1000000, 500000) exceeds"),
+    ("construct complete-family --m 4000000 --d 2000000", 4, "C(m, d) = C(4000000, 2000000) exceeds"),
+    ("construct complete-family --m 3 --d -1", 3, "need 0 <= d <= m, got m=3, d=-1"),
+    # a cap's value too long to print: 2^15000 subset visits
+    ("entropy --key --family wide.json", 4, "(members x 2^d) = a 15001-bit number exceeds cap 10000000"),
+    # weights whose float evaluation overflows: one weight, a triangle's product, N^2 at d = 2, tr(M^2)^3
+    ("weighted --input huge.json", 3, "edge weights too large"),
+    ("weighted --input huge.json --spectral", 3, "edge weights too large"),
+    ("weighted --input triangle.json", 3, "a term or the bound N^{d/(d-1)} overflows a float"),
+    ("weighted --input triangle.json --spectral", 3, "edge weights too large"),
+    ("weighted --input points.json --d 2", 3, "a term or the bound N^{d/(d-1)} overflows a float"),
+    ("weighted --input path.json --spectral", 3, "a trace or tr(M^2)^3 overflows a float"),
+])
+def test_oversized_input_exits_without_traceback(tmp_path, argv, code, err):
+    for name, obj in OVERSIZED.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", CHILD, *argv.split()], cwd=tmp_path, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=10)
+    assert (out.returncode, out.stdout) == (code, "")
+    assert "Traceback" not in out.stderr and err in out.stderr
+    assert time.perf_counter() - start < 5.0
