@@ -116,6 +116,7 @@ def matching_construction(d: int) -> Construction:
     """
     if d < 3 or d % 2 == 0:
         raise ValidationError(f"d must be odd and >= 3, got {d}")
+    check_cap("vertex count", d + 1, VERTEX_CAP)
     vertices = range(d + 1)
     matchings = round_robin_matchings((d + 1) // 2)
     colors = [f"c{i + 1}" for i in range(d)]

@@ -85,6 +85,8 @@ def qlinear_system(q: int, n: int, d: int) -> ForbiddingSystem:
     """
     if not is_prime(q):
         raise ValidationError(f"q must be prime, got {q}")
+    if n < 0:
+        raise ValidationError(f"n must be nonnegative, got {n}")
     check_power_cap("field size q^n", q, n, SYSTEM_UNIVERSE_CAP)
     universe = [v for v in product(range(q), repeat=n) if any(v)]
     return ForbiddingSystem(

@@ -343,7 +343,7 @@ def check_partial_shadow_bound(h: ColoredHypergraph, r: int, k: int) -> BoundRep
 
 def _weights(h: ColoredHypergraph, size: int) -> dict[tuple[int, ...], int]:
     """Each edge's weight, 1 where it has none; the edges must have the given size."""
-    return {e.verts: 1 if e.weight is None else e.weight for e in _edges(h, size, what="weighted ops")}
+    return {e.verts: 1 if e.weight is None else e.weight for e in _edges(h, size, what="weighted counting")}
 
 
 class WeightedSumReport(Record):

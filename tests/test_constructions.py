@@ -241,3 +241,17 @@ def test_self_check_fires_on_a_class_size_off_by_one(name, monkeypatch):
     monkeypatch.setattr(ColoredHypergraph, "color_counts", lambda h: {c: k + 1 for c, k in counted(h).items()})
     with pytest.raises(BoundViolationError, match=f"{name} self-check failed"):
         build()
+
+
+@pytest.mark.parametrize("name", ["k4_blowup", "rainbow_tripartite", "tetrahedra8"])
+def test_self_check_fires_on_class_sizes_that_keep_the_ratio(name, monkeypatch):
+    build, _ = RECOUNTED[name]
+    counted = ColoredHypergraph.color_counts
+
+    def moved(h):  # red doubled and blue halved keep the product of the classes, and so the ratio
+        counts = counted(h)
+        return {**counts, "red": 2 * counts["red"], "blue": counts["blue"] // 2}
+
+    monkeypatch.setattr(ColoredHypergraph, "color_counts", moved)
+    with pytest.raises(BoundViolationError, match=f"{name} self-check failed: [RB] expected"):
+        build()
