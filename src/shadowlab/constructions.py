@@ -30,7 +30,7 @@ class Construction(Record):
 
 
 def _self_check(name: str, expected: dict[str, object], counted: dict[str, object]) -> dict[str, object]:
-    """expected, the closed forms, once each counted value equals the closed form of its key."""
+    """Return `expected`, the closed forms, once every counted value equals the one under its key."""
     for key, got in counted.items():
         if expected[key] != got:
             raise BoundViolationError(f"{name} self-check failed: {key} expected {expected[key]}, counted {got}")

@@ -68,7 +68,8 @@ def test_verdict_table(report, computed, bound, kw, satisfied, shown, ratio):
     if math.isnan(ratio):
         assert math.isnan(rep.ratio)
     else:
-        assert rep.ratio == pytest.approx(ratio, rel=1e-15, abs=0) and math.copysign(1, rep.ratio) == math.copysign(1, ratio)
+        assert rep.ratio == pytest.approx(ratio, rel=1e-15, abs=0)
+        assert math.copysign(1, rep.ratio) == math.copysign(1, ratio)
 
 
 @pytest.mark.parametrize("report", [upper_report, lower_report])
