@@ -340,7 +340,7 @@ def cmd_weighted(args) -> tuple[dict, list[BoundReport], list[str]]:
     if args.spectral:
         if args.d != 3:
             raise ValidationError("--spectral applies only to d = 3")
-        spec = hg.spectral_trace_check(h)
+        spec = hg.spectral_trace_check(h, rep)
         q["trace_m2"] = spec.trace2
         q["trace_m3"] = spec.trace3
         bounds.extend(spec.checks)

@@ -147,13 +147,10 @@ def kappa_lift(h: ColoredHypergraph) -> Construction:
     d = len(colors)
     if d < 2:
         raise ValidationError("lift needs at least 2 colors")
-    if h.uniformity() != d - 1:
-        raise ValidationError(
-            f"lift needs a (d-1)-uniform graph for d = {d} colors, got size {h.uniformity()}"
-        )
     new_color = f"lift{d + 1}"
     if new_color in colors:
         raise ValidationError(f"new color {new_color!r} already used")
+    # every edge carries a listed color, so this refuses any edge not of size d - 1, after the vertex cap
     cliques = rainbow_cliques(h, d, colors)
     v = h.n
     edges = [(e.verts + (v,), e.color) for e in h.edges]

@@ -397,16 +397,21 @@ class SpectralReport(Record):
         return all(c.satisfied for c in self.checks)
 
 
-def spectral_trace_check(h: ColoredHypergraph) -> SpectralReport:
+def spectral_trace_check(h: ColoredHypergraph, weighted: WeightedSumReport | None = None) -> SpectralReport:
     """d=3 trace identities for M = entrywise sqrt of the weight matrix.
 
     tr(M^2) = 2N, tr(M^3) = 6 * sum of w(triangle)^{3/2}, and
     tr(M^2)^3 >= tr(M^3)^2.  Each identity holds to TRACE_TOL times its
     right side (at least 1), the inequality to TRACE_TOL times tr(M^2)^3.
+    `weighted` is h's d = 3 weighted clique sum when the caller has it.
     """
+    if weighted is None:
+        weighted = weighted_joint_sum(h, 3)
+    elif weighted.d != 3:
+        raise ValidationError(f"the spectral check takes the d = 3 weighted sum, got d = {weighted.d}")
     table = _weights(h, 2)
     total = sum(table.values())
-    terms = weighted_joint_sum(h, 3).terms
+    terms = weighted.terms
     try:
         # M is symmetric with a zero diagonal: traces are sums over closed walks
         adj: dict[int, dict[int, float]] = {v: {} for v in range(h.n)}

@@ -1,25 +1,29 @@
 """Exhaustive and seeded-random search for extremal ratios at desk scale.
 
-States are enumerated in a fixed order (base-4 or per-slot bits), ratios are
-compared by exact integer cross-multiplication, and every reported ratio is
-the registry's exact ratio of its witness: a scan whose own count differs
-raises BoundViolationError.  The state space splits into independent
-ranges, so scans never share mutable state.
+An exhaustive scan splits each state into an outer and an inner part, in
+product order, and counts all inner states under one outer state at once: one
+big-int sum of precomputed 0/1 byte strings, a byte per state.  Ratios are
+compared by exact integer cross-multiplication and a tie keeps the first state
+in product order.  Every reported ratio is the registry's exact ratio of its
+witness: a scan whose own count differs raises BoundViolationError.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
+from math import comb
 from typing import Mapping
 
 from .errors import BoundViolationError, ValidationError, check_cap
 from .hypergraph import PROBLEMS, RGB, VERTEX_CAP, ColoredHypergraph, get_problem
 from .record import Record
 
-RAINBOW_CAP = 5  # 4^binom(n,2) states; n = 6 takes about 38 min at a measured 4.7e5 states/s
-MIXED_CAP = 5  # 2^(pairs + triples) states; n = 6 takes about 43 h at a measured 2.2e5 states/s
+RAINBOW_CAP = 5  # 4^binom(n,2) states, 1.0e7/s at n = 5; n = 6 took a measured 30 s (3.7e7/s)
+MIXED_CAP = 5  # 2^(pairs + triples) states, 1.0e7/s at n = 5; n = 6 is 3.4e10 states, about 1 h at that rate
+# a block's counts add bytewise: no state counts 256 structures (C(n, 3) triangles, C(n, 4) 4-sets)
+assert comb(RAINBOW_CAP, 3) < 256 and comb(MIXED_CAP, 4) < 256
 
 
 class SearchResult(Record):
@@ -42,63 +46,97 @@ def _recounted(name: str, witness: ColoredHypergraph | None, num: int, den: int)
     return best
 
 
+def _best_in_blocks(outers, inners, share, den, structures, hit):
+    """The first state in product order with the largest count^2 / den, outer-major.
+
+    A state is (outer, inner); it counts the structures that hit it.  Inner states are
+    laid out by share(inner), ascending within each group, and each structure gets one
+    0/1 byte string over that layout for each value of its outer part, so the counts of
+    all inner states under one outer state are one big-int sum.  `structures` pairs each
+    structure's outer-part and inner-part functions, hit(outer part, inner part) says
+    whether it is counted, and den(share(outer), share(inner)) is the state's denominator,
+    constant on a group and positive where a structure is counted.  Returns
+    (num, den, outer, inner), or (0, 1, None, None) when no state counts one.
+    """
+    shares = [share(x) for x in inners]
+    layout = sorted(range(len(inners)), key=shares.__getitem__)
+    groups = []  # (inner share, first, end) of each group's slice of the layout
+    for key, members in groupby(layout, key=shares.__getitem__):
+        first = groups[-1][2] if groups else 0
+        groups.append((key, first, first + len(list(members))))
+    columns = []  # per structure, the byte string each outer state selects, as an int
+    for outer_part, inner_part in structures:
+        parts = [inner_part(inners[i]) for i in layout]
+        keys = [outer_part(o) for o in outers]
+        table = {}
+        for op in set(keys):
+            lut = {ip: hit(op, ip) for ip in set(parts)}
+            table[op] = int.from_bytes(bytes(map(lut.__getitem__, parts)), "little")
+        columns.append([table[k] for k in keys])
+    size = len(inners)
+    best_num, best_den, best_index = 0, 1, -1
+    for o, (outer, row) in enumerate(zip(outers, zip(*columns))):
+        counts = sum(row).to_bytes(size, "little")
+        mine = share(outer)
+        for key, first, end in groups:
+            t = max(counts[first:end])
+            if not t:
+                continue
+            num, d = t * t, den(mine, key)
+            index = o * size + layout[counts.index(t, first, end)]
+            if num * best_den > best_num * d or (num * best_den == best_num * d and index < best_index):
+                best_num, best_den, best_index = num, d, index
+    if best_index < 0:
+        return 0, 1, None, None
+    return best_num, best_den, outers[best_index // size], inners[best_index % size]
+
+
 def search_rainbow_triangle(max_vertices: int) -> SearchResult:
     """Exhaustively maximize T^2 / (RGB) over 3-colorings of the pairs of [n].
 
-    Every pair slot takes one of {absent, red, green, blue}.
+    Every pair slot takes one of {absent, red, green, blue}; the first half of
+    the slots are the outer state, the rest the inner one.
     """
     n = max_vertices
     if n < 3:
         raise ValidationError(f"need at least 3 vertices, got {n}")
     check_cap("rainbow search vertices", n, RAINBOW_CAP)
     pairs = list(combinations(range(n), 2))
+    half = len(pairs) // 2
     index = {p: i for i, p in enumerate(pairs)}
-    triangles = [
-        (index[(a, b)], index[(a, c)], index[(b, c)])
-        for a, b, c in combinations(range(n), 3)
-    ]
-    best_num = 0
-    best_den = 1
-    best_state = None
-    explored = 0
-    for state in product((0, 1, 2, 3), repeat=len(pairs)):
-        explored += 1
-        r = state.count(1)
-        g = state.count(2)
-        b = state.count(3)
-        if not (r and g and b):
-            continue
-        t = 0
-        for i, j, k in triangles:
-            ci = state[i]
-            if ci:
-                cj = state[j]
-                if cj and cj != ci:
-                    ck = state[k]
-                    if ck and ck != ci and ck != cj:
-                        t += 1
-        if t == 0:
-            continue
-        num = t * t
-        den = r * g * b
-        if num * best_den > best_num * den:
-            best_num, best_den, best_state = num, den, state
-    witness = None
-    if best_state is not None:
-        witness = ColoredHypergraph.from_edges(
-            n,
-            [
-                (pairs[i], RGB[c - 1])
-                for i, c in enumerate(best_state)
-                if c
-            ],
+    structures = []
+    for a, b, c in combinations(range(n), 3):
+        slots = (index[(a, b)], index[(a, c)], index[(b, c)])
+        outer_slots = [i for i in slots if i < half]
+        inner_slots = [i - half for i in slots if i >= half]
+        structures.append(
+            (
+                lambda s, ks=outer_slots: tuple(map(s.__getitem__, ks)),
+                lambda s, ks=inner_slots: tuple(map(s.__getitem__, ks)),
+            )
         )
-    best = _recounted("rainbow_d", witness, best_num, best_den)
-    return SearchResult("rainbow_triangle", best, witness, explored, exhaustive=True)
+    num, den, outer, inner = _best_in_blocks(
+        list(product((0, 1, 2, 3), repeat=half)),
+        list(product((0, 1, 2, 3), repeat=len(pairs) - half)),
+        lambda s: (s.count(1), s.count(2), s.count(3)),
+        lambda x, y: (x[0] + y[0]) * (x[1] + y[1]) * (x[2] + y[2]),
+        structures,
+        lambda op, ip: sorted(op + ip) == [1, 2, 3],
+    )
+    witness = None
+    if outer is not None:
+        witness = ColoredHypergraph.from_edges(
+            n, [(pairs[i], RGB[c - 1]) for i, c in enumerate(outer + inner) if c]
+        )
+    best = _recounted("rainbow_d", witness, num, den)
+    return SearchResult("rainbow_triangle", best, witness, 4 ** len(pairs), exhaustive=True)
 
 
 def search_mixed_4subsets(max_vertices: int) -> SearchResult:
-    """Exhaustively maximize J^2 / (N2 N3^2) over mixed 2/3-edge hypergraphs."""
+    """Exhaustively maximize J^2 / (N2 N3^2) over mixed 2/3-edge hypergraphs.
+
+    The pair bits are the outer state and the triple bits the inner one.
+    """
     n = max_vertices
     if n < 4:
         raise ValidationError(f"need at least 4 vertices, got {n}")
@@ -107,48 +145,35 @@ def search_mixed_4subsets(max_vertices: int) -> SearchResult:
     triples = list(combinations(range(n), 3))
     pair_idx = {p: i for i, p in enumerate(pairs)}
     triple_idx = {t: i for i, t in enumerate(triples)}
-    # per 4-subset: the 6 ways to pick {v3, v4}, as (pair, triple, triple) slots
-    quad_checks = []
+    # per 4-subset: the 6 ways to pick {v3, v4}, as a pair slot and two triple slots
+    structures = []
     for quad in combinations(range(n), 4):
-        splits = []
+        ps, ts = [], []
         for v3, v4 in combinations(quad, 2):
             v1, v2 = (x for x in quad if x not in (v3, v4))
-            splits.append(
-                (
-                    pair_idx[(v3, v4)],
-                    triple_idx[tuple(sorted((v1, v2, v3)))],
-                    triple_idx[tuple(sorted((v1, v2, v4)))],
-                )
+            ps.append(pair_idx[(v3, v4)])
+            ts.append((triple_idx[tuple(sorted((v1, v2, v3)))], triple_idx[tuple(sorted((v1, v2, v4)))]))
+        structures.append(
+            (
+                lambda bits, ps=ps: tuple(bits >> p & 1 for p in ps),
+                lambda bits, ts=ts: tuple(bits >> t1 & bits >> t2 & 1 for t1, t2 in ts),
             )
-        quad_checks.append(splits)
-    best_num = 0
-    best_den = 1
-    best_bits = None
-    explored = 0
-    for bits2 in range(1, 1 << len(pairs)):
-        n2 = bits2.bit_count()
-        for bits3 in range(1, 1 << len(triples)):
-            explored += 1
-            j = 0
-            for splits in quad_checks:
-                for p, t1, t2 in splits:
-                    if bits2 >> p & 1 and bits3 >> t1 & 1 and bits3 >> t2 & 1:
-                        j += 1
-                        break
-            if j == 0:
-                continue
-            n3 = bits3.bit_count()
-            num = j * j
-            den = n2 * n3 * n3
-            if num * best_den > best_num * den:
-                best_num, best_den, best_bits = num, den, (bits2, bits3)
+        )
+    num, den, bits2, bits3 = _best_in_blocks(
+        range(1, 1 << len(pairs)),
+        range(1, 1 << len(triples)),
+        int.bit_count,
+        lambda n2, n3: n2 * n3 * n3,
+        structures,
+        lambda op, ip: any(a & b for a, b in zip(op, ip)),
+    )
     witness = None
-    if best_bits is not None:
-        bits2, bits3 = best_bits
+    if bits2 is not None:
         edges = [(p, "plain") for i, p in enumerate(pairs) if bits2 >> i & 1]
         edges += [(t, "plain") for i, t in enumerate(triples) if bits3 >> i & 1]
         witness = ColoredHypergraph.from_edges(n, edges)
-    best = _recounted("mixed4", witness, best_num, best_den)
+    best = _recounted("mixed4", witness, num, den)
+    explored = ((1 << len(pairs)) - 1) * ((1 << len(triples)) - 1)
     return SearchResult("mixed_4subsets", best, witness, explored, exhaustive=True)
 
 

@@ -26,7 +26,7 @@ from shadowlab.formats import (
     subspace_family_from_obj,
     subspace_family_to_obj,
 )
-from shadowlab.hypergraph import SetFamily
+from shadowlab.hypergraph import RGB, SetFamily
 from shadowlab.qlinalg import enumerate_subspaces
 from shadowlab.reports import upper_report
 
@@ -409,6 +409,19 @@ class TestCli:
         assert report["quantities"]["shadow_size"] == 3
         written = set_family_from_obj(json.load(open(out)))
         assert len(written) == 3
+
+
+@pytest.mark.parametrize("vertices, edges, code", [
+    # the vertex cap comes before the edge-size rule, whatever the edges' size
+    (65, [[0, 1, 2], [1, 2, 3], [0, 2, 64]], 4),
+    (65, [[0, 1], [1, 2], [0, 64]], 4),
+    (4, [[0, 1], [1, 2, 3], [0, 3]], 3),
+])
+def test_lift_refusal_exit_codes(tmp_path, vertices, edges, code):
+    g = str(tmp_path / "g.json")
+    with open(g, "w") as fh:
+        json.dump({"vertices": vertices, "edges": [{"v": v, "color": c} for v, c in zip(edges, RGB)]}, fh)
+    assert cli.main(["construct", "lift", "--input", g]) == code
 
 
 def _weighted_graph(n, weights):

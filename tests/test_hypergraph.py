@@ -598,6 +598,13 @@ class TestSpectralTrace:
             assert rep.trace3 == pytest.approx(6 * ws.value, abs=1e-6)
             assert rep.trace2**3 >= rep.trace3**2 - 1e-6 * max(1.0, rep.trace2**3)
             assert rep.ok
+            assert spectral_trace_check(h, ws) == rep
+
+    def test_given_weighted_sum_must_be_d3(self):
+        h = ColoredHypergraph.from_edges(4, [((i, j), "plain", 2) for i, j in combinations(range(4), 2)])
+        points = ColoredHypergraph.from_edges(4, [((0,), "plain")])
+        with pytest.raises(ValidationError, match="d = 3 weighted sum, got d = 2"):
+            spectral_trace_check(h, weighted_joint_sum(points, 2))
 
     def test_identities_scaled_by_their_magnitude(self):
         # weights near 10^15: tr(M^3) misses 6S in float by far more than 10^-6, far less than 10^-6 of 6S
