@@ -149,31 +149,19 @@ def cmd_shadow(args) -> tuple[dict, list[BoundReport], list[str]]:
     return {"family_size": len(fam), "d": fam.d, "shadow_size": len(sh)}, [], []
 
 
+def _shadow_check(rep: BoundReport, **first) -> tuple[dict, list[BoundReport], list[str]]:
+    """The result of a shadow bound check (kk, qkk, gkk): `first`, then t, the shadow size and the bound."""
+    return {**first, "t": rep.extra["t"], "shadow_size": rep.computed, "bound": rep.bound}, [rep], []
+
+
 def cmd_kk(args) -> tuple[dict, list[BoundReport], list[str]]:
     fam = formats.set_family_from_obj(formats.load_json(args.family))
-    rep = hg.check_kruskal_katona(fam)
-    q = {
-        "family_size": len(fam),
-        "d": fam.d,
-        "t": rep.extra["t"],
-        "shadow_size": rep.computed,
-        "bound": rep.bound,
-    }
-    return q, [rep], []
+    return _shadow_check(hg.check_kruskal_katona(fam), family_size=len(fam), d=fam.d)
 
 
 def cmd_qkk(args) -> tuple[dict, list[BoundReport], list[str]]:
     fam = formats.subspace_family_from_obj(formats.load_json(args.family))
-    rep = ql.check_q_kruskal_katona(fam)
-    q = {
-        "family_size": len(fam),
-        "q": fam.q,
-        "d": fam.d,
-        "t": rep.extra["t"],
-        "shadow_size": rep.computed,
-        "bound": rep.bound,
-    }
-    return q, [rep], []
+    return _shadow_check(ql.check_q_kruskal_katona(fam), family_size=len(fam), q=fam.q, d=fam.d)
 
 
 def cmd_entropy(args) -> tuple[dict, list[BoundReport], list[str]]:
@@ -246,14 +234,7 @@ def _gkk(args, system: forb.ForbiddingSystem) -> tuple[dict, list[BoundReport], 
     else:
         raise ValidationError("gkk needs --family or --subspaces")
     rep = forb.check_generalized_kk(system, sets)
-    q = {
-        "system": system.name,
-        "family_size": rep.extra["family_size"],
-        "t": rep.extra["t"],
-        "shadow_size": rep.computed,
-        "bound": rep.bound,
-    }
-    return q, [rep], []
+    return _shadow_check(rep, system=system.name, family_size=rep.extra["family_size"])
 
 
 # the forbidding actions by name, each run on the system that --system and --d name

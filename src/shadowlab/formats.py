@@ -7,6 +7,11 @@ JSON schemas (unknown fields are rejected):
   subspace family {"q": int, "n": int, "d": int, "members": [[[ints mod q]]]}
   distribution    {"arity": int, "support": [{"values": [...], "p": "num/den"}]}
 
+A reader that refuses a file names the first bad entry in file order; set
+and subspace entries are checked in bulk, and only a file that fails is read
+again entry by entry to find it.  Subspace entries outside [0, q) are
+reduced mod q.
+
 The text format is one edge per line, `color v1 v2 ...`, with `#` comments
 and an optional `vertices N` header; without the header the vertex count is
 one past the largest index.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from typing import Any
 
 from .entropy import ExactDistribution
@@ -120,15 +126,22 @@ def set_family_to_obj(fam: SetFamily) -> dict:
     return {"n": fam.n, "d": fam.d, "sets": [list(s) for s in fam.sets]}
 
 
+def _lists_of(items: list, kind: type) -> bool:
+    """True iff every item is a list of `kind`s: `_list` and `_int` (kind int) decided in bulk."""
+    return set(map(type, items)) <= {list} and set(map(type, chain.from_iterable(items))) <= {kind}
+
+
 def set_family_from_obj(obj: Any) -> SetFamily:
     if not isinstance(obj, dict):
         raise ValidationError("set family JSON must be an object")
     _require_keys(obj, {"n", "d", "sets"}, set(), "set family")
-    return SetFamily.make(
-        _int(obj["n"], "n"),
-        [[_int(v, "element") for v in _list(s, "set")] for s in _list(obj["sets"], "sets")],
-        d=_int(obj["d"], "d"),
-    )
+    n = _int(obj["n"], "n")
+    sets = _list(obj["sets"], "sets")
+    if not _lists_of(sets, int):  # name the first bad entry
+        for s in sets:
+            for v in _list(s, "set"):
+                _int(v, "element")
+    return SetFamily.make(n, sets, d=_int(obj["d"], "d"))
 
 
 def subspace_family_to_obj(fam: SubspaceFamily) -> dict:
@@ -144,15 +157,14 @@ def subspace_family_from_obj(obj: Any) -> SubspaceFamily:
     if not isinstance(obj, dict):
         raise ValidationError("subspace family JSON must be an object")
     _require_keys(obj, {"q", "n", "d", "members"}, set(), "subspace family")
-    return SubspaceFamily.make(
-        _int(obj["q"], "q"),
-        _int(obj["n"], "n"),
-        _int(obj["d"], "d"),
-        [
-            [[_int(x, "subspace entry") for x in _list(row, "member row")] for row in _list(m, "member")]
-            for m in _list(obj["members"], "members")
-        ],
-    )
+    q, n, d = _int(obj["q"], "q"), _int(obj["n"], "n"), _int(obj["d"], "d")
+    members = _list(obj["members"], "members")
+    if not (_lists_of(members, list) and _lists_of(list(chain.from_iterable(members)), int)):
+        for m in members:  # name the first bad entry
+            for row in _list(m, "member"):
+                for x in _list(row, "member row"):
+                    _int(x, "subspace entry")
+    return SubspaceFamily.make(q, n, d, members)
 
 
 def distribution_from_obj(obj: Any) -> ExactDistribution:

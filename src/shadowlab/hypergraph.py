@@ -13,7 +13,8 @@ import math
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError, check_cap
@@ -76,6 +77,13 @@ class ColoredHypergraph(Record):
         return sizes.pop()
 
 
+def _canonical(members: list[tuple], k: int | None, n: int) -> bool:
+    """True iff every member is k strictly increasing elements of [0, n), decided in bulk."""
+    flat = list(chain.from_iterable(members))
+    return (k is not None and set(map(len, members)) <= {k} and min(flat, default=0) >= 0
+            and max(flat, default=-1) < n and all(all(map(lt, flat[j::k], flat[j + 1::k])) for j in range(k - 1)))
+
+
 class SetFamily(Record):
     """A family of d-subsets of [ground_size]."""
 
@@ -85,21 +93,24 @@ class SetFamily(Record):
 
     @classmethod
     def make(cls, n: int, sets: Iterable[Iterable[int]], d: int | None = None) -> "SetFamily":
-        members = sorted(tuple(sorted(s)) for s in sets)
-        if d is None:
-            if not members:
-                raise ValidationError("d is required for an empty family")
-            d = len(members[0])
-        for s in members:
-            if len(s) != d:
-                raise ValidationError(f"member {s} has cardinality {len(s)}, expected {d}")
-            if len(set(s)) != len(s):
-                raise ValidationError(f"member {s} repeats an element")
-            if s and (s[0] < 0 or s[-1] >= n):
-                raise ValidationError(f"member {s} outside ground set [0, {n})")
+        members = list(map(tuple, sets))
+        k = len(members[0]) if d is None and members else d
+        if not _canonical(members, k, n):
+            members = sorted(map(tuple, map(sorted, members)))
+            if not _canonical(members, k, n):  # name the first bad member in sorted order
+                if k is None:
+                    raise ValidationError("d is required for an empty family")
+                d = len(members[0]) if d is None else d
+                for s in members:
+                    if len(s) != d:
+                        raise ValidationError(f"member {s} has cardinality {len(s)}, expected {d}")
+                    if len(set(s)) != len(s):
+                        raise ValidationError(f"member {s} repeats an element")
+                    if s and (s[0] < 0 or s[-1] >= n):
+                        raise ValidationError(f"member {s} outside ground set [0, {n})")
         if len(set(members)) != len(members):
             raise ValidationError("duplicate member sets")
-        return cls(n=n, d=d, sets=tuple(members))
+        return cls(n=n, d=k, sets=tuple(sorted(members)))
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -195,15 +206,16 @@ def count_rainbow_cliques(h: ColoredHypergraph, d: int, colors: Sequence[str]) -
     return len(rainbow_cliques(h, d, colors))
 
 
-def shadow(fam: SetFamily) -> SetFamily:
-    """All (d-1)-subsets contained in some member."""
+def _shadow(fam: SetFamily) -> set[tuple[int, ...]]:
+    """The (d-1)-subsets contained in some member, unsorted."""
     if fam.d < 1:
         raise ValidationError("shadow needs d >= 1")
-    out = set()
-    for s in fam.sets:
-        for f in combinations(s, fam.d - 1):
-            out.add(f)
-    return SetFamily(n=fam.n, d=fam.d - 1, sets=tuple(sorted(out)))
+    return set(chain.from_iterable(map(combinations, fam.sets, repeat(fam.d - 1))))
+
+
+def shadow(fam: SetFamily) -> SetFamily:
+    """All (d-1)-subsets contained in some member."""
+    return SetFamily(n=fam.n, d=fam.d - 1, sets=tuple(sorted(_shadow(fam))))
 
 
 def _binom_bound(shadow_size: int, family_size: int, d: int) -> tuple[bool, float, Fraction]:
@@ -220,16 +232,10 @@ def check_kruskal_katona(fam: SetFamily) -> BoundReport:
     """
     if len(fam) < 1:
         raise ValidationError("family must be nonempty")
-    shadow_size = len(shadow(fam))
+    shadow_size = len(_shadow(fam))
     holds, t, bound = _binom_bound(shadow_size, len(fam), fam.d)
-    return lower_report(
-        "shadow size",
-        shadow_size,
-        bound,
-        "kruskal-katona (lovasz form)",
-        holds=holds,
-        extra={"t": t, "family_size": len(fam)},
-    )
+    return lower_report("shadow size", shadow_size, bound, "kruskal-katona (lovasz form)", holds=holds,
+                        extra={"t": t, "family_size": len(fam)})
 
 
 def _links(edges: Iterable[tuple[int, ...]], size: int) -> defaultdict[tuple[int, ...], set[tuple[int, ...]]]:

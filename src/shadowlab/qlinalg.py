@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Sequence
 
 from .errors import ValidationError, check_power_cap
@@ -88,15 +88,21 @@ class SubspaceFamily(Record):
             raise ValidationError(f"q must be prime, got {q}")
         if not (0 <= d <= n):
             raise ValidationError(f"need 0 <= d <= n, got d={d}, n={n}")
-        canon = []
-        for m in members:
-            mat = tuple(tuple(int(x) % q for x in row) for row in m)
-            for row in mat:
-                if len(row) != n:
-                    raise ValidationError(f"row {row} has length {len(row)}, expected {n}")
-            if len(mat) != d or not _is_reduced_echelon(mat):
-                raise ValidationError(f"member {mat} is not a rank-{d} reduced echelon matrix")
-            canon.append(mat)
+        canon = [tuple(map(tuple, m)) for m in members]
+        rows = list(chain.from_iterable(canon))
+        entries = list(chain.from_iterable(rows))
+        if not (set(map(type, entries)) <= {int} and min(entries, default=0) >= 0 and max(entries, default=0) < q
+                and set(map(len, canon)) <= {d} and set(map(len, rows)) <= {n}
+                and all(map(_is_reduced_echelon, canon))):
+            mats, canon = canon, []
+            for m in mats:  # reduce mod q; name the first bad member
+                mat = tuple(tuple(int(x) % q for x in row) for row in m)
+                for row in mat:
+                    if len(row) != n:
+                        raise ValidationError(f"row {row} has length {len(row)}, expected {n}")
+                if len(mat) != d or not _is_reduced_echelon(mat):
+                    raise ValidationError(f"member {mat} is not a rank-{d} reduced echelon matrix")
+                canon.append(mat)
         if len(set(canon)) != len(canon):
             raise ValidationError("duplicate subspaces")
         return cls(q=q, n=n, d=d, members=tuple(sorted(canon)))
@@ -164,8 +170,8 @@ def _combine_rows(member: Matrix, terms: Sequence[tuple[int, int]], q: int) -> t
     return acc
 
 
-def subspace_shadow(fam: SubspaceFamily) -> SubspaceFamily:
-    """All (d-1)-dim subspaces contained in some member.
+def _subspace_shadow(fam: SubspaceFamily) -> set[Matrix]:
+    """The (d-1)-dim subspaces contained in some member, unsorted.
 
     The hyperplanes of a member M are the row spaces of C·M, C running over
     the reduced echelon (d-1)×d matrices, so no ambient enumeration is needed.
@@ -186,7 +192,12 @@ def subspace_shadow(fam: SubspaceFamily) -> SubspaceFamily:
     for member in fam.members:
         rows = [_combine_rows(member, t, fam.q) for t in terms]
         out.update(tuple(rows[i] for i in shape) for shape in shapes)
-    return SubspaceFamily(q=fam.q, n=fam.n, d=fam.d - 1, members=tuple(sorted(out)))
+    return out
+
+
+def subspace_shadow(fam: SubspaceFamily) -> SubspaceFamily:
+    """All (d-1)-dim subspaces contained in some member."""
+    return SubspaceFamily(q=fam.q, n=fam.n, d=fam.d - 1, members=tuple(sorted(_subspace_shadow(fam))))
 
 
 def _gl_order(q: int, k: int) -> int:
@@ -209,13 +220,7 @@ def check_q_kruskal_katona(fam: SubspaceFamily) -> BoundReport:
     """
     if len(fam) < 1:
         raise ValidationError("family must be nonempty")
-    shadow_size = len(subspace_shadow(fam))
+    shadow_size = len(_subspace_shadow(fam))
     holds, t, bound = _gaussian_bound(shadow_size, len(fam), fam.d, fam.q)
-    return lower_report(
-        "subspace shadow size",
-        shadow_size,
-        bound,
-        "q-analog kruskal-katona",
-        holds=holds,
-        extra={"t": t, "family_size": len(fam), "q": fam.q},
-    )
+    return lower_report("subspace shadow size", shadow_size, bound, "q-analog kruskal-katona", holds=holds,
+                        extra={"t": t, "family_size": len(fam), "q": fam.q})
