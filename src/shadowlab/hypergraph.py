@@ -347,11 +347,6 @@ def check_partial_shadow_bound(h: ColoredHypergraph, r: int, k: int) -> BoundRep
     )
 
 
-def _weights(h: ColoredHypergraph, size: int) -> dict[tuple[int, ...], int]:
-    """Each edge's weight, 1 where it has none; the edges must have the given size."""
-    return {e.verts: 1 if e.weight is None else e.weight for e in _edges(h, size, what="weighted counting")}
-
-
 class WeightedSumReport(Record):
     """Sum of geometric-mean weights to the d/(d-1) power, with its cap."""
 
@@ -360,6 +355,7 @@ class WeightedSumReport(Record):
     terms: tuple[int, ...]  # nonzero facet-weight products, one per d-subset
     value: float
     report: BoundReport
+    weights: dict[tuple[int, ...], int]  # each facet's weight, 1 where the edge has none
 
 
 def weighted_joint_sum(h: ColoredHypergraph, d: int) -> WeightedSumReport:
@@ -370,7 +366,7 @@ def weighted_joint_sum(h: ColoredHypergraph, d: int) -> WeightedSumReport:
     """
     if d < 2:
         raise ValidationError(f"need d >= 2, got {d}")
-    table = _weights(h, d - 1)
+    table = {e.verts: 1 if e.weight is None else e.weight for e in _edges(h, d - 1, what="weighted counting")}
     total = sum(table.values())
     bases = [f for f, w in table.items() if w]
     check_cap("coface visits (nonzero edges x n)", len(bases) * h.n, 10**7)  # measured 0.65-1.6 µs a visit
@@ -389,7 +385,7 @@ def weighted_joint_sum(h: ColoredHypergraph, d: int) -> WeightedSumReport:
         "geometric-mean weight bound ((d-1)!)^{1/(d-1)}/d * N^{d/(d-1)}",
         extra={"total_weight": total},
     )
-    return WeightedSumReport(d=d, total_weight=total, terms=tuple(terms), value=value, report=report)
+    return WeightedSumReport(d=d, total_weight=total, terms=tuple(terms), value=value, report=report, weights=table)
 
 
 class SpectralReport(Record):
@@ -415,9 +411,7 @@ def spectral_trace_check(h: ColoredHypergraph, weighted: WeightedSumReport | Non
         weighted = weighted_joint_sum(h, 3)
     elif weighted.d != 3:
         raise ValidationError(f"the spectral check takes the d = 3 weighted sum, got d = {weighted.d}")
-    table = _weights(h, 2)
-    total = sum(table.values())
-    terms = weighted.terms
+    table, total, terms = weighted.weights, weighted.total_weight, weighted.terms
     try:
         # M is symmetric with a zero diagonal: traces are sums over closed walks
         adj: dict[int, dict[int, float]] = {v: {} for v in range(h.n)}

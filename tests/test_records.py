@@ -56,8 +56,9 @@ CASES = [
     (ColoredHypergraph, (2, (EDGE,)), 0, (), f"ColoredHypergraph(n=2, edges=({EDGE_REPR},))", True,
      ("n", 3)),
     (SetFamily, (3, 2, ((0, 1),)), 0, (), "SetFamily(n=3, d=2, sets=((0, 1),))", True, ("d", 1)),
-    (WeightedSumReport, (3, 4, (2, 2), 1.5, REPORT), 0, (),
-     f"WeightedSumReport(d=3, total_weight=4, terms=(2, 2), value=1.5, report={REPORT_REPR})", False,
+    (WeightedSumReport, (3, 4, (2, 2), 1.5, REPORT, {(0, 1): 4}), 0, (),
+     f"WeightedSumReport(d=3, total_weight=4, terms=(2, 2), value=1.5, report={REPORT_REPR}, weights={{(0, 1): 4}})",
+     False,
      ("value", 2.5)),
     (SpectralReport, (2.0, 0.0, 1, (REPORT,)), 0, (),
      f"SpectralReport(trace2=2.0, trace3=0.0, total_weight=1, checks=({REPORT_REPR},))", False,
@@ -97,7 +98,7 @@ FIELDS = {
     Edge: ("verts", "color", "weight"),
     ColoredHypergraph: ("n", "edges"),
     SetFamily: ("n", "d", "sets"),
-    WeightedSumReport: ("d", "total_weight", "terms", "value", "report"),
+    WeightedSumReport: ("d", "total_weight", "terms", "value", "report", "weights"),
     SpectralReport: ("trace2", "trace3", "total_weight", "checks"),
     Problem: ("name", "quantity", "measure", "bounds", "notes", "instance"),
     RatioReport: ("counts", "ratio_exact", "reports"),
