@@ -407,7 +407,8 @@ class TestCli:
             json.dump({"n": 3, "d": 3, "sets": [[0, 1, 2]]}, fh)
         report = self.run_ok(["shadow", "--family", fam, "--out", out])
         assert report["quantities"]["shadow_size"] == 3
-        written = set_family_from_obj(json.load(open(out)))
+        with open(out) as fh:
+            written = set_family_from_obj(json.load(fh))
         assert len(written) == 3
 
 
