@@ -10,8 +10,7 @@ constructions, the search and the command line all read.
 from __future__ import annotations
 
 import math
-import random
-from collections import Counter, defaultdict
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from operator import lt
@@ -80,8 +79,9 @@ class ColoredHypergraph(Record):
 def _canonical(members: list[tuple], k: int | None, n: int) -> bool:
     """True iff every member is k strictly increasing elements of [0, n), decided in bulk."""
     flat = list(chain.from_iterable(members))
-    return (k is not None and set(map(len, members)) <= {k} and min(flat, default=0) >= 0
-            and max(flat, default=-1) < n and all(all(map(lt, flat[j::k], flat[j + 1::k])) for j in range(k - 1)))
+    return (k is not None and set(map(len, members)) <= {k} and set(map(type, flat)) <= {int}
+            and min(flat, default=0) >= 0 and max(flat, default=-1) < n
+            and all(all(map(lt, flat[j::k], flat[j + 1::k])) for j in range(k - 1)))
 
 
 class SetFamily(Record):
@@ -96,6 +96,9 @@ class SetFamily(Record):
         members = list(map(tuple, sets))
         k = len(members[0]) if d is None and members else d
         if not _canonical(members, k, n):
+            for v in chain.from_iterable(members):  # named as the family readers name it
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ValidationError(f"element must be an integer, got {v!r}")
             members = sorted(map(tuple, map(sorted, members)))
             if not _canonical(members, k, n):  # name the first bad member in sorted order
                 if k is None:
@@ -178,32 +181,86 @@ def _cofaces(
                 yield coface, list(map(lookup.get, combinations(coface, k)))
 
 
-def rainbow_cliques(
-    h: ColoredHypergraph, d: int, colors: Sequence[str]
-) -> tuple[tuple[int, ...], ...]:
-    """All d-subsets whose d facets are edges carrying the d listed colors once each."""
+Form = tuple[list[list[tuple[tuple[int, int], ...]]], dict[int, list[int]]]  # built by _form
+
+
+def _facets(verts: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    edge = sum(1 << v for v in verts)
+    return tuple((edge ^ 1 << v, 1 << v) for v in verts)
+
+
+def _form(slots: int, items: Iterable[tuple[int, tuple[tuple[int, int], ...]]]) -> Form:
+    """What every counting kernel reads, of (slot, `_facets`) edge items, slots being colors or edge sizes:
+    each slot's edges, and per facet a bitmask per slot of the vertices completing it to an edge."""
+    edges: list[list] = [[] for _ in range(slots)]
+    masks: defaultdict[int, list[int]] = defaultdict(([0] * slots).copy)
+    for s, facets in items:
+        edges[s].append(facets)
+        for f, b in facets:
+            masks[f][s] |= b
+    return edges, masks
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _listed(sets: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted(map(_members, sets)))
+
+
+def _joined(pairs: Iterable[tuple[int, int]]) -> Iterator[int]:  # each edge plus each of its vertices
+    return (e | 1 << v for e, x in pairs for v in _members(x))
+
+
+def _count(pairs: Iterable[tuple[int, int]]) -> int:
+    return sum(x.bit_count() for _, x in pairs)
+
+
+def _rainbow(form: Form) -> Iterator[tuple[int, int]]:
+    """Each edge of the rarest slot, with the vertices completing it to a rainbow clique: met once, from
+    its one facet there.  ANDing the masks of the base's facets over each assignment of the other
+    slots to them leaves the new vertices of that assignment, disjoint from the others'."""
+    edges, masks = form
+    rare = min(range(len(edges)), key=lambda s: len(edges[s]))
+    for facets in edges[rare]:
+        states = [(-1, 1 << rare)]  # (vertices still possible, slots assigned) of each partial assignment
+        for f, _ in facets:
+            m = masks[f]
+            states = [(c & m[s], used | 1 << s) for c, used in states for s in range(len(edges))
+                      if not used >> s & 1 and c & m[s]]
+        yield facets[0][0] | facets[0][1], sum(c for c, _ in states)
+
+
+def _rainbow_form(h: ColoredHypergraph, d: int, colors: Sequence[str]) -> Form:
     if d < 2:
         raise ValidationError(f"rainbow cliques need d >= 2, got {d}")
-    color_list = list(colors)
-    if len(color_list) != d or len(set(color_list)) != d:
-        raise ValidationError(f"expected {d} distinct colors, got {color_list}")
-    by_color: dict[str, list[tuple[int, ...]]] = {c: [] for c in color_list}
+    slot = {c: i for i, c in enumerate(colors)}
+    if len(colors) != d or len(slot) != d:
+        raise ValidationError(f"expected {d} distinct colors, got {list(colors)}")
+    items = []
     for e in _edges(h):
-        if e.color in by_color:
+        if e.color in slot:
             if len(e.verts) != d - 1:
                 raise ValidationError(
                     f"edge {e.verts} with listed color {e.color!r} has {len(e.verts)} vertices, expected {d - 1}"
                 )
-            by_color[e.color].append(e.verts)
-    lookup = {e.verts: e.color for e in h.edges if len(e.verts) == d - 1}
-    listed = set(color_list)
-    rarest = min(by_color.values(), key=len)
-    # d facets carry the d listed colors once each iff their colors are exactly the listed set
-    return tuple(sorted(c for c, got in _cofaces(lookup, rarest, h.n) if set(got) == listed))
+            items.append((slot[e.color], _facets(e.verts)))
+    return _form(d, items)
+
+
+def rainbow_cliques(h: ColoredHypergraph, d: int, colors: Sequence[str]) -> tuple[tuple[int, ...], ...]:
+    """All d-subsets whose d facets are edges carrying the d listed colors once each."""
+    return _listed(_joined(_rainbow(_rainbow_form(h, d, tuple(colors)))))
 
 
 def count_rainbow_cliques(h: ColoredHypergraph, d: int, colors: Sequence[str]) -> int:
-    return len(rainbow_cliques(h, d, colors))
+    return _count(_rainbow(_rainbow_form(h, d, tuple(colors))))
 
 
 def _shadow(fam: SetFamily) -> set[tuple[int, ...]]:
@@ -238,80 +295,111 @@ def check_kruskal_katona(fam: SetFamily) -> BoundReport:
                         extra={"t": t, "family_size": len(fam)})
 
 
-def _links(edges: Iterable[tuple[int, ...]], size: int) -> defaultdict[tuple[int, ...], set[tuple[int, ...]]]:
-    """For every size-subset T of an edge, the sorted complements S with T + S an edge."""
-    links: defaultdict[tuple[int, ...], set[tuple[int, ...]]] = defaultdict(set)
-    for e in edges:
-        # the complements of the size-subsets, in combinations order, are the rest in reverse order
-        for t, rest in zip(combinations(e, size), reversed(list(combinations(e, len(e) - size)))):
-            links[t].add(rest)
-    return links
+GOOD6_CAP = 5 * 10**6  # link steps; measured 0.13-0.26 µs a step, so at most about 1.3 s
 
 
-def _splits(e: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The 3 splits of a 4-set into two pairs."""
-    pairs = list(combinations(e, 2))
-    return zip(pairs[:3], pairs[:2:-1])
-
-
-def good_6subsets(h: ColoredHypergraph) -> tuple[tuple[int, ...], ...]:
-    """6-sets admitting three 4-edges inside whose complements partition the set.
-
-    Such a set is p + q + r for disjoint pairs p, q, r with p + q, p + r and
-    q + r edges: each 4-edge split into pairs p, q gives one for every pair r
-    that completes both p and q to an edge.
-    """
-    edges = [e.verts for e in _edges(h, 4, what="good 6-subset counting")]
-    degree = Counter(p for e in edges for p in combinations(e, 2))
-    work = sum(min(degree[p], degree[q]) for e in edges for p, q in _splits(e))
-    # a split costs one step per edge through its smaller pair; measured about 0.3 µs a step
-    check_cap("link steps (smaller pair degree, summed over 4-edge splits)", work, 10**7)
-    links = _links(edges, 2)
-    good = {tuple(sorted(e + r)) for e in edges for p, q in _splits(e) for r in links[p] & links[q]}
-    return tuple(sorted(good))
+def _good6(form: Form) -> set[int]:
+    """The good 6-sets p + q + r of a 4-uniform form, as bitmasks: each is a triangle of pairs joined by
+    the splits of the 4-edges, met once, from p + q with r = {x, y} above p's and q's least vertices.
+    M 4-edges make 3M joins and at most sqrt(2) (3M)^1.5 / 3 triangles (Kruskal-Katona)."""
+    (edges,), masks = form
+    m, n = len(edges), max((d for *_, (_, d) in edges), default=0).bit_length()  # every vertex is below n
+    steps = math.isqrt(6 * m**3) + 3 * m * max(n - 4, 0)
+    check_cap("link steps (sqrt(6 N^3) triangles and 3 N (n - 4) lookups)", steps, GOOD6_CAP)
+    reach: defaultdict[int, int] = defaultdict(int)  # per pair, the vertices completing it to a facet
+    for (_, a), (_, b), (_, c), (_, d) in edges:
+        for p, q in ((a | b, c | d), (a | c, b | d), (a | d, b | c)):
+            reach[p] |= q
+            reach[q] |= p
+    found = set()
+    for (_, a), (_, b), (_, c), (_, d) in edges:
+        e = a | b | c | d
+        for p, q, top in ((a | b, c | d, c), (a | c, b | d, b), (a | d, b | c, b)):
+            xs = reach[p] & reach[q] & -(top << 1)
+            while xs:
+                x = xs & -xs
+                xs ^= x
+                ys = masks[p | x][0] & masks[q | x][0] & -(x << 1)
+                while ys:
+                    y = ys & -ys
+                    ys ^= y
+                    found.add(e | x | y)
+    return found
 
 
 def count_good_6subsets(h: ColoredHypergraph) -> int:
-    return len(good_6subsets(h))
+    """6-sets admitting three 4-edges inside whose complements partition the set."""
+    return len(_good6(_form(1, ((0, _facets(e.verts)) for e in _edges(h, 4, what="good 6-subset counting")))))
+
+
+def _mixed4(form: Form) -> set[int]:
+    """The good 4-sets of a form of 2-edges (slot 0) and 3-edges, as bitmasks: a 2-edge {v3, v4} in the
+    link of {v1, v2} gives one.  No cap beyond the vertex cap: C(64, 2) links of C(62, 2) pairs."""
+    masks = form[1]
+    found = set()
+    for r, (_, link) in masks.items():
+        xs = link
+        while xs:
+            x = xs & -xs
+            xs ^= x
+            ys = link & masks.get(x, (0,))[0] & -(x << 1)
+            while ys:
+                y = ys & -ys
+                ys ^= y
+                found.add(r | x | y)
+    return found
+
+
+def _mixed4_form(h: ColoredHypergraph) -> Form:
+    return _form(2, ((len(e.verts) - 2, _facets(e.verts)) for e in _edges(h, 2, 3, what="mixed counting")))
 
 
 def good_4subsets_mixed(h: ColoredHypergraph) -> tuple[tuple[int, ...], ...]:
-    """4-sets {v1..v4} with 3-edges {v1,v2,v3}, {v1,v2,v4} and 2-edge {v3,v4}.
-
-    Each 2-edge {v3, v4} gives one for every pair {v1, v2} that completes both
-    v3 and v4 to a 3-edge.
-    """
-    edges = _edges(h, 2, 3, what="mixed counting")
-    pairs = [e.verts for e in edges if len(e.verts) == 2]
-    triples = [e.verts for e in edges if len(e.verts) == 3]
-    # no cap beyond the vertex cap: at most C(64, 2) 2-edges, each intersecting two sets of at most C(63, 2) pairs
-    links = _links(triples, 1)
-    good = {tuple(sorted(r + (v3, v4))) for v3, v4 in pairs for r in links[(v3,)] & links[(v4,)]}
-    return tuple(sorted(good))
+    """4-sets {v1..v4} with 3-edges {v1,v2,v3}, {v1,v2,v4} and 2-edge {v3,v4}."""
+    return _listed(_mixed4(_mixed4_form(h)))
 
 
 def count_good_4subsets_mixed(h: ColoredHypergraph) -> int:
-    return len(good_4subsets_mixed(h))
+    return len(_mixed4(_mixed4_form(h)))
 
 
 RGB = ("red", "green", "blue")  # the colors of rainbow triangles and of covering sets
 
 
-def color_covering_subsets(h: ColoredHypergraph, delta: int) -> tuple[tuple[int, ...], ...]:
-    """(delta+3)-sets of a (delta+2)-uniform 3-colored graph containing all colors."""
+def _covering(form: Form) -> Iterator[tuple[int, int]]:
+    """Each edge of a 3-slot form with the vertices v whose set edge + v meets every slot, met from the
+    set minus its largest vertex that leaves an edge: v is dropped where edge - u + v is one, u > v."""
+    edges, masks = form
+    for s, slot in enumerate(edges):
+        b, c = (t for t in range(3) if t != s)
+        for facets in slot:
+            below = has_b = has_c = 0
+            for f, u in facets:
+                m = masks[f]
+                below |= (m[0] | m[1] | m[2]) & u - 1
+                has_b |= m[b]
+                has_c |= m[c]
+            yield facets[0][0] | facets[0][1], has_b & has_c & ~below
+
+
+def _covering_form(h: ColoredHypergraph, delta: int) -> Form:
     if delta < 0:
         raise ValidationError(f"delta must be nonnegative, got {delta}")
-    lookup = {}
+    items = []
     for e in _edges(h, delta + 2, what="color covering counting"):
         if e.color not in RGB:
             raise ValidationError(f"edge color {e.color!r} not among {RGB}")
-        lookup[e.verts] = e.color
-    covering = (c for c, got in _cofaces(lookup, lookup, h.n) if set(got).issuperset(RGB))
-    return tuple(sorted(covering))
+        items.append((RGB.index(e.color), _facets(e.verts)))
+    return _form(3, items)
+
+
+def color_covering_subsets(h: ColoredHypergraph, delta: int) -> tuple[tuple[int, ...], ...]:
+    """(delta+3)-sets of a (delta+2)-uniform 3-colored graph containing all colors."""
+    return _listed(_joined(_covering(_covering_form(h, delta))))
 
 
 def count_color_covering_subsets(h: ColoredHypergraph, delta: int) -> int:
-    return len(color_covering_subsets(h, delta))
+    return _count(_covering(_covering_form(h, delta)))
 
 
 def count_partial_shadow_targets(h: ColoredHypergraph, r: int, k: int) -> int:
@@ -473,10 +561,12 @@ class Problem(Record):
     measure(h, d, delta, colors) gives the named counts and the ratio as
     (numerator, denominator), the denominator 0 when a class is empty;
     exact() turns that into a Fraction, or None.  bounds(d, delta) lists
-    every proven and conjectured upper bound on the ratio;
-    instance(rng, n, d, delta) draws one seeded random graph on n
-    vertices.  Only rainbow_d reads colors; d and delta are ignored where
-    the problem has no such parameter.
+    every proven and conjectured upper bound on the ratio.  draws(d, delta)
+    gives the sizes and colors of random edges: each subset of [n] of each
+    size is an edge with probability 1/2 under one color, else none or one of
+    a uniform color, in form slot size index * colors + color index; tally
+    is measure's ratio on that form, by the same kernel.  Only rainbow_d
+    reads colors; d and delta are ignored where the problem has none.
     """
 
     name: str
@@ -484,7 +574,8 @@ class Problem(Record):
     measure: Callable[[ColoredHypergraph, int, int, Sequence[str] | None], tuple[dict, int, int]]
     bounds: Callable[[int, int], tuple[Bound, ...]]
     notes: tuple[str, ...]
-    instance: Callable[[random.Random, int, int, int], ColoredHypergraph]
+    draws: Callable[[int, int], tuple[tuple[int, ...], tuple[str, ...]]]
+    tally: Callable[[Form, int, int], tuple[int, int]]
 
     def exact(
         self, h: ColoredHypergraph, d: int = 3, delta: int = 0, colors: Sequence[str] | None = None
@@ -503,22 +594,6 @@ class Problem(Record):
 
 def _rainbow_colors(d: int) -> tuple[str, ...]:
     return tuple(f"c{i + 1}" for i in range(d))
-
-
-def _random_colored(rng: random.Random, n: int, size: int, colors: Sequence[str]) -> ColoredHypergraph:
-    """Each size-subset of [n] is no edge or an edge of a uniformly drawn color."""
-    edges = []
-    for verts in combinations(range(n), size):
-        pick = rng.randrange(len(colors) + 1)
-        if pick:
-            edges.append((verts, colors[pick - 1]))
-    return ColoredHypergraph.from_edges(n, edges)
-
-
-def _random_plain(rng: random.Random, n: int, sizes: Sequence[int]) -> ColoredHypergraph:
-    """Each subset of [n] of each listed size is an edge with probability 1/2."""
-    edges = [(v, "plain") for size in sizes for v in combinations(range(n), size) if rng.random() < 0.5]
-    return ColoredHypergraph.from_edges(n, edges)
 
 
 def _rainbow_measure(h, d, delta, colors):
@@ -571,23 +646,26 @@ PROBLEMS: dict[str, Problem] = {
     for p in (
         Problem(
             "rainbow_d", "clique ratio", _rainbow_measure, _rainbow_bounds, (),
-            lambda rng, n, d, delta: _random_colored(rng, n, d - 1, _rainbow_colors(d)),
+            lambda d, delta: ((d - 1,), _rainbow_colors(d)),
+            lambda form, d, delta: (_count(_rainbow(form)) ** (d - 1), math.prod(map(len, form[0]))),
         ),
         Problem(
             "good6", "good6 ratio", _good6_measure, lambda d, delta: (),
             ("conjectured optimum for J^2/N^3 is 2/7; exceeding it is not a failure",),
-            lambda rng, n, d, delta: _random_plain(rng, n, (4,)),
+            lambda d, delta: ((4,), ("plain",)), lambda form, d, delta: (len(_good6(form)) ** 2, len(form[0][0]) ** 3),
         ),
         Problem(
             "mixed4", "mixed ratio", _mixed4_measure,
             lambda d, delta: ((Fraction(9, 2), "shearer 9/2", False), (Fraction(3), "joints 3", False)),
             ("conjectured optimum for J^2/(N2 N3^2) is 3/2, in the known window [3/2, 3]; "
              "exceeding it is not a failure",),
-            lambda rng, n, d, delta: _random_plain(rng, n, (2, 3)),
+            lambda d, delta: ((2, 3), ("plain",)),
+            lambda form, d, delta: (len(_mixed4(form)) ** 2, len(form[0][0]) * len(form[0][1]) ** 2),
         ),
         Problem(
             "covering_delta", "covering ratio", _covering_measure, _covering_bounds, (),
-            lambda rng, n, d, delta: _random_colored(rng, n, delta + 2, RGB),
+            lambda d, delta: ((delta + 2,), RGB),
+            lambda form, d, delta: (_count(_covering(form)) ** 2, math.prod(map(len, form[0]))),
         ),
     )
 }

@@ -94,9 +94,12 @@ class SubspaceFamily(Record):
         if not (set(map(type, entries)) <= {int} and min(entries, default=0) >= 0 and max(entries, default=0) < q
                 and set(map(len, canon)) <= {d} and set(map(len, rows)) <= {n}
                 and all(map(_is_reduced_echelon, canon))):
+            for x in entries:  # named as the family readers name it
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise ValidationError(f"subspace entry must be an integer, got {x!r}")
             mats, canon = canon, []
             for m in mats:  # reduce mod q; name the first bad member
-                mat = tuple(tuple(int(x) % q for x in row) for row in m)
+                mat = tuple(tuple(x % q for x in row) for row in m)
                 for row in mat:
                     if len(row) != n:
                         raise ValidationError(f"row {row} has length {len(row)}, expected {n}")

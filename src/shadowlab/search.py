@@ -2,22 +2,24 @@
 
 An exhaustive scan splits each state into an outer and an inner part, in
 product order, and counts all inner states under one outer state at once: one
-big-int sum of precomputed 0/1 byte strings, a byte per state.  Ratios are
-compared by exact integer cross-multiplication and a tie keeps the first state
-in product order.  Every reported ratio is the registry's exact ratio of its
-witness: a scan whose own count differs raises BoundViolationError.
+big-int sum of precomputed 0/1 byte strings, a byte per state.  A random probe
+draws each trial straight into its problem's compact form and counts it with
+the problem's kernel, as the registry's counts do.  Ratios are compared by
+exact integer cross-multiplication and a tie keeps the first state or trial.
+Every reported ratio is the registry's exact ratio of its witness: a search
+whose own count differs raises BoundViolationError.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby, islice, product
 from math import comb
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import BoundViolationError, ValidationError, check_cap
-from .hypergraph import PROBLEMS, RGB, VERTEX_CAP, ColoredHypergraph, get_problem
+from .hypergraph import PROBLEMS, RGB, VERTEX_CAP, ColoredHypergraph, _edges, _facets, _form, get_problem
 from .record import Record
 
 RAINBOW_CAP = 5  # 4^binom(n,2) states, 1.0e7/s at n = 5; n = 6 took a measured 30 s (3.7e7/s)
@@ -36,13 +38,14 @@ class SearchResult(Record):
     exhaustive: bool
 
 
-def _recounted(name: str, witness: ColoredHypergraph | None, num: int, den: int) -> Fraction | None:
-    """The registry's ratio of a scan's witness, which must equal the scan's own num/den."""
+def _recounted(name: str, witness: ColoredHypergraph | None, num: int, den: int,
+               d: int = 3, delta: int = 0, colors: tuple[str, ...] | None = RGB) -> Fraction | None:
+    """The registry's ratio of a search's witness, which must equal the search's own num/den."""
     if witness is None:
         return None
-    _, best = PROBLEMS[name].exact(witness, 3, 0, RGB)
+    _, best = PROBLEMS[name].exact(witness, d, delta, colors)
     if best != Fraction(num, den):
-        raise BoundViolationError(f"{name} witness recounts to {best}, the scan counted {num}/{den}")
+        raise BoundViolationError(f"{name} witness recounts to {best}, the search counted {num}/{den}")
     return best
 
 
@@ -177,15 +180,34 @@ def search_mixed_4subsets(max_vertices: int) -> SearchResult:
     return SearchResult("mixed_4subsets", best, witness, explored, exhaustive=True)
 
 
-def random_probe(
-    problem: str,
-    params: Mapping[str, int],
-    trials: int,
-    seed: int = 0,
-) -> SearchResult:
-    """Best ratio of a registered problem over seeded-random instances.
+PROBE_CAP = 150_000  # trials x subsets of [n] drawn a trial; the costliest probe under it took 3.6-4.9 s
+_COIN = bytes(int(x < 128) for x in range(256))  # random() < 0.5 iff its first word's top byte is below 128
 
-    Instances and ratios come from `hypergraph.PROBLEMS`; deterministic per seed.
+
+def _draws(rng: random.Random, colors: int, m: int) -> Iterator[bytes]:
+    """Each trial's m draws, a byte each, as m calls of random() < 0.5 (one color) or of
+    randrange(colors + 1) would give them: random() reads two 32-bit words, and randrange(k) the
+    top k.bit_length() bits of one, again while they reach k.  Words are read in bulk, first word
+    lowest; those left over after the last trial are never used.
+    """
+    shift = 8 - (colors + 1).bit_length()  # up to 65 colors: rainbow_d draws nothing for d > n + 1
+    table = bytes(x >> shift if x >> shift <= colors else 255 for x in range(256))
+    size, table = (8, _COIN) if colors == 1 else (4, table)
+    pool = b""
+    while True:
+        while len(pool) < m:  # over half of the words give a draw
+            words = rng.getrandbits(16 * size * m + 256).to_bytes(2 * size * m + 32, "little")
+            pool += words[3::size].translate(table).replace(b"\xff", b"")
+        yield pool[:m]
+        pool = pool[m:]
+
+
+def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int = 0) -> SearchResult:
+    """Best ratio of a registered problem over seeded-random instances, deterministic per seed.
+
+    A trial draws each subset of [n] in `combinations` order, as `Problem.draws` says, straight
+    into the problem's compact form, and tallies it; only the best becomes a graph, recounted
+    through the registry.
     """
     prob = get_problem(problem)
     if trials < 0:
@@ -195,14 +217,22 @@ def random_probe(
     delta = int(params.get("delta", 0))
     if d < 2 or delta < 0:
         raise ValidationError(f"probes need d >= 2 and delta >= 0, got d={d}, delta={delta}")
-    check_cap("vertex count", n, VERTEX_CAP)  # before drawing an instance of up to C(n, 4) edges
-    rng = random.Random(seed)
-    best_num, best_den = 0, 1
-    witness: ColoredHypergraph | None = None
-    for _ in range(trials):
-        h = prob.instance(rng, n, d, delta)
-        _, num, den = prob.measure(h, d, delta, None)
-        if den and (witness is None or num * best_den > best_num * den):
-            best_num, best_den, witness = num, den, h
-    best = None if witness is None else Fraction(best_num, best_den)
-    return SearchResult(problem, best, witness, trials, exhaustive=False)
+    check_cap("vertex count", n, VERTEX_CAP)
+    sizes, colors = prob.draws(d, delta)
+    m, k = sum(comb(n, size) for size in sizes), len(colors)
+    check_cap("probe draws (trials x subsets of [n] drawn per trial)", trials * m, PROBE_CAP)
+    if not trials:
+        return SearchResult(problem, None, None, 0, exhaustive=False)
+    # every trial's edges are among these, so the entry check of the counts runs once
+    complete = _edges(ColoredHypergraph.from_edges(n, ((v, "") for s in sizes for v in combinations(range(n), s))))
+    slots = [(sizes.index(len(e.verts)) * k - 1, _facets(e.verts)) for e in complete]  # draw p >= 1: slot o + p
+    best_num, best_den, best = 0, 1, None
+    for picks in islice(_draws(random.Random(seed), k, m), trials):
+        num, den = prob.tally(_form(len(sizes) * k, [(o + p, f) for (o, f), p in zip(slots, picks) if p]), d, delta)
+        if den and (best is None or num * best_den > best_num * den):
+            best_num, best_den, best = num, den, picks
+    if best is None:
+        return SearchResult(problem, None, None, trials, exhaustive=False)
+    witness = ColoredHypergraph.from_edges(n, [(e.verts, colors[p - 1]) for e, p in zip(complete, best) if p])
+    return SearchResult(problem, _recounted(problem, witness, best_num, best_den, d, delta, None), witness, trials,
+                        exhaustive=False)

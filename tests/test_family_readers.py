@@ -222,6 +222,16 @@ def test_set_family_make_names_first_bad_member_in_sorted_order():
     assert outcome(SetFamily.make, 5, sets) == (ValidationError, "member (0, 4) has cardinality 2, expected 3")
 
 
+@pytest.mark.parametrize("sets, message", [
+    ([(0.5, 1, 2), (1, 2, 3)], "element must be an integer, got 0.5"),
+    ([(0, 1, 2), (1, True, 3)], "element must be an integer, got True"),
+    ([(3, 1, 2), (0, "1", 3)], "element must be an integer, got '1'"),
+])
+def test_set_family_make_refuses_non_int_elements_as_the_reader_does(sets, message):
+    assert outcome(SetFamily.make, 5, sets) == (ValidationError, message)
+    assert outcome(set_family_from_obj, {"n": 5, "d": 3, "sets": [list(s) for s in sets]}) == (ValidationError, message)
+
+
 def _mutate_subspace_family(rng, obj, q, n):
     """One malformation at a random position, or entries moved outside [0, q)."""
     members = obj["members"]
@@ -307,6 +317,17 @@ def test_subspace_family_make_matches_reference(seed):
     for shape in (list, tuple, iter):
         shaped = shape([shape([shape(row) for row in m]) for m in members])
         assert outcome(SubspaceFamily.make, obj["q"], obj["n"], obj["d"], shaped) == expected
+
+
+@pytest.mark.parametrize("members, message", [
+    ([[[1.5, 0, 0]]], "subspace entry must be an integer, got 1.5"),
+    ([[[1, 0, 0]], [[0, 1, False]]], "subspace entry must be an integer, got False"),
+    ([[[1, 0, 3.0]]], "subspace entry must be an integer, got 3.0"),
+])
+def test_subspace_family_make_refuses_non_int_entries_as_the_reader_does(members, message):
+    assert outcome(SubspaceFamily.make, 2, 3, 1, members) == (ValidationError, message)
+    obj = {"q": 2, "n": 3, "d": 1, "members": members}
+    assert outcome(subspace_family_from_obj, obj) == (ValidationError, message)
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -627,15 +627,18 @@ class TestCapacity:
         with pytest.raises(CapacityError):
             count_rainbow_cliques(h, 3, RGB)
 
-    def test_good6_link_steps_capped_before_linking(self, monkeypatch):
-        def refuse(edges, size):
-            raise AssertionError("the link index was built before the cap was checked")
+    def test_good6_link_steps_capped_before_lookups(self):
+        class Untouched(dict):
+            def __getitem__(self, key):
+                raise AssertionError("a link was looked up before the cap was checked")
 
-        monkeypatch.setattr(hypergraph, "_links", refuse)
-        # complete 4-graph on 26 vertices: C(26, 4) edges x 3 splits x C(24, 2) edges through a pair
-        fours = [(e, "plain") for e in combinations(range(26), 4)]
-        with pytest.raises(CapacityError, match=r"\) = 12378600 exceeds cap 10000000"):
-            count_good_6subsets(ColoredHypergraph.from_edges(26, fours))
+        # complete 4-graph on 26 vertices: N = C(26, 4) edges, sqrt(6 N^3) + 3 N (26 - 4) steps
+        h = ColoredHypergraph.from_edges(26, [(e, "plain") for e in combinations(range(26), 4)])
+        edges, masks = hypergraph._form(1, ((0, hypergraph._facets(e.verts)) for e in h.edges))
+        with pytest.raises(CapacityError, match=r"\) = 5464218 exceeds cap 5000000"):
+            hypergraph._good6((edges, Untouched(masks)))
+        with pytest.raises(CapacityError, match=r"\) = 5464218 exceeds cap 5000000"):
+            count_good_6subsets(h)
 
     def test_complete_mixed_graph_within_vertex_cap(self):
         edges = [(e, "plain") for size in (2, 3) for e in combinations(range(64), size)]

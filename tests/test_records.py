@@ -38,8 +38,12 @@ def _bounds(d, delta):
     return ()
 
 
-def _instance(rng, n, d, delta):
-    return ColoredHypergraph(n, ())
+def _draws(d, delta):
+    return (2,), ("plain",)
+
+
+def _tally(form, d, delta):
+    return {}, 0, 1
 
 
 EDGE = Edge((0, 1), "red")
@@ -63,9 +67,9 @@ CASES = [
     (SpectralReport, (2.0, 0.0, 1, (REPORT,)), 0, (),
      f"SpectralReport(trace2=2.0, trace3=0.0, total_weight=1, checks=({REPORT_REPR},))", False,
      ("trace3", 6.0)),
-    (Problem, ("p", "x / y", _measure, _bounds, ("note",), _instance), 0, (),
+    (Problem, ("p", "x / y", _measure, _bounds, ("note",), _draws, _tally), 0, (),
      f"Problem(name='p', quantity='x / y', measure={_measure!r}, bounds={_bounds!r}, "
-     f"notes=('note',), instance={_instance!r})", True, ("name", "r")),
+     f"notes=('note',), draws={_draws!r}, tally={_tally!r})", True, ("name", "r")),
     (RatioReport, ({"x": 1}, Fraction(1, 2), (REPORT,)), 0, (),
      f"RatioReport(counts={{'x': 1}}, ratio_exact=Fraction(1, 2), reports=({REPORT_REPR},))", False,
      ("ratio_exact", Fraction(1, 3))),
@@ -100,7 +104,7 @@ FIELDS = {
     SetFamily: ("n", "d", "sets"),
     WeightedSumReport: ("d", "total_weight", "terms", "value", "report", "weights"),
     SpectralReport: ("trace2", "trace3", "total_weight", "checks"),
-    Problem: ("name", "quantity", "measure", "bounds", "notes", "instance"),
+    Problem: ("name", "quantity", "measure", "bounds", "notes", "draws", "tally"),
     RatioReport: ("counts", "ratio_exact", "reports"),
     CVector: ("entries",),
     BoundReport: ("quantity", "computed", "bound", "ratio", "satisfied", "source", "kind", "conjecture",

@@ -1,14 +1,23 @@
 """Exhaustive searches and the seeded random probe."""
 
+import random
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
+from math import comb
+from pathlib import Path
 
 import pytest
 
+from shadowlab import search
 from shadowlab.constructions import k4_blowup
 from shadowlab.errors import BoundViolationError, CapacityError, ValidationError
-from shadowlab.hypergraph import PROBLEMS, Problem, check_ratio, color_isomorphic, good_4subsets_mixed
-from shadowlab.search import _best_in_blocks, random_probe, search_mixed_4subsets, search_rainbow_triangle
+from shadowlab.hypergraph import PROBLEMS, ColoredHypergraph, Problem, check_ratio, color_isomorphic, good_4subsets_mixed
+from shadowlab.search import (PROBE_CAP, _best_in_blocks, _draws, random_probe, search_mixed_4subsets,
+                              search_rainbow_triangle)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 RGB = ("red", "green", "blue")
 
@@ -205,11 +214,102 @@ class TestRandomProbe:
             random_probe("mystery", {}, 10)
 
 
+def reference_instance(rng, name, n, d, delta):
+    """One random graph of a problem, drawn as the probe drew it before it drew into compact forms."""
+    if name in ("rainbow_d", "covering_delta"):
+        size, colors = (d - 1, tuple(f"c{i + 1}" for i in range(d))) if name == "rainbow_d" else (delta + 2, RGB)
+        edges = []
+        for verts in combinations(range(n), size):
+            pick = rng.randrange(len(colors) + 1)
+            if pick:
+                edges.append((verts, colors[pick - 1]))
+        return ColoredHypergraph.from_edges(n, edges)
+    sizes = (4,) if name == "good6" else (2, 3)
+    return ColoredHypergraph.from_edges(
+        n, [(v, "plain") for size in sizes for v in combinations(range(n), size) if rng.random() < 0.5])
+
+
+def reference_probe(name, n, d, delta, trials, seed):
+    """The probe one graph per trial, each counted through the registry: (best, witness, explored)."""
+    rng = random.Random(seed)
+    best_num, best_den, witness = 0, 1, None
+    for _ in range(trials):
+        h = reference_instance(rng, name, n, d, delta)
+        _, num, den = PROBLEMS[name].measure(h, d, delta, None)
+        if den and (witness is None or num * best_den > best_num * den):
+            best_num, best_den, witness = num, den, h
+    return (None if witness is None else Fraction(best_num, best_den)), witness, trials
+
+
+# (problem, vertices, d, delta, trials): every problem up to the benchmark's probe sizes, and below each edge size
+PROBE_GRID = [
+    ("rainbow_d", 2, 3, 0, 5), ("rainbow_d", 3, 3, 0, 60), ("rainbow_d", 5, 3, 0, 40), ("rainbow_d", 8, 3, 0, 30),
+    ("rainbow_d", 10, 3, 0, 20), ("rainbow_d", 6, 2, 0, 30), ("rainbow_d", 5, 4, 0, 40), ("rainbow_d", 7, 4, 0, 30),
+    ("rainbow_d", 7, 5, 0, 20), ("rainbow_d", 3, 5, 0, 5),
+    ("good6", 3, 3, 0, 5), ("good6", 6, 3, 0, 60), ("good6", 8, 3, 0, 20), ("good6", 9, 3, 0, 10),
+    ("mixed4", 1, 3, 0, 5), ("mixed4", 4, 3, 0, 60), ("mixed4", 6, 3, 0, 40), ("mixed4", 7, 3, 0, 20),
+    ("covering_delta", 3, 3, 0, 60), ("covering_delta", 8, 3, 0, 30), ("covering_delta", 10, 3, 0, 20),
+    ("covering_delta", 5, 3, 1, 40), ("covering_delta", 7, 3, 1, 30), ("covering_delta", 7, 3, 2, 20),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+@pytest.mark.parametrize("name, n, d, delta, trials", PROBE_GRID)
+def test_probe_matches_the_graph_per_trial_probe(name, n, d, delta, trials, seed):
+    res = random_probe(name, {"vertices": n, "d": d, "delta": delta}, trials, seed=seed)
+    assert (res.best, res.witness, res.explored) == reference_probe(name, n, d, delta, trials, seed)
+
+
+@pytest.mark.parametrize("colors", [1, *range(2, 66)])  # one color is a fair coin; rainbow_d draws up to 65
+def test_draws_read_the_generator_as_random_and_randrange(colors):
+    for seed, m in ((0, 0), (1, 1), (2, 7), (3, 200)):
+        rng = random.Random(seed)
+        if colors == 1:
+            expected = [[int(rng.random() < 0.5) for _ in range(m)] for _ in range(4)]
+        else:
+            expected = [[rng.randrange(colors + 1) for _ in range(m)] for _ in range(4)]
+        assert [list(t) for t in islice(_draws(random.Random(seed), colors, m), 4)] == expected
+
+
+def test_probe_work_capped_before_drawing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a trial was drawn before the cap was checked")
+
+    monkeypatch.setattr(search, "_draws", refuse)
+    # good6 on 29 vertices draws C(29, 4) = 23,751 subsets a trial
+    with pytest.raises(CapacityError, match=r"probe draws .* = 166257 exceeds cap 150000"):
+        random_probe("good6", {"vertices": 29}, 7)
+    with pytest.raises(CapacityError, match="= 31465000 exceeds cap"):
+        random_probe("good6", {"vertices": 31}, 1000)
+
+
+def test_costliest_probe_under_the_cap_finishes_within_budget():
+    # good6 costs the most a draw, and more the more vertices; from 30 vertices on, the good6 count's own
+    # cap refuses about half-full instances.  So six trials on 29 are the costliest probe both caps
+    # admit, seven counts with the witness's recount: 3.6-4.9 s on a 2-vCPU x86 VM with Python 3.11,
+    # against a budget of 10 s
+    assert 6 * comb(29, 4) <= PROBE_CAP < 7 * comb(29, 4)
+    argv = [sys.executable, "-m", "shadowlab.cli", "search", "probe", "--problem", "good6", "--vertices", "29",
+            "--trials", "6", "--json"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=10, env={"PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_probe_ratio_differing_from_the_registry_raises(monkeypatch, name):
+    problem = PROBLEMS[name]
+    wrong = Problem(problem.name, problem.quantity, lambda h, d, delta, colors: ({}, 1, 1000),
+                    problem.bounds, problem.notes, problem.draws, problem.tally)
+    monkeypatch.setitem(PROBLEMS, name, wrong)
+    with pytest.raises(BoundViolationError, match="recounts to 1/1000"):
+        random_probe(name, {"vertices": 7}, 20)
+
+
 @pytest.mark.parametrize("scan, name", [(search_rainbow_triangle, "rainbow_d"), (search_mixed_4subsets, "mixed4")])
 def test_scan_ratio_differing_from_the_registry_raises(monkeypatch, scan, name):
     problem = PROBLEMS[name]
     wrong = Problem(problem.name, problem.quantity, lambda h, d, delta, colors: ({}, 1, 1000),
-                    problem.bounds, problem.notes, problem.instance)
+                    problem.bounds, problem.notes, problem.draws, problem.tally)
     monkeypatch.setitem(PROBLEMS, name, wrong)
     with pytest.raises(BoundViolationError, match="recounts to 1/1000"):
         scan(4)
