@@ -652,7 +652,8 @@ PROBLEMS: dict[str, Problem] = {
         Problem(
             "good6", "good6 ratio", _good6_measure, lambda d, delta: (),
             ("conjectured optimum for J^2/N^3 is 2/7; exceeding it is not a failure",),
-            lambda d, delta: ((4,), ("plain",)), lambda form, d, delta: (len(_good6(form)) ** 2, len(form[0][0]) ** 3),
+            lambda d, delta: ((4,), ("plain",)),
+            lambda form, d, delta: (len(_good6(form)) ** 2, len(form[0][0]) ** 3),
         ),
         Problem(
             "mixed4", "mixed ratio", _mixed4_measure,

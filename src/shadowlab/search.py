@@ -190,9 +190,9 @@ def _draws(rng: random.Random, colors: int, m: int) -> Iterator[bytes]:
     top k.bit_length() bits of one, again while they reach k.  Words are read in bulk, first word
     lowest; those left over after the last trial are never used.
     """
-    shift = 8 - (colors + 1).bit_length()  # up to 65 colors: rainbow_d draws nothing for d > n + 1
-    table = bytes(x >> shift if x >> shift <= colors else 255 for x in range(256))
-    size, table = (8, _COIN) if colors == 1 else (4, table)
+    shift = max(0, 8 - (colors + 1).bit_length())  # at most 65 colors draw: rainbow_d draws none for d > n + 1
+    table = _COIN if colors == 1 else bytes(x >> shift if x >> shift <= colors else 255 for x in range(256))
+    size = 8 if colors == 1 else 4  # bytes of output a try reads: two words for random(), one for randrange
     pool = b""
     while True:
         while len(pool) < m:  # over half of the words give a draw

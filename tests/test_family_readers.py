@@ -229,7 +229,8 @@ def test_set_family_make_names_first_bad_member_in_sorted_order():
 ])
 def test_set_family_make_refuses_non_int_elements_as_the_reader_does(sets, message):
     assert outcome(SetFamily.make, 5, sets) == (ValidationError, message)
-    assert outcome(set_family_from_obj, {"n": 5, "d": 3, "sets": [list(s) for s in sets]}) == (ValidationError, message)
+    obj = {"n": 5, "d": 3, "sets": [list(s) for s in sets]}
+    assert outcome(set_family_from_obj, obj) == (ValidationError, message)
 
 
 def _mutate_subspace_family(rng, obj, q, n):

@@ -13,7 +13,8 @@ import pytest
 from shadowlab import search
 from shadowlab.constructions import k4_blowup
 from shadowlab.errors import BoundViolationError, CapacityError, ValidationError
-from shadowlab.hypergraph import PROBLEMS, ColoredHypergraph, Problem, check_ratio, color_isomorphic, good_4subsets_mixed
+from shadowlab.hypergraph import (PROBLEMS, ColoredHypergraph, Problem, check_ratio, color_isomorphic,
+                                  good_4subsets_mixed)
 from shadowlab.search import (PROBE_CAP, _best_in_blocks, _draws, random_probe, search_mixed_4subsets,
                               search_rainbow_triangle)
 
@@ -245,7 +246,7 @@ def reference_probe(name, n, d, delta, trials, seed):
 PROBE_GRID = [
     ("rainbow_d", 2, 3, 0, 5), ("rainbow_d", 3, 3, 0, 60), ("rainbow_d", 5, 3, 0, 40), ("rainbow_d", 8, 3, 0, 30),
     ("rainbow_d", 10, 3, 0, 20), ("rainbow_d", 6, 2, 0, 30), ("rainbow_d", 5, 4, 0, 40), ("rainbow_d", 7, 4, 0, 30),
-    ("rainbow_d", 7, 5, 0, 20), ("rainbow_d", 3, 5, 0, 5),
+    ("rainbow_d", 7, 5, 0, 20), ("rainbow_d", 3, 5, 0, 5), ("rainbow_d", 5, 300, 0, 3),
     ("good6", 3, 3, 0, 5), ("good6", 6, 3, 0, 60), ("good6", 8, 3, 0, 20), ("good6", 9, 3, 0, 10),
     ("mixed4", 1, 3, 0, 5), ("mixed4", 4, 3, 0, 60), ("mixed4", 6, 3, 0, 40), ("mixed4", 7, 3, 0, 20),
     ("covering_delta", 3, 3, 0, 60), ("covering_delta", 8, 3, 0, 30), ("covering_delta", 10, 3, 0, 20),
