@@ -216,7 +216,8 @@ class TestRandomProbe:
 
 
 def reference_instance(rng, name, n, d, delta):
-    """One random graph of a problem, drawn as the probe drew it before it drew into compact forms."""
+    """One random graph of a problem, drawn with random() or randrange() a subset at a time: the reference
+    for the probe's bulk draws into compact forms."""
     if name in ("rainbow_d", "covering_delta"):
         size, colors = (d - 1, tuple(f"c{i + 1}" for i in range(d))) if name == "rainbow_d" else (delta + 2, RGB)
         edges = []
@@ -231,7 +232,8 @@ def reference_instance(rng, name, n, d, delta):
 
 
 def reference_probe(name, n, d, delta, trials, seed):
-    """The probe one graph per trial, each counted through the registry: (best, witness, explored)."""
+    """The probe one graph per trial, each counted through the registry: (best, witness, explored).
+    The reference for `random_probe`, which builds no graph but the witness."""
     rng = random.Random(seed)
     best_num, best_den, witness = 0, 1, None
     for _ in range(trials):
