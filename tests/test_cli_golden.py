@@ -73,6 +73,18 @@ INPUTS = {
     "subs-echelon.json": {"q": 2, "n": 3, "d": 2, "members": [[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [1, 0, 0]]]},
     "subs-modq.json": {"q": 3, "n": 3, "d": 2, "members": [[[4, 0, -3], [0, 1, 5]], [[1, -3, 0], [3, 0, 7]],
                                                            [[1, 2, 0], [0, 0, 1]]]},
+    # q = 7 with coefficients above 1, lines (d = 1), the whole space (d = n), and members the
+    # readers refuse or reorder: out of order, repeated, a nonzero entry above a later pivot
+    "subs-q7.json": {"q": 7, "n": 4, "d": 2, "members": [[[1, 0, 3, 5], [0, 1, 6, 2]], [[1, 2, 0, 4], [0, 0, 1, 3]],
+                                                         [[0, 1, 0, 6], [0, 0, 1, 2]], [[1, 0, 5, 0], [0, 1, 4, 0]]]},
+    "subs-lines.json": {"q": 3, "n": 3, "d": 1, "members": [[[1, 2, 0]], [[0, 1, 1]], [[0, 0, 1]]]},
+    "subs-whole.json": {"q": 5, "n": 3, "d": 3, "members": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+    "subs-unsorted.json": {"q": 2, "n": 4, "d": 2, "members": [[[1, 0, 1, 1], [0, 1, 0, 1]], [[0, 1, 0, 0], [0, 0, 1, 0]],
+                                                               [[1, 0, 0, 0], [0, 0, 1, 1]]]},
+    "subs-dup.json": {"q": 3, "n": 3, "d": 2, "members": [[[1, 0, 2], [0, 1, 1]], [[1, 2, 0], [0, 0, 1]],
+                                                          [[1, 0, 2], [0, 1, 1]]]},
+    "subs-above.json": {"q": 3, "n": 4, "d": 2, "members": [[[1, 0, 2, 0], [0, 1, 1, 0]], [[1, 2, 0, 1], [0, 0, 1, 1]],
+                                                            [[1, 1, 0, 2], [0, 1, 0, 1]]]},
     "dist.json": {"arity": 3, "support": [{"values": [0, 0, 1], "p": "1/4"}, {"values": [0, 1, 1], "p": "1/4"},
                                           {"values": [1, 0, 0], "p": "1/3"}, {"values": [1, 1, 0], "p": "1/6"}]},
 }
@@ -105,6 +117,12 @@ CASES = [
     "qkk --family subs-short.json",
     "qkk --family subs-echelon.json",
     "qkk --family subs-modq.json",
+    "qkk --family subs-q7.json",
+    "qkk --family subs-lines.json",
+    "qkk --family subs-whole.json",
+    "qkk --family subs-unsorted.json",
+    "qkk --family subs-dup.json",
+    "qkk --family subs-above.json",
     "entropy --dist dist.json",
     "entropy --dist dist.json --coords 0,2",
     "entropy --dist dist.json --shearer 0,1;1,2;0,2 --k 2",
