@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations, count, product
+from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
-from .errors import ValidationError, check_power_cap
+from .errors import ValidationError, check_cap, check_power_cap
 from .numkit import gaussian_binom, shadow_bound
 from .record import Record
 from .reports import BoundReport, lower_report
 
 FIELD_CAP = 2**16
+SHAPE_CAP, ENTRY_CAP = 10**6, 2 * 10**7  # the shadow's; README "Capacity caps" gives the cost at each
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -55,23 +57,37 @@ def rref(rows: Iterable[Sequence[int]], q: int) -> Matrix:
     return tuple(tuple(r) for r in work[:rank])
 
 
-def _is_reduced_echelon(mat: Matrix) -> bool:
-    """True iff rref(mat, q) == mat for a matrix with entries already in [0, q).
+def _id_columns(members: Sequence[Matrix], d: int) -> tuple[list[tuple], dict[tuple, int], list[list[int]]]:
+    """The members' rows, each distinct row's id (its first index there), and d columns of ids, one per row."""
+    rows = list(chain.from_iterable(members))
+    ids: dict[tuple, int] = {}
+    flat = list(map(ids.setdefault, rows, count()))
+    return rows, ids, [flat[j::d] for j in range(d)]
 
-    Every row is nonzero with a leading 1, the pivots strictly increase, and
-    every pivot column is a unit vector.
+
+def _in_echelon_form(canon: list[Matrix], q: int, n: int, d: int) -> bool:
+    """True iff every member is a rank-d reduced echelon d×n matrix of ints in [0, q), i.e. rref(m, q) == m.
+
+    Types are decided per entry (an int row and an equal one holding a float or a bool hash alike),
+    length and range per distinct row, and the form per column of row ids: each distinct row leads with
+    a 1, the leads strictly increase down each member, and each distinct (row, later lead) pair is zero.
     """
-    last = -1
-    for row in mat:
-        for lead, x in enumerate(row):
-            if x:
-                break
-        else:
+    if not (set(map(len, canon)) <= {d} and set(map(type, chain.from_iterable(chain.from_iterable(canon)))) <= {int}):
+        return False
+    rows, ids, cols = _id_columns(canon, d)
+    if not (set(map(len, ids)) <= {n} and min(map(min, ids), default=0) >= 0 and max(map(max, ids), default=0) < q):
+        return False
+    lead = {}
+    for row, i in ids.items():
+        j = next((j for j, x in enumerate(row) if x), n)
+        if j == n or row[j] != 1:
             return False
-        if lead <= last or x != 1 or [other[lead] for other in mat].count(0) != len(mat) - 1:
-            return False
-        last = lead
-    return True
+        lead[i] = j
+    pivots = [list(map(lead.__getitem__, col)) for col in cols]
+    if not all(all(map(lt, above, below)) for above, below in zip(pivots, pivots[1:])):
+        return False
+    pairs = set(chain.from_iterable(zip(cols[i], pivots[j]) for j in range(d) for i in range(j)))
+    return not any(rows[i][j] for i, j in pairs)
 
 
 class SubspaceFamily(Record):
@@ -84,17 +100,18 @@ class SubspaceFamily(Record):
 
     @classmethod
     def make(cls, q: int, n: int, d: int, members: Iterable[Iterable[Sequence[int]]]) -> "SubspaceFamily":
+        """The members, sorted, with entries reduced mod q.
+
+        A family already in form is accepted in bulk, with no sort if its members strictly increase;
+        any other is checked member by member, which names the first bad one.
+        """
         if not is_prime(q):
             raise ValidationError(f"q must be prime, got {q}")
         if not (0 <= d <= n):
             raise ValidationError(f"need 0 <= d <= n, got d={d}, n={n}")
         canon = [tuple(map(tuple, m)) for m in members]
-        rows = list(chain.from_iterable(canon))
-        entries = list(chain.from_iterable(rows))
-        if not (set(map(type, entries)) <= {int} and min(entries, default=0) >= 0 and max(entries, default=0) < q
-                and set(map(len, canon)) <= {d} and set(map(len, rows)) <= {n}
-                and all(map(_is_reduced_echelon, canon))):
-            for x in entries:  # named as the family readers name it
+        if not _in_echelon_form(canon, q, n, d):
+            for x in chain.from_iterable(chain.from_iterable(canon)):  # named as the family readers name it
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise ValidationError(f"subspace entry must be an integer, got {x!r}")
             mats, canon = canon, []
@@ -103,12 +120,14 @@ class SubspaceFamily(Record):
                 for row in mat:
                     if len(row) != n:
                         raise ValidationError(f"row {row} has length {len(row)}, expected {n}")
-                if len(mat) != d or not _is_reduced_echelon(mat):
+                if not _in_echelon_form([mat], q, n, d):
                     raise ValidationError(f"member {mat} is not a rank-{d} reduced echelon matrix")
                 canon.append(mat)
-        if len(set(canon)) != len(canon):
-            raise ValidationError("duplicate subspaces")
-        return cls(q=q, n=n, d=d, members=tuple(sorted(canon)))
+        if not all(map(lt, canon, canon[1:])):
+            if len(set(canon)) != len(canon):
+                raise ValidationError("duplicate subspaces")
+            canon.sort()
+        return cls(q=q, n=n, d=d, members=tuple(canon))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -128,12 +147,7 @@ def enumerate_subspaces(q: int, n: int, d: int) -> SubspaceFamily:
     members = []
     for pivots in combinations(range(n), d):
         pivot_set = set(pivots)
-        free = [
-            (i, j)
-            for i in range(d)
-            for j in range(n)
-            if j > pivots[i] and j not in pivot_set
-        ]
+        free = [(i, j) for i in range(d) for j in range(n) if j > pivots[i] and j not in pivot_set]
         for values in product(range(q), repeat=len(free)):
             mat = [[0] * n for _ in range(d)]
             for i, p in enumerate(pivots):
@@ -160,47 +174,59 @@ def subspace_points(member: Matrix, q: int, n: int) -> frozenset[tuple[int, ...]
     return frozenset(points)
 
 
-def _combine_rows(member: Matrix, terms: Sequence[tuple[int, int]], q: int) -> tuple[int, ...]:
-    """The row sum of c * member[j] over (j, c) in terms, mod q.
-
-    terms come from a reduced echelon row, so the first term is its leading
-    1, and a lone term selects member[j] as it is.
-    """
-    (lead, _), *rest = terms
-    acc = member[lead]
-    for j, c in rest:
-        acc = tuple([(a + c * b) % q for a, b in zip(acc, member[j])])
-    return acc
-
-
-def _subspace_shadow(fam: SubspaceFamily) -> set[Matrix]:
-    """The (d-1)-dim subspaces contained in some member, unsorted.
+def _subspace_shadow(fam: SubspaceFamily) -> tuple[set[tuple[int, ...]], dict[tuple[int, ...], int]]:
+    """The (d-1)-dim subspaces contained in some member, as tuples of row ids, and the id of each row.
 
     The hyperplanes of a member M are the row spaces of C·M, C running over
     the reduced echelon (d-1)×d matrices, so no ambient enumeration is needed.
     C·M is already in reduced echelon form: row i leads with the 1 in the
     pivot column of M's row p_i (p_i the i-th pivot of C), and that column
-    of C·M is the i-th unit vector.  The products are therefore assembled
-    from combinations of M's rows, each computed once per member, with no
-    re-reduction.
+    of C·M is the i-th unit vector.  C has one non-pivot column f, so row i
+    of C·M is M[p_i] + c·M[f], with c = 0 unless p_i < f.
+
+    The family is laid out as d columns of row ids, and every row is interned
+    by content, so equal subspaces get equal id tuples.  A memo keyed by the
+    id pair (M[p], M[f]), filled for the distinct pairs present only, holds
+    the ids of M[p] + c·M[f] for every c; each such column is then one `map`
+    over it, and each of the [d, 1]_q shapes of C one `zip` of d-1 columns
+    into the set.  The work is capped before any row is combined: the shapes,
+    and the hyperplane entries members × [d, 1]_q × n.
     """
-    if fam.d < 1:
+    q, d = fam.q, fam.d
+    if d < 1:
         raise ValidationError("shadow needs d >= 1")
-    coeff = enumerate_subspaces(fam.q, fam.d, fam.d - 1).members
-    vectors = sorted({row for cmat in coeff for row in cmat})
-    index = {v: i for i, v in enumerate(vectors)}
-    shapes = [tuple(index[row] for row in cmat) for cmat in coeff]
-    terms = [[(j, c) for j, c in enumerate(v) if c] for v in vectors]
+    if not fam.members:
+        return set(), {}
+    shapes = gaussian_binom(d, 1, q)
+    check_cap("hyperplanes of a member [d, 1]_q", shapes, SHAPE_CAP)
+    check_cap("hyperplane entries (members x [d, 1]_q x n)", len(fam) * shapes * fam.n, ENTRY_CAP)
+    if d == 1:  # the zero subspace
+        return {()}, {}
+    rows, ids, cols = _id_columns(fam.members, d)
+    fresh = count(len(rows))  # ids for the rows that combining makes
+    memo: dict[tuple[int, int], tuple[int, ...]] = {}  # (a, b) -> the ids of row a + c·row b for c = 0, ..., q-1
     out = set()
-    for member in fam.members:
-        rows = [_combine_rows(member, t, fam.q) for t in terms]
-        out.update(tuple(rows[i] for i in shape) for shape in shapes)
-    return out
+    for f in range(d):
+        options = []  # for each p < f, the columns of ids of M[p] + c·M[f], c = 0, ..., q-1
+        for p in range(f):
+            pairs = list(zip(cols[p], cols[f]))
+            for a, b in set(pairs).difference(memo):
+                ra, rb = rows[a], rows[b]
+                memo[a, b] = (a, *(ids.setdefault(tuple([(x + c * y) % q for x, y in zip(ra, rb)]), next(fresh))
+                                   for c in range(1, q)))
+            combos = list(map(memo.__getitem__, pairs))
+            options.append([cols[p], *(list(map(itemgetter(c), combos)) for c in range(1, q))])
+        for shape in product(*options):
+            out.update(zip(*shape, *cols[f + 1:]))
+    return out, ids
 
 
 def subspace_shadow(fam: SubspaceFamily) -> SubspaceFamily:
     """All (d-1)-dim subspaces contained in some member."""
-    return SubspaceFamily(q=fam.q, n=fam.n, d=fam.d - 1, members=tuple(sorted(_subspace_shadow(fam))))
+    shadow, ids = _subspace_shadow(fam)
+    rows = {i: row for row, i in ids.items()}
+    members = sorted(tuple(map(rows.__getitem__, h)) for h in shadow)
+    return SubspaceFamily(q=fam.q, n=fam.n, d=fam.d - 1, members=tuple(members))
 
 
 def _gl_order(q: int, k: int) -> int:
@@ -223,7 +249,7 @@ def check_q_kruskal_katona(fam: SubspaceFamily) -> BoundReport:
     """
     if len(fam) < 1:
         raise ValidationError("family must be nonempty")
-    shadow_size = len(_subspace_shadow(fam))
+    shadow_size = len(_subspace_shadow(fam)[0])
     holds, t, bound = _gaussian_bound(shadow_size, len(fam), fam.d, fam.q)
     return lower_report("subspace shadow size", shadow_size, bound, "q-analog kruskal-katona", holds=holds,
                         extra={"t": t, "family_size": len(fam), "q": fam.q})

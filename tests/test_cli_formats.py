@@ -437,6 +437,8 @@ OVERSIZED = {
     "points.json": _weighted_graph(2, [([0], 10**200)]),
     "f.json": {"n": 3, "d": 2, "sets": [[1, 2]]},
     "wide.json": {"n": 15000, "d": 15000, "sets": [list(range(15000))]},
+    "space20.json": {"q": 2, "n": 20, "d": 20, "members": [[[int(i == j) for j in range(20)] for i in range(20)]]},
+    "space18.json": {"q": 2, "n": 100, "d": 18, "members": [[[int(i == j) for j in range(100)] for i in range(18)]]},
 }
 CHILD = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
          "sys.argv[0] = 'shadowlab'; runpy.run_module('shadowlab.cli', run_name='__main__')")
@@ -463,6 +465,10 @@ CHILD = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2
     ("weighted --input triangle.json --spectral", 3, "edge weights too large"),
     ("weighted --input points.json --d 2", 3, "a term or the bound N^{d/(d-1)} overflows a float"),
     ("weighted --input path.json --spectral", 3, "a trace or tr(M^2)^3 overflows a float"),
+    # the q-analog shadow's work, refused before any row is combined: the 2^20 - 1 hyperplanes of
+    # F_2^20, and 2^18 - 1 hyperplanes of one 18-space of F_2^100, 100 entries each
+    ("qkk --family space20.json", 4, "hyperplanes of a member [d, 1]_q = 1048575 exceeds cap 1000000"),
+    ("qkk --family space18.json", 4, "(members x [d, 1]_q x n) = 26214300 exceeds cap 20000000"),
 ])
 def test_oversized_input_exits_without_traceback(tmp_path, argv, code, err):
     for name, obj in OVERSIZED.items():

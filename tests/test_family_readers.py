@@ -1,8 +1,9 @@
 """The bulk family readers against the per-entry readers they replaced.
 
 `reference_*` below are the readers as they were before the set and subspace
-readers decided entry types, sizes, order and range in bulk. They are kept
-here, unchanged, as the specification: on every document, valid or malformed,
+readers decided entry types, sizes, order and range in bulk, and before
+`SubspaceFamily.make` decided the echelon form per distinct row and column of
+row ids. They are kept here, unchanged, as the specification: on every document, valid or malformed,
 the production reader must return an equal family or raise a
 `ValidationError` with the identical message, so the first bad entry in file
 order (for the readers) and the first bad member in sorted order (for
@@ -17,7 +18,7 @@ import pytest
 from shadowlab.errors import ValidationError
 from shadowlab.formats import set_family_from_obj, subspace_family_from_obj
 from shadowlab.hypergraph import SetFamily
-from shadowlab.qlinalg import SubspaceFamily, _is_reduced_echelon, enumerate_subspaces, is_prime
+from shadowlab.qlinalg import SubspaceFamily, enumerate_subspaces, is_prime
 
 
 def _require_keys(obj, required, optional, what):
@@ -69,6 +70,21 @@ def reference_set_family_from_obj(obj):
         [[_int(v, "element") for v in _list(s, "set")] for s in _list(obj["sets"], "sets")],
         d=_int(obj["d"], "d"),
     )
+
+
+def _is_reduced_echelon(mat):
+    """True iff rref(mat, q) == mat for a matrix with entries already in [0, q)."""
+    last = -1
+    for row in mat:
+        for lead, x in enumerate(row):
+            if x:
+                break
+        else:
+            return False
+        if lead <= last or x != 1 or [other[lead] for other in mat].count(0) != len(mat) - 1:
+            return False
+        last = lead
+    return True
 
 
 def reference_subspace_family_make(q, n, d, members):
@@ -347,3 +363,48 @@ def test_subspace_entries_outside_field_reduced_mod_q(seed):
     i, j = rng.choice([(i, j) for i in range(d) for j in range(n) if j not in pivots])
     m[i][j] += q * rng.choice((-2, -1, 1, 3))
     assert subspace_family_from_obj(obj) == reference_subspace_family_from_obj(obj) == fam
+
+
+def _lead(row):
+    return next(j for j, x in enumerate(row) if x)
+
+
+def _one_bad_member(rng, members, q, kind):
+    """A defect of the given kind in one member, or in the family's order, at a random position."""
+    i = rng.randrange(len(members))
+    m = members[i]
+    r, s = sorted(rng.sample(range(len(m)), 2)) if len(m) > 1 else (0, 0)
+    if kind == "lead":  # a leading entry other than 1
+        c = rng.randrange(2, q)
+        m[r] = [c * x % q for x in m[r]]
+    elif kind == "above":  # a nonzero entry above a later pivot
+        m[r][_lead(m[s])] = rng.randrange(1, q)
+    elif kind == "equal":  # a later row with the same pivot
+        m[s] = [0] * _lead(m[r]) + [1] + [rng.randrange(q) for _ in range(len(m[r]) - _lead(m[r]) - 1)]
+    elif kind == "swap":
+        m[r], m[s] = m[s], m[r]
+    elif kind == "zero":
+        m[r] = [0] * len(m[r])
+    elif kind == "duplicate":
+        members.insert(rng.randrange(len(members) + 1), [list(row) for row in m])
+    else:  # two members out of order
+        j = rng.randrange(len(members))
+        members[i], members[j] = members[j], members[i]
+
+
+@pytest.mark.parametrize("kind", ["lead", "above", "equal", "swap", "zero", "duplicate", "order"])
+@pytest.mark.parametrize("seed", range(40))
+def test_subspace_family_make_one_bad_member_matches_per_member_reference(seed, kind):
+    """Sorted families with one defect: the bulk accept path gives the reference's family or message."""
+    rng = random.Random(seed)
+    q = rng.choice([3, 5, 7] if kind == "lead" else [2, 3, 5, 7])
+    n = rng.randint(2, 4 if q < 5 else 3)
+    d = rng.randint(1 if kind in ("lead", "zero", "duplicate", "order") else 2, n)
+    pool = enumerate_subspaces(q, n, d).members
+    members = [[list(row) for row in m] for m in sorted(rng.sample(pool, min(len(pool), rng.randint(2, 12))))]
+    _one_bad_member(rng, members, q, kind)
+    expected = outcome(reference_subspace_family_make, q, n, d, members)
+    assert (kind == "order") == isinstance(expected, SubspaceFamily)
+    assert outcome(SubspaceFamily.make, q, n, d, members) == expected
+    obj = {"q": q, "n": n, "d": d, "members": members}
+    assert outcome(subspace_family_from_obj, obj) == outcome(reference_subspace_family_from_obj, obj) == expected

@@ -130,6 +130,60 @@ class TestSubspaceShadow:
         assert len(shadow) == gaussian_binom(7, 2, 2) == 2667
 
 
+def reference_combine_rows(member, terms, q):
+    """The row sum of c * member[j] over (j, c) in terms, mod q; a lone leading term selects member[j]."""
+    (lead, _), *rest = terms
+    acc = member[lead]
+    for j, c in rest:
+        acc = tuple([(a + c * b) % q for a, b in zip(acc, member[j])])
+    return acc
+
+
+def reference_subspace_shadow(fam):
+    """The shadow as it was computed member by member, every hyperplane row built as a tuple."""
+    coeff = enumerate_subspaces(fam.q, fam.d, fam.d - 1).members
+    vectors = sorted({row for cmat in coeff for row in cmat})
+    index = {v: i for i, v in enumerate(vectors)}
+    shapes = [tuple(index[row] for row in cmat) for cmat in coeff]
+    terms = [[(j, c) for j, c in enumerate(v) if c] for v in vectors]
+    out = set()
+    for member in fam.members:
+        rows = [reference_combine_rows(member, t, fam.q) for t in terms]
+        out.update(tuple(rows[i] for i in shape) for shape in shapes)
+    return out
+
+
+class TestShadowAgainstReference:
+    """The column-wise shadow against the member-by-member one it replaced."""
+
+    @staticmethod
+    def check(fam):
+        expected = tuple(sorted(reference_subspace_shadow(fam)))
+        assert subspace_shadow(fam).members == expected
+        assert check_q_kruskal_katona(fam).computed == len(expected)
+
+    @pytest.mark.parametrize("q,n", [(2, 1), (2, 4), (2, 5), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3)])
+    def test_seeded_families(self, q, n):
+        rng = random.Random(q * 100 + n)
+        for d in sorted({1, max(n - 1, 1), n}):
+            pool = enumerate_subspaces(q, n, d).members
+            for size in (1, 2, 5, 40):
+                self.check(SubspaceFamily.make(q, n, d, rng.sample(pool, min(size, len(pool)))))
+
+    @pytest.mark.parametrize("q,n,d", [(2, 5, 3), (3, 4, 3), (5, 4, 2), (7, 3, 2), (7, 4, 3)])
+    def test_members_sharing_rows(self, q, n, d):
+        """Families whose members share their first or last row, so pairs of row ids repeat."""
+        rng = random.Random(n * d + q)
+        pool = enumerate_subspaces(q, n, d).members
+        for pick in (0, -1):
+            groups = {}
+            for m in pool:
+                groups.setdefault(m[pick], []).append(m)
+            largest = max(groups.values(), key=len)
+            self.check(SubspaceFamily.make(q, n, d, largest))
+            self.check(SubspaceFamily.make(q, n, d, rng.sample(largest, (len(largest) + 1) // 2)))
+
+
 class TestQKruskalKatona:
     def test_full_grassmannian_tight(self):
         fam = enumerate_subspaces(2, 4, 2)
