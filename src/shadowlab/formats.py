@@ -86,13 +86,6 @@ def hypergraph_from_obj(obj: Any) -> ColoredHypergraph:
     return ColoredHypergraph.from_edges(n, edges)
 
 
-def hypergraph_to_text(h: ColoredHypergraph) -> str:
-    lines = [f"vertices {h.n}"]
-    for e in h.edges:
-        lines.append(e.color + " " + " ".join(str(v) for v in e.verts))
-    return "\n".join(lines) + "\n"
-
-
 def hypergraph_from_text(text: str) -> ColoredHypergraph:
     edges = []
     declared = None
@@ -144,15 +137,6 @@ def set_family_from_obj(obj: Any) -> SetFamily:
     return SetFamily.make(n, sets, d=_int(obj["d"], "d"))
 
 
-def subspace_family_to_obj(fam: SubspaceFamily) -> dict:
-    return {
-        "q": fam.q,
-        "n": fam.n,
-        "d": fam.d,
-        "members": [[list(row) for row in m] for m in fam.members],
-    }
-
-
 def subspace_family_from_obj(obj: Any) -> SubspaceFamily:
     if not isinstance(obj, dict):
         raise ValidationError("subspace family JSON must be an object")
@@ -186,16 +170,6 @@ def distribution_from_obj(obj: Any) -> ExactDistribution:
             raise ValidationError(f"support item {i}: bad probability {item['p']!r}") from exc
         pairs.append((values, p))
     return ExactDistribution.from_pairs(_int(obj["arity"], "arity"), pairs)
-
-
-def distribution_to_obj(dist: ExactDistribution) -> dict:
-    return {
-        "arity": dist.arity,
-        "support": [
-            {"values": list(values), "p": f"{p.numerator}/{p.denominator}"}
-            for values, p in dist.support
-        ],
-    }
 
 
 def canonical(value: Any) -> Any:
