@@ -20,7 +20,7 @@ from .record import Record
 from .reports import BoundReport, lower_report
 
 FIELD_CAP = 2**16
-SHAPE_CAP, ENTRY_CAP = 10**6, 2 * 10**7  # the shadow's; README "Capacity caps" gives the cost at each
+SHAPE_CAP, ENTRY_CAP = 10**6, 2 * 10**7  # the shadow's: hyperplanes of a member, entries of all hyperplanes
 
 Matrix = tuple[tuple[int, ...], ...]
 
