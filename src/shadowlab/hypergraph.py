@@ -158,29 +158,6 @@ def _edges(h: ColoredHypergraph, *sizes: int, what: str = "") -> tuple[Edge, ...
     return h.edges
 
 
-def _cofaces(
-    lookup: dict, bases: Iterable[tuple[int, ...]], n: int
-) -> Iterator[tuple[tuple[int, ...], list]]:
-    """Each set made of a base plus one vertex of [n] outside it, once, with its facets' values.
-
-    Bases are sorted tuples of one size k of vertices in [n].  Yields (coface, values):
-    the coface sorted, and the lookup values of its k-subsets in
-    `combinations` order, None where a k-subset is not a key of lookup.
-    """
-    seen = set()
-    for base in bases:
-        k = len(base)
-        i = 0  # base[:i] are the base's vertices below v
-        for v in range(n):
-            if i < k and base[i] == v:
-                i += 1
-                continue
-            coface = base[:i] + (v,) + base[i:]
-            if coface not in seen:
-                seen.add(coface)
-                yield coface, list(map(lookup.get, combinations(coface, k)))
-
-
 Form = tuple[list[list[tuple[tuple[int, int], ...]]], dict[int, list[int]]]  # built by _form
 
 
@@ -403,15 +380,26 @@ def count_color_covering_subsets(h: ColoredHypergraph, delta: int) -> int:
 
 
 def count_partial_shadow_targets(h: ColoredHypergraph, r: int, k: int) -> int:
-    """Number of r-subsets containing at least r-k edges of an (r-1)-uniform h."""
+    """Number of r-subsets containing at least r-k edges of an (r-1)-uniform h.  Each is met once, from the
+    set minus its least vertex v that leaves an edge; its other edges are that edge's facets whose masks hold v."""
     if r < 1 or k < 0 or k > r:
         raise ValidationError(f"need r >= 1 and 0 <= k <= r, got r={r}, k={k}")
-    edges = [e.verts for e in _edges(h, r - 1, what="partial shadow counting")]
+    items = [(0, _facets(e.verts)) for e in _edges(h, r - 1, what="partial shadow counting")]
     needed = r - k
     if needed <= 0:
         return math.comb(h.n, r)
-    lookup = dict.fromkeys(edges, True)
-    return sum(1 for _, got in _cofaces(lookup, edges, h.n) if len(got) - got.count(None) >= needed)
+    (edges,), masks = _form(1, items)
+    total = 0
+    for facets in edges:
+        above = facets[0][0] | facets[0][1]  # the edge, then each v with edge - u + v an edge, u < v
+        held = [(1 << h.n) - 1] + [0] * (needed - 1)  # held[j]: the vertices in j or more facet masks
+        for f, u in facets:
+            m = masks[f][0]
+            above |= m & -(u << 1)
+            for j in range(needed - 1, 0, -1):
+                held[j] |= held[j - 1] & m
+        total += (held[-1] & ~above).bit_count()
+    return total
 
 
 def check_partial_shadow_bound(h: ColoredHypergraph, r: int, k: int) -> BoundReport:
@@ -456,11 +444,19 @@ def weighted_joint_sum(h: ColoredHypergraph, d: int) -> WeightedSumReport:
         raise ValidationError(f"need d >= 2, got {d}")
     table = {e.verts: 1 if e.weight is None else e.weight for e in _edges(h, d - 1, what="weighted counting")}
     total = sum(table.values())
-    bases = [f for f, w in table.items() if w]
-    check_cap("coface visits (nonzero edges x n)", len(bases) * h.n, 10**7)  # measured 0.65-1.6 µs a visit
-    # sorted, the terms and the float sum keep the combinations(range(n), d) order
-    cliques = sorted((c, math.prod(got)) for c, got in _cofaces(table, bases, h.n) if all(got))
-    terms = [p for _, p in cliques]
+    bases = sorted(f for f, w in table.items() if w)
+    check_cap("coface visits (nonzero edges x n)", len(bases) * h.n, 10**7)  # measured 0.11-0.55 µs a visit
+    (edges,), masks = _form(1, ((0, _facets(f)) for f in bases))
+    weight = {facets[0][0] | facets[0][1]: table[f] for f, facets in zip(bases, edges)}
+    # each clique is met once, from its first d - 1 vertices, its top vertex x above theirs and in every facet
+    # mask; with the edges sorted and x rising, the terms and the float sum keep combinations(range(n), d) order
+    terms = []
+    for facets in edges:
+        xs = -(facets[-1][1] << 1)
+        for f, _ in facets:
+            xs &= masks[f][0]
+        w = weight[facets[0][0] | facets[0][1]]
+        terms.extend(w * math.prod(weight[f | 1 << x] for f, _ in facets) for x in _members(xs))
     try:
         value = float(sum(p ** (1.0 / (d - 1)) for p in terms))
         bound = (math.factorial(d - 1) ** (1.0 / (d - 1)) / d) * float(total) ** (d / (d - 1))

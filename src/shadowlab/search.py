@@ -217,6 +217,8 @@ def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int
     delta = int(params.get("delta", 0))
     if d < 2 or delta < 0:
         raise ValidationError(f"probes need d >= 2 and delta >= 0, got d={d}, delta={delta}")
+    if n < 0:
+        raise ValidationError(f"vertex count must be nonnegative, got {n}")
     check_cap("vertex count", n, VERTEX_CAP)
     sizes, colors = prob.draws(d, delta)
     m, k = sum(comb(n, size) for size in sizes), len(colors)

@@ -1,7 +1,9 @@
 """File formats, canonical JSON reports, and the command-line surface."""
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -468,6 +470,8 @@ CHILD = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2
     # F_2^20, and 2^18 - 1 hyperplanes of one 18-space of F_2^100, 100 entries each
     ("qkk --family space20.json", 4, "hyperplanes of a member [d, 1]_q = 1048575 exceeds cap 1000000"),
     ("qkk --family space18.json", 4, "(members x [d, 1]_q x n) = 26214300 exceeds cap 20000000"),
+    # a negative vertex count, which reached math.comb
+    ("search probe --vertices -1", 3, "vertex count must be nonnegative, got -1"),
 ])
 def test_oversized_input_exits_without_traceback(tmp_path, argv, code, err):
     for name, obj in OVERSIZED.items():
@@ -479,3 +483,23 @@ def test_oversized_input_exits_without_traceback(tmp_path, argv, code, err):
     assert (out.returncode, out.stdout) == (code, "")
     assert "Traceback" not in out.stderr and err in out.stderr
     assert time.perf_counter() - start < 5.0
+
+
+def test_weighted_at_its_cap(tmp_path):
+    # 156,250 seeded 4-edges of 64 vertices: 10^7 coface visits, the cap itself
+    rng = random.Random(18)
+    chosen = set(rng.sample(range(math.comb(64, 4)), 156_250))
+    lines = [f"plain {' '.join(map(str, c))}" for i, c in enumerate(combinations(range(64), 4)) if i in chosen]
+    (tmp_path / "cap.txt").write_text("\n".join(["vertices 64", *lines]) + "\n")
+    # CHILD, printing its peak resident set size (KiB on Linux) to stderr at exit
+    child = ("import atexit, resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+             "atexit.register(lambda: print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)); "
+             "sys.argv[0] = 'shadowlab'; runpy.run_module('shadowlab.cli', run_name='__main__')")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", child, "weighted", "--input", "cap.txt", "--d", "5"], cwd=tmp_path,
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert out.returncode == 0 and "weighted clique sum" in out.stdout
+    assert elapsed < 10.0
+    assert int(out.stderr.split()[-1]) * 1024 < 400 * 10**6

@@ -480,14 +480,21 @@ class TestPartialShadow:
 
     @pytest.mark.parametrize("r,k", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2)])
     def test_matches_brute_force(self, r, k):
+        # 60 graphs on at most 8 vertices, then 20 relabeled onto vertices of [64] up to 63,
+        # so the high bits are used
         rng = random.Random(71 + 10 * r + k)
-        for _ in range(60):
-            h = random_uniform_hypergraph(rng, rng.randint(r, 8), r - 1, p=rng.choice((0.2, 0.5, 0.8)))
+        for spread in [False] * 60 + [True] * 20:
+            small = random_uniform_hypergraph(rng, rng.randint(r, 8), r - 1, p=rng.choice((0.2, 0.5, 0.8)))
+            labels = sorted(rng.sample(range(63), small.n - 1)) + [63] if spread else range(small.n)
+            h = ColoredHypergraph.from_edges(64 if spread else small.n,
+                                             [([labels[v] for v in e.verts], e.color) for e in small.edges])
             edges = {e.verts for e in h.edges}
             brute = sum(
-                1 for s in combinations(range(h.n), r)
+                1 for s in combinations(labels, r)
                 if sum(f in edges for f in combinations(s, r - 1)) >= r - k
             )
+            # an r-set with one vertex off the labels holds at most one edge, and one with two holds none
+            brute += (r - k == 1) * (h.n - len(labels)) * len(edges)
             assert count_partial_shadow_targets(h, r, k) == brute
 
     def test_one_needed_edge_bound_is_one(self):
@@ -533,17 +540,19 @@ class TestWeightedJointSum:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_terms_match_brute_force(self, d):
         # facets are absent, of weight 0, or of weight 1..9, listed in random order;
-        # the terms keep combinations order
+        # the terms keep combinations order.  Then the same on vertices of [64] up to 63, so the
+        # high bits are used
         rng = random.Random(73 + d)
-        for _ in range(80):
+        for spread in [False] * 80 + [True] * 20:
             n = rng.randint(d, 8)
-            edges = [(f, "plain", rng.choice((0, 0, 1, 2, 3, 9))) for f in combinations(range(n), d - 1)
+            labels = sorted(rng.sample(range(63), n - 1)) + [63] if spread else range(n)
+            edges = [(f, "plain", rng.choice((0, 0, 1, 2, 3, 9))) for f in combinations(labels, d - 1)
                      if rng.random() < 0.8]
             rng.shuffle(edges)
-            h = ColoredHypergraph.from_edges(n, edges)
+            h = ColoredHypergraph.from_edges(64 if spread else n, edges)
             table = {e.verts: e.weight for e in h.edges}
             brute = []
-            for s in combinations(range(n), d):
+            for s in combinations(labels, d):
                 prod = math.prod(table.get(f, 0) for f in combinations(s, d - 1))
                 if prod:
                     brute.append(prod)
@@ -564,9 +573,9 @@ class TestWeightedJointSum:
 
     def test_cap_refuses_before_counting(self, monkeypatch):
         def no_counting(*args):
-            raise AssertionError("cofaces were visited before the cap check")
+            raise AssertionError("the form was built before the cap check")
 
-        monkeypatch.setattr(hypergraph, "_cofaces", no_counting)
+        monkeypatch.setattr(hypergraph, "_form", no_counting)
         # 156,251 edges x 64 vertices > 10^7 visits
         edges = [(f, "plain", 1) for f in islice(combinations(range(64), 4), 156_251)]
         with pytest.raises(CapacityError, match="coface visits"):
