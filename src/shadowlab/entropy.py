@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import ValidationError, check_cap
 from .record import Record
-from .reports import DEFAULT_TOL, BoundReport, lower_report, upper_report
+from .reports import BoundReport, lower_report, upper_report
 
 SUBSET_VISIT_CAP = 10**7  # members x 2^d; measured 0.16-0.48 µs a visit and at most 350 MB at the cap
 
@@ -141,11 +141,15 @@ class KeyInequalityReport(Record):
 
     sizes: tuple[float, ...]
     gaps: tuple[float, ...]  # s_k - s_{k+1} - 1 for k = 1..d-1
-    ok: bool
+    report: BoundReport  # the largest s_{k+1} + 1 - s_k against 0
 
     @property
     def d(self) -> int:
         return len(self.sizes)
+
+    @property
+    def ok(self) -> bool:
+        return self.report.satisfied
 
 
 def check_key_inequality(fam) -> KeyInequalityReport:
@@ -166,7 +170,9 @@ def check_key_inequality(fam) -> KeyInequalityReport:
         logs.append(sum(g * times * math.log2(g) for g, times in degrees.items()) / (members * math.comb(d, k)))
     sizes = tuple((d - k + 1) * 2.0 ** (logs[k - 1] - logs[k]) for k in range(1, d + 1))
     gaps = tuple(sizes[k] - sizes[k + 1] - 1.0 for k in range(d - 1))
-    return KeyInequalityReport(sizes=sizes, gaps=gaps, ok=all(g >= -DEFAULT_TOL for g in gaps))
+    worst = 0.0 - min(gaps, default=0.0)  # +0, not -0, when the smallest gap is 0
+    report = upper_report("max (s_{k+1} + 1 - s_k)", worst, 0.0, "key inequality 2^{H_k} >= 2^{H_{k+1}} + 1")
+    return KeyInequalityReport(sizes=sizes, gaps=gaps, report=report)
 
 
 def check_lemma_disjoint_support(

@@ -103,22 +103,25 @@ def system_from_name(name: str, d: int, universe_size: int | None = None) -> For
     """Built-in systems: "repeats" (needs universe_size) or "qlinear:q,n".
 
     No good multiset has more than |U| elements under repeats, or more than n
-    vectors under qlinear:q,n, so S^(d) is empty past that size plus one; a
-    deeper d is refused before its c-vector is built.
+    vectors under qlinear:q,n, so S^(d) is empty past that size plus one: a
+    deeper d is refused before its c-vector is built, after a negative size.
     """
     if name == "repeats":
         if universe_size is None:
             raise ValidationError("repeats system needs a universe size")
-        check_cap("depth d (largest good multiset + 1)", d, universe_size + 1)
-        return repeats_system(universe_size, d)
-    if name.startswith("qlinear:"):
+        size, what = universe_size, "universe size"
+    elif name.startswith("qlinear:"):
         try:
-            q, n = (int(x) for x in name.split(":", 1)[1].split(","))
+            q, size = (int(x) for x in name.split(":", 1)[1].split(","))
         except ValueError as exc:
             raise ValidationError(f"expected qlinear:q,n, got {name!r}") from exc
-        check_cap("depth d (largest good multiset + 1)", d, n + 1)
-        return qlinear_system(q, n, d)
-    raise ValidationError(f"unknown system {name!r}")
+        what = "n"
+    else:
+        raise ValidationError(f"unknown system {name!r}")
+    if size < 0:
+        raise ValidationError(f"{what} must be nonnegative, got {size}")
+    check_cap("depth d (largest good multiset + 1)", d, size + 1)
+    return repeats_system(size, d) if name == "repeats" else qlinear_system(q, size, d)
 
 
 class AxiomReport(Record):

@@ -3,8 +3,8 @@
 Counts are exact big integers; ratios become floats only inside reports.
 Graphs are immutable after construction, so every operation here is safe to
 call concurrently.  `PROBLEMS` at the bottom is the one registry of the ratio
-problems (formula, bounds, note, random instances) that the checks, the
-constructions, the search and the command line all read.
+problems (graph entry, count, formula, bounds, note, random instances) that the
+checks, the constructions, the search and the command line all read.
 """
 
 from __future__ import annotations
@@ -304,9 +304,13 @@ def _good6(form: Form) -> set[int]:
     return found
 
 
+def _good6_form(h: ColoredHypergraph) -> Form:
+    return _form(1, ((0, _facets(e.verts)) for e in _edges(h, 4, what="good 6-subset counting")))
+
+
 def count_good_6subsets(h: ColoredHypergraph) -> int:
     """6-sets admitting three 4-edges inside whose complements partition the set."""
-    return len(_good6(_form(1, ((0, _facets(e.verts)) for e in _edges(h, 4, what="good 6-subset counting")))))
+    return len(_good6(_good6_form(h)))
 
 
 def _mixed4(form: Form) -> set[int]:
@@ -331,12 +335,8 @@ def _mixed4_form(h: ColoredHypergraph) -> Form:
     return _form(2, ((len(e.verts) - 2, _facets(e.verts)) for e in _edges(h, 2, 3, what="mixed counting")))
 
 
-def good_4subsets_mixed(h: ColoredHypergraph) -> tuple[tuple[int, ...], ...]:
-    """4-sets {v1..v4} with 3-edges {v1,v2,v3}, {v1,v2,v4} and 2-edge {v3,v4}."""
-    return _listed(_mixed4(_mixed4_form(h)))
-
-
 def count_good_4subsets_mixed(h: ColoredHypergraph) -> int:
+    """4-sets {v1..v4} with 3-edges {v1,v2,v3}, {v1,v2,v4} and 2-edge {v3,v4}."""
     return len(_mixed4(_mixed4_form(h)))
 
 
@@ -551,34 +551,50 @@ def color_isomorphic(h1: ColoredHypergraph, h2: ColoredHypergraph) -> bool:
 Bound = tuple[Fraction, str, bool]  # (upper bound on the ratio, source, conjecture)
 
 
-class Problem(Record):
-    """One ratio problem: its exact ratio, its bounds, its notes and its random instances.
+def _sizes(form: Form) -> list[int]:  # the class sizes: each slot's edge count
+    return [len(slot) for slot in form[0]]
 
-    measure(h, d, delta, colors) gives the named counts and the ratio as
-    (numerator, denominator), the denominator 0 when a class is empty;
-    exact() turns that into a Fraction, or None.  bounds(d, delta) lists
-    every proven and conjectured upper bound on the ratio.  draws(d, delta)
-    gives the sizes and colors of random edges: each subset of [n] of each
-    size is an edge with probability 1/2 under one color, else none or one of
-    a uniform color, in form slot size index * colors + color index; tally
-    is measure's ratio on that form, by the same kernel.  Only rainbow_d
-    reads colors; d and delta are ignored where the problem has none.
+
+class Problem(Record):
+    """One ratio problem: its counts and exact ratio, its bounds, its notes and its random instances.
+
+    form(h, d, delta, colors) checks h and builds the form whose slots are the classes; count(form)
+    is the kernel's J, and the ratio is J^p / prod size_s^e_s with (p, e) = exponents(d).  names
+    are J's and each class's, or one for the list of class sizes.  bounds(d, delta) lists every
+    proven and conjectured upper bound.  draws(d, delta) gives the sizes and colors of random edges:
+    each subset of [n] of each size is an edge with probability 1/2 under one color, else none or
+    one of a uniform color, in form slot size index * colors + color index.  Only rainbow_d reads
+    colors; d and delta are ignored where the problem has none.
     """
 
     name: str
     quantity: str
-    measure: Callable[[ColoredHypergraph, int, int, Sequence[str] | None], tuple[dict, int, int]]
+    form: Callable[[ColoredHypergraph, int, int, Sequence[str] | None], Form]
+    count: Callable[[Form], int]
+    exponents: Callable[[int], tuple[int, tuple[int, ...]]]
+    names: tuple[str, str | tuple[str, ...]]
     bounds: Callable[[int, int], tuple[Bound, ...]]
     notes: tuple[str, ...]
     draws: Callable[[int, int], tuple[tuple[int, ...], tuple[str, ...]]]
-    tally: Callable[[Form, int, int], tuple[int, int]]
+
+    def numerator(self, j: int, d: int = 3) -> int:
+        """J^p, the ratio's numerator."""
+        return j ** self.exponents(d)[0]
+
+    def denominator(self, sizes: Iterable[int], d: int = 3) -> int:
+        """prod size_s^e_s, the ratio's denominator: 0 when a class is empty."""
+        return math.prod(map(pow, sizes, self.exponents(d)[1]))
 
     def exact(
         self, h: ColoredHypergraph, d: int = 3, delta: int = 0, colors: Sequence[str] | None = None
     ) -> tuple[dict, Fraction | None]:
         """The named counts and the exact ratio, None when a class in the denominator is empty."""
-        counts, num, den = self.measure(h, d, delta, colors)
-        return counts, Fraction(num, den) if den else None
+        form = self.form(h, d, delta, colors)
+        j, sizes = self.count(form), _sizes(form)
+        den = self.denominator(sizes, d)
+        name, classes = self.names
+        named = {classes: sizes} if isinstance(classes, str) else dict(zip(classes, sizes))
+        return {name: j, **named}, Fraction(self.numerator(j, d), den) if den else None
 
     def reports(self, value: Fraction, d: int = 3, delta: int = 0) -> list[BoundReport]:
         """A ratio value checked against every bound of the problem."""
@@ -592,14 +608,6 @@ def _rainbow_colors(d: int) -> tuple[str, ...]:
     return tuple(f"c{i + 1}" for i in range(d))
 
 
-def _rainbow_measure(h, d, delta, colors):
-    colors = _rainbow_colors(d) if colors is None else tuple(colors)
-    t = count_rainbow_cliques(h, d, colors)
-    counts = h.color_counts()
-    sizes = [counts.get(c, 0) for c in colors]
-    return {"T": t, "C": sizes}, t ** (d - 1), math.prod(sizes)
-
-
 def _rainbow_bounds(d, delta):
     # labels name the formula only: its value is the bound, and (39!)^40 alone has 1,853 digits
     bounds = [(Fraction(math.factorial(d - 1) ** d), "shearer ((d-1)!)^d", False)]
@@ -609,26 +617,6 @@ def _rainbow_bounds(d, delta):
     if d == 3:
         bounds.append((Fraction(2), "rainbow triangles T^2 <= 2 C1 C2 C3", False))
     return tuple(bounds)
-
-
-def _good6_measure(h, d, delta, colors):
-    j = count_good_6subsets(h)
-    n = len(h.edges)
-    return {"J": j, "N": n}, j * j, n**3
-
-
-def _mixed4_measure(h, d, delta, colors):
-    j = count_good_4subsets_mixed(h)
-    n2 = sum(1 for e in h.edges if len(e.verts) == 2)
-    n3 = sum(1 for e in h.edges if len(e.verts) == 3)
-    return {"J": j, "N2": n2, "N3": n3}, j * j, n2 * n3 * n3
-
-
-def _covering_measure(h, d, delta, colors):
-    j = count_color_covering_subsets(h, delta)
-    counts = h.color_counts()
-    r, g, b = (counts.get(c, 0) for c in RGB)
-    return {"J": j, "R": r, "G": g, "B": b}, j * j, r * g * b
 
 
 def _covering_bounds(d, delta):
@@ -641,28 +629,29 @@ PROBLEMS: dict[str, Problem] = {
     p.name: p
     for p in (
         Problem(
-            "rainbow_d", "clique ratio", _rainbow_measure, _rainbow_bounds, (),
-            lambda d, delta: ((d - 1,), _rainbow_colors(d)),
-            lambda form, d, delta: (_count(_rainbow(form)) ** (d - 1), math.prod(map(len, form[0]))),
+            "rainbow_d", "clique ratio",
+            lambda h, d, delta, colors: _rainbow_form(h, d, _rainbow_colors(d) if colors is None else tuple(colors)),
+            lambda form: _count(_rainbow(form)), lambda d: (d - 1, (1,) * d), ("T", "C"),
+            _rainbow_bounds, (), lambda d, delta: ((d - 1,), _rainbow_colors(d)),
         ),
         Problem(
-            "good6", "good6 ratio", _good6_measure, lambda d, delta: (),
+            "good6", "good6 ratio", lambda h, d, delta, colors: _good6_form(h),
+            lambda form: len(_good6(form)), lambda d: (2, (3,)), ("J", ("N",)), lambda d, delta: (),
             ("conjectured optimum for J^2/N^3 is 2/7; exceeding it is not a failure",),
             lambda d, delta: ((4,), ("plain",)),
-            lambda form, d, delta: (len(_good6(form)) ** 2, len(form[0][0]) ** 3),
         ),
         Problem(
-            "mixed4", "mixed ratio", _mixed4_measure,
+            "mixed4", "mixed ratio", lambda h, d, delta, colors: _mixed4_form(h),
+            lambda form: len(_mixed4(form)), lambda d: (2, (1, 2)), ("J", ("N2", "N3")),
             lambda d, delta: ((Fraction(9, 2), "shearer 9/2", False), (Fraction(3), "joints 3", False)),
             ("conjectured optimum for J^2/(N2 N3^2) is 3/2, in the known window [3/2, 3]; "
              "exceeding it is not a failure",),
             lambda d, delta: ((2, 3), ("plain",)),
-            lambda form, d, delta: (len(_mixed4(form)) ** 2, len(form[0][0]) * len(form[0][1]) ** 2),
         ),
         Problem(
-            "covering_delta", "covering ratio", _covering_measure, _covering_bounds, (),
-            lambda d, delta: ((delta + 2,), RGB),
-            lambda form, d, delta: (_count(_covering(form)) ** 2, math.prod(map(len, form[0]))),
+            "covering_delta", "covering ratio", lambda h, d, delta, colors: _covering_form(h, delta),
+            lambda form: _count(_covering(form)), lambda d: (2, (1, 1, 1)), ("J", ("R", "G", "B")),
+            _covering_bounds, (), lambda d, delta: ((delta + 2,), RGB),
         ),
     )
 }

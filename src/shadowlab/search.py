@@ -4,8 +4,8 @@ An exhaustive scan splits each state into an outer and an inner part, in
 product order, and counts all inner states under one outer state at once: one
 big-int sum of precomputed 0/1 byte strings, a byte per state.  A random probe
 draws each trial straight into its problem's compact form and counts it with
-the problem's kernel, as the registry's counts do.  Ratios are compared by
-exact integer cross-multiplication and a tie keeps the first state or trial.
+the problem's kernel, as the registry's counts do.  Both take each ratio's formula
+from `PROBLEMS`, compare by exact cross-multiplication and keep the first on a tie.
 Every reported ratio is the registry's exact ratio of its witness: a search
 whose own count differs raises BoundViolationError.
 """
@@ -19,7 +19,7 @@ from math import comb
 from typing import Iterator, Mapping
 
 from .errors import BoundViolationError, ValidationError, check_cap
-from .hypergraph import PROBLEMS, RGB, VERTEX_CAP, ColoredHypergraph, _edges, _facets, _form, get_problem
+from .hypergraph import PROBLEMS, RGB, VERTEX_CAP, ColoredHypergraph, _edges, _facets, _form, _sizes, get_problem
 from .record import Record
 
 RAINBOW_CAP = 5  # 4^binom(n,2) states, 1.0e7/s at n = 5; n = 6 took a measured 30 s (3.7e7/s)
@@ -49,17 +49,17 @@ def _recounted(name: str, witness: ColoredHypergraph | None, num: int, den: int,
     return best
 
 
-def _best_in_blocks(outers, inners, share, den, structures, hit):
-    """The first state in product order with the largest count^2 / den, outer-major.
+def _best_in_blocks(outers, inners, share, sizes, structures, hit, problem):
+    """The first state in product order with the largest ratio of `problem`, outer-major.
 
     A state is (outer, inner); it counts the structures that hit it.  Inner states are
     laid out by share(inner), ascending within each group, and each structure gets one
     0/1 byte string over that layout for each value of its outer part, so the counts of
     all inner states under one outer state are one big-int sum.  `structures` pairs each
-    structure's outer-part and inner-part functions, hit(outer part, inner part) says
-    whether it is counted, and den(share(outer), share(inner)) is the state's denominator,
-    constant on a group and positive where a structure is counted.  Returns
-    (num, den, outer, inner), or (0, 1, None, None) when no state counts one.
+    structure's outer-part and inner-part functions, and hit(outer part, inner part) says
+    whether it is counted.  sizes(share(outer), share(inner)) are the state's class sizes,
+    nonzero where a structure is counted; `problem` forms the ratio, its denominator once per
+    group and outer share.  Returns (num, den, outer, inner), or (0, 1, None, None) if none counts.
     """
     shares = [share(x) for x in inners]
     layout = sorted(range(len(inners)), key=shares.__getitem__)
@@ -76,19 +76,23 @@ def _best_in_blocks(outers, inners, share, den, structures, hit):
             lut = {ip: hit(op, ip) for ip in set(parts)}
             table[op] = int.from_bytes(bytes(map(lut.__getitem__, parts)), "little")
         columns.append([table[k] for k in keys])
+    nums = [problem.numerator(t) for t in range(256)]  # a state's count is one byte
+    dens = {}  # per outer share, each group's denominator
     size = len(inners)
     best_num, best_den, best_index = 0, 1, -1
     for o, (outer, row) in enumerate(zip(outers, zip(*columns))):
         counts = sum(row).to_bytes(size, "little")
         mine = share(outer)
-        for key, first, end in groups:
+        if mine not in dens:
+            dens[mine] = [problem.denominator(sizes(mine, key)) for key, _, _ in groups]
+        for (_, first, end), den in zip(groups, dens[mine]):
             t = max(counts[first:end])
             if not t:
                 continue
-            num, d = t * t, den(mine, key)
+            num = nums[t]
             index = o * size + layout[counts.index(t, first, end)]
-            if num * best_den > best_num * d or (num * best_den == best_num * d and index < best_index):
-                best_num, best_den, best_index = num, d, index
+            if num * best_den > best_num * den or (num * best_den == best_num * den and index < best_index):
+                best_num, best_den, best_index = num, den, index
     if best_index < 0:
         return 0, 1, None, None
     return best_num, best_den, outers[best_index // size], inners[best_index % size]
@@ -122,9 +126,10 @@ def search_rainbow_triangle(max_vertices: int) -> SearchResult:
         list(product((0, 1, 2, 3), repeat=half)),
         list(product((0, 1, 2, 3), repeat=len(pairs) - half)),
         lambda s: (s.count(1), s.count(2), s.count(3)),
-        lambda x, y: (x[0] + y[0]) * (x[1] + y[1]) * (x[2] + y[2]),
+        lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2]),
         structures,
         lambda op, ip: sorted(op + ip) == [1, 2, 3],
+        PROBLEMS["rainbow_d"],
     )
     witness = None
     if outer is not None:
@@ -166,9 +171,10 @@ def search_mixed_4subsets(max_vertices: int) -> SearchResult:
         range(1, 1 << len(pairs)),
         range(1, 1 << len(triples)),
         int.bit_count,
-        lambda n2, n3: n2 * n3 * n3,
+        lambda n2, n3: (n2, n3),
         structures,
         lambda op, ip: any(a & b for a, b in zip(op, ip)),
+        PROBLEMS["mixed4"],
     )
     witness = None
     if bits2 is not None:
@@ -206,8 +212,8 @@ def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int
     """Best ratio of a registered problem over seeded-random instances, deterministic per seed.
 
     A trial draws each subset of [n] in `combinations` order, as `Problem.draws` says, straight
-    into the problem's compact form, and tallies it; only the best becomes a graph, recounted
-    through the registry.
+    into the problem's compact form, whose ratio is the registry's of its count and slot sizes;
+    only the best becomes a graph, recounted through the registry.
     """
     prob = get_problem(problem)
     if trials < 0:
@@ -230,7 +236,8 @@ def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int
     slots = [(sizes.index(len(e.verts)) * k - 1, _facets(e.verts)) for e in complete]  # draw p >= 1: slot o + p
     best_num, best_den, best = 0, 1, None
     for picks in islice(_draws(random.Random(seed), k, m), trials):
-        num, den = prob.tally(_form(len(sizes) * k, [(o + p, f) for (o, f), p in zip(slots, picks) if p]), d, delta)
+        form = _form(len(sizes) * k, [(o + p, f) for (o, f), p in zip(slots, picks) if p])
+        num, den = prob.numerator(prob.count(form), d), prob.denominator(_sizes(form), d)
         if den and (best is None or num * best_den > best_num * den):
             best_num, best_den, best = num, den, picks
     if best is None:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from shadowlab.entropy import ExactDistribution
-from shadowlab.hypergraph import ColoredHypergraph, SetFamily
+from shadowlab.hypergraph import ColoredHypergraph, Problem, SetFamily
 
 RGB = ("red", "green", "blue")
 
@@ -15,6 +15,11 @@ RGB = ("red", "green", "blue")
 def orderings(ms) -> int:
     """Distinct orderings of a multiset: d! / prod(m_i!)."""
     return math.factorial(len(ms)) // math.prod(map(math.factorial, Counter(ms).values()))
+
+
+def replaced(problem: Problem, **fields) -> Problem:
+    """The registry problem with the given fields replaced."""
+    return Problem(**{**{f: getattr(problem, f) for f in Problem._fields}, **fields})
 
 
 def fig1_k4() -> ColoredHypergraph:

@@ -453,8 +453,10 @@ CHILD = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2
     ("construct complete-family --m 1000000 --d 500000", 4, "C(m, d) = C(1000000, 500000) exceeds"),
     ("construct complete-family --m 4000000 --d 2000000", 4, "C(m, d) = C(4000000, 2000000) exceeds"),
     ("construct complete-family --m 3 --d -1", 3, "need 0 <= d <= m, got m=3, d=-1"),
-    # a negative dimension, which reached itertools.product
+    # a negative dimension, which reached itertools.product; from depth 1 on it met the depth cap first
     ("forbidding verify --system qlinear:2,-1 --d 0", 3, "n must be nonnegative, got -1"),
+    ("forbidding verify --system qlinear:2,-1 --d 1", 3, "n must be nonnegative, got -1"),
+    ("forbidding verify --system repeats --universe-size -5 --d 1", 3, "universe size must be nonnegative, got -5"),
     # the matching construction's d + 1 vertices are capped before its C(d + 1, 2) edges are built
     ("construct matching --d 2001", 4, "vertex count = 2002 exceeds cap 64"),
     # a cap's value too long to print: 2^15000 subset visits

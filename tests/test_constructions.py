@@ -16,10 +16,11 @@ from shadowlab.constructions import (
     tetrahedra8,
     tripartite_mixed,
 )
-from conftest import fig1_k4
+from conftest import fig1_k4, replaced
 from shadowlab import hypergraph
 from shadowlab.errors import BoundViolationError, CapacityError, ValidationError
 from shadowlab.hypergraph import (
+    PROBLEMS,
     ColoredHypergraph,
     check_ratio,
     count_good_6subsets,
@@ -212,33 +213,33 @@ def test_generators_capped_before_building():
     assert len(complete_family(20, 10)) == 184756
 
 
-# each generator with the counting kernel its registry problem calls
+# each generator with the registry problem it recounts through
 RECOUNTED = {
-    "k4_blowup": (lambda: k4_blowup(2), "count_rainbow_cliques"),
-    "rainbow_tripartite": (lambda: rainbow_tripartite(1, 2, 3), "count_rainbow_cliques"),
-    "matching_construction": (lambda: matching_construction(5), "count_rainbow_cliques"),
-    "kappa_lift": (lambda: kappa_lift(fig1_k4()), "count_rainbow_cliques"),
-    "tetrahedra8": (tetrahedra8, "count_rainbow_cliques"),
-    "flats_example": (flats_example, "count_good_6subsets"),
-    "tripartite_mixed": (lambda: tripartite_mixed(2), "count_good_4subsets_mixed"),
+    "k4_blowup": (lambda: k4_blowup(2), "rainbow_d"),
+    "rainbow_tripartite": (lambda: rainbow_tripartite(1, 2, 3), "rainbow_d"),
+    "matching_construction": (lambda: matching_construction(5), "rainbow_d"),
+    "kappa_lift": (lambda: kappa_lift(fig1_k4()), "rainbow_d"),
+    "tetrahedra8": (tetrahedra8, "rainbow_d"),
+    "flats_example": (flats_example, "good6"),
+    "tripartite_mixed": (lambda: tripartite_mixed(2), "mixed4"),
 }
 
 
 @pytest.mark.parametrize("name", RECOUNTED)
 def test_self_check_fires_on_a_recount_off_by_one(name, monkeypatch):
-    build, kernel = RECOUNTED[name]
+    build, problem = RECOUNTED[name]
     assert build().name == name
-    counted = getattr(hypergraph, kernel)
-    monkeypatch.setattr(hypergraph, kernel, lambda *args: counted(*args) + 1)
+    registered = PROBLEMS[problem]
+    monkeypatch.setitem(PROBLEMS, problem, replaced(registered, count=lambda form: registered.count(form) + 1))
     with pytest.raises(BoundViolationError, match=f"{name} self-check failed"):
         build()
 
 
-@pytest.mark.parametrize("name", [n for n, (_, kernel) in RECOUNTED.items() if kernel == "count_rainbow_cliques"])
+@pytest.mark.parametrize("name", [n for n, (_, problem) in RECOUNTED.items() if problem == "rainbow_d"])
 def test_self_check_fires_on_a_class_size_off_by_one(name, monkeypatch):
     build, _ = RECOUNTED[name]
-    counted = ColoredHypergraph.color_counts
-    monkeypatch.setattr(ColoredHypergraph, "color_counts", lambda h: {c: k + 1 for c, k in counted(h).items()})
+    counted = hypergraph._sizes
+    monkeypatch.setattr(hypergraph, "_sizes", lambda form: [k + 1 for k in counted(form)])
     with pytest.raises(BoundViolationError, match=f"{name} self-check failed"):
         build()
 
@@ -246,12 +247,12 @@ def test_self_check_fires_on_a_class_size_off_by_one(name, monkeypatch):
 @pytest.mark.parametrize("name", ["k4_blowup", "rainbow_tripartite", "tetrahedra8"])
 def test_self_check_fires_on_class_sizes_that_keep_the_ratio(name, monkeypatch):
     build, _ = RECOUNTED[name]
-    counted = ColoredHypergraph.color_counts
+    counted = hypergraph._sizes
 
-    def moved(h):  # red doubled and blue halved keep the product of the classes, and so the ratio
-        counts = counted(h)
-        return {**counts, "red": 2 * counts["red"], "blue": counts["blue"] // 2}
+    def moved(form):  # the first class doubled and the last halved keep their product, and so the ratio
+        first, *middle, last = counted(form)
+        return [2 * first, *middle, last // 2]
 
-    monkeypatch.setattr(ColoredHypergraph, "color_counts", moved)
-    with pytest.raises(BoundViolationError, match=f"{name} self-check failed: [RB] expected"):
+    monkeypatch.setattr(hypergraph, "_sizes", moved)
+    with pytest.raises(BoundViolationError, match=f"{name} self-check failed: R expected"):
         build()

@@ -29,10 +29,10 @@ from shadowlab.hypergraph import (
     color_covering_subsets,
     color_isomorphic,
     count_color_covering_subsets,
+    count_good_4subsets_mixed,
     count_good_6subsets,
     count_partial_shadow_targets,
     count_rainbow_cliques,
-    good_4subsets_mixed,
     rainbow_cliques,
     shadow,
     spectral_trace_check,
@@ -344,7 +344,7 @@ class TestMixed4Subsets:
         h = ColoredHypergraph.from_edges(
             4, [((0, 1, 2), "plain"), ((0, 1, 3), "plain"), ((2, 3), "plain")]
         )
-        assert len(good_4subsets_mixed(h)) == 1
+        assert count_good_4subsets_mixed(h) == 1
 
     def test_matches_brute_force_on_random(self):
         rng = random.Random(19)
@@ -353,11 +353,11 @@ class TestMixed4Subsets:
             p = rng.choice((0.3, 0.5, 0.8))
             edges = [(e, "plain") for size in (2, 3) for e in combinations(range(n), size) if rng.random() < p]
             h = ColoredHypergraph.from_edges(n, edges)
-            assert len(good_4subsets_mixed(h)) == brute_mixed_4subsets(h)
+            assert count_good_4subsets_mixed(h) == brute_mixed_4subsets(h)
 
     def test_no_3edges_is_zero(self):
         h = ColoredHypergraph.from_edges(4, [((0, 1), "plain")])
-        assert len(good_4subsets_mixed(h)) == 0
+        assert count_good_4subsets_mixed(h) == 0
         with pytest.raises(ValidationError):
             check_ratio("mixed4", h)
 
@@ -651,7 +651,7 @@ class TestCapacity:
 
     def test_complete_mixed_graph_within_vertex_cap(self):
         edges = [(e, "plain") for size in (2, 3) for e in combinations(range(64), size)]
-        assert len(good_4subsets_mixed(ColoredHypergraph.from_edges(64, edges))) == math.comb(64, 4)
+        assert count_good_4subsets_mixed(ColoredHypergraph.from_edges(64, edges)) == math.comb(64, 4)
 
     # each count and the spectral check, with the edge size it reads and one size it refuses
     ENTRIES = {

@@ -30,8 +30,16 @@ from shadowlab.reports import BoundReport, ValidationReport
 from shadowlab.search import SearchResult
 
 
-def _measure(h, d, delta, colors):
-    return {}, 0, 1
+def _form(h, d, delta, colors):
+    return [[]], {}
+
+
+def _count(form):
+    return 0
+
+
+def _exponents(d):
+    return 2, (1,)
 
 
 def _bounds(d, delta):
@@ -40,10 +48,6 @@ def _bounds(d, delta):
 
 def _draws(d, delta):
     return (2,), ("plain",)
-
-
-def _tally(form, d, delta):
-    return {}, 0, 1
 
 
 EDGE = Edge((0, 1), "red")
@@ -67,9 +71,9 @@ CASES = [
     (SpectralReport, (2.0, 0.0, 1, (REPORT,)), 0, (),
      f"SpectralReport(trace2=2.0, trace3=0.0, total_weight=1, checks=({REPORT_REPR},))", False,
      ("trace3", 6.0)),
-    (Problem, ("p", "x / y", _measure, _bounds, ("note",), _draws, _tally), 0, (),
-     f"Problem(name='p', quantity='x / y', measure={_measure!r}, bounds={_bounds!r}, "
-     f"notes=('note',), draws={_draws!r}, tally={_tally!r})", True, ("name", "r")),
+    (Problem, ("p", "x / y", _form, _count, _exponents, ("J", ("N",)), _bounds, ("note",), _draws), 0, (),
+     f"Problem(name='p', quantity='x / y', form={_form!r}, count={_count!r}, exponents={_exponents!r}, "
+     f"names=('J', ('N',)), bounds={_bounds!r}, notes=('note',), draws={_draws!r})", True, ("name", "r")),
     (RatioReport, ({"x": 1}, Fraction(1, 2), (REPORT,)), 0, (),
      f"RatioReport(counts={{'x': 1}}, ratio_exact=Fraction(1, 2), reports=({REPORT_REPR},))", False,
      ("ratio_exact", Fraction(1, 3))),
@@ -82,8 +86,8 @@ CASES = [
      "ExactDistribution(arity=1, support=(((0,), Fraction(1, 1)),))", True, ("arity", 2)),
     (CoverSpec, (2, ((0,), (1,)), 1), 0, (), "CoverSpec(n=2, subsets=((0,), (1,)), k=1)", True,
      ("subsets", ((0, 1),))),
-    (KeyInequalityReport, ((2.0, 1.0), (0.0,), True), 0, (),
-     "KeyInequalityReport(sizes=(2.0, 1.0), gaps=(0.0,), ok=True)", True, ("ok", False)),
+    (KeyInequalityReport, ((2.0, 1.0), (0.0,), REPORT), 0, (),
+     f"KeyInequalityReport(sizes=(2.0, 1.0), gaps=(0.0,), report={REPORT_REPR})", False, ("gaps", (1.0,))),
     (AxiomReport, (True, True, 3, None), 1, (None,),
      "AxiomReport(ok=True, exhaustive=True, checked=3, violation=None)", True, ("checked", 4)),
     (CompatibilityResult, (True, None), 1, (None,), "CompatibilityResult(ok=True, witness=None)", True,
@@ -104,7 +108,7 @@ FIELDS = {
     SetFamily: ("n", "d", "sets"),
     WeightedSumReport: ("d", "total_weight", "terms", "value", "report", "weights"),
     SpectralReport: ("trace2", "trace3", "total_weight", "checks"),
-    Problem: ("name", "quantity", "measure", "bounds", "notes", "draws", "tally"),
+    Problem: ("name", "quantity", "form", "count", "exponents", "names", "bounds", "notes", "draws"),
     RatioReport: ("counts", "ratio_exact", "reports"),
     CVector: ("entries",),
     BoundReport: ("quantity", "computed", "bound", "ratio", "satisfied", "source", "kind", "conjecture",
@@ -112,7 +116,7 @@ FIELDS = {
     ValidationReport: ("ok", "violations"),
     ExactDistribution: ("arity", "support"),
     CoverSpec: ("n", "subsets", "k"),
-    KeyInequalityReport: ("sizes", "gaps", "ok"),
+    KeyInequalityReport: ("sizes", "gaps", "report"),
     AxiomReport: ("ok", "exhaustive", "checked", "violation"),
     CompatibilityResult: ("ok", "witness"),
     SubspaceFamily: ("q", "n", "d", "members"),

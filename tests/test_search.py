@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import replaced
 from shadowlab import search
 from shadowlab.constructions import k4_blowup
 from shadowlab.errors import BoundViolationError, CapacityError, ValidationError
 from shadowlab.hypergraph import (PROBLEMS, ColoredHypergraph, Problem, check_ratio, color_isomorphic,
-                                  good_4subsets_mixed)
+                                  count_good_4subsets_mixed)
 from shadowlab.search import (PROBE_CAP, _best_in_blocks, _draws, random_probe, search_mixed_4subsets,
                               search_rainbow_triangle)
 
@@ -111,8 +112,8 @@ def test_tied_groups_keep_the_first_state_in_product_order():
     # inner states 0, 1, 2 fall in groups 1, 0, 2, so the layout visits them as 1, 0, 2;
     # each counts one structure under the same denominator, and state (0, 0) comes first
     shares = {"o": 0, 0: 1, 1: 0, 2: 2}
-    best = _best_in_blocks(["o"], [0, 1, 2], shares.__getitem__, lambda x, y: 1,
-                           [(lambda o: None, lambda i: None)], lambda op, ip: True)
+    best = _best_in_blocks(["o"], [0, 1, 2], shares.__getitem__, lambda x, y: (1, 1),
+                           [(lambda o: None, lambda i: None)], lambda op, ip: True, PROBLEMS["mixed4"])
     assert best == (1, 1, "o", 0)
 
 
@@ -156,7 +157,7 @@ class TestMixedSearch:
     def test_witness_recounts_exactly(self):
         res = search_mixed_4subsets(4)
         h = res.witness
-        j = len(good_4subsets_mixed(h))
+        j = count_good_4subsets_mixed(h)
         n2 = sum(1 for e in h.edges if len(e.verts) == 2)
         n3 = sum(1 for e in h.edges if len(e.verts) == 3)
         assert Fraction(j * j, n2 * n3 * n3) == res.best
@@ -235,13 +236,13 @@ def reference_probe(name, n, d, delta, trials, seed):
     """The probe one graph per trial, each counted through the registry: (best, witness, explored).
     The reference for `random_probe`, which builds no graph but the witness."""
     rng = random.Random(seed)
-    best_num, best_den, witness = 0, 1, None
+    best, witness = None, None
     for _ in range(trials):
         h = reference_instance(rng, name, n, d, delta)
-        _, num, den = PROBLEMS[name].measure(h, d, delta, None)
-        if den and (witness is None or num * best_den > best_num * den):
-            best_num, best_den, witness = num, den, h
-    return (None if witness is None else Fraction(best_num, best_den)), witness, trials
+        _, ratio = PROBLEMS[name].exact(h, d, delta, None)
+        if ratio is not None and (best is None or ratio > best):
+            best, witness = ratio, h
+    return best, witness, trials
 
 
 # (problem, vertices, d, delta, trials): every problem up to the benchmark's probe sizes, and below each edge size
@@ -300,19 +301,38 @@ def test_costliest_probe_under_the_cap_finishes_within_budget():
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_probe_ratio_differing_from_the_registry_raises(monkeypatch, name):
+    # a trial and the witness's recount share the kernel and the formula; only the recount reads the
+    # graph entry, so one that loses the witness's first edge must change its count
     problem = PROBLEMS[name]
-    wrong = Problem(problem.name, problem.quantity, lambda h, d, delta, colors: ({}, 1, 1000),
-                    problem.bounds, problem.notes, problem.draws, problem.tally)
-    monkeypatch.setitem(PROBLEMS, name, wrong)
-    with pytest.raises(BoundViolationError, match="recounts to 1/1000"):
+    lossy = replaced(problem, form=lambda h, *args: problem.form(ColoredHypergraph(h.n, h.edges[1:]), *args))
+    monkeypatch.setitem(PROBLEMS, name, lossy)
+    with pytest.raises(BoundViolationError, match="witness recounts to"):
         random_probe(name, {"vertices": 7}, 20)
 
 
-@pytest.mark.parametrize("scan, name", [(search_rainbow_triangle, "rainbow_d"), (search_mixed_4subsets, "mixed4")])
-def test_scan_ratio_differing_from_the_registry_raises(monkeypatch, scan, name):
+SCANS = [(search_rainbow_triangle, "rainbow_d"), (search_mixed_4subsets, "mixed4")]
+
+
+@pytest.mark.parametrize("scan, name, message", [(*SCANS[0], "recounts to 25/8, the search counted 16/8"),
+                                                  (*SCANS[1], "recounts to 1, the search counted 1/4")])
+def test_scan_ratio_differing_from_the_registry_raises(monkeypatch, scan, name, message):
     problem = PROBLEMS[name]
-    wrong = Problem(problem.name, problem.quantity, lambda h, d, delta, colors: ({}, 1, 1000),
-                    problem.bounds, problem.notes, problem.draws, problem.tally)
-    monkeypatch.setitem(PROBLEMS, name, wrong)
-    with pytest.raises(BoundViolationError, match="recounts to 1/1000"):
+    monkeypatch.setitem(PROBLEMS, name, replaced(problem, count=lambda form: problem.count(form) + 1))
+    with pytest.raises(BoundViolationError, match=message):
         scan(4)
+
+
+class Doubled(Problem):
+    """A problem whose ratio has twice the registry's denominator."""
+
+    def denominator(self, sizes, d=3):
+        return 2 * super().denominator(sizes, d)
+
+
+@pytest.mark.parametrize("scan, name", SCANS)
+def test_scans_and_probes_take_the_ratio_from_the_registry(monkeypatch, scan, name):
+    scanned, probed = scan(4), random_probe(name, {"vertices": 6}, 30, seed=1)
+    monkeypatch.setitem(PROBLEMS, name, Doubled(*PROBLEMS[name]._key()))
+    for before, after in ((scanned, scan(4)), (probed, random_probe(name, {"vertices": 6}, 30, seed=1))):
+        assert after.best == before.best / 2
+        assert after.witness == before.witness
