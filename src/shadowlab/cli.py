@@ -88,9 +88,7 @@ def _parse_ints(text: str) -> list[int]:
         raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _parse_colors(text: str | None, default=hg.RGB) -> tuple[str, ...]:
-    if text is None:
-        return tuple(default)
+def _parse_colors(text: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in text.split(",") if x.strip())
 
 
@@ -106,26 +104,19 @@ def cmd_validate(args) -> tuple[dict, list[BoundReport], list[str]]:
     return {"vertices": h.n, "edges": len(h.edges), "valid": True}, [], []
 
 
-# count kinds that are ratio problems of the registry
+# the count kinds by name, each a ratio problem of the registry
 _COUNT_PROBLEMS = {"good6": "good6", "mixed4": "mixed4", "covering": "covering_delta"}
 
 
 def cmd_count(args) -> tuple[dict, list[BoundReport], list[str]]:
     h = formats.load_hypergraph(args.input)
-    if args.kind == "rainbow":
-        colors = _parse_colors(args.colors)
-        t = hg.count_rainbow_cliques(h, args.d, colors)
-        return {"T": t, "d": args.d, "colors": list(colors)}, [], []
-    if args.kind == "partial":
-        m = hg.count_partial_shadow_targets(h, args.r, args.k)
-        return {"m": m, "r": args.r, "k": args.k, "edges": len(h.edges)}, [], []
     problem = hg.PROBLEMS[_COUNT_PROBLEMS[args.kind]]
-    q, ratio = problem.exact(h, args.d, args.delta)
+    q, ratio = problem.exact(h, delta=args.delta)
     bounds: list[BoundReport] = []
     notes: list[str] = []
     if ratio is not None:  # the ratio, its bounds and its note exist only with every class nonempty
         q["ratio"] = ratio
-        bounds = problem.reports(ratio, args.d, args.delta)
+        bounds = problem.reports(ratio, delta=args.delta)
         notes = list(problem.notes)
     if args.kind == "covering":
         q["delta"] = args.delta
@@ -351,14 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     common(p, cmd_validate)
 
-    p = sub.add_parser("count", help="exact counts: rainbow/good6/mixed4/covering/partial")
-    p.add_argument("kind", choices=["rainbow", *_COUNT_PROBLEMS, "partial"])
+    # no abbreviated options: `--d`, which the other commands take, would read as `--delta`
+    p = sub.add_parser("count", help="exact counts and ratio: good6/mixed4/covering", allow_abbrev=False)
+    p.add_argument("kind", choices=list(_COUNT_PROBLEMS))
     p.add_argument("--input", required=True)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--colors")
     p.add_argument("--delta", type=int, default=0)
-    p.add_argument("--r", type=int, default=3)
-    p.add_argument("--k", type=int, default=0)
     common(p, cmd_count)
 
     p = sub.add_parser("kappa", help="clique ratio T^{d-1}/(C_1...C_d) with bounds")

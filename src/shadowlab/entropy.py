@@ -144,10 +144,6 @@ class KeyInequalityReport(Record):
     report: BoundReport  # the largest s_{k+1} + 1 - s_k against 0
 
     @property
-    def d(self) -> int:
-        return len(self.sizes)
-
-    @property
     def ok(self) -> bool:
         return self.report.satisfied
 

@@ -191,9 +191,6 @@ class CompatibilityResult(Record):
     ok: bool
     witness: tuple[Multiset, Hashable] | None = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _orderings(ms: Multiset) -> int:
     """Distinct orderings of a sorted multiset: len! / prod(multiplicity!)."""

@@ -68,13 +68,6 @@ class ColoredHypergraph(Record):
             counts[e.color] = counts.get(e.color, 0) + 1
         return counts
 
-    def uniformity(self) -> int:
-        """Common edge size; raises if edges are absent or of mixed size."""
-        sizes = {len(e.verts) for e in self.edges}
-        if len(sizes) != 1:
-            raise ValidationError(f"expected uniform edges, got sizes {sorted(sizes)}")
-        return sizes.pop()
-
 
 def _canonical(members: list[tuple], k: int | None, n: int) -> bool:
     """True iff every member is k strictly increasing elements of [0, n), decided in bulk."""
@@ -632,7 +625,8 @@ PROBLEMS: dict[str, Problem] = {
             "rainbow_d", "clique ratio",
             lambda h, d, delta, colors: _rainbow_form(h, d, _rainbow_colors(d) if colors is None else tuple(colors)),
             lambda form: _count(_rainbow(form)), lambda d: (d - 1, (1,) * d), ("T", "C"),
-            _rainbow_bounds, (), lambda d, delta: ((d - 1,), _rainbow_colors(d)),
+            # no subset of [n] has d - 1 > VERTEX_CAP vertices, so those probes draw nothing and need no colors
+            _rainbow_bounds, (), lambda d, delta: ((d - 1,), _rainbow_colors(d) if d <= VERTEX_CAP + 1 else ()),
         ),
         Problem(
             "good6", "good6 ratio", lambda h, d, delta, colors: _good6_form(h),

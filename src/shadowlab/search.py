@@ -229,8 +229,8 @@ def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int
     sizes, colors = prob.draws(d, delta)
     m, k = sum(comb(n, size) for size in sizes), len(colors)
     check_cap("probe draws (trials x subsets of [n] drawn per trial)", trials * m, PROBE_CAP)
-    if not trials:
-        return SearchResult(problem, None, None, 0, exhaustive=False)
+    if not trials * m:  # no trial or nothing to draw: every trial's instance is empty
+        return SearchResult(problem, None, None, trials, exhaustive=False)
     # every trial's edges are among these, so the entry check of the counts runs once
     complete = _edges(ColoredHypergraph.from_edges(n, ((v, "") for s in sizes for v in combinations(range(n), s))))
     slots = [(sizes.index(len(e.verts)) * k - 1, _facets(e.verts)) for e in complete]  # draw p >= 1: slot o + p

@@ -181,9 +181,18 @@ class TestCli:
     def test_capacity_exit_code(self):
         assert cli.main(["search", "rainbow-triangle", "--max-vertices", "9"]) == 4
 
-    def test_usage_exit_code(self):
+    @pytest.mark.parametrize("argv", [
+        "bogus-command",
+        # count reads only the registry: kappa counts rainbow cliques, partial-shadow the partial-shadow targets
+        "count rainbow --input k4.json",
+        "count partial --input star.txt --r 3 --k 1",
+        "count good6 --input flats.txt --d 3",
+        "count covering --input cover.txt --d 1",
+        "count mixed4 --input mixed.txt --colors red,green,blue",
+    ])
+    def test_usage_exit_code(self, argv):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["bogus-command"])
+            cli.main(argv.split())
         assert exc.value.code == 2
 
     def test_weighted_spectral(self, tmp_path):

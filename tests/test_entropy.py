@@ -185,7 +185,7 @@ class TestKeyInequality:
             rep = check_key_inequality(fam)
             s_d = rep.sizes[-1]
             for k, s_k in enumerate(rep.sizes, start=1):
-                assert s_k >= s_d + (rep.d - k) - 1e-9
+                assert s_k >= s_d + (len(rep.sizes) - k) - 1e-9
 
     def test_matches_ordered_tuple_reference(self):
         rng = random.Random(7)
@@ -233,6 +233,13 @@ class TestDisjointSupportLemma:
         with pytest.raises(ValidationError):
             check_lemma_disjoint_support(dist, d1, d2)
 
+    def test_laws_differing_alone_rejected(self):
+        # X1 = a and X2 = b always: D1 = {(a, 0)} and D2 = {(b, 0)} are disjoint, cover {a, b} x {0}
+        # and hold the support, so only the laws differ
+        dist = ExactDistribution.uniform(3, [("a", "b", 0)])
+        with pytest.raises(ValidationError, match="X1 and X2 must have identical laws"):
+            check_lemma_disjoint_support(dist, {("a", 0)}, {("b", 0)})
+
     def test_overlapping_partition_rejected(self):
         dist = ExactDistribution.uniform(3, [("a", "b", 0)])
         with pytest.raises(ValidationError):
@@ -273,6 +280,18 @@ class TestCRegularCorollary:
         bad = [(i, i) for i in range(3)]
         with pytest.raises(ValidationError):
             check_cregular_corollary(3, 3, bad, [((0, 1), (0, 1, 2), 1)])
+
+    def test_column_counts_differing_alone_rejected(self):
+        # one bad cell in column 0 and none in column 1; the rectangle {0, 1} x {1} holds every bad
+        # cell of its column (none) and no bad cell in any row
+        with pytest.raises(ValidationError, match=r"bad-cell counts per column are not constant: \[1, 0\]"):
+            check_cregular_corollary(2, 2, [(0, 0)], [((0, 1), (1,), 1)])
+
+    def test_row_counts_differing_alone_rejected(self):
+        # one bad cell per column, both in row 0; the rectangle [2] x [2] holds them, but row 0 has
+        # two bad cells and row 1 none
+        with pytest.raises(ValidationError, match=r"rectangle has non-constant bad-count rows: \[2, 0\]"):
+            check_cregular_corollary(2, 2, [(0, 0), (0, 1)], [((0, 1), (0, 1), 1)])
 
     def test_weighted_rectangles(self):
         bad = [(i, i) for i in range(4)]

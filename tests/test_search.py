@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb
@@ -285,6 +286,27 @@ def test_probe_work_capped_before_drawing(monkeypatch):
         random_probe("good6", {"vertices": 29}, 7)
     with pytest.raises(CapacityError, match="= 31465000 exceeds cap"):
         random_probe("good6", {"vertices": 31}, 1000)
+
+
+@pytest.mark.parametrize("argv", [
+    # edge sizes past the vertex cap: 2^31 colour names, or combinations' index array of 2^31 + 2
+    "--d 2147483648 --vertices 4 --trials 2",
+    "--problem covering_delta --delta 2147483648 --vertices 4 --trials 2",
+    # no subset of [n] has the drawn size, so trials x draws is 0 and the cap never applies
+    "--problem good6 --vertices 3 --trials 1000000",
+    "--d 1000000 --vertices 4",
+])
+def test_probe_drawing_nothing_answers_at_once(argv):
+    child = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+             "sys.argv[0] = 'shadowlab'; runpy.run_module('shadowlab.cli', run_name='__main__')")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", child, "search", "probe", *argv.split(), "--json"],
+                          capture_output=True, text=True, timeout=10, env={"PYTHONPATH": str(SRC)})
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    trials = int(argv.split("--trials ")[1]) if "--trials" in argv else 1000
+    assert '"best_ratio":"none"' in done.stdout and f'"explored":"{trials}"' in done.stdout
+    assert elapsed < 2.0
 
 
 def test_costliest_probe_under_the_cap_finishes_within_budget():
