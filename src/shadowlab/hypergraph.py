@@ -598,6 +598,7 @@ class Problem(Record):
 
 
 def _rainbow_colors(d: int) -> tuple[str, ...]:
+    check_cap("rainbow_d edge size d - 1", d - 1, VERTEX_CAP)  # before d names: no edge is that large
     return tuple(f"c{i + 1}" for i in range(d))
 
 

@@ -2,7 +2,11 @@
 
 An exhaustive scan splits each state into an outer and an inner part, in
 product order, and counts all inner states under one outer state at once: one
-big-int sum of precomputed 0/1 byte strings, a byte per state.  A random probe
+big-int sum of precomputed 0/1 byte strings, a byte per state.  It visits only
+the outer states that come first in their orbit under the problem's symmetries
+that map the outer slots onto themselves.  Such a symmetry maps the first best
+state to one as good whose outer part is no earlier, so the best ratio and its
+witness are those of the full scan, and `explored` counts every state.  A random probe
 draws each trial straight into its problem's compact form and counts it with
 the problem's kernel, as the registry's counts do.  Both take each ratio's formula
 from `PROBLEMS`, compare by exact cross-multiplication and keep the first on a tie.
@@ -14,16 +18,20 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, groupby, islice, product
+from itertools import combinations, groupby, islice, permutations, product
 from math import comb
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .errors import BoundViolationError, ValidationError, check_cap
 from .hypergraph import PROBLEMS, RGB, VERTEX_CAP, ColoredHypergraph, _edges, _facets, _form, _sizes, get_problem
 from .record import Record
 
-RAINBOW_CAP = 5  # 4^binom(n,2) states, 1.0e7/s at n = 5; n = 6 took a measured 30 s (3.7e7/s)
-MIXED_CAP = 5  # 2^(pairs + triples) states, 1.0e7/s at n = 5; n = 6 is 3.4e10 states, about 1 h at that rate
+# states certified a second, measured on a 2-vCPU Xeon: rainbow 1.6e8 at n = 5 (6 ms) and 6.8e8 at
+# n = 6 (1.6 s, 971 of its 16,384 outer states); mixed 2.4e8 at n = 5 (4 ms).  Mixed n = 6 is 3.4e10
+# states, 2^20 inner ones a block.  Both caps stay until a budget for each is set
+RAINBOW_CAP = 5  # 4^binom(n,2) states
+MIXED_CAP = 5  # 2^(pairs + triples) states
 # a block's counts add bytewise: no state counts 256 structures (C(n, 3) triangles, C(n, 4) 4-sets)
 assert comb(RAINBOW_CAP, 3) < 256 and comb(MIXED_CAP, 4) < 256
 
@@ -49,43 +57,56 @@ def _recounted(name: str, witness: ColoredHypergraph | None, num: int, den: int,
     return best
 
 
-def _best_in_blocks(outers, inners, share, sizes, structures, hit, problem):
-    """The first state in product order with the largest ratio of `problem`, outer-major.
+def _best_in_blocks(outers, inners, radix, share, sizes, structures, hit, problem):
+    """The first state with the largest ratio of `problem`, outer-major, in the order given.
 
-    A state is (outer, inner); it counts the structures that hit it.  Inner states are
-    laid out by share(inner), ascending within each group, and each structure gets one
-    0/1 byte string over that layout for each value of its outer part, so the counts of
-    all inner states under one outer state are one big-int sum.  `structures` pairs each
-    structure's outer-part and inner-part functions, and hit(outer part, inner part) says
-    whether it is counted.  sizes(share(outer), share(inner)) are the state's class sizes,
-    nonzero where a structure is counted; `problem` forms the ratio, its denominator once per
-    group and outer share.  Returns (num, den, outer, inner), or (0, 1, None, None) if none counts.
+    A state is (outer, inner), each a tuple of slot values in range(radix); it counts the
+    structures that hit it.  Inner states are laid out by share(inner), ascending within each
+    group, and each structure gets one 0/1 byte string over that layout for each value of its
+    outer part, so the counts of all inner states under one outer state are one big-int sum.
+    `structures` lists each structure's outer and inner slots, and hit(outer part, inner part)
+    says whether it is counted, from the values at those slots.  A structure's inner parts are
+    one byte string of base-radix codes, built from the slot columns in bulk, and translated
+    through a table of hit per outer part.  sizes(share(outer), share(inner)) are the state's
+    class sizes, nonzero where a structure is counted; `problem` forms the ratio, its denominator
+    once per group and outer share.  Returns (num, den, outer, inner), or (0, 1, None, None).
     """
-    shares = [share(x) for x in inners]
+    shares = list(map(share, inners))
     layout = sorted(range(len(inners)), key=shares.__getitem__)
     groups = []  # (inner share, first, end) of each group's slice of the layout
     for key, members in groupby(layout, key=shares.__getitem__):
         first = groups[-1][2] if groups else 0
         groups.append((key, first, first + len(list(members))))
-    columns = []  # per structure, the byte string each outer state selects, as an int
-    for outer_part, inner_part in structures:
-        parts = [inner_part(inners[i]) for i in layout]
-        keys = [outer_part(o) for o in outers]
-        table = {}
-        for op in set(keys):
-            lut = {ip: hit(op, ip) for ip in set(parts)}
-            table[op] = int.from_bytes(bytes(map(lut.__getitem__, parts)), "little")
-        columns.append([table[k] for k in keys])
-    nums = [problem.numerator(t) for t in range(256)]  # a state's count is one byte
-    dens = {}  # per outer share, each group's denominator
     size = len(inners)
+    # each inner slot's values over the layout, a byte per state, as an int
+    digits = [int.from_bytes(bytes(values), "little") for values in zip(*map(inners.__getitem__, layout))]
+    luts = {}  # (outer part, inner slot count): hit of each inner part, at its code
+    columns = []  # per structure, the byte string each outer state selects, as an int
+    for outer_slots, inner_slots in structures:
+        code = 0
+        for k in inner_slots:  # no byte carries: a code is below 4^3 (a triangle) or 2^4 (a 4-set)
+            code = code * radix + digits[k]
+        codes, table, column = code.to_bytes(size, "little"), {}, []
+        for outer in outers:
+            op = tuple(map(outer.__getitem__, outer_slots))
+            if op not in table:
+                key = op, len(inner_slots)
+                if key not in luts:
+                    hits = bytes(hit(op, ip) for ip in product(range(radix), repeat=len(inner_slots)))
+                    luts[key] = hits.ljust(256, b"\0")
+                table[op] = int.from_bytes(codes.translate(luts[key]), "little")
+            column.append(table[op])
+        columns.append(column)
+    nums = [problem.numerator(t) for t in range(256)]  # a state's count is one byte
+    dens = {}  # per outer share, (first, end, denominator) of each group it gives a nonzero denominator
     best_num, best_den, best_index = 0, 1, -1
     for o, (outer, row) in enumerate(zip(outers, zip(*columns))):
         counts = sum(row).to_bytes(size, "little")
         mine = share(outer)
-        if mine not in dens:
-            dens[mine] = [problem.denominator(sizes(mine, key)) for key, _, _ in groups]
-        for (_, first, end), den in zip(groups, dens[mine]):
+        if mine not in dens:  # where the denominator is 0, a class is empty and nothing counts
+            dens[mine] = [(first, end, den) for key, first, end in groups
+                          if (den := problem.denominator(sizes(mine, key)))]
+        for first, end, den in dens[mine]:
             t = max(counts[first:end])
             if not t:
                 continue
@@ -98,11 +119,34 @@ def _best_in_blocks(outers, inners, share, sizes, structures, hit, problem):
     return best_num, best_den, outers[best_index // size], inners[best_index % size]
 
 
+def _vertex_maps(n: int, slots: list[tuple[int, int]]) -> list[itemgetter]:
+    """Each permutation of [n] that maps the set of `slots`, vertex pairs, onto itself, as the itemgetter
+    that takes a state over the slots to an image (over one slot, to a value: no state is merged)."""
+    index = {s: i for i, s in enumerate(slots)} | {s[::-1]: i for i, s in enumerate(slots)}
+    ends = [itemgetter(*s) for s in slots]
+    maps = ([index.get(end(p)) for end in ends] for p in permutations(range(n)))
+    return [itemgetter(*m) for m in maps if None not in m]
+
+
+def _orbit_least(outers, images) -> list:
+    """The outer states that come first, in scan order, in their orbit: images(outer) lists the
+    outer state's images under every symmetry.  Each kept state marks its whole orbit."""
+    kept, marked = [], set()
+    for outer in outers:
+        if outer not in marked:
+            kept.append(outer)
+            marked.update(images(outer))
+    return kept
+
+
 def search_rainbow_triangle(max_vertices: int) -> SearchResult:
     """Exhaustively maximize T^2 / (RGB) over 3-colorings of the pairs of [n].
 
     Every pair slot takes one of {absent, red, green, blue}; the first half of
-    the slots are the outer state, the rest the inner one.
+    the slots are the outer state, the rest the inner one.  The outer states scanned
+    are those first in their orbit under the vertex permutations that map the outer
+    slots onto themselves and, where the ratio weighs the colours alike, the colour
+    permutations: every other state has an image as good that comes before it.
     """
     n = max_vertices
     if n < 3:
@@ -112,19 +156,18 @@ def search_rainbow_triangle(max_vertices: int) -> SearchResult:
     half = len(pairs) // 2
     index = {p: i for i, p in enumerate(pairs)}
     structures = []
-    for a, b, c in combinations(range(n), 3):
-        slots = (index[(a, b)], index[(a, c)], index[(b, c)])
-        outer_slots = [i for i in slots if i < half]
-        inner_slots = [i - half for i in slots if i >= half]
-        structures.append(
-            (
-                lambda s, ks=outer_slots: tuple(map(s.__getitem__, ks)),
-                lambda s, ks=inner_slots: tuple(map(s.__getitem__, ks)),
-            )
-        )
+    for triangle in combinations(range(n), 3):
+        slots = [index[p] for p in combinations(triangle, 2)]
+        structures.append(([i for i in slots if i < half], [i - half for i in slots if i >= half]))
+    alike = len(set(PROBLEMS["rainbow_d"].exponents(3)[1])) == 1
+    colors = [(0, *c) for c in (permutations((1, 2, 3)) if alike else [(1, 2, 3)])]
+    maps = _vertex_maps(n, pairs[:half])
+    outers = _orbit_least(product((0, 1, 2, 3), repeat=half),
+                          lambda s: [m(t) for t in {tuple(map(c.__getitem__, s)) for c in colors} for m in maps])
     num, den, outer, inner = _best_in_blocks(
-        list(product((0, 1, 2, 3), repeat=half)),
+        outers,
         list(product((0, 1, 2, 3), repeat=len(pairs) - half)),
+        4,
         lambda s: (s.count(1), s.count(2), s.count(3)),
         lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2]),
         structures,
@@ -140,10 +183,17 @@ def search_rainbow_triangle(max_vertices: int) -> SearchResult:
     return SearchResult("rainbow_triangle", best, witness, 4 ** len(pairs), exhaustive=True)
 
 
+def _bits(k: int) -> list[tuple[int, ...]]:
+    """The nonzero k-bit integers in order, each as its bits from the lowest."""
+    return [s[::-1] for s in islice(product((0, 1), repeat=k), 1, None)]
+
+
 def search_mixed_4subsets(max_vertices: int) -> SearchResult:
     """Exhaustively maximize J^2 / (N2 N3^2) over mixed 2/3-edge hypergraphs.
 
-    The pair bits are the outer state and the triple bits the inner one.
+    The pair bits are the outer state and the triple bits the inner one, each scanned in the
+    order of its integer.  The outer states scanned are those first in their orbit under the
+    permutations of [n].
     """
     n = max_vertices
     if n < 4:
@@ -153,33 +203,26 @@ def search_mixed_4subsets(max_vertices: int) -> SearchResult:
     triples = list(combinations(range(n), 3))
     pair_idx = {p: i for i, p in enumerate(pairs)}
     triple_idx = {t: i for i, t in enumerate(triples)}
-    # per 4-subset: the 6 ways to pick {v3, v4}, as a pair slot and two triple slots
-    structures = []
-    for quad in combinations(range(n), 4):
-        ps, ts = [], []
-        for v3, v4 in combinations(quad, 2):
-            v1, v2 = (x for x in quad if x not in (v3, v4))
-            ps.append(pair_idx[(v3, v4)])
-            ts.append((triple_idx[tuple(sorted((v1, v2, v3)))], triple_idx[tuple(sorted((v1, v2, v4)))]))
-        structures.append(
-            (
-                lambda bits, ps=ps: tuple(bits >> p & 1 for p in ps),
-                lambda bits, ts=ts: tuple(bits >> t1 & bits >> t2 & 1 for t1, t2 in ts),
-            )
-        )
+    structures = [([pair_idx[p] for p in combinations(quad, 2)], [triple_idx[t] for t in combinations(quad, 3)])
+                  for quad in combinations(range(n), 4)]
+    # a 4-set is good when one of its pairs {a, b} and the triples missing a and missing b are edges;
+    # in combinations order its triple missing its vertex x comes at 3 - x
+    splits = list(enumerate(combinations(range(4), 2)))
+    maps = _vertex_maps(n, pairs)
     num, den, bits2, bits3 = _best_in_blocks(
-        range(1, 1 << len(pairs)),
-        range(1, 1 << len(triples)),
-        int.bit_count,
+        _orbit_least(_bits(len(pairs)), lambda s: [m(s) for m in maps]),
+        _bits(len(triples)),
+        2,
+        sum,
         lambda n2, n3: (n2, n3),
         structures,
-        lambda op, ip: any(a & b for a, b in zip(op, ip)),
+        lambda op, ip: any(op[j] and ip[3 - a] and ip[3 - b] for j, (a, b) in splits),
         PROBLEMS["mixed4"],
     )
     witness = None
     if bits2 is not None:
-        edges = [(p, "plain") for i, p in enumerate(pairs) if bits2 >> i & 1]
-        edges += [(t, "plain") for i, t in enumerate(triples) if bits3 >> i & 1]
+        edges = [(p, "plain") for p, bit in zip(pairs, bits2) if bit]
+        edges += [(t, "plain") for t, bit in zip(triples, bits3) if bit]
         witness = ColoredHypergraph.from_edges(n, edges)
     best = _recounted("mixed4", witness, num, den)
     explored = ((1 << len(pairs)) - 1) * ((1 << len(triples)) - 1)

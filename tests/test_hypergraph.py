@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -679,6 +680,17 @@ class TestCapacity:
         with pytest.raises(ValidationError, match=re.escape(str(odd))):
             count(wrong_size)
         assert count(ColoredHypergraph.from_edges(6, [(edge, "red", 1)])) is not None
+
+    def test_rainbow_d_past_the_vertex_cap_refused_before_naming_colors(self):
+        # no edge has d - 1 > VERTEX_CAP vertices; without listed colours, d names and a d-slot form
+        # would be built first (d = 10^6 took about 1 s, and d = 2^31 would exhaust memory)
+        triangle = ColoredHypergraph.from_edges(4, [((0, 1), "red"), ((0, 2), "green"), ((1, 2), "blue")])
+        for d in (10**6, 2**31):
+            start = time.perf_counter()
+            with pytest.raises(CapacityError, match=f"d - 1 = {d - 1} exceeds cap 64") as refused:
+                check_ratio("rainbow_d", triangle, d)
+            assert time.perf_counter() - start < 0.1
+            assert len(str(refused.value)) < 200
 
     def test_isomorphism_vertex_cap(self):
         h = ColoredHypergraph.from_edges(9, [((0, 1), "red")])

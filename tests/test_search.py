@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, islice, permutations, product
 from math import comb
 from pathlib import Path
 
@@ -17,16 +17,17 @@ from shadowlab.constructions import k4_blowup
 from shadowlab.errors import BoundViolationError, CapacityError, ValidationError
 from shadowlab.hypergraph import (PROBLEMS, ColoredHypergraph, Problem, check_ratio, color_isomorphic,
                                   count_good_4subsets_mixed)
-from shadowlab.search import (PROBE_CAP, _best_in_blocks, _draws, random_probe, search_mixed_4subsets,
-                              search_rainbow_triangle)
+from shadowlab.search import (PROBE_CAP, _best_in_blocks, _draws, _orbit_least, _vertex_maps, random_probe,
+                              search_mixed_4subsets, search_rainbow_triangle)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 RGB = ("red", "green", "blue")
 
 
-def reference_rainbow(n):
-    """The scan one state at a time: best T^2/(RGB), states explored, and the witness's edges."""
+def reference_rainbow(n, numerator=lambda t: t * t, denominator=lambda r, g, b: r * g * b):
+    """The scan one state at a time: best numerator(T) / denominator(R, G, B), states explored, and the
+    witness's edges."""
     pairs = list(combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
     triangles = [(index[(a, b)], index[(a, c)], index[(b, c)]) for a, b, c in combinations(range(n), 3)]
@@ -47,8 +48,8 @@ def reference_rainbow(n):
                     ck = state[k]
                     if ck and ck != ci and ck != cj:
                         t += 1
-        if t and t * t * best_den > best_num * r * g * b:
-            best_num, best_den, best_state = t * t, r * g * b, state
+        if t and numerator(t) * best_den > best_num * denominator(r, g, b):
+            best_num, best_den, best_state = numerator(t), denominator(r, g, b), state
     edges = sorted((pairs[i], RGB[c - 1]) for i, c in enumerate(best_state) if c)
     return Fraction(best_num, best_den), explored, edges
 
@@ -109,13 +110,79 @@ def test_n5_witnesses():
     assert sorted(e.verts for e in res.witness.edges) == [(0, 1, 4), (0, 2, 4), (0, 3), (1, 2), (1, 3, 4), (2, 3, 4)]
 
 
+def orbit_count(n, slots, values, colors):
+    """The orbits of the states over `slots`, vertex tuples each taking a value in `values`, under the
+    permutations of [n] that map the set of slots onto itself, each with every value permutation in
+    `colors`: the number of distinct least images, by brute force over the group."""
+    index = {s: i for i, s in enumerate(slots)}
+    group = []
+    for p in permutations(range(n)):
+        image = [tuple(sorted(p[v] for v in s)) for s in slots]
+        if set(image) == set(slots):
+            group.append([index[s] for s in image])
+    least = set()
+    for state in product(values, repeat=len(slots)):
+        images = []
+        for slot_map in group:
+            for c in colors:
+                image = [0] * len(slots)
+                for i, v in enumerate(state):
+                    image[slot_map[i]] = c[v]
+                images.append(tuple(image))
+        least.add(min(images))
+    return len(least)
+
+
+COLORINGS = [(0, *c) for c in permutations((1, 2, 3))]  # every colour permutation, absent fixed
+
+
+@pytest.mark.parametrize("scan, n, orbits", [
+    (search_rainbow_triangle, 4, 7), (search_rainbow_triangle, 5, 83),
+    (search_mixed_4subsets, 4, 10), (search_mixed_4subsets, 5, 33),
+])
+def test_scans_visit_one_outer_state_per_orbit(monkeypatch, scan, n, orbits):
+    visited = []
+
+    def spy(outers, *args):
+        visited.append(len(outers))
+        return _best_in_blocks(outers, *args)
+
+    monkeypatch.setattr(search, "_best_in_blocks", spy)
+    scan(n)
+    pairs = list(combinations(range(n), 2))
+    if scan is search_rainbow_triangle:  # the first half of the pair slots, with the colours
+        assert orbit_count(n, pairs[:len(pairs) // 2], range(4), COLORINGS) == orbits
+    else:  # every pair slot; the graph with no pair is not scanned
+        assert orbit_count(n, pairs, range(2), [(0, 1)]) - 1 == orbits
+    assert visited == [orbits]
+
+
+def test_rainbow_n6_keeps_971_outer_states():
+    maps = _vertex_maps(6, list(combinations(range(6), 2))[:7])
+    kept = _orbit_least(product(range(4), repeat=7),
+                        lambda s: [m(tuple(map(c.__getitem__, s))) for c in COLORINGS for m in maps])
+    assert len(kept) == 971
+
+
+@pytest.mark.parametrize("exponents", [(2, (1, 2, 3)), (3, (3, 1, 1))])
+def test_color_symmetry_follows_the_registry(monkeypatch, exponents):
+    # with unequal class exponents a colour permutation changes the ratio, so the scan may not use it.
+    # Under T^3 / (R^3 G B) the first best state at n = 4 has an outer part that a colour swap makes
+    # smaller; under T^2 / (R G^2 B^3) it is a lone triangle with no outer edge, which hides the swap
+    problem = replaced(PROBLEMS["rainbow_d"], exponents=lambda d: exponents)
+    monkeypatch.setitem(PROBLEMS, "rainbow_d", problem)
+    res = search_rainbow_triangle(4)
+    expected = reference_rainbow(4, problem.numerator, lambda *sizes: problem.denominator(sizes))
+    assert (res.best, res.explored, sorted((e.verts, e.color) for e in res.witness.edges)) == expected
+
+
 def test_tied_groups_keep_the_first_state_in_product_order():
     # inner states 0, 1, 2 fall in groups 1, 0, 2, so the layout visits them as 1, 0, 2;
     # each counts one structure under the same denominator, and state (0, 0) comes first
-    shares = {"o": 0, 0: 1, 1: 0, 2: 2}
-    best = _best_in_blocks(["o"], [0, 1, 2], shares.__getitem__, lambda x, y: (1, 1),
-                           [(lambda o: None, lambda i: None)], lambda op, ip: True, PROBLEMS["mixed4"])
-    assert best == (1, 1, "o", 0)
+    shares = {(): 0, (0,): 1, (1,): 0, (2,): 2}
+    best = _best_in_blocks([()], [(0,), (1,), (2,)], 3, shares.__getitem__, lambda x, y: (1, 1),
+                           [((), ())], lambda op, ip: True, PROBLEMS["mixed4"])
+    assert best == (1, 1, (), (0,))
 
 
 class TestRainbowSearch:
@@ -240,7 +307,9 @@ def reference_probe(name, n, d, delta, trials, seed):
     best, witness = None, None
     for _ in range(trials):
         h = reference_instance(rng, name, n, d, delta)
-        _, ratio = PROBLEMS[name].exact(h, d, delta, None)
+        # the colours it was drawn with: past the vertex cap, rainbow_d refuses to name d colours itself
+        colors = tuple(f"c{i + 1}" for i in range(d)) if name == "rainbow_d" else None
+        _, ratio = PROBLEMS[name].exact(h, d, delta, colors)
         if ratio is not None and (best is None or ratio > best):
             best, witness = ratio, h
     return best, witness, trials
