@@ -1,62 +1,51 @@
 """shadowlab: exact counting and bound verification for Kruskal-Katona-type
 extremal problems on colored hypergraphs, set families, subspace families,
 and forbidding systems.
+
+Importing the package registers every layer module in `sys.modules` without
+running it: a layer's source is compiled on the first attribute access
+(`importlib.util.LazyLoader`), so a command compiles only the layers it uses.
+The public names below resolve through the module `__getattr__` (PEP 562).
 """
 
-from .entropy import (
-    CoverSpec,
-    ExactDistribution,
-    check_cregular_corollary,
-    check_key_inequality,
-    check_lemma_disjoint_support,
-    check_shearer,
-    conditional_entropy,
-    entropy,
-)
-from .errors import BoundViolationError, CapacityError, ValidationError
-from .forbidding import (
-    ForbiddingSystem,
-    check_generalized_kk,
-    is_compatible,
-    qlinear_system,
-    repeats_system,
-    verify_forbidding_axioms,
-)
-from .hypergraph import (
-    PROBLEMS,
-    ColoredHypergraph,
-    Problem,
-    RatioReport,
-    SetFamily,
-    check_kruskal_katona,
-    check_partial_shadow_bound,
-    check_ratio,
-    count_color_covering_subsets,
-    count_good_4subsets_mixed,
-    count_good_6subsets,
-    count_partial_shadow_targets,
-    count_rainbow_cliques,
-    rainbow_cliques,
-    shadow,
-    spectral_trace_check,
-    validate,
-    weighted_joint_sum,
-)
-from .numkit import (
-    CVector,
-    gaussian_binom,
-    invert_product,
-    product_falling,
-    shadow_bound,
-)
-from .qlinalg import (
-    SubspaceFamily,
-    check_q_kruskal_katona,
-    enumerate_subspaces,
-    rref,
-    subspace_shadow,
-)
-from .reports import BoundReport, ValidationReport
-from .search import random_probe, search_mixed_4subsets, search_rainbow_triangle
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
+# each public name by the layer that defines it
+_EXPORTS = {
+    "entropy": "CoverSpec ExactDistribution check_cregular_corollary check_key_inequality "
+               "check_lemma_disjoint_support check_shearer conditional_entropy entropy",
+    "errors": "BoundViolationError CapacityError ValidationError",
+    "forbidding": "ForbiddingSystem check_generalized_kk is_compatible qlinear_system repeats_system "
+                  "verify_forbidding_axioms",
+    "hypergraph": "PROBLEMS ColoredHypergraph Problem RatioReport SetFamily check_kruskal_katona "
+                  "check_partial_shadow_bound check_ratio count_color_covering_subsets count_good_4subsets_mixed "
+                  "count_good_6subsets count_partial_shadow_targets count_rainbow_cliques rainbow_cliques shadow "
+                  "spectral_trace_check validate weighted_joint_sum",
+    "numkit": "CVector gaussian_binom invert_product product_falling shadow_bound",
+    "qlinalg": "SubspaceFamily check_q_kruskal_katona enumerate_subspaces rref subspace_shadow",
+    "reports": "BoundReport ValidationReport",
+    "search": "random_probe search_mixed_4subsets search_rainbow_triangle",
+}
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+for _layer in (*_EXPORTS, "record", "constructions", "formats"):
+    _spec = find_spec(f"{__name__}.{_layer}")
+    _spec.loader = LazyLoader(_spec.loader)
+    sys.modules[_spec.name] = _module = module_from_spec(_spec)
+    _spec.loader.exec_module(_module)
+    if _layer not in _HOME:  # `shadowlab.entropy` is the function, as `from .entropy import entropy` bound it
+        globals()[_layer] = _module
+del _layer, _spec, _module
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[f"{__name__}.{_HOME[name]}"], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -20,10 +20,10 @@ from . import formats
 from . import hypergraph as hg
 from . import qlinalg as ql
 from . import search as srch
-from .entropy import CoverSpec, check_key_inequality, check_shearer
-from .entropy import entropy as entropy_of
 from .errors import BoundViolationError, CapacityError, ValidationError
 from .reports import BoundReport
+
+ent = sys.modules[f"{__package__}.entropy"]  # the package attribute `entropy` is the function
 
 USAGE_EXIT = 2
 VALIDATION_EXIT = 3
@@ -160,18 +160,18 @@ def cmd_entropy(args) -> tuple[dict, list[BoundReport], list[str]]:
         if not args.family:
             raise ValidationError("--key needs --family")
         fam = formats.set_family_from_obj(formats.load_json(args.family))
-        rep = check_key_inequality(fam)
+        rep = ent.check_key_inequality(fam)
         return {"sizes": list(rep.sizes), "gaps": list(rep.gaps), "ok": rep.ok}, [rep.report], []
     if not args.dist:
         raise ValidationError("entropy needs --dist (or --key with --family)")
     dist = formats.distribution_from_obj(formats.load_json(args.dist))
     if args.shearer:
         subsets = tuple(tuple(_parse_ints(part)) for part in args.shearer.split(";") if part.strip())
-        cover = CoverSpec(dist.arity, subsets, args.k)
-        rep = check_shearer(dist, cover)
+        cover = ent.CoverSpec(dist.arity, subsets, args.k)
+        rep = ent.check_shearer(dist, cover)
         return {"k": args.k, "slack": rep.extra["slack"]}, [rep], []
     coords = _parse_ints(args.coords) if args.coords else None
-    value = entropy_of(dist, coords)
+    value = ent.entropy(dist, coords)
     return {"H": value, "coords": coords if coords else "all", "support": len(dist.support)}, [], []
 
 

@@ -7,10 +7,11 @@ JSON schemas (unknown fields are rejected):
   subspace family {"q": int, "n": int, "d": int, "members": [[[ints mod q]]]}
   distribution    {"arity": int, "support": [{"values": [...], "p": "num/den"}]}
 
-A reader that refuses a file names the first bad entry in file order; set
-and subspace entries are checked in bulk, and only a file that fails is read
-again entry by entry to find it.  Subspace entries outside [0, q) are
-reduced mod q.
+A reader that refuses a file names the first bad entry in file order, and
+a non-int entry before a bad d or q. The set and subspace readers check in
+bulk only that members (and a subspace member's rows) are lists; `make`
+checks the entries' types, once and in bulk. Only a file that fails is read
+again entry by entry. Subspace entries outside [0, q) are reduced mod q.
 
 The text format is one edge per line, `color v1 v2 ...`, with `#` comments
 and an optional `vertices N` header; without the header the vertex count is
@@ -24,14 +25,16 @@ makes serialization canonical and byte-stable under round-trips.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from itertools import chain
 from typing import Any
 
-from .entropy import ExactDistribution
+from . import hypergraph as hg
+from . import qlinalg as ql
 from .errors import ValidationError
-from .hypergraph import ColoredHypergraph, SetFamily
-from .qlinalg import SubspaceFamily
+
+ent = sys.modules[f"{__package__}.entropy"]  # the package attribute `entropy` is the function
 
 
 def _require_keys(obj: dict, required: set[str], optional: set[str], what: str) -> None:
@@ -56,7 +59,7 @@ def _list(value, what: str) -> list:
     return value
 
 
-def hypergraph_to_obj(h: ColoredHypergraph) -> dict:
+def hypergraph_to_obj(h: hg.ColoredHypergraph) -> dict:
     edges = []
     for e in h.edges:
         item: dict[str, Any] = {"v": list(e.verts), "color": e.color}
@@ -66,7 +69,7 @@ def hypergraph_to_obj(h: ColoredHypergraph) -> dict:
     return {"vertices": h.n, "edges": edges}
 
 
-def hypergraph_from_obj(obj: Any) -> ColoredHypergraph:
+def hypergraph_from_obj(obj: Any) -> hg.ColoredHypergraph:
     if not isinstance(obj, dict):
         raise ValidationError("hypergraph JSON must be an object")
     _require_keys(obj, {"vertices", "edges"}, set(), "hypergraph")
@@ -83,10 +86,10 @@ def hypergraph_from_obj(obj: Any) -> ColoredHypergraph:
             edges.append((verts, item["color"], _int(item["weight"], f"edge {i} weight")))
         else:
             edges.append((verts, item["color"]))
-    return ColoredHypergraph.from_edges(n, edges)
+    return hg.ColoredHypergraph.from_edges(n, edges)
 
 
-def hypergraph_from_text(text: str) -> ColoredHypergraph:
+def hypergraph_from_text(text: str) -> hg.ColoredHypergraph:
     edges = []
     declared = None
     max_index = -1
@@ -112,46 +115,46 @@ def hypergraph_from_text(text: str) -> ColoredHypergraph:
         max_index = max(max_index, *verts)
         edges.append((verts, parts[0]))
     n = declared if declared is not None else max_index + 1
-    return ColoredHypergraph.from_edges(n, edges)
+    return hg.ColoredHypergraph.from_edges(n, edges)
 
 
-def set_family_to_obj(fam: SetFamily) -> dict:
+def set_family_to_obj(fam: hg.SetFamily) -> dict:
     return {"n": fam.n, "d": fam.d, "sets": [list(s) for s in fam.sets]}
 
 
-def _lists_of(items: list, kind: type) -> bool:
-    """True iff every item is a list of `kind`s: `_list` and `_int` (kind int) decided in bulk."""
-    return set(map(type, items)) <= {list} and set(map(type, chain.from_iterable(items))) <= {kind}
+def _lists(items) -> bool:
+    """True iff every item is a list: `_list` decided in bulk."""
+    return set(map(type, items)) <= {list}
 
 
-def set_family_from_obj(obj: Any) -> SetFamily:
+def set_family_from_obj(obj: Any) -> hg.SetFamily:
     if not isinstance(obj, dict):
         raise ValidationError("set family JSON must be an object")
     _require_keys(obj, {"n", "d", "sets"}, set(), "set family")
     n = _int(obj["n"], "n")
     sets = _list(obj["sets"], "sets")
-    if not _lists_of(sets, int):  # name the first bad entry
+    if not (_lists(sets) and type(obj["d"]) is int):  # name the first bad entry, before a bad d
         for s in sets:
             for v in _list(s, "set"):
                 _int(v, "element")
-    return SetFamily.make(n, sets, d=_int(obj["d"], "d"))
+    return hg.SetFamily.make(n, sets, d=_int(obj["d"], "d"))
 
 
-def subspace_family_from_obj(obj: Any) -> SubspaceFamily:
+def subspace_family_from_obj(obj: Any) -> ql.SubspaceFamily:
     if not isinstance(obj, dict):
         raise ValidationError("subspace family JSON must be an object")
     _require_keys(obj, {"q", "n", "d", "members"}, set(), "subspace family")
     q, n, d = _int(obj["q"], "q"), _int(obj["n"], "n"), _int(obj["d"], "d")
     members = _list(obj["members"], "members")
-    if not (_lists_of(members, list) and _lists_of(list(chain.from_iterable(members)), int)):
+    if not (_lists(members) and _lists(chain.from_iterable(members))):
         for m in members:  # name the first bad entry
             for row in _list(m, "member"):
                 for x in _list(row, "member row"):
                     _int(x, "subspace entry")
-    return SubspaceFamily.make(q, n, d, members)
+    return ql.SubspaceFamily.make(q, n, d, members)
 
 
-def distribution_from_obj(obj: Any) -> ExactDistribution:
+def distribution_from_obj(obj: Any) -> ent.ExactDistribution:
     if not isinstance(obj, dict):
         raise ValidationError("distribution JSON must be an object")
     _require_keys(obj, {"arity", "support"}, set(), "distribution")
@@ -169,7 +172,7 @@ def distribution_from_obj(obj: Any) -> ExactDistribution:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"support item {i}: bad probability {item['p']!r}") from exc
         pairs.append((values, p))
-    return ExactDistribution.from_pairs(_int(obj["arity"], "arity"), pairs)
+    return ent.ExactDistribution.from_pairs(_int(obj["arity"], "arity"), pairs)
 
 
 def canonical(value: Any) -> Any:
@@ -201,7 +204,7 @@ def load_json(path: str) -> Any:
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def load_hypergraph(path: str) -> ColoredHypergraph:
+def load_hypergraph(path: str) -> hg.ColoredHypergraph:
     """JSON for .json paths, the text edge-list otherwise."""
     if path.endswith(".json"):
         return hypergraph_from_obj(load_json(path))

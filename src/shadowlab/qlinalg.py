@@ -103,17 +103,18 @@ class SubspaceFamily(Record):
         """The members, sorted, with entries reduced mod q.
 
         A family already in form is accepted in bulk, with no sort if its members strictly increase;
-        any other is checked member by member, which names the first bad one.
+        any other is checked member by member, which names the first bad one. A non-int entry is named
+        before a bad q or d, as the family reader names it.
         """
-        if not is_prime(q):
-            raise ValidationError(f"q must be prime, got {q}")
-        if not (0 <= d <= n):
-            raise ValidationError(f"need 0 <= d <= n, got d={d}, n={n}")
         canon = [tuple(map(tuple, m)) for m in members]
-        if not _in_echelon_form(canon, q, n, d):
-            for x in chain.from_iterable(chain.from_iterable(canon)):  # named as the family readers name it
+        if not (is_prime(q) and 0 <= d <= n and _in_echelon_form(canon, q, n, d)):
+            for x in chain.from_iterable(chain.from_iterable(canon)):
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise ValidationError(f"subspace entry must be an integer, got {x!r}")
+            if not is_prime(q):
+                raise ValidationError(f"q must be prime, got {q}")
+            if not (0 <= d <= n):
+                raise ValidationError(f"need 0 <= d <= n, got d={d}, n={n}")
             mats, canon = canon, []
             for m in mats:  # reduce mod q; name the first bad member
                 mat = tuple(tuple(x % q for x in row) for row in m)

@@ -380,8 +380,8 @@ class TestCli:
         assert out.stdout.strip() == "False"
 
     def test_import_set(self):
-        # Every layer loads with the cli: the benchmark's trace launcher wraps each layer
-        # it finds in sys.modules after `import shadowlab.cli`, so none of them is lazy.
+        # Every layer is in sys.modules after `import shadowlab.cli`, where the benchmark's trace
+        # launcher finds and wraps it; the package registers most of them lazily, compiled on first use.
         # The records build without `dataclasses`, which alone pulls in inspect, ast and dis.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         layers = ("cli", "formats", "hypergraph", "entropy", "qlinalg", "forbidding", "numkit", "reports",

@@ -196,6 +196,8 @@ def test_set_family_reader_matches_reference(seed):
 
 
 def test_set_reader_names_first_bad_entry_in_file_order():
+    with pytest.raises(ValidationError, match=r"^element must be an integer, got '1'$"):  # before a bad d
+        set_family_from_obj({"n": 5, "d": 1.0, "sets": [[0, 1, 2], [0, "1", 3]]})
     obj = {"n": 5, "d": 3, "sets": [[0, 1, 2], [0, "1", 3], [True, 1, 2], 4]}
     with pytest.raises(ValidationError, match=r"^element must be an integer, got '1'$"):
         set_family_from_obj(obj)
@@ -310,6 +312,8 @@ def test_subspace_family_reader_matches_reference(seed):
 
 
 def test_subspace_reader_names_first_bad_entry_in_file_order():
+    with pytest.raises(ValidationError, match=r"^subspace entry must be an integer, got 1.0$"):  # before a bad q
+        subspace_family_from_obj({"q": 9, "n": 2, "d": 1, "members": [[[1, 0]], [[0, 1.0]]]})
     obj = {"q": 2, "n": 2, "d": 1, "members": [[[1, 0]], [[0, 1.0]], [[1, True]], [5]]}
     with pytest.raises(ValidationError, match=r"^subspace entry must be an integer, got 1.0$"):
         subspace_family_from_obj(obj)

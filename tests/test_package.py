@@ -1,0 +1,108 @@
+"""The package surface: its public names, and the layers each command loads.
+
+Importing `shadowlab` registers every layer module in `sys.modules` and
+compiles none of them; a layer runs on its first attribute access.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+import types
+from itertools import combinations
+from pathlib import Path
+
+import pytest
+
+import shadowlab
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# every name the package exported when each layer was imported eagerly, by its layer
+PUBLIC = {
+    "entropy": ["CoverSpec", "ExactDistribution", "check_cregular_corollary", "check_key_inequality",
+                "check_lemma_disjoint_support", "check_shearer", "conditional_entropy", "entropy"],
+    "errors": ["BoundViolationError", "CapacityError", "ValidationError"],
+    "forbidding": ["ForbiddingSystem", "check_generalized_kk", "is_compatible", "qlinear_system", "repeats_system",
+                   "verify_forbidding_axioms"],
+    "hypergraph": ["PROBLEMS", "ColoredHypergraph", "Problem", "RatioReport", "SetFamily", "check_kruskal_katona",
+                   "check_partial_shadow_bound", "check_ratio", "count_color_covering_subsets",
+                   "count_good_4subsets_mixed", "count_good_6subsets", "count_partial_shadow_targets",
+                   "count_rainbow_cliques", "rainbow_cliques", "shadow", "spectral_trace_check", "validate",
+                   "weighted_joint_sum"],
+    "numkit": ["CVector", "gaussian_binom", "invert_product", "product_falling", "shadow_bound"],
+    "qlinalg": ["SubspaceFamily", "check_q_kruskal_katona", "enumerate_subspaces", "rref", "subspace_shadow"],
+    "reports": ["BoundReport", "ValidationReport"],
+    "search": ["random_probe", "search_mixed_4subsets", "search_rainbow_triangle"],
+}
+NAMES = {name for names in PUBLIC.values() for name in names}
+
+
+def test_public_names_resolve_to_their_layers():
+    for layer, names in PUBLIC.items():
+        module = importlib.import_module(f"shadowlab.{layer}")
+        for name in names:
+            assert getattr(shadowlab, name) is getattr(module, name), name
+    # the package attribute `entropy` is the function, not the layer module
+    assert shadowlab.entropy is sys.modules["shadowlab.entropy"].entropy
+    assert not isinstance(shadowlab.entropy, types.ModuleType)
+    assert shadowlab.hypergraph is sys.modules["shadowlab.hypergraph"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        shadowlab.no_such_name
+
+
+def test_star_import_binds_exactly_the_public_names():
+    assert sorted(shadowlab.__all__) == sorted(NAMES)
+    namespace: dict = {}
+    exec("from shadowlab import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace == {name: getattr(shadowlab, name) for name in NAMES}
+    assert NAMES <= set(dir(shadowlab))
+
+
+def _inputs(path: Path) -> None:
+    (path / "fam.json").write_text(json.dumps({"n": 6, "d": 3, "sets": [list(c) for c in combinations(range(6), 3)]}))
+    members = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]], [[1, 0, 0, 1], [0, 1, 1, 0]]]
+    (path / "sub.json").write_text(json.dumps({"q": 2, "n": 4, "d": 2, "members": members}))
+
+
+def _child(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(argv, cwd=cwd, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=60)
+
+
+KK_LAYERS = {"cli", "errors", "formats", "hypergraph", "numkit", "record", "reports"}
+
+
+@pytest.mark.parametrize("command, layers", [
+    ("kk --family fam.json", KK_LAYERS),
+    ("entropy --key --family fam.json", KK_LAYERS | {"entropy"}),
+    ("qkk --family sub.json", KK_LAYERS | {"qlinalg"}),
+    ("forbidding gkk --system repeats --universe-size 6 --d 3 --family fam.json",
+     KK_LAYERS | {"forbidding", "qlinalg"}),
+    ("search probe --trials 5", KK_LAYERS | {"search"}),
+])
+def test_command_loads_only_the_layers_it_runs(tmp_path, command, layers):
+    _inputs(tmp_path)
+    code = ("import json, sys, types, shadowlab.cli; status = shadowlab.cli.main(sys.argv[1:]); "
+            "print(json.dumps([name for name, m in sys.modules.items() "
+            "if name.startswith('shadowlab.') and type(m) is types.ModuleType])); sys.exit(status)")
+    out = _child([sys.executable, "-c", code, *command.split(), "--json"], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert {name.split(".", 1)[1] for name in json.loads(out.stdout.splitlines()[-1])} == layers
+
+
+@pytest.mark.parametrize("command, layer, counter", [
+    ("qkk --family sub.json", "qlinalg", "qlinalg.members_in"),
+    ("search probe --trials 5", "search", "search.explored"),
+])
+def test_trace_launcher_wraps_layers_that_load_late(tmp_path, command, layer, counter):
+    _inputs(tmp_path)
+    spans = tmp_path / "spans.json"
+    out = _child([sys.executable, str(ROOT / "bench" / "trace_launcher.py"), str(spans), "job", "--",
+                  *command.split(), "--json"], tmp_path)
+    assert out.returncode == 0, out.stderr
+    trace = json.loads(spans.read_text())
+    assert layer in {span[2] for span in trace["spans"]}
+    assert trace["counters"][counter] > 0
