@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 usage error, 3 invalid input, 4 capacity exceeded,
 5 proven-bound violation (a bug or a genuine counterexample, labeled loudly).
 Conjecture exceedances never affect the exit status.
+
+The parser lists every command's name and help line at once, but adds a
+command's options only when that command parses, each from the command's own
+options function.  So a command compiles only the layers it runs: `qkk` never
+loads `hypergraph`, whose registry only `search --problem` reads.
 """
 
 from __future__ import annotations
@@ -21,14 +26,13 @@ from . import hypergraph as hg
 from . import qlinalg as ql
 from . import search as srch
 from .errors import BoundViolationError, CapacityError, ValidationError
-from .reports import BoundReport
+from .reports import VIOLATED, VIOLATION_EXIT, BoundReport, exit_status, verdict
 
 ent = sys.modules[f"{__package__}.entropy"]  # the package attribute `entropy` is the function
 
 USAGE_EXIT = 2
 VALIDATION_EXIT = 3
 CAPACITY_EXIT = 4
-VIOLATION_EXIT = 5
 
 
 def _digest_files(paths: list[str]) -> str:
@@ -65,15 +69,9 @@ def _render_text(report: dict) -> str:
         lines.append(f"{key.ljust(width)} = {_render_value(value)}")
     for b in report["bounds"]:
         rel = "<=" if b["kind"] == "upper" else ">="
-        if b["satisfied"]:
-            verdict = "ok"
-        elif b["conjecture"]:
-            verdict = "conjecture exceeded (informational)"
-        else:
-            verdict = "PROVEN BOUND VIOLATED"
         lines.append(
             f"check: {b['quantity']} = {_render_value(b['computed'])} {rel} "
-            f"{_render_value(b['bound'])}  [{b['source']}]  {verdict}"
+            f"{_render_value(b['bound'])}  [{b['source']}]  {verdict(b['satisfied'], b['conjecture'])}"
         )
     for note in report["notes"]:
         lines.append(f"note: {note}")
@@ -327,57 +325,58 @@ def cmd_partial_shadow(args) -> tuple[dict, list[BoundReport], list[str]]:
     return q, [rep], []
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="shadowlab",
-        description="Exact counting and bound verification for shadow/clique extremal problems",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+class _Command(argparse.ArgumentParser):
+    """One command's parser: `options(parser)` adds its arguments on its first parse, then `--json`
+    and the handler follow."""
 
-    def common(p, handler):
-        p.set_defaults(handler=handler)
-        p.add_argument("--json", action="store_true", help="emit a canonical JSON report")
+    def __init__(self, *, handler, options, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._pending = handler, options
 
-    p = sub.add_parser("validate", help="check hypergraph invariants")
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending:
+            (handler, options), self._pending = self._pending, None
+            options(self)
+            self.add_argument("--json", action="store_true", help="emit a canonical JSON report")
+            self.set_defaults(handler=handler)
+        return super().parse_known_args(args, namespace)
+
+
+def _validate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
-    common(p, cmd_validate)
 
-    # no abbreviated options: `--d`, which the other commands take, would read as `--delta`
-    p = sub.add_parser("count", help="exact counts and ratio: good6/mixed4/covering", allow_abbrev=False)
+
+def _count_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=list(_COUNT_PROBLEMS))
     p.add_argument("--input", required=True)
     p.add_argument("--delta", type=int, default=0)
-    common(p, cmd_count)
 
-    p = sub.add_parser("kappa", help="clique ratio T^{d-1}/(C_1...C_d) with bounds")
+
+def _kappa_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--colors")
-    common(p, cmd_kappa)
 
-    p = sub.add_parser("shadow", help="set-family shadow")
+
+def _shadow_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True)
     p.add_argument("--out")
-    common(p, cmd_shadow)
 
-    p = sub.add_parser("kk", help="shadow bound check for set families")
+
+def _family_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True)
-    common(p, cmd_kk)
 
-    p = sub.add_parser("qkk", help="shadow bound check for subspace families")
-    p.add_argument("--family", required=True)
-    common(p, cmd_qkk)
 
-    p = sub.add_parser("entropy", help="entropy of exact distributions; shearer/key checks")
+def _entropy_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dist")
     p.add_argument("--coords")
     p.add_argument("--shearer", help="cover subsets, e.g. '0,1;1,2;0,2'")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--key", action="store_true", help="key inequality for a set family")
     p.add_argument("--family")
-    common(p, cmd_entropy)
 
-    p = sub.add_parser("forbidding", help="forbidding-system operations")
+
+def _forbidding_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=list(_FORBIDDING_ACTIONS))
     p.add_argument("--system", required=True, help="'repeats' or 'qlinear:q,n'")
     p.add_argument("--d", type=int, required=True)
@@ -386,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family")
     p.add_argument("--subspaces")
     p.add_argument("--seed", type=int, default=0, help="seed of verify's spot-check")
-    common(p, cmd_forbidding)
 
-    p = sub.add_parser("construct", help="generate a named configuration")
+
+def _construct_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", choices=[*_CONSTRUCTIONS, "complete-family"])
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--a", type=int, default=1)
@@ -398,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--input")
     p.add_argument("--out")
-    common(p, cmd_construct)
 
-    p = sub.add_parser("search", help="exhaustive search or seeded random probe")
+
+def _search_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("mode", choices=[*_SCANS, "probe"])
     p.add_argument("--max-vertices", type=int, default=4)
     p.add_argument("--problem", default="rainbow_d", choices=list(hg.PROBLEMS))
@@ -410,20 +409,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--seed", type=int, default=0, help="seed of the random probe")
-    common(p, cmd_search)
 
-    p = sub.add_parser("weighted", help="geometric-mean weighted clique sum")
+
+def _weighted_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--spectral", action="store_true")
-    common(p, cmd_weighted)
 
-    p = sub.add_parser("partial-shadow", help="partial shadow bound check")
+
+def _partial_shadow_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    common(p, cmd_partial_shadow)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="shadowlab",
+        description="Exact counting and bound verification for shadow/clique extremal problems",
+    )
+    sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Command)
+    sub.add_parser("validate", help="check hypergraph invariants", handler=cmd_validate, options=_validate_options)
+    # no abbreviated options: `--d`, which the other commands take, would read as `--delta`
+    sub.add_parser("count", help="exact counts and ratio: good6/mixed4/covering", allow_abbrev=False,
+                   handler=cmd_count, options=_count_options)
+    sub.add_parser("kappa", help="clique ratio T^{d-1}/(C_1...C_d) with bounds", handler=cmd_kappa,
+                   options=_kappa_options)
+    sub.add_parser("shadow", help="set-family shadow", handler=cmd_shadow, options=_shadow_options)
+    sub.add_parser("kk", help="shadow bound check for set families", handler=cmd_kk, options=_family_options)
+    sub.add_parser("qkk", help="shadow bound check for subspace families", handler=cmd_qkk, options=_family_options)
+    sub.add_parser("entropy", help="entropy of exact distributions; shearer/key checks", handler=cmd_entropy,
+                   options=_entropy_options)
+    sub.add_parser("forbidding", help="forbidding-system operations", handler=cmd_forbidding,
+                   options=_forbidding_options)
+    sub.add_parser("construct", help="generate a named configuration", handler=cmd_construct,
+                   options=_construct_options)
+    sub.add_parser("search", help="exhaustive search or seeded random probe", handler=cmd_search,
+                   options=_search_options)
+    sub.add_parser("weighted", help="geometric-mean weighted clique sum", handler=cmd_weighted,
+                   options=_weighted_options)
+    sub.add_parser("partial-shadow", help="partial shadow bound check", handler=cmd_partial_shadow,
+                   options=_partial_shadow_options)
     return parser
 
 
@@ -445,8 +471,7 @@ def _execute(args: argparse.Namespace, argv: list[str]) -> tuple[dict, int]:
     paths = _input_paths(args)
     digest = _digest_files(paths) if paths else _digest_params(" ".join(argv))
     quantities, bounds, notes = args.handler(args)
-    violated = [b for b in bounds if not b.satisfied and not b.conjecture]
-    status = VIOLATION_EXIT if violated else 0
+    status = exit_status(bounds)
     report = {
         "command": list(argv),
         "input_digest": digest,
@@ -470,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"capacity error: {exc}", file=sys.stderr)
         return CAPACITY_EXIT
     except BoundViolationError as exc:
-        print(f"PROVEN BOUND VIOLATED: {exc}", file=sys.stderr)
+        print(f"{VIOLATED}: {exc}", file=sys.stderr)
         return VIOLATION_EXIT
     try:
         if args.json:
@@ -482,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
         # the reader is gone (`shadowlab ... | head`): send what is left to devnull, quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if status == VIOLATION_EXIT:
-        print("PROVEN BOUND VIOLATED: see the failed checks above", file=sys.stderr)
+        print(f"{VIOLATED}: see the failed checks above", file=sys.stderr)
     return status
 
 

@@ -19,9 +19,9 @@ import random
 from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Hashable, Iterable, Sequence
 
+from . import qlinalg as ql
 from .errors import ValidationError, check_cap, check_power_cap
 from .numkit import CVector, product_falling, shadow_bound
-from .qlinalg import is_prime, rref
 from .record import Record
 from .reports import BoundReport, lower_report
 
@@ -83,7 +83,7 @@ def qlinear_system(q: int, n: int, d: int) -> ForbiddingSystem:
 
     Universe is F_q^n minus the zero vector; q must be prime.
     """
-    if not is_prime(q):
+    if not ql.is_prime(q):
         raise ValidationError(f"q must be prime, got {q}")
     if n < 0:
         raise ValidationError(f"n must be nonnegative, got {n}")
@@ -93,7 +93,7 @@ def qlinear_system(q: int, n: int, d: int) -> ForbiddingSystem:
         universe=universe,
         d=d,
         # more than n vectors, or a repeated one, are dependent without a rank test
-        classify_good=lambda ms: len(ms) <= n and len(set(ms)) == len(ms) and len(rref(ms, q)) == len(ms),
+        classify_good=lambda ms: len(ms) <= n and len(set(ms)) == len(ms) and len(ql.rref(ms, q)) == len(ms),
         c_vector=tuple(q**k - 1 for k in range(1, d)),
         name=f"qlinear:{q},{n}",
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .record import Record
 
@@ -49,6 +49,22 @@ class BoundReport(Record):
             object.__setattr__(self, "extra", {})
         if self.kind not in ("upper", "lower"):
             raise ValueError(f"kind must be 'upper' or 'lower', got {self.kind!r}")
+
+
+VIOLATED = "PROVEN BOUND VIOLATED"
+VIOLATION_EXIT = 5
+
+
+def verdict(satisfied: bool, conjecture: bool) -> str:
+    """The word a check reads as: only a proven bound that fails is VIOLATED."""
+    if satisfied:
+        return "ok"
+    return "conjecture exceeded (informational)" if conjecture else VIOLATED
+
+
+def exit_status(reports: Iterable[BoundReport]) -> int:
+    """The exit rule: VIOLATION_EXIT when a proven bound fails, else 0; a conjecture never counts."""
+    return VIOLATION_EXIT if any(not r.satisfied and not r.conjecture for r in reports) else 0
 
 
 def _display(x: Exactish) -> float:

@@ -195,6 +195,61 @@ class TestCli:
             cli.main(argv.split())
         assert exc.value.code == 2
 
+    # each command's positional choices and options, in the order its help lists them
+    HELP = {
+        "validate": ([], ["--input"]),
+        "count": (["{good6,mixed4,covering}"], ["--input", "--delta"]),
+        "kappa": ([], ["--input", "--d", "--colors"]),
+        "shadow": ([], ["--family", "--out"]),
+        "kk": ([], ["--family"]),
+        "qkk": ([], ["--family"]),
+        "entropy": ([], ["--dist", "--coords", "--shearer", "--k", "--key", "--family"]),
+        "forbidding": (["{verify,compatible,sd,gkk}"],
+                       ["--system", "--d", "--universe-size", "--set", "--family", "--subspaces", "--seed"]),
+        "construct": (["{k4-blowup,rainbow-tripartite,matching,lift,tetrahedra8,flats,tripartite-mixed,"
+                       "complete-family}"], ["--n", "--a", "--b", "--c", "--d", "--m", "--input", "--out"]),
+        "search": (["{rainbow-triangle,mixed4,probe}"],
+                   ["--max-vertices", "--problem", "--vertices", "--trials", "--d", "--delta", "--out", "--seed"]),
+        "weighted": ([], ["--input", "--d", "--spectral"]),
+        "partial-shadow": ([], ["--input", "--r", "--k"]),
+    }
+
+    @staticmethod
+    def _help(argv, capsys, monkeypatch) -> dict[str, list[str]]:
+        """The lines of `argv`'s help, by section ("usage" for the lines before the first heading)."""
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        sections, name = {}, "usage"
+        for line in capsys.readouterr().out.splitlines():
+            if line and not line[0].isspace() and line.endswith(":"):
+                name = line[:-1]
+            elif line:
+                sections.setdefault(name, []).append(line)
+        return sections
+
+    def test_help_lists_every_command(self, capsys, monkeypatch):
+        commands = self._help(["--help"], capsys, monkeypatch)["positional arguments"]
+        assert [line.split()[0] for line in commands if line.startswith("    ") and line[4] != " "] == list(self.HELP)
+
+    def test_unknown_command_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["frobnicate"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "frobnicate" in err and all(command in err for command in self.HELP)
+
+    # options are built only when their command parses, so each command's help is its own check
+    @pytest.mark.parametrize("command", list(HELP))
+    def test_command_help_lists_every_option(self, capsys, monkeypatch, command):
+        positionals, options = self.HELP[command]
+        sections = self._help([command, "--help"], capsys, monkeypatch)
+        assert [line.split()[0] for line in sections.get("positional arguments", [])] == positionals
+        listed = [word.rstrip(",") for line in sections["options"] if line.startswith("  -")
+                  for word in line.split("  ")[1].split() if word.startswith("-")]
+        assert listed == ["-h", "--help", *options, "--json"]
+
     def test_weighted_spectral(self, tmp_path):
         g = str(tmp_path / "w.json")
         with open(g, "w") as fh:

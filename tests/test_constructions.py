@@ -177,7 +177,9 @@ class TestTripartiteMixed:
         rep = check_ratio("mixed4", c.graph)
         assert rep.counts["J"] == 12
 
-    @pytest.mark.parametrize("n,expected_ratio", [(2, Fraction(144, 3 * 64)), (3, Fraction(1)), (4, Fraction(288**2, 18 * 64 * 64))])
+    @pytest.mark.parametrize("n,expected_ratio", [
+        (2, Fraction(144, 3 * 64)), (3, Fraction(1)), (4, Fraction(288**2, 18 * 64 * 64)),
+    ])
     def test_ratio_values(self, n, expected_ratio):
         c = tripartite_mixed(n)
         assert c.expected["ratio"] == expected_ratio

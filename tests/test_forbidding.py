@@ -7,7 +7,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 import pytest
 
 from conftest import orderings, random_set_family
-from shadowlab import cli, forbidding
+from shadowlab import cli, forbidding, qlinalg
 from shadowlab.errors import CapacityError, ValidationError
 from shadowlab.forbidding import (
     CompatibilityResult,
@@ -327,7 +327,7 @@ class TestEnumerateSd:
             sizes.append(len(rows))
             return rref(rows, q)
 
-        monkeypatch.setattr(forbidding, "rref", counted)
+        monkeypatch.setattr(qlinalg, "rref", counted)
         vectors = ";".join(",".join(map(str, v)) for v in product(range(2), repeat=5) if any(v))
         report, status = cli.run(["forbidding", "sd", "--system", "qlinear:2,5", "--d", "6", "--set", vectors])
         assert status == 0 and report["quantities"]["tuples"] == 0

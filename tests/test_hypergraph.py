@@ -703,7 +703,8 @@ class TestColorIsomorphic:
         h = fig1_k4()
         perm = (2, 0, 3, 1)
         relabeled = ColoredHypergraph.from_edges(
-            4, [(tuple(perm[v] for v in e.verts), {"red": "green", "green": "blue", "blue": "red"}[e.color]) for e in h.edges]
+            4, [(tuple(perm[v] for v in e.verts), {"red": "green", "green": "blue", "blue": "red"}[e.color])
+                for e in h.edges]
         )
         assert color_isomorphic(h, relabeled)
 

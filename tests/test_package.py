@@ -72,16 +72,20 @@ def _child(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60)
 
 
-KK_LAYERS = {"cli", "errors", "formats", "hypergraph", "numkit", "record", "reports"}
+# the parser, the report's writer and the exit rule, and `numkit`, which each counting layer imports
+BASE_LAYERS = {"cli", "errors", "formats", "numkit", "record", "reports"}
+KK_LAYERS = BASE_LAYERS | {"hypergraph"}
 
 
 @pytest.mark.parametrize("command, layers", [
     ("kk --family fam.json", KK_LAYERS),
     ("entropy --key --family fam.json", KK_LAYERS | {"entropy"}),
-    ("qkk --family sub.json", KK_LAYERS | {"qlinalg"}),
-    ("forbidding gkk --system repeats --universe-size 6 --d 3 --family fam.json",
-     KK_LAYERS | {"forbidding", "qlinalg"}),
+    ("qkk --family sub.json", BASE_LAYERS | {"qlinalg"}),
+    ("forbidding gkk --system repeats --universe-size 6 --d 3 --family fam.json", KK_LAYERS | {"forbidding"}),
     ("search probe --trials 5", KK_LAYERS | {"search"}),
+    ("forbidding verify --system repeats --universe-size 4 --d 3", BASE_LAYERS | {"forbidding"}),
+    ("forbidding verify --system qlinear:2,4 --d 2", BASE_LAYERS | {"forbidding", "qlinalg"}),
+    ("forbidding gkk --system qlinear:2,4 --d 2 --subspaces sub.json", BASE_LAYERS | {"forbidding", "qlinalg"}),
 ])
 def test_command_loads_only_the_layers_it_runs(tmp_path, command, layers):
     _inputs(tmp_path)
