@@ -254,7 +254,9 @@ def complete_family(m: int, d: int) -> SetFamily:
     """All d-subsets of [m]; the tightness witness for the shadow bound."""
     if not 0 <= d <= m:
         raise ValidationError(f"need 0 <= d <= m, got m={m}, d={d}")
-    cap = 10**6  # measured 735,471 members (C(24, 8)) in about 1.2 s and 156 MB
+    # measured at 735,471 members (C(24, 8)) on a 2-vCPU x86 VM: about 1.1-1.4 s and 161 MB, or 1.9-2.7 s
+    # and 246 MB with --out, which holds the whole JSON text before writing it
+    cap = 10**6
     # C(m, i) grows up to i = min(d, m - d); once it leaves the float range, C(m, d) is refused by its formula
     size = 1
     for i in range(min(d, m - d)):

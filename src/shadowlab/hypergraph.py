@@ -86,6 +86,13 @@ class SetFamily(Record):
 
     @classmethod
     def make(cls, n: int, sets: Iterable[Iterable[int]], d: int | None = None) -> "SetFamily":
+        """The members, each sorted, in sorted order.
+
+        A family whose members are already in form is accepted in bulk; any other is checked member
+        by member, which names the first bad one in sorted order. A non-int element is named before a
+        bad member, as the family reader names it. The members are then sorted, which takes one pass
+        if they already are, and must strictly increase.
+        """
         members = list(map(tuple, sets))
         k = len(members[0]) if d is None and members else d
         if not _canonical(members, k, n):
@@ -104,9 +111,10 @@ class SetFamily(Record):
                         raise ValidationError(f"member {s} repeats an element")
                     if s and (s[0] < 0 or s[-1] >= n):
                         raise ValidationError(f"member {s} outside ground set [0, {n})")
-        if len(set(members)) != len(members):
+        members.sort()
+        if not all(map(lt, members, members[1:])):
             raise ValidationError("duplicate member sets")
-        return cls(n=n, d=k, sets=tuple(sorted(members)))
+        return cls(n=n, d=k, sets=tuple(members))
 
     def __len__(self) -> int:
         return len(self.sets)

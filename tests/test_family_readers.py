@@ -240,6 +240,34 @@ def test_set_family_make_names_first_bad_member_in_sorted_order():
     assert outcome(SetFamily.make, 5, sets) == (ValidationError, "member (0, 4) has cardinality 2, expected 3")
 
 
+_SORTED = list(combinations(range(6), 3))  # 20 members, strictly increasing
+
+
+# name -> (n, d, sets) of families in or near sorted order, which `make` accepts in bulk and sorts in one pass
+SORTED_FAMILIES = {
+    "sorted": (6, 3, _SORTED),
+    "sorted, d = 0": (6, 0, [()]),
+    "sorted, d = 0, duplicate": (6, 0, [(), ()]),
+    "one adjacent duplicate": (6, 3, _SORTED[:9] + _SORTED[8:]),
+    "one adjacent pair swapped": (6, 3, _SORTED[:9] + [_SORTED[10], _SORTED[9]] + _SORTED[11:]),
+    "negative entry only in the first column": (6, 3, [(-1, 4, 5)] + _SORTED),
+    "entry >= n only in the last column": (6, 3, _SORTED[:3] + [(0, 1, 6)] + _SORTED[3:]),
+    "holding True": (6, 3, [(0, True, 2)] + _SORTED[1:]),
+}
+
+
+@pytest.mark.parametrize("name", SORTED_FAMILIES)
+def test_set_family_make_on_sorted_families_matches_reference(name):
+    n, d, sets = SORTED_FAMILIES[name]
+    obj = {"n": n, "d": d, "sets": [list(s) for s in sets]}
+    expected = outcome(reference_set_family_from_obj, obj)  # the reference `make` takes True for 1
+    assert outcome(set_family_from_obj, obj) == expected
+    for shape in (list, tuple, iter):
+        assert outcome(SetFamily.make, n, shape([shape(s) for s in sets]), d=d) == expected
+    if name != "holding True":
+        assert outcome(SetFamily.make, n, sets) == outcome(reference_set_family_make, n, sets)
+
+
 @pytest.mark.parametrize("sets, message", [
     ([(0.5, 1, 2), (1, 2, 3)], "element must be an integer, got 0.5"),
     ([(0, 1, 2), (1, True, 3)], "element must be an integer, got True"),

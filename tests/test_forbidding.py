@@ -3,10 +3,11 @@
 import random
 import re
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import factorial
 
 import pytest
 
-from conftest import orderings, random_set_family
+from conftest import orderings
 from shadowlab import cli, forbidding, qlinalg
 from shadowlab.errors import CapacityError, ValidationError
 from shadowlab.forbidding import (
@@ -20,7 +21,7 @@ from shadowlab.forbidding import (
     system_from_name,
     verify_forbidding_axioms,
 )
-from shadowlab.hypergraph import check_kruskal_katona
+from shadowlab.hypergraph import SetFamily, check_kruskal_katona
 from shadowlab.numkit import shadow_bound
 from shadowlab.qlinalg import enumerate_subspaces, rref, subspace_points
 
@@ -384,18 +385,23 @@ class TestEnumerateSd:
 
 
 class TestGeneralizedKK:
-    def test_matches_set_family_check(self):
-        rng = random.Random(77)
-        sys = repeats_system(6, 3)
-        for _ in range(30):
-            fam = random_set_family(rng, 6, 3, 12)
-            gkk = check_generalized_kk(sys, fam.sets)
-            kk = check_kruskal_katona(fam)
-            assert gkk.extra["t"] == pytest.approx(kk.extra["t"], abs=1e-9)
-            # |shadow(F)| = (d-1)! |shadow(A)| and the bounds match the same way
-            assert gkk.computed == 2 * kk.computed
-            assert gkk.bound == pytest.approx(2 * kk.bound, abs=1e-6)
-            assert gkk.satisfied == kk.satisfied
+    @pytest.mark.parametrize("n, d", [(6, 2), (6, 3), (7, 4), (8, 5)])
+    def test_matches_set_family_check(self, n, d):
+        # kk(A) against gkk(repeats, A) on random families and the complete one, each given in sorted
+        # order (which `SetFamily.make` accepts without a sort) and shuffled
+        rng = random.Random(77 + 10 * n + d)
+        system, pool = repeats_system(n, d), list(combinations(range(n), d))
+        families = [sorted(rng.sample(pool, rng.randint(1, 12))) for _ in range(20)] + [pool]
+        for chosen in families:
+            for given in (chosen, rng.sample(chosen, len(chosen))):
+                kk = check_kruskal_katona(SetFamily.make(n, given, d=d))
+                gkk = check_generalized_kk(system, given)
+                # |shadow(F)| = (d-1)! |shadow(A)| and t is the same; the float bounds, for display, match
+                # the same way up to rounding
+                assert gkk.computed == factorial(d - 1) * kk.computed
+                assert gkk.extra["t"] == kk.extra["t"]
+                assert gkk.bound == pytest.approx(factorial(d - 1) * kk.bound, rel=1e-12)
+                assert gkk.satisfied == kk.satisfied
 
     def test_qlinear_full_grassmannian(self):
         sys = qlinear_system(2, 4, 2)

@@ -1,5 +1,6 @@
 """Exhaustive searches and the seeded random probe."""
 
+import os
 import random
 import subprocess
 import sys
@@ -370,7 +371,7 @@ def test_probe_drawing_nothing_answers_at_once(argv):
              "sys.argv[0] = 'shadowlab'; runpy.run_module('shadowlab.cli', run_name='__main__')")
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", child, "search", "probe", *argv.split(), "--json"],
-                          capture_output=True, text=True, timeout=10, env={"PYTHONPATH": str(SRC)})
+                          capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": str(SRC)})
     elapsed = time.perf_counter() - start
     assert done.returncode == 0, done.stderr
     trials = int(argv.split("--trials ")[1]) if "--trials" in argv else 1000
@@ -386,7 +387,7 @@ def test_costliest_probe_under_the_cap_finishes_within_budget():
     assert 6 * comb(29, 4) <= PROBE_CAP < 7 * comb(29, 4)
     argv = [sys.executable, "-m", "shadowlab.cli", "search", "probe", "--problem", "good6", "--vertices", "29",
             "--trials", "6", "--json"]
-    done = subprocess.run(argv, capture_output=True, text=True, timeout=10, env={"PYTHONPATH": str(SRC)})
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert done.returncode == 0, done.stderr
 
 
