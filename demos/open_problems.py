@@ -5,13 +5,11 @@ reports keep the two separate, and random probes only ever tighten the
 evidence, never settle anything.
 """
 
-from fractions import Fraction
-
 from shadowlab.constructions import flats_example, tripartite_mixed
 from shadowlab.hypergraph import (
+    PROBLEMS,
     ColoredHypergraph,
     check_ratio,
-    count_good_6subsets,
     spectral_trace_check,
     weighted_joint_sum,
 )
@@ -19,9 +17,8 @@ from shadowlab.search import random_probe, search_mixed_4subsets
 
 print("== 6-subsets split by three 4-edges ==")
 c = flats_example()
-j = count_good_6subsets(c.graph)
-n = len(c.graph.edges)
-print(f"the 14-edge example: J = {j}, N = {n}, J^2/N^3 = {Fraction(j * j, n**3)}")
+counts, ratio = PROBLEMS["good6"].exact(c.graph)
+print(f"the 14-edge example: J = {counts['J']}, N = {counts['N']}, J^2/N^3 = {ratio}")
 print("2/7 is the conjectured optimum; nothing larger is known\n")
 
 print("== mixed 2/3-edge 4-subsets ==")

@@ -5,8 +5,9 @@ tripartite comparison point, the higher-uniformity ratio with its three
 upper bounds, and the exhaustive search that rediscovers the tight example.
 """
 
-from shadowlab.constructions import k4_blowup, kappa_lift, matching_construction, rainbow_tripartite
-from shadowlab.hypergraph import check_ratio, color_isomorphic
+from shadowlab.constructions import (k4_blowup, kappa_lift, matching_construction, rainbow_tripartite,
+                                     round_robin_matchings)
+from shadowlab.hypergraph import check_ratio
 from shadowlab.search import search_rainbow_triangle
 
 print("== blowups of the opposite-edge K4 coloring ==")
@@ -29,8 +30,9 @@ print("tripartite blowups sit at ratio 1: the loss lives elsewhere in the"
 print("== exhaustive search over all 3-colorings ==")
 res = search_rainbow_triangle(4)
 print(f"n=4: explored {res.explored} states, best ratio {res.best}")
-print(f"     witness isomorphic to the K4 coloring: "
-      f"{color_isomorphic(res.witness, k4_blowup(1).graph)}")
+# isomorphic to the K4 coloring exactly when its colour classes are the three perfect matchings of [4]
+classes = {frozenset(e.verts for e in res.witness.edges if e.color == c) for c in res.witness.colors()}
+print(f"     witness isomorphic to the K4 coloring: {classes == set(map(frozenset, round_robin_matchings(2)))}")
 res5 = search_rainbow_triangle(5)
 print(f"n=5: explored {res5.explored} states, best ratio {res5.best}")
 print("no 5-vertex coloring beats the K4 example\n")

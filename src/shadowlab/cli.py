@@ -68,7 +68,9 @@ def _render_value(v) -> str:
     if isinstance(v, float):
         return format(v, ".12g")
     if isinstance(v, (list, tuple)):
-        return " ".join(_render_value(x) for x in v)
+        if v and all(isinstance(x, (list, tuple)) for x in v):  # a set of vectors, in the --set syntax
+            return ";".join(",".join(map(_render_value, x)) for x in v)
+        return " ".join(map(_render_value, v))
     return str(v)
 
 

@@ -115,11 +115,6 @@ class CoverSpec(Record):
         if short:
             raise ValidationError(f"coordinates {short} covered fewer than k={self.k} times")
 
-    @classmethod
-    def leave_one_out(cls, n: int) -> "CoverSpec":
-        subsets = tuple(tuple(j for j in range(n) if j != i) for i in range(n))
-        return cls(n=n, subsets=subsets, k=n - 1)
-
 
 def check_shearer(dist: ExactDistribution, cover: CoverSpec) -> BoundReport:
     """k * H(X_1..X_n) <= sum_j H((X_i)_{i in I_j})."""

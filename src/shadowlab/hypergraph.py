@@ -188,14 +188,6 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _listed(sets: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(map(_members, sets)))
-
-
-def _joined(pairs: Iterable[tuple[int, int]]) -> Iterator[int]:  # each edge plus each of its vertices
-    return (e | 1 << v for e, x in pairs for v in _members(x))
-
-
 def _count(pairs: Iterable[tuple[int, int]]) -> int:
     return sum(x.bit_count() for _, x in pairs)
 
@@ -234,11 +226,8 @@ def _rainbow_form(h: ColoredHypergraph, d: int, colors: Sequence[str]) -> Form:
 
 def rainbow_cliques(h: ColoredHypergraph, d: int, colors: Sequence[str]) -> tuple[tuple[int, ...], ...]:
     """All d-subsets whose d facets are edges carrying the d listed colors once each."""
-    return _listed(_joined(_rainbow(_rainbow_form(h, d, tuple(colors)))))
-
-
-def count_rainbow_cliques(h: ColoredHypergraph, d: int, colors: Sequence[str]) -> int:
-    return _count(_rainbow(_rainbow_form(h, d, tuple(colors))))
+    pairs = _rainbow(_rainbow_form(h, d, tuple(colors)))  # each base edge with the vertices completing it
+    return tuple(sorted(_members(e | 1 << v) for e, x in pairs for v in _members(x)))
 
 
 def _shadow(fam: SetFamily) -> set[tuple[int, ...]]:
@@ -277,8 +266,9 @@ GOOD6_CAP = 5 * 10**6  # link steps; measured 0.13-0.26 µs a step, so at most a
 
 
 def _good6(form: Form) -> set[int]:
-    """The good 6-sets p + q + r of a 4-uniform form, as bitmasks: each is a triangle of pairs joined by
-    the splits of the 4-edges, met once, from p + q with r = {x, y} above p's and q's least vertices.
+    """The good 6-sets of a 4-uniform form, as bitmasks: the 6-sets admitting three 4-edges inside whose
+    complements partition the set.  Each is p + q + r, a triangle of pairs joined by the splits of the
+    4-edges, met once, from p + q with r = {x, y} above p's and q's least vertices.
     M 4-edges make 3M joins and at most sqrt(2) (3M)^1.5 / 3 triangles (Kruskal-Katona)."""
     (edges,), masks = form
     m, n = len(edges), max((d for *_, (_, d) in edges), default=0).bit_length()  # every vertex is below n
@@ -309,14 +299,10 @@ def _good6_form(h: ColoredHypergraph) -> Form:
     return _form(1, ((0, _facets(e.verts)) for e in _edges(h, 4, what="good 6-subset counting")))
 
 
-def count_good_6subsets(h: ColoredHypergraph) -> int:
-    """6-sets admitting three 4-edges inside whose complements partition the set."""
-    return len(_good6(_good6_form(h)))
-
-
 def _mixed4(form: Form) -> set[int]:
-    """The good 4-sets of a form of 2-edges (slot 0) and 3-edges, as bitmasks: a 2-edge {v3, v4} in the
-    link of {v1, v2} gives one.  No cap beyond the vertex cap: C(64, 2) links of C(62, 2) pairs."""
+    """The good 4-sets of a form of 2-edges (slot 0) and 3-edges, as bitmasks: the 4-sets {v1..v4} with
+    3-edges {v1,v2,v3}, {v1,v2,v4} and 2-edge {v3,v4}, each met from that 2-edge in the link of {v1, v2}.
+    No cap beyond the vertex cap: C(64, 2) links of C(62, 2) pairs."""
     masks = form[1]
     found = set()
     for r, (_, link) in masks.items():
@@ -336,17 +322,13 @@ def _mixed4_form(h: ColoredHypergraph) -> Form:
     return _form(2, ((len(e.verts) - 2, _facets(e.verts)) for e in _edges(h, 2, 3, what="mixed counting")))
 
 
-def count_good_4subsets_mixed(h: ColoredHypergraph) -> int:
-    """4-sets {v1..v4} with 3-edges {v1,v2,v3}, {v1,v2,v4} and 2-edge {v3,v4}."""
-    return len(_mixed4(_mixed4_form(h)))
-
-
 RGB = ("red", "green", "blue")  # the colors of rainbow triangles and of covering sets
 
 
 def _covering(form: Form) -> Iterator[tuple[int, int]]:
-    """Each edge of a 3-slot form with the vertices v whose set edge + v meets every slot, met from the
-    set minus its largest vertex that leaves an edge: v is dropped where edge - u + v is one, u > v."""
+    """The covering sets of a (delta+2)-uniform 3-slot form: the (delta+3)-sets whose (delta+2)-subsets
+    that are edges meet every slot.  Yields each edge with the vertices v whose set edge + v is one, met from
+    the set minus its largest vertex that leaves an edge: v is dropped where edge - u + v is one, u > v."""
     edges, masks = form
     for s, slot in enumerate(edges):
         b, c = (t for t in range(3) if t != s)
@@ -369,15 +351,6 @@ def _covering_form(h: ColoredHypergraph, delta: int) -> Form:
             raise ValidationError(f"edge color {e.color!r} not among {RGB}")
         items.append((RGB.index(e.color), _facets(e.verts)))
     return _form(3, items)
-
-
-def color_covering_subsets(h: ColoredHypergraph, delta: int) -> tuple[tuple[int, ...], ...]:
-    """(delta+3)-sets of a (delta+2)-uniform 3-colored graph containing all colors."""
-    return _listed(_joined(_covering(_covering_form(h, delta))))
-
-
-def count_color_covering_subsets(h: ColoredHypergraph, delta: int) -> int:
-    return _count(_covering(_covering_form(h, delta)))
 
 
 def count_partial_shadow_targets(h: ColoredHypergraph, r: int, k: int) -> int:
@@ -479,10 +452,6 @@ class SpectralReport(Record):
     total_weight: int
     checks: tuple[BoundReport, ...]
 
-    @property
-    def ok(self) -> bool:
-        return all(c.satisfied for c in self.checks)
-
 
 def spectral_trace_check(h: ColoredHypergraph, weighted: WeightedSumReport | None = None) -> SpectralReport:
     """d=3 trace identities for M = entrywise sqrt of the weight matrix.
@@ -522,31 +491,6 @@ def spectral_trace_check(h: ColoredHypergraph, weighted: WeightedSumReport | Non
         lower_report("tr(M^2)^3 - tr(M^3)^2", power, 0.0, "trace power inequality", holds=power >= -power_tol),
     )
     return SpectralReport(trace2=tr2, trace3=tr3, total_weight=total, checks=checks)
-
-
-def color_isomorphic(h1: ColoredHypergraph, h2: ColoredHypergraph) -> bool:
-    """True if some vertex bijection plus color bijection maps h1 onto h2.
-
-    Brute force over permutations; intended for small witnesses only.
-    """
-    from itertools import permutations
-
-    if h1.n != h2.n or len(h1.edges) != len(h2.edges):
-        return False
-    check_cap("isomorphism check vertices (brute force)", h1.n, 8)
-    c1, c2 = h1.colors(), h2.colors()
-    if len(c1) != len(c2):
-        return False
-    edges2 = {(e.verts, e.color) for e in h2.edges}
-    for vperm in permutations(range(h1.n)):
-        for cperm in permutations(c2):
-            cmap = dict(zip(c1, cperm))
-            mapped = {
-                (tuple(sorted(vperm[v] for v in e.verts)), cmap[e.color]) for e in h1.edges
-            }
-            if mapped == edges2:
-                return True
-    return False
 
 
 Bound = tuple[Fraction, str, bool]  # (upper bound on the ratio, source, conjecture)

@@ -6,10 +6,29 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from shadowlab.entropy import ExactDistribution
-from shadowlab.hypergraph import ColoredHypergraph, Problem, SetFamily
+from shadowlab.constructions import round_robin_matchings
+from shadowlab.entropy import CoverSpec, ExactDistribution
+from shadowlab.hypergraph import PROBLEMS, ColoredHypergraph, Problem, SetFamily
 
 RGB = ("red", "green", "blue")
+
+
+def problem_count(name: str, h: ColoredHypergraph, d: int = 3, delta: int = 0, colors=None) -> int:
+    """The registry problem's count on h (T, or J), as the command line and the checks read it."""
+    problem = PROBLEMS[name]
+    return problem.exact(h, d, delta, colors)[0][problem.names[0]]
+
+
+def leave_one_out(n: int) -> CoverSpec:
+    """The n subsets of [n] that each leave one index out, covering every index n - 1 times."""
+    return CoverSpec(n, tuple(tuple(j for j in range(n) if j != i) for i in range(n)), n - 1)
+
+
+def is_opposite_edge_k4(h: ColoredHypergraph) -> bool:
+    """Whether h's color classes are the three perfect matchings of [4]: exactly when h is isomorphic,
+    up to vertex and color relabeling, to k4_blowup(1), the K4 whose opposite edges share a color."""
+    classes = {frozenset(e.verts for e in h.edges if e.color == c) for c in h.colors()}
+    return h.n == 4 and classes == set(map(frozenset, round_robin_matchings(2)))
 
 
 def orderings(ms) -> int:

@@ -13,7 +13,10 @@ import pytest
 
 from conftest import (
     RGB,
+    is_opposite_edge_k4,
+    leave_one_out,
     orderings,
+    problem_count,
     random_colored_graph,
     random_distribution,
     random_set_family,
@@ -30,7 +33,6 @@ from shadowlab.constructions import (
     tripartite_mixed,
 )
 from shadowlab.entropy import (
-    CoverSpec,
     ExactDistribution,
     check_key_inequality,
     check_shearer,
@@ -42,10 +44,7 @@ from shadowlab.hypergraph import (
     ColoredHypergraph,
     check_kruskal_katona,
     check_partial_shadow_bound,
-    color_isomorphic,
-    count_color_covering_subsets,
     count_partial_shadow_targets,
-    count_rainbow_cliques,
     spectral_trace_check,
     weighted_joint_sum,
 )
@@ -66,7 +65,7 @@ def test_criterion_01_fig1_family():
         c = k4_blowup(n)
         counts = c.graph.color_counts()
         assert (counts["red"], counts["green"], counts["blue"]) == (2 * n * n,) * 3
-        t = count_rainbow_cliques(c.graph, 3, RGB)
+        t = problem_count("rainbow_d", c.graph, colors=RGB)
         assert t == 4 * n**3
         assert t * t == 2 * counts["red"] * counts["green"] * counts["blue"]
     elapsed = time.perf_counter() - start
@@ -80,7 +79,7 @@ def test_criterion_02_rainbow_triangle_property():
     for _ in range(10_000):
         h = random_colored_graph(rng, rng.randint(3, 8))
         counts = h.color_counts()
-        t = count_rainbow_cliques(h, 3, RGB)
+        t = problem_count("rainbow_d", h, colors=RGB)
         r = counts.get("red", 0)
         g = counts.get("green", 0)
         b = counts.get("blue", 0)
@@ -93,7 +92,7 @@ def test_criterion_02_rainbow_triangle_property():
 def test_criterion_03_exhaustive_tightness():
     res4 = search_rainbow_triangle(4)
     assert res4.best == Fraction(2)
-    assert color_isomorphic(res4.witness, k4_blowup(1).graph)
+    assert is_opposite_edge_k4(res4.witness)
     start = time.perf_counter()
     res5 = search_rainbow_triangle(5)
     elapsed = time.perf_counter() - start
@@ -106,7 +105,7 @@ def test_criterion_04_tetrahedra8():
     c = tetrahedra8()
     counts = c.graph.color_counts()
     assert (counts["red"], counts["blue"], counts["green"], counts["yellow"]) == (16, 16, 12, 12)
-    t = count_rainbow_cliques(c.graph, 4, ("red", "blue", "green", "yellow"))
+    t = problem_count("rainbow_d", c.graph, 4, colors=("red", "blue", "green", "yellow"))
     assert t == 48
     assert Fraction(t**3, 16 * 16 * 12 * 12) == Fraction(3)
     passed(4, "8-vertex configuration: classes (16,16,12,12), 48 rainbow tetrahedra, ratio 3")
@@ -226,7 +225,7 @@ def test_criterion_11_section5_examples():
     rng = random.Random(111)
     for _ in range(100):
         h = random_colored_graph(rng, rng.randint(3, 8))
-        assert count_color_covering_subsets(h, 0) == count_rainbow_cliques(h, 3, RGB)
+        assert problem_count("covering_delta", h) == problem_count("rainbow_d", h, colors=RGB)
     passed(11, "flats example gives 28/14 = ratio 2/7; tripartite ratios within caps; delta=0 matches rainbow counting")
 
 
@@ -271,7 +270,7 @@ def test_criterion_13_entropy_identities():
         uniform = ExactDistribution.uniform(arity, [v for v, _ in dist.support])
         assert abs(entropy(uniform) - math.log2(len(uniform.support))) <= TOL
         # shearer with the leave-one-out cover
-        assert check_shearer(dist, CoverSpec.leave_one_out(arity)).satisfied
+        assert check_shearer(dist, leave_one_out(arity)).satisfied
     passed(13, "chain rule, monotonicity, determined-coordinate identity, uniform bound, shearer on 10^3 distributions")
 
 

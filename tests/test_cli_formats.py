@@ -367,6 +367,13 @@ class TestCli:
                          "--d", "4", "--set", ",".join(str(i) for i in range(40))]) == 0
         assert "compatible = True" in capsys.readouterr().out
 
+    def test_forbidding_witness_vectors_render_in_set_syntax(self, capsys):
+        # a multiset of vectors prints as --set reads it; the vector extending it, flat
+        argv = ["forbidding", "compatible", "--system", "qlinear:2,3", "--d", "3", "--set", "1,0,0;0,1,0"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "witness_multiset  = 0,1,0;1,0,0" in lines and "witness_extension = 1 1 0" in lines
+
     def test_malformed_integer_lists_exit_3(self, tmp_path, capsys):
         dist = str(tmp_path / "dist.json")
         with open(dist, "w") as fh:

@@ -137,8 +137,10 @@ CASES = [
     "entropy",
     "forbidding verify --system repeats --universe-size 4 --d 3",
     "forbidding verify --system qlinear:2,3 --d 2",
+    "forbidding verify --system repeats --universe-size 100 --d 5",  # the spot check, at seed 0
     "forbidding compatible --system repeats --universe-size 6 --d 3 --set 0,1,2",
     "forbidding compatible --system repeats --universe-size 6 --d 3",
+    "forbidding compatible --system qlinear:2,3 --d 3 --set 1,0,0;0,1,0",  # incompatible, with a witness
     "forbidding sd --system repeats --universe-size 6 --d 3 --set 0,1,2,3",
     "forbidding sd --system qlinear:2,3 --d 2 --set 1,0,0;0,1,0;0,0,1",
     "forbidding gkk --system repeats --universe-size 5 --d 3 --family fam.json",

@@ -16,15 +16,13 @@ from shadowlab.constructions import (
     tetrahedra8,
     tripartite_mixed,
 )
-from conftest import fig1_k4, replaced
+from conftest import fig1_k4, problem_count, replaced
 from shadowlab import hypergraph
 from shadowlab.errors import BoundViolationError, CapacityError, ValidationError
 from shadowlab.hypergraph import (
     PROBLEMS,
     ColoredHypergraph,
     check_ratio,
-    count_good_6subsets,
-    count_rainbow_cliques,
     rainbow_cliques,
     validate,
 )
@@ -45,7 +43,7 @@ class TestK4Blowup:
         c = k4_blowup(1)
         assert c.graph.n == 4
         assert len(c.graph.edges) == 6
-        assert count_rainbow_cliques(c.graph, 3, RGB) == 4
+        assert problem_count("rainbow_d", c.graph, colors=RGB) == 4
 
 
 class TestRainbowTripartite:
@@ -159,7 +157,7 @@ class TestFlatsExample:
     def test_counts(self):
         c = flats_example()
         assert len(c.graph.edges) == 14
-        assert count_good_6subsets(c.graph) == 28
+        assert problem_count("good6", c.graph) == 28
         assert c.expected["ratio"] == Fraction(2, 7)
 
 

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import fig1_k4, random_distribution, random_set_family
+from conftest import fig1_k4, leave_one_out, random_distribution, random_set_family
 from shadowlab.entropy import (
     CoverSpec,
     ExactDistribution,
@@ -137,7 +137,7 @@ class TestShearer:
 
     def test_deterministic_tuple(self):
         dist = ExactDistribution.uniform(3, [(1, 2, 3)])
-        cover = CoverSpec.leave_one_out(3)
+        cover = leave_one_out(3)
         rep = check_shearer(dist, cover)
         assert rep.satisfied
         assert rep.extra["slack"] == pytest.approx(0.0, abs=1e-12)
@@ -147,7 +147,7 @@ class TestShearer:
         for _ in range(200):
             arity = rng.randint(2, 4)
             dist = random_distribution(rng, arity, max_support=50)
-            rep = check_shearer(dist, CoverSpec.leave_one_out(arity))
+            rep = check_shearer(dist, leave_one_out(arity))
             assert rep.satisfied
 
     def test_invalid_cover(self):

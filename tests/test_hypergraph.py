@@ -14,6 +14,7 @@ import pytest
 from conftest import (
     RGB,
     fig1_k4,
+    problem_count,
     random_colored_graph,
     random_set_family,
     random_uniform_hypergraph,
@@ -21,19 +22,15 @@ from conftest import (
 )
 from shadowlab import hypergraph
 from shadowlab.errors import CapacityError, ValidationError
+from shadowlab.reports import exit_status
 from shadowlab.hypergraph import (
+    PROBLEMS,
     ColoredHypergraph,
     SetFamily,
     check_kruskal_katona,
     check_partial_shadow_bound,
     check_ratio,
-    color_covering_subsets,
-    color_isomorphic,
-    count_color_covering_subsets,
-    count_good_4subsets_mixed,
-    count_good_6subsets,
     count_partial_shadow_targets,
-    count_rainbow_cliques,
     rainbow_cliques,
     shadow,
     spectral_trace_check,
@@ -81,11 +78,11 @@ class TestValidate:
 
 class TestRainbowCliques:
     def test_fig1_k4(self):
-        assert count_rainbow_cliques(fig1_k4(), 3, RGB) == 4
+        assert problem_count("rainbow_d", fig1_k4(), colors=RGB) == 4
 
     def test_empty_graph(self):
         h = ColoredHypergraph.from_edges(5, [])
-        assert count_rainbow_cliques(h, 3, RGB) == 0
+        assert problem_count("rainbow_d", h, colors=RGB) == 0
 
     def test_tripartite_blowup_222(self):
         # red between parts 1-2, green 2-3, blue 1-3; T = 2*2*2
@@ -101,14 +98,14 @@ class TestRainbowCliques:
             for c in parts[2]:
                 edges.append(((a, c), "blue"))
         h = ColoredHypergraph.from_edges(6, edges)
-        assert count_rainbow_cliques(h, 3, RGB) == 8
+        assert problem_count("rainbow_d", h, colors=RGB) == 8
         assert brute_rainbow_triangles(h) == 8
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = random.Random(7)
         for _ in range(300):
             h = random_colored_graph(rng, rng.randint(3, 8))
-            assert count_rainbow_cliques(h, 3, RGB) == brute_rainbow_triangles(h)
+            assert problem_count("rainbow_d", h, colors=RGB) == brute_rainbow_triangles(h)
 
     def test_invariant_under_relabeling(self):
         rng = random.Random(13)
@@ -122,14 +119,14 @@ class TestRainbowCliques:
             )
             shuffled_colors = list(RGB)
             rng.shuffle(shuffled_colors)
-            assert count_rainbow_cliques(h, 3, RGB) == count_rainbow_cliques(
-                relabeled, 3, shuffled_colors
+            assert problem_count("rainbow_d", h, colors=RGB) == problem_count(
+                "rainbow_d", relabeled, colors=shuffled_colors
             )
 
     def test_uniformity_error(self):
         h = ColoredHypergraph.from_edges(4, [((0, 1, 2), "red"), ((0, 1), "green")])
         with pytest.raises(ValidationError):
-            count_rainbow_cliques(h, 3, RGB)
+            problem_count("rainbow_d", h, colors=RGB)
 
     def test_d4_matches_brute_force_with_unlisted_colors(self):
         listed = ("c1", "c2", "c3", "c4")
@@ -146,7 +143,7 @@ class TestRainbowCliques:
 
     def test_listed_color_with_no_edges_is_zero(self):
         h = ColoredHypergraph.from_edges(3, [((0, 1), "red"), ((1, 2), "green")])
-        assert count_rainbow_cliques(h, 3, RGB) == 0
+        assert problem_count("rainbow_d", h, colors=RGB) == 0
 
 
 class TestKappaRatio:
@@ -188,7 +185,7 @@ class TestKappaRatio:
             counts = h.color_counts()
             if any(counts.get(c, 0) == 0 for c in RGB):
                 continue
-            t = count_rainbow_cliques(h, 3, RGB)
+            t = problem_count("rainbow_d", h, colors=RGB)
             r, g, b = (counts[c] for c in RGB)
             assert t * t <= 2 * r * g * b
 
@@ -318,26 +315,26 @@ class TestGood6Subsets:
     def test_flats_counts(self):
         h = self.flats()
         assert len(h.edges) == 14
-        assert count_good_6subsets(h) == 28
+        assert problem_count("good6", h) == 28
         assert brute_good_6subsets(h) == 28
         assert Fraction(28 * 28, 14**3) == Fraction(2, 7)
 
     def test_single_edge(self):
         h = ColoredHypergraph.from_edges(6, [((0, 1, 2, 3), "plain")])
-        assert count_good_6subsets(h) == 0
+        assert problem_count("good6", h) == 0
 
     def test_three_edges_partition(self):
         h = ColoredHypergraph.from_edges(
             6, [((0, 1, 2, 3), "plain"), ((0, 1, 4, 5), "plain"), ((2, 3, 4, 5), "plain")]
         )
-        assert count_good_6subsets(h) == 1
+        assert problem_count("good6", h) == 1
         assert brute_good_6subsets(h) == 1
 
     def test_matches_brute_force_on_random(self):
         rng = random.Random(17)
         for _ in range(40):
             h = random_uniform_hypergraph(rng, 7, 4, p=0.35)
-            assert count_good_6subsets(h) == brute_good_6subsets(h)
+            assert problem_count("good6", h) == brute_good_6subsets(h)
 
 
 class TestMixed4Subsets:
@@ -345,7 +342,7 @@ class TestMixed4Subsets:
         h = ColoredHypergraph.from_edges(
             4, [((0, 1, 2), "plain"), ((0, 1, 3), "plain"), ((2, 3), "plain")]
         )
-        assert count_good_4subsets_mixed(h) == 1
+        assert problem_count("mixed4", h) == 1
 
     def test_matches_brute_force_on_random(self):
         rng = random.Random(19)
@@ -354,11 +351,11 @@ class TestMixed4Subsets:
             p = rng.choice((0.3, 0.5, 0.8))
             edges = [(e, "plain") for size in (2, 3) for e in combinations(range(n), size) if rng.random() < p]
             h = ColoredHypergraph.from_edges(n, edges)
-            assert count_good_4subsets_mixed(h) == brute_mixed_4subsets(h)
+            assert problem_count("mixed4", h) == brute_mixed_4subsets(h)
 
     def test_no_3edges_is_zero(self):
         h = ColoredHypergraph.from_edges(4, [((0, 1), "plain")])
-        assert count_good_4subsets_mixed(h) == 0
+        assert problem_count("mixed4", h) == 0
         with pytest.raises(ValidationError):
             check_ratio("mixed4", h)
 
@@ -403,12 +400,18 @@ def brute_mixed_4subsets(h):
     return count
 
 
+def covering_sets(h, delta):
+    """The covering sets themselves, each sorted, in sorted order, from the registry's form and kernel."""
+    pairs = hypergraph._covering(PROBLEMS["covering_delta"].form(h, 3, delta, None))
+    return tuple(sorted(hypergraph._members(e | 1 << v) for e, x in pairs for v in hypergraph._members(x)))
+
+
 class TestColorCovering:
     def test_delta0_equals_rainbow_triangles(self):
         rng = random.Random(31)
         for _ in range(100):
             h = random_colored_graph(rng, rng.randint(3, 8))
-            assert count_color_covering_subsets(h, 0) == count_rainbow_cliques(h, 3, RGB)
+            assert problem_count("covering_delta", h, delta=0) == problem_count("rainbow_d", h, colors=RGB)
 
     @pytest.mark.parametrize("delta", [1, 2])
     def test_matches_brute_force(self, delta):
@@ -423,20 +426,20 @@ class TestColorCovering:
                 s for s in combinations(range(n), delta + 3)
                 if {lookup.get(f) for f in combinations(s, delta + 2)} >= set(RGB)
             )
-            assert color_covering_subsets(h, delta) == brute
+            assert covering_sets(h, delta) == brute
 
     def test_fig1_delta0(self):
-        assert count_color_covering_subsets(fig1_k4(), 0) == 4
+        assert problem_count("covering_delta", fig1_k4(), delta=0) == 4
 
     def test_delta1_example(self):
         h = ColoredHypergraph.from_edges(
             4, [((0, 1, 2), "red"), ((0, 1, 3), "green"), ((0, 2, 3), "blue")]
         )
-        assert count_color_covering_subsets(h, 1) == 1
+        assert problem_count("covering_delta", h, delta=1) == 1
 
     def test_missing_color_counts_zero(self):
         h = ColoredHypergraph.from_edges(4, [((0, 1, 2), "red"), ((0, 1, 3), "green")])
-        assert count_color_covering_subsets(h, 1) == 0
+        assert problem_count("covering_delta", h, delta=1) == 0
 
     def test_check_reports(self):
         h = ColoredHypergraph.from_edges(
@@ -589,7 +592,7 @@ class TestSpectralTrace:
         rep = spectral_trace_check(h)
         assert rep.trace2 == pytest.approx(12.0, abs=1e-9)
         assert rep.trace3 == pytest.approx(24.0, abs=1e-9)
-        assert rep.ok
+        assert exit_status(rep.checks) == 0
         assert 12.0**3 >= 24.0**2
 
     def test_zero_graph(self):
@@ -597,7 +600,7 @@ class TestSpectralTrace:
         rep = spectral_trace_check(h)
         assert rep.trace2 == 0.0
         assert rep.trace3 == 0.0
-        assert rep.ok
+        assert exit_status(rep.checks) == 0
 
     def test_random_instances_match_combinatorial_sum(self):
         rng = random.Random(55)
@@ -607,7 +610,7 @@ class TestSpectralTrace:
             ws = weighted_joint_sum(h, 3)
             assert rep.trace3 == pytest.approx(6 * ws.value, abs=1e-6)
             assert rep.trace2**3 >= rep.trace3**2 - 1e-6 * max(1.0, rep.trace2**3)
-            assert rep.ok
+            assert exit_status(rep.checks) == 0
             assert spectral_trace_check(h, ws) == rep
 
     def test_given_weighted_sum_must_be_d3(self):
@@ -626,7 +629,7 @@ class TestSpectralTrace:
         assert six_s.computed > 1.0
         assert two_n.bound == hypergraph.TRACE_TOL * 2 * rep.total_weight
         assert six_s.bound == pytest.approx(hypergraph.TRACE_TOL * rep.trace3)
-        assert rep.ok
+        assert exit_status(rep.checks) == 0
 
 
 class TestCapacity:
@@ -635,7 +638,7 @@ class TestCapacity:
 
         h = ColoredHypergraph.from_edges(70, [((0, 1), "red"), ((1, 2), "green"), ((0, 2), "blue")])
         with pytest.raises(CapacityError):
-            count_rainbow_cliques(h, 3, RGB)
+            problem_count("rainbow_d", h, colors=RGB)
 
     def test_good6_link_steps_capped_before_lookups(self):
         class Untouched(dict):
@@ -648,18 +651,18 @@ class TestCapacity:
         with pytest.raises(CapacityError, match=r"\) = 5464218 exceeds cap 5000000"):
             hypergraph._good6((edges, Untouched(masks)))
         with pytest.raises(CapacityError, match=r"\) = 5464218 exceeds cap 5000000"):
-            count_good_6subsets(h)
+            problem_count("good6", h)
 
     def test_complete_mixed_graph_within_vertex_cap(self):
         edges = [(e, "plain") for size in (2, 3) for e in combinations(range(64), size)]
-        assert count_good_4subsets_mixed(ColoredHypergraph.from_edges(64, edges)) == math.comb(64, 4)
+        assert problem_count("mixed4", ColoredHypergraph.from_edges(64, edges)) == math.comb(64, 4)
 
     # each count and the spectral check, with the edge size it reads and one size it refuses
     ENTRIES = {
-        "rainbow": (lambda h: count_rainbow_cliques(h, 3, RGB), 2, 3),
-        "good6": (count_good_6subsets, 4, 3),
-        "mixed4": (hypergraph.count_good_4subsets_mixed, 3, 4),
-        "covering": (lambda h: count_color_covering_subsets(h, 1), 3, 2),
+        "rainbow": (lambda h: problem_count("rainbow_d", h, colors=RGB), 2, 3),
+        "good6": (lambda h: problem_count("good6", h), 4, 3),
+        "mixed4": (lambda h: problem_count("mixed4", h), 3, 4),
+        "covering": (lambda h: problem_count("covering_delta", h, delta=1), 3, 2),
         "partial": (lambda h: count_partial_shadow_targets(h, 3, 1), 2, 3),
         "weighted": (lambda h: weighted_joint_sum(h, 3), 2, 3),
         "spectral": (spectral_trace_check, 2, 1),
@@ -691,34 +694,3 @@ class TestCapacity:
                 check_ratio("rainbow_d", triangle, d)
             assert time.perf_counter() - start < 0.1
             assert len(str(refused.value)) < 200
-
-    def test_isomorphism_vertex_cap(self):
-        h = ColoredHypergraph.from_edges(9, [((0, 1), "red")])
-        with pytest.raises(CapacityError, match="isomorphism check vertices \\(brute force\\) = 9 exceeds cap 8"):
-            color_isomorphic(h, h)
-
-
-class TestColorIsomorphic:
-    def test_relabeled_fig1(self):
-        h = fig1_k4()
-        perm = (2, 0, 3, 1)
-        relabeled = ColoredHypergraph.from_edges(
-            4, [(tuple(perm[v] for v in e.verts), {"red": "green", "green": "blue", "blue": "red"}[e.color])
-                for e in h.edges]
-        )
-        assert color_isomorphic(h, relabeled)
-
-    def test_not_isomorphic(self):
-        h = fig1_k4()
-        other = ColoredHypergraph.from_edges(
-            4,
-            [
-                ((0, 1), "red"),
-                ((0, 2), "red"),
-                ((0, 3), "blue"),
-                ((1, 2), "blue"),
-                ((1, 3), "green"),
-                ((2, 3), "green"),
-            ],
-        )
-        assert not color_isomorphic(h, other)

@@ -27,10 +27,8 @@ PUBLIC = {
     "forbidding": ["ForbiddingSystem", "check_generalized_kk", "is_compatible", "qlinear_system", "repeats_system",
                    "verify_forbidding_axioms"],
     "hypergraph": ["PROBLEMS", "ColoredHypergraph", "Problem", "RatioReport", "SetFamily", "check_kruskal_katona",
-                   "check_partial_shadow_bound", "check_ratio", "count_color_covering_subsets",
-                   "count_good_4subsets_mixed", "count_good_6subsets", "count_partial_shadow_targets",
-                   "count_rainbow_cliques", "rainbow_cliques", "shadow", "spectral_trace_check", "validate",
-                   "weighted_joint_sum"],
+                   "check_partial_shadow_bound", "check_ratio", "count_partial_shadow_targets", "rainbow_cliques",
+                   "shadow", "spectral_trace_check", "validate", "weighted_joint_sum"],
     "numkit": ["CVector", "gaussian_binom", "invert_product", "product_falling", "shadow_bound"],
     "qlinalg": ["SubspaceFamily", "check_q_kruskal_katona", "enumerate_subspaces", "rref", "subspace_shadow"],
     "reports": ["BoundReport", "ValidationReport"],

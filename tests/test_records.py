@@ -242,10 +242,6 @@ def test_cover_spec_is_checked(n, subsets, k, message):
         CoverSpec(n=n, subsets=subsets, k=k)
 
 
-def test_cover_spec_leave_one_out():
-    assert CoverSpec.leave_one_out(3) == CoverSpec(3, ((1, 2), (0, 2), (0, 1)), 2)
-
-
 def test_classmethods_build_records():
     assert ColoredHypergraph.from_edges(2, [((1, 0), "red")]) == GRAPH
     assert SetFamily.make(3, [(1, 0)]) == SetFamily(3, 2, ((0, 1),))

@@ -12,12 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import replaced
+from conftest import is_opposite_edge_k4, problem_count, replaced
 from shadowlab import search
-from shadowlab.constructions import k4_blowup
 from shadowlab.errors import BoundViolationError, CapacityError, ValidationError
-from shadowlab.hypergraph import (PROBLEMS, ColoredHypergraph, Problem, check_ratio, color_isomorphic,
-                                  count_good_4subsets_mixed)
+from shadowlab.hypergraph import PROBLEMS, ColoredHypergraph, Problem, check_ratio
 from shadowlab.search import (PROBE_CAP, _best_in_blocks, _draws, _orbit_least, _vertex_maps, random_probe,
                               search_mixed_4subsets, search_rainbow_triangle)
 
@@ -197,7 +195,7 @@ class TestRainbowSearch:
         res = search_rainbow_triangle(4)
         assert res.best == 2
         assert res.explored == 4**6
-        assert color_isomorphic(res.witness, k4_blowup(1).graph)
+        assert is_opposite_edge_k4(res.witness)
 
     def test_witness_recounts_exactly(self):
         res = search_rainbow_triangle(4)
@@ -226,7 +224,7 @@ class TestMixedSearch:
     def test_witness_recounts_exactly(self):
         res = search_mixed_4subsets(4)
         h = res.witness
-        j = count_good_4subsets_mixed(h)
+        j = problem_count("mixed4", h)
         n2 = sum(1 for e in h.edges if len(e.verts) == 2)
         n3 = sum(1 for e in h.edges if len(e.verts) == 3)
         assert Fraction(j * j, n2 * n3 * n3) == res.best
