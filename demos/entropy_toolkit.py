@@ -6,6 +6,7 @@ entropy value is needed, so equalities can be recognized exactly.
 
 from itertools import combinations, permutations
 
+from shadowlab import SetFamily, rainbow_cliques
 from shadowlab.entropy import (
     CoverSpec,
     ExactDistribution,
@@ -17,7 +18,6 @@ from shadowlab.entropy import (
     entropy,
 )
 from shadowlab.constructions import k4_blowup
-from shadowlab.hypergraph import SetFamily, rainbow_cliques
 
 print("== basic quantities ==")
 bit = ExactDistribution.uniform(1, [(0,), (1,)])

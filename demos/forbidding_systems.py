@@ -6,6 +6,7 @@ recover the set-family bound; linear independence over F_q forms a
 (q-1, q^2-1, ...) system and recovers the subspace bound.
 """
 
+from shadowlab import SetFamily, check_kruskal_katona
 from shadowlab.forbidding import (
     check_generalized_kk,
     is_compatible,
@@ -14,7 +15,6 @@ from shadowlab.forbidding import (
     sd_orbits,
     verify_forbidding_axioms,
 )
-from shadowlab.hypergraph import SetFamily, check_kruskal_katona
 from shadowlab.qlinalg import enumerate_subspaces, subspace_points
 
 print("== the repeats system ==")

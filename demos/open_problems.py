@@ -5,14 +5,8 @@ reports keep the two separate, and random probes only ever tighten the
 evidence, never settle anything.
 """
 
+from shadowlab import PROBLEMS, ColoredHypergraph, check_ratio, spectral_trace_check, weighted_joint_sum
 from shadowlab.constructions import flats_example, tripartite_mixed
-from shadowlab.hypergraph import (
-    PROBLEMS,
-    ColoredHypergraph,
-    check_ratio,
-    spectral_trace_check,
-    weighted_joint_sum,
-)
 from shadowlab.search import random_probe, search_mixed_4subsets
 
 print("== 6-subsets split by three 4-edges ==")

@@ -5,9 +5,9 @@ tripartite comparison point, the higher-uniformity ratio with its three
 upper bounds, and the exhaustive search that rediscovers the tight example.
 """
 
+from shadowlab import check_ratio
 from shadowlab.constructions import (k4_blowup, kappa_lift, matching_construction, rainbow_tripartite,
                                      round_robin_matchings)
-from shadowlab.hypergraph import check_ratio
 from shadowlab.search import search_rainbow_triangle
 
 print("== blowups of the opposite-edge K4 coloring ==")

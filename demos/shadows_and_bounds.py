@@ -5,8 +5,8 @@ The bound solves binom(t, d) = |family| for a real t and promises
 statement holds verbatim for subspaces of F_q^n with Gaussian binomials.
 """
 
+from shadowlab import ColoredHypergraph, SetFamily, check_kruskal_katona, check_partial_shadow_bound, shadow
 from shadowlab.constructions import complete_family
-from shadowlab.hypergraph import ColoredHypergraph, SetFamily, check_kruskal_katona, check_partial_shadow_bound, shadow
 from shadowlab.qlinalg import check_q_kruskal_katona, enumerate_subspaces
 
 print("== shadows of set families ==")

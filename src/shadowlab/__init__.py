@@ -18,10 +18,10 @@ _EXPORTS = {
     "errors": "BoundViolationError CapacityError ValidationError",
     "forbidding": "ForbiddingSystem check_generalized_kk is_compatible qlinear_system repeats_system "
                   "verify_forbidding_axioms",
-    "hypergraph": "PROBLEMS ColoredHypergraph Problem RatioReport SetFamily check_kruskal_katona "
-                  "check_partial_shadow_bound check_ratio count_partial_shadow_targets rainbow_cliques shadow "
-                  "spectral_trace_check validate weighted_joint_sum",
+    "hypergraph": "ColoredHypergraph SetFamily check_kruskal_katona shadow validate",
     "numkit": "CVector gaussian_binom invert_product product_falling shadow_bound",
+    "problems": "PROBLEMS Problem RatioReport check_partial_shadow_bound check_ratio count_partial_shadow_targets "
+                "rainbow_cliques spectral_trace_check weighted_joint_sum",
     "qlinalg": "SubspaceFamily check_q_kruskal_katona enumerate_subspaces rref subspace_shadow",
     "reports": "BoundReport ValidationReport",
     "search": "random_probe search_mixed_4subsets search_rainbow_triangle",

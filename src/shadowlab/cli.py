@@ -6,8 +6,11 @@ Conjecture exceedances never affect the exit status.
 
 The parser lists every command's name and help line at once, but adds a
 command's options only when that command parses, each from the command's own
-options function.  So a command compiles only the layers it runs: `qkk` never
-loads `hypergraph`, whose registry only `search --problem` reads.
+options function.  So a command compiles only the layers it runs: `kk` never
+loads `problems`, the graph counts and the ratio-problem registry, and `qkk`
+loads neither it nor `hypergraph`.  The input digest is the interpreter's
+built-in sha256, which loads without `hashlib`'s OpenSSL binding; a build
+without it takes `hashlib`'s, and the digest bytes are the same.
 
 `main` runs with the cyclic garbage collector off, from before it builds the
 parser (so also while the layers compile) until it returns, and then restores
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import sys
@@ -34,10 +36,19 @@ from . import constructions as cons
 from . import forbidding as forb
 from . import formats
 from . import hypergraph as hg
+from . import problems as pb
 from . import qlinalg as ql
 from . import search as srch
 from .errors import BoundViolationError, CapacityError, ValidationError
 from .reports import VIOLATED, VIOLATION_EXIT, BoundReport, exit_status, verdict
+
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # builds without the built-in hashes, such as FIPS builds
+        from hashlib import sha256
 
 ent = sys.modules[f"{__package__}.entropy"]  # the package attribute `entropy` is the function
 
@@ -47,7 +58,7 @@ CAPACITY_EXIT = 4
 
 
 def _digest_files(paths: list[str]) -> str:
-    sha = hashlib.sha256()
+    sha = sha256()
     for path in paths:
         with open(path, "rb") as fh:
             sha.update(fh.read())
@@ -55,7 +66,7 @@ def _digest_files(paths: list[str]) -> str:
 
 
 def _digest_params(params: str) -> str:
-    return "sha256:" + hashlib.sha256(params.encode()).hexdigest()
+    return "sha256:" + sha256(params.encode()).hexdigest()
 
 
 def _bound_obj(r: BoundReport) -> dict:
@@ -121,7 +132,7 @@ _COUNT_PROBLEMS = {"good6": "good6", "mixed4": "mixed4", "covering": "covering_d
 
 def cmd_count(args) -> tuple[dict, list[BoundReport], list[str]]:
     h = formats.load_hypergraph(args.input)
-    problem = hg.PROBLEMS[_COUNT_PROBLEMS[args.kind]]
+    problem = pb.PROBLEMS[_COUNT_PROBLEMS[args.kind]]
     q, ratio = problem.exact(h, delta=args.delta)
     bounds: list[BoundReport] = []
     notes: list[str] = []
@@ -137,9 +148,9 @@ def cmd_count(args) -> tuple[dict, list[BoundReport], list[str]]:
 def cmd_kappa(args) -> tuple[dict, list[BoundReport], list[str]]:
     h = formats.load_hypergraph(args.input)
     colors = _parse_colors(args.colors) if args.colors else h.colors()
-    rep = hg.check_ratio("rainbow_d", h, args.d, colors=colors)
+    rep = pb.check_ratio("rainbow_d", h, args.d, colors=colors)
     q = {**rep.counts, "ratio": rep.ratio_exact, "ratio_real": rep.ratio}
-    return q, list(rep.reports), list(hg.PROBLEMS["rainbow_d"].notes)
+    return q, list(rep.reports), list(pb.PROBLEMS["rainbow_d"].notes)
 
 
 def cmd_shadow(args) -> tuple[dict, list[BoundReport], list[str]]:
@@ -294,7 +305,7 @@ def cmd_search(args) -> tuple[dict, list[BoundReport], list[str]]:
         name, scan = _SCANS[args.mode]
         res = scan(args.max_vertices)
         d, delta = 3, 0
-    problem = hg.PROBLEMS[name]
+    problem = pb.PROBLEMS[name]
     bounds = problem.reports(res.best, d, delta) if res.best is not None else []
     if args.out and res.witness is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -311,13 +322,13 @@ def cmd_search(args) -> tuple[dict, list[BoundReport], list[str]]:
 
 def cmd_weighted(args) -> tuple[dict, list[BoundReport], list[str]]:
     h = formats.load_hypergraph(args.input)
-    rep = hg.weighted_joint_sum(h, args.d)
+    rep = pb.weighted_joint_sum(h, args.d)
     bounds = [rep.report]
     q = {"d": args.d, "total_weight": rep.total_weight, "sum": rep.value, "bound": rep.report.bound}
     if args.spectral:
         if args.d != 3:
             raise ValidationError("--spectral applies only to d = 3")
-        spec = hg.spectral_trace_check(h, rep)
+        spec = pb.spectral_trace_check(h, rep)
         q["trace_m2"] = spec.trace2
         q["trace_m3"] = spec.trace3
         bounds.extend(spec.checks)
@@ -326,7 +337,7 @@ def cmd_weighted(args) -> tuple[dict, list[BoundReport], list[str]]:
 
 def cmd_partial_shadow(args) -> tuple[dict, list[BoundReport], list[str]]:
     h = formats.load_hypergraph(args.input)
-    rep = hg.check_partial_shadow_bound(h, args.r, args.k)
+    rep = pb.check_partial_shadow_bound(h, args.r, args.k)
     q = {
         "m": rep.extra["m"],
         "x": rep.extra["x"],
@@ -415,7 +426,7 @@ def _construct_options(p: argparse.ArgumentParser) -> None:
 def _search_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("mode", choices=[*_SCANS, "probe"])
     p.add_argument("--max-vertices", type=int, default=4)
-    p.add_argument("--problem", default="rainbow_d", choices=list(hg.PROBLEMS))
+    p.add_argument("--problem", default="rainbow_d", choices=list(pb.PROBLEMS))
     p.add_argument("--vertices", type=int, default=8)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--d", type=int, default=3)

@@ -1,7 +1,7 @@
 """Generators for the explicit extremal configurations used as witnesses.
 
 Every generator states its closed forms once, as the expected counts it
-returns, recounts its graph through `hypergraph.PROBLEMS`, which also gives
+returns, recounts its graph through `problems.PROBLEMS`, which also gives
 its exact ratio, and checks each count against its closed form before
 returning, so a returned Construction is already verified; a mismatch raises
 BoundViolationError because it can only mean an implementation bug.
@@ -15,7 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BoundViolationError, CapacityError, ValidationError, check_cap
-from .hypergraph import PROBLEMS, RGB, VERTEX_CAP, ColoredHypergraph, SetFamily, rainbow_cliques
+from .hypergraph import VERTEX_CAP, ColoredHypergraph, SetFamily
+from .problems import PROBLEMS, RGB, rainbow_cliques
 from .record import Record
 
 PLAIN = "plain"

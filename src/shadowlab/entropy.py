@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .errors import ValidationError, check_cap
 from .record import Record

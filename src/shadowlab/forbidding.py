@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from itertools import combinations, combinations_with_replacement, product
-from typing import Callable, Hashable, Iterable, Sequence
 
 from . import qlinalg as ql
 from .errors import ValidationError, check_cap, check_power_cap

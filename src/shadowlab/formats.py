@@ -28,7 +28,6 @@ import json
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Any
 
 from . import hypergraph as hg
 from . import qlinalg as ql
@@ -62,14 +61,14 @@ def _list(value, what: str) -> list:
 def hypergraph_to_obj(h: hg.ColoredHypergraph) -> dict:
     edges = []
     for e in h.edges:
-        item: dict[str, Any] = {"v": list(e.verts), "color": e.color}
+        item: dict[str, object] = {"v": list(e.verts), "color": e.color}
         if e.weight is not None:
             item["weight"] = e.weight
         edges.append(item)
     return {"vertices": h.n, "edges": edges}
 
 
-def hypergraph_from_obj(obj: Any) -> hg.ColoredHypergraph:
+def hypergraph_from_obj(obj: object) -> hg.ColoredHypergraph:
     if not isinstance(obj, dict):
         raise ValidationError("hypergraph JSON must be an object")
     _require_keys(obj, {"vertices", "edges"}, set(), "hypergraph")
@@ -127,7 +126,7 @@ def _lists(items) -> bool:
     return set(map(type, items)) <= {list}
 
 
-def set_family_from_obj(obj: Any) -> hg.SetFamily:
+def set_family_from_obj(obj: object) -> hg.SetFamily:
     if not isinstance(obj, dict):
         raise ValidationError("set family JSON must be an object")
     _require_keys(obj, {"n", "d", "sets"}, set(), "set family")
@@ -140,7 +139,7 @@ def set_family_from_obj(obj: Any) -> hg.SetFamily:
     return hg.SetFamily.make(n, sets, d=_int(obj["d"], "d"))
 
 
-def subspace_family_from_obj(obj: Any) -> ql.SubspaceFamily:
+def subspace_family_from_obj(obj: object) -> ql.SubspaceFamily:
     if not isinstance(obj, dict):
         raise ValidationError("subspace family JSON must be an object")
     _require_keys(obj, {"q", "n", "d", "members"}, set(), "subspace family")
@@ -154,7 +153,7 @@ def subspace_family_from_obj(obj: Any) -> ql.SubspaceFamily:
     return ql.SubspaceFamily.make(q, n, d, members)
 
 
-def distribution_from_obj(obj: Any) -> ent.ExactDistribution:
+def distribution_from_obj(obj: object) -> ent.ExactDistribution:
     if not isinstance(obj, dict):
         raise ValidationError("distribution JSON must be an object")
     _require_keys(obj, {"arity", "support"}, set(), "distribution")
@@ -175,7 +174,7 @@ def distribution_from_obj(obj: Any) -> ent.ExactDistribution:
     return ent.ExactDistribution.from_pairs(_int(obj["arity"], "arity"), pairs)
 
 
-def canonical(value: Any) -> Any:
+def canonical(value: object) -> object:
     """Map a report tree onto JSON-stable types: numbers become strings."""
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
@@ -192,11 +191,11 @@ def canonical(value: Any) -> Any:
     raise TypeError(f"cannot canonicalize {type(value).__name__}")
 
 
-def dumps_canonical(obj: Any) -> str:
+def dumps_canonical(obj: object) -> str:
     return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
 
 
-def load_json(path: str) -> Any:
+def load_json(path: str) -> object:
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)

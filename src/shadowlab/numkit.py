@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import ValidationError
 from .record import Record

@@ -1,0 +1,467 @@
+"""The ratio problems on colored hypergraphs: their counting kernels, the other
+graph counts and checks, and `PROBLEMS`, the one registry of the problems.
+
+Counts are exact big integers; ratios become floats only inside reports.
+Every count reads its edges through `hypergraph._edges`, the one entry check,
+and each registered problem counts on one compact form of bitmasks (`_form`).
+`PROBLEMS` at the bottom holds each problem's graph entry, count, formula,
+bounds, note and random instances; the checks, the constructions, the search
+and the command line all read it.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import defaultdict
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from fractions import Fraction
+
+from .errors import ValidationError, check_cap
+from .hypergraph import VERTEX_CAP, ColoredHypergraph, _binom_bound, _edges
+from .record import Record
+from .reports import BoundReport, lower_report, upper_report
+
+TRACE_TOL = 1e-6  # relative float slack of the spectral trace checks, scaled by each identity's magnitude
+Form = tuple[list[list[tuple[tuple[int, int], ...]]], dict[int, list[int]]]  # built by _form
+
+
+def _facets(verts: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    edge = sum(1 << v for v in verts)
+    return tuple((edge ^ 1 << v, 1 << v) for v in verts)
+
+
+def _form(slots: int, items: Iterable[tuple[int, tuple[tuple[int, int], ...]]]) -> Form:
+    """What every counting kernel reads, of (slot, `_facets`) edge items, slots being colors or edge sizes:
+    each slot's edges, and per facet a bitmask per slot of the vertices completing it to an edge."""
+    edges: list[list] = [[] for _ in range(slots)]
+    masks: defaultdict[int, list[int]] = defaultdict(([0] * slots).copy)
+    for s, facets in items:
+        edges[s].append(facets)
+        for f, b in facets:
+            masks[f][s] |= b
+    return edges, masks
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _count(pairs: Iterable[tuple[int, int]]) -> int:
+    return sum(x.bit_count() for _, x in pairs)
+
+
+def _rainbow(form: Form) -> Iterator[tuple[int, int]]:
+    """Each edge of the rarest slot, with the vertices completing it to a rainbow clique: met once, from
+    its one facet there.  ANDing the masks of the base's facets over each assignment of the other
+    slots to them leaves the new vertices of that assignment, disjoint from the others'."""
+    edges, masks = form
+    rare = min(range(len(edges)), key=lambda s: len(edges[s]))
+    for facets in edges[rare]:
+        states = [(-1, 1 << rare)]  # (vertices still possible, slots assigned) of each partial assignment
+        for f, _ in facets:
+            m = masks[f]
+            states = [(c & m[s], used | 1 << s) for c, used in states for s in range(len(edges))
+                      if not used >> s & 1 and c & m[s]]
+        yield facets[0][0] | facets[0][1], sum(c for c, _ in states)
+
+
+def _rainbow_form(h: ColoredHypergraph, d: int, colors: Sequence[str]) -> Form:
+    if d < 2:
+        raise ValidationError(f"rainbow cliques need d >= 2, got {d}")
+    slot = {c: i for i, c in enumerate(colors)}
+    if len(colors) != d or len(slot) != d:
+        raise ValidationError(f"expected {d} distinct colors, got {list(colors)}")
+    items = []
+    for e in _edges(h):
+        if e.color in slot:
+            if len(e.verts) != d - 1:
+                raise ValidationError(
+                    f"edge {e.verts} with listed color {e.color!r} has {len(e.verts)} vertices, expected {d - 1}"
+                )
+            items.append((slot[e.color], _facets(e.verts)))
+    return _form(d, items)
+
+
+def rainbow_cliques(h: ColoredHypergraph, d: int, colors: Sequence[str]) -> tuple[tuple[int, ...], ...]:
+    """All d-subsets whose d facets are edges carrying the d listed colors once each."""
+    pairs = _rainbow(_rainbow_form(h, d, tuple(colors)))  # each base edge with the vertices completing it
+    return tuple(sorted(_members(e | 1 << v) for e, x in pairs for v in _members(x)))
+
+
+GOOD6_CAP = 5 * 10**6  # link steps; measured 0.13-0.26 µs a step, so at most about 1.3 s
+
+
+def _good6(form: Form) -> set[int]:
+    """The good 6-sets of a 4-uniform form, as bitmasks: the 6-sets admitting three 4-edges inside whose
+    complements partition the set.  Each is p + q + r, a triangle of pairs joined by the splits of the
+    4-edges, met once, from p + q with r = {x, y} above p's and q's least vertices.
+    M 4-edges make 3M joins and at most sqrt(2) (3M)^1.5 / 3 triangles (Kruskal-Katona)."""
+    (edges,), masks = form
+    m, n = len(edges), max((d for *_, (_, d) in edges), default=0).bit_length()  # every vertex is below n
+    steps = math.isqrt(6 * m**3) + 3 * m * max(n - 4, 0)
+    check_cap("link steps (sqrt(6 N^3) triangles and 3 N (n - 4) lookups)", steps, GOOD6_CAP)
+    reach: defaultdict[int, int] = defaultdict(int)  # per pair, the vertices completing it to a facet
+    for (_, a), (_, b), (_, c), (_, d) in edges:
+        for p, q in ((a | b, c | d), (a | c, b | d), (a | d, b | c)):
+            reach[p] |= q
+            reach[q] |= p
+    found = set()
+    for (_, a), (_, b), (_, c), (_, d) in edges:
+        e = a | b | c | d
+        for p, q, top in ((a | b, c | d, c), (a | c, b | d, b), (a | d, b | c, b)):
+            xs = reach[p] & reach[q] & -(top << 1)
+            while xs:
+                x = xs & -xs
+                xs ^= x
+                ys = masks[p | x][0] & masks[q | x][0] & -(x << 1)
+                while ys:
+                    y = ys & -ys
+                    ys ^= y
+                    found.add(e | x | y)
+    return found
+
+
+def _good6_form(h: ColoredHypergraph) -> Form:
+    return _form(1, ((0, _facets(e.verts)) for e in _edges(h, 4, what="good 6-subset counting")))
+
+
+def _mixed4(form: Form) -> set[int]:
+    """The good 4-sets of a form of 2-edges (slot 0) and 3-edges, as bitmasks: the 4-sets {v1..v4} with
+    3-edges {v1,v2,v3}, {v1,v2,v4} and 2-edge {v3,v4}, each met from that 2-edge in the link of {v1, v2}.
+    No cap beyond the vertex cap: C(64, 2) links of C(62, 2) pairs."""
+    masks = form[1]
+    found = set()
+    for r, (_, link) in masks.items():
+        xs = link
+        while xs:
+            x = xs & -xs
+            xs ^= x
+            ys = link & masks.get(x, (0,))[0] & -(x << 1)
+            while ys:
+                y = ys & -ys
+                ys ^= y
+                found.add(r | x | y)
+    return found
+
+
+def _mixed4_form(h: ColoredHypergraph) -> Form:
+    return _form(2, ((len(e.verts) - 2, _facets(e.verts)) for e in _edges(h, 2, 3, what="mixed counting")))
+
+
+RGB = ("red", "green", "blue")  # the colors of rainbow triangles and of covering sets
+
+
+def _covering(form: Form) -> Iterator[tuple[int, int]]:
+    """The covering sets of a (delta+2)-uniform 3-slot form: the (delta+3)-sets whose (delta+2)-subsets
+    that are edges meet every slot.  Yields each edge with the vertices v whose set edge + v is one, met from
+    the set minus its largest vertex that leaves an edge: v is dropped where edge - u + v is one, u > v."""
+    edges, masks = form
+    for s, slot in enumerate(edges):
+        b, c = (t for t in range(3) if t != s)
+        for facets in slot:
+            below = has_b = has_c = 0
+            for f, u in facets:
+                m = masks[f]
+                below |= (m[0] | m[1] | m[2]) & u - 1
+                has_b |= m[b]
+                has_c |= m[c]
+            yield facets[0][0] | facets[0][1], has_b & has_c & ~below
+
+
+def _covering_form(h: ColoredHypergraph, delta: int) -> Form:
+    if delta < 0:
+        raise ValidationError(f"delta must be nonnegative, got {delta}")
+    items = []
+    for e in _edges(h, delta + 2, what="color covering counting"):
+        if e.color not in RGB:
+            raise ValidationError(f"edge color {e.color!r} not among {RGB}")
+        items.append((RGB.index(e.color), _facets(e.verts)))
+    return _form(3, items)
+
+
+def count_partial_shadow_targets(h: ColoredHypergraph, r: int, k: int) -> int:
+    """Number of r-subsets containing at least r-k edges of an (r-1)-uniform h.  Each is met once, from the
+    set minus its least vertex v that leaves an edge; its other edges are that edge's facets whose masks hold v."""
+    if r < 1 or k < 0 or k > r:
+        raise ValidationError(f"need r >= 1 and 0 <= k <= r, got r={r}, k={k}")
+    items = [(0, _facets(e.verts)) for e in _edges(h, r - 1, what="partial shadow counting")]
+    needed = r - k
+    if needed <= 0:
+        return math.comb(h.n, r)
+    (edges,), masks = _form(1, items)
+    total = 0
+    for facets in edges:
+        above = facets[0][0] | facets[0][1]  # the edge, then each v with edge - u + v an edge, u < v
+        held = [(1 << h.n) - 1] + [0] * (needed - 1)  # held[j]: the vertices in j or more facet masks
+        for f, u in facets:
+            m = masks[f][0]
+            above |= m & -(u << 1)
+            for j in range(needed - 1, 0, -1):
+                held[j] |= held[j - 1] & m
+        total += (held[-1] & ~above).bit_count()
+    return total
+
+
+def check_partial_shadow_bound(h: ColoredHypergraph, r: int, k: int) -> BoundReport:
+    """e(h) >= binom(x, r-k-1) where binom(x, r-k) = m, x real >= r-k.
+
+    The verdict is exact; x and the bound are for display.
+    """
+    if not (0 <= k < r):
+        raise ValidationError(f"bound check needs 0 <= k < r, got r={r}, k={k}")
+    m = count_partial_shadow_targets(h, r, k)
+    if m < 1:
+        raise ValidationError("no r-subsets meet the threshold (m = 0)")
+    holds, x, bound = _binom_bound(len(h.edges), m, r - k)
+    return lower_report(
+        "edge count",
+        len(h.edges),
+        bound,
+        "partial shadow",
+        holds=holds,
+        extra={"m": m, "x": x, "r": r, "k": k},
+    )
+
+
+class WeightedSumReport(Record):
+    """Sum of geometric-mean weights to the d/(d-1) power, with its cap."""
+
+    d: int
+    total_weight: int
+    terms: tuple[int, ...]  # nonzero facet-weight products, one per d-subset
+    value: float
+    report: BoundReport
+    weights: dict[tuple[int, ...], int]  # each facet's weight, 1 where the edge has none
+
+
+def weighted_joint_sum(h: ColoredHypergraph, d: int) -> WeightedSumReport:
+    """Sum over d-subsets of (geometric mean of facet weights)^{d/(d-1)}.
+
+    The term for a d-subset equals (product of its d facet weights)^{1/(d-1)},
+    so each term is an exact integer raised to a fixed real power.
+    """
+    if d < 2:
+        raise ValidationError(f"need d >= 2, got {d}")
+    table = {e.verts: 1 if e.weight is None else e.weight for e in _edges(h, d - 1, what="weighted counting")}
+    total = sum(table.values())
+    bases = sorted(f for f, w in table.items() if w)
+    check_cap("coface visits (nonzero edges x n)", len(bases) * h.n, 10**7)  # measured 0.11-0.55 µs a visit
+    (edges,), masks = _form(1, ((0, _facets(f)) for f in bases))
+    weight = {facets[0][0] | facets[0][1]: table[f] for f, facets in zip(bases, edges)}
+    # each clique is met once, from its first d - 1 vertices, its top vertex x above theirs and in every facet
+    # mask; with the edges sorted and x rising, the terms and the float sum keep combinations(range(n), d) order
+    terms = []
+    for facets in edges:
+        xs = -(facets[-1][1] << 1)
+        for f, _ in facets:
+            xs &= masks[f][0]
+        w = weight[facets[0][0] | facets[0][1]]
+        terms.extend(w * math.prod(weight[f | 1 << x] for f, _ in facets) for x in _members(xs))
+    try:
+        value = float(sum(p ** (1.0 / (d - 1)) for p in terms))
+        bound = (math.factorial(d - 1) ** (1.0 / (d - 1)) / d) * float(total) ** (d / (d - 1))
+    except OverflowError:  # exact integer weights, with no bound on their size
+        raise ValidationError("edge weights too large: a term or the bound N^{d/(d-1)} overflows a float") from None
+    report = upper_report(
+        "weighted clique sum",
+        value,
+        bound,
+        "geometric-mean weight bound ((d-1)!)^{1/(d-1)}/d * N^{d/(d-1)}",
+        extra={"total_weight": total},
+    )
+    return WeightedSumReport(d=d, total_weight=total, terms=tuple(terms), value=value, report=report, weights=table)
+
+
+class SpectralReport(Record):
+    trace2: float
+    trace3: float
+    total_weight: int
+    checks: tuple[BoundReport, ...]
+
+
+def spectral_trace_check(h: ColoredHypergraph, weighted: WeightedSumReport | None = None) -> SpectralReport:
+    """d=3 trace identities for M = entrywise sqrt of the weight matrix.
+
+    tr(M^2) = 2N, tr(M^3) = 6 * sum of w(triangle)^{3/2}, and
+    tr(M^2)^3 >= tr(M^3)^2.  Each identity holds to TRACE_TOL times its
+    right side (at least 1), the inequality to TRACE_TOL times tr(M^2)^3.
+    `weighted` is h's d = 3 weighted clique sum when the caller has it.
+    """
+    if weighted is None:
+        weighted = weighted_joint_sum(h, 3)
+    elif weighted.d != 3:
+        raise ValidationError(f"the spectral check takes the d = 3 weighted sum, got d = {weighted.d}")
+    table, total, terms = weighted.weights, weighted.total_weight, weighted.terms
+    try:
+        # M is symmetric with a zero diagonal: traces are sums over closed walks
+        adj: dict[int, dict[int, float]] = {v: {} for v in range(h.n)}
+        for (i, j), w in table.items():
+            adj[i][j] = adj[j][i] = math.sqrt(w)
+        # fsum rounds each sum once, so the traces do not depend on how the Python version sums floats
+        tr2 = math.fsum(x * x for row in adj.values() for x in row.values())
+        tr3 = math.fsum(
+            mij * mjk * adj[k].get(i, 0.0)
+            for i, row in adj.items()
+            for j, mij in row.items()
+            for k, mjk in adj[j].items()
+        )
+        sum_w32 = math.fsum(math.sqrt(p) for p in terms)
+        diff2, diff3, power = abs(tr2 - 2 * total), abs(tr3 - 6 * sum_w32), tr2**3 - tr3**2
+        tol2, tol3 = TRACE_TOL * max(1.0, 2 * total), TRACE_TOL * max(1.0, 6 * sum_w32)
+        power_tol = TRACE_TOL * max(1.0, tr2**3)
+    except OverflowError:
+        raise ValidationError("edge weights too large: a trace or tr(M^2)^3 overflows a float") from None
+    checks = (
+        upper_report("|tr(M^2) - 2N|", diff2, tol2, "trace identity 2N", holds=diff2 <= tol2),
+        upper_report("|tr(M^3) - 6 sum w^{3/2}|", diff3, tol3, "trace identity 6S", holds=diff3 <= tol3),
+        lower_report("tr(M^2)^3 - tr(M^3)^2", power, 0.0, "trace power inequality", holds=power >= -power_tol),
+    )
+    return SpectralReport(trace2=tr2, trace3=tr3, total_weight=total, checks=checks)
+
+
+Bound = tuple[Fraction, str, bool]  # (upper bound on the ratio, source, conjecture)
+
+
+def _sizes(form: Form) -> list[int]:  # the class sizes: each slot's edge count
+    return [len(slot) for slot in form[0]]
+
+
+class Problem(Record):
+    """One ratio problem: its counts and exact ratio, its bounds, its notes and its random instances.
+
+    form(h, d, delta, colors) checks h and builds the form whose slots are the classes; count(form)
+    is the kernel's J, and the ratio is J^p / prod size_s^e_s with (p, e) = exponents(d).  names
+    are J's and each class's, or one for the list of class sizes.  bounds(d, delta) lists every
+    proven and conjectured upper bound.  draws(d, delta) gives the sizes and colors of random edges:
+    each subset of [n] of each size is an edge with probability 1/2 under one color, else none or
+    one of a uniform color, in form slot size index * colors + color index.  Only rainbow_d reads
+    colors; d and delta are ignored where the problem has none.
+    """
+
+    name: str
+    quantity: str
+    form: Callable[[ColoredHypergraph, int, int, Sequence[str] | None], Form]
+    count: Callable[[Form], int]
+    exponents: Callable[[int], tuple[int, tuple[int, ...]]]
+    names: tuple[str, str | tuple[str, ...]]
+    bounds: Callable[[int, int], tuple[Bound, ...]]
+    notes: tuple[str, ...]
+    draws: Callable[[int, int], tuple[tuple[int, ...], tuple[str, ...]]]
+
+    def numerator(self, j: int, d: int = 3) -> int:
+        """J^p, the ratio's numerator."""
+        return j ** self.exponents(d)[0]
+
+    def denominator(self, sizes: Iterable[int], d: int = 3) -> int:
+        """prod size_s^e_s, the ratio's denominator: 0 when a class is empty."""
+        return math.prod(map(pow, sizes, self.exponents(d)[1]))
+
+    def exact(
+        self, h: ColoredHypergraph, d: int = 3, delta: int = 0, colors: Sequence[str] | None = None
+    ) -> tuple[dict, Fraction | None]:
+        """The named counts and the exact ratio, None when a class in the denominator is empty."""
+        form = self.form(h, d, delta, colors)
+        j, sizes = self.count(form), _sizes(form)
+        den = self.denominator(sizes, d)
+        name, classes = self.names
+        named = {classes: sizes} if isinstance(classes, str) else dict(zip(classes, sizes))
+        return {name: j, **named}, Fraction(self.numerator(j, d), den) if den else None
+
+    def reports(self, value: Fraction, d: int = 3, delta: int = 0) -> list[BoundReport]:
+        """A ratio value checked against every bound of the problem."""
+        return [
+            upper_report(self.quantity, value, bound, source, conjecture=conjecture)
+            for bound, source, conjecture in self.bounds(d, delta)
+        ]
+
+
+def _rainbow_colors(d: int) -> tuple[str, ...]:
+    check_cap("rainbow_d edge size d - 1", d - 1, VERTEX_CAP)  # before d names: no edge is that large
+    return tuple(f"c{i + 1}" for i in range(d))
+
+
+def _rainbow_bounds(d, delta):
+    # labels name the formula only: its value is the bound, and (39!)^40 alone has 1,853 digits
+    bounds = [(Fraction(math.factorial(d - 1) ** d), "shearer ((d-1)!)^d", False)]
+    if d >= 3:
+        bounds.append((Fraction(math.prod(i**i for i in range(1, d)), 2), "induction (1/2) prod i^i", False))
+    bounds.append((Fraction(math.factorial(d)), "joints d!", False))
+    if d == 3:
+        bounds.append((Fraction(2), "rainbow triangles T^2 <= 2 C1 C2 C3", False))
+    return tuple(bounds)
+
+
+def _covering_bounds(d, delta):
+    # at delta = 0 the covering 3-sets are exactly the rainbow triangles
+    two = (Fraction(2), "rainbow triangles 2", False) if delta == 0 else (Fraction(2), "conjectured 2", True)
+    return ((Fraction(6), "joints 6", False), two)
+
+
+PROBLEMS: dict[str, Problem] = {
+    p.name: p
+    for p in (
+        Problem(
+            "rainbow_d", "clique ratio",
+            lambda h, d, delta, colors: _rainbow_form(h, d, _rainbow_colors(d) if colors is None else tuple(colors)),
+            lambda form: _count(_rainbow(form)), lambda d: (d - 1, (1,) * d), ("T", "C"),
+            # no subset of [n] has d - 1 > VERTEX_CAP vertices, so those probes draw nothing and need no colors
+            _rainbow_bounds, (), lambda d, delta: ((d - 1,), _rainbow_colors(d) if d <= VERTEX_CAP + 1 else ()),
+        ),
+        Problem(
+            "good6", "good6 ratio", lambda h, d, delta, colors: _good6_form(h),
+            lambda form: len(_good6(form)), lambda d: (2, (3,)), ("J", ("N",)), lambda d, delta: (),
+            ("conjectured optimum for J^2/N^3 is 2/7; exceeding it is not a failure",),
+            lambda d, delta: ((4,), ("plain",)),
+        ),
+        Problem(
+            "mixed4", "mixed ratio", lambda h, d, delta, colors: _mixed4_form(h),
+            lambda form: len(_mixed4(form)), lambda d: (2, (1, 2)), ("J", ("N2", "N3")),
+            lambda d, delta: ((Fraction(9, 2), "shearer 9/2", False), (Fraction(3), "joints 3", False)),
+            ("conjectured optimum for J^2/(N2 N3^2) is 3/2, in the known window [3/2, 3]; "
+             "exceeding it is not a failure",),
+            lambda d, delta: ((2, 3), ("plain",)),
+        ),
+        Problem(
+            "covering_delta", "covering ratio", lambda h, d, delta, colors: _covering_form(h, delta),
+            lambda form: _count(_covering(form)), lambda d: (2, (1, 1, 1)), ("J", ("R", "G", "B")),
+            _covering_bounds, (), lambda d, delta: ((delta + 2,), RGB),
+        ),
+    )
+}
+
+
+def get_problem(name: str) -> Problem:
+    if name not in PROBLEMS:
+        raise ValidationError(f"problem must be one of {tuple(PROBLEMS)}, got {name!r}")
+    return PROBLEMS[name]
+
+
+class RatioReport(Record):
+    """A problem's named counts and exact ratio on one graph, with its bound reports."""
+
+    counts: dict
+    ratio_exact: Fraction
+    reports: tuple[BoundReport, ...]
+
+    @property
+    def ratio(self) -> float:
+        return float(self.ratio_exact)
+
+
+def check_ratio(
+    name: str, h: ColoredHypergraph, d: int = 3, delta: int = 0, colors: Sequence[str] | None = None
+) -> RatioReport:
+    """The problem's exact ratio on h, checked against every bound it has.
+
+    Raises ValidationError when a class in the denominator is empty.
+    """
+    problem = get_problem(name)
+    counts, ratio = problem.exact(h, d, delta, colors)
+    if ratio is None:
+        raise ValidationError(f"the {name} ratio needs every class nonempty, got {counts}")
+    return RatioReport(counts, ratio, tuple(problem.reports(ratio, d, delta)))

@@ -9,10 +9,10 @@ also holds for prime powers but those would need polynomial field towers.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, combinations, count, product
 from operator import itemgetter, lt
-from typing import Iterable, Sequence
 
 from .errors import ValidationError, check_cap, check_power_cap
 from .numkit import gaussian_binom, shadow_bound

@@ -11,9 +11,9 @@ the float range displays as inf, and its ratio comes from the exact quotient.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping
 
 from .record import Record
 

@@ -17,14 +17,15 @@ whose own count differs raises BoundViolationError.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from itertools import combinations, groupby, islice, permutations, product
 from math import comb
 from operator import itemgetter
-from typing import Iterator, Mapping
 
 from .errors import BoundViolationError, ValidationError, check_cap
-from .hypergraph import PROBLEMS, RGB, VERTEX_CAP, ColoredHypergraph, _edges, _facets, _form, _sizes, get_problem
+from .hypergraph import VERTEX_CAP, ColoredHypergraph, _edges
+from .problems import PROBLEMS, RGB, _facets, _form, _sizes, get_problem
 from .record import Record
 
 # states certified a second, measured on a 2-vCPU Xeon: rainbow 1.6e8 at n = 5 (6 ms) and 6.8e8 at

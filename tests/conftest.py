@@ -8,7 +8,8 @@ from itertools import combinations
 
 from shadowlab.constructions import round_robin_matchings
 from shadowlab.entropy import CoverSpec, ExactDistribution
-from shadowlab.hypergraph import PROBLEMS, ColoredHypergraph, Problem, SetFamily
+from shadowlab.hypergraph import ColoredHypergraph, SetFamily
+from shadowlab.problems import PROBLEMS, Problem
 
 RGB = ("red", "green", "blue")
 

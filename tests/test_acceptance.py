@@ -40,9 +40,8 @@ from shadowlab.entropy import (
     entropy,
 )
 from shadowlab.forbidding import check_generalized_kk, qlinear_system, repeats_system, sd_orbits
-from shadowlab.hypergraph import (
-    ColoredHypergraph,
-    check_kruskal_katona,
+from shadowlab.hypergraph import ColoredHypergraph, check_kruskal_katona
+from shadowlab.problems import (
     check_partial_shadow_bound,
     count_partial_shadow_targets,
     spectral_trace_check,

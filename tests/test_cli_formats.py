@@ -25,7 +25,8 @@ from shadowlab.formats import (
     set_family_to_obj,
     subspace_family_from_obj,
 )
-from shadowlab.hypergraph import RGB, SetFamily
+from shadowlab.hypergraph import SetFamily
+from shadowlab.problems import RGB
 from shadowlab.qlinalg import enumerate_subspaces
 from shadowlab.reports import upper_report
 
@@ -446,8 +447,8 @@ class TestCli:
         # launcher finds and wraps it; the package registers most of them lazily, compiled on first use.
         # The records build without `dataclasses`, which alone pulls in inspect, ast and dis.
         src = os.path.dirname(os.path.dirname(cli.__file__))
-        layers = ("cli", "formats", "hypergraph", "entropy", "qlinalg", "forbidding", "numkit", "reports",
-                  "search", "constructions")
+        layers = ("cli", "formats", "hypergraph", "problems", "entropy", "qlinalg", "forbidding", "numkit",
+                  "reports", "search", "constructions")
         code = "import json, sys, shadowlab.cli; print(json.dumps(list(sys.modules)))"
         out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, check=True)

@@ -36,7 +36,7 @@ import pytest
 from conftest import replaced
 from shadowlab import cli
 from shadowlab import forbidding as forb
-from shadowlab.hypergraph import PROBLEMS
+from shadowlab.problems import PROBLEMS
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 

@@ -17,15 +17,10 @@ from shadowlab.constructions import (
     tripartite_mixed,
 )
 from conftest import fig1_k4, problem_count, replaced
-from shadowlab import hypergraph
+from shadowlab import problems
 from shadowlab.errors import BoundViolationError, CapacityError, ValidationError
-from shadowlab.hypergraph import (
-    PROBLEMS,
-    ColoredHypergraph,
-    check_ratio,
-    rainbow_cliques,
-    validate,
-)
+from shadowlab.hypergraph import ColoredHypergraph, validate
+from shadowlab.problems import PROBLEMS, check_ratio, rainbow_cliques
 
 RGB = ("red", "green", "blue")
 
@@ -238,8 +233,8 @@ def test_self_check_fires_on_a_recount_off_by_one(name, monkeypatch):
 @pytest.mark.parametrize("name", [n for n, (_, problem) in RECOUNTED.items() if problem == "rainbow_d"])
 def test_self_check_fires_on_a_class_size_off_by_one(name, monkeypatch):
     build, _ = RECOUNTED[name]
-    counted = hypergraph._sizes
-    monkeypatch.setattr(hypergraph, "_sizes", lambda form: [k + 1 for k in counted(form)])
+    counted = problems._sizes
+    monkeypatch.setattr(problems, "_sizes", lambda form: [k + 1 for k in counted(form)])
     with pytest.raises(BoundViolationError, match=f"{name} self-check failed"):
         build()
 
@@ -247,12 +242,12 @@ def test_self_check_fires_on_a_class_size_off_by_one(name, monkeypatch):
 @pytest.mark.parametrize("name", ["k4_blowup", "rainbow_tripartite", "tetrahedra8"])
 def test_self_check_fires_on_class_sizes_that_keep_the_ratio(name, monkeypatch):
     build, _ = RECOUNTED[name]
-    counted = hypergraph._sizes
+    counted = problems._sizes
 
     def moved(form):  # the first class doubled and the last halved keep their product, and so the ratio
         first, *middle, last = counted(form)
         return [2 * first, *middle, last // 2]
 
-    monkeypatch.setattr(hypergraph, "_sizes", moved)
+    monkeypatch.setattr(problems, "_sizes", moved)
     with pytest.raises(BoundViolationError, match=f"{name} self-check failed: R expected"):
         build()

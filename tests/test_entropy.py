@@ -20,7 +20,8 @@ from shadowlab.entropy import (
     entropy,
 )
 from shadowlab.errors import CapacityError, ValidationError
-from shadowlab.hypergraph import SetFamily, rainbow_cliques
+from shadowlab.hypergraph import SetFamily
+from shadowlab.problems import rainbow_cliques
 
 
 def conditional_entropy_defining_sum(dist, target, given):

@@ -20,21 +20,17 @@ from conftest import (
     random_uniform_hypergraph,
     random_weighted_complete,
 )
-from shadowlab import hypergraph
+from shadowlab import hypergraph, problems
 from shadowlab.errors import CapacityError, ValidationError
 from shadowlab.reports import exit_status
-from shadowlab.hypergraph import (
+from shadowlab.hypergraph import ColoredHypergraph, SetFamily, check_kruskal_katona, shadow, validate
+from shadowlab.problems import (
     PROBLEMS,
-    ColoredHypergraph,
-    SetFamily,
-    check_kruskal_katona,
     check_partial_shadow_bound,
     check_ratio,
     count_partial_shadow_targets,
     rainbow_cliques,
-    shadow,
     spectral_trace_check,
-    validate,
     weighted_joint_sum,
 )
 
@@ -402,8 +398,8 @@ def brute_mixed_4subsets(h):
 
 def covering_sets(h, delta):
     """The covering sets themselves, each sorted, in sorted order, from the registry's form and kernel."""
-    pairs = hypergraph._covering(PROBLEMS["covering_delta"].form(h, 3, delta, None))
-    return tuple(sorted(hypergraph._members(e | 1 << v) for e, x in pairs for v in hypergraph._members(x)))
+    pairs = problems._covering(PROBLEMS["covering_delta"].form(h, 3, delta, None))
+    return tuple(sorted(problems._members(e | 1 << v) for e, x in pairs for v in problems._members(x)))
 
 
 class TestColorCovering:
@@ -579,7 +575,7 @@ class TestWeightedJointSum:
         def no_counting(*args):
             raise AssertionError("the form was built before the cap check")
 
-        monkeypatch.setattr(hypergraph, "_form", no_counting)
+        monkeypatch.setattr(problems, "_form", no_counting)
         # 156,251 edges x 64 vertices > 10^7 visits
         edges = [(f, "plain", 1) for f in islice(combinations(range(64), 4), 156_251)]
         with pytest.raises(CapacityError, match="coface visits"):
@@ -627,8 +623,8 @@ class TestSpectralTrace:
         rep = spectral_trace_check(h)
         two_n, six_s = rep.checks[0], rep.checks[1]
         assert six_s.computed > 1.0
-        assert two_n.bound == hypergraph.TRACE_TOL * 2 * rep.total_weight
-        assert six_s.bound == pytest.approx(hypergraph.TRACE_TOL * rep.trace3)
+        assert two_n.bound == problems.TRACE_TOL * 2 * rep.total_weight
+        assert six_s.bound == pytest.approx(problems.TRACE_TOL * rep.trace3)
         assert exit_status(rep.checks) == 0
 
 
@@ -647,9 +643,9 @@ class TestCapacity:
 
         # complete 4-graph on 26 vertices: N = C(26, 4) edges, sqrt(6 N^3) + 3 N (26 - 4) steps
         h = ColoredHypergraph.from_edges(26, [(e, "plain") for e in combinations(range(26), 4)])
-        edges, masks = hypergraph._form(1, ((0, hypergraph._facets(e.verts)) for e in h.edges))
+        edges, masks = problems._form(1, ((0, problems._facets(e.verts)) for e in h.edges))
         with pytest.raises(CapacityError, match=r"\) = 5464218 exceeds cap 5000000"):
-            hypergraph._good6((edges, Untouched(masks)))
+            problems._good6((edges, Untouched(masks)))
         with pytest.raises(CapacityError, match=r"\) = 5464218 exceeds cap 5000000"):
             problem_count("good6", h)
 

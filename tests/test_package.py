@@ -19,17 +19,17 @@ import shadowlab
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# every name the package exported when each layer was imported eagerly, by its layer
+# every name the package exported when each layer was imported eagerly, by the layer that now defines it
 PUBLIC = {
     "entropy": ["CoverSpec", "ExactDistribution", "check_cregular_corollary", "check_key_inequality",
                 "check_lemma_disjoint_support", "check_shearer", "conditional_entropy", "entropy"],
     "errors": ["BoundViolationError", "CapacityError", "ValidationError"],
     "forbidding": ["ForbiddingSystem", "check_generalized_kk", "is_compatible", "qlinear_system", "repeats_system",
                    "verify_forbidding_axioms"],
-    "hypergraph": ["PROBLEMS", "ColoredHypergraph", "Problem", "RatioReport", "SetFamily", "check_kruskal_katona",
-                   "check_partial_shadow_bound", "check_ratio", "count_partial_shadow_targets", "rainbow_cliques",
-                   "shadow", "spectral_trace_check", "validate", "weighted_joint_sum"],
+    "hypergraph": ["ColoredHypergraph", "SetFamily", "check_kruskal_katona", "shadow", "validate"],
     "numkit": ["CVector", "gaussian_binom", "invert_product", "product_falling", "shadow_bound"],
+    "problems": ["PROBLEMS", "Problem", "RatioReport", "check_partial_shadow_bound", "check_ratio",
+                 "count_partial_shadow_targets", "rainbow_cliques", "spectral_trace_check", "weighted_joint_sum"],
     "qlinalg": ["SubspaceFamily", "check_q_kruskal_katona", "enumerate_subspaces", "rref", "subspace_shadow"],
     "reports": ["BoundReport", "ValidationReport"],
     "search": ["random_probe", "search_mixed_4subsets", "search_rainbow_triangle"],
@@ -46,6 +46,7 @@ def test_public_names_resolve_to_their_layers():
     assert shadowlab.entropy is sys.modules["shadowlab.entropy"].entropy
     assert not isinstance(shadowlab.entropy, types.ModuleType)
     assert shadowlab.hypergraph is sys.modules["shadowlab.hypergraph"]
+    assert shadowlab.problems is sys.modules["shadowlab.problems"]
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         shadowlab.no_such_name
 
@@ -63,6 +64,10 @@ def _inputs(path: Path) -> None:
     (path / "fam.json").write_text(json.dumps({"n": 6, "d": 3, "sets": [list(c) for c in combinations(range(6), 3)]}))
     members = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]], [[1, 0, 0, 1], [0, 1, 1, 0]]]
     (path / "sub.json").write_text(json.dumps({"q": 2, "n": 4, "d": 2, "members": members}))
+    # the K4 whose opposite edges share a colour
+    edges = [{"v": list(v), "color": c} for v, c in [((0, 1), "red"), ((2, 3), "red"), ((0, 3), "blue"),
+                                                      ((1, 2), "blue"), ((0, 2), "green"), ((1, 3), "green")]]
+    (path / "graph.json").write_text(json.dumps({"vertices": 4, "edges": edges}))
 
 
 def _child(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
@@ -73,6 +78,8 @@ def _child(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
 # the parser, the report's writer and the exit rule, and `numkit`, which each counting layer imports
 BASE_LAYERS = {"cli", "errors", "formats", "numkit", "record", "reports"}
 KK_LAYERS = BASE_LAYERS | {"hypergraph"}
+# the graph counts and the ratio-problem registry; the set-family commands above never load them
+PROBLEM_LAYERS = KK_LAYERS | {"problems"}
 
 
 @pytest.mark.parametrize("command, layers", [
@@ -80,10 +87,14 @@ KK_LAYERS = BASE_LAYERS | {"hypergraph"}
     ("entropy --key --family fam.json", KK_LAYERS | {"entropy"}),
     ("qkk --family sub.json", BASE_LAYERS | {"qlinalg"}),
     ("forbidding gkk --system repeats --universe-size 6 --d 3 --family fam.json", KK_LAYERS | {"forbidding"}),
-    ("search probe --trials 5", KK_LAYERS | {"search"}),
+    ("search probe --trials 5", PROBLEM_LAYERS | {"search"}),
     ("forbidding verify --system repeats --universe-size 4 --d 3", BASE_LAYERS | {"forbidding"}),
     ("forbidding verify --system qlinear:2,4 --d 2", BASE_LAYERS | {"forbidding", "qlinalg"}),
     ("forbidding gkk --system qlinear:2,4 --d 2 --subspaces sub.json", BASE_LAYERS | {"forbidding", "qlinalg"}),
+    ("validate --input graph.json", KK_LAYERS),
+    ("kappa --input graph.json --d 3", PROBLEM_LAYERS),
+    ("count covering --input graph.json", PROBLEM_LAYERS),
+    ("construct k4-blowup --n 1", PROBLEM_LAYERS | {"constructions"}),
 ])
 def test_command_loads_only_the_layers_it_runs(tmp_path, command, layers):
     _inputs(tmp_path)
@@ -108,3 +119,20 @@ def test_trace_launcher_wraps_layers_that_load_late(tmp_path, command, layer, co
     trace = json.loads(spans.read_text())
     assert layer in {span[2] for span in trace["spans"]}
     assert trace["counters"][counter] > 0
+
+
+def test_kk_starts_without_openssl_or_typing(tmp_path):
+    """Under `python -S`, where no site-packages hook imports them first, `kk` loads neither OpenSSL's
+    `_hashlib` (the digest takes the built-in sha256) nor `typing`, and the help reads as with `site`."""
+    _inputs(tmp_path)
+    code = ("import json, sys, shadowlab.cli; status = shadowlab.cli.main(sys.argv[1:]); "
+            "print(json.dumps(sorted(sys.modules))); sys.exit(status)")
+    out = _child([sys.executable, "-S", "-c", code, "kk", "--family", "fam.json", "--json"], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert not {"_hashlib", "hashlib", "typing"} & set(json.loads(out.stdout.splitlines()[-1]))
+    for argv in (["--help"], ["kk", "--help"]):
+        helps = [subprocess.run([sys.executable, *flags, "-m", "shadowlab.cli", *argv], cwd=tmp_path,
+                                env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"},
+                                capture_output=True, timeout=60) for flags in (["-S"], [])]
+        assert [h.returncode for h in helps] == [0, 0]
+        assert helps[0].stdout == helps[1].stdout and b"usage: shadowlab" in helps[0].stdout

@@ -8,7 +8,7 @@ from conftest import fig1_k4
 from shadowlab import cli
 from shadowlab.constructions import flats_example, tripartite_mixed
 from shadowlab.formats import hypergraph_from_obj, hypergraph_to_obj
-from shadowlab.hypergraph import PROBLEMS
+from shadowlab.problems import PROBLEMS
 
 # (vertices, d, delta) small enough for a fast probe that finds a witness
 PROBE_PARAMS = {"rainbow_d": (6, 3, 0), "good6": (7, 3, 0), "mixed4": (5, 3, 0), "covering_delta": (5, 3, 1)}

@@ -15,15 +15,8 @@ from shadowlab.constructions import Construction
 from shadowlab.entropy import CoverSpec, ExactDistribution, KeyInequalityReport
 from shadowlab.errors import ValidationError
 from shadowlab.forbidding import AxiomReport, CompatibilityResult
-from shadowlab.hypergraph import (
-    ColoredHypergraph,
-    Edge,
-    Problem,
-    RatioReport,
-    SetFamily,
-    SpectralReport,
-    WeightedSumReport,
-)
+from shadowlab.hypergraph import ColoredHypergraph, Edge, SetFamily
+from shadowlab.problems import Problem, RatioReport, SpectralReport, WeightedSumReport
 from shadowlab.numkit import CVector
 from shadowlab.qlinalg import SubspaceFamily
 from shadowlab.reports import BoundReport, ValidationReport

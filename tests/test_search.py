@@ -15,7 +15,8 @@ import pytest
 from conftest import is_opposite_edge_k4, problem_count, replaced
 from shadowlab import search
 from shadowlab.errors import BoundViolationError, CapacityError, ValidationError
-from shadowlab.hypergraph import PROBLEMS, ColoredHypergraph, Problem, check_ratio
+from shadowlab.hypergraph import ColoredHypergraph
+from shadowlab.problems import PROBLEMS, Problem, check_ratio
 from shadowlab.search import (PROBE_CAP, _best_in_blocks, _draws, _orbit_least, _vertex_maps, random_probe,
                               search_mixed_4subsets, search_rainbow_triangle)
 
