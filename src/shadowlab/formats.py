@@ -118,12 +118,14 @@ def hypergraph_from_text(text: str) -> hg.ColoredHypergraph:
 
 
 def set_family_to_obj(fam: hg.SetFamily) -> dict:
-    return {"n": fam.n, "d": fam.d, "sets": [list(s) for s in fam.sets]}
+    """The family's JSON object, its members the family's own tuples: `json.dumps` writes a tuple as
+    an array, so the text is that of lists, and no list is built per member."""
+    return {"n": fam.n, "d": fam.d, "sets": fam.sets}
 
 
-def _lists(items) -> bool:
-    """True iff every item is a list: `_list` decided in bulk."""
-    return set(map(type, items)) <= {list}
+def _lists(items, kind: type = list) -> bool:
+    """True iff every item is a `kind`: `_list` decided in bulk."""
+    return set(map(type, items)) <= {kind}
 
 
 def set_family_from_obj(obj: object) -> hg.SetFamily:
@@ -131,11 +133,13 @@ def set_family_from_obj(obj: object) -> hg.SetFamily:
         raise ValidationError("set family JSON must be an object")
     _require_keys(obj, {"n", "d", "sets"}, set(), "set family")
     n = _int(obj["n"], "n")
-    sets = _list(obj["sets"], "sets")
-    if not (_lists(sets) and type(obj["d"]) is int):  # name the first bad entry, before a bad d
-        for s in sets:
-            for v in _list(s, "set"):
-                _int(v, "element")
+    sets = obj["sets"]
+    if not (type(sets) is tuple and _lists(sets, tuple)):  # else not `set_family_to_obj`'s tuples: JSON's lists
+        sets = _list(sets, "sets")
+        if not (_lists(sets) and type(obj["d"]) is int):  # name the first bad entry, before a bad d
+            for s in sets:
+                for v in _list(s, "set"):
+                    _int(v, "element")
     return hg.SetFamily.make(n, sets, d=_int(obj["d"], "d"))
 
 

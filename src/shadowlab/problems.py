@@ -5,8 +5,8 @@ Counts are exact big integers; ratios become floats only inside reports.
 Every count reads its edges through `hypergraph._edges`, the one entry check,
 and each registered problem counts on one compact form of bitmasks (`_form`).
 `PROBLEMS` at the bottom holds each problem's graph entry, count, formula,
-bounds, note and random instances; the checks, the constructions, the search
-and the command line all read it.
+bounds, note, random instances and the structures its count counts; the
+checks, the constructions, the search and the command line all read it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import ValidationError, check_cap
 from .hypergraph import VERTEX_CAP, ColoredHypergraph, _binom_bound, _edges
@@ -325,6 +326,8 @@ def spectral_trace_check(h: ColoredHypergraph, weighted: WeightedSumReport | Non
 
 
 Bound = tuple[Fraction, str, bool]  # (upper bound on the ratio, source, conjecture)
+Literal = tuple[tuple[int, ...], int]  # (subset, drawn value)
+Structures = tuple[int, bool, list[list[Literal]]]  # (size, every, groups), as Problem.structures gives them
 
 
 def _sizes(form: Form) -> list[int]:  # the class sizes: each slot's edge count
@@ -341,6 +344,13 @@ class Problem(Record):
     each subset of [n] of each size is an edge with probability 1/2 under one color, else none or
     one of a uniform color, in form slot size index * colors + color index.  Only rainbow_d reads
     colors; d and delta are ignored where the problem has none.
+
+    structures(d, delta) is what count(form) counts, written once on [size] as literals (subset,
+    drawn value): a subset drawn with value p is an edge of draws' color p (1 for the one color).
+    It gives (size, every, groups); a size-subset Q of [n] is counted when, each literal's subset
+    read through Q's vertices in order, every group holds a drawn literal (every) or some group has
+    all its literals drawn (not every).  Random probes count with it on byte lanes; the kernel
+    recounts their witness, which checks the two against each other.
     """
 
     name: str
@@ -352,6 +362,7 @@ class Problem(Record):
     bounds: Callable[[int, int], tuple[Bound, ...]]
     notes: tuple[str, ...]
     draws: Callable[[int, int], tuple[tuple[int, ...], tuple[str, ...]]]
+    structures: Callable[[int, int], Structures]
 
     def numerator(self, j: int, d: int = 3) -> int:
         """J^p, the ratio's numerator."""
@@ -396,6 +407,22 @@ def _rainbow_bounds(d, delta):
     return tuple(bounds)
 
 
+def _colored(size: int, colors: int) -> Structures:
+    """A size-set each of whose colors is drawn on one of its facets, by color."""
+    facets = list(combinations(range(size), size - 1))
+    return size, True, [[(f, c) for f in facets] for c in range(1, colors + 1)]
+
+
+def _without(size: int, e: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(v for v in range(size) if v not in e)
+
+
+def _matchings() -> Structures:
+    """A 6-set with a perfect matching {p, q, r} whose complements [6] - p, [6] - q and [6] - r are drawn."""
+    pairs = list(combinations(range(6), 2))
+    return 6, False, [[(_without(6, e), 1) for e in m] for m in combinations(pairs, 3) if len({*sum(m, ())}) == 6]
+
+
 def _covering_bounds(d, delta):
     # at delta = 0 the covering 3-sets are exactly the rainbow triangles
     two = (Fraction(2), "rainbow triangles 2", False) if delta == 0 else (Fraction(2), "conjectured 2", True)
@@ -411,12 +438,13 @@ PROBLEMS: dict[str, Problem] = {
             lambda form: _count(_rainbow(form)), lambda d: (d - 1, (1,) * d), ("T", "C"),
             # no subset of [n] has d - 1 > VERTEX_CAP vertices, so those probes draw nothing and need no colors
             _rainbow_bounds, (), lambda d, delta: ((d - 1,), _rainbow_colors(d) if d <= VERTEX_CAP + 1 else ()),
+            lambda d, delta: _colored(d, d),
         ),
         Problem(
             "good6", "good6 ratio", lambda h, d, delta, colors: _good6_form(h),
             lambda form: len(_good6(form)), lambda d: (2, (3,)), ("J", ("N",)), lambda d, delta: (),
             ("conjectured optimum for J^2/N^3 is 2/7; exceeding it is not a failure",),
-            lambda d, delta: ((4,), ("plain",)),
+            lambda d, delta: ((4,), ("plain",)), lambda d, delta: _matchings(),
         ),
         Problem(
             "mixed4", "mixed ratio", lambda h, d, delta, colors: _mixed4_form(h),
@@ -425,11 +453,14 @@ PROBLEMS: dict[str, Problem] = {
             ("conjectured optimum for J^2/(N2 N3^2) is 3/2, in the known window [3/2, 3]; "
              "exceeding it is not a failure",),
             lambda d, delta: ((2, 3), ("plain",)),
+            # a pair {a, b} drawn with the triples [4] - a and [4] - b
+            lambda d, delta: (4, False, [[(e, 1), (_without(4, e[:1]), 1), (_without(4, e[1:]), 1)]
+                                         for e in combinations(range(4), 2)]),
         ),
         Problem(
             "covering_delta", "covering ratio", lambda h, d, delta, colors: _covering_form(h, delta),
             lambda form: _count(_covering(form)), lambda d: (2, (1, 1, 1)), ("J", ("R", "G", "B")),
-            _covering_bounds, (), lambda d, delta: ((delta + 2,), RGB),
+            _covering_bounds, (), lambda d, delta: ((delta + 2,), RGB), lambda d, delta: _colored(delta + 3, 3),
         ),
     )
 }

@@ -7,11 +7,17 @@ the outer states that come first in their orbit under the problem's symmetries
 that map the outer slots onto themselves.  Such a symmetry maps the first best
 state to one as good whose outer part is no earlier, so the best ratio and its
 witness are those of the full scan, and `explored` counts every state.  A random probe
-draws each trial straight into its problem's compact form and counts it with
-the problem's kernel, as the registry's counts do.  Both take each ratio's formula
-from `PROBLEMS`, compare by exact cross-multiplication and keep the first on a tie.
-Every reported ratio is the registry's exact ratio of its witness: a search
-whose own count differs raises BoundViolationError.
+draws every trial's bytes at once and, where the literals of its problem's
+structures (`Problem.structures`) over [n] number at most trials x draws per
+trial, the product `PROBE_CAP` bounds, counts all trials at once: each literal
+is one big int with a lane of 1, 2 or 4 bytes per trial, the fewest that hold
+C(n, structure size), and the sum of the structures' ANDs and ORs holds every
+trial's count.  Otherwise it counts each trial's compact form with the problem's
+kernel.  Both take each ratio's formula from `PROBLEMS`, compare by exact
+cross-multiplication and keep the first on a tie.  Every reported ratio is the
+registry's exact ratio of its witness, recounted by the kernel: a search whose
+own count differs raises BoundViolationError, so the recount of a probe's
+witness also checks the problem's structures against its kernel.
 """
 
 from __future__ import annotations
@@ -19,13 +25,14 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from itertools import combinations, groupby, islice, permutations, product
+from functools import reduce
+from itertools import accumulate, combinations, groupby, islice, permutations, product
 from math import comb
-from operator import itemgetter
+from operator import and_, itemgetter, or_
 
 from .errors import BoundViolationError, ValidationError, check_cap
 from .hypergraph import VERTEX_CAP, ColoredHypergraph, _edges
-from .problems import PROBLEMS, RGB, _facets, _form, _sizes, get_problem
+from .problems import PROBLEMS, RGB, Literal, Problem, Structures, _facets, _form, get_problem
 from .record import Record
 
 # states certified a second, measured on a 2-vCPU Xeon: rainbow 1.6e8 at n = 5 (6 ms) and 6.8e8 at
@@ -252,12 +259,67 @@ def _draws(rng: random.Random, colors: int, m: int) -> Iterator[bytes]:
         pool = pool[m:]
 
 
+def _counts_per_trial(prob: Problem, n: int, structures: Structures, sizes: tuple[int, ...], k: int,
+                      picks: list[bytes]) -> Iterator[int]:
+    """Each trial's count by the problem's kernel, on the compact form its picks give."""
+    # every trial's edges are among these, so the entry check of the counts runs once
+    complete = _edges(ColoredHypergraph.from_edges(n, ((v, "") for s in sizes for v in combinations(range(n), s))))
+    slots = [(sizes.index(len(e.verts)) * k - 1, _facets(e.verts)) for e in complete]  # draw p >= 1: slot o + p
+    for picked in picks:
+        yield prob.count(_form(len(sizes) * k, [(o + p, f) for (o, f), p in zip(slots, picked) if p]))
+
+
+def _fold(op, columns: list) -> Iterator[int]:
+    """op of the columns, element by element."""
+    return reduce(lambda a, b: map(op, a, b), columns)
+
+
+def _counts_in_lanes(prob: Problem, n: int, structures: Structures, sizes: tuple[int, ...], k: int,
+                     picks: list[bytes]) -> bytes | list[int]:
+    """Each trial's count from the problem's structures, all trials at once; it takes the arguments
+    of `_counts_per_trial`, and either stands for the other.
+
+    Each literal (subset, drawn value) becomes one big int with a w-byte lane per trial, 1 where that
+    trial drew the value, w the fewest of 1, 2 and 4 bytes that hold C(n, size): the translate of
+    the subset's column of draws.  Each size-set's ANDs and ORs of its literals are 0/1 lanes, and
+    their sum holds every trial's count in its lane.
+    """
+    size, every, groups = structures
+    trials, m = len(picks), len(picks[0])
+    if not comb(n, size):
+        return bytes(trials)
+    # the lanes rule keeps C(n, size), at most the literals, within PROBE_CAP < 2^32
+    w = next(w for w in (1, 2, 4) if comb(n, size) < 1 << 8 * w)
+    span = trials * w
+    draws = b"".join(picks)
+    wide = bytearray(m * span)  # subset-major: each subset's draw in every trial, low byte of its lane
+    wide[::w] = b"".join([draws[s::m] for s in range(m)])
+    subsets = [v for s in sizes for v in combinations(range(n), s)]
+    lanes = {}  # per drawn value, each subset's lanes
+    for p in {p for group in groups for _, p in group}:
+        hits = wide.translate(bytes(p) + b"\1" + bytes(255 - p))
+        lanes[p] = {v: int.from_bytes(hits[i * span:(i + 1) * span], "little") for i, v in enumerate(subsets)}
+    coords = list(zip(*combinations(range(n), size)))  # each position's vertex in every size-set
+
+    def column(literal: Literal) -> Iterator[int]:  # the literal's lanes at every size-set, in order
+        positions, p = literal
+        return map(lanes[p].__getitem__, zip(*map(coords.__getitem__, positions)))
+
+    outer, inner = (and_, or_) if every else (or_, and_)
+    total = sum(_fold(outer, [_fold(inner, list(map(column, group))) for group in groups]))
+    counts = total.to_bytes(span, "little")
+    return counts if w == 1 else [int.from_bytes(counts[i:i + w], "little") for i in range(0, span, w)]
+
+
 def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int = 0) -> SearchResult:
     """Best ratio of a registered problem over seeded-random instances, deterministic per seed.
 
-    A trial draws each subset of [n] in `combinations` order, as `Problem.draws` says, straight
-    into the problem's compact form, whose ratio is the registry's of its count and slot sizes;
-    only the best becomes a graph, recounted through the registry.
+    A trial draws each subset of [n] in `combinations` order, as `Problem.draws` says, a byte each.
+    Where the literals of the problem's structures over all size-sets of [n] number at most trials x
+    draws per trial, which `PROBE_CAP` bounds, all trials are counted at once on byte lanes
+    (`_counts_in_lanes`); otherwise each trial's compact form is counted with the problem's kernel.
+    The ratio is the registry's, of the count and the drawn class sizes.  Only the best trial becomes
+    a graph, recounted through the registry's kernel, which checks the structures against it.
     """
     prob = get_problem(problem)
     if trials < 0:
@@ -275,17 +337,21 @@ def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int
     check_cap("probe draws (trials x subsets of [n] drawn per trial)", trials * m, PROBE_CAP)
     if not trials * m:  # no trial or nothing to draw: every trial's instance is empty
         return SearchResult(problem, None, None, trials, exhaustive=False)
-    # every trial's edges are among these, so the entry check of the counts runs once
-    complete = _edges(ColoredHypergraph.from_edges(n, ((v, "") for s in sizes for v in combinations(range(n), s))))
-    slots = [(sizes.index(len(e.verts)) * k - 1, _facets(e.verts)) for e in complete]  # draw p >= 1: slot o + p
-    best_num, best_den, best = 0, 1, None
-    for picks in islice(_draws(random.Random(seed), k, m), trials):
-        form = _form(len(sizes) * k, [(o + p, f) for (o, f), p in zip(slots, picks) if p])
-        num, den = prob.numerator(prob.count(form), d), prob.denominator(_sizes(form), d)
-        if den and (best is None or num * best_den > best_num * den):
-            best_num, best_den, best = num, den, picks
-    if best is None:
+    picks = list(islice(_draws(random.Random(seed), k, m), trials))
+    structures = prob.structures(d, delta)
+    size, _, groups = structures
+    fits = comb(n, size) * sum(map(len, groups)) <= trials * m
+    counts = (_counts_in_lanes if fits else _counts_per_trial)(prob, n, structures, sizes, k, picks)
+    bounds = list(accumulate((comb(n, size) for size in sizes), initial=0))
+    slots = [(c, lo, hi) for lo, hi in zip(bounds, bounds[1:]) for c in range(1, k + 1)]  # form slot order
+    best_num, best_den, best = 0, 1, -1
+    for t, (j, picked) in enumerate(zip(counts, picks)):
+        num, den = prob.numerator(j, d), prob.denominator([picked.count(c, lo, hi) for c, lo, hi in slots], d)
+        if den and (best < 0 or num * best_den > best_num * den):
+            best_num, best_den, best = num, den, t
+    if best < 0:
         return SearchResult(problem, None, None, trials, exhaustive=False)
-    witness = ColoredHypergraph.from_edges(n, [(e.verts, colors[p - 1]) for e, p in zip(complete, best) if p])
+    subsets = (v for s in sizes for v in combinations(range(n), s))
+    witness = ColoredHypergraph.from_edges(n, [(v, colors[p - 1]) for v, p in zip(subsets, picks[best]) if p])
     return SearchResult(problem, _recounted(problem, witness, best_num, best_den, d, delta, None), witness, trials,
                         exhaustive=False)

@@ -85,6 +85,19 @@ class TestFamilyJson:
     def test_set_family_roundtrip(self):
         fam = SetFamily.make(5, [(0, 1, 2), (1, 2, 4)])
         assert set_family_from_obj(set_family_to_obj(fam)) == fam
+        assert set_family_from_obj(json.loads(json.dumps(set_family_to_obj(fam)))) == fam
+
+    @pytest.mark.parametrize("m, d", [(4, 0), (5, 1), (7, 3), (9, 5), (12, 12)])
+    def test_out_writes_the_list_form(self, tmp_path, m, d):
+        # the writers dump the members as the family holds them, tuples, which encode as the lists would
+        lists = {"n": m, "d": d, "sets": [list(s) for s in combinations(range(m), d)]}
+        out, shadow_out = tmp_path / "fam.json", tmp_path / "shadow.json"
+        assert cli.run(["construct", "complete-family", "--m", str(m), "--d", str(d), "--out", str(out)])[1] == 0
+        assert out.read_text() == json.dumps(lists)
+        if d:
+            assert cli.run(["shadow", "--family", str(out), "--out", str(shadow_out)])[1] == 0
+            shadow = {"n": m, "d": d - 1, "sets": [list(s) for s in combinations(range(m), d - 1)]}
+            assert shadow_out.read_text() == json.dumps(shadow)
 
     def test_subspace_family_reads_enumeration(self):
         fam = enumerate_subspaces(2, 3, 2)

@@ -43,6 +43,10 @@ def _draws(d, delta):
     return (2,), ("plain",)
 
 
+def _structures(d, delta):
+    return 2, True, [[((0, 1), 1)]]
+
+
 EDGE = Edge((0, 1), "red")
 GRAPH = ColoredHypergraph(2, (EDGE,))
 REPORT = BoundReport("q", 1, 2.0, 0.5, True, "src", "upper")
@@ -64,9 +68,10 @@ CASES = [
     (SpectralReport, (2.0, 0.0, 1, (REPORT,)), 0, (),
      f"SpectralReport(trace2=2.0, trace3=0.0, total_weight=1, checks=({REPORT_REPR},))", False,
      ("trace3", 6.0)),
-    (Problem, ("p", "x / y", _form, _count, _exponents, ("J", ("N",)), _bounds, ("note",), _draws), 0, (),
-     f"Problem(name='p', quantity='x / y', form={_form!r}, count={_count!r}, exponents={_exponents!r}, "
-     f"names=('J', ('N',)), bounds={_bounds!r}, notes=('note',), draws={_draws!r})", True, ("name", "r")),
+    (Problem, ("p", "x / y", _form, _count, _exponents, ("J", ("N",)), _bounds, ("note",), _draws, _structures), 0,
+     (), f"Problem(name='p', quantity='x / y', form={_form!r}, count={_count!r}, exponents={_exponents!r}, "
+     f"names=('J', ('N',)), bounds={_bounds!r}, notes=('note',), draws={_draws!r}, structures={_structures!r})",
+     True, ("name", "r")),
     (RatioReport, ({"x": 1}, Fraction(1, 2), (REPORT,)), 0, (),
      f"RatioReport(counts={{'x': 1}}, ratio_exact=Fraction(1, 2), reports=({REPORT_REPR},))", False,
      ("ratio_exact", Fraction(1, 3))),
@@ -101,7 +106,7 @@ FIELDS = {
     SetFamily: ("n", "d", "sets"),
     WeightedSumReport: ("d", "total_weight", "terms", "value", "report", "weights"),
     SpectralReport: ("trace2", "trace3", "total_weight", "checks"),
-    Problem: ("name", "quantity", "form", "count", "exponents", "names", "bounds", "notes", "draws"),
+    Problem: ("name", "quantity", "form", "count", "exponents", "names", "bounds", "notes", "draws", "structures"),
     RatioReport: ("counts", "ratio_exact", "reports"),
     CVector: ("entries",),
     BoundReport: ("quantity", "computed", "bound", "ratio", "satisfied", "source", "kind", "conjecture",

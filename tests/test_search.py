@@ -315,7 +315,8 @@ def reference_probe(name, n, d, delta, trials, seed):
     return best, witness, trials
 
 
-# (problem, vertices, d, delta, trials): every problem up to the benchmark's probe sizes, and below each edge size
+# (problem, vertices, d, delta, trials): every problem up to the benchmark's probe sizes, and below each edge size;
+# each problem on both sides of the lanes rule: at n = 10 on its edge, and at larger n
 PROBE_GRID = [
     ("rainbow_d", 2, 3, 0, 5), ("rainbow_d", 3, 3, 0, 60), ("rainbow_d", 5, 3, 0, 40), ("rainbow_d", 8, 3, 0, 30),
     ("rainbow_d", 10, 3, 0, 20), ("rainbow_d", 6, 2, 0, 30), ("rainbow_d", 5, 4, 0, 40), ("rainbow_d", 7, 4, 0, 30),
@@ -324,14 +325,78 @@ PROBE_GRID = [
     ("mixed4", 1, 3, 0, 5), ("mixed4", 4, 3, 0, 60), ("mixed4", 6, 3, 0, 40), ("mixed4", 7, 3, 0, 20),
     ("covering_delta", 3, 3, 0, 60), ("covering_delta", 8, 3, 0, 30), ("covering_delta", 10, 3, 0, 20),
     ("covering_delta", 5, 3, 1, 40), ("covering_delta", 7, 3, 1, 30), ("covering_delta", 7, 3, 2, 20),
+    ("rainbow_d", 10, 3, 0, 24), ("rainbow_d", 30, 3, 0, 30), ("rainbow_d", 30, 3, 0, 90),
+    ("good6", 12, 3, 0, 20), ("good6", 12, 3, 0, 100), ("mixed4", 7, 3, 0, 11), ("mixed4", 20, 3, 0, 50),
+    ("mixed4", 20, 3, 0, 66), ("covering_delta", 10, 3, 0, 24),
 ]
+BRANCHES = ["_counts_in_lanes", "_counts_per_trial"]
+
+
+@pytest.fixture(params=BRANCHES)
+def branch(request, monkeypatch):
+    """Every probe takes the one branch named, whichever the rule picks."""
+    chosen = getattr(search, request.param)
+    for name in BRANCHES:
+        monkeypatch.setattr(search, name, chosen)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
 @pytest.mark.parametrize("name, n, d, delta, trials", PROBE_GRID)
-def test_probe_matches_the_graph_per_trial_probe(name, n, d, delta, trials, seed):
+def test_probe_matches_the_graph_per_trial_probe(branch, name, n, d, delta, trials, seed):
     res = random_probe(name, {"vertices": n, "d": d, "delta": delta}, trials, seed=seed)
     assert (res.best, res.witness, res.explored) == reference_probe(name, n, d, delta, trials, seed)
+
+
+def literal_count(name, n, d, delta):
+    """The literals of a problem's structures over every size-set of [n], in closed form."""
+    return {"rainbow_d": comb(n, d) * d * d,  # a color on one of d facets, for each of d colors
+            "good6": comb(n, 6) * 15 * 3,  # three complements for each of 15 perfect matchings
+            "mixed4": comb(n, 4) * 6 * 3,  # a pair and two triples for each of 6 pairs
+            "covering_delta": comb(n, delta + 3) * 3 * (delta + 3)}[name]
+
+
+class Chosen(Exception):
+    """Names the branch a probe took, before it counts anything."""
+
+
+def branch_taken(monkeypatch, name, n, d, delta, trials):
+    for attr in BRANCHES:
+        def spy(*args, attr=attr):
+            raise Chosen(attr)
+        monkeypatch.setattr(search, attr, spy)
+    with pytest.raises(Chosen) as chosen:
+        random_probe(name, {"vertices": n, "d": d, "delta": delta}, trials)
+    return str(chosen.value)
+
+
+def draws(name, n, d, delta):
+    sizes, _ = PROBLEMS[name].draws(d, delta)
+    return sum(comb(n, size) for size in sizes)
+
+
+BENCH_PROBES = [("rainbow_d", 8, 3, 0, 800), ("rainbow_d", 10, 3, 0, 400), ("rainbow_d", 7, 4, 0, 300),
+                ("good6", 9, 3, 0, 50), ("good6", 8, 3, 0, 150), ("mixed4", 7, 3, 0, 300), ("mixed4", 6, 3, 0, 800),
+                ("covering_delta", 8, 3, 0, 600), ("covering_delta", 10, 3, 0, 200), ("covering_delta", 7, 3, 1, 350)]
+
+
+@pytest.mark.parametrize("row, taken", [*((row, "_counts_in_lanes") for row in BENCH_PROBES),
+                                        (("good6", 23, 3, 0, 1), "_counts_per_trial"),
+                                        (("good6", 29, 3, 0, 6), "_counts_per_trial")])
+def test_bench_probes_take_the_lanes_and_the_largest_count_per_trial(monkeypatch, row, taken):
+    assert branch_taken(monkeypatch, *row) == taken
+
+
+@pytest.mark.parametrize("name, n, d, delta, trials", [row for row in PROBE_GRID if draws(*row[:4]) * row[4]])
+def test_probe_takes_the_lanes_where_its_literals_fit_the_draws(monkeypatch, name, n, d, delta, trials):
+    fits = literal_count(name, n, d, delta) <= trials * draws(name, n, d, delta)
+    expected = "_counts_in_lanes" if fits else "_counts_per_trial"
+    assert branch_taken(monkeypatch, name, n, d, delta, trials) == expected
+
+
+def test_the_grid_holds_every_problem_on_both_sides_of_the_rule():
+    sides = {(name, literal_count(name, n, d, delta) <= trials * draws(name, n, d, delta))
+             for name, n, d, delta, trials in PROBE_GRID if draws(name, n, d, delta) * trials}
+    assert sides == {(name, fits) for name in PROBLEMS for fits in (False, True)}
 
 
 @pytest.mark.parametrize("colors", [1, *range(2, 66)])  # one color is a fair coin; rainbow_d draws up to 65
@@ -391,9 +456,9 @@ def test_costliest_probe_under_the_cap_finishes_within_budget():
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
-def test_probe_ratio_differing_from_the_registry_raises(monkeypatch, name):
-    # a trial and the witness's recount share the kernel and the formula; only the recount reads the
-    # graph entry, so one that loses the witness's first edge must change its count
+def test_probe_ratio_differing_from_the_registry_raises(monkeypatch, branch, name):
+    # a trial and the witness's recount share the formula, and on the per-trial branch the kernel;
+    # only the recount reads the graph entry, so one that loses the witness's first edge must change its count
     problem = PROBLEMS[name]
     lossy = replaced(problem, form=lambda h, *args: problem.form(ColoredHypergraph(h.n, h.edges[1:]), *args))
     monkeypatch.setitem(PROBLEMS, name, lossy)
