@@ -6,6 +6,8 @@ JSON schemas (unknown fields are rejected):
   set family      {"n": int, "d": int, "sets": [[ints]]}
   subspace family {"q": int, "n": int, "d": int, "members": [[[ints mod q]]]}
   distribution    {"arity": int, "support": [{"values": [...], "p": "num/den"}]}
+                  (p may also be an int, a finite float or a decimal string; an
+                  exponent past 4300 is refused before 10^exponent is built)
 
 A reader that refuses a file names the first bad entry in file order, and
 a non-int entry before a bad d or q. The set and subspace readers check in
@@ -123,9 +125,9 @@ def set_family_to_obj(fam: hg.SetFamily) -> dict:
     return {"n": fam.n, "d": fam.d, "sets": fam.sets}
 
 
-def _lists(items, kind: type = list) -> bool:
-    """True iff every item is a `kind`: `_list` decided in bulk."""
-    return set(map(type, items)) <= {kind}
+def _lists(items) -> bool:
+    """True iff every item is a list: `_list` decided in bulk."""
+    return set(map(type, items)) <= {list}
 
 
 def set_family_from_obj(obj: object) -> hg.SetFamily:
@@ -133,13 +135,11 @@ def set_family_from_obj(obj: object) -> hg.SetFamily:
         raise ValidationError("set family JSON must be an object")
     _require_keys(obj, {"n", "d", "sets"}, set(), "set family")
     n = _int(obj["n"], "n")
-    sets = obj["sets"]
-    if not (type(sets) is tuple and _lists(sets, tuple)):  # else not `set_family_to_obj`'s tuples: JSON's lists
-        sets = _list(sets, "sets")
-        if not (_lists(sets) and type(obj["d"]) is int):  # name the first bad entry, before a bad d
-            for s in sets:
-                for v in _list(s, "set"):
-                    _int(v, "element")
+    sets = _list(obj["sets"], "sets")
+    if not (_lists(sets) and type(obj["d"]) is int):  # name the first bad entry, before a bad d
+        for s in sets:
+            for v in _list(s, "set"):
+                _int(v, "element")
     return hg.SetFamily.make(n, sets, d=_int(obj["d"], "d"))
 
 
@@ -170,10 +170,13 @@ def distribution_from_obj(obj: object) -> ent.ExactDistribution:
             v if isinstance(v, str) else _int(v, f"support item {i} value")
             for v in _list(item["values"], f"support item {i} values")
         )
-        try:
-            p = Fraction(item["p"])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"support item {i}: bad probability {item['p']!r}") from exc
+        p = item["p"]
+        try:  # Fraction builds 10^|exponent|, so none past the 4300 digits an int string may have
+            if isinstance(p, bool) or isinstance(p, str) and abs(int(p.lower().partition("e")[2] or 0)) > 4300:
+                raise ValueError
+            p = Fraction(p)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise ValidationError(f"support item {i}: bad probability {p!r}") from exc
         pairs.append((values, p))
     return ent.ExactDistribution.from_pairs(_int(obj["arity"], "arity"), pairs)
 

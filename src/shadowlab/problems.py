@@ -342,15 +342,17 @@ class Problem(Record):
     are J's and each class's, or one for the list of class sizes.  bounds(d, delta) lists every
     proven and conjectured upper bound.  draws(d, delta) gives the sizes and colors of random edges:
     each subset of [n] of each size is an edge with probability 1/2 under one color, else none or
-    one of a uniform color, in form slot size index * colors + color index.  Only rainbow_d reads
-    colors; d and delta are ignored where the problem has none.
+    one of a uniform color, in form slot size index * colors + color index; an exhaustive scan gives
+    each such subset a slot valued the same way.  Only rainbow_d reads colors; d and delta are
+    ignored where the problem has none.
 
     structures(d, delta) is what count(form) counts, written once on [size] as literals (subset,
     drawn value): a subset drawn with value p is an edge of draws' color p (1 for the one color).
     It gives (size, every, groups); a size-subset Q of [n] is counted when, each literal's subset
     read through Q's vertices in order, every group holds a drawn literal (every) or some group has
-    all its literals drawn (not every).  Random probes count with it on byte lanes; the kernel
-    recounts their witness, which checks the two against each other.
+    all its literals drawn (not every).  The exhaustive scans count every state with it, and random
+    probes count with it on byte lanes; the kernel recounts each witness, which checks the two
+    against each other.
     """
 
     name: str

@@ -1,23 +1,22 @@
 """Exhaustive and seeded-random search for extremal ratios at desk scale.
 
-An exhaustive scan splits each state into an outer and an inner part, in
-product order, and counts all inner states under one outer state at once: one
-big-int sum of precomputed 0/1 byte strings, a byte per state.  It visits only
-the outer states that come first in their orbit under the problem's symmetries
-that map the outer slots onto themselves.  Such a symmetry maps the first best
-state to one as good whose outer part is no earlier, so the best ratio and its
-witness are those of the full scan, and `explored` counts every state.  A random probe
-draws every trial's bytes at once and, where the literals of its problem's
-structures (`Problem.structures`) over [n] number at most trials x draws per
-trial, the product `PROBE_CAP` bounds, counts all trials at once: each literal
-is one big int with a lane of 1, 2 or 4 bytes per trial, the fewest that hold
-C(n, structure size), and the sum of the structures' ANDs and ORs holds every
-trial's count.  Otherwise it counts each trial's compact form with the problem's
-kernel.  Both take each ratio's formula from `PROBLEMS`, compare by exact
-cross-multiplication and keep the first on a tie.  Every reported ratio is the
-registry's exact ratio of its witness, recounted by the kernel: a search whose
-own count differs raises BoundViolationError, so the recount of a probe's
-witness also checks the problem's structures against its kernel.
+Both read each problem from `PROBLEMS`: the subsets and colors of its edges (`Problem.draws`), the
+structures its count counts (`Problem.structures`) and its ratio's formula.  An exhaustive scan
+gives each subset of [n] a slot valued none or one color, splits each state into an outer and an
+inner part, in product order, and counts all inner states under one outer state at once: one
+big-int sum of 0/1 byte strings, a byte per state, each a structure's ANDs and ORs of a lane per
+inner literal.  It visits only the outer states that come first in their orbit under the problem's
+symmetries that map the outer slots onto themselves.  Such a symmetry maps the first best state to
+one as good whose outer part is no earlier, so the best ratio and its witness are those of the full
+scan, and `explored` counts every state.  A random probe draws every trial's bytes at once and,
+where the literals of its problem's structures over [n] number at most trials x draws per trial,
+the product `PROBE_CAP` bounds, counts all trials at once: each literal is one big int with a lane
+of 1, 2 or 4 bytes per trial, the fewest that hold C(n, structure size), and the sum of the
+structures' ANDs and ORs holds every trial's count.  Otherwise it counts each trial's compact form
+with the problem's kernel.  Both compare by exact cross-multiplication and keep the first on a tie.
+Every reported ratio is the registry's exact ratio of its witness, recounted by the kernel: a
+search whose own count differs raises BoundViolationError, so the recount also checks the
+problem's structures against its kernel.
 """
 
 from __future__ import annotations
@@ -28,20 +27,18 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, groupby, islice, permutations, product
 from math import comb
-from operator import and_, itemgetter, or_
+from operator import and_, getitem, itemgetter, or_
 
 from .errors import BoundViolationError, ValidationError, check_cap
 from .hypergraph import VERTEX_CAP, ColoredHypergraph, _edges
 from .problems import PROBLEMS, RGB, Literal, Problem, Structures, _facets, _form, get_problem
 from .record import Record
 
-# states certified a second, measured on a 2-vCPU Xeon: rainbow 1.6e8 at n = 5 (6 ms) and 6.8e8 at
-# n = 6 (1.6 s, 971 of its 16,384 outer states); mixed 2.4e8 at n = 5 (4 ms).  Mixed n = 6 is 3.4e10
+# states certified a second, measured on a 2-vCPU Xeon: rainbow 1.4e8 at n = 5 (7.4 ms) and 5.8e8 at
+# n = 6 (1.9 s, 971 of its 16,384 outer states); mixed 2.2e8 at n = 5 (4.7 ms).  Mixed n = 6 is 3.4e10
 # states, 2^20 inner ones a block.  Both caps stay until a budget for each is set
 RAINBOW_CAP = 5  # 4^binom(n,2) states
 MIXED_CAP = 5  # 2^(pairs + triples) states
-# a block's counts add bytewise: no state counts 256 structures (C(n, 3) triangles, C(n, 4) 4-sets)
-assert comb(RAINBOW_CAP, 3) < 256 and comb(MIXED_CAP, 4) < 256
 
 
 class SearchResult(Record):
@@ -55,7 +52,7 @@ class SearchResult(Record):
 
 
 def _recounted(name: str, witness: ColoredHypergraph | None, num: int, den: int,
-               d: int = 3, delta: int = 0, colors: tuple[str, ...] | None = RGB) -> Fraction | None:
+               d: int, delta: int, colors: tuple[str, ...] | None) -> Fraction | None:
     """The registry's ratio of a search's witness, which must equal the search's own num/den."""
     if witness is None:
         return None
@@ -65,55 +62,61 @@ def _recounted(name: str, witness: ColoredHypergraph | None, num: int, den: int,
     return best
 
 
-def _best_in_blocks(outers, inners, radix, share, sizes, structures, hit, problem):
+def _best_in_blocks(outers, inners, classes, every, structures, problem):
     """The first state with the largest ratio of `problem`, outer-major, in the order given.
 
-    A state is (outer, inner), each a tuple of slot values in range(radix); it counts the
-    structures that hit it.  Inner states are laid out by share(inner), ascending within each
-    group, and each structure gets one 0/1 byte string over that layout for each value of its
-    outer part, so the counts of all inner states under one outer state are one big-int sum.
-    `structures` lists each structure's outer and inner slots, and hit(outer part, inner part)
-    says whether it is counted, from the values at those slots.  A structure's inner parts are
-    one byte string of base-radix codes, built from the slot columns in bulk, and translated
-    through a table of hit per outer part.  sizes(share(outer), share(inner)) are the state's
-    class sizes, nonzero where a structure is counted; `problem` forms the ratio, its denominator
-    once per group and outer share.  Returns (num, den, outer, inner), or (0, 1, None, None).
+    A state is (outer, inner), each a tuple of slot values; slot i of outer + inner with value v adds
+    one to class classes[i][v], or to none where that is None.  Inner states are laid out by their
+    class sizes, in the order given within each group.  A structure is groups of (slot, value)
+    literals, counted where every group has a literal that holds (`every`) or some group has all of
+    its own hold.  Under each outer state it is one 0/1 byte string over the layout, the ANDs and
+    ORs of a lane per inner literal, 1 where the inner state holds it, and of all ones or zero per
+    outer literal; so the counts of all inner states under one outer state are one big-int sum.
+    `problem` forms the ratio, its denominator once per group and outer class sizes.  Returns
+    (num, den, outer, inner), or (0, 1, None, None).
     """
-    shares = list(map(share, inners))
-    layout = sorted(range(len(inners)), key=shares.__getitem__)
+    cut, size = len(outers[0]), len(inners)
+    base, width = len(classes) + 1, 1 + max(c for values in classes for c in values if c is not None)
+    # a share holds the class sizes as its digits in base slots + 1, which no size reaches
+    weights = [tuple(0 if c is None else base ** c for c in values) for values in classes]
+    outer_weights, inner_weights = weights[:cut], weights[cut:]
+    shares = [sum(map(getitem, inner_weights, inner)) for inner in inners]
+    layout = sorted(range(size), key=shares.__getitem__)
     groups = []  # (inner share, first, end) of each group's slice of the layout
     for key, members in groupby(layout, key=shares.__getitem__):
         first = groups[-1][2] if groups else 0
         groups.append((key, first, first + len(list(members))))
-    size = len(inners)
-    # each inner slot's values over the layout, a byte per state, as an int
-    digits = [int.from_bytes(bytes(values), "little") for values in zip(*map(inners.__getitem__, layout))]
-    luts = {}  # (outer part, inner slot count): hit of each inner part, at its code
+    digits = [bytes(values) for values in zip(*map(inners.__getitem__, layout))]  # per inner slot, a byte a state
+    lanes = {(slot, v): int.from_bytes(digits[slot - cut].translate(bytes(v) + b"\1" + bytes(255 - v)), "little")
+             for slot, v in {lit for structure in structures for group in structure for lit in group} if slot >= cut}
+    ones = int.from_bytes(b"\1" * size, "little")
+    # a group ORs its literals where every group must hold, else ANDs them; an outer literal that holds
+    # (every) or fails (not every) decides its group, which is then all ones or all zero
+    outer_op, inner_op, identity, decided = (and_, or_, 0, ones) if every else (or_, and_, ones, 0)
     columns = []  # per structure, the byte string each outer state selects, as an int
-    for outer_slots, inner_slots in structures:
-        code = 0
-        for k in inner_slots:  # no byte carries: a code is below 4^3 (a triangle) or 2^4 (a 4-set)
-            code = code * radix + digits[k]
-        codes, table, column = code.to_bytes(size, "little"), {}, []
+    for structure in structures:
+        # per group, its outer literals and its inner lanes combined
+        split = [([lit for lit in group if lit[0] < cut],
+                  reduce(inner_op, [lanes[lit] for lit in group if lit[0] >= cut], identity)) for group in structure]
+        keys = sorted({s for outs, _ in split for s, _ in outs})
+        part = itemgetter(*keys) if keys else lambda outer: ()
+        table, column = {}, []
         for outer in outers:
-            op = tuple(map(outer.__getitem__, outer_slots))
-            if op not in table:
-                key = op, len(inner_slots)
-                if key not in luts:
-                    hits = bytes(hit(op, ip) for ip in product(range(radix), repeat=len(inner_slots)))
-                    luts[key] = hits.ljust(256, b"\0")
-                table[op] = int.from_bytes(codes.translate(luts[key]), "little")
-            column.append(table[op])
+            key = part(outer)
+            if key not in table:  # the byte string depends only on the structure's outer slots
+                table[key] = reduce(outer_op, [decided if any((outer[s] == v) == every for s, v in outs) else inner
+                                               for outs, inner in split])
+            column.append(table[key])
         columns.append(column)
     nums = [problem.numerator(t) for t in range(256)]  # a state's count is one byte
     dens = {}  # per outer share, (first, end, denominator) of each group it gives a nonzero denominator
     best_num, best_den, best_index = 0, 1, -1
     for o, (outer, row) in enumerate(zip(outers, zip(*columns))):
         counts = sum(row).to_bytes(size, "little")
-        mine = share(outer)
+        mine = sum(map(getitem, outer_weights, outer))
         if mine not in dens:  # where the denominator is 0, a class is empty and nothing counts
-            dens[mine] = [(first, end, den) for key, first, end in groups
-                          if (den := problem.denominator(sizes(mine, key)))]
+            dens[mine] = [(first, end, den) for key, first, end in groups if (den := problem.denominator(
+                [(mine + key) // base ** c % base for c in range(width)]))]
         for first, end, den in dens[mine]:
             t = max(counts[first:end])
             if not t:
@@ -147,92 +150,71 @@ def _orbit_least(outers, images) -> list:
     return kept
 
 
+def _scan(name: str, n: int, slots: list[tuple[int, ...]], cut: int,
+          colors: tuple[str, ...]) -> tuple[Fraction | None, ColoredHypergraph | None]:
+    """The best ratio of a registered problem over every state of [n], and its first witness.
+
+    `slots` orders the subsets of [n] that the problem's draws(3, 0) lists, the first `cut` of them
+    vertex pairs and the outer state; each takes the value 0 (absent) or p, an edge of `colors`[p - 1],
+    in the class of its size and color.  A state counts the size-sets that structures(3, 0) counts.
+    The outer states scanned are those first in their orbit under the vertex permutations that map
+    the outer slots onto themselves and, where the ratio weighs the classes alike, the color
+    permutations: every other state has an image as good that comes before it.
+    """
+    prob = PROBLEMS[name]
+    sizes, drawn = prob.draws(3, 0)
+    size, every, groups = prob.structures(3, 0)
+    assert comb(n, size) < 256  # the caps keep a state's count, and a block's sums, to a byte
+    index = {s: i for i, s in enumerate(slots)}
+    structures = [[[(index[tuple(map(q.__getitem__, positions))], p) for positions, p in group] for group in groups]
+                  for q in combinations(range(n), size)]
+    k = len(drawn)
+    classes = [(None, *(k * sizes.index(len(s)) + c for c in range(k))) for s in slots]
+    alike = len(set(prob.exponents(3)[1])) == 1
+    recolor = [(0, *c) for c in permutations(range(1, k + 1))] if alike else [tuple(range(k + 1))]
+    maps = _vertex_maps(n, slots[:cut])
+    outers = _orbit_least(product(range(k + 1), repeat=cut),
+                          lambda s: [m(t) for t in {tuple(map(c.__getitem__, s)) for c in recolor} for m in maps])
+    num, den, outer, inner = _best_in_blocks(outers, list(product(range(k + 1), repeat=len(slots) - cut)), classes,
+                                             every, structures, prob)
+    if outer is None:
+        return None, None
+    value = dict(zip(slots, outer + inner))
+    subsets = (v for s in sizes for v in combinations(range(n), s))  # the witness lists its edges in draw order
+    witness = ColoredHypergraph.from_edges(n, [(v, colors[value[v] - 1]) for v in subsets if value[v]])
+    return _recounted(name, witness, num, den, 3, 0, colors), witness
+
+
 def search_rainbow_triangle(max_vertices: int) -> SearchResult:
     """Exhaustively maximize T^2 / (RGB) over 3-colorings of the pairs of [n].
 
-    Every pair slot takes one of {absent, red, green, blue}; the first half of
-    the slots are the outer state, the rest the inner one.  The outer states scanned
-    are those first in their orbit under the vertex permutations that map the outer
-    slots onto themselves and, where the ratio weighs the colours alike, the colour
-    permutations: every other state has an image as good that comes before it.
+    Every pair slot takes one of {absent, red, green, blue}, in `combinations` order; the first half
+    of the slots are the outer state, the rest the inner one.
     """
     n = max_vertices
     if n < 3:
         raise ValidationError(f"need at least 3 vertices, got {n}")
     check_cap("rainbow search vertices", n, RAINBOW_CAP)
     pairs = list(combinations(range(n), 2))
-    half = len(pairs) // 2
-    index = {p: i for i, p in enumerate(pairs)}
-    structures = []
-    for triangle in combinations(range(n), 3):
-        slots = [index[p] for p in combinations(triangle, 2)]
-        structures.append(([i for i in slots if i < half], [i - half for i in slots if i >= half]))
-    alike = len(set(PROBLEMS["rainbow_d"].exponents(3)[1])) == 1
-    colors = [(0, *c) for c in (permutations((1, 2, 3)) if alike else [(1, 2, 3)])]
-    maps = _vertex_maps(n, pairs[:half])
-    outers = _orbit_least(product((0, 1, 2, 3), repeat=half),
-                          lambda s: [m(t) for t in {tuple(map(c.__getitem__, s)) for c in colors} for m in maps])
-    num, den, outer, inner = _best_in_blocks(
-        outers,
-        list(product((0, 1, 2, 3), repeat=len(pairs) - half)),
-        4,
-        lambda s: (s.count(1), s.count(2), s.count(3)),
-        lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2]),
-        structures,
-        lambda op, ip: sorted(op + ip) == [1, 2, 3],
-        PROBLEMS["rainbow_d"],
-    )
-    witness = None
-    if outer is not None:
-        witness = ColoredHypergraph.from_edges(
-            n, [(pairs[i], RGB[c - 1]) for i, c in enumerate(outer + inner) if c]
-        )
-    best = _recounted("rainbow_d", witness, num, den)
+    best, witness = _scan("rainbow_d", n, pairs, len(pairs) // 2, RGB)
     return SearchResult("rainbow_triangle", best, witness, 4 ** len(pairs), exhaustive=True)
-
-
-def _bits(k: int) -> list[tuple[int, ...]]:
-    """The nonzero k-bit integers in order, each as its bits from the lowest."""
-    return [s[::-1] for s in islice(product((0, 1), repeat=k), 1, None)]
 
 
 def search_mixed_4subsets(max_vertices: int) -> SearchResult:
     """Exhaustively maximize J^2 / (N2 N3^2) over mixed 2/3-edge hypergraphs.
 
     The pair bits are the outer state and the triple bits the inner one, each scanned in the
-    order of its integer.  The outer states scanned are those first in their orbit under the
-    permutations of [n].
+    order of its integer, bits from the lowest in `combinations` order: each list of slots is
+    reversed, so that product order is integer order.  `explored` counts the states with a pair
+    and a triple.
     """
     n = max_vertices
     if n < 4:
         raise ValidationError(f"need at least 4 vertices, got {n}")
     check_cap("mixed search vertices", n, MIXED_CAP)
-    pairs = list(combinations(range(n), 2))
-    triples = list(combinations(range(n), 3))
-    pair_idx = {p: i for i, p in enumerate(pairs)}
-    triple_idx = {t: i for i, t in enumerate(triples)}
-    structures = [([pair_idx[p] for p in combinations(quad, 2)], [triple_idx[t] for t in combinations(quad, 3)])
-                  for quad in combinations(range(n), 4)]
-    # a 4-set is good when one of its pairs {a, b} and the triples missing a and missing b are edges;
-    # in combinations order its triple missing its vertex x comes at 3 - x
-    splits = list(enumerate(combinations(range(4), 2)))
-    maps = _vertex_maps(n, pairs)
-    num, den, bits2, bits3 = _best_in_blocks(
-        _orbit_least(_bits(len(pairs)), lambda s: [m(s) for m in maps]),
-        _bits(len(triples)),
-        2,
-        sum,
-        lambda n2, n3: (n2, n3),
-        structures,
-        lambda op, ip: any(op[j] and ip[3 - a] and ip[3 - b] for j, (a, b) in splits),
-        PROBLEMS["mixed4"],
-    )
-    witness = None
-    if bits2 is not None:
-        edges = [(p, "plain") for p, bit in zip(pairs, bits2) if bit]
-        edges += [(t, "plain") for t, bit in zip(triples, bits3) if bit]
-        witness = ColoredHypergraph.from_edges(n, edges)
-    best = _recounted("mixed4", witness, num, den)
+    pairs = list(combinations(range(n), 2))[::-1]
+    triples = list(combinations(range(n), 3))[::-1]
+    best, witness = _scan("mixed4", n, pairs + triples, len(pairs), ("plain",))
     explored = ((1 << len(pairs)) - 1) * ((1 << len(triples)) - 1)
     return SearchResult("mixed_4subsets", best, witness, explored, exhaustive=True)
 

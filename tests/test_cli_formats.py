@@ -84,7 +84,6 @@ class TestHypergraphText:
 class TestFamilyJson:
     def test_set_family_roundtrip(self):
         fam = SetFamily.make(5, [(0, 1, 2), (1, 2, 4)])
-        assert set_family_from_obj(set_family_to_obj(fam)) == fam
         assert set_family_from_obj(json.loads(json.dumps(set_family_to_obj(fam)))) == fam
 
     @pytest.mark.parametrize("m, d", [(4, 0), (5, 1), (7, 3), (9, 5), (12, 12)])
@@ -410,6 +409,11 @@ class TestCli:
         (["qkk", "--family"], "letter.json", {"q": 2, "n": 2, "d": 1, "members": [[["a", 0]]]}),
         (["qkk", "--family"], "float.json", {"q": 2, "n": 2, "d": 1, "members": [[[1.7, 0]]]}),
         (["qkk", "--family"], "bool.json", {"q": 2, "n": 2, "d": 1, "members": [[[True, 0]]]}),
+        # a probability that is no number, true, or a JSON number past the float range
+        (["entropy", "--dist"], "null.json", {"arity": 1, "support": [{"values": [0], "p": None}]}),
+        (["entropy", "--dist"], "list.json", {"arity": 1, "support": [{"values": [0], "p": [1]}]}),
+        (["entropy", "--dist"], "true.json", {"arity": 1, "support": [{"values": [0], "p": True}]}),
+        (["entropy", "--dist"], "inf.json", '{"arity": 1, "support": [{"values": [0], "p": 1e400}]}'),
     ])
     def test_malformed_file_exits_3(self, tmp_path, capsys, command, name, content):
         path = tmp_path / name
@@ -525,6 +529,8 @@ OVERSIZED = {
     "wide.json": {"n": 15000, "d": 15000, "sets": [list(range(15000))]},
     "space20.json": {"q": 2, "n": 20, "d": 20, "members": [[[int(i == j) for j in range(20)] for i in range(20)]]},
     "space18.json": {"q": 2, "n": 100, "d": 18, "members": [[[int(i == j) for j in range(100)] for i in range(18)]]},
+    "huge_p.json": {"arity": 1, "support": [{"values": [0], "p": "1e400000000"}]},
+    "tiny_p.json": {"arity": 1, "support": [{"values": [0], "p": "1e-400000000"}]},
 }
 CHILD = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
          "sys.argv[0] = 'shadowlab'; runpy.run_module('shadowlab.cli', run_name='__main__')")
@@ -559,6 +565,9 @@ CHILD = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2
     ("qkk --family space18.json", 4, "(members x [d, 1]_q x n) = 26214300 exceeds cap 20000000"),
     # a negative vertex count, which reached math.comb
     ("search probe --vertices -1", 3, "vertex count must be nonnegative, got -1"),
+    # a probability whose exponent Fraction would expand to 400,000,000 digits
+    ("entropy --dist huge_p.json", 3, "support item 0: bad probability '1e400000000'"),
+    ("entropy --dist tiny_p.json", 3, "support item 0: bad probability '1e-400000000'"),
 ])
 def test_oversized_input_exits_without_traceback(tmp_path, argv, code, err):
     for name, obj in OVERSIZED.items():

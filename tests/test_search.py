@@ -138,7 +138,7 @@ COLORINGS = [(0, *c) for c in permutations((1, 2, 3))]  # every colour permutati
 
 @pytest.mark.parametrize("scan, n, orbits", [
     (search_rainbow_triangle, 4, 7), (search_rainbow_triangle, 5, 83),
-    (search_mixed_4subsets, 4, 10), (search_mixed_4subsets, 5, 33),
+    (search_mixed_4subsets, 4, 11), (search_mixed_4subsets, 5, 34),
 ])
 def test_scans_visit_one_outer_state_per_orbit(monkeypatch, scan, n, orbits):
     visited = []
@@ -152,8 +152,8 @@ def test_scans_visit_one_outer_state_per_orbit(monkeypatch, scan, n, orbits):
     pairs = list(combinations(range(n), 2))
     if scan is search_rainbow_triangle:  # the first half of the pair slots, with the colours
         assert orbit_count(n, pairs[:len(pairs) // 2], range(4), COLORINGS) == orbits
-    else:  # every pair slot; the graph with no pair is not scanned
-        assert orbit_count(n, pairs, range(2), [(0, 1)]) - 1 == orbits
+    else:  # every pair slot, the graph with no pair among them
+        assert orbit_count(n, pairs, range(2), [(0, 1)]) == orbits
     assert visited == [orbits]
 
 
@@ -179,9 +179,9 @@ def test_color_symmetry_follows_the_registry(monkeypatch, exponents):
 def test_tied_groups_keep_the_first_state_in_product_order():
     # inner states 0, 1, 2 fall in groups 1, 0, 2, so the layout visits them as 1, 0, 2;
     # each counts one structure under the same denominator, and state (0, 0) comes first
-    shares = {(): 0, (0,): 1, (1,): 0, (2,): 2}
-    best = _best_in_blocks([()], [(0,), (1,), (2,)], 3, shares.__getitem__, lambda x, y: (1, 1),
-                           [((), ())], lambda op, ip: True, PROBLEMS["mixed4"])
+    classes = [(1, 0, 2)]  # values 0, 1 and 2 fall in classes 1, 0 and 2, each its own group
+    unit = replaced(PROBLEMS["mixed4"], exponents=lambda d: (2, ()))  # every denominator is 1
+    best = _best_in_blocks([()], [(0,), (1,), (2,)], classes, True, [[[(0, 0), (0, 1), (0, 2)]]], unit)
     assert best == (1, 1, (), (0,))
 
 
@@ -469,13 +469,31 @@ def test_probe_ratio_differing_from_the_registry_raises(monkeypatch, branch, nam
 SCANS = [(search_rainbow_triangle, "rainbow_d"), (search_mixed_4subsets, "mixed4")]
 
 
-@pytest.mark.parametrize("scan, name, message", [(*SCANS[0], "recounts to 25/8, the search counted 16/8"),
-                                                  (*SCANS[1], "recounts to 1, the search counted 1/4")])
-def test_scan_ratio_differing_from_the_registry_raises(monkeypatch, scan, name, message):
-    problem = PROBLEMS[name]
-    monkeypatch.setitem(PROBLEMS, name, replaced(problem, count=lambda form: problem.count(form) + 1))
+def counting_one_more(problem):
+    return replaced(problem, count=lambda form: problem.count(form) + 1)
+
+
+def keeping_groups(keep):
+    """The patch that keeps only keep(groups) of a problem's structure groups."""
+    def patch(problem):
+        def structures(d, delta):
+            size, every, groups = problem.structures(d, delta)
+            return size, every, keep(groups)
+        return replaced(problem, structures=structures)
+    return patch
+
+
+@pytest.mark.parametrize("scan, name, n, patch, message", [
+    (*SCANS[0], 4, counting_one_more, "recounts to 25/8, the search counted 16/8"),
+    (*SCANS[1], 4, counting_one_more, "recounts to 1, the search counted 1/4"),
+    # a scan counts the registry's structures: here without rainbow_d's last colour or mixed4's first pair
+    (*SCANS[0], 5, keeping_groups(lambda groups: groups[:-1]), "recounts to 1, the search counted 49/9"),
+    (*SCANS[1], 5, keeping_groups(lambda groups: groups[1:]), "recounts to 1/2, the search counted 9/32"),
+])
+def test_scan_ratio_differing_from_the_registry_raises(monkeypatch, scan, name, n, patch, message):
+    monkeypatch.setitem(PROBLEMS, name, patch(PROBLEMS[name]))
     with pytest.raises(BoundViolationError, match=message):
-        scan(4)
+        scan(n)
 
 
 class Doubled(Problem):
