@@ -175,6 +175,8 @@ CASES = [
     "search probe --problem covering_delta --vertices 8 --d 3 --delta 0 --trials 120 --seed 18 --out p8.json",
     "search probe --problem covering_delta --vertices 10 --d 3 --delta 0 --trials 40 --seed 2147483646 --out p9.json",
     "search probe --problem covering_delta --vertices 7 --d 3 --delta 1 --trials 70 --seed 20 --out p10.json",
+    # C(13, 3) = 286 size-sets: every trial's count takes a 2-byte lane
+    "search probe --problem rainbow_d --vertices 13 --trials 40 --seed 5 --out p11.json",
     "weighted --input w.json",
     "weighted --input w.json --spectral",
     "weighted --input huge.json --spectral",
