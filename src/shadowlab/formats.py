@@ -206,7 +206,7 @@ def load_json(path: str) -> object:
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s 4300 digits
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -15,6 +15,7 @@ import math
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .errors import ValidationError, check_cap
@@ -327,7 +328,7 @@ def spectral_trace_check(h: ColoredHypergraph, weighted: WeightedSumReport | Non
 
 Bound = tuple[Fraction, str, bool]  # (upper bound on the ratio, source, conjecture)
 Literal = tuple[tuple[int, ...], int]  # (subset, drawn value)
-Structures = tuple[int, bool, list[list[Literal]]]  # (size, every, groups), as Problem.structures gives them
+Structures = tuple[int, bool, Sequence[Sequence[Literal]]]  # (size, every, groups), as Problem.structures gives them
 
 
 def _sizes(form: Form) -> list[int]:  # the class sizes: each slot's edge count
@@ -350,8 +351,8 @@ class Problem(Record):
     drawn value): a subset drawn with value p is an edge of draws' color p (1 for the one color).
     It gives (size, every, groups); a size-subset Q of [n] is counted when, each literal's subset
     read through Q's vertices in order, every group holds a drawn literal (every) or some group has
-    all its literals drawn (not every).  The exhaustive scans count every state with it, and random
-    probes count with it on byte lanes; the kernel recounts each witness, which checks the two
+    all its literals drawn (not every).  The exhaustive scans and the random probes count with it on
+    one lane engine, of 1- or 2-byte lanes; the kernel recounts each witness, which checks the two
     against each other.
     """
 
@@ -366,11 +367,11 @@ class Problem(Record):
     draws: Callable[[int, int], tuple[tuple[int, ...], tuple[str, ...]]]
     structures: Callable[[int, int], Structures]
 
-    def numerator(self, j: int, d: int = 3) -> int:
+    def numerator(self, j: int, d: int) -> int:
         """J^p, the ratio's numerator."""
         return j ** self.exponents(d)[0]
 
-    def denominator(self, sizes: Iterable[int], d: int = 3) -> int:
+    def denominator(self, sizes: Iterable[int], d: int) -> int:
         """prod size_s^e_s, the ratio's denominator: 0 when a class is empty."""
         return math.prod(map(pow, sizes, self.exponents(d)[1]))
 
@@ -419,10 +420,12 @@ def _without(size: int, e: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v for v in range(size) if v not in e)
 
 
+@cache  # sifts 455 triples of pairs, and a probe on lanes reads it twice; tuples, as every caller shares them
 def _matchings() -> Structures:
     """A 6-set with a perfect matching {p, q, r} whose complements [6] - p, [6] - q and [6] - r are drawn."""
     pairs = list(combinations(range(6), 2))
-    return 6, False, [[(_without(6, e), 1) for e in m] for m in combinations(pairs, 3) if len({*sum(m, ())}) == 6]
+    return 6, False, tuple(tuple((_without(6, e), 1) for e in m)
+                           for m in combinations(pairs, 3) if len({*sum(m, ())}) == 6)
 
 
 def _covering_bounds(d, delta):

@@ -1,22 +1,21 @@
 """Exhaustive and seeded-random search for extremal ratios at desk scale.
 
 Both read each problem from `PROBLEMS`: the subsets and colors of its edges (`Problem.draws`), the
-structures its count counts (`Problem.structures`) and its ratio's formula.  An exhaustive scan
-gives each subset of [n] a slot valued none or one color, splits each state into an outer and an
-inner part, in product order, and counts all inner states under one outer state at once: one
-big-int sum of 0/1 byte strings, a byte per state, each a structure's ANDs and ORs of a lane per
-inner literal.  It visits only the outer states that come first in their orbit under the problem's
+structures its count counts (`Problem.structures`) and its ratio's formula; and both count on one
+lane engine.  A state gives each subset of [n] a slot valued none or one color and splits into an
+outer and an inner part; the engine counts all inner states under one outer state at once: one
+big-int sum of 0/1 lanes of 1 or 2 bytes per state, the fewest that hold C(n, structure size), each
+a structure's ANDs and ORs of a lane per inner literal.  An exhaustive scan splits each state in
+product order and visits only the outer states that come first in their orbit under the problem's
 symmetries that map the outer slots onto themselves.  Such a symmetry maps the first best state to
 one as good whose outer part is no earlier, so the best ratio and its witness are those of the full
 scan, and `explored` counts every state.  A random probe draws every trial's bytes at once and,
 where the literals of its problem's structures over [n] number at most trials x draws per trial,
-the product `PROBE_CAP` bounds, counts all trials at once: each literal is one big int with a lane
-of 1, 2 or 4 bytes per trial, the fewest that hold C(n, structure size), and the sum of the
-structures' ANDs and ORs holds every trial's count.  Otherwise it counts each trial's compact form
-with the problem's kernel.  Both compare by exact cross-multiplication and keep the first on a tie.
-Every reported ratio is the registry's exact ratio of its witness, recounted by the kernel: a
-search whose own count differs raises BoundViolationError, so the recount also checks the
-problem's structures against its kernel.
+the product `PROBE_CAP` bounds, counts all trials at once as the engine's inner states under no
+outer slot.  Otherwise it counts each trial's compact form with the problem's kernel.  Both compare
+by exact cross-multiplication and keep the first on a tie.  Every reported ratio is the registry's
+exact ratio of its witness, recounted by the kernel: a search whose own count differs raises
+BoundViolationError, so the recount also checks the problem's structures against its kernel.
 """
 
 from __future__ import annotations
@@ -24,14 +23,14 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, combinations, groupby, islice, permutations, product
+from functools import cache, reduce
+from itertools import accumulate, combinations, compress, islice, permutations, product, repeat
 from math import comb
-from operator import and_, getitem, itemgetter, or_
+from operator import add, and_, itemgetter, not_, or_
 
 from .errors import BoundViolationError, ValidationError, check_cap
 from .hypergraph import VERTEX_CAP, ColoredHypergraph, _edges
-from .problems import PROBLEMS, RGB, Literal, Problem, Structures, _facets, _form, get_problem
+from .problems import PROBLEMS, RGB, Problem, Structures, _facets, _form, get_problem
 from .record import Record
 
 # states certified a second, measured on a 2-vCPU Xeon: rainbow 1.4e8 at n = 5 (7.4 ms) and 5.8e8 at
@@ -51,55 +50,92 @@ class SearchResult(Record):
     exhaustive: bool
 
 
-def _recounted(name: str, witness: ColoredHypergraph | None, num: int, den: int,
-               d: int, delta: int, colors: tuple[str, ...] | None) -> Fraction | None:
-    """The registry's ratio of a search's witness, which must equal the search's own num/den."""
-    if witness is None:
-        return None
-    _, best = PROBLEMS[name].exact(witness, d, delta, colors)
+def _recounted(name: str, n: int, slots: list[tuple[int, ...]], state, num: int, den: int, d: int, delta: int,
+               colors: tuple[str, ...]) -> tuple[Fraction | None, ColoredHypergraph | None]:
+    """A search's best state as a graph, each subset of `slots` an edge of colors[value - 1] where its value
+    in `state` is nonzero, and the registry's ratio of it, which must equal the search's own num/den."""
+    if state is None:
+        return None, None
+    prob = PROBLEMS[name]
+    value = dict(zip(slots, state))
+    subsets = (v for s in prob.draws(d, delta)[0] for v in combinations(range(n), s))  # edges in draw order
+    witness = ColoredHypergraph.from_edges(n, [(v, colors[value[v] - 1]) for v in subsets if value[v]])
+    _, best = prob.exact(witness, d, delta, colors)
     if best != Fraction(num, den):
         raise BoundViolationError(f"{name} witness recounts to {best}, the search counted {num}/{den}")
-    return best
+    return best, witness
 
 
-def _best_in_blocks(outers, inners, classes, every, structures, problem):
-    """The first state with the largest ratio of `problem`, outer-major, in the order given.
+def _shares(states, n: int, sizes: tuple[int, ...], k: int, offset: int = 0) -> list[tuple[int, ...]]:
+    """Each state's class sizes, in form slot order.  The slots are the subsets of [n] of each size in
+    `sizes`, size by size, and a state is a byte string of the values of the slots from slot `offset` on."""
+    bounds = list(accumulate((comb(n, size) for size in sizes), initial=0))
+    return list(zip(*[map(bytes.count, states, repeat(v), repeat(max(lo - offset, 0)), repeat(max(hi - offset, 0)))
+                      for lo, hi in zip(bounds, bounds[1:]) for v in range(1, k + 1)]))
 
-    A state is (outer, inner), each a tuple of slot values; slot i of outer + inner with value v adds
-    one to class classes[i][v], or to none where that is None.  Inner states are laid out by their
-    class sizes, in the order given within each group.  A structure is groups of (slot, value)
-    literals, counted where every group has a literal that holds (`every`) or some group has all of
-    its own hold.  Under each outer state it is one 0/1 byte string over the layout, the ANDs and
-    ORs of a lane per inner literal, 1 where the inner state holds it, and of all ones or zero per
-    outer literal; so the counts of all inner states under one outer state are one big-int sum.
-    `problem` forms the ratio, its denominator once per group and outer class sizes.  Returns
-    (num, den, outer, inner), or (0, 1, None, None).
+
+def _fold(op, columns: list) -> Iterator[int]:
+    """op of the columns, element by element."""
+    return reduce(lambda a, b: map(op, a, b), columns)
+
+
+def _best_in_blocks(outers: list[tuple[int, ...]], inners: list[bytes], slots: list[tuple[int, ...]], n: int,
+                    problem: Problem, d: int, delta: int) -> tuple[int, int, tuple[int, ...] | None]:
+    """The first state with the largest ratio of `problem`, outer-major, in the order given, as
+    (num, den, state), or (0, 1, None) where no state has a nonzero denominator.
+
+    `slots` are the subsets of [n] of each size that problem.draws(d, delta) lists, size by size; a
+    state gives each the value 0 (absent) or a drawn value p, in the class of its size and color.  Its
+    outer part, a tuple, holds the first len(outers[0]) values and its inner part, bytes, the rest.
+    Inner states are laid out by their class sizes, in the order given within each group.  Each
+    literal of problem.structures(d, delta) becomes its slot at every size-set once; an inner literal
+    is one big int with a lane of w bytes per inner state, 1 where that state holds it, w the fewer of
+    1 and 2 that hold C(n, size).  A size-set's ANDs and ORs of its literals are 0/1 lanes, and their
+    sum holds each inner state's count: one fold over the size-sets with no outer literal, the whole
+    count where there is no outer slot, and per other size-set, under each outer state, the ANDs and
+    ORs of its inner lanes and of all ones or zero per outer literal, tabled by its outer slots' values.
+    `problem` forms the ratio, its denominator once per group and outer class sizes.
     """
-    cut, size = len(outers[0]), len(inners)
-    base, width = len(classes) + 1, 1 + max(c for values in classes for c in values if c is not None)
-    # a share holds the class sizes as its digits in base slots + 1, which no size reaches
-    weights = [tuple(0 if c is None else base ** c for c in values) for values in classes]
-    outer_weights, inner_weights = weights[:cut], weights[cut:]
-    shares = [sum(map(getitem, inner_weights, inner)) for inner in inners]
-    layout = sorted(range(size), key=shares.__getitem__)
-    groups = []  # (inner share, first, end) of each group's slice of the layout
-    for key, members in groupby(layout, key=shares.__getitem__):
-        first = groups[-1][2] if groups else 0
-        groups.append((key, first, first + len(list(members))))
-    digits = [bytes(values) for values in zip(*map(inners.__getitem__, layout))]  # per inner slot, a byte a state
-    lanes = {(slot, v): int.from_bytes(digits[slot - cut].translate(bytes(v) + b"\1" + bytes(255 - v)), "little")
-             for slot, v in {lit for structure in structures for group in structure for lit in group} if slot >= cut}
-    ones = int.from_bytes(b"\1" * size, "little")
+    sizes, colors = problem.draws(d, delta)
+    size, every, groups = problem.structures(d, delta)
+    cut, count, m = len(outers[0]), len(inners), len(slots) - len(outers[0])
+    shares = _shares(inners, n, sizes, len(colors), cut)
+    members = {}  # per inner share, the states of its group in the order given
+    for i, share in enumerate(shares):
+        members.setdefault(share, []).append(i)
+    layout = [i for states in members.values() for i in states]
+    ends = list(accumulate(map(len, members.values()), initial=0))
+    runs = list(zip(members, ends, ends[1:]))  # (inner share, first, end) of each group's slice of the layout
+    width = 1 if comb(n, size) < 256 else 2
+    assert comb(n, size) < 1 << 16  # the lanes rule and PROBE_CAP keep it within 37,500: a count fits its lane
+    span = count * width
+    laid = b"".join(map(inners.__getitem__, layout))
+    wide = bytearray(m * span)  # slot-major: each inner slot's value in every inner state, low byte of its lane
+    wide[::width] = b"".join([laid[j::m] for j in range(m)])
+    lanes = {}  # per drawn value, each slot's lanes; an outer slot has none
+    for p in {p for group in groups for _, p in group}:
+        hits = wide.translate(bytes(p) + b"\1" + bytes(255 - p))
+        lanes[p] = [0] * cut + [int.from_bytes(hits[i:i + span], "little") for i in range(0, m * span, span)]
+    index = {s: i for i, s in enumerate(slots)}
+    coords = list(zip(*combinations(range(n), size))) or [()] * size  # each position's vertex in every size-set
+    at = {lit: list(map(index.__getitem__, zip(*map(coords.__getitem__, lit[0]))))
+          for lit in {lit for group in groups for lit in group}}
+    inside = list(map(cut.__le__, map(min, zip(*at.values()))))  # per size-set, whether no literal is outer
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
     # a group ORs its literals where every group must hold, else ANDs them; an outer literal that holds
     # (every) or fails (not every) decides its group, which is then all ones or all zero
     outer_op, inner_op, identity, decided = (and_, or_, 0, ones) if every else (or_, and_, ones, 0)
-    columns = []  # per structure, the byte string each outer state selects, as an int
-    for structure in structures:
+    base = sum(_fold(outer_op, [_fold(inner_op, [map(lanes[lit[1]].__getitem__, compress(at[lit], inside))
+                                                 for lit in group]) for group in groups]))
+    # per outer state, the byte strings whose sum is its counts: the fold's, then one per other size-set
+    columns = [[base] * len(outers)]
+    for q in compress(range(len(inside)), map(not_, inside)):
         # per group, its outer literals and its inner lanes combined
-        split = [([lit for lit in group if lit[0] < cut],
-                  reduce(inner_op, [lanes[lit] for lit in group if lit[0] >= cut], identity)) for group in structure]
+        split = [([(at[lit][q], lit[1]) for lit in group if at[lit][q] < cut],
+                  reduce(inner_op, [lanes[lit[1]][at[lit][q]] for lit in group if at[lit][q] >= cut], identity))
+                 for group in groups]
         keys = sorted({s for outs, _ in split for s, _ in outs})
-        part = itemgetter(*keys) if keys else lambda outer: ()
+        part = itemgetter(*keys)
         table, column = {}, []
         for outer in outers:
             key = part(outer)
@@ -108,26 +144,27 @@ def _best_in_blocks(outers, inners, classes, every, structures, problem):
                                                for outs, inner in split])
             column.append(table[key])
         columns.append(column)
-    nums = [problem.numerator(t) for t in range(256)]  # a state's count is one byte
+    numerator = cache(lambda t: problem.numerator(t, d))
     dens = {}  # per outer share, (first, end, denominator) of each group it gives a nonzero denominator
-    best_num, best_den, best_index = 0, 1, -1
-    for o, (outer, row) in enumerate(zip(outers, zip(*columns))):
-        counts = sum(row).to_bytes(size, "little")
-        mine = sum(map(getitem, outer_weights, outer))
-        if mine not in dens:  # where the denominator is 0, a class is empty and nothing counts
-            dens[mine] = [(first, end, den) for key, first, end in groups if (den := problem.denominator(
-                [(mine + key) // base ** c % base for c in range(width)]))]
+    best_num, best_den, best = 0, 1, len(outers) * count  # past the last state: none found yet
+    for o, (mine, row) in enumerate(zip(_shares(list(map(bytes, outers)), n, sizes, len(colors)), zip(*columns))):
+        counts = sum(row).to_bytes(span, "little")
+        if width > 1:
+            counts = [int.from_bytes(counts[i:i + width], "little") for i in range(0, span, width)]
+        if mine not in dens:  # where the denominator is 0, a class is empty and the state has no ratio
+            dens[mine] = [(first, end, den) for key, first, end in runs
+                          if (den := problem.denominator(map(add, mine, key), d))]
         for first, end, den in dens[mine]:
             t = max(counts[first:end])
-            if not t:
-                continue
-            num = nums[t]
-            index = o * size + layout[counts.index(t, first, end)]
-            if num * best_den > best_num * den or (num * best_den == best_num * den and index < best_index):
-                best_num, best_den, best_index = num, den, index
-    if best_index < 0:
-        return 0, 1, None, None
-    return best_num, best_den, outers[best_index // size], inners[best_index % size]
+            num = numerator(t)
+            ahead, behind = num * best_den, best_num * den
+            if ahead >= behind:
+                i = o * count + layout[counts.index(t, first, end)]
+                if ahead > behind or i < best:
+                    best_num, best_den, best = num, den, i
+    if best == len(outers) * count:
+        return 0, 1, None
+    return best_num, best_den, (*outers[best // count], *inners[best % count])
 
 
 def _vertex_maps(n: int, slots: list[tuple[int, int]]) -> list[itemgetter]:
@@ -154,35 +191,23 @@ def _scan(name: str, n: int, slots: list[tuple[int, ...]], cut: int,
           colors: tuple[str, ...]) -> tuple[Fraction | None, ColoredHypergraph | None]:
     """The best ratio of a registered problem over every state of [n], and its first witness.
 
-    `slots` orders the subsets of [n] that the problem's draws(3, 0) lists, the first `cut` of them
-    vertex pairs and the outer state; each takes the value 0 (absent) or p, an edge of `colors`[p - 1],
-    in the class of its size and color.  A state counts the size-sets that structures(3, 0) counts.
-    The outer states scanned are those first in their orbit under the vertex permutations that map
-    the outer slots onto themselves and, where the ratio weighs the classes alike, the color
-    permutations: every other state has an image as good that comes before it.
+    `slots` orders the subsets of [n] that the problem's draws(3, 0) lists, size by size, the first
+    `cut` of them vertex pairs and the outer state; each takes the value 0 (absent) or p, an edge of
+    `colors`[p - 1].  A state counts the size-sets that structures(3, 0) counts.  The outer states
+    scanned are those first in their orbit under the vertex permutations that map the outer slots
+    onto themselves and, where the ratio weighs the classes alike, the color permutations: every
+    other state has an image as good that comes before it.
     """
     prob = PROBLEMS[name]
-    sizes, drawn = prob.draws(3, 0)
-    size, every, groups = prob.structures(3, 0)
-    assert comb(n, size) < 256  # the caps keep a state's count, and a block's sums, to a byte
-    index = {s: i for i, s in enumerate(slots)}
-    structures = [[[(index[tuple(map(q.__getitem__, positions))], p) for positions, p in group] for group in groups]
-                  for q in combinations(range(n), size)]
-    k = len(drawn)
-    classes = [(None, *(k * sizes.index(len(s)) + c for c in range(k))) for s in slots]
+    k = len(prob.draws(3, 0)[1])
     alike = len(set(prob.exponents(3)[1])) == 1
     recolor = [(0, *c) for c in permutations(range(1, k + 1))] if alike else [tuple(range(k + 1))]
     maps = _vertex_maps(n, slots[:cut])
     outers = _orbit_least(product(range(k + 1), repeat=cut),
                           lambda s: [m(t) for t in {tuple(map(c.__getitem__, s)) for c in recolor} for m in maps])
-    num, den, outer, inner = _best_in_blocks(outers, list(product(range(k + 1), repeat=len(slots) - cut)), classes,
-                                             every, structures, prob)
-    if outer is None:
-        return None, None
-    value = dict(zip(slots, outer + inner))
-    subsets = (v for s in sizes for v in combinations(range(n), s))  # the witness lists its edges in draw order
-    witness = ColoredHypergraph.from_edges(n, [(v, colors[value[v] - 1]) for v in subsets if value[v]])
-    return _recounted(name, witness, num, den, 3, 0, colors), witness
+    inners = list(map(bytes, product(range(k + 1), repeat=len(slots) - cut)))
+    num, den, state = _best_in_blocks(outers, inners, slots, n, prob, 3, 0)
+    return _recounted(name, n, slots, state, num, den, 3, 0, colors)
 
 
 def search_rainbow_triangle(max_vertices: int) -> SearchResult:
@@ -251,46 +276,9 @@ def _counts_per_trial(prob: Problem, n: int, structures: Structures, sizes: tupl
         yield prob.count(_form(len(sizes) * k, [(o + p, f) for (o, f), p in zip(slots, picked) if p]))
 
 
-def _fold(op, columns: list) -> Iterator[int]:
-    """op of the columns, element by element."""
-    return reduce(lambda a, b: map(op, a, b), columns)
-
-
-def _counts_in_lanes(prob: Problem, n: int, structures: Structures, sizes: tuple[int, ...], k: int,
-                     picks: list[bytes]) -> bytes | list[int]:
-    """Each trial's count from the problem's structures, all trials at once; it takes the arguments
-    of `_counts_per_trial`, and either stands for the other.
-
-    Each literal (subset, drawn value) becomes one big int with a w-byte lane per trial, 1 where that
-    trial drew the value, w the fewest of 1, 2 and 4 bytes that hold C(n, size): the translate of
-    the subset's column of draws.  Each size-set's ANDs and ORs of its literals are 0/1 lanes, and
-    their sum holds every trial's count in its lane.
-    """
-    size, every, groups = structures
-    trials, m = len(picks), len(picks[0])
-    if not comb(n, size):
-        return bytes(trials)
-    # the lanes rule keeps C(n, size), at most the literals, within PROBE_CAP < 2^32
-    w = next(w for w in (1, 2, 4) if comb(n, size) < 1 << 8 * w)
-    span = trials * w
-    draws = b"".join(picks)
-    wide = bytearray(m * span)  # subset-major: each subset's draw in every trial, low byte of its lane
-    wide[::w] = b"".join([draws[s::m] for s in range(m)])
-    subsets = [v for s in sizes for v in combinations(range(n), s)]
-    lanes = {}  # per drawn value, each subset's lanes
-    for p in {p for group in groups for _, p in group}:
-        hits = wide.translate(bytes(p) + b"\1" + bytes(255 - p))
-        lanes[p] = {v: int.from_bytes(hits[i * span:(i + 1) * span], "little") for i, v in enumerate(subsets)}
-    coords = list(zip(*combinations(range(n), size)))  # each position's vertex in every size-set
-
-    def column(literal: Literal) -> Iterator[int]:  # the literal's lanes at every size-set, in order
-        positions, p = literal
-        return map(lanes[p].__getitem__, zip(*map(coords.__getitem__, positions)))
-
-    outer, inner = (and_, or_) if every else (or_, and_)
-    total = sum(_fold(outer, [_fold(inner, list(map(column, group))) for group in groups]))
-    counts = total.to_bytes(span, "little")
-    return counts if w == 1 else [int.from_bytes(counts[i:i + w], "little") for i in range(0, span, w)]
+def _fits(n: int, structures: Structures, draws: int) -> bool:
+    """The lanes rule: a probe counts on lanes where its structures' literals over [n] number at most its draws."""
+    return comb(n, structures[0]) * sum(map(len, structures[2])) <= draws
 
 
 def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int = 0) -> SearchResult:
@@ -298,8 +286,9 @@ def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int
 
     A trial draws each subset of [n] in `combinations` order, as `Problem.draws` says, a byte each.
     Where the literals of the problem's structures over all size-sets of [n] number at most trials x
-    draws per trial, which `PROBE_CAP` bounds, all trials are counted at once on byte lanes
-    (`_counts_in_lanes`); otherwise each trial's compact form is counted with the problem's kernel.
+    draws per trial, which `PROBE_CAP` bounds (`_fits`), all trials are counted at once, the inner
+    states of `_best_in_blocks` with no outer slot; otherwise each trial's compact form is counted
+    with the problem's kernel.
     The ratio is the registry's, of the count and the drawn class sizes.  Only the best trial becomes
     a graph, recounted through the registry's kernel, which checks the structures against it.
     """
@@ -321,19 +310,15 @@ def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int
         return SearchResult(problem, None, None, trials, exhaustive=False)
     picks = list(islice(_draws(random.Random(seed), k, m), trials))
     structures = prob.structures(d, delta)
-    size, _, groups = structures
-    fits = comb(n, size) * sum(map(len, groups)) <= trials * m
-    counts = (_counts_in_lanes if fits else _counts_per_trial)(prob, n, structures, sizes, k, picks)
-    bounds = list(accumulate((comb(n, size) for size in sizes), initial=0))
-    slots = [(c, lo, hi) for lo, hi in zip(bounds, bounds[1:]) for c in range(1, k + 1)]  # form slot order
-    best_num, best_den, best = 0, 1, -1
-    for t, (j, picked) in enumerate(zip(counts, picks)):
-        num, den = prob.numerator(j, d), prob.denominator([picked.count(c, lo, hi) for c, lo, hi in slots], d)
-        if den and (best < 0 or num * best_den > best_num * den):
-            best_num, best_den, best = num, den, t
-    if best < 0:
-        return SearchResult(problem, None, None, trials, exhaustive=False)
-    subsets = (v for s in sizes for v in combinations(range(n), s))
-    witness = ColoredHypergraph.from_edges(n, [(v, colors[p - 1]) for v, p in zip(subsets, picks[best]) if p])
-    return SearchResult(problem, _recounted(problem, witness, best_num, best_den, d, delta, None), witness, trials,
-                        exhaustive=False)
+    subsets = [v for s in sizes for v in combinations(range(n), s)]
+    if _fits(n, structures, trials * m):
+        num, den, state = _best_in_blocks([()], picks, subsets, n, prob, d, delta)
+    else:
+        num, den, state = 0, 1, None
+        counts = _counts_per_trial(prob, n, structures, sizes, k, picks)
+        for j, share, picked in zip(counts, _shares(picks, n, sizes, k), picks):
+            num_j, den_j = prob.numerator(j, d), prob.denominator(share, d)
+            if den_j and (state is None or num_j * den > num * den_j):
+                num, den, state = num_j, den_j, picked
+    best, witness = _recounted(problem, n, subsets, state, num, den, d, delta, colors)
+    return SearchResult(problem, best, witness, trials, exhaustive=False)

@@ -414,6 +414,13 @@ class TestCli:
         (["entropy", "--dist"], "list.json", {"arity": 1, "support": [{"values": [0], "p": [1]}]}),
         (["entropy", "--dist"], "true.json", {"arity": 1, "support": [{"values": [0], "p": True}]}),
         (["entropy", "--dist"], "inf.json", '{"arity": 1, "support": [{"values": [0], "p": 1e400}]}'),
+        # a JSON integer past the 4300 digits that int() converts
+        pytest.param(["kk", "--family"], "digits.json", '{"n": 4, "d": 2, "sets": [[0, 1' + "0" * 4301 + ']]}',
+                     id="kk-digits"),
+        pytest.param(["entropy", "--dist"], "digits.json",
+                     '{"arity": 1, "support": [{"values": [0], "p": 1' + "0" * 4301 + '}]}', id="entropy-digits"),
+        pytest.param(["validate", "--input"], "digits.json", '{"vertices": 1' + "0" * 4301 + ', "edges": []}',
+                     id="validate-digits"),
     ])
     def test_malformed_file_exits_3(self, tmp_path, capsys, command, name, content):
         path = tmp_path / name

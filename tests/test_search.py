@@ -172,17 +172,29 @@ def test_color_symmetry_follows_the_registry(monkeypatch, exponents):
     problem = replaced(PROBLEMS["rainbow_d"], exponents=lambda d: exponents)
     monkeypatch.setitem(PROBLEMS, "rainbow_d", problem)
     res = search_rainbow_triangle(4)
-    expected = reference_rainbow(4, problem.numerator, lambda *sizes: problem.denominator(sizes))
+    expected = reference_rainbow(4, lambda t: problem.numerator(t, 3), lambda *sizes: problem.denominator(sizes, 3))
     assert (res.best, res.explored, sorted((e.verts, e.color) for e in res.witness.edges)) == expected
 
 
 def test_tied_groups_keep_the_first_state_in_product_order():
-    # inner states 0, 1, 2 fall in groups 1, 0, 2, so the layout visits them as 1, 0, 2;
-    # each counts one structure under the same denominator, and state (0, 0) comes first
-    classes = [(1, 0, 2)]  # values 0, 1 and 2 fall in classes 1, 0 and 2, each its own group
-    unit = replaced(PROBLEMS["mixed4"], exponents=lambda d: (2, ()))  # every denominator is 1
-    best = _best_in_blocks([()], [(0,), (1,), (2,)], classes, True, [[[(0, 0), (0, 1), (0, 2)]]], unit)
-    assert best == (1, 1, (), (0,))
+    # one slot, the 1-set {0}, absent or drawn in one of two colors, and a 1-set counted where either
+    # color is drawn: inner states 1 and 2 fall in groups (1, 0) and (0, 1), so the layout visits
+    # state 2 before state 1; each counts one structure under the same denominator, and state 1 comes first
+    unit = replaced(PROBLEMS["rainbow_d"], draws=lambda d, delta: ((1,), ("a", "b")),
+                    structures=lambda d, delta: (1, True, [[((0,), 1), ((0,), 2)]]),
+                    exponents=lambda d: (2, ()))  # every denominator is 1
+    assert _best_in_blocks([()], [b"\0", b"\1", b"\2"], [(0,)], 1, unit, 3, 0) == (1, 1, (1,))
+
+
+def test_states_without_an_outer_slot_give_the_scans_best_and_witness():
+    # every state of the pairs of [4] inner: the size-sets with no outer literal are the whole count,
+    # which the scan splits into outer states and the size-sets tabled by their outer slots
+    pairs = list(combinations(range(4), 2))
+    states = list(map(bytes, product(range(4), repeat=len(pairs))))
+    num, den, state = _best_in_blocks([()], states, pairs, 4, PROBLEMS["rainbow_d"], 3, 0)
+    witness = ColoredHypergraph.from_edges(4, [(v, RGB[c - 1]) for v, c in zip(pairs, state) if c])
+    res = search_rainbow_triangle(4)
+    assert (Fraction(num, den), witness) == (res.best, res.witness)
 
 
 class TestRainbowSearch:
@@ -329,15 +341,13 @@ PROBE_GRID = [
     ("good6", 12, 3, 0, 20), ("good6", 12, 3, 0, 100), ("mixed4", 7, 3, 0, 11), ("mixed4", 20, 3, 0, 50),
     ("mixed4", 20, 3, 0, 66), ("covering_delta", 10, 3, 0, 24),
 ]
-BRANCHES = ["_counts_in_lanes", "_counts_per_trial"]
+BRANCHES = ["_best_in_blocks", "_counts_per_trial"]  # the lanes, and each trial's count by the kernel
 
 
 @pytest.fixture(params=BRANCHES)
 def branch(request, monkeypatch):
-    """Every probe takes the one branch named, whichever the rule picks."""
-    chosen = getattr(search, request.param)
-    for name in BRANCHES:
-        monkeypatch.setattr(search, name, chosen)
+    """Every probe takes the one branch named, whichever the lanes rule picks."""
+    monkeypatch.setattr(search, "_fits", lambda *args: request.param == "_best_in_blocks")
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
@@ -379,7 +389,7 @@ BENCH_PROBES = [("rainbow_d", 8, 3, 0, 800), ("rainbow_d", 10, 3, 0, 400), ("rai
                 ("covering_delta", 8, 3, 0, 600), ("covering_delta", 10, 3, 0, 200), ("covering_delta", 7, 3, 1, 350)]
 
 
-@pytest.mark.parametrize("row, taken", [*((row, "_counts_in_lanes") for row in BENCH_PROBES),
+@pytest.mark.parametrize("row, taken", [*((row, "_best_in_blocks") for row in BENCH_PROBES),
                                         (("good6", 23, 3, 0, 1), "_counts_per_trial"),
                                         (("good6", 29, 3, 0, 6), "_counts_per_trial")])
 def test_bench_probes_take_the_lanes_and_the_largest_count_per_trial(monkeypatch, row, taken):
@@ -389,7 +399,7 @@ def test_bench_probes_take_the_lanes_and_the_largest_count_per_trial(monkeypatch
 @pytest.mark.parametrize("name, n, d, delta, trials", [row for row in PROBE_GRID if draws(*row[:4]) * row[4]])
 def test_probe_takes_the_lanes_where_its_literals_fit_the_draws(monkeypatch, name, n, d, delta, trials):
     fits = literal_count(name, n, d, delta) <= trials * draws(name, n, d, delta)
-    expected = "_counts_in_lanes" if fits else "_counts_per_trial"
+    expected = "_best_in_blocks" if fits else "_counts_per_trial"
     assert branch_taken(monkeypatch, name, n, d, delta, trials) == expected
 
 
@@ -499,7 +509,7 @@ def test_scan_ratio_differing_from_the_registry_raises(monkeypatch, scan, name, 
 class Doubled(Problem):
     """A problem whose ratio has twice the registry's denominator."""
 
-    def denominator(self, sizes, d=3):
+    def denominator(self, sizes, d):
         return 2 * super().denominator(sizes, d)
 
 
