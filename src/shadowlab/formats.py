@@ -204,9 +204,10 @@ def dumps_canonical(obj: object) -> str:
 
 def load_json(path: str) -> object:
     with open(path, encoding="utf-8") as fh:
+        # ValueError: bad JSON, a byte that is not UTF-8, or an integer past int()'s 4300 digits
         try:
             return json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s 4300 digits
+        except (ValueError, RecursionError) as exc:  # RecursionError: lists or objects nested too deep
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 

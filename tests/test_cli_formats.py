@@ -421,6 +421,9 @@ class TestCli:
                      '{"arity": 1, "support": [{"values": [0], "p": 1' + "0" * 4301 + '}]}', id="entropy-digits"),
         pytest.param(["validate", "--input"], "digits.json", '{"vertices": 1' + "0" * 4301 + ', "edges": []}',
                      id="validate-digits"),
+        # lists nested past the recursion limit
+        pytest.param(["kk", "--family"], "deep.json", '{"n": 4, "d": 2, "sets": ' + "[" * 10**5 + "]" * 10**5 + "}",
+                     id="kk-nesting"),
     ])
     def test_malformed_file_exits_3(self, tmp_path, capsys, command, name, content):
         path = tmp_path / name
