@@ -4,8 +4,10 @@ and forbidding systems.
 
 Importing the package registers every layer module in `sys.modules` without
 running it: a layer's source is compiled on the first attribute access
-(`importlib.util.LazyLoader`), so a command compiles only the layers it uses.
-The public names below resolve through the module `__getattr__` (PEP 562).
+(`importlib.util.LazyLoader`).  Each command's handler is in the layer it
+drives, and `from . import formats` binds a layer without running it, so a
+command compiles only the layers it runs.  The public names below resolve
+through the module `__getattr__` (PEP 562).
 """
 
 import sys
@@ -15,13 +17,13 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 _EXPORTS = {
     "entropy": "CoverSpec ExactDistribution check_cregular_corollary check_key_inequality "
                "check_lemma_disjoint_support check_shearer conditional_entropy entropy",
+    "checks": "check_partial_shadow_bound count_partial_shadow_targets spectral_trace_check weighted_joint_sum",
     "errors": "BoundViolationError CapacityError ValidationError",
     "forbidding": "ForbiddingSystem check_generalized_kk is_compatible qlinear_system repeats_system "
                   "verify_forbidding_axioms",
     "hypergraph": "ColoredHypergraph SetFamily check_kruskal_katona shadow validate",
     "numkit": "CVector gaussian_binom invert_product product_falling shadow_bound",
-    "problems": "PROBLEMS Problem RatioReport check_partial_shadow_bound check_ratio count_partial_shadow_targets "
-                "rainbow_cliques spectral_trace_check weighted_joint_sum",
+    "problems": "PROBLEMS Problem RatioReport check_ratio rainbow_cliques",
     "qlinalg": "SubspaceFamily check_q_kruskal_katona enumerate_subspaces rref subspace_shadow",
     "reports": "BoundReport ValidationReport",
     "search": "random_probe search_mixed_4subsets search_rainbow_triangle",

@@ -4,7 +4,8 @@ Every generator states its closed forms once, as the expected counts it
 returns, recounts its graph through `problems.PROBLEMS`, which also gives
 its exact ratio, and checks each count against its closed form before
 returning, so a returned Construction is already verified; a mismatch raises
-BoundViolationError because it can only mean an implementation bug.
+BoundViolationError because it can only mean an implementation bug.  The
+`construct` command is here; `complete-family` compiles no `problems`.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
+from . import formats
+from . import problems as pb
 from .errors import BoundViolationError, CapacityError, ValidationError, check_cap
-from .hypergraph import VERTEX_CAP, ColoredHypergraph, SetFamily
-from .problems import PROBLEMS, RGB, rainbow_cliques
+from .hypergraph import VERTEX_CAP, ColoredHypergraph, SetFamily, _dump, hypergraph_to_obj, set_family_to_obj
 from .record import Record
 
 PLAIN = "plain"
@@ -63,7 +65,7 @@ def k4_blowup(n: int) -> Construction:
             for b in group[gb]:
                 edges.append(((a, b), color))
     graph = ColoredHypergraph.from_edges(4 * n, edges)
-    counts, ratio = PROBLEMS["rainbow_d"].exact(graph, 3, 0, RGB)
+    counts, ratio = pb.PROBLEMS["rainbow_d"].exact(graph, 3, 0, pb.RGB)
     expected = {"R": 2 * n * n, "G": 2 * n * n, "B": 2 * n * n, "T": 4 * n**3, "ratio": Fraction(2)}
     counted = dict(zip("RGB", counts["C"]), T=counts["T"], ratio=ratio)
     return Construction("k4_blowup", graph, _self_check("k4_blowup", expected, counted))
@@ -86,7 +88,7 @@ def rainbow_tripartite(a: int, b: int, c: int) -> Construction:
         for z in parts[2]:
             edges.append(((x, z), "blue"))
     graph = ColoredHypergraph.from_edges(a + b + c, edges)
-    counts, ratio = PROBLEMS["rainbow_d"].exact(graph, 3, 0, RGB)
+    counts, ratio = pb.PROBLEMS["rainbow_d"].exact(graph, 3, 0, pb.RGB)
     expected = {"R": a * b, "G": b * c, "B": a * c, "T": a * b * c, "ratio": Fraction(1)}
     counted = dict(zip("RGB", counts["C"]), T=counts["T"], ratio=ratio)
     return Construction("rainbow_tripartite", graph, _self_check("rainbow_tripartite", expected, counted))
@@ -130,7 +132,7 @@ def matching_construction(d: int) -> Construction:
         complement = tuple(v for v in vertices if v not in pair)
         edges.append((complement, color))
     graph = ColoredHypergraph.from_edges(d + 1, edges)
-    counts, ratio = PROBLEMS["rainbow_d"].exact(graph, d, 0, colors)
+    counts, ratio = pb.PROBLEMS["rainbow_d"].exact(graph, d, 0, colors)
     expected = {"T": d + 1, "C": tuple((d + 1) // 2 for _ in colors), "ratio": Fraction(2**d, d + 1)}
     counted = {"T": counts["T"], "C": tuple(counts["C"]), "ratio": ratio}
     return Construction("matching_construction", graph, _self_check("matching_construction", expected, counted))
@@ -152,12 +154,12 @@ def kappa_lift(h: ColoredHypergraph) -> Construction:
     if new_color in colors:
         raise ValidationError(f"new color {new_color!r} already used")
     # every edge carries a listed color, so this refuses any edge not of size d - 1, after the vertex cap
-    cliques = rainbow_cliques(h, d, colors)
+    cliques = pb.rainbow_cliques(h, d, colors)
     v = h.n
     edges = [(e.verts + (v,), e.color) for e in h.edges]
     edges.extend((delta, new_color) for delta in cliques)
     graph = ColoredHypergraph.from_edges(h.n + 1, edges)
-    counts, ratio = PROBLEMS["rainbow_d"].exact(graph, d + 1, 0, colors + (new_color,))
+    counts, ratio = pb.PROBLEMS["rainbow_d"].exact(graph, d + 1, 0, colors + (new_color,))
     old_counts = h.color_counts()
     # the lift keeps T and the old classes, and its new class has one edge per clique
     expected = {"T": len(cliques), "C": (*(old_counts[c] for c in colors), len(cliques)), "ratio": ratio}
@@ -202,7 +204,7 @@ def tetrahedra8() -> Construction:
     for subset in combinations(range(4), 3):
         edges.append((subset, "yellow"))
     graph = ColoredHypergraph.from_edges(8, edges)
-    counts, ratio = PROBLEMS["rainbow_d"].exact(graph, 4, 0, ("red", "blue", "green", "yellow"))
+    counts, ratio = pb.PROBLEMS["rainbow_d"].exact(graph, 4, 0, ("red", "blue", "green", "yellow"))
     expected = {"R": 16, "B": 16, "G": 12, "Y": 12, "T": 48, "ratio": Fraction(3)}
     counted = dict(zip("RBGY", counts["C"]), T=counts["T"], ratio=ratio)
     return Construction("tetrahedra8", graph, _self_check("tetrahedra8", expected, counted))
@@ -222,7 +224,7 @@ def flats_example() -> Construction:
             verts = tuple(sorted(ij + tuple(4 + k for k in kl)))
             edges.append((verts, PLAIN))
     graph = ColoredHypergraph.from_edges(8, edges)
-    counts, ratio = PROBLEMS["good6"].exact(graph)
+    counts, ratio = pb.PROBLEMS["good6"].exact(graph)
     expected = {"N": 14, "J": 28, "ratio": Fraction(2, 7)}
     return Construction("flats_example", graph, _self_check("flats_example", expected, {**counts, "ratio": ratio}))
 
@@ -246,7 +248,7 @@ def tripartite_mixed(n: int) -> Construction:
             for z in parts[2]:
                 edges.append(((x, y, z), PLAIN))
     graph = ColoredHypergraph.from_edges(3 * n, edges)
-    counts, ratio = PROBLEMS["mixed4"].exact(graph)
+    counts, ratio = pb.PROBLEMS["mixed4"].exact(graph)
     expected = {"N2": 3 * math.comb(n, 2), "N3": n**3, "J": 3 * math.comb(n, 2) * n * n, "ratio": ratio}
     return Construction("tripartite_mixed", graph, _self_check("tripartite_mixed", expected, counts))
 
@@ -266,3 +268,49 @@ def complete_family(m: int, d: int) -> SetFamily:
             raise CapacityError(f"family members C(m, d) = C({m}, {d}) exceeds cap {cap}")
     check_cap("family members C(m, d)", size, cap)
     return SetFamily.make(m, combinations(range(m), d), d=d)
+
+
+def _lift(args) -> Construction:
+    if not args.input:
+        raise ValidationError("lift needs --input")
+    return kappa_lift(formats.load_hypergraph(args.input))
+
+
+# the graph constructions by name; each entry looks its generator up when called, so a
+# generator rebound on the module after import is the one that runs
+_CONSTRUCTIONS = {
+    "k4-blowup": lambda args: k4_blowup(args.n),
+    "rainbow-tripartite": lambda args: rainbow_tripartite(args.a, args.b, args.c),
+    "matching": lambda args: matching_construction(args.d),
+    "lift": _lift,
+    "tetrahedra8": lambda args: tetrahedra8(),
+    "flats": lambda args: flats_example(),
+    "tripartite-mixed": lambda args: tripartite_mixed(args.n),
+}
+
+
+def _construct_options(p) -> None:
+    p.add_argument("name", choices=[*_CONSTRUCTIONS, "complete-family"])
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--a", type=int, default=1)
+    p.add_argument("--b", type=int, default=1)
+    p.add_argument("--c", type=int, default=1)
+    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--m", type=int, default=3)
+    p.add_argument("--input")
+    p.add_argument("--out")
+
+
+def _cmd_construct(args) -> tuple[dict, list, list[str]]:
+    if args.name == "complete-family":  # a set family, not a graph
+        fam = complete_family(args.m, args.d)
+        if args.out:
+            _dump(args.out, set_family_to_obj(fam))
+        return {"name": args.name, "family_size": len(fam), "d": fam.d, "self_check": "passed"}, [], []
+    c = _CONSTRUCTIONS[args.name](args)
+    if args.out:
+        _dump(args.out, hypergraph_to_obj(c.graph))
+    q = {"name": c.name, "vertices": c.graph.n, "edges": len(c.graph.edges), "self_check": "passed"}
+    for key, value in c.expected.items():
+        q[f"expected_{key}"] = value
+    return q, [], []

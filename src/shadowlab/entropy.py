@@ -2,7 +2,8 @@
 
 Probabilities are exact rationals end to end; base-2 logarithms enter only
 inside entropy evaluation; the key inequality needs only integer subset
-degrees.  Every inequality check runs at absolute tolerance 1e-9.
+degrees.  Every inequality check runs at absolute tolerance 1e-9.  The
+`entropy` command is here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import ValidationError, check_cap
+from . import formats
+from .errors import ValidationError, check_cap, parse_ints
 from .record import Record
 from .reports import BoundReport, lower_report, upper_report
 
@@ -260,3 +262,31 @@ def check_cregular_corollary(
         "c-regular partition corollary",
         extra={"c": c},
     )
+
+
+def _entropy_options(p) -> None:
+    p.add_argument("--dist")
+    p.add_argument("--coords")
+    p.add_argument("--shearer", help="cover subsets, e.g. '0,1;1,2;0,2'")
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--key", action="store_true", help="key inequality for a set family")
+    p.add_argument("--family")
+
+
+def _cmd_entropy(args) -> tuple[dict, list[BoundReport], list[str]]:
+    if args.key:
+        if not args.family:
+            raise ValidationError("--key needs --family")
+        fam = formats.set_family_from_obj(formats.load_json(args.family))
+        rep = check_key_inequality(fam)
+        return {"sizes": list(rep.sizes), "gaps": list(rep.gaps), "ok": rep.ok}, [rep.report], []
+    if not args.dist:
+        raise ValidationError("entropy needs --dist (or --key with --family)")
+    dist = formats.distribution_from_obj(formats.load_json(args.dist))
+    if args.shearer:
+        subsets = tuple(tuple(parse_ints(part)) for part in args.shearer.split(";") if part.strip())
+        rep = check_shearer(dist, CoverSpec(dist.arity, subsets, args.k))
+        return {"k": args.k, "slack": rep.extra["slack"]}, [rep], []
+    coords = parse_ints(args.coords) if args.coords else None
+    value = entropy(dist, coords)
+    return {"H": value, "coords": coords if coords else "all", "support": len(dist.support)}, [], []

@@ -1,4 +1,4 @@
-"""Shared exception types and capacity-cap handling."""
+"""Shared exception types, capacity-cap handling, and the integer lists that options give."""
 
 from __future__ import annotations
 
@@ -30,3 +30,11 @@ def check_power_cap(quantity: str, base: int, exponent: int, cap: int) -> None:
     if exponent > cap.bit_length():  # base^exponent >= 2^exponent > cap
         raise CapacityError(f"{quantity} = {base}^{exponent} exceeds cap {cap}")
     check_cap(quantity, base**exponent, cap)
+
+
+def parse_ints(text: str) -> list[int]:
+    """An option's comma-separated integers; empty items are skipped."""
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError as exc:
+        raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc

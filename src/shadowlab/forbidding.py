@@ -9,7 +9,8 @@ by that count: S is compatible exactly when its good ordered k-tuples number
 |S|(|S|-c_1)...(|S|-c_{k-1}) at every size k <= d.
 
 Oracles must be pure functions of the multiset; classification results are
-memoized per system instance.
+memoized per system instance.  The `forbidding` command and its actions are
+here.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import random
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from itertools import combinations, combinations_with_replacement, product
 
+from . import formats
 from . import qlinalg as ql
-from .errors import ValidationError, check_cap, check_power_cap
+from .errors import BoundViolationError, ValidationError, check_cap, check_power_cap, parse_ints
 from .numkit import CVector, product_falling, shadow_bound
 from .record import Record
-from .reports import BoundReport, lower_report
+from .reports import BoundReport, _shadow_check, lower_report
 
 SYSTEM_UNIVERSE_CAP = 2**16  # elements of a built-in system's universe
 GKK_MULTISET_CAP = 5 * 10**5  # measured 3-8 µs a good d-multiset for repeats, 17-30 µs for qlinear
@@ -328,3 +330,71 @@ def check_generalized_kk(
         holds=holds,
         extra={"t": t, "family_size": family_size, "c_vector": sys.c_vector.entries},
     )
+
+
+def _parse_set(sys_name: str, text: str):
+    """--set's elements: ints '0,1,2', or vectors '1,0;0,1' for a qlinear system."""
+    if sys_name.startswith("qlinear"):
+        return [tuple(parse_ints(part)) for part in text.split(";") if part.strip()]
+    return parse_ints(text)
+
+
+def _verify(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[str]]:
+    rep = verify_forbidding_axioms(system, seed=args.seed)
+    if not rep.ok:
+        raise BoundViolationError(f"forbidding axioms failed: {rep.violation}")
+    q = {"system": system.name, "ok": rep.ok, "exhaustive": rep.exhaustive, "checked": rep.checked,
+         "c_vector": list(system.c_vector.entries)}
+    note = [] if rep.exhaustive else ["not exhaustively verified (spot-check mode)"]
+    return q, [], note
+
+
+def _compatible(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[str]]:
+    if args.set is None:
+        raise ValidationError("compatible needs --set")
+    result = is_compatible(system, _parse_set(args.system, args.set))
+    q = {"system": system.name, "compatible": result.ok}
+    if result.witness:
+        q["witness_multiset"] = list(result.witness[0])
+        q["witness_extension"] = result.witness[1]
+    return q, [], []
+
+
+def _sd(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[str]]:
+    if args.set is None:
+        raise ValidationError("sd needs --set")
+    [(_, size)] = sd_orbits(system, [_parse_set(args.system, args.set)])
+    return {"system": system.name, "tuples": size, "d": system.d}, [], []
+
+
+def _gkk(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[str]]:
+    if args.family:
+        sets = formats.set_family_from_obj(formats.load_json(args.family)).sets
+    elif args.subspaces:
+        sub = formats.subspace_family_from_obj(formats.load_json(args.subspaces))
+        zero = tuple([0] * sub.n)
+        sets = [sorted(ql.subspace_points(member, sub.q, sub.n) - {zero}) for member in sub.members]
+    else:
+        raise ValidationError("gkk needs --family or --subspaces")
+    rep = check_generalized_kk(system, sets)
+    return _shadow_check(rep, system=system.name, family_size=rep.extra["family_size"])
+
+
+# the forbidding actions by name, each run on the system that --system and --d name
+_FORBIDDING_ACTIONS = {"verify": _verify, "compatible": _compatible, "sd": _sd, "gkk": _gkk}
+
+
+def _forbidding_options(p) -> None:
+    p.add_argument("action", choices=list(_FORBIDDING_ACTIONS))
+    p.add_argument("--system", required=True, help="'repeats' or 'qlinear:q,n'")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--universe-size", type=int)
+    p.add_argument("--set", help="elements: ints '0,1,2' or vectors '1,0;0,1'")
+    p.add_argument("--family")
+    p.add_argument("--subspaces")
+    p.add_argument("--seed", type=int, default=0, help="seed of verify's spot-check")
+
+
+def _cmd_forbidding(args) -> tuple[dict, list[BoundReport], list[str]]:
+    system = system_from_name(args.system, args.d, universe_size=args.universe_size)
+    return _FORBIDDING_ACTIONS[args.action](args, system)

@@ -1,4 +1,4 @@
-"""File formats: JSON schemas for graphs/families and the text edge-list.
+"""File readers: JSON schemas for graphs/families and the text edge-list.
 
 JSON schemas (unknown fields are rejected):
   hypergraph      {"vertices": int, "edges": [{"v": [ints], "color": str,
@@ -17,11 +17,8 @@ again entry by entry. Subspace entries outside [0, q) are reduced mod q.
 
 The text format is one edge per line, `color v1 v2 ...`, with `#` comments
 and an optional `vertices N` header; without the header the vertex count is
-one past the largest index.
-
-Exact values are serialized as decimal strings so JSON consumers never
-truncate them at 53 bits; reals are fixed at 12 significant digits, which
-makes serialization canonical and byte-stable under round-trips.
+one past the largest index.  The `--out` writers are in `hypergraph` and the
+report's JSON in `reports`, so a command that reads no file never compiles this.
 """
 
 from __future__ import annotations
@@ -58,16 +55,6 @@ def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"{what} must be a list, got {value!r}")
     return value
-
-
-def hypergraph_to_obj(h: hg.ColoredHypergraph) -> dict:
-    edges = []
-    for e in h.edges:
-        item: dict[str, object] = {"v": list(e.verts), "color": e.color}
-        if e.weight is not None:
-            item["weight"] = e.weight
-        edges.append(item)
-    return {"vertices": h.n, "edges": edges}
 
 
 def hypergraph_from_obj(obj: object) -> hg.ColoredHypergraph:
@@ -117,12 +104,6 @@ def hypergraph_from_text(text: str) -> hg.ColoredHypergraph:
         edges.append((verts, parts[0]))
     n = declared if declared is not None else max_index + 1
     return hg.ColoredHypergraph.from_edges(n, edges)
-
-
-def set_family_to_obj(fam: hg.SetFamily) -> dict:
-    """The family's JSON object, its members the family's own tuples: `json.dumps` writes a tuple as
-    an array, so the text is that of lists, and no list is built per member."""
-    return {"n": fam.n, "d": fam.d, "sets": fam.sets}
 
 
 def _lists(items) -> bool:
@@ -181,34 +162,15 @@ def distribution_from_obj(obj: object) -> ent.ExactDistribution:
     return ent.ExactDistribution.from_pairs(_int(obj["arity"], "arity"), pairs)
 
 
-def canonical(value: object) -> object:
-    """Map a report tree onto JSON-stable types: numbers become strings."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    if isinstance(value, dict):
-        return {str(k): canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [canonical(v) for v in value]
-    raise TypeError(f"cannot canonicalize {type(value).__name__}")
-
-
-def dumps_canonical(obj: object) -> str:
-    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
-
-
 def load_json(path: str) -> object:
     with open(path, encoding="utf-8") as fh:
         # ValueError: bad JSON, a byte that is not UTF-8, or an integer past int()'s 4300 digits
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:  # RecursionError: lists or objects nested too deep
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+            # the digits' message states the limit, then advises raising it, which a file cannot do
+            reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
+            raise ValidationError(f"{path}: invalid JSON ({reason})") from exc
 
 
 def load_hypergraph(path: str) -> hg.ColoredHypergraph:

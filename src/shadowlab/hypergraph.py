@@ -4,21 +4,24 @@ Graphs and families are immutable after construction, so every operation
 here is safe to call concurrently.  `_edges` is the one entry check of every
 graph count; the counts themselves and the registry of the ratio problems are
 in `problems`, which the set-family commands (`kk`, `entropy --key`,
-`forbidding gkk --family`) never compile.
+`forbidding gkk --family`) never compile.  The `validate`, `shadow` and `kk`
+commands and the `--out` writers are here; `formats` and `numkit` compile
+only once a file is read or a shadow bounded.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from operator import lt
 
+from . import formats, numkit
 from .errors import ValidationError, check_cap
-from .numkit import shadow_bound
 from .record import Record
-from .reports import BoundReport, ValidationReport, lower_report
+from .reports import BoundReport, ValidationReport, _shadow_check, lower_report
 
 VERTEX_CAP = 64
 _set = object.__setattr__  # fills a record's field; one lookup fewer in the hot constructors
@@ -68,11 +71,12 @@ class ColoredHypergraph(Record):
 
 
 def _canonical(members: list[tuple], k: int | None, n: int) -> bool:
-    """True iff every member is k strictly increasing elements of [0, n), decided in bulk."""
+    """True iff every member is k strictly increasing elements of [0, n), decided in bulk: once each
+    member increases, its least element is its first and its largest its last."""
     flat = list(chain.from_iterable(members))
     return (k is not None and set(map(len, members)) <= {k} and set(map(type, flat)) <= {int}
-            and min(flat, default=0) >= 0 and max(flat, default=-1) < n
-            and all(all(map(lt, flat[j::k], flat[j + 1::k])) for j in range(k - 1)))
+            and all(all(map(lt, flat[j::k], flat[j + 1::k])) for j in range(k - 1))
+            and (not flat or min(flat[::k]) >= 0 and max(flat[k - 1::k]) < n))  # no flat[::0]: d = 0 is empty
 
 
 class SetFamily(Record):
@@ -172,7 +176,7 @@ def shadow(fam: SetFamily) -> SetFamily:
 def _binom_bound(shadow_size: int, family_size: int, d: int) -> tuple[bool, float, Fraction]:
     """`shadow_bound` in binomials: (holds, t, binom(t, d-1)) where binom(t, d) = family_size."""
     f = math.factorial(d - 1)
-    holds, t, bound = shadow_bound(f * shadow_size, f * d * family_size, range(1, d))
+    holds, t, bound = numkit.shadow_bound(f * shadow_size, f * d * family_size, range(1, d))
     return holds, t, bound / f
 
 
@@ -187,3 +191,60 @@ def check_kruskal_katona(fam: SetFamily) -> BoundReport:
     holds, t, bound = _binom_bound(shadow_size, len(fam), fam.d)
     return lower_report("shadow size", shadow_size, bound, "kruskal-katona (lovasz form)", holds=holds,
                         extra={"t": t, "family_size": len(fam)})
+
+
+def hypergraph_to_obj(h: ColoredHypergraph) -> dict:
+    edges = []
+    for e in h.edges:
+        item: dict[str, object] = {"v": list(e.verts), "color": e.color}
+        if e.weight is not None:
+            item["weight"] = e.weight
+        edges.append(item)
+    return {"vertices": h.n, "edges": edges}
+
+
+def set_family_to_obj(fam: SetFamily) -> dict:
+    """The family's JSON object, its members the family's own tuples: `json.dumps` writes a tuple as
+    an array, so the text is that of lists, and no list is built per member."""
+    return {"n": fam.n, "d": fam.d, "sets": fam.sets}
+
+
+def _dump(path: str, obj: dict) -> None:
+    """Write an `--out` file.  `json.dumps` takes the C encoder, where `json.dump` always takes the
+    pure-Python one; the bytes are the same."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj))
+
+
+def _validate_options(p) -> None:
+    p.add_argument("--input", required=True)
+
+
+def _cmd_validate(args) -> tuple[dict, list[BoundReport], list[str]]:
+    h = formats.load_hypergraph(args.input)
+    report = validate(h)
+    if not report.ok:
+        raise ValidationError("; ".join(report.violations))
+    return {"vertices": h.n, "edges": len(h.edges), "valid": True}, [], []
+
+
+def _shadow_options(p) -> None:
+    p.add_argument("--family", required=True)
+    p.add_argument("--out")
+
+
+def _cmd_shadow(args) -> tuple[dict, list[BoundReport], list[str]]:
+    fam = formats.set_family_from_obj(formats.load_json(args.family))
+    sh = shadow(fam)
+    if args.out:
+        _dump(args.out, set_family_to_obj(sh))
+    return {"family_size": len(fam), "d": fam.d, "shadow_size": len(sh)}, [], []
+
+
+def _kk_options(p) -> None:
+    p.add_argument("--family", required=True)
+
+
+def _cmd_kk(args) -> tuple[dict, list[BoundReport], list[str]]:
+    fam = formats.set_family_from_obj(formats.load_json(args.family))
+    return _shadow_check(check_kruskal_katona(fam), family_size=len(fam), d=fam.d)

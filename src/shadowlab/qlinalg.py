@@ -4,6 +4,7 @@ Subspaces of F_q^n are identified with their reduced row-echelon matrices,
 which gives a unique hashable representative per subspace.  q is restricted
 to primes so field arithmetic is plain mod-q integer arithmetic; the theorem
 also holds for prime powers but those would need polynomial field towers.
+The `qkk` command is here.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from fractions import Fraction
 from itertools import chain, combinations, count, product
 from operator import itemgetter, lt
 
+from . import formats
 from .errors import ValidationError, check_cap, check_power_cap
 from .numkit import gaussian_binom, shadow_bound
 from .record import Record
-from .reports import BoundReport, lower_report
+from .reports import BoundReport, _shadow_check, lower_report
 
 FIELD_CAP = 2**16
 SHAPE_CAP, ENTRY_CAP = 10**6, 2 * 10**7  # the shadow's: hyperplanes of a member, entries of all hyperplanes
@@ -254,3 +256,12 @@ def check_q_kruskal_katona(fam: SubspaceFamily) -> BoundReport:
     holds, t, bound = _gaussian_bound(shadow_size, len(fam), fam.d, fam.q)
     return lower_report("subspace shadow size", shadow_size, bound, "q-analog kruskal-katona", holds=holds,
                         extra={"t": t, "family_size": len(fam), "q": fam.q})
+
+
+def _qkk_options(p) -> None:
+    p.add_argument("--family", required=True)
+
+
+def _cmd_qkk(args) -> tuple[dict, list[BoundReport], list[str]]:
+    fam = formats.subspace_family_from_obj(formats.load_json(args.family))
+    return _shadow_check(check_q_kruskal_katona(fam), family_size=len(fam), q=fam.q, d=fam.d)

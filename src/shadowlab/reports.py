@@ -6,10 +6,16 @@ caller that decided its bound itself (an irrational bound exactly, or a
 float identity at its own tolerance) passes its verdict as `holds`;
 otherwise the absolute tolerance DEFAULT_TOL applies.  An exact bound beyond
 the float range displays as inf, and its ratio comes from the exact quotient.
+
+A command's report is written as canonical JSON (`dumps_canonical`): exact
+values are serialized as decimal strings so JSON consumers never truncate them
+at 53 bits; reals are fixed at 12 significant digits, which makes
+serialization canonical and byte-stable under round-trips.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -126,6 +132,32 @@ def lower_report(
 ) -> BoundReport:
     """Report for computed >= bound; exact comparison when both sides are exact."""
     return _report("lower", quantity, computed, bound, source, conjecture, holds, extra)
+
+
+def _shadow_check(rep: BoundReport, **first) -> tuple[dict, list[BoundReport], list[str]]:
+    """The result of a shadow bound command (kk, qkk, gkk): `first`, then t, the shadow size and the bound."""
+    return {**first, "t": rep.extra["t"], "shadow_size": rep.computed, "bound": rep.bound}, [rep], []
+
+
+def canonical(value: object) -> object:
+    """Map a report tree onto JSON-stable types: numbers become strings."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    if isinstance(value, dict):
+        return {str(k): canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [canonical(v) for v in value]
+    raise TypeError(f"cannot canonicalize {type(value).__name__}")
+
+
+def dumps_canonical(obj: object) -> str:
+    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
 
 
 class ValidationReport(Record):

@@ -16,6 +16,7 @@ outer slot.  Otherwise it counts each trial's compact form with the problem's ke
 by exact cross-multiplication and keep the first on a tie.  Every reported ratio is the registry's
 exact ratio of its witness, recounted by the kernel: a search whose own count differs raises
 BoundViolationError, so the recount also checks the problem's structures against its kernel.
+The `search` command is here.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ import random
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import accumulate, combinations, compress, islice, permutations, product, repeat
-from math import comb
+from itertools import accumulate, combinations, compress, permutations, product, repeat
+from math import comb, isqrt
 from operator import add, and_, itemgetter, not_, or_
 
 from .errors import BoundViolationError, ValidationError, check_cap
-from .hypergraph import VERTEX_CAP, ColoredHypergraph, _edges
+from .hypergraph import VERTEX_CAP, ColoredHypergraph, _dump, _edges, hypergraph_to_obj
 from .problems import PROBLEMS, RGB, Problem, Structures, _facets, _form, get_problem
 from .record import Record
 
@@ -248,22 +249,25 @@ PROBE_CAP = 150_000  # trials x subsets of [n] drawn a trial; the costliest prob
 _COIN = bytes(int(x < 128) for x in range(256))  # random() < 0.5 iff its first word's top byte is below 128
 
 
-def _draws(rng: random.Random, colors: int, m: int) -> Iterator[bytes]:
+def _draws(rng: random.Random, colors: int, m: int, trials: int) -> list[bytes]:
     """Each trial's m draws, a byte each, as m calls of random() < 0.5 (one color) or of
     randrange(colors + 1) would give them: random() reads two 32-bit words, and randrange(k) the
-    top k.bit_length() bits of one, again while they reach k.  Words are read in bulk, first word
-    lowest; those left over after the last trial are never used.
+    top k.bit_length() bits of one, again while they reach k.  Every trial's words are read in one
+    request, first word lowest, sized to leave a second one rare; each request is whole words, so
+    the words, and the draws, are those of one long request.  Words left over are never used.
     """
     shift = max(0, 8 - (colors + 1).bit_length())  # at most 65 colors draw: rainbow_d draws none for d > n + 1
     table = _COIN if colors == 1 else bytes(x >> shift if x >> shift <= colors else 255 for x in range(256))
     size = 8 if colors == 1 else 4  # bytes of output a try reads: two words for random(), one for randrange
+    accepted = 256 - table.count(255)  # of a try's 256 top bytes, those that give a draw: at least half
+    need = m * trials
     pool = b""
-    while True:
-        while len(pool) < m:  # over half of the words give a draw
-            words = rng.getrandbits(16 * size * m + 256).to_bytes(2 * size * m + 32, "little")
-            pool += words[3::size].translate(table).replace(b"\xff", b"")
-        yield pool[:m]
-        pool = pool[m:]
+    while len(pool) < need:
+        short = need - len(pool)
+        tries = -(-short * 256 // accepted) + 4 * isqrt(short) + 8  # the expected tries, and 4 deviations more
+        words = rng.getrandbits(8 * size * tries).to_bytes(size * tries, "little")
+        pool += words[3::size].translate(table).replace(b"\xff", b"")
+    return [pool[i * m:(i + 1) * m] for i in range(trials)]
 
 
 def _counts_per_trial(prob: Problem, n: int, structures: Structures, sizes: tuple[int, ...], k: int,
@@ -308,7 +312,7 @@ def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int
     check_cap("probe draws (trials x subsets of [n] drawn per trial)", trials * m, PROBE_CAP)
     if not trials * m:  # no trial or nothing to draw: every trial's instance is empty
         return SearchResult(problem, None, None, trials, exhaustive=False)
-    picks = list(islice(_draws(random.Random(seed), k, m), trials))
+    picks = _draws(random.Random(seed), k, m, trials)
     structures = prob.structures(d, delta)
     subsets = [v for s in sizes for v in combinations(range(n), s)]
     if _fits(n, structures, trials * m):
@@ -322,3 +326,41 @@ def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int
                 num, den, state = num_j, den_j, picked
     best, witness = _recounted(problem, n, subsets, state, num, den, d, delta, colors)
     return SearchResult(problem, best, witness, trials, exhaustive=False)
+
+
+# the exhaustive scans by mode: the registry problem they maximize, and the scan, looked up when called
+_SCANS = {
+    "rainbow-triangle": ("rainbow_d", lambda n: search_rainbow_triangle(n)),
+    "mixed4": ("mixed4", lambda n: search_mixed_4subsets(n)),
+}
+
+
+def _search_options(p) -> None:
+    p.add_argument("mode", choices=[*_SCANS, "probe"])
+    p.add_argument("--max-vertices", type=int, default=4)
+    p.add_argument("--problem", default="rainbow_d", choices=list(PROBLEMS))
+    p.add_argument("--vertices", type=int, default=8)
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--delta", type=int, default=0)
+    p.add_argument("--out")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random probe")
+
+
+def _cmd_search(args) -> tuple[dict, list, list[str]]:
+    if args.mode == "probe":
+        params = {"vertices": args.vertices, "d": args.d, "delta": args.delta}
+        res = random_probe(args.problem, params, args.trials, seed=args.seed)
+        name, d, delta = args.problem, args.d, args.delta
+    else:
+        name, scan = _SCANS[args.mode]
+        res = scan(args.max_vertices)
+        d, delta = 3, 0
+    problem = PROBLEMS[name]
+    bounds = problem.reports(res.best, d, delta) if res.best is not None else []
+    if args.out and res.witness is not None:
+        _dump(args.out, hypergraph_to_obj(res.witness))
+    q = {"problem": res.problem, "best_ratio": "none" if res.best is None else res.best,
+         "best_ratio_real": "nan" if res.best is None else float(res.best), "explored": res.explored,
+         "exhaustive": res.exhaustive}
+    return q, bounds, list(problem.notes)

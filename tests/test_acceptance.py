@@ -41,7 +41,7 @@ from shadowlab.entropy import (
 )
 from shadowlab.forbidding import check_generalized_kk, qlinear_system, repeats_system, sd_orbits
 from shadowlab.hypergraph import ColoredHypergraph, check_kruskal_katona
-from shadowlab.problems import (
+from shadowlab.checks import (
     check_partial_shadow_bound,
     count_partial_shadow_targets,
     spectral_trace_check,

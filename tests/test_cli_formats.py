@@ -17,18 +17,15 @@ from shadowlab import cli
 from shadowlab.errors import ValidationError
 from shadowlab.formats import (
     distribution_from_obj,
-    dumps_canonical,
     hypergraph_from_obj,
     hypergraph_from_text,
-    hypergraph_to_obj,
     set_family_from_obj,
-    set_family_to_obj,
     subspace_family_from_obj,
 )
-from shadowlab.hypergraph import SetFamily
+from shadowlab.hypergraph import SetFamily, hypergraph_to_obj, set_family_to_obj
 from shadowlab.problems import RGB
 from shadowlab.qlinalg import enumerate_subspaces
-from shadowlab.reports import upper_report
+from shadowlab.reports import dumps_canonical, upper_report
 
 
 class TestHypergraphJson:
@@ -429,7 +426,17 @@ class TestCli:
         path = tmp_path / name
         path.write_text(content if isinstance(content, str) else json.dumps(content))
         assert cli.main([*command, str(path)]) == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if name == "digits.json":  # the limit is stated, without advice that a file cannot follow
+            assert "(4300 digits)" in err and "set_int_max_str_digits" not in err
+
+    def test_kk_on_a_family_of_empty_sets_exits_3(self, tmp_path, capsys):
+        # d = 0: the family is in form, with no column for the bulk range test to read, and the shadow refuses it
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 3, "d": 0, "sets": [[]]}))
+        assert cli.main(["kk", "--family", str(path)]) == 3
+        assert capsys.readouterr().err == "error: shadow needs d >= 1\n"
 
     def test_json_flag_read_from_parsed_arguments(self, tmp_path, capsys):
         # argparse accepts the unambiguous prefix --js for --json

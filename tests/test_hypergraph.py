@@ -20,19 +20,17 @@ from conftest import (
     random_uniform_hypergraph,
     random_weighted_complete,
 )
-from shadowlab import hypergraph, problems
+from shadowlab import checks, hypergraph, problems
 from shadowlab.errors import CapacityError, ValidationError
 from shadowlab.reports import exit_status
 from shadowlab.hypergraph import ColoredHypergraph, SetFamily, check_kruskal_katona, shadow, validate
-from shadowlab.problems import (
-    PROBLEMS,
+from shadowlab.checks import (
     check_partial_shadow_bound,
-    check_ratio,
     count_partial_shadow_targets,
-    rainbow_cliques,
     spectral_trace_check,
     weighted_joint_sum,
 )
+from shadowlab.problems import PROBLEMS, check_ratio, rainbow_cliques
 
 
 def brute_rainbow_triangles(h, colors=RGB):
@@ -575,7 +573,7 @@ class TestWeightedJointSum:
         def no_counting(*args):
             raise AssertionError("the form was built before the cap check")
 
-        monkeypatch.setattr(problems, "_form", no_counting)
+        monkeypatch.setattr(checks, "_form", no_counting)
         # 156,251 edges x 64 vertices > 10^7 visits
         edges = [(f, "plain", 1) for f in islice(combinations(range(64), 4), 156_251)]
         with pytest.raises(CapacityError, match="coface visits"):
@@ -623,8 +621,8 @@ class TestSpectralTrace:
         rep = spectral_trace_check(h)
         two_n, six_s = rep.checks[0], rep.checks[1]
         assert six_s.computed > 1.0
-        assert two_n.bound == problems.TRACE_TOL * 2 * rep.total_weight
-        assert six_s.bound == pytest.approx(problems.TRACE_TOL * rep.trace3)
+        assert two_n.bound == checks.TRACE_TOL * 2 * rep.total_weight
+        assert six_s.bound == pytest.approx(checks.TRACE_TOL * rep.trace3)
         assert exit_status(rep.checks) == 0
 
 

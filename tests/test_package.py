@@ -23,13 +23,14 @@ ROOT = Path(__file__).resolve().parents[1]
 PUBLIC = {
     "entropy": ["CoverSpec", "ExactDistribution", "check_cregular_corollary", "check_key_inequality",
                 "check_lemma_disjoint_support", "check_shearer", "conditional_entropy", "entropy"],
+    "checks": ["check_partial_shadow_bound", "count_partial_shadow_targets", "spectral_trace_check",
+               "weighted_joint_sum"],
     "errors": ["BoundViolationError", "CapacityError", "ValidationError"],
     "forbidding": ["ForbiddingSystem", "check_generalized_kk", "is_compatible", "qlinear_system", "repeats_system",
                    "verify_forbidding_axioms"],
     "hypergraph": ["ColoredHypergraph", "SetFamily", "check_kruskal_katona", "shadow", "validate"],
     "numkit": ["CVector", "gaussian_binom", "invert_product", "product_falling", "shadow_bound"],
-    "problems": ["PROBLEMS", "Problem", "RatioReport", "check_partial_shadow_bound", "check_ratio",
-                 "count_partial_shadow_targets", "rainbow_cliques", "spectral_trace_check", "weighted_joint_sum"],
+    "problems": ["PROBLEMS", "Problem", "RatioReport", "check_ratio", "rainbow_cliques"],
     "qlinalg": ["SubspaceFamily", "check_q_kruskal_katona", "enumerate_subspaces", "rref", "subspace_shadow"],
     "reports": ["BoundReport", "ValidationReport"],
     "search": ["random_probe", "search_mixed_4subsets", "search_rainbow_triangle"],
@@ -68,6 +69,8 @@ def _inputs(path: Path) -> None:
     edges = [{"v": list(v), "color": c} for v, c in [((0, 1), "red"), ((2, 3), "red"), ((0, 3), "blue"),
                                                       ((1, 2), "blue"), ((0, 2), "green"), ((1, 3), "green")]]
     (path / "graph.json").write_text(json.dumps({"vertices": 4, "edges": edges}))
+    support = [{"values": [0, 0], "p": "1/2"}, {"values": [1, 1], "p": "1/2"}]
+    (path / "dist.json").write_text(json.dumps({"arity": 2, "support": support}))
 
 
 def _child(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
@@ -75,33 +78,50 @@ def _child(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60)
 
 
-# the parser, the report's writer and the exit rule, and `numkit`, which each counting layer imports
-BASE_LAYERS = {"cli", "errors", "formats", "numkit", "record", "reports"}
-KK_LAYERS = BASE_LAYERS | {"hypergraph"}
-# the graph counts and the ratio-problem registry; the set-family commands above never load them
-PROBLEM_LAYERS = KK_LAYERS | {"problems"}
+# the parser, the digest, the report's writer and the exit rule: all that `import shadowlab.cli` runs
+BASE_LAYERS = {"cli", "errors", "record", "reports"}
+READ_LAYERS = BASE_LAYERS | {"formats"}  # the file readers
+GRAPH_LAYERS = READ_LAYERS | {"hypergraph"}  # a graph or a set family, read from a file
+# the graph counts and the ratio-problem registry, with no file read; the set-family commands never load them
+PROBLEM_LAYERS = BASE_LAYERS | {"hypergraph", "problems"}
 
 
 @pytest.mark.parametrize("command, layers", [
-    ("kk --family fam.json", KK_LAYERS),
-    ("entropy --key --family fam.json", KK_LAYERS | {"entropy"}),
-    ("qkk --family sub.json", BASE_LAYERS | {"qlinalg"}),
-    ("forbidding gkk --system repeats --universe-size 6 --d 3 --family fam.json", KK_LAYERS | {"forbidding"}),
+    ("kk --family fam.json", GRAPH_LAYERS | {"numkit"}),
+    ("entropy --key --family fam.json", GRAPH_LAYERS | {"entropy"}),
+    ("qkk --family sub.json", READ_LAYERS | {"numkit", "qlinalg"}),
+    ("forbidding gkk --system repeats --universe-size 6 --d 3 --family fam.json",
+     GRAPH_LAYERS | {"forbidding", "numkit"}),
     ("search probe --trials 5", PROBLEM_LAYERS | {"search"}),
-    ("forbidding verify --system repeats --universe-size 4 --d 3", BASE_LAYERS | {"forbidding"}),
-    ("forbidding verify --system qlinear:2,4 --d 2", BASE_LAYERS | {"forbidding", "qlinalg"}),
-    ("forbidding gkk --system qlinear:2,4 --d 2 --subspaces sub.json", BASE_LAYERS | {"forbidding", "qlinalg"}),
-    ("validate --input graph.json", KK_LAYERS),
-    ("kappa --input graph.json --d 3", PROBLEM_LAYERS),
-    ("count covering --input graph.json", PROBLEM_LAYERS),
+    ("forbidding verify --system repeats --universe-size 4 --d 3", BASE_LAYERS | {"forbidding", "numkit"}),
+    ("forbidding verify --system qlinear:2,4 --d 2", BASE_LAYERS | {"forbidding", "numkit", "qlinalg"}),
+    ("forbidding gkk --system qlinear:2,4 --d 2 --subspaces sub.json",
+     READ_LAYERS | {"forbidding", "numkit", "qlinalg"}),
+    ("validate --input graph.json", GRAPH_LAYERS),
+    ("kappa --input graph.json --d 3", GRAPH_LAYERS | {"problems"}),
+    ("count covering --input graph.json", GRAPH_LAYERS | {"problems"}),
     ("construct k4-blowup --n 1", PROBLEM_LAYERS | {"constructions"}),
+    ("", BASE_LAYERS),
+    ("shadow --family fam.json --out shadow.json", GRAPH_LAYERS),
+    ("entropy --dist dist.json", READ_LAYERS | {"entropy"}),
+    ("entropy --dist dist.json --shearer 0;1", READ_LAYERS | {"entropy"}),
+    ("forbidding sd --system repeats --universe-size 4 --d 2 --set 0,1,2", BASE_LAYERS | {"forbidding", "numkit"}),
+    ("forbidding compatible --system repeats --universe-size 4 --d 2 --set 0,1,2",
+     BASE_LAYERS | {"forbidding", "numkit"}),
+    ("weighted --input graph.json --spectral", GRAPH_LAYERS | {"problems", "checks"}),
+    ("partial-shadow --input graph.json --r 3 --k 1", GRAPH_LAYERS | {"problems", "checks", "numkit"}),
+    ("construct complete-family --m 4 --d 2 --out family.json", BASE_LAYERS | {"constructions", "hypergraph"}),
+    ("search rainbow-triangle --max-vertices 4 --out witness.json", PROBLEM_LAYERS | {"search"}),
+    ("search mixed4 --max-vertices 4 --out witness.json", PROBLEM_LAYERS | {"search"}),
 ])
 def test_command_loads_only_the_layers_it_runs(tmp_path, command, layers):
+    """The layers a command compiles; the empty command only imports `shadowlab.cli`."""
     _inputs(tmp_path)
-    code = ("import json, sys, types, shadowlab.cli; status = shadowlab.cli.main(sys.argv[1:]); "
+    code = ("import json, sys, types, shadowlab.cli; status = shadowlab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
             "print(json.dumps([name for name, m in sys.modules.items() "
             "if name.startswith('shadowlab.') and type(m) is types.ModuleType])); sys.exit(status)")
-    out = _child([sys.executable, "-c", code, *command.split(), "--json"], tmp_path)
+    argv = [*command.split(), "--json"] if command else []
+    out = _child([sys.executable, "-c", code, *argv], tmp_path)
     assert out.returncode == 0, out.stderr
     assert {name.split(".", 1)[1] for name in json.loads(out.stdout.splitlines()[-1])} == layers
 

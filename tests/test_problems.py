@@ -7,7 +7,8 @@ import pytest
 from conftest import fig1_k4
 from shadowlab import cli
 from shadowlab.constructions import flats_example, tripartite_mixed
-from shadowlab.formats import hypergraph_from_obj, hypergraph_to_obj
+from shadowlab.formats import hypergraph_from_obj
+from shadowlab.hypergraph import hypergraph_to_obj
 from shadowlab.problems import PROBLEMS
 
 # (vertices, d, delta) small enough for a fast probe that finds a witness

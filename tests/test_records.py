@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import pytest
 
+from shadowlab.checks import SpectralReport, WeightedSumReport
 from shadowlab.constructions import Construction
 from shadowlab.entropy import CoverSpec, ExactDistribution, KeyInequalityReport
 from shadowlab.errors import ValidationError
 from shadowlab.forbidding import AxiomReport, CompatibilityResult
 from shadowlab.hypergraph import ColoredHypergraph, Edge, SetFamily
-from shadowlab.problems import Problem, RatioReport, SpectralReport, WeightedSumReport
+from shadowlab.problems import Problem, RatioReport
 from shadowlab.numkit import CVector
 from shadowlab.qlinalg import SubspaceFamily
 from shadowlab.reports import BoundReport, ValidationReport

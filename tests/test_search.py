@@ -6,7 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, permutations, product
 from math import comb
 from pathlib import Path
 
@@ -417,7 +417,29 @@ def test_draws_read_the_generator_as_random_and_randrange(colors):
             expected = [[int(rng.random() < 0.5) for _ in range(m)] for _ in range(4)]
         else:
             expected = [[rng.randrange(colors + 1) for _ in range(m)] for _ in range(4)]
-        assert [list(t) for t in islice(_draws(random.Random(seed), colors, m), 4)] == expected
+        assert [list(t) for t in _draws(random.Random(seed), colors, m, 4)] == expected
+
+
+@pytest.mark.parametrize("colors, m, trials, seed, requests", [
+    (1, 56, 1000, 0, 1), (3, 28, 1000, 0, 1),  # a probe's draws: one request for every trial
+    (3, 100, 1, 115, 2),  # rejections leave the first request short, about one seed in a thousand
+])
+def test_draws_take_one_request_and_more_only_where_short(colors, m, trials, seed, requests):
+    class Counted(random.Random):
+        requests = 0
+
+        def getrandbits(self, k):
+            assert k % 32 == 0  # whole words, so the words are those of one long request
+            self.requests += 1
+            return super().getrandbits(k)
+
+    rng, reference = Counted(seed), random.Random(seed)
+    if colors == 1:
+        expected = [[int(reference.random() < 0.5) for _ in range(m)] for _ in range(trials)]
+    else:
+        expected = [[reference.randrange(colors + 1) for _ in range(m)] for _ in range(trials)]
+    assert [list(t) for t in _draws(rng, colors, m, trials)] == expected
+    assert rng.requests == requests
 
 
 def test_probe_work_capped_before_drawing(monkeypatch):
