@@ -429,7 +429,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         if name == "digits.json":  # the limit is stated, without advice that a file cannot follow
-            assert "(4300 digits)" in err and "set_int_max_str_digits" not in err
+            assert "limit (4300" in err and "set_int_max_str_digits" not in err
 
     def test_kk_on_a_family_of_empty_sets_exits_3(self, tmp_path, capsys):
         # d = 0: the family is in form, with no column for the bulk range test to read, and the shadow refuses it
