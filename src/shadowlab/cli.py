@@ -20,6 +20,12 @@ the size of its input (`tests/test_cli_gc.py` pins that for every command, on
 a small and a large input), so a collection frees nothing worth its cost,
 while on a large set family the collector's passes cost about 50 ms of `kk`
 on C(29, 5) (2-vCPU x86 VM).
+
+As a program (`python -m shadowlab.cli`, the `shadowlab` script), `_program`
+flushes stdio once `main` returns and ends the process with `os._exit`: no
+module teardown, collection or freeing follows the report, and `atexit`
+handlers of other code do not run.  An exception escaping `main`, usage
+errors and `--help` too, takes the normal exit.
 """
 
 from __future__ import annotations
@@ -202,5 +208,13 @@ def _main(argv: list[str] | None) -> int:
     return status
 
 
+def _program() -> None:
+    """The `shadowlab` program: `main`, then the process ends at once with its status, its report flushed."""
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _program()

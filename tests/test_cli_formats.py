@@ -604,10 +604,11 @@ def test_weighted_at_its_cap(tmp_path):
     chosen = set(rng.sample(range(math.comb(64, 4)), 156_250))
     lines = [f"plain {' '.join(map(str, c))}" for i, c in enumerate(combinations(range(64), 4)) if i in chosen]
     (tmp_path / "cap.txt").write_text("\n".join(["vertices 64", *lines]) + "\n")
-    # CHILD, printing its peak resident set size (KiB on Linux) to stderr at exit
-    child = ("import atexit, resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-             "atexit.register(lambda: print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)); "
-             "sys.argv[0] = 'shadowlab'; runpy.run_module('shadowlab.cli', run_name='__main__')")
+    # a child that runs the command in-process, then prints its peak resident set size (KiB on Linux) to
+    # stderr; the program path ends at the report, before any exit-time code could read it
+    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+             "from shadowlab import cli; status = cli.main(sys.argv[1:]); "
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(status)")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     start = time.perf_counter()
     out = subprocess.run([sys.executable, "-c", child, "weighted", "--input", "cap.txt", "--d", "5"], cwd=tmp_path,
