@@ -177,6 +177,8 @@ CASES = [
     "search probe --problem covering_delta --vertices 7 --d 3 --delta 1 --trials 70 --seed 20 --out p10.json",
     # C(13, 3) = 286 size-sets: every trial's count takes a 2-byte lane
     "search probe --problem rainbow_d --vertices 13 --trials 40 --seed 5 --out p11.json",
+    # C(37, 4) = 66,045 size-sets: a count can need three bytes
+    "search probe --problem covering_delta --delta 1 --vertices 37 --trials 2 --seed 9 --out p12.json",
     "weighted --input w.json",
     "weighted --input w.json --spectral",
     "weighted --input huge.json --spectral",
