@@ -213,8 +213,8 @@ class Problem(Record):
     It gives (size, every, groups); a size-subset Q of [n] is counted when, each literal's subset
     read through Q's vertices in order, every group holds a drawn literal (every) or some group has
     all its literals drawn (not every).  The exhaustive scans and the random probes count with it on
-    one lane engine, of 1- or 2-byte lanes; the kernel recounts each witness, which checks the two
-    against each other.
+    one lane engine, each lane the fewest bytes that hold C(n, size); the kernel recounts each
+    witness, which checks the two against each other.
     """
 
     name: str

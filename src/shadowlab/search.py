@@ -4,16 +4,15 @@ Both read each problem from `PROBLEMS`: the subsets and colors of its edges (`Pr
 structures its count counts (`Problem.structures`) and its ratio's formula; and both count on one
 lane engine.  A state gives each subset of [n] a slot valued none or one color and splits into an
 outer and an inner part; the engine counts all inner states under one outer state at once: one
-big-int sum of 0/1 lanes of 1 or 2 bytes per state, the fewest that hold C(n, structure size), each
-a structure's ANDs and ORs of a lane per inner literal.  An exhaustive scan splits each state in
+big-int sum of 0/1 lanes of the fewest bytes per state that hold C(n, structure size), each a
+structure's ANDs and ORs of a lane per inner literal.  An exhaustive scan splits each state in
 product order and visits only the outer states that come first in their orbit under the problem's
 symmetries that map the outer slots onto themselves.  Such a symmetry maps the first best state to
 one as good whose outer part is no earlier, so the best ratio and its witness are those of the full
-scan, and `explored` counts every state.  A random probe draws every trial's bytes at once and,
-where the literals of its problem's structures over [n] number at most trials x draws per trial,
-the product `PROBE_CAP` bounds, counts all trials at once as the engine's inner states under no
-outer slot.  Otherwise it counts each trial's compact form with the problem's kernel.  Both compare
-by exact cross-multiplication and keep the first on a tie.  Every reported ratio is the registry's
+scan, and `explored` counts every state.  A random probe draws every trial's bytes at once and
+counts all trials at once as the engine's inner states under no outer slot; `PROBE_CAP` bounds its
+draws and `LITERAL_CAP` its structures' literals over [n].  Both compare by exact
+cross-multiplication and keep the first on a tie.  Every reported ratio is the registry's
 exact ratio of its witness, recounted by the kernel: a search whose own count differs raises
 BoundViolationError, so the recount also checks the problem's structures against its kernel.
 The `search` command is here.
@@ -30,8 +29,8 @@ from math import comb, isqrt
 from operator import add, and_, itemgetter, not_, or_
 
 from .errors import BoundViolationError, ValidationError, check_cap
-from .hypergraph import VERTEX_CAP, ColoredHypergraph, _dump, _edges, hypergraph_to_obj
-from .problems import PROBLEMS, RGB, Problem, Structures, _facets, _form, get_problem
+from .hypergraph import VERTEX_CAP, ColoredHypergraph, _dump, hypergraph_to_obj
+from .problems import PROBLEMS, RGB, Problem, get_problem
 from .record import Record
 
 # states certified a second, measured on a 2-vCPU Xeon: rainbow 1.4e8 at n = 5 (7.4 ms) and 5.8e8 at
@@ -90,8 +89,8 @@ def _best_in_blocks(outers: list[tuple[int, ...]], inners: list[bytes], slots: l
     outer part, a tuple, holds the first len(outers[0]) values and its inner part, bytes, the rest.
     Inner states are laid out by their class sizes, in the order given within each group.  Each
     literal of problem.structures(d, delta) becomes its slot at every size-set once; an inner literal
-    is one big int with a lane of w bytes per inner state, 1 where that state holds it, w the fewer of
-    1 and 2 that hold C(n, size).  A size-set's ANDs and ORs of its literals are 0/1 lanes, and their
+    is one big int with a lane of w bytes per inner state, 1 where that state holds it, w the fewest
+    that hold C(n, size).  A size-set's ANDs and ORs of its literals are 0/1 lanes, and their
     sum holds each inner state's count: one fold over the size-sets with no outer literal, the whole
     count where there is no outer slot, and per other size-set, under each outer state, the ANDs and
     ORs of its inner lanes and of all ones or zero per outer literal, tabled by its outer slots' values.
@@ -107,8 +106,7 @@ def _best_in_blocks(outers: list[tuple[int, ...]], inners: list[bytes], slots: l
     layout = [i for states in members.values() for i in states]
     ends = list(accumulate(map(len, members.values()), initial=0))
     runs = list(zip(members, ends, ends[1:]))  # (inner share, first, end) of each group's slice of the layout
-    width = 1 if comb(n, size) < 256 else 2
-    assert comb(n, size) < 1 << 16  # the lanes rule and PROBE_CAP keep it within 37,500: a count fits its lane
+    width = (comb(n, size).bit_length() + 7) // 8 or 1
     span = count * width
     laid = b"".join(map(inners.__getitem__, layout))
     wide = bytearray(m * span)  # slot-major: each inner slot's value in every inner state, low byte of its lane
@@ -118,10 +116,12 @@ def _best_in_blocks(outers: list[tuple[int, ...]], inners: list[bytes], slots: l
         hits = wide.translate(bytes(p) + b"\1" + bytes(255 - p))
         lanes[p] = [0] * cut + [int.from_bytes(hits[i:i + span], "little") for i in range(0, m * span, span)]
     index = {s: i for i, s in enumerate(slots)}
-    coords = list(zip(*combinations(range(n), size))) or [()] * size  # each position's vertex in every size-set
-    at = {lit: list(map(index.__getitem__, zip(*map(coords.__getitem__, lit[0]))))
-          for lit in {lit for group in groups for lit in group}}
-    inside = list(map(cut.__le__, map(min, zip(*at.values()))))  # per size-set, whether no literal is outer
+    # each position's vertex in every size-set, and each literal subset's slot there, once per subset
+    coords = [list(map(itemgetter(j), combinations(range(n), size))) for j in range(size)]
+    spots = {q: list(map(index.__getitem__, zip(*map(coords.__getitem__, q))))
+             for q in {lit[0] for group in groups for lit in group}}
+    at = {lit: spots[lit[0]] for group in groups for lit in group}
+    inside = list(map(cut.__le__, map(min, zip(*spots.values()))))  # per size-set, whether no literal is outer
     ones = int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
     # a group ORs its literals where every group must hold, else ANDs them; an outer literal that holds
     # (every) or fails (not every) decides its group, which is then all ones or all zero
@@ -245,7 +245,10 @@ def search_mixed_4subsets(max_vertices: int) -> SearchResult:
     return SearchResult("mixed_4subsets", best, witness, explored, exhaustive=True)
 
 
-PROBE_CAP = 150_000  # trials x subsets of [n] drawn a trial; the costliest probe under it took 3.6-4.9 s
+PROBE_CAP = 150_000  # trials x subsets of [n] drawn a trial
+# the literals of a probe's structures over every size-set of [n]: 0.14-0.22 us and 5-9 bytes each on the lanes,
+# and the costliest probes under both caps, their witness's recount included, took 2.9-4.5 s and at most 187 MB
+LITERAL_CAP = 12_000_000
 _COIN = bytes(int(x < 128) for x in range(256))  # random() < 0.5 iff its first word's top byte is below 128
 
 
@@ -270,29 +273,13 @@ def _draws(rng: random.Random, colors: int, m: int, trials: int) -> list[bytes]:
     return [pool[i * m:(i + 1) * m] for i in range(trials)]
 
 
-def _counts_per_trial(prob: Problem, n: int, structures: Structures, sizes: tuple[int, ...], k: int,
-                      picks: list[bytes]) -> Iterator[int]:
-    """Each trial's count by the problem's kernel, on the compact form its picks give."""
-    # every trial's edges are among these, so the entry check of the counts runs once
-    complete = _edges(ColoredHypergraph.from_edges(n, ((v, "") for s in sizes for v in combinations(range(n), s))))
-    slots = [(sizes.index(len(e.verts)) * k - 1, _facets(e.verts)) for e in complete]  # draw p >= 1: slot o + p
-    for picked in picks:
-        yield prob.count(_form(len(sizes) * k, [(o + p, f) for (o, f), p in zip(slots, picked) if p]))
-
-
-def _fits(n: int, structures: Structures, draws: int) -> bool:
-    """The lanes rule: a probe counts on lanes where its structures' literals over [n] number at most its draws."""
-    return comb(n, structures[0]) * sum(map(len, structures[2])) <= draws
-
-
 def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int = 0) -> SearchResult:
     """Best ratio of a registered problem over seeded-random instances, deterministic per seed.
 
     A trial draws each subset of [n] in `combinations` order, as `Problem.draws` says, a byte each.
-    Where the literals of the problem's structures over all size-sets of [n] number at most trials x
-    draws per trial, which `PROBE_CAP` bounds (`_fits`), all trials are counted at once, the inner
-    states of `_best_in_blocks` with no outer slot; otherwise each trial's compact form is counted
-    with the problem's kernel.
+    All trials are counted at once, the inner states of `_best_in_blocks` with no outer slot, after
+    `PROBE_CAP` bounds the draws and `LITERAL_CAP` the literals of the problem's structures over
+    every size-set of [n], neither of which a probe that draws nothing reaches.
     The ratio is the registry's, of the count and the drawn class sizes.  Only the best trial becomes
     a graph, recounted through the registry's kernel, which checks the structures against it.
     """
@@ -312,18 +299,12 @@ def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int
     check_cap("probe draws (trials x subsets of [n] drawn per trial)", trials * m, PROBE_CAP)
     if not trials * m:  # no trial or nothing to draw: every trial's instance is empty
         return SearchResult(problem, None, None, trials, exhaustive=False)
+    size, _, groups = prob.structures(d, delta)
+    check_cap("probe literals (size-sets of [n] x literals per size-set)", comb(n, size) * sum(map(len, groups)),
+              LITERAL_CAP)
     picks = _draws(random.Random(seed), k, m, trials)
-    structures = prob.structures(d, delta)
     subsets = [v for s in sizes for v in combinations(range(n), s)]
-    if _fits(n, structures, trials * m):
-        num, den, state = _best_in_blocks([()], picks, subsets, n, prob, d, delta)
-    else:
-        num, den, state = 0, 1, None
-        counts = _counts_per_trial(prob, n, structures, sizes, k, picks)
-        for j, share, picked in zip(counts, _shares(picks, n, sizes, k), picks):
-            num_j, den_j = prob.numerator(j, d), prob.denominator(share, d)
-            if den_j and (state is None or num_j * den > num * den_j):
-                num, den, state = num_j, den_j, picked
+    num, den, state = _best_in_blocks([()], picks, subsets, n, prob, d, delta)
     best, witness = _recounted(problem, n, subsets, state, num, den, d, delta, colors)
     return SearchResult(problem, best, witness, trials, exhaustive=False)
 

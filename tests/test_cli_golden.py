@@ -175,10 +175,12 @@ CASES = [
     "search probe --problem covering_delta --vertices 8 --d 3 --delta 0 --trials 120 --seed 18 --out p8.json",
     "search probe --problem covering_delta --vertices 10 --d 3 --delta 0 --trials 40 --seed 2147483646 --out p9.json",
     "search probe --problem covering_delta --vertices 7 --d 3 --delta 1 --trials 70 --seed 20 --out p10.json",
-    # C(13, 3) = 286 size-sets: every trial's count takes a 2-byte lane
+    # C(13, 3) = 286 size-sets: a count can need two bytes
     "search probe --problem rainbow_d --vertices 13 --trials 40 --seed 5 --out p11.json",
     # C(37, 4) = 66,045 size-sets: a count can need three bytes
     "search probe --problem covering_delta --delta 1 --vertices 37 --trials 2 --seed 9 --out p12.json",
+    # C(45, 6) x 45 literals: refused before any draw
+    "search probe --problem good6 --vertices 45 --trials 1",
     "weighted --input w.json",
     "weighted --input w.json --spectral",
     "weighted --input huge.json --spectral",

@@ -17,7 +17,7 @@ from shadowlab import search
 from shadowlab.errors import BoundViolationError, CapacityError, ValidationError
 from shadowlab.hypergraph import ColoredHypergraph
 from shadowlab.problems import PROBLEMS, Problem, check_ratio
-from shadowlab.search import (PROBE_CAP, _best_in_blocks, _draws, _orbit_least, _vertex_maps, random_probe,
+from shadowlab.search import (LITERAL_CAP, PROBE_CAP, _best_in_blocks, _draws, _orbit_least, _vertex_maps, random_probe,
                               search_mixed_4subsets, search_rainbow_triangle)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -328,7 +328,7 @@ def reference_probe(name, n, d, delta, trials, seed):
 
 
 # (problem, vertices, d, delta, trials): every problem up to the benchmark's probe sizes, and below each edge size;
-# each problem on both sides of the lanes rule: at n = 10 on its edge, and at larger n
+# each problem with more literals than draws, and covering_delta on 37 vertices, whose counts need 3-byte lanes
 PROBE_GRID = [
     ("rainbow_d", 2, 3, 0, 5), ("rainbow_d", 3, 3, 0, 60), ("rainbow_d", 5, 3, 0, 40), ("rainbow_d", 8, 3, 0, 30),
     ("rainbow_d", 10, 3, 0, 20), ("rainbow_d", 6, 2, 0, 30), ("rainbow_d", 5, 4, 0, 40), ("rainbow_d", 7, 4, 0, 30),
@@ -339,22 +339,25 @@ PROBE_GRID = [
     ("covering_delta", 5, 3, 1, 40), ("covering_delta", 7, 3, 1, 30), ("covering_delta", 7, 3, 2, 20),
     ("rainbow_d", 10, 3, 0, 24), ("rainbow_d", 30, 3, 0, 30), ("rainbow_d", 30, 3, 0, 90),
     ("good6", 12, 3, 0, 20), ("good6", 12, 3, 0, 100), ("mixed4", 7, 3, 0, 11), ("mixed4", 20, 3, 0, 50),
-    ("mixed4", 20, 3, 0, 66), ("covering_delta", 10, 3, 0, 24),
+    ("mixed4", 20, 3, 0, 66), ("covering_delta", 10, 3, 0, 24), ("covering_delta", 37, 3, 1, 2),
 ]
-BRANCHES = ["_best_in_blocks", "_counts_per_trial"]  # the lanes, and each trial's count by the kernel
-
-
-@pytest.fixture(params=BRANCHES)
-def branch(request, monkeypatch):
-    """Every probe takes the one branch named, whichever the lanes rule picks."""
-    monkeypatch.setattr(search, "_fits", lambda *args: request.param == "_best_in_blocks")
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
 @pytest.mark.parametrize("name, n, d, delta, trials", PROBE_GRID)
-def test_probe_matches_the_graph_per_trial_probe(branch, name, n, d, delta, trials, seed):
+def test_probe_matches_the_graph_per_trial_probe(name, n, d, delta, trials, seed):
     res = random_probe(name, {"vertices": n, "d": d, "delta": delta}, trials, seed=seed)
     assert (res.best, res.witness, res.explored) == reference_probe(name, n, d, delta, trials, seed)
+
+
+@pytest.mark.parametrize("n", [10, 12, 38])  # C(n, 4) = 210, 495 and 73,815 need lanes of one, two and three bytes
+def test_lanes_hold_the_count_of_every_size_set(monkeypatch, n):
+    # every trial draws every pair and triple, so each trial counts all C(n, 4) size-sets
+    monkeypatch.setattr(search, "_draws", lambda rng, colors, m, trials: [b"\1" * m] * trials)
+    res = random_probe("mixed4", {"vertices": n}, 2)
+    assert res.best == Fraction(comb(n, 4) ** 2, comb(n, 2) * comb(n, 3) ** 2)
+    complete = [(v, "plain") for size in (2, 3) for v in combinations(range(n), size)]
+    assert res.witness == ColoredHypergraph.from_edges(n, complete)
 
 
 def literal_count(name, n, d, delta):
@@ -365,48 +368,19 @@ def literal_count(name, n, d, delta):
             "covering_delta": comb(n, delta + 3) * 3 * (delta + 3)}[name]
 
 
-class Chosen(Exception):
-    """Names the branch a probe took, before it counts anything."""
-
-
-def branch_taken(monkeypatch, name, n, d, delta, trials):
-    for attr in BRANCHES:
-        def spy(*args, attr=attr):
-            raise Chosen(attr)
-        monkeypatch.setattr(search, attr, spy)
-    with pytest.raises(Chosen) as chosen:
-        random_probe(name, {"vertices": n, "d": d, "delta": delta}, trials)
-    return str(chosen.value)
-
-
 def draws(name, n, d, delta):
     sizes, _ = PROBLEMS[name].draws(d, delta)
     return sum(comb(n, size) for size in sizes)
 
 
-BENCH_PROBES = [("rainbow_d", 8, 3, 0, 800), ("rainbow_d", 10, 3, 0, 400), ("rainbow_d", 7, 4, 0, 300),
-                ("good6", 9, 3, 0, 50), ("good6", 8, 3, 0, 150), ("mixed4", 7, 3, 0, 300), ("mixed4", 6, 3, 0, 800),
-                ("covering_delta", 8, 3, 0, 600), ("covering_delta", 10, 3, 0, 200), ("covering_delta", 7, 3, 1, 350)]
-
-
-@pytest.mark.parametrize("row, taken", [*((row, "_best_in_blocks") for row in BENCH_PROBES),
-                                        (("good6", 23, 3, 0, 1), "_counts_per_trial"),
-                                        (("good6", 29, 3, 0, 6), "_counts_per_trial")])
-def test_bench_probes_take_the_lanes_and_the_largest_count_per_trial(monkeypatch, row, taken):
-    assert branch_taken(monkeypatch, *row) == taken
-
-
-@pytest.mark.parametrize("name, n, d, delta, trials", [row for row in PROBE_GRID if draws(*row[:4]) * row[4]])
-def test_probe_takes_the_lanes_where_its_literals_fit_the_draws(monkeypatch, name, n, d, delta, trials):
-    fits = literal_count(name, n, d, delta) <= trials * draws(name, n, d, delta)
-    expected = "_best_in_blocks" if fits else "_counts_per_trial"
-    assert branch_taken(monkeypatch, name, n, d, delta, trials) == expected
-
-
-def test_the_grid_holds_every_problem_on_both_sides_of_the_rule():
-    sides = {(name, literal_count(name, n, d, delta) <= trials * draws(name, n, d, delta))
-             for name, n, d, delta, trials in PROBE_GRID if draws(name, n, d, delta) * trials}
-    assert sides == {(name, fits) for name in PROBLEMS for fits in (False, True)}
+@pytest.mark.parametrize("name, d, delta", [("rainbow_d", 3, 0), ("rainbow_d", 6, 0), ("good6", 3, 0),
+                                            ("mixed4", 3, 0), ("covering_delta", 3, 0), ("covering_delta", 3, 2)])
+def test_literal_cap_counts_the_structures_literals_over_every_size_set(monkeypatch, name, d, delta):
+    monkeypatch.setattr(search, "LITERAL_CAP", 0)
+    for n in (7, 12):
+        literals = literal_count(name, n, d, delta)
+        with pytest.raises(CapacityError, match=rf"probe literals \(.*\) = {literals} exceeds cap 0$"):
+            random_probe(name, {"vertices": n, "d": d, "delta": delta}, 1)
 
 
 @pytest.mark.parametrize("colors", [1, *range(2, 66)])  # one color is a fair coin; rainbow_d draws up to 65
@@ -452,6 +426,21 @@ def test_probe_work_capped_before_drawing(monkeypatch):
         random_probe("good6", {"vertices": 29}, 7)
     with pytest.raises(CapacityError, match="= 31465000 exceeds cap"):
         random_probe("good6", {"vertices": 31}, 1000)
+    # one trial on 45 vertices passes that cap, but its structures have C(45, 6) x 45 literals
+    with pytest.raises(CapacityError, match=r"probe literals .* = 366527700 exceeds cap 12000000"):
+        random_probe("good6", {"vertices": 45}, 1)
+
+
+def probe_child(argv, limit):
+    """`search probe` with these options and `--json`, in a child whose address space is capped at `limit`
+    bytes: the finished process, and its wall time."""
+    child = ("import resource, runpy, sys; limit = int(sys.argv.pop(1)); "
+             "resource.setrlimit(resource.RLIMIT_AS, (limit, limit)); "
+             "sys.argv[0] = 'shadowlab'; runpy.run_module('shadowlab.cli', run_name='__main__')")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", child, str(limit), "search", "probe", *argv.split(), "--json"],
+                          capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": str(SRC)})
+    return done, time.perf_counter() - start
 
 
 @pytest.mark.parametrize("argv", [
@@ -463,12 +452,7 @@ def test_probe_work_capped_before_drawing(monkeypatch):
     "--d 1000000 --vertices 4",
 ])
 def test_probe_drawing_nothing_answers_at_once(argv):
-    child = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-             "sys.argv[0] = 'shadowlab'; runpy.run_module('shadowlab.cli', run_name='__main__')")
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", child, "search", "probe", *argv.split(), "--json"],
-                          capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": str(SRC)})
-    elapsed = time.perf_counter() - start
+    done, elapsed = probe_child(argv, 2 << 30)
     assert done.returncode == 0, done.stderr
     trials = int(argv.split("--trials ")[1]) if "--trials" in argv else 1000
     assert '"best_ratio":"none"' in done.stdout and f'"explored":"{trials}"' in done.stdout
@@ -476,21 +460,21 @@ def test_probe_drawing_nothing_answers_at_once(argv):
 
 
 def test_costliest_probe_under_the_cap_finishes_within_budget():
-    # good6 costs the most a draw, and more the more vertices; from 30 vertices on, the good6 count's own
-    # cap refuses about half-full instances.  So six trials on 29 are the costliest probe both caps
-    # admit, seven counts with the witness's recount: 3.6-4.9 s on a 2-vCPU x86 VM with Python 3.11,
-    # against a budget of 10 s
-    assert 6 * comb(29, 4) <= PROBE_CAP < 7 * comb(29, 4)
-    argv = [sys.executable, "-m", "shadowlab.cli", "search", "probe", "--problem", "good6", "--vertices", "29",
-            "--trials", "6", "--json"]
-    done = subprocess.run(argv, capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": str(SRC)})
+    # of every problem's probes at the most vertices and trials both caps admit (rainbow_d to d = 8, covering_delta
+    # to delta = 4), one trial of covering_delta with delta = 3 on 30 vertices costs the most: 2.9-4.5 s and
+    # 142 MB peak RSS on a 2-vCPU x86 VM with Python 3.11, against a budget of 10 s and 256 MB of address space.
+    # One more vertex passes neither cap, and a second trial not PROBE_CAP
+    assert draws("covering_delta", 30, 3, 3) <= PROBE_CAP < 2 * draws("covering_delta", 30, 3, 3)
+    assert draws("covering_delta", 31, 3, 3) > PROBE_CAP
+    assert literal_count("covering_delta", 30, 3, 3) <= LITERAL_CAP < literal_count("covering_delta", 31, 3, 3)
+    done, _ = probe_child("--problem covering_delta --delta 3 --vertices 30 --trials 1", 1 << 28)
     assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
-def test_probe_ratio_differing_from_the_registry_raises(monkeypatch, branch, name):
-    # a trial and the witness's recount share the formula, and on the per-trial branch the kernel;
-    # only the recount reads the graph entry, so one that loses the witness's first edge must change its count
+def test_probe_ratio_differing_from_the_registry_raises(monkeypatch, name):
+    # a trial and the witness's recount share the formula, but only the recount reads the graph entry and
+    # runs the kernel, so one that loses the witness's first edge must change its count
     problem = PROBLEMS[name]
     lossy = replaced(problem, form=lambda h, *args: problem.form(ColoredHypergraph(h.n, h.edges[1:]), *args))
     monkeypatch.setitem(PROBLEMS, name, lossy)
