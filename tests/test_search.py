@@ -373,6 +373,25 @@ def draws(name, n, d, delta):
     return sum(comb(n, size) for size in sizes)
 
 
+DRAWING_ROWS = [row for row in PROBE_GRID if draws(*row[:4]) * row[4]]  # the grid rows that draw a subset
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+@pytest.mark.parametrize("name, n, d, delta, trials", DRAWING_ROWS)
+def test_lanes_count_each_trial_as_the_registry_counts_its_graph(name, n, d, delta, trials, seed):
+    # the probe keeps only its best trial, so a wrong count in a trial that does not win would not show there:
+    # each of the first 20 trials alone on the lanes, against its graph counted through the registry
+    prob = PROBLEMS[name]
+    sizes, colors = prob.draws(d, delta)
+    subsets = [v for size in sizes for v in combinations(range(n), size)]
+    picks = _draws(random.Random(seed), len(colors), len(subsets), trials)[:20]
+    rng, named = random.Random(seed), tuple(f"c{i + 1}" for i in range(d)) if name == "rainbow_d" else None
+    for picked in picks:
+        num, den, state = _best_in_blocks([()], [picked], subsets, n, prob, d, delta)
+        _, ratio = prob.exact(reference_instance(rng, name, n, d, delta), d, delta, named)
+        assert (Fraction(num, den) if state is not None else None) == ratio
+
+
 @pytest.mark.parametrize("name, d, delta", [("rainbow_d", 3, 0), ("rainbow_d", 6, 0), ("good6", 3, 0),
                                             ("mixed4", 3, 0), ("covering_delta", 3, 0), ("covering_delta", 3, 2)])
 def test_literal_cap_counts_the_structures_literals_over_every_size_set(monkeypatch, name, d, delta):
@@ -381,6 +400,39 @@ def test_literal_cap_counts_the_structures_literals_over_every_size_set(monkeypa
         literals = literal_count(name, n, d, delta)
         with pytest.raises(CapacityError, match=rf"probe literals \(.*\) = {literals} exceeds cap 0$"):
             random_probe(name, {"vertices": n, "d": d, "delta": delta}, 1)
+
+
+class Drawn(Exception):
+    """A probe passed both caps and began to draw."""
+
+
+def drawn(*args):
+    raise Drawn
+
+
+@pytest.mark.parametrize("name, n, d, delta, trials", DRAWING_ROWS)
+def test_literal_cap_admits_its_own_count_and_refuses_one_more(monkeypatch, name, n, d, delta, trials):
+    monkeypatch.setattr(search, "_draws", drawn)
+    literals = literal_count(name, n, d, delta)
+    monkeypatch.setattr(search, "LITERAL_CAP", literals)
+    with pytest.raises(Drawn):
+        random_probe(name, {"vertices": n, "d": d, "delta": delta}, trials)
+    monkeypatch.setattr(search, "LITERAL_CAP", literals - 1)
+    with pytest.raises(CapacityError, match=rf"probe literals \(.*\) = {literals} exceeds cap {literals - 1}$"):
+        random_probe(name, {"vertices": n, "d": d, "delta": delta}, trials)
+
+
+# the benchmark's probe shapes, as bench/workloads.py lists them
+BENCH_PROBES = [("rainbow_d", 8, 3, 0, 800), ("rainbow_d", 10, 3, 0, 400), ("rainbow_d", 7, 4, 0, 300),
+                ("good6", 9, 3, 0, 50), ("good6", 8, 3, 0, 150), ("mixed4", 7, 3, 0, 300), ("mixed4", 6, 3, 0, 800),
+                ("covering_delta", 8, 3, 0, 600), ("covering_delta", 10, 3, 0, 200), ("covering_delta", 7, 3, 1, 350)]
+
+
+@pytest.mark.parametrize("name, n, d, delta, trials", BENCH_PROBES)
+def test_bench_probes_pass_both_caps(monkeypatch, name, n, d, delta, trials):
+    monkeypatch.setattr(search, "_draws", drawn)
+    with pytest.raises(Drawn):
+        random_probe(name, {"vertices": n, "d": d, "delta": delta}, trials)
 
 
 @pytest.mark.parametrize("colors", [1, *range(2, 66)])  # one color is a fair coin; rainbow_d draws up to 65
