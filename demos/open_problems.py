@@ -5,7 +5,7 @@ reports keep the two separate, and random probes only ever tighten the
 evidence, never settle anything.
 """
 
-from shadowlab import PROBLEMS, ColoredHypergraph, check_ratio, spectral_trace_check, weighted_joint_sum
+from shadowlab import PROBLEMS, ColoredHypergraph, spectral_trace_check, weighted_joint_sum
 from shadowlab.constructions import flats_example, tripartite_mixed
 from shadowlab.search import random_probe, search_mixed_4subsets
 
@@ -17,9 +17,8 @@ print("2/7 is the conjectured optimum; nothing larger is known\n")
 
 print("== mixed 2/3-edge 4-subsets ==")
 for size in (2, 3, 4):
-    rep = check_ratio("mixed4", tripartite_mixed(size).graph)
-    print(f"tripartite n={size}: J={rep.counts['J']}, N2={rep.counts['N2']}, N3={rep.counts['N3']}, "
-          f"ratio {rep.ratio_exact}")
+    counts, ratio = PROBLEMS["mixed4"].exact(tripartite_mixed(size).graph)
+    print(f"tripartite n={size}: J={counts['J']}, N2={counts['N2']}, N3={counts['N3']}, ratio {ratio}")
 print("the construction climbs toward 3/2; the proven window is [3/2, 3]")
 res = search_mixed_4subsets(4)
 print(f"exhaustive n=4: best ratio {res.best} over {res.explored} states\n")
@@ -28,9 +27,9 @@ print("== color-covering subsets at higher uniformity ==")
 h = ColoredHypergraph.from_edges(
     4, [((0, 1, 2), "red"), ((0, 1, 3), "green"), ((0, 2, 3), "blue")]
 )
-rep = check_ratio("covering_delta", h, delta=1)
-print(f"delta=1 example: J={rep.counts['J']}, ratio {rep.ratio_exact}")
-for b in rep.reports:
+counts, ratio = PROBLEMS["covering_delta"].exact(h, delta=1)
+print(f"delta=1 example: J={counts['J']}, ratio {ratio}")
+for b in PROBLEMS["covering_delta"].reports(ratio, delta=1):
     tag = "conjecture" if b.conjecture else "proven"
     print(f"  {tag}: ratio <= {b.bound:g} [{b.source}] -> {b.satisfied}")
 print()

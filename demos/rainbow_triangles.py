@@ -5,7 +5,7 @@ tripartite comparison point, the higher-uniformity ratio with its three
 upper bounds, and the exhaustive search that rediscovers the tight example.
 """
 
-from shadowlab import check_ratio
+from shadowlab import PROBLEMS
 from shadowlab.constructions import (k4_blowup, kappa_lift, matching_construction, rainbow_tripartite,
                                      round_robin_matchings)
 from shadowlab.search import search_rainbow_triangle
@@ -13,17 +13,14 @@ from shadowlab.search import search_rainbow_triangle
 print("== blowups of the opposite-edge K4 coloring ==")
 for n in (1, 2, 3):
     c = k4_blowup(n)
-    rep = check_ratio("rainbow_d", c.graph, 3, colors=c.graph.colors())
-    print(
-        f"n={n}: {c.graph.n} vertices, R=G=B={rep.counts['C'][0]}, "
-        f"T={rep.counts['T']}, T^2/(RGB) = {rep.ratio_exact}"
-    )
+    counts, ratio = PROBLEMS["rainbow_d"].exact(c.graph, 3, colors=c.graph.colors())
+    print(f"n={n}: {c.graph.n} vertices, R=G=B={counts['C'][0]}, T={counts['T']}, T^2/(RGB) = {ratio}")
 print("the ratio is exactly 2 for every n, so the bound T^2 <= 2RGB is sharp\n")
 
 print("== complete tripartite blowup of one rainbow triangle ==")
 c = rainbow_tripartite(2, 3, 4)
-rep = check_ratio("rainbow_d", c.graph, 3, colors=c.graph.colors())
-print(f"parts (2,3,4): T={rep.counts['T']}, classes {tuple(rep.counts['C'])}, ratio {rep.ratio_exact}")
+counts, ratio = PROBLEMS["rainbow_d"].exact(c.graph, 3, colors=c.graph.colors())
+print(f"parts (2,3,4): T={counts['T']}, classes {tuple(counts['C'])}, ratio {ratio}")
 print("tripartite blowups sit at ratio 1: the loss lives elsewhere in the"
       " entropy argument\n")
 
@@ -44,6 +41,6 @@ for d in (3, 5, 7):
 base = matching_construction(5)
 lifted = kappa_lift(base.graph)
 print(f"lift of d=5: ratio {lifted.expected['ratio']} (preserved exactly)")
-rep = check_ratio("rainbow_d", lifted.graph, 6, colors=lifted.graph.colors())
-for b in rep.reports:
+_, ratio = PROBLEMS["rainbow_d"].exact(lifted.graph, 6, colors=lifted.graph.colors())
+for b in PROBLEMS["rainbow_d"].reports(ratio, 6):
     print(f"  bound check: {b.quantity} <= {b.bound:g} [{b.source}] -> {b.satisfied}")

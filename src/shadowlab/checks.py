@@ -13,7 +13,7 @@ import math
 
 from . import formats
 from .errors import ValidationError, check_cap
-from .hypergraph import ColoredHypergraph, _binom_bound, _edges
+from .hypergraph import VERTEX_CAP, ColoredHypergraph, _binom_bound, _edges
 from .problems import _facets, _form, _members
 from .record import Record
 from .reports import BoundReport, lower_report, upper_report
@@ -78,6 +78,7 @@ def weighted_joint_sum(h: ColoredHypergraph, d: int) -> WeightedSumReport:
     """
     if d < 2:
         raise ValidationError(f"need d >= 2, got {d}")
+    check_cap("weighted edge size d - 1", d - 1, VERTEX_CAP)  # before (d-1)! is formed: no edge is that large
     table = {e.verts: 1 if e.weight is None else e.weight for e in _edges(h, d - 1, what="weighted counting")}
     total = sum(table.values())
     bases = sorted(f for f, w in table.items() if w)

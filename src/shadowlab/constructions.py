@@ -32,12 +32,21 @@ class Construction(Record):
     expected: dict[str, object]
 
 
-def _self_check(name: str, expected: dict[str, object], counted: dict[str, object]) -> dict[str, object]:
-    """Return `expected`, the closed forms, once every counted value equals the one under its key."""
-    for key, got in counted.items():
-        if expected[key] != got:
-            raise BoundViolationError(f"{name} self-check failed: {key} expected {expected[key]}, counted {got}")
-    return expected
+def _checked(name: str, graph: ColoredHypergraph, problem: str, expected: dict[str, object], d: int = 3,
+             colors: tuple[str, ...] | None = None, letters: str = "") -> Construction:
+    """The construction, once each closed form in `expected`, in its order, equals the graph's recount
+    through the registry problem.  rainbow_d's class sizes are counted under `letters`, one a class,
+    or else as the tuple "C"; where the ratio has no closed form, the recount's is the last key."""
+    counted, ratio = pb.PROBLEMS[problem].exact(graph, d, 0, colors)
+    if "C" in counted:
+        sizes = tuple(counted.pop("C"))
+        counted.update(zip(letters, sizes) if letters else [("C", sizes)])
+    counted["ratio"] = ratio
+    expected.setdefault("ratio", ratio)
+    for key, value in expected.items():
+        if value != counted[key]:
+            raise BoundViolationError(f"{name} self-check failed: {key} expected {value}, counted {counted[key]}")
+    return Construction(name, graph, expected)
 
 
 def k4_blowup(n: int) -> Construction:
@@ -65,10 +74,8 @@ def k4_blowup(n: int) -> Construction:
             for b in group[gb]:
                 edges.append(((a, b), color))
     graph = ColoredHypergraph.from_edges(4 * n, edges)
-    counts, ratio = pb.PROBLEMS["rainbow_d"].exact(graph, 3, 0, pb.RGB)
     expected = {"R": 2 * n * n, "G": 2 * n * n, "B": 2 * n * n, "T": 4 * n**3, "ratio": Fraction(2)}
-    counted = dict(zip("RGB", counts["C"]), T=counts["T"], ratio=ratio)
-    return Construction("k4_blowup", graph, _self_check("k4_blowup", expected, counted))
+    return _checked("k4_blowup", graph, "rainbow_d", expected, colors=pb.RGB, letters="RGB")
 
 
 def rainbow_tripartite(a: int, b: int, c: int) -> Construction:
@@ -88,10 +95,8 @@ def rainbow_tripartite(a: int, b: int, c: int) -> Construction:
         for z in parts[2]:
             edges.append(((x, z), "blue"))
     graph = ColoredHypergraph.from_edges(a + b + c, edges)
-    counts, ratio = pb.PROBLEMS["rainbow_d"].exact(graph, 3, 0, pb.RGB)
     expected = {"R": a * b, "G": b * c, "B": a * c, "T": a * b * c, "ratio": Fraction(1)}
-    counted = dict(zip("RGB", counts["C"]), T=counts["T"], ratio=ratio)
-    return Construction("rainbow_tripartite", graph, _self_check("rainbow_tripartite", expected, counted))
+    return _checked("rainbow_tripartite", graph, "rainbow_d", expected, colors=pb.RGB, letters="RGB")
 
 
 def round_robin_matchings(m: int) -> list[list[tuple[int, int]]]:
@@ -132,10 +137,8 @@ def matching_construction(d: int) -> Construction:
         complement = tuple(v for v in vertices if v not in pair)
         edges.append((complement, color))
     graph = ColoredHypergraph.from_edges(d + 1, edges)
-    counts, ratio = pb.PROBLEMS["rainbow_d"].exact(graph, d, 0, colors)
     expected = {"T": d + 1, "C": tuple((d + 1) // 2 for _ in colors), "ratio": Fraction(2**d, d + 1)}
-    counted = {"T": counts["T"], "C": tuple(counts["C"]), "ratio": ratio}
-    return Construction("matching_construction", graph, _self_check("matching_construction", expected, counted))
+    return _checked("matching_construction", graph, "rainbow_d", expected, d, colors)
 
 
 def kappa_lift(h: ColoredHypergraph) -> Construction:
@@ -159,12 +162,10 @@ def kappa_lift(h: ColoredHypergraph) -> Construction:
     edges = [(e.verts + (v,), e.color) for e in h.edges]
     edges.extend((delta, new_color) for delta in cliques)
     graph = ColoredHypergraph.from_edges(h.n + 1, edges)
-    counts, ratio = pb.PROBLEMS["rainbow_d"].exact(graph, d + 1, 0, colors + (new_color,))
     old_counts = h.color_counts()
     # the lift keeps T and the old classes, and its new class has one edge per clique
-    expected = {"T": len(cliques), "C": (*(old_counts[c] for c in colors), len(cliques)), "ratio": ratio}
-    counted = {"T": counts["T"], "C": tuple(counts["C"])}
-    return Construction("kappa_lift", graph, _self_check("kappa_lift", expected, counted))
+    expected = {"T": len(cliques), "C": (*(old_counts[c] for c in colors), len(cliques))}
+    return _checked("kappa_lift", graph, "rainbow_d", expected, d + 1, colors + (new_color,))
 
 
 def tetrahedra8() -> Construction:
@@ -204,10 +205,8 @@ def tetrahedra8() -> Construction:
     for subset in combinations(range(4), 3):
         edges.append((subset, "yellow"))
     graph = ColoredHypergraph.from_edges(8, edges)
-    counts, ratio = pb.PROBLEMS["rainbow_d"].exact(graph, 4, 0, ("red", "blue", "green", "yellow"))
     expected = {"R": 16, "B": 16, "G": 12, "Y": 12, "T": 48, "ratio": Fraction(3)}
-    counted = dict(zip("RBGY", counts["C"]), T=counts["T"], ratio=ratio)
-    return Construction("tetrahedra8", graph, _self_check("tetrahedra8", expected, counted))
+    return _checked("tetrahedra8", graph, "rainbow_d", expected, 4, ("red", "blue", "green", "yellow"), "RBGY")
 
 
 def flats_example() -> Construction:
@@ -224,9 +223,7 @@ def flats_example() -> Construction:
             verts = tuple(sorted(ij + tuple(4 + k for k in kl)))
             edges.append((verts, PLAIN))
     graph = ColoredHypergraph.from_edges(8, edges)
-    counts, ratio = pb.PROBLEMS["good6"].exact(graph)
-    expected = {"N": 14, "J": 28, "ratio": Fraction(2, 7)}
-    return Construction("flats_example", graph, _self_check("flats_example", expected, {**counts, "ratio": ratio}))
+    return _checked("flats_example", graph, "good6", {"N": 14, "J": 28, "ratio": Fraction(2, 7)})
 
 
 def tripartite_mixed(n: int) -> Construction:
@@ -248,9 +245,8 @@ def tripartite_mixed(n: int) -> Construction:
             for z in parts[2]:
                 edges.append(((x, y, z), PLAIN))
     graph = ColoredHypergraph.from_edges(3 * n, edges)
-    counts, ratio = pb.PROBLEMS["mixed4"].exact(graph)
-    expected = {"N2": 3 * math.comb(n, 2), "N3": n**3, "J": 3 * math.comb(n, 2) * n * n, "ratio": ratio}
-    return Construction("tripartite_mixed", graph, _self_check("tripartite_mixed", expected, counts))
+    expected = {"N2": 3 * math.comb(n, 2), "N3": n**3, "J": 3 * math.comb(n, 2) * n * n}
+    return _checked("tripartite_mixed", graph, "mixed4", expected)
 
 
 def complete_family(m: int, d: int) -> SetFamily:

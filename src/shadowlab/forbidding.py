@@ -85,6 +85,7 @@ def qlinear_system(q: int, n: int, d: int) -> ForbiddingSystem:
 
     Universe is F_q^n minus the zero vector; q must be prime.
     """
+    check_cap("field order q", q, SYSTEM_UNIVERSE_CAP)  # q^n is capped too, but q^0 is 1
     if not ql.is_prime(q):
         raise ValidationError(f"q must be prime, got {q}")
     if n < 0:

@@ -338,32 +338,6 @@ def get_problem(name: str) -> Problem:
     return PROBLEMS[name]
 
 
-class RatioReport(Record):
-    """A problem's named counts and exact ratio on one graph, with its bound reports."""
-
-    counts: dict
-    ratio_exact: Fraction
-    reports: tuple[BoundReport, ...]
-
-    @property
-    def ratio(self) -> float:
-        return float(self.ratio_exact)
-
-
-def check_ratio(
-    name: str, h: ColoredHypergraph, d: int = 3, delta: int = 0, colors: Sequence[str] | None = None
-) -> RatioReport:
-    """The problem's exact ratio on h, checked against every bound it has.
-
-    Raises ValidationError when a class in the denominator is empty.
-    """
-    problem = get_problem(name)
-    counts, ratio = problem.exact(h, d, delta, colors)
-    if ratio is None:
-        raise ValidationError(f"the {name} ratio needs every class nonempty, got {counts}")
-    return RatioReport(counts, ratio, tuple(problem.reports(ratio, d, delta)))
-
-
 # the count kinds by name, each a ratio problem of the registry
 _COUNT_PROBLEMS = {"good6": "good6", "mixed4": "mixed4", "covering": "covering_delta"}
 
@@ -397,6 +371,9 @@ def _kappa_options(p) -> None:
 def _cmd_kappa(args) -> tuple[dict, list[BoundReport], list[str]]:
     h = formats.load_hypergraph(args.input)
     colors = tuple(x.strip() for x in args.colors.split(",") if x.strip()) if args.colors else h.colors()
-    rep = check_ratio("rainbow_d", h, args.d, colors=colors)
-    q = {**rep.counts, "ratio": rep.ratio_exact, "ratio_real": rep.ratio}
-    return q, list(rep.reports), list(PROBLEMS["rainbow_d"].notes)
+    problem = PROBLEMS["rainbow_d"]
+    q, ratio = problem.exact(h, args.d, colors=colors)
+    if ratio is None:
+        raise ValidationError(f"the rainbow_d ratio needs every class nonempty, got {q}")
+    q.update(ratio=ratio, ratio_real=float(ratio))
+    return q, problem.reports(ratio, args.d), list(problem.notes)

@@ -28,9 +28,8 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    return all(q % p for p in range(2, int(q**0.5) + 1))
+    """Trial division, up to isqrt(q) steps: every q read from input is capped before it comes here."""
+    return q >= 2 and all(q % p for p in range(2, math.isqrt(q) + 1))
 
 
 def rref(rows: Iterable[Sequence[int]], q: int) -> Matrix:
@@ -109,10 +108,12 @@ class SubspaceFamily(Record):
         before a bad q or d, as the family reader names it.
         """
         canon = [tuple(map(tuple, m)) for m in members]
-        if not (is_prime(q) and 0 <= d <= n and _in_echelon_form(canon, q, n, d)):
+        if not (q <= SHAPE_CAP and is_prime(q) and 0 <= d <= n and _in_echelon_form(canon, q, n, d)):
             for x in chain.from_iterable(chain.from_iterable(canon)):
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise ValidationError(f"subspace entry must be an integer, got {x!r}")
+            # a member of dimension 2 or more over a larger field has more hyperplanes than the shadow takes
+            check_cap("field order q", q, SHAPE_CAP)
             if not is_prime(q):
                 raise ValidationError(f"q must be prime, got {q}")
             if not (0 <= d <= n):
@@ -142,6 +143,7 @@ def enumerate_subspaces(q: int, n: int, d: int) -> SubspaceFamily:
     For each pivot-column choice the free entries (right of the pivot, off
     the other pivot columns) range over F_q independently.
     """
+    check_cap("field order q", q, FIELD_CAP)  # q^n is capped too, but q^0 is 1
     if not is_prime(q):
         raise ValidationError(f"q must be prime, got {q}")
     if not (0 <= d <= n):

@@ -11,10 +11,11 @@ symmetries that map the outer slots onto themselves.  Such a symmetry maps the f
 one as good whose outer part is no earlier, so the best ratio and its witness are those of the full
 scan, and `explored` counts every state.  A random probe draws every trial's bytes at once and
 counts all trials at once as the engine's inner states under no outer slot; `PROBE_CAP` bounds its
-draws and `LITERAL_CAP` its structures' literals over [n].  Both compare by exact
-cross-multiplication and keep the first on a tie.  Every reported ratio is the registry's
-exact ratio of its witness, recounted by the kernel: a search whose own count differs raises
-BoundViolationError, so the recount also checks the problem's structures against its kernel.
+draws, `LITERAL_CAP` its structures' literals over [n] and `RECOUNT_CAP` its witness's facets.
+Both compare by exact cross-multiplication and keep the first on a tie.  Every reported ratio is
+the registry's exact ratio of its witness, recounted by the kernel: a search whose own count
+differs raises BoundViolationError, so the recount also checks the problem's structures against
+its kernel.
 The `search` command is here.
 """
 
@@ -246,9 +247,12 @@ def search_mixed_4subsets(max_vertices: int) -> SearchResult:
 
 
 PROBE_CAP = 150_000  # trials x subsets of [n] drawn a trial
-# the literals of a probe's structures over every size-set of [n]: 0.14-0.22 us and 5-9 bytes each on the lanes,
-# and the costliest probes under both caps, their witness's recount included, took 2.9-4.5 s and at most 187 MB
+# the literals of a probe's structures over every size-set of [n]: 0.14-0.22 us and 5-9 bytes each on the lanes
 LITERAL_CAP = 12_000_000
+# the facets of a trial's subsets, the most the witness's recount reads: about 2 us and 250 bytes each, so
+# about 2 s and 250 MB at the cap; one trial of rainbow_d with d = 24 on 28 vertices, 2.3e6 facets, took
+# 7.9 s and 524 MB (2-vCPU x86 VM)
+RECOUNT_CAP = 10**6
 _COIN = bytes(int(x < 128) for x in range(256))  # random() < 0.5 iff its first word's top byte is below 128
 
 
@@ -278,8 +282,9 @@ def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int
 
     A trial draws each subset of [n] in `combinations` order, as `Problem.draws` says, a byte each.
     All trials are counted at once, the inner states of `_best_in_blocks` with no outer slot, after
-    `PROBE_CAP` bounds the draws and `LITERAL_CAP` the literals of the problem's structures over
-    every size-set of [n], neither of which a probe that draws nothing reaches.
+    `PROBE_CAP` bounds the draws, `LITERAL_CAP` the literals of the problem's structures over every
+    size-set of [n] and `RECOUNT_CAP` the facets of a trial's subsets, none of which a probe that
+    draws nothing reaches.
     The ratio is the registry's, of the count and the drawn class sizes.  Only the best trial becomes
     a graph, recounted through the registry's kernel, which checks the structures against it.
     """
@@ -302,6 +307,8 @@ def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int
     size, _, groups = prob.structures(d, delta)
     check_cap("probe literals (size-sets of [n] x literals per size-set)", comb(n, size) * sum(map(len, groups)),
               LITERAL_CAP)
+    check_cap("probe recount facets (subsets of [n] drawn per trial x their size)",
+              sum(comb(n, s) * s for s in sizes), RECOUNT_CAP)
     picks = _draws(random.Random(seed), k, m, trials)
     subsets = [v for s in sizes for v in combinations(range(n), s)]
     num, den, state = _best_in_blocks([()], picks, subsets, n, prob, d, delta)

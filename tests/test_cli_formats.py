@@ -548,6 +548,9 @@ OVERSIZED = {
     "space18.json": {"q": 2, "n": 100, "d": 18, "members": [[[int(i == j) for j in range(100)] for i in range(18)]]},
     "huge_p.json": {"arity": 1, "support": [{"values": [0], "p": "1e400000000"}]},
     "tiny_p.json": {"arity": 1, "support": [{"values": [0], "p": "1e-400000000"}]},
+    "edgeless.json": _weighted_graph(3, []),
+    "big_q.json": {"q": 10**400 + 1, "n": 2, "d": 1, "members": [[[1, 0]]]},
+    "q999983.json": {"q": 999983, "n": 2, "d": 1, "members": [[[1, 0]]]},
 }
 CHILD = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
          "sys.argv[0] = 'shadowlab'; runpy.run_module('shadowlab.cli', run_name='__main__')")
@@ -587,15 +590,45 @@ CHILD = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2
     ("entropy --dist tiny_p.json", 3, "support item 0: bad probability '1e-400000000'"),
 ])
 def test_oversized_input_exits_without_traceback(tmp_path, argv, code, err):
+    out, elapsed = run_child(tmp_path, argv)
+    assert (out.returncode, out.stdout) == (code, "")
+    assert "Traceback" not in out.stderr and err in out.stderr
+    assert elapsed < 5.0
+
+
+def run_child(tmp_path, argv: str) -> tuple[subprocess.CompletedProcess, float]:
+    """The program on argv, in a child under a timeout, in a directory holding the OVERSIZED inputs,
+    and its wall time."""
     for name, obj in OVERSIZED.items():
         (tmp_path / name).write_text(json.dumps(obj))
     src = os.path.dirname(os.path.dirname(cli.__file__))
     start = time.perf_counter()
     out = subprocess.run([sys.executable, "-c", CHILD, *argv.split()], cwd=tmp_path, capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=10)
-    assert (out.returncode, out.stdout) == (code, "")
-    assert "Traceback" not in out.stderr and err in out.stderr
-    assert time.perf_counter() - start < 5.0
+    return out, time.perf_counter() - start
+
+
+# q = 10^400 + 1 overflowed is_prime's float square root, and the prime 2^61 - 1 kept trial division busy for
+# over 20 s; an edgeless graph at d = 10^8 formed (d - 1)!, and at d = 200 overflowed a float on a weight of 0
+@pytest.mark.parametrize("argv, err", [
+    ("qkk --family big_q.json", "field order q = {big} exceeds cap 1000000"),
+    ("forbidding verify --system qlinear:{big},1 --d 1", "field order q = {big} exceeds cap 65536"),
+    ("forbidding verify --system qlinear:{prime},1 --d 1", "field order q = {prime} exceeds cap 65536"),
+    ("forbidding verify --system qlinear:{prime},0 --d 1", "field order q = {prime} exceeds cap 65536"),
+    ("weighted --input edgeless.json --d 100000000", "weighted edge size d - 1 = 99999999 exceeds cap 64"),
+    ("weighted --input edgeless.json --d 200", "weighted edge size d - 1 = 199 exceeds cap 64"),
+])
+def test_oversized_order_or_edge_size_refused_at_once(tmp_path, argv, err):
+    big = {"big": 10**400 + 1, "prime": 2**61 - 1}
+    out, elapsed = run_child(tmp_path, argv.format(**big))
+    assert (out.returncode, out.stdout) == (4, "")
+    assert "Traceback" not in out.stderr and err.format(**big) in out.stderr
+    assert elapsed < 2.0
+
+
+def test_largest_field_order_a_file_may_have_is_accepted(tmp_path):
+    out, _ = run_child(tmp_path, "qkk --family q999983.json --json")
+    assert out.returncode == 0 and json.loads(out.stdout)["quantities"]["q"] == "999983"
 
 
 def test_weighted_at_its_cap(tmp_path):

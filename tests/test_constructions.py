@@ -20,7 +20,7 @@ from conftest import fig1_k4, problem_count, replaced
 from shadowlab import problems
 from shadowlab.errors import BoundViolationError, CapacityError, ValidationError
 from shadowlab.hypergraph import ColoredHypergraph, validate
-from shadowlab.problems import PROBLEMS, check_ratio, rainbow_cliques
+from shadowlab.problems import PROBLEMS, rainbow_cliques
 
 RGB = ("red", "green", "blue")
 
@@ -98,8 +98,7 @@ class TestKappaLift:
         once = kappa_lift(k4_blowup(1).graph)
         twice = kappa_lift(once.graph)
         assert twice.expected["ratio"] == Fraction(2)
-        rep = check_ratio("rainbow_d", twice.graph, 5, colors=twice.graph.colors())
-        assert rep.ratio_exact == Fraction(2)
+        assert PROBLEMS["rainbow_d"].exact(twice.graph, 5, colors=twice.graph.colors())[1] == Fraction(2)
 
     def test_preserves_ratio_on_matching(self):
         base = matching_construction(5)
@@ -167,8 +166,7 @@ class TestTripartiteMixed:
         assert c.expected["N2"] == 3
         assert c.expected["N3"] == 8
         assert c.expected["J"] == 12  # 3 * binom(2,2)... 3 * 1 * 4
-        rep = check_ratio("mixed4", c.graph)
-        assert rep.counts["J"] == 12
+        assert problem_count("mixed4", c.graph) == 12
 
     @pytest.mark.parametrize("n,expected_ratio", [
         (2, Fraction(144, 3 * 64)), (3, Fraction(1)), (4, Fraction(288**2, 18 * 64 * 64)),

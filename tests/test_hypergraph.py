@@ -30,7 +30,7 @@ from shadowlab.checks import (
     spectral_trace_check,
     weighted_joint_sum,
 )
-from shadowlab.problems import PROBLEMS, check_ratio, rainbow_cliques
+from shadowlab.problems import PROBLEMS, rainbow_cliques
 
 
 def brute_rainbow_triangles(h, colors=RGB):
@@ -151,26 +151,28 @@ class TestKappaRatio:
                 for j in range(2):
                     edges.append(((2 * u + i, 2 * v + j), e.color))
         h = ColoredHypergraph.from_edges(8, edges)
-        rep = check_ratio("rainbow_d", h, 3, colors=RGB)
-        assert rep.counts["T"] == 32
-        assert rep.counts["C"] == [8, 8, 8]
-        assert rep.ratio_exact == Fraction(2)
-        assert all(r.satisfied for r in rep.reports)
-        thm = [r for r in rep.reports if r.source.startswith("rainbow triangles")][0]
+        counts, ratio = PROBLEMS["rainbow_d"].exact(h, 3, colors=RGB)
+        assert counts == {"T": 32, "C": [8, 8, 8]}
+        assert ratio == Fraction(2)
+        reports = PROBLEMS["rainbow_d"].reports(ratio)
+        assert all(r.satisfied for r in reports)
+        thm = [r for r in reports if r.source.startswith("rainbow triangles")][0]
         assert thm.computed == thm.bound == 2  # T^2 = 32^2 = 2 * 8^3: tight
 
     def test_single_rainbow_triangle(self):
         h = ColoredHypergraph.from_edges(
             3, [((0, 1), "red"), ((1, 2), "green"), ((0, 2), "blue")]
         )
-        rep = check_ratio("rainbow_d", h, 3, colors=RGB)
-        assert rep.ratio_exact == 1
-        assert all(r.satisfied for r in rep.reports)
+        _, ratio = PROBLEMS["rainbow_d"].exact(h, 3, colors=RGB)
+        assert ratio == 1
+        assert all(r.satisfied for r in PROBLEMS["rainbow_d"].reports(ratio))
 
-    def test_empty_color_class_rejected(self):
+    def test_empty_color_class_has_no_ratio(self):
+        # `kappa` refuses it with exit 3, which a golden case pins
         h = ColoredHypergraph.from_edges(3, [((0, 1), "red"), ((1, 2), "green")])
-        with pytest.raises(ValidationError):
-            check_ratio("rainbow_d", h, 3, colors=RGB)
+        counts, ratio = PROBLEMS["rainbow_d"].exact(h, 3, colors=RGB)
+        assert counts == {"T": 0, "C": [1, 1, 0]}
+        assert ratio is None
 
     def test_thm11_on_random_graphs(self):
         rng = random.Random(2024)
@@ -349,9 +351,7 @@ class TestMixed4Subsets:
 
     def test_no_3edges_is_zero(self):
         h = ColoredHypergraph.from_edges(4, [((0, 1), "plain")])
-        assert problem_count("mixed4", h) == 0
-        with pytest.raises(ValidationError):
-            check_ratio("mixed4", h)
+        assert PROBLEMS["mixed4"].exact(h) == ({"J": 0, "N2": 1, "N3": 0}, None)
 
     def test_tripartite_n3(self):
         n = 3
@@ -365,13 +365,13 @@ class TestMixed4Subsets:
                 for c in parts[2]:
                     edges.append(((a, b, c), "plain"))
         h = ColoredHypergraph.from_edges(9, edges)
-        rep = check_ratio("mixed4", h)
-        assert rep.counts["N2"] == 9
-        assert rep.counts["N3"] == 27
+        counts, ratio = PROBLEMS["mixed4"].exact(h)
+        assert counts["N2"] == 9
+        assert counts["N3"] == 27
         # brute force over all 4-subsets of the 9 vertices
         expected = brute_mixed_4subsets(h)
-        assert rep.counts["J"] == expected == 81
-        assert all(r.satisfied for r in rep.reports)
+        assert counts["J"] == expected == 81
+        assert all(r.satisfied for r in PROBLEMS["mixed4"].reports(ratio))
 
 
 def brute_mixed_4subsets(h):
@@ -439,12 +439,12 @@ class TestColorCovering:
         h = ColoredHypergraph.from_edges(
             4, [((0, 1, 2), "red"), ((0, 1, 3), "green"), ((0, 2, 3), "blue")]
         )
-        rep = check_ratio("covering_delta", h, delta=1)
-        assert rep.counts["J"] == 1
-        assert rep.ratio_exact == Fraction(1)
-        proven = [r for r in rep.reports if not r.conjecture]
-        assert all(r.satisfied for r in proven)
-        assert any(r.conjecture for r in rep.reports)
+        counts, ratio = PROBLEMS["covering_delta"].exact(h, delta=1)
+        assert counts["J"] == 1
+        assert ratio == Fraction(1)
+        reports = PROBLEMS["covering_delta"].reports(ratio, delta=1)
+        assert all(r.satisfied for r in reports if not r.conjecture)
+        assert any(r.conjecture for r in reports)
 
 
 class TestPartialShadow:
@@ -685,6 +685,6 @@ class TestCapacity:
         for d in (10**6, 2**31):
             start = time.perf_counter()
             with pytest.raises(CapacityError, match=f"d - 1 = {d - 1} exceeds cap 64") as refused:
-                check_ratio("rainbow_d", triangle, d)
+                PROBLEMS["rainbow_d"].exact(triangle, d)
             assert time.perf_counter() - start < 0.1
             assert len(str(refused.value)) < 200

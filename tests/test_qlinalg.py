@@ -86,6 +86,10 @@ class TestEnumerateSubspaces:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             enumerate_subspaces(2, 30, 2)
+        # q^0 is 1, so the field order has a cap of its own, checked before any primality test
+        with pytest.raises(CapacityError, match="field order q = 2305843009213693951 exceeds cap 65536"):
+            enumerate_subspaces(2**61 - 1, 0, 0)
+        assert len(enumerate_subspaces(65521, 0, 0)) == 1
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValidationError):

@@ -17,7 +17,7 @@ from shadowlab.entropy import CoverSpec, ExactDistribution, KeyInequalityReport
 from shadowlab.errors import ValidationError
 from shadowlab.forbidding import AxiomReport, CompatibilityResult
 from shadowlab.hypergraph import ColoredHypergraph, Edge, SetFamily
-from shadowlab.problems import Problem, RatioReport
+from shadowlab.problems import Problem
 from shadowlab.numkit import CVector
 from shadowlab.qlinalg import SubspaceFamily
 from shadowlab.reports import BoundReport, ValidationReport
@@ -73,9 +73,6 @@ CASES = [
      (), f"Problem(name='p', quantity='x / y', form={_form!r}, count={_count!r}, exponents={_exponents!r}, "
      f"names=('J', ('N',)), bounds={_bounds!r}, notes=('note',), draws={_draws!r}, structures={_structures!r})",
      True, ("name", "r")),
-    (RatioReport, ({"x": 1}, Fraction(1, 2), (REPORT,)), 0, (),
-     f"RatioReport(counts={{'x': 1}}, ratio_exact=Fraction(1, 2), reports=({REPORT_REPR},))", False,
-     ("ratio_exact", Fraction(1, 3))),
     (CVector, ((1, 2),), 0, (), "CVector(entries=(1, 2))", True, ("entries", (1, 3))),
     (BoundReport, ("q", 1, 2.0, 0.5, True, "src", "upper", False, {}), 2, (False, {}), REPORT_REPR, False,
      ("computed", 3)),
@@ -108,7 +105,6 @@ FIELDS = {
     WeightedSumReport: ("d", "total_weight", "terms", "value", "report", "weights"),
     SpectralReport: ("trace2", "trace3", "total_weight", "checks"),
     Problem: ("name", "quantity", "form", "count", "exponents", "names", "bounds", "notes", "draws", "structures"),
-    RatioReport: ("counts", "ratio_exact", "reports"),
     CVector: ("entries",),
     BoundReport: ("quantity", "computed", "bound", "ratio", "satisfied", "source", "kind", "conjecture",
                   "extra"),
@@ -127,7 +123,7 @@ IDS = [case[0].__name__ for case in CASES]
 
 
 def test_every_record_is_covered():
-    assert len(CASES) == len(FIELDS) == 18
+    assert len(CASES) == len(FIELDS) == 17
     assert {case[0] for case in CASES} == set(FIELDS)
 
 

@@ -16,9 +16,9 @@ from conftest import is_opposite_edge_k4, problem_count, replaced
 from shadowlab import search
 from shadowlab.errors import BoundViolationError, CapacityError, ValidationError
 from shadowlab.hypergraph import ColoredHypergraph
-from shadowlab.problems import PROBLEMS, Problem, check_ratio
-from shadowlab.search import (LITERAL_CAP, PROBE_CAP, _best_in_blocks, _draws, _orbit_least, _vertex_maps, random_probe,
-                              search_mixed_4subsets, search_rainbow_triangle)
+from shadowlab.problems import PROBLEMS, Problem
+from shadowlab.search import (LITERAL_CAP, PROBE_CAP, RECOUNT_CAP, _best_in_blocks, _draws, _orbit_least, _vertex_maps,
+                              random_probe, search_mixed_4subsets, search_rainbow_triangle)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -212,9 +212,9 @@ class TestRainbowSearch:
 
     def test_witness_recounts_exactly(self):
         res = search_rainbow_triangle(4)
-        rep = check_ratio("rainbow_d", res.witness, 3, colors=RGB)
-        t = rep.counts["T"]
-        assert Fraction(t * t, rep.counts["C"][0] * rep.counts["C"][1] * rep.counts["C"][2]) == res.best
+        counts, _ = PROBLEMS["rainbow_d"].exact(res.witness, 3, colors=RGB)
+        t = counts["T"]
+        assert Fraction(t * t, counts["C"][0] * counts["C"][1] * counts["C"][2]) == res.best
 
     def test_never_exceeds_proven_cap(self):
         for n in (3, 4):
@@ -272,9 +272,9 @@ class TestRandomProbe:
     def test_witness_recounts(self):
         res = random_probe("rainbow_d", {"vertices": 6, "d": 3}, 100, seed=11)
         if res.witness is not None:
-            rep = check_ratio("rainbow_d", res.witness, 3, colors=("c1", "c2", "c3"))
-            num = rep.counts["T"] ** 2
-            den = rep.counts["C"][0] * rep.counts["C"][1] * rep.counts["C"][2]
+            counts, _ = PROBLEMS["rainbow_d"].exact(res.witness, 3, colors=("c1", "c2", "c3"))
+            num = counts["T"] ** 2
+            den = counts["C"][0] * counts["C"][1] * counts["C"][2]
             assert Fraction(num, den) == res.best
 
     def test_mixed_probe_within_shearer_cap(self):
@@ -373,6 +373,12 @@ def draws(name, n, d, delta):
     return sum(comb(n, size) for size in sizes)
 
 
+def facet_count(name, n, d, delta):
+    """The facets of every subset of [n] a trial draws, the most its witness's recount reads, in closed form."""
+    return {"rainbow_d": comb(n, d - 1) * (d - 1), "good6": comb(n, 4) * 4, "mixed4": comb(n, 2) * 2 + comb(n, 3) * 3,
+            "covering_delta": comb(n, delta + 2) * (delta + 2)}[name]
+
+
 DRAWING_ROWS = [row for row in PROBE_GRID if draws(*row[:4]) * row[4]]  # the grid rows that draw a subset
 
 
@@ -403,7 +409,7 @@ def test_literal_cap_counts_the_structures_literals_over_every_size_set(monkeypa
 
 
 class Drawn(Exception):
-    """A probe passed both caps and began to draw."""
+    """A probe passed every cap and began to draw."""
 
 
 def drawn(*args):
@@ -419,6 +425,18 @@ def test_literal_cap_admits_its_own_count_and_refuses_one_more(monkeypatch, name
         random_probe(name, {"vertices": n, "d": d, "delta": delta}, trials)
     monkeypatch.setattr(search, "LITERAL_CAP", literals - 1)
     with pytest.raises(CapacityError, match=rf"probe literals \(.*\) = {literals} exceeds cap {literals - 1}$"):
+        random_probe(name, {"vertices": n, "d": d, "delta": delta}, trials)
+
+
+@pytest.mark.parametrize("name, n, d, delta, trials", DRAWING_ROWS)
+def test_recount_cap_admits_its_own_count_and_refuses_one_more(monkeypatch, name, n, d, delta, trials):
+    monkeypatch.setattr(search, "_draws", drawn)
+    facets = facet_count(name, n, d, delta)
+    monkeypatch.setattr(search, "RECOUNT_CAP", facets)
+    with pytest.raises(Drawn):
+        random_probe(name, {"vertices": n, "d": d, "delta": delta}, trials)
+    monkeypatch.setattr(search, "RECOUNT_CAP", facets - 1)
+    with pytest.raises(CapacityError, match=rf"probe recount facets \(.*\) = {facets} exceeds cap {facets - 1}$"):
         random_probe(name, {"vertices": n, "d": d, "delta": delta}, trials)
 
 
@@ -481,6 +499,12 @@ def test_probe_work_capped_before_drawing(monkeypatch):
     # one trial on 45 vertices passes that cap, but its structures have C(45, 6) x 45 literals
     with pytest.raises(CapacityError, match=r"probe literals .* = 366527700 exceeds cap 12000000"):
         random_probe("good6", {"vertices": 45}, 1)
+    # one trial of rainbow_d with d = 24 on 28 vertices passes both, but its witness's recount would read the
+    # 23 facets of each of C(28, 23) subsets; d = 18 on 23 vertices, C(23, 17) x 17
+    with pytest.raises(CapacityError, match=r"probe recount facets .* = 2260440 exceeds cap 1000000"):
+        random_probe("rainbow_d", {"vertices": 28, "d": 24}, 1)
+    with pytest.raises(CapacityError, match=r"probe recount facets .* = 1716099 exceeds cap 1000000"):
+        random_probe("rainbow_d", {"vertices": 23, "d": 18}, 1)
 
 
 def probe_child(argv, limit):
@@ -512,14 +536,22 @@ def test_probe_drawing_nothing_answers_at_once(argv):
 
 
 def test_costliest_probe_under_the_cap_finishes_within_budget():
-    # of every problem's probes at the most vertices and trials both caps admit (rainbow_d to d = 8, covering_delta
-    # to delta = 4), one trial of covering_delta with delta = 3 on 30 vertices costs the most: 2.9-4.5 s and
-    # 142 MB peak RSS on a 2-vCPU x86 VM with Python 3.11, against a budget of 10 s and 256 MB of address space.
+    # of every problem's probes at the most vertices and trials the three caps admit (rainbow_d and covering_delta
+    # to d = delta = 40), one trial of covering_delta with delta = 3 on 30 vertices is among the slowest: 3.6-4.6 s
+    # and 141 MB peak RSS on a 2-vCPU x86 VM with Python 3.11, against a budget of 10 s and 256 MB of address space.
     # One more vertex passes neither cap, and a second trial not PROBE_CAP
     assert draws("covering_delta", 30, 3, 3) <= PROBE_CAP < 2 * draws("covering_delta", 30, 3, 3)
     assert draws("covering_delta", 31, 3, 3) > PROBE_CAP
     assert literal_count("covering_delta", 30, 3, 3) <= LITERAL_CAP < literal_count("covering_delta", 31, 3, 3)
     done, _ = probe_child("--problem covering_delta --delta 3 --vertices 30 --trials 1", 1 << 28)
+    assert done.returncode == 0, done.stderr
+
+
+def test_largest_recount_under_the_cap_finishes_within_budget():
+    # of the same probes, one trial of rainbow_d with d = 28 on 31 vertices takes the most memory: 849,555 facets
+    # to recount, 2.4-3.0 s and 215 MB peak RSS on the same VM.  One more vertex passes not RECOUNT_CAP
+    assert facet_count("rainbow_d", 31, 28, 0) <= RECOUNT_CAP < facet_count("rainbow_d", 32, 28, 0)
+    done, _ = probe_child("--d 28 --vertices 31 --trials 1", 1 << 28)
     assert done.returncode == 0, done.stderr
 
 

@@ -1,19 +1,29 @@
-"""Proven bounds as their own oracle: exact Kruskal-Katona on colex initial segments.
+"""Proven bounds as their own oracle: exact Kruskal-Katona on colex initial segments, and the sharp
+rainbow-triangle bound T^2 <= 2RGB on its tight cases, through the command line.
 
 By Kruskal (1963) and Katona (1968), the first m d-sets of [n] in colex order
 have the least shadow of any m d-sets.  Its size is read from the d-cascade
 m = C(a_d, d) + C(a_{d-1}, d-1) + ... + C(a_t, t), a_d > ... > a_t >= t >= 1,
 as C(a_d, d-1) + C(a_{d-1}, d-2) + ... + C(a_t, t-1).  The cascade is computed
 here, independently of the library, which states only Lovasz's real-t form.
+
+The blowups of the K4 whose opposite edges share a color meet T^2 <= 2RGB
+with equality, and complete tripartite blowups of one rainbow triangle sit at
+ratio 1.  Each is built by `construct --out`, read back by `kappa`, and
+perturbed by one edge removed or recolored: on valid input every proven bound
+holds, so `kappa` exits 0 with the ratio at most 2.
 """
 
+import json
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from shadowlab import hypergraph
+from conftest import RGB, replaced
+from shadowlab import cli, hypergraph
 from shadowlab.hypergraph import SetFamily, check_kruskal_katona, shadow
+from shadowlab.problems import PROBLEMS
 
 SIZES = [(n, d) for n in range(2, 8) for d in range(2, n + 1)]
 
@@ -69,3 +79,63 @@ def test_one_step_off_a_segment_never_beats_it(n, d):
             fam = SetFamily.make(n, [*order[:m - 1], later], d=d)
             rep = check_kruskal_katona(fam)
             assert rep.computed == len(shadow(fam)) >= least and rep.satisfied, (m, later)
+
+
+def kappa(path) -> tuple[dict, int]:
+    """`kappa --d 3` on the graph file: its quantities, with the proven reports under "proven", and its status."""
+    report, status = cli.run(["kappa", "--input", str(path), "--d", "3"])
+    proven = [b for b in report["bounds"] if not b["conjecture"]]
+    assert proven and all(b["satisfied"] for b in proven) == (status == 0)
+    return {**report["quantities"], "proven": proven}, status
+
+
+def constructed(tmp_path, argv: str) -> dict:
+    """The graph object `construct ... --out` writes."""
+    path = tmp_path / "built.json"
+    _, status = cli.run(["construct", *argv.split(), "--out", str(path)])
+    assert status == 0
+    return json.loads(path.read_text())
+
+
+def one_step_off(graph: dict):
+    """The graph with each edge in turn removed, or recolored with each other color."""
+    edges = graph["edges"]
+    for i, edge in enumerate(edges):
+        yield {**graph, "edges": edges[:i] + edges[i + 1:]}
+        for color in RGB:
+            if color != edge["color"]:
+                yield {**graph, "edges": [*edges[:i], {**edge, "color": color}, *edges[i + 1:]]}
+
+
+TIGHT = [("k4-blowup --n 1", 2), ("k4-blowup --n 2", 2), ("k4-blowup --n 3", 2), ("k4-blowup --n 4", 2),
+         ("rainbow-tripartite --a 1 --b 1 --c 1", 1), ("rainbow-tripartite --a 2 --b 3 --c 4", 1),
+         ("rainbow-tripartite --a 3 --b 3 --c 3", 1)]
+
+
+@pytest.mark.parametrize("argv, ratio", TIGHT)
+def test_rainbow_bound_on_its_tight_cases_through_the_cli(tmp_path, argv, ratio):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(constructed(tmp_path, argv)))
+    q, status = kappa(path)
+    assert status == 0 and q["ratio"] == ratio
+    sharp = [b for b in q["proven"] if b["source"].startswith("rainbow triangles")]
+    assert [(b["computed"], b["bound"]) for b in sharp] == [(ratio, 2)]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in TIGHT if argv != "rainbow-tripartite --a 1 --b 1 --c 1"])
+def test_rainbow_bound_one_edge_off_its_tight_cases(tmp_path, argv):
+    # every class keeps an edge: each has at least two in these graphs
+    path = tmp_path / "g.json"
+    for graph in one_step_off(constructed(tmp_path, argv)):
+        path.write_text(json.dumps(graph))
+        q, status = kappa(path)
+        assert status == 0 and q["ratio"] <= 2, graph
+
+
+def test_rainbow_bound_fails_on_a_count_one_too_many(tmp_path, monkeypatch):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(constructed(tmp_path, "k4-blowup --n 2")))
+    registered = PROBLEMS["rainbow_d"]
+    monkeypatch.setitem(PROBLEMS, "rainbow_d", replaced(registered, count=lambda form: registered.count(form) + 1))
+    q, status = kappa(path)
+    assert status == 5 and q["T"] == 33 and q["ratio"] > 2
