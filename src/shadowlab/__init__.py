@@ -24,7 +24,7 @@ _EXPORTS = {
     "hypergraph": "ColoredHypergraph SetFamily check_kruskal_katona shadow validate",
     "numkit": "CVector gaussian_binom invert_product product_falling shadow_bound",
     "problems": "PROBLEMS Problem rainbow_cliques",
-    "qlinalg": "SubspaceFamily check_q_kruskal_katona enumerate_subspaces rref subspace_shadow",
+    "qlinalg": "SubspaceFamily check_q_kruskal_katona enumerate_subspaces rref",
     "reports": "BoundReport ValidationReport",
     "search": "random_probe search_mixed_4subsets search_rainbow_triangle",
 }

@@ -25,13 +25,6 @@ def check_cap(quantity: str, value: int, cap: int) -> None:
         raise CapacityError(f"{quantity} = {shown} exceeds cap {cap}")
 
 
-def check_power_cap(quantity: str, base: int, exponent: int, cap: int) -> None:
-    """check_cap on base^exponent for base >= 2, not formed when the exponent alone puts it past the cap."""
-    if exponent > cap.bit_length():  # base^exponent >= 2^exponent > cap
-        raise CapacityError(f"{quantity} = {base}^{exponent} exceeds cap {cap}")
-    check_cap(quantity, base**exponent, cap)
-
-
 def parse_ints(text: str) -> list[int]:
     """An option's comma-separated integers; empty items are skipped."""
     try:

@@ -22,12 +22,12 @@ from itertools import combinations, combinations_with_replacement, product
 
 from . import formats
 from . import qlinalg as ql
-from .errors import BoundViolationError, ValidationError, check_cap, check_power_cap, parse_ints
+from .errors import BoundViolationError, ValidationError, check_cap, parse_ints
 from .numkit import CVector, product_falling, shadow_bound
 from .record import Record
 from .reports import BoundReport, _shadow_check, lower_report
 
-SYSTEM_UNIVERSE_CAP = 2**16  # elements of a built-in system's universe
+SYSTEM_UNIVERSE_CAP = 2**16  # elements of the repeats universe; qlinalg.FIELD_CAP bounds the qlinear one
 GKK_MULTISET_CAP = 5 * 10**5  # measured 3-8 µs a good d-multiset for repeats, 17-30 µs for qlinear
 # verify's exhaustive branch classifies the C(|U|+d, d) - 1 multisets of size 1..d; its spot-check
 # makes trials x |U| lookups, measured 1.5-2 µs each for repeats, 14-16 µs for qlinear
@@ -85,12 +85,7 @@ def qlinear_system(q: int, n: int, d: int) -> ForbiddingSystem:
 
     Universe is F_q^n minus the zero vector; q must be prime.
     """
-    check_cap("field order q", q, SYSTEM_UNIVERSE_CAP)  # q^n is capped too, but q^0 is 1
-    if not ql.is_prime(q):
-        raise ValidationError(f"q must be prime, got {q}")
-    if n < 0:
-        raise ValidationError(f"n must be nonnegative, got {n}")
-    check_power_cap("field size q^n", q, n, SYSTEM_UNIVERSE_CAP)
+    ql._check_field(q, n)
     universe = [v for v in product(range(q), repeat=n) if any(v)]
     return ForbiddingSystem(
         universe=universe,
@@ -373,6 +368,8 @@ def _gkk(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[
         sets = formats.set_family_from_obj(formats.load_json(args.family)).sets
     elif args.subspaces:
         sub = formats.subspace_family_from_obj(formats.load_json(args.subspaces))
+        if system.name != (name := f"qlinear:{sub.q},{sub.n}"):  # refused before any member's q^d points are built
+            raise ValidationError(f"subspaces of F_{sub.q}^{sub.n} need --system {name}, got {system.name}")
         zero = tuple([0] * sub.n)
         sets = [sorted(ql.subspace_points(member, sub.q, sub.n) - {zero}) for member in sub.members]
     else:

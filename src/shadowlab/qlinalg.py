@@ -9,6 +9,7 @@ The `qkk` command is here.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -16,26 +17,43 @@ from itertools import chain, combinations, count, product
 from operator import itemgetter, lt
 
 from . import formats
-from .errors import ValidationError, check_cap, check_power_cap
+from .errors import CapacityError, ValidationError, check_cap
 from .numkit import gaussian_binom, shadow_bound
 from .record import Record
 from .reports import BoundReport, _shadow_check, lower_report
 
-FIELD_CAP = 2**16
+FIELD_CAP = 2**16  # q and q^n of a field whose points or subspaces are built
 SHAPE_CAP, ENTRY_CAP = 10**6, 2 * 10**7  # the shadow's: hyperplanes of a member, entries of all hyperplanes
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
+@functools.cache
 def is_prime(q: int) -> bool:
-    """Trial division, up to isqrt(q) steps: every q read from input is capped before it comes here."""
+    """Trial division, up to isqrt(q) steps, once per q: every q is capped before it comes here."""
     return q >= 2 and all(q % p for p in range(2, math.isqrt(q) + 1))
 
 
-def rref(rows: Iterable[Sequence[int]], q: int) -> Matrix:
-    """Reduced row-echelon form over F_q with zero rows dropped."""
+def _check_prime(q: int, cap: int) -> None:
+    """Refuse a field order q above cap, then one that is not prime."""
+    check_cap("field order q", q, cap)
     if not is_prime(q):
         raise ValidationError(f"q must be prime, got {q}")
+
+
+def _check_field(q: int, n: int) -> None:
+    """Refuse F_q^n unless q is prime and q and q^n are at most FIELD_CAP; q first, since q^0 = 1 does not bound it."""
+    _check_prime(q, FIELD_CAP)
+    if n < 0:
+        raise ValidationError(f"n must be nonnegative, got {n}")
+    if n > FIELD_CAP.bit_length():  # q^n >= 2^n, refused before it is formed
+        raise CapacityError(f"field size q^n = {q}^{n} exceeds cap {FIELD_CAP}")
+    check_cap("field size q^n", q**n, FIELD_CAP)
+
+
+def rref(rows: Iterable[Sequence[int]], q: int) -> Matrix:
+    """Reduced row-echelon form over F_q with zero rows dropped; q is capped at SHAPE_CAP, as a file's is."""
+    _check_prime(q, SHAPE_CAP)
     work = [[x % q for x in row] for row in rows]
     if not work:
         return ()
@@ -113,9 +131,7 @@ class SubspaceFamily(Record):
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise ValidationError(f"subspace entry must be an integer, got {x!r}")
             # a member of dimension 2 or more over a larger field has more hyperplanes than the shadow takes
-            check_cap("field order q", q, SHAPE_CAP)
-            if not is_prime(q):
-                raise ValidationError(f"q must be prime, got {q}")
+            _check_prime(q, SHAPE_CAP)
             if not (0 <= d <= n):
                 raise ValidationError(f"need 0 <= d <= n, got d={d}, n={n}")
             mats, canon = canon, []
@@ -143,12 +159,9 @@ def enumerate_subspaces(q: int, n: int, d: int) -> SubspaceFamily:
     For each pivot-column choice the free entries (right of the pivot, off
     the other pivot columns) range over F_q independently.
     """
-    check_cap("field order q", q, FIELD_CAP)  # q^n is capped too, but q^0 is 1
-    if not is_prime(q):
-        raise ValidationError(f"q must be prime, got {q}")
+    _check_field(q, n)
     if not (0 <= d <= n):
         raise ValidationError(f"need 0 <= d <= n, got d={d}, n={n}")
-    check_power_cap("field size q^n", q, n, FIELD_CAP)
     members = []
     for pivots in combinations(range(n), d):
         pivot_set = set(pivots)
@@ -224,14 +237,6 @@ def _subspace_shadow(fam: SubspaceFamily) -> tuple[set[tuple[int, ...]], dict[tu
         for shape in product(*options):
             out.update(zip(*shape, *cols[f + 1:]))
     return out, ids
-
-
-def subspace_shadow(fam: SubspaceFamily) -> SubspaceFamily:
-    """All (d-1)-dim subspaces contained in some member."""
-    shadow, ids = _subspace_shadow(fam)
-    rows = {i: row for row, i in ids.items()}
-    members = sorted(tuple(map(rows.__getitem__, h)) for h in shadow)
-    return SubspaceFamily(q=fam.q, n=fam.n, d=fam.d - 1, members=tuple(members))
 
 
 def _gl_order(q: int, k: int) -> int:

@@ -551,6 +551,7 @@ OVERSIZED = {
     "edgeless.json": _weighted_graph(3, []),
     "big_q.json": {"q": 10**400 + 1, "n": 2, "d": 1, "members": [[[1, 0]]]},
     "q999983.json": {"q": 999983, "n": 2, "d": 1, "members": [[[1, 0]]]},
+    "plane999983.json": {"q": 999983, "n": 2, "d": 2, "members": [[[1, 0], [0, 1]]]},
 }
 CHILD = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
          "sys.argv[0] = 'shadowlab'; runpy.run_module('shadowlab.cli', run_name='__main__')")
@@ -623,6 +624,16 @@ def test_oversized_order_or_edge_size_refused_at_once(tmp_path, argv, err):
     out, elapsed = run_child(tmp_path, argv.format(**big))
     assert (out.returncode, out.stdout) == (4, "")
     assert "Traceback" not in out.stderr and err.format(**big) in out.stderr
+    assert elapsed < 2.0
+
+
+# gkk --subspaces built the 10^12 points of this plane under any system, and was still running at 20 s
+@pytest.mark.parametrize("system", ["qlinear:2,2", "repeats --universe-size 4"])
+def test_subspaces_over_a_field_other_than_the_systems_refused_at_once(tmp_path, system):
+    out, elapsed = run_child(tmp_path, f"forbidding gkk --system {system} --d 2 --subspaces plane999983.json")
+    assert (out.returncode, out.stdout) == (3, "")
+    assert "Traceback" not in out.stderr
+    assert f"subspaces of F_999983^2 need --system qlinear:999983,2, got {system.split()[0]}" in out.stderr
     assert elapsed < 2.0
 
 

@@ -145,6 +145,7 @@ CASES = [
     "forbidding sd --system qlinear:2,3 --d 2 --set 1,0,0;0,1,0;0,0,1",
     "forbidding gkk --system repeats --universe-size 5 --d 3 --family fam.json",
     "forbidding gkk --system qlinear:2,3 --d 2 --subspaces subs.json",
+    "forbidding gkk --system qlinear:3,3 --d 2 --subspaces subs.json",  # subspaces of F_2^3: refused
     "construct k4-blowup --n 2 --out k4-out.json",
     "construct k4-blowup --n 17",
     "construct rainbow-tripartite --a 1 --b 2 --c 3",
@@ -185,6 +186,9 @@ CASES = [
     "weighted --input w.json --spectral",
     "weighted --input huge.json --spectral",
     "partial-shadow --input star.txt --r 3 --k 1",
+    # usage errors, whose message argparse wraps at COLUMNS
+    "kk",
+    "qkk --family",
 ]
 
 
@@ -222,16 +226,20 @@ def _sha(data: bytes) -> str:
 
 
 def _run(command: str, json_mode: bool, patch=None) -> tuple[int, str, str, list[str]]:
-    """Write the inputs into the current directory and run one command under `patch`: its exit
-    code, stdout, stderr and argv."""
+    """Write the inputs into the current directory and run one command under `patch` with COLUMNS=80:
+    its exit code (a usage error's too), stdout, stderr and argv."""
     for name, content in INPUTS.items():
         Path(name).write_text(content if isinstance(content, str) else json.dumps(content))
     argv = command.split() + (["--json"] if json_mode else [])
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        mp.setenv("COLUMNS", "80")
         if patch:
             patch(mp)
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's exit on a usage error
+            code = exc.code
     return code, out.getvalue(), err.getvalue(), argv
 
 

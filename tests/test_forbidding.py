@@ -224,6 +224,16 @@ class TestAxiomVerification:
         with pytest.raises(CapacityError, match="field size"):
             system_from_name("qlinear:2,17", 2)
 
+    def test_qlinear_trial_divides_q_once(self, monkeypatch):
+        # every rank test asks whether q is prime, and only the first is answered by trial division
+        ranks = []
+        monkeypatch.setattr(qlinalg, "rref", lambda rows, q, whole=qlinalg.rref: ranks.append(q) or whole(rows, q))
+        qlinalg.is_prime.cache_clear()
+        report, status = cli.run(["forbidding", "verify", "--system", "qlinear:5,2", "--d", "3"])
+        assert status == 0 and report["quantities"]["exhaustive"] and set(ranks) == {5}
+        info = qlinalg.is_prime.cache_info()
+        assert (info.misses, info.currsize, info.hits) == (1, 1, len(ranks))
+
     def test_builtin_names(self):
         assert system_from_name("repeats", 3, universe_size=5).name == "repeats"
         assert system_from_name("qlinear:2,3", 2).name == "qlinear:2,3"

@@ -1,6 +1,7 @@
 """Subspace enumeration, canonical forms, shadows, and the q-analog bound."""
 
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -9,10 +10,10 @@ from shadowlab.errors import CapacityError, ValidationError
 from shadowlab.numkit import gaussian_binom
 from shadowlab.qlinalg import (
     SubspaceFamily,
+    _subspace_shadow,
     check_q_kruskal_katona,
     enumerate_subspaces,
     rref,
-    subspace_shadow,
 )
 
 
@@ -26,6 +27,14 @@ def span_set(rows, q, n):
                 v[i] = (v[i] + c * row[i]) % q
         out.add(tuple(v))
     return frozenset(out)
+
+
+def subspace_shadow(fam):
+    """The shadow as a family: `_subspace_shadow`'s tuples of row ids turned back into rows, sorted."""
+    shadow, ids = _subspace_shadow(fam)
+    rows = {i: row for row, i in ids.items()}
+    members = sorted(tuple(map(rows.__getitem__, h)) for h in shadow)
+    return SubspaceFamily(q=fam.q, n=fam.n, d=fam.d - 1, members=tuple(members))
 
 
 def brute_subspaces(q, n, d):
@@ -62,6 +71,13 @@ class TestRref:
     def test_nonprime_rejected(self):
         with pytest.raises(ValidationError):
             rref([[1, 0]], 4)
+
+    def test_field_order_capped_before_its_primality_test(self):
+        # trial division of the prime 2^61 - 1 ran past 10 s
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="field order q = 2305843009213693951 exceeds cap 1000000"):
+            rref([[1, 2]], 2**61 - 1)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEnumerateSubspaces:

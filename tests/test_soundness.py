@@ -1,5 +1,6 @@
-"""Proven bounds as their own oracle: exact Kruskal-Katona on colex initial segments, and the sharp
-rainbow-triangle bound T^2 <= 2RGB on its tight cases, through the command line.
+"""Proven bounds as their own oracle: exact Kruskal-Katona on colex initial segments, the sharp
+rainbow-triangle bound T^2 <= 2RGB on its tight cases, and the q-analog against the generalized
+bound, through the command line.
 
 By Kruskal (1963) and Katona (1968), the first m d-sets of [n] in colex order
 have the least shadow of any m d-sets.  Its size is read from the d-cascade
@@ -12,18 +13,26 @@ with equality, and complete tripartite blowups of one rainbow triangle sit at
 ratio 1.  Each is built by `construct --out`, read back by `kappa`, and
 perturbed by one edge removed or recolored: on valid input every proven bound
 holds, so `kappa` exits 0 with the ratio at most 2.
+
+A d-subspace V of F_q^n, less its zero vector, is a compatible set of the
+system qlinear:q,n whose good ordered d-tuples are the |GL_d(q)| bases of V.
+So gkk on the subspaces of a family counts |F| |GL_d(q)| tuples and a shadow
+|GL_{d-1}(q)| times qkk's, and its t is y = q^t - 1 for qkk's t.
 """
 
 import json
+import math
+import random
 from itertools import combinations
 from math import comb
 
 import pytest
 
 from conftest import RGB, replaced
-from shadowlab import cli, hypergraph
+from shadowlab import cli, hypergraph, qlinalg
 from shadowlab.hypergraph import SetFamily, check_kruskal_katona, shadow
 from shadowlab.problems import PROBLEMS
+from shadowlab.qlinalg import enumerate_subspaces
 
 SIZES = [(n, d) for n in range(2, 8) for d in range(2, n + 1)]
 
@@ -139,3 +148,59 @@ def test_rainbow_bound_fails_on_a_count_one_too_many(tmp_path, monkeypatch):
     monkeypatch.setitem(PROBLEMS, "rainbow_d", replaced(registered, count=lambda form: registered.count(form) + 1))
     q, status = kappa(path)
     assert status == 5 and q["T"] == 33 and q["ratio"] > 2
+
+
+# (q, n, d) of the subspace families that qkk and gkk read: each complete one and three seeded ones
+SUBSPACE_SHAPES = [(2, 2, 2), (2, 3, 2), (2, 4, 2), (2, 5, 2), (2, 3, 3), (2, 4, 3), (2, 5, 3),
+                   (3, 2, 2), (3, 3, 2), (3, 4, 2), (3, 3, 3)]
+# seeded ones only: gkk on the complete families takes 0.7 s and 2.7 s
+LARGE_SUBSPACE_SHAPES = [(3, 5, 2), (3, 4, 3)]
+
+
+def gl_order(q: int, k: int) -> int:
+    """|GL_k(F_q)|: the ordered bases of a k-dimensional space over F_q."""
+    return math.prod(q**k - q**i for i in range(k))
+
+
+def subspace_families(q: int, n: int, d: int, complete: bool = True) -> list[list]:
+    """All d-subspaces of F_q^n if `complete`, then three seeded samples of them: of at most 3 members for
+    d-spaces of more than 9 points (a 3-space of F_3^n is 1,872 good 3-multisets in gkk), else at most 40."""
+    pool = enumerate_subspaces(q, n, d).members
+    rng = random.Random(q * 100 + n * 10 + d)
+    seeded = [rng.sample(pool, rng.randint(1, min(len(pool), 3 if q**d > 9 else 40))) for _ in range(3)]
+    return ([list(pool)] if complete else []) + seeded
+
+
+def q_analog_disagreements(tmp_path, q: int, n: int, d: int, members) -> list[str]:
+    """Where qkk on the family and gkk on qlinear:q,n over its members' points minus zero disagree."""
+    path = tmp_path / "subspaces.json"
+    path.write_text(json.dumps({"q": q, "n": n, "d": d, "members": members}))
+    qkk, qkk_status = cli.run(["qkk", "--family", str(path)])
+    gkk, gkk_status = cli.run(["forbidding", "gkk", "--system", f"qlinear:{q},{n}", "--d", str(d),
+                               "--subspaces", str(path)])
+    a, b = qkk["quantities"], gkk["quantities"]
+    checks = {
+        "exit code": qkk_status == gkk_status,
+        "satisfied": qkk["bounds"][0]["satisfied"] == gkk["bounds"][0]["satisfied"],
+        "family size": b["family_size"] == len(members) * gl_order(q, d),
+        "shadow size": b["shadow_size"] == a["shadow_size"] * gl_order(q, d - 1),
+        "t": math.isclose(a["t"], math.log(b["t"] + 1, q), rel_tol=1e-9),
+    }
+    return [name for name, agree in checks.items() if not agree]
+
+
+@pytest.mark.parametrize("q, n, d", SUBSPACE_SHAPES + LARGE_SUBSPACE_SHAPES)
+def test_q_analog_matches_the_generalized_bound_on_subspaces(tmp_path, q, n, d):
+    for members in subspace_families(q, n, d, complete=(q, n, d) in SUBSPACE_SHAPES):
+        assert q_analog_disagreements(tmp_path, q, n, d, members) == [], members
+
+
+def test_q_analog_oracle_fails_on_a_shadow_one_hyperplane_short(tmp_path, monkeypatch):
+    def short(fam, whole=qlinalg._subspace_shadow):
+        shadow, ids = whole(fam)
+        return set(sorted(shadow)[1:]), ids
+
+    monkeypatch.setattr(qlinalg, "_subspace_shadow", short)
+    for q, n, d in [(2, 4, 2), (3, 3, 2), (2, 5, 3)]:
+        for members in subspace_families(q, n, d):
+            assert "shadow size" in q_analog_disagreements(tmp_path, q, n, d, members), members
