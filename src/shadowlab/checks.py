@@ -2,9 +2,10 @@
 the geometric-mean weighted clique sum and its spectral trace identities, with
 the `partial-shadow` and `weighted` commands.
 
-They count on the compact forms of `problems` and read their edges through
-`hypergraph._edges`, as every graph count does, but are apart from the ratio
-problems, so `kappa`, `count`, `construct` and `search` never compile them.
+They read their edges through `hypergraph._edges` and count on the compact
+form of `hypergraph._form`, as every graph count does, but read nothing of the
+ratio problems: `weighted` and `partial-shadow` never compile `problems`, and
+`kappa`, `count`, `construct` and `search` never compile this module.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import math
 
 from . import formats
 from .errors import ValidationError, check_cap
-from .hypergraph import VERTEX_CAP, ColoredHypergraph, _binom_bound, _edges
-from .problems import _facets, _form, _members
+from .hypergraph import VERTEX_CAP, ColoredHypergraph, _binom_bound, _edges, _facets, _form, _members
 from .record import Record
 from .reports import BoundReport, lower_report, upper_report
 

@@ -155,34 +155,29 @@ def verify_forbidding_axioms(sys: ForbiddingSystem, seed: int = 0) -> AxiomRepor
     """
     checked = 0
     multisets = math.comb(len(sys.universe) + sys.d, sys.d) - 1
-    if multisets <= VERIFY_CAP and multisets * sys.d <= 10 * VERIFY_CAP:
+    exhaustive = multisets <= VERIFY_CAP and multisets * sys.d <= 10 * VERIFY_CAP
+    if exhaustive:
         for x in sys.universe:
             checked += 1
             if not sys.is_good((x,)):
                 return AxiomReport(False, True, checked, f"singleton ({x},) is bad")
-        for k in range(1, sys.d):
-            for ms in combinations_with_replacement(sys.universe, k):
-                checked += 1
-                issue = _check_multiset(sys, ms)
-                if issue:
-                    return AxiomReport(False, True, checked, issue)
-        return AxiomReport(True, True, checked, None)
-
-    # each trial classifies, and memoizes, every extension of its multiset by a universe element
-    lookups = SPOT_TRIALS * len(sys.universe)
-    check_cap("spot-check lookups (trials x universe size)", lookups, VERIFY_CAP)
-    check_cap("spot-check memo elements (trials x universe size x d)", lookups * sys.d, 10 * VERIFY_CAP)
-    rng = random.Random(seed)
-    for _ in range(SPOT_TRIALS):
+        draws = (ms for k in range(1, sys.d) for ms in combinations_with_replacement(sys.universe, k))
+    else:
+        # each trial classifies, and memoizes, every extension of its multiset by a universe element
+        lookups = SPOT_TRIALS * len(sys.universe)
+        check_cap("spot-check lookups (trials x universe size)", lookups, VERIFY_CAP)
+        check_cap("spot-check memo elements (trials x universe size x d)", lookups * sys.d, 10 * VERIFY_CAP)
+        rng = random.Random(seed)
+        draws = (tuple(sorted(rng.choice(sys.universe) for _ in range(rng.randint(1, max(1, sys.d - 1)))))
+                 for _ in range(SPOT_TRIALS))
+    for ms in draws:
         checked += 1
-        k = rng.randint(1, max(1, sys.d - 1))
-        ms = tuple(sorted(rng.choice(sys.universe) for _ in range(k)))
-        if k == 1 and not sys.is_good(ms):
+        if not exhaustive and len(ms) == 1 and not sys.is_good(ms):  # each singleton is classified above
             return AxiomReport(False, False, checked, f"singleton {ms} is bad")
         issue = _check_multiset(sys, ms)
         if issue:
-            return AxiomReport(False, False, checked, issue)
-    return AxiomReport(True, False, checked, None)
+            return AxiomReport(False, exhaustive, checked, issue)
+    return AxiomReport(True, exhaustive, checked, None)
 
 
 class CompatibilityResult(Record):

@@ -2,17 +2,19 @@
 
 Graphs and families are immutable after construction, so every operation
 here is safe to call concurrently.  `_edges` is the one entry check of every
-graph count; the counts themselves and the registry of the ratio problems are
-in `problems`, which the set-family commands (`kk`, `entropy --key`,
-`forbidding gkk --family`) never compile.  The `validate`, `shadow` and `kk`
-commands and the `--out` writers are here; `formats` and `numkit` compile
-only once a file is read or a shadow bounded.
+graph count and `_form` the compact form it counts on; the counts are in
+`problems`, with the registry of the ratio problems, and in `checks`, which
+the set-family commands (`kk`, `entropy --key`, `forbidding gkk --family`)
+never compile.  The `validate`, `shadow` and `kk` commands and the `--out`
+writers are here; `formats` and `numkit` compile only once a file is read or
+a shadow bounded.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain, combinations, repeat
@@ -159,6 +161,35 @@ def _edges(h: ColoredHypergraph, *sizes: int, what: str = "") -> tuple[Edge, ...
             if len(e.verts) not in sizes:
                 raise ValidationError(f"{what} requires {'- or '.join(map(str, sizes))}-uniform edges, got {e.verts}")
     return h.edges
+
+
+Form = tuple[list[list[tuple[tuple[int, int], ...]]], dict[int, list[int]]]  # built by _form
+
+
+def _facets(verts: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    edge = sum(1 << v for v in verts)
+    return tuple((edge ^ 1 << v, 1 << v) for v in verts)
+
+
+def _form(slots: int, items: Iterable[tuple[int, tuple[tuple[int, int], ...]]]) -> Form:
+    """What every counting kernel reads, of (slot, `_facets`) edge items, slots being colors or edge sizes:
+    each slot's edges, and per facet a bitmask per slot of the vertices completing it to an edge."""
+    edges: list[list] = [[] for _ in range(slots)]
+    masks: defaultdict[int, list[int]] = defaultdict(([0] * slots).copy)
+    for s, facets in items:
+        edges[s].append(facets)
+        for f, b in facets:
+            masks[f][s] |= b
+    return edges, masks
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _shadow(fam: SetFamily) -> set[tuple[int, ...]]:

@@ -3,11 +3,11 @@ the one registry of the problems, and the `count` and `kappa` commands.
 
 Counts are exact big integers; ratios become floats only inside reports.
 Every count reads its edges through `hypergraph._edges`, the one entry check,
-and each registered problem counts on one compact form of bitmasks (`_form`).
+and counts on the compact form of bitmasks that `hypergraph._form` builds.
 `PROBLEMS` holds each problem's graph entry, count, formula, bounds, note,
-random instances and the structures its count counts; the checks, the
-constructions, the search and the command line all read it.  The graph
-checks that no problem reads are in `checks`.
+random instances and the structures its count counts; the constructions,
+the search and the command line all read it.  The graph checks that no
+problem reads are in `checks`, which does not read this module.
 """
 
 from __future__ import annotations
@@ -21,37 +21,9 @@ from itertools import combinations
 
 from . import formats
 from .errors import ValidationError, check_cap
-from .hypergraph import VERTEX_CAP, ColoredHypergraph, _edges
+from .hypergraph import VERTEX_CAP, ColoredHypergraph, Form, _edges, _facets, _form, _members
 from .record import Record
 from .reports import BoundReport, upper_report
-
-Form = tuple[list[list[tuple[tuple[int, int], ...]]], dict[int, list[int]]]  # built by _form
-
-
-def _facets(verts: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    edge = sum(1 << v for v in verts)
-    return tuple((edge ^ 1 << v, 1 << v) for v in verts)
-
-
-def _form(slots: int, items: Iterable[tuple[int, tuple[tuple[int, int], ...]]]) -> Form:
-    """What every counting kernel reads, of (slot, `_facets`) edge items, slots being colors or edge sizes:
-    each slot's edges, and per facet a bitmask per slot of the vertices completing it to an edge."""
-    edges: list[list] = [[] for _ in range(slots)]
-    masks: defaultdict[int, list[int]] = defaultdict(([0] * slots).copy)
-    for s, facets in items:
-        edges[s].append(facets)
-        for f, b in facets:
-            masks[f][s] |= b
-    return edges, masks
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def _count(pairs: Iterable[tuple[int, int]]) -> int:

@@ -189,19 +189,26 @@ def _orbit_least(outers, images) -> list:
     return kept
 
 
-def _scan(name: str, n: int, slots: list[tuple[int, ...]], cut: int,
-          colors: tuple[str, ...]) -> tuple[Fraction | None, ColoredHypergraph | None]:
+def _scan(name: str, n: int, colors: tuple[str, ...],
+          reverse: bool) -> tuple[Fraction | None, ColoredHypergraph | None]:
     """The best ratio of a registered problem over every state of [n], and its first witness.
 
-    `slots` orders the subsets of [n] that the problem's draws(3, 0) lists, size by size, the first
-    `cut` of them vertex pairs and the outer state; each takes the value 0 (absent) or p, an edge of
-    `colors`[p - 1].  A state counts the size-sets that structures(3, 0) counts.  The outer states
-    scanned are those first in their orbit under the vertex permutations that map the outer slots
-    onto themselves and, where the ratio weighs the classes alike, the color permutations: every
-    other state has an image as good that comes before it.
+    The slots are the subsets of [n] of each size draws(3, 0) lists, size by size, each in `combinations`
+    order or, where `reverse`, from the last; the first size's are the outer state, their first half where
+    one size is drawn.  Each takes the value 0 (absent) or p, an edge of `colors`[p - 1], and a state counts
+    the size-sets of structures(3, 0): fewer vertices are refused.  The outer states scanned are those first
+    in their orbit under the vertex permutations that map the outer slots onto themselves and, where the
+    ratio weighs the classes alike, the color permutations: every other state has an image as good that
+    comes before it.
     """
     prob = PROBLEMS[name]
-    k = len(prob.draws(3, 0)[1])
+    size = prob.structures(3, 0)[0]
+    if n < size:
+        raise ValidationError(f"need at least {size} vertices, got {n}")
+    sizes, drawn = prob.draws(3, 0)
+    parts = [list(combinations(range(n), s))[::-1 if reverse else 1] for s in sizes]
+    slots, k = sum(parts, []), len(drawn)
+    cut = len(parts[0]) // 2 if len(parts) == 1 else len(parts[0])
     alike = len(set(prob.exponents(3)[1])) == 1
     recolor = [(0, *c) for c in permutations(range(1, k + 1))] if alike else [tuple(range(k + 1))]
     maps = _vertex_maps(n, slots[:cut])
@@ -218,13 +225,9 @@ def search_rainbow_triangle(max_vertices: int) -> SearchResult:
     Every pair slot takes one of {absent, red, green, blue}, in `combinations` order; the first half
     of the slots are the outer state, the rest the inner one.
     """
-    n = max_vertices
-    if n < 3:
-        raise ValidationError(f"need at least 3 vertices, got {n}")
-    check_cap("rainbow search vertices", n, RAINBOW_CAP)
-    pairs = list(combinations(range(n), 2))
-    best, witness = _scan("rainbow_d", n, pairs, len(pairs) // 2, RGB)
-    return SearchResult("rainbow_triangle", best, witness, 4 ** len(pairs), exhaustive=True)
+    check_cap("rainbow search vertices", max_vertices, RAINBOW_CAP)
+    best, witness = _scan("rainbow_d", max_vertices, RGB, reverse=False)
+    return SearchResult("rainbow_triangle", best, witness, 4 ** comb(max_vertices, 2), exhaustive=True)
 
 
 def search_mixed_4subsets(max_vertices: int) -> SearchResult:
@@ -235,14 +238,9 @@ def search_mixed_4subsets(max_vertices: int) -> SearchResult:
     reversed, so that product order is integer order.  `explored` counts the states with a pair
     and a triple.
     """
-    n = max_vertices
-    if n < 4:
-        raise ValidationError(f"need at least 4 vertices, got {n}")
-    check_cap("mixed search vertices", n, MIXED_CAP)
-    pairs = list(combinations(range(n), 2))[::-1]
-    triples = list(combinations(range(n), 3))[::-1]
-    best, witness = _scan("mixed4", n, pairs + triples, len(pairs), ("plain",))
-    explored = ((1 << len(pairs)) - 1) * ((1 << len(triples)) - 1)
+    check_cap("mixed search vertices", max_vertices, MIXED_CAP)
+    best, witness = _scan("mixed4", max_vertices, ("plain",), reverse=True)
+    explored = ((1 << comb(max_vertices, 2)) - 1) * ((1 << comb(max_vertices, 3)) - 1)
     return SearchResult("mixed_4subsets", best, witness, explored, exhaustive=True)
 
 

@@ -64,7 +64,10 @@ def main() -> None:
             for argv in (command.split() + flag for command in cases for flag in ([], ["--json"])):
                 for name, content in inputs.items():
                     Path(name).write_text(content if isinstance(content, str) else json.dumps(content))
-                cli.main(argv)
+                try:
+                    cli.main(argv)
+                except SystemExit:  # argparse's exit on a usage error
+                    pass
             for demo in sorted((ROOT / "demos").glob("*.py")):
                 runpy.run_path(str(demo), run_name="__main__")
             for block in blocks:

@@ -397,7 +397,7 @@ def brute_mixed_4subsets(h):
 def covering_sets(h, delta):
     """The covering sets themselves, each sorted, in sorted order, from the registry's form and kernel."""
     pairs = problems._covering(PROBLEMS["covering_delta"].form(h, 3, delta, None))
-    return tuple(sorted(problems._members(e | 1 << v) for e, x in pairs for v in problems._members(x)))
+    return tuple(sorted(hypergraph._members(e | 1 << v) for e, x in pairs for v in hypergraph._members(x)))
 
 
 class TestColorCovering:
@@ -641,7 +641,7 @@ class TestCapacity:
 
         # complete 4-graph on 26 vertices: N = C(26, 4) edges, sqrt(6 N^3) + 3 N (26 - 4) steps
         h = ColoredHypergraph.from_edges(26, [(e, "plain") for e in combinations(range(26), 4)])
-        edges, masks = problems._form(1, ((0, problems._facets(e.verts)) for e in h.edges))
+        edges, masks = hypergraph._form(1, ((0, hypergraph._facets(e.verts)) for e in h.edges))
         with pytest.raises(CapacityError, match=r"\) = 5464218 exceeds cap 5000000"):
             problems._good6((edges, Untouched(masks)))
         with pytest.raises(CapacityError, match=r"\) = 5464218 exceeds cap 5000000"):

@@ -108,8 +108,8 @@ PROBLEM_LAYERS = BASE_LAYERS | {"hypergraph", "problems"}
     ("forbidding sd --system repeats --universe-size 4 --d 2 --set 0,1,2", BASE_LAYERS | {"forbidding", "numkit"}),
     ("forbidding compatible --system repeats --universe-size 4 --d 2 --set 0,1,2",
      BASE_LAYERS | {"forbidding", "numkit"}),
-    ("weighted --input graph.json --spectral", GRAPH_LAYERS | {"problems", "checks"}),
-    ("partial-shadow --input graph.json --r 3 --k 1", GRAPH_LAYERS | {"problems", "checks", "numkit"}),
+    ("weighted --input graph.json --spectral", GRAPH_LAYERS | {"checks"}),
+    ("partial-shadow --input graph.json --r 3 --k 1", GRAPH_LAYERS | {"checks", "numkit"}),
     ("construct complete-family --m 4 --d 2 --out family.json", BASE_LAYERS | {"constructions", "hypergraph"}),
     ("search rainbow-triangle --max-vertices 4 --out witness.json", PROBLEM_LAYERS | {"search"}),
     ("search mixed4 --max-vertices 4 --out witness.json", PROBLEM_LAYERS | {"search"}),

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from math import comb
 from pathlib import Path
@@ -195,6 +196,67 @@ def test_states_without_an_outer_slot_give_the_scans_best_and_witness():
     witness = ColoredHypergraph.from_edges(4, [(v, RGB[c - 1]) for v, c in zip(pairs, state) if c])
     res = search_rainbow_triangle(4)
     assert (Fraction(num, den), witness) == (res.best, res.witness)
+
+
+# (problem, d, delta, n): every registered problem, rainbow_d at three edge sizes and covering_delta at two
+ENGINE_CASES = [("rainbow_d", 2, 0, 3), ("rainbow_d", 3, 0, 4), ("rainbow_d", 4, 0, 4), ("mixed4", 3, 0, 4),
+                ("covering_delta", 3, 0, 4), ("covering_delta", 3, 1, 4), ("good6", 3, 0, 6)]
+
+
+def engine_slots(name, d, delta, n):
+    """The subsets of [n] of each size the problem draws, size by size, and the number of its drawn values."""
+    sizes, colors = PROBLEMS[name].draws(d, delta)
+    return [v for size in sizes for v in combinations(range(n), size)], len(colors)
+
+
+@cache
+def first_best(name, d, delta, n):
+    """The first state of the largest ratio in product order, one graph at a time through `Problem.exact`,
+    as (ratio, state), (None, None) where no state has one.  A state is not counted where its ratio,
+    with every size-set of [n] counted, could not pass the best so far."""
+    prob = PROBLEMS[name]
+    (sizes, colors), slots = prob.draws(d, delta), engine_slots(name, d, delta, n)[0]
+    most = prob.numerator(comb(n, prob.structures(d, delta)[0]), d)
+    best, witness = None, None
+    for state in product(range(len(colors) + 1), repeat=len(slots)):
+        shares = [sum(len(v) == size and p == c for v, p in zip(slots, state))
+                  for size in sizes for c in range(1, len(colors) + 1)]
+        den = prob.denominator(shares, d)
+        if not den or best is not None and most * best.denominator <= best.numerator * den:
+            continue
+        h = ColoredHypergraph.from_edges(n, [(v, colors[p - 1]) for v, p in zip(slots, state) if p])
+        _, ratio = prob.exact(h, d, delta, colors)
+        if ratio is not None and (best is None or ratio > best):
+            best, witness = ratio, state
+    return best, witness
+
+
+def engine_best(prob, name, d, delta, n, cut):
+    """The lane engine's best over every state, the first `cut` slots its outer part, as (ratio, state)."""
+    slots, k = engine_slots(name, d, delta, n)
+    outers = list(product(range(k + 1), repeat=cut))
+    inners = list(map(bytes, product(range(k + 1), repeat=len(slots) - cut)))
+    num, den, state = _best_in_blocks(outers, inners, slots, n, prob, d, delta)
+    return (None if state is None else Fraction(num, den)), state
+
+
+@pytest.mark.parametrize("name, d, delta, n", ENGINE_CASES)
+def test_every_outer_cut_gives_the_state_by_state_best(name, d, delta, n):
+    # the scans cut only rainbow_d at d = 3 and mixed4 into outer and inner parts: here every problem is cut
+    # with no outer slot, one, half, all but one and all of them
+    m = len(engine_slots(name, d, delta, n)[0])
+    for cut in (0, 1, m // 2, m - 1, m):
+        assert engine_best(PROBLEMS[name], name, d, delta, n, cut) == first_best(name, d, delta, n), cut
+
+
+@pytest.mark.parametrize("name, d, delta, n", [case for case in ENGINE_CASES
+                                              if case not in (("rainbow_d", 4, 0, 4), ("covering_delta", 3, 1, 4))])
+def test_outer_cuts_see_a_dropped_structure_group(name, d, delta, n):
+    # without its last group each problem counts another best; at n = 4, rainbow_d with d = 4 and
+    # covering_delta with delta = 1 have one size-set, whose best state keeps the same ratio
+    dropped = keeping_groups(lambda groups: groups[:-1])(PROBLEMS[name])
+    m = len(engine_slots(name, d, delta, n)[0])
+    assert engine_best(dropped, name, d, delta, n, m // 2) != first_best(name, d, delta, n)
 
 
 class TestRainbowSearch:
