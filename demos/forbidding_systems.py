@@ -28,7 +28,7 @@ print(f"S = [5]: |S^(3)| = {size} = 5*4*3, shadow has {pairs} ordered pairs\n")
 print("== the linear-independence system over F_2 ==")
 qsys = qlinear_system(2, 4, 3)
 report = verify_forbidding_axioms(qsys)
-print(f"axioms verified for qlinear:2,4, d=3: {report.ok}, c-vector {qsys.c_vector.entries}")
+print(f"axioms verified for qlinear:2,4, d=3: {report.ok}, c-vector {qsys.c_vector}")
 pair = [(1, 0, 0, 0), (0, 1, 0, 0)]
 result = is_compatible(qsys, pair)
 print(f"two independent vectors compatible? {result.ok}; witness: {result.witness}")

@@ -23,7 +23,7 @@ from itertools import combinations, combinations_with_replacement, product
 from . import formats
 from . import qlinalg as ql
 from .errors import BoundViolationError, ValidationError, check_cap, parse_ints
-from .numkit import CVector, product_falling, shadow_bound
+from .numkit import _c_vector, product_falling, shadow_bound
 from .record import Record
 from .reports import BoundReport, _shadow_check, lower_report
 
@@ -42,14 +42,14 @@ class ForbiddingSystem:
 
     def __init__(self, universe: Iterable[Hashable], d: int,
                  classify_good: Callable[[Multiset], bool],
-                 c_vector: CVector | Sequence[int], name: str = "custom"):
+                 c_vector: Sequence[int], name: str = "custom"):
         self.universe = tuple(sorted(set(universe)))
         if not self.universe:
             raise ValidationError("universe must be nonempty")
         if d < 1:
             raise ValidationError(f"d must be positive, got {d}")
         self.d = d
-        self.c_vector = CVector.coerce(c_vector)
+        self.c_vector = _c_vector(c_vector)
         if len(self.c_vector) != d - 1:
             raise ValidationError(
                 f"c-vector has length {len(self.c_vector)}, expected d-1 = {d - 1}"
@@ -133,7 +133,7 @@ def _check_multiset(sys: ForbiddingSystem, ms: Multiset) -> str | None:
     k = len(ms)
     if sys.is_good(ms):
         bad_ext = sum(1 for x in sys.universe if not sys.is_good(ms + (x,)))
-        expected = sys.c_vector.entries[k - 1]
+        expected = sys.c_vector[k - 1]
         if bad_ext != expected:
             return f"good {ms} has {bad_ext} bad extensions, declared c_{k} = {expected}"
     else:
@@ -222,7 +222,7 @@ def _walk(sys: ForbiddingSystem, inside: tuple) -> tuple[tuple | None, list[Mult
     memo, classify = sys._memo, sys._classify
     level: list[tuple[Multiset, int]] = [((), 0)]
     expected = 1
-    for size, c in enumerate((0,) + sys.c_vector.entries, 1):  # c_0 = 0: all |S| singletons are good
+    for size, c in enumerate((0,) + sys.c_vector, 1):  # c_0 = 0: all |S| singletons are good
         grown = []
         for ms, start in level:
             for i in range(start, len(inside)):
@@ -319,7 +319,7 @@ def check_generalized_kk(
         bound,
         "generalized kruskal-katona",
         holds=holds,
-        extra={"t": t, "family_size": family_size, "c_vector": sys.c_vector.entries},
+        extra={"t": t, "family_size": family_size, "c_vector": sys.c_vector},
     )
 
 
@@ -335,7 +335,7 @@ def _verify(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], li
     if not rep.ok:
         raise BoundViolationError(f"forbidding axioms failed: {rep.violation}")
     q = {"system": system.name, "ok": rep.ok, "exhaustive": rep.exhaustive, "checked": rep.checked,
-         "c_vector": list(system.c_vector.entries)}
+         "c_vector": list(system.c_vector)}
     note = [] if rep.exhaustive else ["not exhaustively verified (spot-check mode)"]
     return q, [], note
 

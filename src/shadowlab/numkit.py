@@ -14,55 +14,36 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import ValidationError
-from .record import Record
 
 
-class CVector(Record):
-    """Nondecreasing nonnegative integers c_1 <= ... <= c_{d-1}.
+def _c_vector(c: Sequence[int]) -> tuple[int, ...]:
+    """c as a tuple c_1 <= ... <= c_{d-1} of nonnegative integers, or ValidationError.
 
     Length d-1 for tuple length d; the empty vector corresponds to d = 1.
     """
-
-    __slots__ = ("entries",)
-    entries: tuple[int, ...]
-
-    def __init__(self, entries: tuple[int, ...]) -> None:
-        for c in entries:
-            if not isinstance(c, int) or c < 0:
-                raise ValidationError(f"c-vector entries must be nonnegative integers: {entries}")
-        for a, b in zip(entries, entries[1:]):
-            if a > b:
-                raise ValidationError(f"c-vector entries must be nondecreasing: {entries}")
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def coerce(cls, c: "CVector | Sequence[int]") -> "CVector":
-        if isinstance(c, CVector):
-            return c
-        return cls(tuple(c))
-
-    @property
-    def last(self) -> int:
-        """c_{d-1}, or 0 for the empty vector."""
-        return self.entries[-1] if self.entries else 0
-
-    def drop_last(self) -> "CVector":
-        return CVector(self.entries[:-1])
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    entries = tuple(c)
+    for ci in entries:
+        if not isinstance(ci, int) or ci < 0:
+            raise ValidationError(f"c-vector entries must be nonnegative integers: {entries}")
+    for a, b in zip(entries, entries[1:]):
+        if a > b:
+            raise ValidationError(f"c-vector entries must be nondecreasing: {entries}")
+    return entries
 
 
-def product_falling(t, c: CVector | Sequence[int]):
+def _falling(t, c: tuple[int, ...]):
+    result = t
+    for ci in c:
+        result *= t - ci
+    return result
+
+
+def product_falling(t, c: Sequence[int]):
     """t * (t - c_1) * ... * (t - c_{d-1}); just t for the empty c-vector.
 
     Exact when t is an int or a Fraction, float otherwise.
     """
-    cv = CVector.coerce(c)
-    result = t
-    for ci in cv.entries:
-        result *= t - ci
-    return result
+    return _falling(t, _c_vector(c))
 
 
 def gaussian_binom(n: int, d: int, q: int) -> int:
@@ -96,7 +77,7 @@ def _bisect_increasing(f, lo: float, hi: float, target: float) -> float:
     return (lo + hi) / 2
 
 
-def invert_product(target, c: CVector | Sequence[int]) -> float:
+def invert_product(target, c: Sequence[int]) -> float:
     """The unique t >= c_{d-1} with product_falling(t, c) = target.
 
     The product is 0 at t = c_{d-1} and strictly increasing beyond it, so
@@ -106,21 +87,24 @@ def invert_product(target, c: CVector | Sequence[int]) -> float:
     """
     if target < 0:
         raise ValidationError(f"inversion target must be nonnegative, got {target}")
-    cv = CVector.coerce(c)
-    lo = float(cv.last)
+    return _invert(target, _c_vector(c))
+
+
+def _invert(target, c: tuple[int, ...]) -> float:
+    lo = float(c[-1]) if c else 0.0
     if target <= sys.float_info.max / 4:
         hi = lo + 1.0 + float(target)
-        return _bisect_increasing(lambda x: product_falling(x, cv), lo, hi, float(target))
+        return _bisect_increasing(lambda x: _falling(x, c), lo, hi, float(target))
 
     def log_product(x):
-        return math.log(x) + sum(math.log(x - ci) for ci in cv.entries)
+        return math.log(x) + sum(math.log(x - ci) for ci in c)
 
     goal = math.log(target)
-    hi = lo + 1.0 + math.exp(goal / (len(cv) + 1))
+    hi = lo + 1.0 + math.exp(goal / (len(c) + 1))
     return _bisect_increasing(log_product, lo, hi, goal)
 
 
-def shadow_bound(shadow: int, family: int, c: CVector | Sequence[int]) -> tuple[bool, float, Fraction]:
+def shadow_bound(shadow: int, family: int, c: Sequence[int]) -> tuple[bool, float, Fraction]:
     """The falling-product shadow bound: (holds, t, bound) for P_d(t) = family.
 
     P_d(t) = product_falling(t, c) and P_{d-1} drops c_{d-1}; P_0 = 1 for the
@@ -136,10 +120,10 @@ def shadow_bound(shadow: int, family: int, c: CVector | Sequence[int]) -> tuple[
     """
     if family < 1:
         raise ValidationError(f"shadow bound needs family >= 1, got {family}")
-    cv = CVector.coerce(c)
-    t = invert_product(family, cv)
-    if not cv.entries:
+    c = _c_vector(c)
+    t = _invert(family, c)
+    if not c:
         return shadow >= 1, t, Fraction(1)
-    rest = cv.drop_last()
-    holds = shadow >= 1 and product_falling(Fraction(family, shadow) + cv.last, rest) <= shadow
-    return holds, t, product_falling(Fraction(t), rest)
+    rest = c[:-1]
+    holds = shadow >= 1 and _falling(Fraction(family, shadow) + c[-1], rest) <= shadow
+    return holds, t, _falling(Fraction(t), rest)

@@ -321,19 +321,33 @@ _SCANS = {
 }
 
 
+# each mode's options and their defaults, by argparse dest: a mode refuses the other mode's options
+_MODE_OPTIONS = {"scan": {"max_vertices": 4},
+                 "probe": {"problem": "rainbow_d", "vertices": 8, "trials": 1000, "d": 3, "delta": 0, "seed": 0}}
+
+
 def _search_options(p) -> None:
     p.add_argument("mode", choices=[*_SCANS, "probe"])
-    p.add_argument("--max-vertices", type=int, default=4)
-    p.add_argument("--problem", default="rainbow_d", choices=list(PROBLEMS))
-    p.add_argument("--vertices", type=int, default=8)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--delta", type=int, default=0)
+    # each option left out is None here, and its mode's default in `_cmd_search`
+    p.add_argument("--max-vertices", type=int)
+    p.add_argument("--problem", choices=list(PROBLEMS))
+    p.add_argument("--vertices", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--d", type=int)
+    p.add_argument("--delta", type=int)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0, help="seed of the random probe")
+    p.add_argument("--seed", type=int, help="seed of the random probe")
 
 
 def _cmd_search(args) -> tuple[dict, list, list[str]]:
+    own, other = ("probe", "scan") if args.mode == "probe" else ("scan", "probe")
+    refused = [f"--{dest.replace('_', '-')}" for dest in _MODE_OPTIONS[other] if getattr(args, dest) is not None]
+    if refused:
+        where = "search probe" if other == "probe" else f"the exhaustive scans ({', '.join(_SCANS)})"
+        raise ValidationError(f"{', '.join(refused)} {'applies' if len(refused) == 1 else 'apply'} only to {where}")
+    for dest, default in _MODE_OPTIONS[own].items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     if args.mode == "probe":
         params = {"vertices": args.vertices, "d": args.d, "delta": args.delta}
         res = random_probe(args.problem, params, args.trials, seed=args.seed)

@@ -1,10 +1,15 @@
-"""Shared builders and seeded-random generators for the test suite."""
+"""Shared builders, seeded-random generators and brute-force references for the test suite.
 
+`ref` is `bench/reference.py`, the benchmark's counts from the definitions; it imports nothing of shadowlab.
+"""
+
+import importlib.util
 import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 
 from shadowlab.constructions import round_robin_matchings
 from shadowlab.entropy import CoverSpec, ExactDistribution
@@ -12,6 +17,37 @@ from shadowlab.hypergraph import ColoredHypergraph, SetFamily
 from shadowlab.problems import PROBLEMS, Problem
 
 RGB = ("red", "green", "blue")
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+# not `reference`: bench/tests puts a module of that name on sys.path
+_spec = importlib.util.spec_from_file_location("bench_reference", REFERENCE)
+ref = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ref)
+
+
+def edge_list(h: ColoredHypergraph) -> list:
+    """h's edges as the (verts, color) pairs the reference counts read."""
+    return [(e.verts, e.color) for e in h.edges]
+
+
+def span(rows, q: int, n: int) -> frozenset:
+    """All F_q linear combinations of rows, as a frozenset of n-tuples (the zero vector included)."""
+    return frozenset(tuple(sum(c * row[i] for c, row in zip(coeffs, rows)) % q for i in range(n))
+                     for coeffs in product(range(q), repeat=len(rows)))
+
+
+def subspaces_by_span(q: int, n: int, d: int) -> set:
+    """The d-subspaces of F_q^n as point sets: spans of d-tuples of nonzero vectors, deduplicated."""
+    if d == 0:
+        return {frozenset({(0,) * n})}
+    vectors = [v for v in product(range(q), repeat=n) if any(v)]
+    spans = (span(gens, q, n) for gens in combinations(vectors, d))
+    return {s for s in spans if len(s) == q**d}
+
+
+def gl_order(q: int, k: int) -> int:
+    """|GL_k(F_q)|: the ordered bases of a k-dimensional space over F_q."""
+    return math.prod(q**k - q**i for i in range(k))
 
 
 def problem_count(name: str, h: ColoredHypergraph, d: int = 3, delta: int = 0, colors=None) -> int:

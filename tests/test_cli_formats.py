@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from conftest import fig1_k4
-from shadowlab import cli
+from shadowlab import cli, search
 from shadowlab.errors import ValidationError
 from shadowlab.formats import (
     distribution_from_obj,
@@ -190,6 +190,18 @@ class TestCli:
 
     def test_capacity_exit_code(self):
         assert cli.main(["search", "rainbow-triangle", "--max-vertices", "9"]) == 4
+
+    @pytest.mark.parametrize("mode, option", [
+        *[(scan, option) for scan in ("rainbow-triangle", "mixed4")
+          for option in ("--problem good6", "--vertices 8", "--trials 1000", "--d 3", "--delta 0", "--seed 0")],
+        ("probe", "--max-vertices 4"),
+    ])
+    def test_search_modes_refuse_each_others_options(self, monkeypatch, capsys, mode, option):
+        # refused before any scan or draw, even at the value the other mode would default to
+        for name in ("search_rainbow_triangle", "search_mixed_4subsets", "random_probe"):
+            monkeypatch.setattr(search, name, None)
+        assert cli.main(["search", mode, *option.split()]) == 3
+        assert f"error: {option.split()[0]} applies only to " in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         "bogus-command",

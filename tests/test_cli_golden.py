@@ -159,6 +159,9 @@ CASES = [
     "search rainbow-triangle --max-vertices 4 --out witness-out.json",
     "search rainbow-triangle --max-vertices 6",
     "search mixed4 --max-vertices 4",
+    # each mode refuses the other's options: exit 3, before any scan or draw
+    "search rainbow-triangle --max-vertices 4 --d 4 --problem good6",
+    "search probe --max-vertices 5",
     "search probe --problem rainbow_d --vertices 5 --trials 20 --seed 3 --out probe-out.json",
     "search probe --problem rainbow_d --d 4 --vertices 6 --trials 20",
     "search probe --problem good6 --vertices 7 --trials 5",

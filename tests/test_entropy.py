@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import fig1_k4, leave_one_out, random_distribution, random_set_family
+from conftest import fig1_k4, leave_one_out, random_distribution, random_set_family, ref
 from shadowlab.entropy import (
     CoverSpec,
     ExactDistribution,
@@ -42,12 +42,6 @@ def conditional_entropy_defining_sum(dist, target, given):
         h = -sum(float(c) * math.log2(float(c)) for c in cond if c != 1)
         total += float(p_y) * h
     return total
-
-
-def ordered_tuple_sizes(fam):
-    """s_k from all d!|F| ordered tuples as one exact distribution; brute-force reference."""
-    dist = ExactDistribution.uniform(fam.d, [t for s in fam.sets for t in permutations(s)])
-    return [2.0 ** conditional_entropy(dist, [k - 1], list(range(k - 1))) for k in range(1, fam.d + 1)]
 
 
 class TestEntropy:
@@ -193,7 +187,7 @@ class TestKeyInequality:
         for _ in range(60):
             d = rng.randint(1, 5)
             fam = random_set_family(rng, rng.randint(d, 9), d, 25)
-            assert check_key_inequality(fam).sizes == pytest.approx(ordered_tuple_sizes(fam), abs=1e-9)
+            assert check_key_inequality(fam).sizes == pytest.approx(ref.key_sizes(fam.sets), abs=1e-9)
 
     def test_complete_family_tight_at_scale(self):
         # C(32, 4): s_k = 33 - k, so every gap is 0

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from conftest import orderings
+from conftest import orderings, span
 from shadowlab import cli, forbidding, qlinalg
 from shadowlab.errors import CapacityError, ValidationError
 from shadowlab.forbidding import (
@@ -24,21 +24,6 @@ from shadowlab.forbidding import (
 from shadowlab.hypergraph import SetFamily, check_kruskal_katona
 from shadowlab.numkit import shadow_bound
 from shadowlab.qlinalg import enumerate_subspaces, rref, subspace_points
-
-
-def span_f2(vectors, n):
-    """All F_2 linear combinations; test-local oracle."""
-    from itertools import product as iproduct
-
-    out = set()
-    vecs = list(vectors)
-    for coeffs in iproduct((0, 1), repeat=len(vecs)):
-        v = [0] * n
-        for c, g in zip(coeffs, vecs):
-            if c:
-                v = [(a + b) % 2 for a, b in zip(v, g)]
-        out.add(tuple(v))
-    return out
 
 
 def reference_sd(sys, s):
@@ -249,7 +234,7 @@ class TestCompatibility:
 
     def test_qlinear_subspace_minus_zero(self):
         sys = qlinear_system(2, 3, 2)
-        plane = span_f2([(1, 0, 0), (0, 1, 0)], 3) - {(0, 0, 0)}
+        plane = span([(1, 0, 0), (0, 1, 0)], 2, 3) - {(0, 0, 0)}
         assert is_compatible(sys, plane).ok
 
     def test_qlinear_two_vectors_incompatible(self):
@@ -326,7 +311,7 @@ class TestEnumerateSd:
 
     def test_qlinear_ordered_bases(self):
         sys = qlinear_system(2, 4, 2)
-        plane = span_f2([(1, 0, 0, 0), (0, 1, 0, 0)], 4) - {(0, 0, 0, 0)}
+        plane = span([(1, 0, 0, 0), (0, 1, 0, 0)], 2, 4) - {(0, 0, 0, 0)}
         [(members, size)] = sd_orbits(sys, [plane])
         assert len(members) == 3 and size == 6  # 3 * (3 - 1) ordered bases
 
@@ -349,6 +334,16 @@ class TestEnumerateSd:
         sys = ForbiddingSystem(range(5), 3, lambda ms: len(set(ms)) == len(ms), (1, 1))
         with pytest.raises(ValidationError, match="c-vector predicts 80"):
             sd_orbits(sys, [range(5)])
+
+    def test_bad_c_vector_refused(self):
+        def classify(ms):
+            return len(set(ms)) == len(ms)
+
+        with pytest.raises(ValidationError, match=r"c-vector entries must be nonnegative integers: \(-1, 2\)"):
+            ForbiddingSystem(range(5), 3, classify, [-1, 2])
+        with pytest.raises(ValidationError, match=r"c-vector entries must be nondecreasing: \(2, 1\)"):
+            ForbiddingSystem(range(5), 3, classify, (2, 1))
+        assert ForbiddingSystem(range(5), 3, classify, [1, 2]).c_vector == (1, 2)
 
     def test_incompatible_set_rejected(self):
         sys = qlinear_system(2, 3, 3)
@@ -419,7 +414,7 @@ class TestGeneralizedKK:
         from shadowlab.qlinalg import enumerate_subspaces
 
         for member in enumerate_subspaces(2, 4, 2).members:
-            planes.append(span_f2(member, 4) - {(0, 0, 0, 0)})
+            planes.append(span(member, 2, 4) - {(0, 0, 0, 0)})
         rep = check_generalized_kk(sys, planes)
         assert rep.extra["family_size"] == 210  # 35 * 3 * 2
         assert rep.extra["t"] == pytest.approx(15.0, abs=1e-6)  # 2^4 - 1
@@ -466,7 +461,7 @@ class TestGeneralizedKK:
     def test_planes_of_a_large_space(self):
         # five planes among the 65,535 nonzero vectors of F_2^16, decided without classifying a vector outside them
         basis = [tuple(int(j == i) for j in range(16)) for i in range(10)]
-        planes = [span_f2([basis[i], basis[i + 5]], 16) - {(0,) * 16} for i in range(5)]
+        planes = [span([basis[i], basis[i + 5]], 2, 16) - {(0,) * 16} for i in range(5)]
         rep = check_generalized_kk(qlinear_system(2, 16, 2), planes)
         assert rep.extra["family_size"] == 5 * 3 * 2
         assert rep.computed == 15

@@ -13,12 +13,14 @@ import pytest
 
 from conftest import (
     RGB,
+    edge_list,
     fig1_k4,
     problem_count,
     random_colored_graph,
     random_set_family,
     random_uniform_hypergraph,
     random_weighted_complete,
+    ref,
 )
 from shadowlab import checks, hypergraph, problems
 from shadowlab.errors import CapacityError, ValidationError
@@ -31,19 +33,6 @@ from shadowlab.checks import (
     weighted_joint_sum,
 )
 from shadowlab.problems import PROBLEMS, rainbow_cliques
-
-
-def brute_rainbow_triangles(h, colors=RGB):
-    """Scan every 3-subset directly; independent of the extension algorithm."""
-    lookup = {e.verts: e.color for e in h.edges}
-    count = 0
-    for tri in combinations(range(h.n), 3):
-        got = sorted(
-            lookup.get(p, "?") for p in combinations(tri, 2)
-        )
-        if got == sorted(colors):
-            count += 1
-    return count
 
 
 def test_graphs_pickle_and_copy():
@@ -93,13 +82,13 @@ class TestRainbowCliques:
                 edges.append(((a, c), "blue"))
         h = ColoredHypergraph.from_edges(6, edges)
         assert problem_count("rainbow_d", h, colors=RGB) == 8
-        assert brute_rainbow_triangles(h) == 8
+        assert ref.rainbow_count(h.n, edge_list(h), RGB, 3) == 8
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = random.Random(7)
         for _ in range(300):
             h = random_colored_graph(rng, rng.randint(3, 8))
-            assert problem_count("rainbow_d", h, colors=RGB) == brute_rainbow_triangles(h)
+            assert problem_count("rainbow_d", h, colors=RGB) == ref.rainbow_count(h.n, edge_list(h), RGB, 3)
 
     def test_invariant_under_relabeling(self):
         rng = random.Random(13)
@@ -270,34 +259,6 @@ class TestKruskalKatona:
         assert rep.satisfied
 
 
-def brute_good_6subsets(h):
-    """Scan all 6-subsets and all pair-partitions directly."""
-    edges = {e.verts for e in h.edges}
-    count = 0
-    for delta in combinations(range(h.n), 6):
-        dset = set(delta)
-        found = False
-        for pairing in _all_pairings(list(delta)):
-            if all(tuple(sorted(dset - set(p))) in edges for p in pairing):
-                found = True
-                break
-        if found:
-            count += 1
-    return count
-
-
-def _all_pairings(items):
-    if not items:
-        yield []
-        return
-    a = items[0]
-    for i in range(1, len(items)):
-        pair = (a, items[i])
-        rest = items[1:i] + items[i + 1:]
-        for sub in _all_pairings(rest):
-            yield [pair] + sub
-
-
 class TestGood6Subsets:
     def flats(self):
         # the 8-vertex configuration: {x*}, {y*} and the 12 mixed 4-edges
@@ -312,7 +273,7 @@ class TestGood6Subsets:
         h = self.flats()
         assert len(h.edges) == 14
         assert problem_count("good6", h) == 28
-        assert brute_good_6subsets(h) == 28
+        assert ref.good6_count(h.n, edge_list(h)) == 28
         assert Fraction(28 * 28, 14**3) == Fraction(2, 7)
 
     def test_single_edge(self):
@@ -324,13 +285,13 @@ class TestGood6Subsets:
             6, [((0, 1, 2, 3), "plain"), ((0, 1, 4, 5), "plain"), ((2, 3, 4, 5), "plain")]
         )
         assert problem_count("good6", h) == 1
-        assert brute_good_6subsets(h) == 1
+        assert ref.good6_count(h.n, edge_list(h)) == 1
 
     def test_matches_brute_force_on_random(self):
         rng = random.Random(17)
         for _ in range(40):
             h = random_uniform_hypergraph(rng, 7, 4, p=0.35)
-            assert problem_count("good6", h) == brute_good_6subsets(h)
+            assert problem_count("good6", h) == ref.good6_count(h.n, edge_list(h))
 
 
 class TestMixed4Subsets:
@@ -347,7 +308,7 @@ class TestMixed4Subsets:
             p = rng.choice((0.3, 0.5, 0.8))
             edges = [(e, "plain") for size in (2, 3) for e in combinations(range(n), size) if rng.random() < p]
             h = ColoredHypergraph.from_edges(n, edges)
-            assert problem_count("mixed4", h) == brute_mixed_4subsets(h)
+            assert problem_count("mixed4", h) == ref.mixed4_count(h.n, edge_list(h))
 
     def test_no_3edges_is_zero(self):
         h = ColoredHypergraph.from_edges(4, [((0, 1), "plain")])
@@ -369,29 +330,9 @@ class TestMixed4Subsets:
         assert counts["N2"] == 9
         assert counts["N3"] == 27
         # brute force over all 4-subsets of the 9 vertices
-        expected = brute_mixed_4subsets(h)
+        expected = ref.mixed4_count(h.n, edge_list(h))
         assert counts["J"] == expected == 81
         assert all(r.satisfied for r in PROBLEMS["mixed4"].reports(ratio))
-
-
-def brute_mixed_4subsets(h):
-    pairs = {e.verts for e in h.edges if len(e.verts) == 2}
-    triples = {e.verts for e in h.edges if len(e.verts) == 3}
-    count = 0
-    for delta in combinations(range(h.n), 4):
-        good = False
-        for v3, v4 in combinations(delta, 2):
-            v1, v2 = [x for x in delta if x not in (v3, v4)]
-            if (
-                (v3, v4) in pairs
-                and tuple(sorted((v1, v2, v3))) in triples
-                and tuple(sorted((v1, v2, v4))) in triples
-            ):
-                good = True
-                break
-        if good:
-            count += 1
-    return count
 
 
 def covering_sets(h, delta):

@@ -2,16 +2,16 @@
 
 import math
 import random
-from itertools import combinations, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import gl_order, subspaces_by_span
+from shadowlab import numkit
 from shadowlab.errors import ValidationError
 from shadowlab.hypergraph import _binom_bound
 from shadowlab.numkit import (
-    CVector,
     gaussian_binom,
     invert_product,
     product_falling,
@@ -31,36 +31,7 @@ def bisect_oracle(f, lo, hi, target, iters=100):
     return (lo + hi) / 2
 
 
-def span_oracle(gens, q, n):
-    """All linear combinations of gens over F_q, as a frozenset of tuples."""
-    space = set()
-    for coeffs in product(range(q), repeat=len(gens)):
-        v = [0] * n
-        for k, g in zip(coeffs, gens):
-            for i in range(n):
-                v[i] = (v[i] + k * g[i]) % q
-        space.add(tuple(v))
-    return frozenset(space)
-
-
-def enumerate_subspaces_oracle(q, n, d):
-    """Brute-force count of d-dim subspaces of F_q^n: dedup spans of d-tuples."""
-    if d == 0:
-        return 1
-    vectors = list(product(range(q), repeat=n))[1:]  # skip the zero vector
-    spaces = set()
-    for gens in combinations(vectors, d):
-        s = span_oracle(gens, q, n)
-        if len(s) == q**d:
-            spaces.add(s)
-    return len(spaces)
-
-
 ROOT_OF_PRODUCT_12 = 3.434841368216901  # bisection oracle: t(t-1)(t-2) = 12
-
-
-def _gl_order(q, k):
-    return math.prod(q**k - q**i for i in range(k))
 
 
 def binom_oracle(t, d):
@@ -88,9 +59,8 @@ class TestProductFalling:
     def test_strictly_increasing_on_branch(self):
         rng = random.Random(11)
         for _ in range(300):
-            entries = tuple(sorted(rng.randint(0, 6) for _ in range(rng.randint(0, 4))))
-            c = CVector(entries)
-            base = float(c.last)
+            c = tuple(sorted(rng.randint(0, 6) for _ in range(rng.randint(0, 4))))
+            base = float(c[-1]) if c else 0.0
             t1 = base + rng.random() * 10
             t2 = t1 + rng.random() * 5 + 1e-6
             assert product_falling(t1, c) < product_falling(t2, c)
@@ -146,17 +116,17 @@ class TestGaussianBinom:
 
     def test_lines_of_f2_4(self):
         assert gaussian_binom(4, 1, 2) == 15
-        assert enumerate_subspaces_oracle(2, 4, 1) == 15
+        assert len(subspaces_by_span(2, 4, 1)) == 15
 
     def test_planes_of_f2_4(self):
         assert gaussian_binom(4, 2, 2) == 35
-        assert enumerate_subspaces_oracle(2, 4, 2) == 35
+        assert len(subspaces_by_span(2, 4, 2)) == 35
 
     @pytest.mark.parametrize("q,n_max", [(2, 4), (3, 3)])
     def test_counts_subspaces(self, q, n_max):
         for n in range(n_max + 1):
             for d in range(n + 1):
-                assert gaussian_binom(n, d, q) == enumerate_subspaces_oracle(q, n, d)
+                assert gaussian_binom(n, d, q) == len(subspaces_by_span(q, n, d))
 
     def test_real_t_matches_integer_t(self):
         # [t, 2]_2 = 35 at t = 4, with [4, 1]_2 = 15 as its bound
@@ -195,8 +165,8 @@ class TestInvertProduct:
         st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
     )
     def test_roundtrip(self, entries, offset):
-        c = CVector(tuple(sorted(entries)))
-        t = c.last + offset
+        c = tuple(sorted(entries))
+        t = (c[-1] if c else 0) + offset
         target = product_falling(t, c)
         assert invert_product(target, c) == pytest.approx(t, abs=1e-7)
 
@@ -212,7 +182,7 @@ class TestInvertGaussian:
 
     def test_seven(self):
         # [3,2]_2 = 7, confirmed by the subspace enumeration oracle
-        assert enumerate_subspaces_oracle(2, 3, 2) == 7
+        assert len(subspaces_by_span(2, 3, 2)) == 7
         assert _gaussian_bound(1, 7, 2, 2)[1] == pytest.approx(3.0, abs=1e-6)
 
     def test_target_below_one_rejected(self):
@@ -251,17 +221,44 @@ class TestInvertBinom:
         assert _binom_bound(1, 2, 3)[1] == pytest.approx(ROOT_OF_PRODUCT_12, abs=1e-6)
 
 
+# each public call that reads a c-vector, on one that holds: product 3 * 2 * 1 = 6 at t = 3, c = (1, 2)
+C_VECTOR_CALLS = {
+    "product_falling": lambda c: product_falling(3, c),
+    "invert_product": lambda c: invert_product(6, c),
+    "shadow_bound": lambda c: shadow_bound(3, 6, c),
+}
+
+
 class TestCVector:
+    """A c-vector is a tuple of ints; each public call refuses a bad one, and checks it once."""
+
     def test_rejects_decreasing(self):
-        with pytest.raises(ValidationError):
-            CVector((2, 1))
+        for call in C_VECTOR_CALLS.values():
+            with pytest.raises(ValidationError, match=r"must be nondecreasing: \(2, 1\)"):
+                call((2, 1))
 
     def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            CVector((-1, 0))
+        for call in C_VECTOR_CALLS.values():
+            with pytest.raises(ValidationError, match=r"must be nonnegative integers: \(-1, 0\)"):
+                call([-1, 0])
+
+    @pytest.mark.parametrize("entries", [(-1,), (2, 1), (1.5,), ("1",)])
+    @pytest.mark.parametrize("name", C_VECTOR_CALLS)
+    def test_entries_are_checked(self, name, entries):
+        with pytest.raises(ValidationError, match="c-vector entries must be"):
+            C_VECTOR_CALLS[name](entries)
+
+    @pytest.mark.parametrize("name", C_VECTOR_CALLS)
+    def test_checked_once_per_call(self, name, monkeypatch):
+        seen = []
+        monkeypatch.setattr(numkit, "_c_vector", lambda c: seen.append(c) or tuple(c))
+        assert C_VECTOR_CALLS[name](range(1, 3)) and seen == [range(1, 3)]
 
     def test_last_of_empty(self):
-        assert CVector(()).last == 0
+        # the empty vector's branch starts at t = 0, where the product t is 0
+        assert invert_product(0, ()) == pytest.approx(0.0, abs=1e-9)
+        holds, t, bound = shadow_bound(1, 1, ())
+        assert holds and t == pytest.approx(1.0, abs=1e-9) and bound == 1
 
 
 # (shadow, family, c) of tight cases, where shadow equals the bound exactly;
@@ -274,8 +271,8 @@ TIGHT = {
     "repeats 10, d=6": (math.perm(10, 5), math.perm(10, 6), range(1, 6)),
     # all 4-subspaces of F_2^17 against all 3-subspaces, in y - 1 = 2^t - 1
     "[17,4]_2": (
-        gaussian_binom(17, 3, 2) * _gl_order(2, 3),
-        gaussian_binom(17, 4, 2) * _gl_order(2, 4),
+        gaussian_binom(17, 3, 2) * gl_order(2, 3),
+        gaussian_binom(17, 4, 2) * gl_order(2, 4),
         (1, 3, 7),
     ),
 }

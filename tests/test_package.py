@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import shadowlab
+from conftest import REFERENCE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,7 +30,7 @@ PUBLIC = {
     "forbidding": ["ForbiddingSystem", "check_generalized_kk", "is_compatible", "qlinear_system", "repeats_system",
                    "verify_forbidding_axioms"],
     "hypergraph": ["ColoredHypergraph", "SetFamily", "check_kruskal_katona", "shadow", "validate"],
-    "numkit": ["CVector", "gaussian_binom", "invert_product", "product_falling", "shadow_bound"],
+    "numkit": ["gaussian_binom", "invert_product", "product_falling", "shadow_bound"],
     "problems": ["PROBLEMS", "Problem", "rainbow_cliques"],
     "qlinalg": ["SubspaceFamily", "check_q_kruskal_katona", "enumerate_subspaces", "rref"],
     "reports": ["BoundReport", "ValidationReport"],
@@ -124,6 +125,19 @@ def test_command_loads_only_the_layers_it_runs(tmp_path, command, layers):
     out = _child([sys.executable, "-c", code, *argv], tmp_path)
     assert out.returncode == 0, out.stderr
     assert {name.split(".", 1)[1] for name in json.loads(out.stdout.splitlines()[-1])} == layers
+
+
+def test_bench_reference_imports_nothing_of_shadowlab(tmp_path):
+    """`ref`, the tests' and the benchmark's counts from the definitions, loaded as conftest loads it with
+    `src` on the path, leaves no shadowlab module behind: it cannot count through the code it checks."""
+    code = ("import importlib.util, json, sys; "
+            "spec = importlib.util.spec_from_file_location('bench_reference', sys.argv[1]); "
+            "ref = importlib.util.module_from_spec(spec); spec.loader.exec_module(ref); "
+            "print(json.dumps([ref.rainbow_count(3, [((0, 1), 'r'), ((0, 2), 'g'), ((1, 2), 'b')], 'rgb', 3), "
+            "sorted(name for name in sys.modules if name.split('.')[0] == 'shadowlab')]))")
+    out = _child([sys.executable, "-c", code, str(REFERENCE)], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [1, []]
 
 
 @pytest.mark.parametrize("command, layer, counter", [

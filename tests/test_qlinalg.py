@@ -2,10 +2,11 @@
 
 import random
 import time
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
+from conftest import span, subspaces_by_span
 from shadowlab.errors import CapacityError, ValidationError
 from shadowlab.numkit import gaussian_binom
 from shadowlab.qlinalg import (
@@ -17,37 +18,12 @@ from shadowlab.qlinalg import (
 )
 
 
-def span_set(rows, q, n):
-    """All linear combinations of rows, as a frozenset; test-local oracle."""
-    out = set()
-    for coeffs in product(range(q), repeat=len(rows)):
-        v = [0] * n
-        for c, row in zip(coeffs, rows):
-            for i in range(n):
-                v[i] = (v[i] + c * row[i]) % q
-        out.add(tuple(v))
-    return frozenset(out)
-
-
 def subspace_shadow(fam):
     """The shadow as a family: `_subspace_shadow`'s tuples of row ids turned back into rows, sorted."""
     shadow, ids = _subspace_shadow(fam)
     rows = {i: row for row, i in ids.items()}
     members = sorted(tuple(map(rows.__getitem__, h)) for h in shadow)
     return SubspaceFamily(q=fam.q, n=fam.n, d=fam.d - 1, members=tuple(members))
-
-
-def brute_subspaces(q, n, d):
-    """Spans of all d-tuples of nonzero vectors, deduplicated as point sets."""
-    if d == 0:
-        return {frozenset({tuple([0] * n)})}
-    vectors = [v for v in product(range(q), repeat=n) if any(v)]
-    out = set()
-    for gens in combinations(vectors, d):
-        s = span_set(gens, q, n)
-        if len(s) == q**d:
-            out.add(s)
-    return out
 
 
 class TestRref:
@@ -66,7 +42,7 @@ class TestRref:
             n = 4
             rows = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(1, 3))]
             reduced = rref(rows, q)
-            assert span_set(rows, q, n) == span_set(list(reduced), q, n)
+            assert span(rows, q, n) == span(list(reduced), q, n)
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValidationError):
@@ -88,7 +64,7 @@ class TestEnumerateSubspaces:
     def test_planes_of_f2_4(self):
         fam = enumerate_subspaces(2, 4, 2)
         assert len(fam) == 35
-        assert {span_set(m, 2, 4) for m in fam.members} == brute_subspaces(2, 4, 2)
+        assert {span(m, 2, 4) for m in fam.members} == subspaces_by_span(2, 4, 2)
 
     def test_zero_dim(self):
         assert len(enumerate_subspaces(3, 2, 0)) == 1
@@ -117,9 +93,9 @@ class TestSubspaceShadow:
         fam = SubspaceFamily.make(2, 3, 2, [[[1, 0, 0], [0, 1, 0]]])
         lines = subspace_shadow(fam)
         assert len(lines) == 3
-        pts = span_set([[1, 0, 0], [0, 1, 0]], 2, 3)
+        pts = span([[1, 0, 0], [0, 1, 0]], 2, 3)
         for line in lines.members:
-            assert span_set(line, 2, 3) <= pts
+            assert span(line, 2, 3) <= pts
 
     def test_complete_family(self):
         planes = enumerate_subspaces(2, 3, 2)
@@ -133,15 +109,15 @@ class TestSubspaceShadow:
     def test_matches_brute_force(self, q, n, d):
         rng = random.Random(5)
         all_members = enumerate_subspaces(q, n, d).members
-        below = brute_subspaces(q, n, d - 1)
+        below = subspaces_by_span(q, n, d - 1)
         for _ in range(20):
             members = rng.sample(all_members, rng.randint(1, 10))
             shadow = subspace_shadow(SubspaceFamily.make(q, n, d, members))
             assert all(rref(m, q) == m for m in shadow.members)
-            got = {span_set(m, q, n) for m in shadow.members}
+            got = {span(m, q, n) for m in shadow.members}
             expected = set()
             for m in members:
-                pts = span_set(m, q, n)
+                pts = span(m, q, n)
                 expected |= {sub for sub in below if sub <= pts}
             assert got == expected
 

@@ -18,7 +18,6 @@ from shadowlab.errors import ValidationError
 from shadowlab.forbidding import AxiomReport, CompatibilityResult
 from shadowlab.hypergraph import ColoredHypergraph, Edge, SetFamily
 from shadowlab.problems import Problem
-from shadowlab.numkit import CVector
 from shadowlab.qlinalg import SubspaceFamily
 from shadowlab.reports import BoundReport, ValidationReport
 from shadowlab.search import SearchResult
@@ -73,7 +72,6 @@ CASES = [
      (), f"Problem(name='p', quantity='x / y', form={_form!r}, count={_count!r}, exponents={_exponents!r}, "
      f"names=('J', ('N',)), bounds={_bounds!r}, notes=('note',), draws={_draws!r}, structures={_structures!r})",
      True, ("name", "r")),
-    (CVector, ((1, 2),), 0, (), "CVector(entries=(1, 2))", True, ("entries", (1, 3))),
     (BoundReport, ("q", 1, 2.0, 0.5, True, "src", "upper", False, {}), 2, (False, {}), REPORT_REPR, False,
      ("computed", 3)),
     (ValidationReport, (True, ()), 1, ((),), "ValidationReport(ok=True, violations=())", True,
@@ -105,7 +103,6 @@ FIELDS = {
     WeightedSumReport: ("d", "total_weight", "terms", "value", "report", "weights"),
     SpectralReport: ("trace2", "trace3", "total_weight", "checks"),
     Problem: ("name", "quantity", "form", "count", "exponents", "names", "bounds", "notes", "draws", "structures"),
-    CVector: ("entries",),
     BoundReport: ("quantity", "computed", "bound", "ratio", "satisfied", "source", "kind", "conjecture",
                   "extra"),
     ValidationReport: ("ok", "violations"),
@@ -123,7 +120,7 @@ IDS = [case[0].__name__ for case in CASES]
 
 
 def test_every_record_is_covered():
-    assert len(CASES) == len(FIELDS) == 17
+    assert len(CASES) == len(FIELDS) == 16
     assert {case[0] for case in CASES} == set(FIELDS)
 
 
@@ -206,21 +203,6 @@ def test_bound_report_kind_is_checked():
         BoundReport("q", 1, 2.0, 0.5, True, "src", "middle")
     with pytest.raises(ValueError, match="kind"):
         BoundReport(quantity="q", computed=1, bound=2.0, ratio=0.5, satisfied=True, source="src", kind="")
-
-
-@pytest.mark.parametrize("entries", [(-1,), (2, 1), (1.5,), ("1",)])
-def test_cvector_entries_are_checked(entries):
-    with pytest.raises(ValidationError):
-        CVector(entries)
-    with pytest.raises(ValidationError):
-        CVector(entries=entries)
-
-
-def test_cvector_accepts_empty_and_nondecreasing():
-    assert CVector(()).last == 0 and len(CVector(())) == 0
-    assert CVector((0, 2, 2)).last == 2
-    assert CVector((0, 2, 2)).drop_last() == CVector((0, 2))
-    assert CVector.coerce([1, 1]) == CVector((1, 1))
 
 
 @pytest.mark.parametrize("n, subsets, k, message", [

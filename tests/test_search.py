@@ -177,6 +177,26 @@ def test_color_symmetry_follows_the_registry(monkeypatch, exponents):
     assert (res.best, res.explored, sorted((e.verts, e.color) for e in res.witness.edges)) == expected
 
 
+def colour_symmetric(problem, d, delta):
+    """Whether every permutation of the drawn colours maps the groups of structures(d, delta) onto themselves."""
+    groups = {frozenset(group) for group in problem.structures(d, delta)[2]}
+    return all({frozenset((s, sigma[p - 1]) for s, p in group) for group in groups} == groups
+               for sigma in permutations(range(1, len(problem.draws(d, delta)[1]) + 1)))
+
+
+# (problem, d, delta) of the problems whose ratio weighs its classes alike, so that `_scan` permutes their colours
+ALIKE = [("rainbow_d", d, 0) for d in range(2, 6)] + [("covering_delta", 3, delta) for delta in range(3)]
+
+
+@pytest.mark.parametrize("name, d, delta", ALIKE)
+def test_colour_permutations_map_the_structures_onto_themselves(name, d, delta):
+    problem = PROBLEMS[name]
+    assert len(set(problem.exponents(d)[1])) == 1
+    assert colour_symmetric(problem, d, delta)
+    # one literal dropped from one group: the colour of that group is no longer interchangeable
+    assert not colour_symmetric(keeping_groups(lambda groups: [groups[0][1:], *groups[1:]])(problem), d, delta)
+
+
 def test_tied_groups_keep_the_first_state_in_product_order():
     # one slot, the 1-set {0}, absent or drawn in one of two colors, and a 1-set counted where either
     # color is drawn: inner states 1 and 2 fall in groups (1, 0) and (0, 1), so the layout visits

@@ -28,7 +28,7 @@ from math import comb
 
 import pytest
 
-from conftest import RGB, replaced
+from conftest import RGB, gl_order, replaced
 from shadowlab import cli, hypergraph, qlinalg
 from shadowlab.hypergraph import SetFamily, check_kruskal_katona, shadow
 from shadowlab.problems import PROBLEMS
@@ -155,11 +155,6 @@ SUBSPACE_SHAPES = [(2, 2, 2), (2, 3, 2), (2, 4, 2), (2, 5, 2), (2, 3, 3), (2, 4,
                    (3, 2, 2), (3, 3, 2), (3, 4, 2), (3, 3, 3)]
 # seeded ones only: gkk on the complete families takes 0.7 s and 2.7 s
 LARGE_SUBSPACE_SHAPES = [(3, 5, 2), (3, 4, 3)]
-
-
-def gl_order(q: int, k: int) -> int:
-    """|GL_k(F_q)|: the ordered bases of a k-dimensional space over F_q."""
-    return math.prod(q**k - q**i for i in range(k))
 
 
 def subspace_families(q: int, n: int, d: int, complete: bool = True) -> list[list]:
