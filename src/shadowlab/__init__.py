@@ -22,7 +22,7 @@ _EXPORTS = {
     "forbidding": "ForbiddingSystem check_generalized_kk is_compatible qlinear_system repeats_system "
                   "verify_forbidding_axioms",
     "hypergraph": "ColoredHypergraph SetFamily check_kruskal_katona shadow validate",
-    "numkit": "gaussian_binom invert_product product_falling shadow_bound",
+    "numkit": "gaussian_binom product_falling shadow_bound",
     "problems": "PROBLEMS Problem rainbow_cliques",
     "qlinalg": "SubspaceFamily check_q_kruskal_katona enumerate_subspaces rref",
     "reports": "BoundReport ValidationReport",

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 
-from . import formats
+from . import formats, numkit
 from .errors import ValidationError, check_cap
-from .hypergraph import VERTEX_CAP, ColoredHypergraph, _binom_bound, _edges, _facets, _form, _members
+from .hypergraph import VERTEX_CAP, ColoredHypergraph, _edges, _facets, _form, _members
 from .record import Record
 from .reports import BoundReport, lower_report, upper_report
 
@@ -54,7 +54,7 @@ def check_partial_shadow_bound(h: ColoredHypergraph, r: int, k: int) -> BoundRep
     m = count_partial_shadow_targets(h, r, k)
     if m < 1:
         raise ValidationError("no r-subsets meet the threshold (m = 0)")
-    holds, x, bound = _binom_bound(len(h.edges), m, r - k)
+    holds, x, bound = numkit._member_bound(len(h.edges), m, range(1, r - k + 1))
     return lower_report("edge count", len(h.edges), bound, "partial shadow", holds=holds,
                         extra={"m": m, "x": x, "r": r, "k": k})
 

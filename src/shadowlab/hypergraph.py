@@ -13,10 +13,8 @@ a shadow bounded.
 from __future__ import annotations
 
 import json
-import math
 from collections import defaultdict
 from collections.abc import Iterable
-from fractions import Fraction
 from itertools import chain, combinations, repeat
 from operator import lt
 
@@ -204,13 +202,6 @@ def shadow(fam: SetFamily) -> SetFamily:
     return SetFamily(n=fam.n, d=fam.d - 1, sets=tuple(sorted(_shadow(fam))))
 
 
-def _binom_bound(shadow_size: int, family_size: int, d: int) -> tuple[bool, float, Fraction]:
-    """`shadow_bound` in binomials: (holds, t, binom(t, d-1)) where binom(t, d) = family_size."""
-    f = math.factorial(d - 1)
-    holds, t, bound = numkit.shadow_bound(f * shadow_size, f * d * family_size, range(1, d))
-    return holds, t, bound / f
-
-
 def check_kruskal_katona(fam: SetFamily) -> BoundReport:
     """|shadow| >= binom(t, d-1) where binom(t, d) = |family|, t real >= d.
 
@@ -219,7 +210,7 @@ def check_kruskal_katona(fam: SetFamily) -> BoundReport:
     if len(fam) < 1:
         raise ValidationError("family must be nonempty")
     shadow_size = len(_shadow(fam))
-    holds, t, bound = _binom_bound(shadow_size, len(fam), fam.d)
+    holds, t, bound = numkit._member_bound(shadow_size, len(fam), range(1, fam.d + 1))
     return lower_report("shadow size", shadow_size, bound, "kruskal-katona (lovasz form)", holds=holds,
                         extra={"t": t, "family_size": len(fam)})
 

@@ -77,20 +77,10 @@ def _bisect_increasing(f, lo: float, hi: float, target: float) -> float:
     return (lo + hi) / 2
 
 
-def invert_product(target, c: Sequence[int]) -> float:
-    """The unique t >= c_{d-1} with product_falling(t, c) = target.
-
-    The product is 0 at t = c_{d-1} and strictly increasing beyond it, so
-    bisection on [c_{d-1}, c_{d-1} + 1 + target] always converges.  Past a
-    quarter of the float range, where lo + hi would overflow, it bisects on
-    logarithms, with t <= c_{d-1} + target^(1/d).
-    """
-    if target < 0:
-        raise ValidationError(f"inversion target must be nonnegative, got {target}")
-    return _invert(target, _c_vector(c))
-
-
 def _invert(target, c: tuple[int, ...]) -> float:
+    """The unique t >= c_{d-1} with P_d(t) = target >= 0.  P_d is 0 at c_{d-1} and strictly increasing
+    beyond it, so bisection on [c_{d-1}, c_{d-1} + 1 + target] converges.  Past a quarter of the float
+    range, where lo + hi would overflow, it bisects on logarithms, with t <= c_{d-1} + target^(1/d)."""
     lo = float(c[-1]) if c else 0.0
     if target <= sys.float_info.max / 4:
         hi = lo + 1.0 + float(target)
@@ -112,11 +102,8 @@ def shadow_bound(shadow: int, family: int, c: Sequence[int]) -> tuple[bool, floa
     P_d(t) = P_{d-1}(t) (t - c_{d-1}) and P_{d-1} increases beyond c_{d-1},
     so the bound holds iff P_{d-1}(family / shadow + c_{d-1}) <= shadow, one
     Fraction evaluation with no root finding and no tolerance.  t is the
-    bisected root `invert_product(family, c)` and bound = P_{d-1}(t) is
-    evaluated exactly on it, both for display.  Scaled callers: binomials use
-    c = (1, ..., d-1) with family * d! and shadow * (d-1)!; Gaussian
-    binomials use c = (q-1, ..., q^{d-1}-1) in y = q^t - 1 with
-    family * |GL_d(q)| and shadow * |GL_{d-1}(q)|.
+    bisected root of P_d(t) = family and bound = P_{d-1}(t) is evaluated
+    exactly on it, both for display.
     """
     if family < 1:
         raise ValidationError(f"shadow bound needs family >= 1, got {family}")
@@ -127,3 +114,13 @@ def shadow_bound(shadow: int, family: int, c: Sequence[int]) -> tuple[bool, floa
     rest = c[:-1]
     holds = shadow >= 1 and _falling(Fraction(family, shadow) + c[-1], rest) <= shadow
     return holds, t, _falling(Fraction(t), rest)
+
+
+def _member_bound(shadow: int, family: int, c: Sequence[int]) -> tuple[bool, float, Fraction]:
+    """`shadow_bound` in members for c = (c_1, ..., c_d): a member is one orbit of P_d(c_d) tuples and a shadow
+    member one of P_{d-1}(c_{d-1}), so the bound is P_{d-1}(t) / P_{d-1}(c_{d-1}).  Binomials use c = (1, ..., d),
+    d! and (d-1)!; Gaussian binomials c = (q-1, ..., q^d-1) in y = q^t - 1, |GL_d(q)| and |GL_{d-1}(q)|."""
+    c = tuple(c)
+    per_shadow = _falling(c[-2], c[:-2]) if len(c) > 1 else 1
+    holds, t, bound = shadow_bound(shadow * per_shadow, family * _falling(c[-1], c[:-1]), c[:-1])
+    return holds, t, bound / per_shadow

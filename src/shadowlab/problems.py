@@ -317,20 +317,23 @@ _COUNT_PROBLEMS = {"good6": "good6", "mixed4": "mixed4", "covering": "covering_d
 def _count_options(p) -> None:
     p.add_argument("kind", choices=list(_COUNT_PROBLEMS))
     p.add_argument("--input", required=True)
-    p.add_argument("--delta", type=int, default=0)
+    p.add_argument("--delta", type=int)  # None when left out: covering's default is 0, the others refuse it
 
 
 def _cmd_count(args) -> tuple[dict, list[BoundReport], list[str]]:
+    if args.kind != "covering" and args.delta is not None:
+        raise ValidationError("--delta applies only to count covering")
+    delta = args.delta or 0
     h = formats.load_hypergraph(args.input)
     problem = PROBLEMS[_COUNT_PROBLEMS[args.kind]]
-    q, ratio = problem.exact(h, delta=args.delta)
+    q, ratio = problem.exact(h, delta=delta)
     bounds, notes = [], []
     if ratio is not None:  # the ratio, its bounds and its note exist only with every class nonempty
         q["ratio"] = ratio
-        bounds = problem.reports(ratio, delta=args.delta)
+        bounds = problem.reports(ratio, delta=delta)
         notes = list(problem.notes)
     if args.kind == "covering":
-        q["delta"] = args.delta
+        q["delta"] = delta
     return q, bounds, notes
 
 

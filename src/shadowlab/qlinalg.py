@@ -12,13 +12,12 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from itertools import chain, combinations, count, product
 from operator import itemgetter, lt
 
 from . import formats
 from .errors import CapacityError, ValidationError, check_cap
-from .numkit import gaussian_binom, shadow_bound
+from .numkit import _member_bound, gaussian_binom
 from .record import Record
 from .reports import BoundReport, _shadow_check, lower_report
 
@@ -239,19 +238,6 @@ def _subspace_shadow(fam: SubspaceFamily) -> tuple[set[tuple[int, ...]], dict[tu
     return out, ids
 
 
-def _gl_order(q: int, k: int) -> int:
-    """|GL_k(F_q)| = (q^k - 1)(q^k - q)...(q^k - q^{k-1}), the denominator of [t, k]_q."""
-    return math.prod(q**k - q**i for i in range(k))
-
-
-def _gaussian_bound(shadow_size: int, family_size: int, d: int, q: int) -> tuple[bool, float, Fraction]:
-    """`shadow_bound` in Gaussian binomials: (holds, t, [t, d-1]_q) where [t, d]_q = family_size."""
-    # in y = q^t - 1, [t, d]_q |GL_d(q)| is the falling product over c = (q-1, ..., q^{d-1}-1)
-    gl = _gl_order(q, d - 1)
-    holds, y, bound = shadow_bound(shadow_size * gl, family_size * _gl_order(q, d), [q**k - 1 for k in range(1, d)])
-    return holds, math.log(y + 1, q), bound / gl
-
-
 def check_q_kruskal_katona(fam: SubspaceFamily) -> BoundReport:
     """|shadow| >= [t, d-1]_q where [t, d]_q = |family|, t real >= d.
 
@@ -260,9 +246,10 @@ def check_q_kruskal_katona(fam: SubspaceFamily) -> BoundReport:
     if len(fam) < 1:
         raise ValidationError("family must be nonempty")
     shadow_size = len(_subspace_shadow(fam)[0])
-    holds, t, bound = _gaussian_bound(shadow_size, len(fam), fam.d, fam.q)
+    q = fam.q
+    holds, y, bound = _member_bound(shadow_size, len(fam), [q**k - 1 for k in range(1, fam.d + 1)])
     return lower_report("subspace shadow size", shadow_size, bound, "q-analog kruskal-katona", holds=holds,
-                        extra={"t": t, "family_size": len(fam), "q": fam.q})
+                        extra={"t": math.log(y + 1, q), "family_size": len(fam), "q": q})
 
 
 def _qkk_options(p) -> None:

@@ -289,9 +289,10 @@ def random_probe(problem: str, params: Mapping[str, int], trials: int, seed: int
     prob = get_problem(problem)
     if trials < 0:
         raise ValidationError("trials must be nonnegative")
-    n = int(params.get("vertices", 8))
-    d = int(params.get("d", 3))
-    delta = int(params.get("delta", 0))
+    defaults = {key: _MODE_OPTIONS["probe"][key] for key in ("vertices", "d", "delta")}
+    if unknown := [repr(key) for key in params if key not in defaults]:
+        raise ValidationError(f"unknown probe parameter {', '.join(unknown)}: probes take {', '.join(defaults)}")
+    n, d, delta = (int(params.get(key, default)) for key, default in defaults.items())
     if d < 2 or delta < 0:
         raise ValidationError(f"probes need d >= 2 and delta >= 0, got d={d}, delta={delta}")
     if n < 0:

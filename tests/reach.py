@@ -2,11 +2,13 @@
 
 Runs every command of CASES in tests/test_cli_golden.py (text and --json, over its INPUTS), every
 demos/*.py and every ```python block of README.md in this process under `sys.settrace`, then prints
-each named function and each line of src/shadowlab that never ran.  Standard library only; pytest
-does not collect it.  Run it from a checkout as `python tests/reach.py`.
+each named function and each line of src/shadowlab that never ran.  It exits 1, naming each one,
+when a function of `shadowlab.__all__` never ran.  Standard library only; pytest does not collect it.
+Run it from a checkout as `python tests/reach.py`.
 """
 
 import ast
+import inspect
 import io
 import json
 import os
@@ -87,6 +89,14 @@ def main() -> None:
         missed, total = missed + len(lines), total + len(executable)
         print(f"{path.name}: {len(lines)} of {len(executable)} lines never ran: {', '.join(map(str, lines))}")
     print(f"summary: {missed} of {total} executable lines and {functions} named functions never ran")
+    import shadowlab  # every layer ran above, so resolving the public names compiles nothing new
+    public = [getattr(shadowlab, name) for name in shadowlab.__all__]
+    unreached = [f"{f.__module__}.{f.__name__}" for f in public
+                 if inspect.isfunction(f) and (f.__code__.co_filename, f.__code__.co_firstlineno) not in called]
+    for name in unreached:
+        print(f"public function never ran: {name}")
+    if unreached:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -316,6 +316,16 @@ class TestCli:
         assert report["quantities"]["J"] == 1
         assert any(b["conjecture"] for b in report["bounds"])
 
+    def test_count_delta_only_for_covering(self, tmp_path, capsys):
+        g = str(tmp_path / "c.txt")
+        with open(g, "w") as fh:
+            fh.write("red 0 1\ngreen 0 2\nblue 1 2\n")
+        assert self.run_ok(["count", "covering", "--input", g])["quantities"]["delta"] == 0
+        for kind in ("good6", "mixed4"):
+            for delta in ("0", "1"):
+                assert cli.main(["count", kind, "--input", g, "--delta", delta]) == 3
+                assert capsys.readouterr().err == "error: --delta applies only to count covering\n"
+
     def test_forbidding_qlinear_gkk(self, tmp_path):
         subs = str(tmp_path / "subs.json")
         fam = enumerate_subspaces(2, 4, 2)

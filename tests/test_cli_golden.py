@@ -105,6 +105,7 @@ CASES = [
     "count mixed4 --input mixed.txt",
     "count mixed4 --input triples.txt",
     "count covering --input cover.txt --delta 1",
+    "count good6 --input flats.txt --delta 1",  # refused: --delta is covering's alone
     "kappa --input k4.json --d 3",
     "kappa --input k4.json --d 3 --colors red,green,yellow",
     "shadow --family fam.json --out shadow-out.json",

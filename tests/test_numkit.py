@@ -10,14 +10,7 @@ from hypothesis import strategies as st
 from conftest import gl_order, subspaces_by_span
 from shadowlab import numkit
 from shadowlab.errors import ValidationError
-from shadowlab.hypergraph import _binom_bound
-from shadowlab.numkit import (
-    gaussian_binom,
-    invert_product,
-    product_falling,
-    shadow_bound,
-)
-from shadowlab.qlinalg import _gaussian_bound
+from shadowlab.numkit import gaussian_binom, product_falling, shadow_bound
 
 
 def bisect_oracle(f, lo, hi, target, iters=100):
@@ -42,6 +35,17 @@ def binom_oracle(t, d):
 def gaussian_oracle(t, d, q):
     """[t, d]_q for real t, from its defining product."""
     return math.prod((q**t - q**i) / (q**d - q**i) for i in range(d))
+
+
+def binom_bound(shadow, family, d):
+    """kk's and partial-shadow's instance of the member bound: (holds, t, binom(t, d-1)), binom(t, d) = family."""
+    return numkit._member_bound(shadow, family, range(1, d + 1))
+
+
+def gaussian_bound(shadow, family, d, q):
+    """qkk's instance: (holds, t, [t, d-1]_q) where [t, d]_q = family, t read from y = q^t - 1."""
+    holds, y, bound = numkit._member_bound(shadow, family, [q**k - 1 for k in range(1, d + 1)])
+    return holds, math.log(y + 1, q), bound
 
 
 class TestProductFalling:
@@ -70,44 +74,44 @@ class TestBinomReal:
     """The binomial instance of shadow_bound: binom(t, d) = family, bound binom(t, d-1)."""
 
     def test_integer_values(self):
-        _, t, bound = _binom_bound(1, 10, 3)
+        _, t, bound = binom_bound(1, 10, 3)
         assert t == pytest.approx(5.0, abs=1e-9)
         assert bound == pytest.approx(10.0, rel=1e-12)
         # binom(t, 0) = 1 whatever t is
-        assert _binom_bound(1, 4, 1)[2] == 1
+        assert binom_bound(1, 4, 1)[2] == 1
 
     def test_quadratic_solution(self):
         # binom(t, 2) = 2 at t = (1 + sqrt 17) / 2, and binom(t, 1) = t
-        _, t, bound = _binom_bound(1, 2, 2)
+        _, t, bound = binom_bound(1, 2, 2)
         assert t == pytest.approx((1 + math.sqrt(17)) / 2, abs=1e-9)
         assert bound == t
 
     def test_domain_error(self):
         with pytest.raises(ValidationError):
-            _binom_bound(1, 0, 3)
+            binom_bound(1, 0, 3)
 
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=12))
     def test_agrees_with_integer_binomial(self, t, d):
         if t >= d:
             shadow = math.comb(t, d - 1)
-            holds, root, bound = _binom_bound(shadow, math.comb(t, d), d)
+            holds, root, bound = binom_bound(shadow, math.comb(t, d), d)
             assert root == pytest.approx(t, abs=1e-9)
             assert float(bound) == pytest.approx(shadow, rel=1e-9)
-            assert holds and not _binom_bound(shadow - 1, math.comb(t, d), d)[0]
+            assert holds and not binom_bound(shadow - 1, math.comb(t, d), d)[0]
 
     def test_real_t_roundtrip(self):
         rng = random.Random(7)
         for _ in range(100):
             d, family = rng.randint(1, 6), rng.randint(1, 10**6)
-            _, t, bound = _binom_bound(1, family, d)
+            _, t, bound = binom_bound(1, family, d)
             assert binom_oracle(t, d) == pytest.approx(family, rel=1e-9)
             assert float(bound) == pytest.approx(binom_oracle(t, d - 1), rel=1e-9)
 
     def test_big_integer_no_rounding(self):
         # large enough that a float path would lose low-order bits
         family, shadow = math.comb(120, 60), math.comb(120, 59)
-        assert _binom_bound(shadow, family, 60)[0]
-        assert not _binom_bound(shadow - 1, family, 60)[0]
+        assert binom_bound(shadow, family, 60)[0]
+        assert not binom_bound(shadow - 1, family, 60)[0]
 
 
 class TestGaussianBinom:
@@ -130,7 +134,7 @@ class TestGaussianBinom:
 
     def test_real_t_matches_integer_t(self):
         # [t, 2]_2 = 35 at t = 4, with [4, 1]_2 = 15 as its bound
-        _, t, bound = _gaussian_bound(1, 35, 2, 2)
+        _, t, bound = gaussian_bound(1, 35, 2, 2)
         assert t == pytest.approx(4.0, abs=1e-9)
         assert bound == pytest.approx(15.0, rel=1e-12)
 
@@ -142,52 +146,51 @@ class TestGaussianBinom:
 
 
 class TestInvertProduct:
-    def test_factorial_target(self):
-        assert invert_product(6, (1, 2)) == pytest.approx(3.0, abs=1e-9)
+    """t of shadow_bound: the root of product_falling(t, c) = family on t >= c_{d-1}."""
 
-    def test_zero_target(self):
-        assert invert_product(0, (1, 2)) == pytest.approx(2.0, abs=1e-9)
+    def test_factorial_target(self):
+        assert shadow_bound(1, 6, (1, 2))[1] == pytest.approx(3.0, abs=1e-9)
 
     def test_twelve(self):
-        assert invert_product(12, (1, 2)) == pytest.approx(ROOT_OF_PRODUCT_12, abs=1e-6)
+        assert shadow_bound(1, 12, (1, 2))[1] == pytest.approx(ROOT_OF_PRODUCT_12, abs=1e-6)
 
     def test_negative_target_rejected(self):
         with pytest.raises(ValidationError):
-            invert_product(-1, (1, 2))
+            shadow_bound(1, -1, (1, 2))
 
     @pytest.mark.parametrize("d", [60, 120, 170])
     def test_wide_float_bracket_converges(self, d):
         # the bracket [d - 1, d + d!] is far wider than 2^200 times 1e-12
-        assert invert_product(math.factorial(d), range(1, d)) == pytest.approx(d, abs=1e-9)
+        assert shadow_bound(1, math.factorial(d), range(1, d))[1] == pytest.approx(d, abs=1e-9)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=4),
-        st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+        st.integers(min_value=1, max_value=10**6),
     )
-    def test_roundtrip(self, entries, offset):
+    def test_roundtrip(self, entries, family):
         c = tuple(sorted(entries))
-        t = (c[-1] if c else 0) + offset
-        target = product_falling(t, c)
-        assert invert_product(target, c) == pytest.approx(t, abs=1e-7)
+        t = shadow_bound(1, family, c)[1]
+        assert t >= (c[-1] if c else 0)
+        assert product_falling(t, c) == pytest.approx(family, rel=1e-9)
 
 
 class TestInvertGaussian:
     """t of the Gaussian instance of shadow_bound, bisected in y = q^t - 1."""
 
     def test_value_one(self):
-        assert _gaussian_bound(1, 1, 2, 2)[1] == pytest.approx(2.0, abs=1e-9)
+        assert gaussian_bound(1, 1, 2, 2)[1] == pytest.approx(2.0, abs=1e-9)
 
     def test_thirty_five(self):
-        assert _gaussian_bound(1, 35, 2, 2)[1] == pytest.approx(4.0, abs=1e-6)
+        assert gaussian_bound(1, 35, 2, 2)[1] == pytest.approx(4.0, abs=1e-6)
 
     def test_seven(self):
         # [3,2]_2 = 7, confirmed by the subspace enumeration oracle
         assert len(subspaces_by_span(2, 3, 2)) == 7
-        assert _gaussian_bound(1, 7, 2, 2)[1] == pytest.approx(3.0, abs=1e-6)
+        assert gaussian_bound(1, 7, 2, 2)[1] == pytest.approx(3.0, abs=1e-6)
 
     def test_target_below_one_rejected(self):
         with pytest.raises(ValidationError):
-            _gaussian_bound(1, 0, 2, 2)
+            gaussian_bound(1, 0, 2, 2)
 
     def test_roundtrip(self):
         rng = random.Random(5)
@@ -196,17 +199,17 @@ class TestInvertGaussian:
             d = rng.randint(1, 3)
             n = d + rng.randint(0, 4)
             shadow = gaussian_binom(n, d - 1, q)
-            holds, t, bound = _gaussian_bound(shadow, gaussian_binom(n, d, q), d, q)
+            holds, t, bound = gaussian_bound(shadow, gaussian_binom(n, d, q), d, q)
             assert t == pytest.approx(n, abs=1e-6)
             assert float(bound) == pytest.approx(shadow, rel=1e-9)
-            assert holds and not _gaussian_bound(shadow - 1, gaussian_binom(n, d, q), d, q)[0]
+            assert holds and not gaussian_bound(shadow - 1, gaussian_binom(n, d, q), d, q)[0]
 
 
     def test_real_t_roundtrip(self):
         rng = random.Random(8)
         for _ in range(100):
             q, d, family = rng.choice([2, 3]), rng.randint(1, 3), rng.randint(1, 10**4)
-            _, t, bound = _gaussian_bound(1, family, d, q)
+            _, t, bound = gaussian_bound(1, family, d, q)
             assert gaussian_oracle(t, d, q) == pytest.approx(family, rel=1e-9)
             assert float(bound) == pytest.approx(gaussian_oracle(t, d - 1, q), rel=1e-9)
 
@@ -215,16 +218,15 @@ class TestInvertBinom:
 
     def test_integer_binomial(self):
         # 10 three-sets: binom(5, 3) = 10
-        assert _binom_bound(1, 10, 3)[1] == pytest.approx(5.0, abs=1e-9)
+        assert binom_bound(1, 10, 3)[1] == pytest.approx(5.0, abs=1e-9)
 
     def test_two_sets(self):
-        assert _binom_bound(1, 2, 3)[1] == pytest.approx(ROOT_OF_PRODUCT_12, abs=1e-6)
+        assert binom_bound(1, 2, 3)[1] == pytest.approx(ROOT_OF_PRODUCT_12, abs=1e-6)
 
 
 # each public call that reads a c-vector, on one that holds: product 3 * 2 * 1 = 6 at t = 3, c = (1, 2)
 C_VECTOR_CALLS = {
     "product_falling": lambda c: product_falling(3, c),
-    "invert_product": lambda c: invert_product(6, c),
     "shadow_bound": lambda c: shadow_bound(3, 6, c),
 }
 
@@ -254,9 +256,14 @@ class TestCVector:
         monkeypatch.setattr(numkit, "_c_vector", lambda c: seen.append(c) or tuple(c))
         assert C_VECTOR_CALLS[name](range(1, 3)) and seen == [range(1, 3)]
 
+    def test_member_bound_checks_once(self, monkeypatch):
+        # shadow_bound checks the c-vector less c_d, and nothing else checks it
+        seen = []
+        monkeypatch.setattr(numkit, "_c_vector", lambda c: seen.append(c) or tuple(c))
+        assert numkit._member_bound(3, 1, range(1, 4))[0] and seen == [(1, 2)]
+
     def test_last_of_empty(self):
-        # the empty vector's branch starts at t = 0, where the product t is 0
-        assert invert_product(0, ()) == pytest.approx(0.0, abs=1e-9)
+        # the empty vector's branch starts at t = 0: the product is t, so family 1 is at t = 1
         holds, t, bound = shadow_bound(1, 1, ())
         assert holds and t == pytest.approx(1.0, abs=1e-9) and bound == 1
 
@@ -290,7 +297,9 @@ class TestShadowBoundHolds:
         for _ in range(300):
             c = tuple(range(1, rng.randint(1, 5)))
             family = rng.randint(1, 10**6)
-            bound = product_falling(invert_product(family, c), c[:-1]) if c else 1.0
+            if c:
+                t = bisect_oracle(lambda x: product_falling(x, c), c[-1], c[-1] + 1 + family, family)
+            bound = product_falling(t, c[:-1]) if c else 1.0
             shadow = rng.randint(1, 2 * int(bound) + 2)
             holds, _, exact_bound = shadow_bound(shadow, family, c)
             assert float(exact_bound) == pytest.approx(bound, rel=1e-9)
@@ -308,7 +317,7 @@ class TestShadowBoundHolds:
 
     def test_target_beyond_float_range_inverts(self):
         # binom(t, 180) = 1 at t = 180, so 180! * 1 = t(t-1)...(t-179), and binom(180, 179) = 180
-        holds, t, bound = _binom_bound(180, 1, 180)
+        holds, t, bound = binom_bound(180, 1, 180)
         assert holds
         assert t == pytest.approx(180.0, abs=1e-6)
         assert float(bound) == pytest.approx(180.0, rel=1e-9)

@@ -377,6 +377,17 @@ class TestRandomProbe:
         with pytest.raises(ValidationError):
             random_probe("mystery", {}, 10)
 
+    def test_unknown_parameter_refused(self):
+        # a misspelt key would otherwise run its default: delta 0, or 8 vertices
+        with pytest.raises(ValidationError, match="^unknown probe parameter 'detla': probes take vertices, d, delta$"):
+            random_probe("covering_delta", {"vertices": 6, "detla": 1}, 5)
+        with pytest.raises(ValidationError, match="^unknown probe parameter 'n', 'trials': "):
+            random_probe("covering_delta", {"n": 6, "trials": 5}, 5)
+
+    def test_defaults_are_the_commands(self):
+        # a key left out takes the value `search probe` gives the option left out
+        assert random_probe("rainbow_d", {}, 3, seed=4) == random_probe("rainbow_d", {"vertices": 8, "d": 3}, 3, seed=4)
+
 
 def reference_instance(rng, name, n, d, delta):
     """One random graph of a problem, drawn with random() or randrange() a subset at a time: the reference
