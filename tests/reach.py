@@ -89,7 +89,7 @@ def main() -> None:
         missed, total = missed + len(lines), total + len(executable)
         print(f"{path.name}: {len(lines)} of {len(executable)} lines never ran: {', '.join(map(str, lines))}")
     print(f"summary: {missed} of {total} executable lines and {functions} named functions never ran")
-    import shadowlab  # every layer ran above, so resolving the public names compiles nothing new
+    import shadowlab
     public = [getattr(shadowlab, name) for name in shadowlab.__all__]
     unreached = [f"{f.__module__}.{f.__name__}" for f in public
                  if inspect.isfunction(f) and (f.__code__.co_filename, f.__code__.co_firstlineno) not in called]
