@@ -159,13 +159,13 @@ def _weighted_options(p) -> None:
 
 
 def _cmd_weighted(args) -> tuple[dict, list[BoundReport], list[str]]:
+    if args.spectral and args.d != 3:
+        raise ValidationError("--spectral applies only to d = 3")
     h = formats.load_hypergraph(args.input)
     rep = weighted_joint_sum(h, args.d)
     bounds = [rep.report]
     q = {"d": args.d, "total_weight": rep.total_weight, "sum": rep.value, "bound": rep.report.bound}
     if args.spectral:
-        if args.d != 3:
-            raise ValidationError("--spectral applies only to d = 3")
         spec = spectral_trace_check(h, rep)
         q.update(trace_m2=spec.trace2, trace_m3=spec.trace3)
         bounds.extend(spec.checks)

@@ -155,13 +155,16 @@ def run(argv: list[str]) -> tuple[dict, int]:
 
 
 def _execute(args: argparse.Namespace, argv: list[str]) -> tuple[dict, int]:
+    # the inputs are digested once the handler has read them, so an --out that is an input is refused first
     paths = _input_paths(args)
-    digest = _digest_files(paths) if paths else _digest_params(" ".join(argv))
+    out = getattr(args, "out", None)
+    if out and os.path.realpath(out) in map(os.path.realpath, paths):
+        raise ValidationError(f"--out {out} is an input file")
     quantities, bounds, notes = args.handler(args)
     status = exit_status(bounds)
     report = {
         "command": list(argv),
-        "input_digest": digest,
+        "input_digest": _digest_files(paths) if paths else _digest_params(" ".join(argv)),
         "quantities": quantities,
         "bounds": [_bound_obj(b) for b in bounds],
         "notes": notes,

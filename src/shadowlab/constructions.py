@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from . import formats
 from . import problems as pb
@@ -49,6 +49,23 @@ def _checked(name: str, graph: ColoredHypergraph, problem: str, expected: dict[s
     return Construction(name, graph, expected)
 
 
+def _blowup(sizes: tuple[int, ...], template) -> ColoredHypergraph:
+    """The blowup of a colored template over consecutive vertex parts of the given sizes.
+
+    A template edge `(parts, color)` becomes every edge that takes k vertices from each part it
+    names k times, `combinations` order inside a part and product order across parts: `((0, 1), c)`
+    is every pair between parts 0 and 1, `((0, 0), c)` every pair inside part 0.  The vertex count
+    is capped before any edge is built.
+    """
+    check_cap("vertex count", sum(sizes), VERTEX_CAP)
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    edges = []
+    for parts, color in template:
+        picks = [combinations(range(starts[p], starts[p] + sizes[p]), parts.count(p)) for p in sorted(set(parts))]
+        edges.extend((sum(pick, ()), color) for pick in product(*picks))
+    return ColoredHypergraph.from_edges(sum(sizes), edges)
+
+
 def k4_blowup(n: int) -> Construction:
     """Blowup of the K4 whose opposite edges share a color.
 
@@ -58,22 +75,8 @@ def k4_blowup(n: int) -> Construction:
     """
     if n < 1:
         raise ValidationError(f"n must be positive, got {n}")
-    check_cap("vertex count", 4 * n, VERTEX_CAP)
-    group = {g: range(g * n, (g + 1) * n) for g in range(4)}
-    pair_color = {
-        (0, 1): "red",
-        (2, 3): "red",
-        (0, 3): "blue",
-        (1, 2): "blue",
-        (0, 2): "green",
-        (1, 3): "green",
-    }
-    edges = []
-    for (ga, gb), color in pair_color.items():
-        for a in group[ga]:
-            for b in group[gb]:
-                edges.append(((a, b), color))
-    graph = ColoredHypergraph.from_edges(4 * n, edges)
+    graph = _blowup((n,) * 4, [((0, 1), "red"), ((2, 3), "red"), ((0, 3), "blue"), ((1, 2), "blue"),
+                               ((0, 2), "green"), ((1, 3), "green")])
     expected = {"R": 2 * n * n, "G": 2 * n * n, "B": 2 * n * n, "T": 4 * n**3, "ratio": Fraction(2)}
     return _checked("k4_blowup", graph, "rainbow_d", expected, colors=pb.RGB, letters="RGB")
 
@@ -82,19 +85,7 @@ def rainbow_tripartite(a: int, b: int, c: int) -> Construction:
     """Complete tripartite blowup of a rainbow triangle: T^2 = RGB exactly."""
     if min(a, b, c) < 1:
         raise ValidationError("part sizes must be positive")
-    check_cap("vertex count", a + b + c, VERTEX_CAP)
-    parts = [range(0, a), range(a, a + b), range(a + b, a + b + c)]
-    edges = []
-    for x in parts[0]:
-        for y in parts[1]:
-            edges.append(((x, y), "red"))
-    for y in parts[1]:
-        for z in parts[2]:
-            edges.append(((y, z), "green"))
-    for x in parts[0]:
-        for z in parts[2]:
-            edges.append(((x, z), "blue"))
-    graph = ColoredHypergraph.from_edges(a + b + c, edges)
+    graph = _blowup((a, b, c), [((0, 1), "red"), ((1, 2), "green"), ((0, 2), "blue")])
     expected = {"R": a * b, "G": b * c, "B": a * c, "T": a * b * c, "ratio": Fraction(1)}
     return _checked("rainbow_tripartite", graph, "rainbow_d", expected, colors=pb.RGB, letters="RGB")
 
@@ -234,17 +225,7 @@ def tripartite_mixed(n: int) -> Construction:
     """
     if n < 1:
         raise ValidationError(f"n must be positive, got {n}")
-    check_cap("vertex count", 3 * n, VERTEX_CAP)
-    parts = [range(k * n, (k + 1) * n) for k in range(3)]
-    edges = []
-    for part in parts:
-        for pair in combinations(part, 2):
-            edges.append((pair, PLAIN))
-    for x in parts[0]:
-        for y in parts[1]:
-            for z in parts[2]:
-                edges.append(((x, y, z), PLAIN))
-    graph = ColoredHypergraph.from_edges(3 * n, edges)
+    graph = _blowup((n,) * 3, [((0, 0), PLAIN), ((1, 1), PLAIN), ((2, 2), PLAIN), ((0, 1, 2), PLAIN)])
     expected = {"N2": 3 * math.comb(n, 2), "N3": n**3, "J": 3 * math.comb(n, 2) * n * n}
     return _checked("tripartite_mixed", graph, "mixed4", expected)
 

@@ -106,9 +106,11 @@ CASES = [
     "count mixed4 --input triples.txt",
     "count covering --input cover.txt --delta 1",
     "count good6 --input flats.txt --delta 1",  # refused: --delta is covering's alone
+    "count good6 --input missing.json --delta 1",  # refused before the file is read
     "kappa --input k4.json --d 3",
     "kappa --input k4.json --d 3 --colors red,green,yellow",
     "shadow --family fam.json --out shadow-out.json",
+    "shadow --family fam.json --out ./fam.json",  # refused: the output would overwrite its input
     "kk --family fam.json",
     "qkk --family subs.json",
     "kk --family fam-true.json",
@@ -189,6 +191,7 @@ CASES = [
     "weighted --input w.json",
     "weighted --input w.json --spectral",
     "weighted --input huge.json --spectral",
+    "weighted --input missing.json --spectral --d 4",  # refused before the file is read
     "partial-shadow --input star.txt --r 3 --k 1",
     # usage errors, whose message argparse wraps at COLUMNS
     "kk",

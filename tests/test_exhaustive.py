@@ -1,4 +1,4 @@
-"""Every family of the smallest sizes against the shadow bounds, through the command line.
+"""Every instance of the smallest sizes against the proven bounds, through the command line.
 
 `kk` and `qkk` read a family only through |F| and |shadow F|, and a larger shadow only helps the
 bound, so the least shadow over the families of each size decides every family of that size.  A
@@ -13,17 +13,27 @@ minimizer, then goes through `cli.run`.
 - `qkk`: every family of hyperplanes of F_2^4 (2^15 families) and of planes of F_3^3 (2^13).
   The least q-shadow has no closed form in general, so the sizes where the bound is met exactly
   are recorded: the complete family is one of them.
+- `forbidding gkk`: each kk minimizer under `repeats`, each d-set one S_i, and each qkk minimizer
+  under `qlinear:q,n`.  A member's good d-multisets are its orderings (d! of a d-set) or its ordered
+  bases (|GL(d, q)| of a d-subspace), so both sizes scale, and the bound is met where kk's or qkk's is.
+
+The key inequality is not monotone in anything the DP tracks, so it runs on every nonempty family
+of 3-subsets of [5] and of 2-subsets of [6].  The rainbow bounds run on every colouring of the
+pairs of [4] by red, green, blue or no edge, 4^6 states.
 """
 
+import importlib
 import json
-from itertools import combinations
-from math import comb, inf
+from itertools import combinations, product
+from math import comb, factorial, inf
 
 import pytest
 
-from conftest import span, subspaces_by_span
-from shadowlab import cli, hypergraph, qlinalg
-from shadowlab.hypergraph import SetFamily
+from conftest import gl_order, replaced, span, subspaces_by_span
+from shadowlab import cli, forbidding, hypergraph, qlinalg
+from shadowlab.entropy import check_key_inequality
+from shadowlab.hypergraph import ColoredHypergraph, SetFamily
+from shadowlab.problems import PROBLEMS, RGB
 from shadowlab.qlinalg import enumerate_subspaces
 from test_soundness import cascade_shadow
 
@@ -78,6 +88,17 @@ def run_qkk(path, q: int, n: int, d: int, members) -> tuple[dict, int]:
     return report["bounds"][0], status
 
 
+def run_gkk(path, system: str, d: int) -> tuple[dict, dict, int]:
+    """`forbidding gkk` on the family file that run_kk or run_qkk last wrote to path."""
+    option = "--family" if system.startswith("repeats") else "--subspaces"
+    report, status = cli.run(["forbidding", "gkk", "--system", *system.split(), "--d", str(d), option, str(path)])
+    return report["quantities"], report["bounds"][0], status
+
+
+def is_tight(bound: dict) -> bool:
+    return bound["bound"] == pytest.approx(bound["computed"], rel=1e-12)
+
+
 @pytest.mark.parametrize("n, d", KK_SIZES)
 def test_kk_on_every_family(tmp_path, n, d):
     pool, masks = subset_pool(n, d)
@@ -87,7 +108,11 @@ def test_kk_on_every_family(tmp_path, n, d):
         bound, status = run_kk(tmp_path / "fam.json", n, d, members_of(family, pool))
         assert status == 0 and bound["computed"] == s and bound["satisfied"], m
         if any(comb(a, d) == m for a in range(d, n + 1)):
-            assert bound["bound"] == pytest.approx(s, rel=1e-12), m
+            assert is_tight(bound), m
+        q, tuples, status = run_gkk(tmp_path / "fam.json", f"repeats --universe-size {n}", d)
+        assert status == 0 and tuples["satisfied"], m
+        assert (q["family_size"], q["shadow_size"]) == (m * factorial(d), s * factorial(d - 1)), m
+        assert is_tight(tuples) == is_tight(bound), m
 
 
 @pytest.mark.parametrize("q, n, d", sorted(QKK_TIGHT))
@@ -97,8 +122,13 @@ def test_qkk_on_every_family(tmp_path, q, n, d):
     for m, (s, family) in enumerate(least_shadows(masks)[1:], 1):
         bound, status = run_qkk(tmp_path / "subs.json", q, n, d, members_of(family, pool))
         assert status == 0 and bound["computed"] == s and bound["satisfied"], m
-        if bound["bound"] == pytest.approx(s, rel=1e-12):
+        if is_tight(bound):
             tight.add(m)
+        quantities, tuples, status = run_gkk(tmp_path / "subs.json", f"qlinear:{q},{n}", d)
+        assert status == 0 and tuples["satisfied"], m
+        sizes = quantities["family_size"], quantities["shadow_size"]
+        assert sizes == (m * gl_order(q, d), s * gl_order(q, d - 1)), m
+        assert is_tight(tuples) == (m in tight), m
     assert tight == QKK_TIGHT[q, n, d] and len(pool) in tight
 
 
@@ -140,3 +170,71 @@ def test_qkk_one_short_fails_some_minimizer(tmp_path, monkeypatch):
             fam = qlinalg.SubspaceFamily.make(q, n, d, members)
             assert len(qlinalg._subspace_shadow(fam)[0]) != s, m
     assert failed
+
+
+def test_gkk_one_short_fails_some_minimizer(tmp_path, monkeypatch):
+    n, d = 5, 3
+    pool, masks = subset_pool(n, d)
+    monkeypatch.setattr(forbidding, "combinations", lambda ms, k: list(combinations(ms, k))[1:])
+    failed = []
+    for m, (_, family) in enumerate(least_shadows(masks)[1:], 1):
+        run_kk(tmp_path / "fam.json", n, d, members_of(family, pool))
+        if run_gkk(tmp_path / "fam.json", f"repeats --universe-size {n}", d)[2] == 5:
+            failed.append(m)
+    assert failed
+
+
+def key_failures(n: int, d: int) -> tuple[list[list[tuple]], float]:
+    """Every nonempty family of d-subsets of [n] through the key inequality: the families it finds
+    unsatisfied, and the largest computed slack s_{k+1} + 1 - s_k over all of them."""
+    pool = list(combinations(range(n), d))
+    failed, worst = [], -inf
+    for family in range(1, 1 << len(pool)):
+        sets = members_of(family, pool)
+        report = check_key_inequality(SetFamily.make(n, sets, d=d)).report
+        if not report.satisfied:
+            failed.append(sets)
+        worst = max(worst, report.computed)
+    return failed, worst
+
+
+@pytest.mark.parametrize("n, d", [(5, 3), (6, 2)])
+def test_key_inequality_on_every_family(n, d):
+    failed, worst = key_failures(n, d)
+    # the slack is a float: its largest value is 2^-50 (8.9e-16), from C([5], 3), where it is exactly 0
+    assert not failed and worst <= 2**-50
+
+
+def test_key_inequality_one_subset_short_fails_some_family(tmp_path, monkeypatch):
+    def short(s, k, whole=combinations):  # one k-subset of each member left out of the degrees, k >= 1
+        return list(whole(s, k))[1:] if k else whole(s, k)
+
+    monkeypatch.setattr(importlib.import_module("shadowlab.entropy"), "combinations", short)
+    failed, _ = key_failures(5, 3)
+    assert failed  # 68 of the 1,023 families
+    (tmp_path / "fam.json").write_text(json.dumps({"n": 5, "d": 3, "sets": [list(s) for s in failed[0]]}))
+    assert cli.run(["entropy", "--key", "--family", str(tmp_path / "fam.json")])[1] == 5
+
+
+def rainbow_ratios(problem) -> tuple[list, list]:
+    """Every colouring of the pairs of [4] with each class nonempty: its ratio, and the colourings
+    whose ratio fails a proven bound."""
+    ratios, failed = [], []
+    for colours in product((None, *RGB), repeat=6):
+        h = ColoredHypergraph.from_edges(4, [(e, c) for e, c in zip(combinations(range(4), 2), colours) if c])
+        ratio = problem.exact(h, 3, 0, RGB)[1]
+        if ratio is not None:
+            ratios.append(ratio)
+            if not all(r.satisfied for r in problem.reports(ratio) if not r.conjecture):
+                failed.append(colours)
+    return ratios, failed
+
+
+def test_rainbow_on_every_colouring():
+    ratios, failed = rainbow_ratios(PROBLEMS["rainbow_d"])
+    assert len(ratios) == 2100 and not failed and max(ratios) == 2
+
+
+def test_rainbow_one_clique_more_fails_some_colouring():
+    count = PROBLEMS["rainbow_d"].count
+    assert rainbow_ratios(replaced(PROBLEMS["rainbow_d"], count=lambda form: count(form) + 1))[1]
