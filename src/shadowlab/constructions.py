@@ -49,7 +49,7 @@ def _checked(name: str, graph: ColoredHypergraph, problem: str, expected: dict[s
     return Construction(name, graph, expected)
 
 
-def _blowup(sizes: tuple[int, ...], template) -> ColoredHypergraph:
+def _blowup(sizes: tuple[int, ...], template: list[tuple[tuple[int, ...], str]]) -> ColoredHypergraph:
     """The blowup of a colored template over consecutive vertex parts of the given sizes.
 
     A template edge `(parts, color)` becomes every edge that takes k vertices from each part it
@@ -58,10 +58,10 @@ def _blowup(sizes: tuple[int, ...], template) -> ColoredHypergraph:
     is capped before any edge is built.
     """
     check_cap("vertex count", sum(sizes), VERTEX_CAP)
-    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    blocks = [range(sum(sizes[:i]), sum(sizes[:i + 1])) for i in range(len(sizes))]
     edges = []
     for parts, color in template:
-        picks = [combinations(range(starts[p], starts[p] + sizes[p]), parts.count(p)) for p in sorted(set(parts))]
+        picks = [combinations(blocks[p], parts.count(p)) for p in sorted(set(parts))]
         edges.extend((sum(pick, ()), color) for pick in product(*picks))
     return ColoredHypergraph.from_edges(sum(sizes), edges)
 
