@@ -89,7 +89,8 @@ def run_qkk(path, q: int, n: int, d: int, members) -> tuple[dict, int]:
 
 
 def run_gkk(path, system: str, d: int) -> tuple[dict, dict, int]:
-    """`forbidding gkk` on the family file that run_kk or run_qkk last wrote to path."""
+    """`forbidding gkk --system <system>`, its words split into arguments (so `repeats` carries its
+    `--universe-size`), on the family file that run_kk or run_qkk last wrote to path."""
     option = "--family" if system.startswith("repeats") else "--subspaces"
     report, status = cli.run(["forbidding", "gkk", "--system", *system.split(), "--d", str(d), option, str(path)])
     return report["quantities"], report["bounds"][0], status
