@@ -15,7 +15,7 @@ from shadowlab.forbidding import (
     sd_orbits,
     verify_forbidding_axioms,
 )
-from shadowlab.qlinalg import enumerate_subspaces, subspace_points
+from shadowlab.qlinalg import enumerate_subspaces, rref
 
 print("== the repeats system ==")
 sys3 = repeats_system(6, 3)
@@ -32,8 +32,9 @@ print(f"axioms verified for qlinear:2,4, d=3: {report.ok}, c-vector {qsys.c_vect
 pair = [(1, 0, 0, 0), (0, 1, 0, 0)]
 result = is_compatible(qsys, pair)
 print(f"two independent vectors compatible? {result.ok}; witness: {result.witness}")
-plane = sorted(subspace_points(((1, 0, 0, 0), (0, 1, 0, 0)), 2, 4) - {(0, 0, 0, 0)})
-print(f"a full plane minus zero is compatible: {is_compatible(qsys, plane).ok}\n")
+plane = sorted(qsys.forbidden(tuple(pair)))  # what a good multiset forbids: its span minus zero
+print(f"a full plane minus zero is compatible: {is_compatible(qsys, plane).ok}")
+print(f"{plane} has rank {len(rref(plane, 2))}: any three of its vectors are bad\n")
 
 print("== one bound, two corollaries ==")
 family = SetFamily.make(6, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
@@ -43,11 +44,7 @@ print(f"repeats: t={gkk.extra['t']:.6f} (set-family check gives {kk.extra['t']:.
 print(f"         tuple shadow {gkk.computed} >= {gkk.bound:.4f}")
 
 qsys2 = qlinear_system(2, 4, 2)
-zero = (0, 0, 0, 0)
-sets = [
-    sorted(subspace_points(m, 2, 4) - {zero})
-    for m in enumerate_subspaces(2, 4, 2).members
-]
+sets = [sorted(qsys.forbidden(m)) for m in enumerate_subspaces(2, 4, 2).members]
 gkk = check_generalized_kk(qsys2, sets)
 print(f"qlinear: all 35 planes give |F| = {gkk.extra['family_size']}, t = {gkk.extra['t']:.4f} = 2^4 - 1")
 print(f"         tuple shadow {gkk.computed} >= {gkk.bound:.4f} (every nonzero vector, tight)")

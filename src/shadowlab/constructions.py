@@ -279,6 +279,8 @@ def _construct_options(p) -> None:
 
 
 def _cmd_construct(args) -> tuple[dict, list, list[str]]:
+    if args.input and args.name != "lift":  # refused before any --out is written
+        raise ValidationError(f"--input applies only to lift, not {args.name}")
     if args.name == "complete-family":  # a set family, not a graph
         fam = complete_family(args.m, args.d)
         if args.out:

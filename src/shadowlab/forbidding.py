@@ -8,6 +8,11 @@ whose unions obey a falling-product shadow bound.  Compatibility is decided
 by that count: S is compatible exactly when its good ordered k-tuples number
 |S|(|S|-c_1)...(|S|-c_{k-1}) at every size k <= d.
 
+A system may also declare `forbidden(ms)`, the c_k bad extensions of a good
+k-multiset: for `repeats` its own elements, for `qlinear` its span minus zero.
+The walk then extends each good multiset by the elements outside it and never
+classifies; `verify_forbidding_axioms` checks it against the classifier.
+
 Oracles must be pure functions of the multiset; classification results are
 memoized per system instance.  The `forbidding` command and its actions are
 here.
@@ -17,7 +22,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Collection, Hashable, Iterable, Sequence
 from itertools import combinations, combinations_with_replacement, product
 
 from . import formats
@@ -28,9 +34,13 @@ from .record import Record
 from .reports import BoundReport, _shadow_check, lower_report
 
 SYSTEM_UNIVERSE_CAP = 2**16  # elements of the repeats universe; qlinalg.FIELD_CAP bounds the qlinear one
-GKK_MULTISET_CAP = 5 * 10**5  # measured 3-8 µs a good d-multiset for repeats, 17-30 µs for qlinear
+# measured 0.6-0.9 µs a good d-multiset for repeats, 0.6-4 µs for qlinear (the span of each good (d-1)-multiset)
+GKK_MULTISET_CAP = 5 * 10**5
 # verify's exhaustive branch classifies the C(|U|+d, d) - 1 multisets of size 1..d; its spot-check
-# makes trials x |U| lookups, measured 1.5-2 µs each for repeats, 14-16 µs for qlinear
+# makes trials x |U| lookups, measured 0.6 µs each for repeats, 0.7-2.2 µs for qlinear (a reduction
+# against a cached basis).  The memo holds each classified multiset; a qlinear system also caches the
+# reduced echelon basis of every multiset below size d that a lookup extends, and its walk the span of
+# every good multiset below size d - 1 that it extends
 VERIFY_CAP = 10**6
 SPOT_TRIALS = 2000
 
@@ -38,12 +48,19 @@ Multiset = tuple  # sorted tuple with repetition, canonical by element order
 
 
 class ForbiddingSystem:
-    """Good/bad multiset oracle over a finite universe with a declared c-vector."""
+    """Good/bad multiset oracle over a finite universe with a declared c-vector.
+
+    `forbidden`, if given, maps a good sorted multiset of size k < d to its c_k bad extensions, as a
+    container of universe elements; the walk then extends by the elements outside it and classifies
+    nothing, and `verify_forbidding_axioms` holds it to the classifier.
+    """
 
     def __init__(self, universe: Iterable[Hashable], d: int,
                  classify_good: Callable[[Multiset], bool],
-                 c_vector: Sequence[int], name: str = "custom"):
-        self.universe = tuple(sorted(set(universe)))
+                 c_vector: Sequence[int], name: str = "custom",
+                 forbidden: Callable[[Multiset], Collection] | None = None):
+        self._members = frozenset(universe)
+        self.universe = tuple(sorted(self._members))
         if not self.universe:
             raise ValidationError("universe must be nonempty")
         if d < 1:
@@ -57,6 +74,7 @@ class ForbiddingSystem:
         self.name = name
         self._classify = classify_good
         self._memo: dict[Multiset, bool] = {}
+        self.forbidden = forbidden
 
     def is_good(self, multiset: Sequence) -> bool:
         key = tuple(sorted(multiset))
@@ -77,24 +95,64 @@ def repeats_system(n: int, d: int) -> ForbiddingSystem:
         classify_good=lambda ms: len(set(ms)) == len(ms),
         c_vector=tuple(range(1, d)),
         name="repeats",
+        forbidden=lambda ms: ms,  # a good multiset's own elements
     )
+
+
+def _span(rows: Iterable[tuple[int, ...]], q: int, points: frozenset = frozenset()) -> frozenset:
+    """The nonzero vectors of span(P, rows) over F_q, from the nonzero vectors `points` of a subspace P.
+
+    Each row v, with entries in [0, q), adds its nonzero multiples c·v and their sums with the vectors so far.
+    """
+    for v in rows:
+        line = [v]
+        for c in range(2, q):
+            line.append(tuple([c * x % q for x in v]))
+        points = points.union(line, [tuple([(a + b) % q for a, b in zip(p, w)]) for w in line for p in points])
+    return points
 
 
 def qlinear_system(q: int, n: int, d: int) -> ForbiddingSystem:
     """Bad = linearly dependent over F_q; the (q-1, q^2-1, ...) system.
 
-    Universe is F_q^n minus the zero vector; q must be prime.
+    Universe is F_q^n minus the zero vector; q must be prime.  A multiset is classified by reducing its
+    last vector against the reduced echelon basis of the others, and a good one forbids its span minus
+    zero, built from the span of all but its last vector.  Each is cached per multiset only below the
+    size at which it is extended: bases below size d, spans below size d - 1.
     """
     ql._check_field(q, n)
-    universe = [v for v in product(range(q), repeat=n) if any(v)]
-    return ForbiddingSystem(
-        universe=universe,
-        d=d,
-        # more than n vectors, or a repeated one, are dependent without a rank test
-        classify_good=lambda ms: len(ms) <= n and len(set(ms)) == len(ms) and len(ql.rref(ms, q)) == len(ms),
-        c_vector=tuple(q**k - 1 for k in range(1, d)),
-        name=f"qlinear:{q},{n}",
-    )
+    whole = frozenset(v for v in product(range(q), repeat=n) if any(v))
+    bases: dict[Multiset, ql.Matrix] = {(): ()}
+    spans: dict[Multiset, frozenset] = {(): frozenset()}
+
+    def basis(ms: Multiset) -> ql.Matrix:
+        k = len(ms)
+        while (rows := bases.get(ms[:k])) is None:  # the longest prefix with a cached basis; () has one
+            k -= 1
+        for j in range(k, len(ms)):
+            rows = bases[ms[:j + 1]] = ql._echelon(rows, ms[j], q)
+        return rows
+
+    def classify(ms: Multiset) -> bool:
+        rows = bases.get(ms[:-1])
+        if rows is None:
+            rows = basis(ms[:-1])
+        return len(rows) == len(ms) - 1 and any(ql._reduce(rows, ms[-1], q))
+
+    def forbidden(ms: Multiset) -> frozenset:
+        if len(ms) == n:  # n independent vectors span F_q^n
+            return whole
+        k = len(ms)
+        while (points := spans.get(ms[:k])) is None:  # the longest prefix with a cached span; () has one
+            k -= 1
+        if k < len(ms):
+            points = _span(ms[k:], q, points)
+            if len(ms) < d - 1:
+                spans[ms] = points
+        return points
+
+    # no function here refers to itself or to the system, so a system leaves no reference cycle
+    return ForbiddingSystem(whole, d, classify, tuple(q**k - 1 for k in range(1, d)), f"qlinear:{q},{n}", forbidden)
 
 
 def system_from_name(name: str, d: int, universe_size: int | None = None) -> ForbiddingSystem:
@@ -129,15 +187,34 @@ class AxiomReport(Record):
     violation: str | None = None
 
 
+def _extensions(sys: ForbiddingSystem, ms: Multiset) -> list[bool]:
+    """Whether ms + (x,) is good, for each universe element x in order.
+
+    The universe elements between two cuts at elements of the sorted ms go in after the elements of ms up
+    to them, so the keys need no sort.  They are looked up in the memo all at once, and those it lacks are
+    classified into it.
+    """
+    universe = sys.universe
+    cuts = [0, *(bisect_left(universe, y) for y in ms), len(universe)]
+    splits = [(ms[:j], ms[j:], universe[lo:hi]) for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi]
+    keys = [head + (x,) + tail for head, tail, xs in splits for x in xs]
+    found = list(map(sys._memo.get, keys))
+    for i in [i for i, good in enumerate(found) if good is None]:
+        found[i] = sys._memo[keys[i]] = bool(sys._classify(keys[i]))
+    return found
+
+
 def _check_multiset(sys: ForbiddingSystem, ms: Multiset) -> str | None:
     k = len(ms)
     if sys.is_good(ms):
-        bad_ext = sum(1 for x in sys.universe if not sys.is_good(ms + (x,)))
+        bad_ext = [x for x, good in zip(sys.universe, _extensions(sys, ms)) if not good]
         expected = sys.c_vector[k - 1]
-        if bad_ext != expected:
-            return f"good {ms} has {bad_ext} bad extensions, declared c_{k} = {expected}"
+        if len(bad_ext) != expected:
+            return f"good {ms} has {len(bad_ext)} bad extensions, declared c_{k} = {expected}"
+        if sys.forbidden and (differ := set(sys.forbidden(ms)).symmetric_difference(bad_ext)):
+            return f"forbidden({ms}) and the classifier disagree on its extension by {min(differ)}"
     else:
-        witness = next((x for x in sys.universe if sys.is_good(ms + (x,))), None)
+        witness = next((x for x, good in zip(sys.universe, _extensions(sys, ms)) if good), None)
         if witness is not None:
             return f"bad {ms} has good extension by {witness}"
     return None
@@ -198,51 +275,64 @@ def _orderings(ms: Multiset) -> int:
 def _witness(sys: ForbiddingSystem, inside: tuple, level: list[Multiset], c: int) -> tuple | None:
     """First multiset of `level` with fewer than c bad extensions inside, and its first bad outside extension."""
     for ms in level:
-        if sum(not sys.is_good(ms + (x,)) for x in inside) < c:
+        bad = sys.forbidden(ms).__contains__ if sys.forbidden else lambda x: not sys.is_good(ms + (x,))
+        if sum(map(bad, inside)) < c:
             inside_set = set(inside)
-            return next(((ms, x) for x in sys.universe if x not in inside_set and not sys.is_good(ms + (x,))), None)
+            return next(((ms, x) for x in sys.universe if x not in inside_set and bad(x)), None)
     return None
 
 
-def _walk(sys: ForbiddingSystem, inside: tuple) -> tuple[tuple | None, list[Multiset]]:
+def _walk(sys: ForbiddingSystem, inside: tuple) -> tuple[tuple | None, list[Multiset], int]:
     """Walk the good sorted multisets of a sorted set S to size d, by size then lexicographically.
 
     A multiset is extended only by elements >= its last one, and a bad one is
     not extended: under the forbidding axioms every sub-multiset of a good
-    multiset is good, so nothing good is missed.  A good k-multiset has c_k
+    multiset is good, so nothing good is missed.  Its good extensions are the
+    elements outside `forbidden`, which must hold c_k of them, or else those
+    the memoized classifier calls good.  A good k-multiset has c_k
     bad extensions, so the good ordered (k+1)-tuples over S number at least
     (|S| - c_k) times the good k-tuples, with equality iff all of them lie in
     S.  Equal goes on; more yields the first witness (multiset, outside
     element); fewer, or more with no witness, breaks the declared axioms.
-    Returns the witness, or None and the good d-multisets.
+    Each multiset carries its orderings: appending x multiplies them by the
+    new size over the new multiplicity of x.  Returns the witness, or None,
+    the good d-multisets and |S^(d)|.
     """
-    unknown = sorted(set(inside).difference(sys.universe))
+    unknown = sorted(set(inside).difference(sys._members))
     if unknown:
         raise ValidationError(f"elements {unknown} are not in the universe")
-    memo, classify = sys._memo, sys._classify
-    level: list[tuple[Multiset, int]] = [((), 0)]
+    memo, classify, forbidden = sys._memo, sys._classify, sys.forbidden
+    level: list[tuple[Multiset, int, int]] = [((), 0, 1)]  # (multiset, index of its last element, orderings)
     expected = 1
     for size, c in enumerate((0,) + sys.c_vector, 1):  # c_0 = 0: all |S| singletons are good
         grown = []
-        for ms, start in level:
+        found = 0
+        for ms, start, count in level:
+            bad = forbidden(ms) if forbidden else None
+            if bad is not None and len(bad) != c:
+                raise ValidationError(f"forbidden({ms}) has {len(bad)} elements, declared c_{size - 1} = {c}")
             for i in range(start, len(inside)):
                 key = ms + (inside[i],)
-                good = memo.get(key)
-                if good is None:
-                    good = memo[key] = bool(classify(key))
+                if bad is None:
+                    good = memo.get(key)
+                    if good is None:
+                        good = memo[key] = bool(classify(key))
+                else:
+                    good = inside[i] not in bad
                 if good:
-                    grown.append((key, i))
+                    orderings = count * size // key.count(inside[i])
+                    grown.append((key, i, orderings))
+                    found += orderings
         expected *= len(inside) - c
-        found = sum(_orderings(ms) for ms, _ in grown)
-        if found > expected and (witness := _witness(sys, inside, [ms for ms, _ in level], c)):
-            return witness, []
+        if found > expected and (witness := _witness(sys, inside, [ms for ms, *_ in level], c)):
+            return witness, [], 0
         if found != expected:
             raise ValidationError(
                 f"|S^({size})| = {found} but the declared c-vector predicts {expected}; "
                 "the classifier does not satisfy the forbidding axioms"
             )
         level = grown
-    return None, [ms for ms, _ in level]
+    return None, [ms for ms, *_ in level], expected
 
 
 def _check_multiset_cap(sys: ForbiddingSystem, insides: list[tuple]) -> None:
@@ -261,7 +351,7 @@ def is_compatible(sys: ForbiddingSystem, s: Iterable[Hashable]) -> Compatibility
     """
     inside = tuple(sorted(set(s)))
     _check_multiset_cap(sys, [inside])
-    witness, _ = _walk(sys, inside)
+    witness, *_ = _walk(sys, inside)
     return CompatibilityResult(witness is None, witness)
 
 
@@ -275,10 +365,10 @@ def sd_orbits(sys: ForbiddingSystem, sets: Iterable[Iterable[Hashable]]) -> list
     _check_multiset_cap(sys, insides)
     orbits = []
     for inside in insides:
-        witness, members = _walk(sys, inside)
+        witness, members, size = _walk(sys, inside)
         if witness is not None:
             raise ValidationError(f"set is not compatible; witness {witness}")
-        orbits.append((members, product_falling(len(inside), sys.c_vector)))
+        orbits.append((members, size))
     return orbits
 
 
@@ -365,8 +455,7 @@ def _gkk(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[
         sub = formats.subspace_family_from_obj(formats.load_json(args.subspaces))
         if system.name != (name := f"qlinear:{sub.q},{sub.n}"):  # refused before any member's q^d points are built
             raise ValidationError(f"subspaces of F_{sub.q}^{sub.n} need --system {name}, got {system.name}")
-        zero = tuple([0] * sub.n)
-        sets = [sorted(ql.subspace_points(member, sub.q, sub.n) - {zero}) for member in sub.members]
+        sets = [_span(member, sub.q) for member in sub.members]
     else:
         raise ValidationError("gkk needs --family or --subspaces")
     rep = check_generalized_kk(system, sets)

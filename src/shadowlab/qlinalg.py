@@ -50,29 +50,34 @@ def _check_field(q: int, n: int) -> None:
     check_cap("field size q^n", q**n, FIELD_CAP)
 
 
+def _reduce(rows: Matrix, v: Sequence[int], q: int) -> Sequence[int]:
+    """v, with entries in [0, q), less its component along reduced echelon rows: zero exactly when v lies in their span."""
+    for row in rows:
+        if c := v[row.index(1)]:  # a reduced echelon row leads with 1, so its first 1 is its pivot
+            v = [(a - c * b) % q for a, b in zip(v, row)]
+    return v
+
+
+def _echelon(rows: Matrix, v: Sequence[int], q: int) -> Matrix:
+    """The reduced echelon basis of span(rows, v) from rows in that form, or rows itself when v lies in their span:
+    v reduced against the rows, scaled to lead with 1, and cleared from the rows at its pivot."""
+    v = _reduce(rows, v, q)
+    lead = next((j for j, x in enumerate(v) if x), None)
+    if lead is None:
+        return rows
+    inv = pow(v[lead], q - 2, q)
+    v = tuple([x * inv % q for x in v])
+    rows = [tuple([(a - r[lead] * b) % q for a, b in zip(r, v)]) if r[lead] else r for r in rows]
+    return tuple(sorted([*rows, v], key=lambda r: r.index(1)))
+
+
 def rref(rows: Iterable[Sequence[int]], q: int) -> Matrix:
     """Reduced row-echelon form over F_q with zero rows dropped; q is capped at SHAPE_CAP, as a file's is."""
     _check_prime(q, SHAPE_CAP)
     work = [[x % q for x in row] for row in rows]
-    if not work:
-        return ()
-    ncols = len(work[0])
-    if any(len(r) != ncols for r in work):
+    if any(len(r) != len(work[0]) for r in work):
         raise ValidationError("ragged matrix")
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], q - 2, q)
-        work[rank] = [(x * inv) % q for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [(a - f * b) % q for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return tuple(tuple(r) for r in work[:rank])
+    return functools.reduce(lambda basis, v: _echelon(basis, v, q), work, ())
 
 
 def _id_columns(members: Sequence[Matrix], d: int) -> tuple[list[tuple], dict[tuple, int], list[list[int]]]:
@@ -177,18 +182,6 @@ def enumerate_subspaces(q: int, n: int, d: int) -> SubspaceFamily:
     if len(fam) != expected:
         raise AssertionError(f"enumerated {len(fam)} subspaces, formula gives {expected}")
     return fam
-
-
-def subspace_points(member: Matrix, q: int, n: int) -> frozenset[tuple[int, ...]]:
-    """All q^rank vectors of the row space, including zero."""
-    points = set()
-    for coeffs in product(range(q), repeat=len(member)):
-        v = [0] * n
-        for c, row in zip(coeffs, member):
-            for i in range(n):
-                v[i] = (v[i] + c * row[i]) % q
-        points.add(tuple(v))
-    return frozenset(points)
 
 
 def _subspace_shadow(fam: SubspaceFamily) -> tuple[set[tuple[int, ...]], dict[tuple[int, ...], int]]:

@@ -22,6 +22,7 @@ from conftest import (
     random_set_family,
     random_uniform_hypergraph,
     random_weighted_complete,
+    span,
 )
 from shadowlab.constructions import (
     complete_family,
@@ -48,7 +49,7 @@ from shadowlab.checks import (
     weighted_joint_sum,
 )
 from shadowlab.numkit import product_falling
-from shadowlab.qlinalg import check_q_kruskal_katona, enumerate_subspaces, subspace_points
+from shadowlab.qlinalg import check_q_kruskal_katona, enumerate_subspaces
 from shadowlab.search import search_rainbow_triangle
 
 TOL = 1e-9
@@ -184,7 +185,7 @@ def test_criterion_09_generalized_kk_cross_oracle():
     qsys = qlinear_system(2, 4, 2)
     grass = enumerate_subspaces(2, 4, 2)
     zero = (0, 0, 0, 0)
-    sets = [sorted(subspace_points(m, 2, 4) - {zero}) for m in grass.members]
+    sets = [sorted(span(m, 2, 4) - {zero}) for m in grass.members]
     gkk = check_generalized_kk(qsys, sets)
     qkk = check_q_kruskal_katona(grass)
     # the tuple-family parameter is t = q^{t_q} - 1, and at d = 2 the shadow
@@ -206,7 +207,7 @@ def test_criterion_10_sd_product_formula():
         for d in (2, 3, 4):
             assert sd_size(repeats_system(10, d), range(size)) == product_falling(size, tuple(range(1, d)))
     plane = enumerate_subspaces(2, 4, 2).members[0]
-    pts = sorted(subspace_points(plane, 2, 4) - {(0, 0, 0, 0)})
+    pts = sorted(span(plane, 2, 4) - {(0, 0, 0, 0)})
     assert sd_size(qlinear_system(2, 4, 2), pts) == 3 * (3 - 1)
     passed(10, "|S^(d)| equals |S|(|S|-c_1)...(|S|-c_{d-1}) for repeats and qlinear systems")
 

@@ -155,6 +155,7 @@ CASES = [
     "construct matching --d 5",
     "construct lift --input k4.json --out lift-out.json",
     "construct lift",
+    "construct k4-blowup --n 2 --input missing.json --out g.json",  # only lift reads --input: exit 3, g.json unwritten
     "construct tetrahedra8",
     "construct flats",
     "construct tripartite-mixed --n 2",

@@ -1,5 +1,6 @@
 """Forbidding-system axioms, compatible sets, S^(d), and the shadow bound."""
 
+import json
 import random
 import re
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -23,7 +24,7 @@ from shadowlab.forbidding import (
 )
 from shadowlab.hypergraph import SetFamily, check_kruskal_katona
 from shadowlab.numkit import shadow_bound
-from shadowlab.qlinalg import enumerate_subspaces, rref, subspace_points
+from shadowlab.qlinalg import enumerate_subspaces
 
 
 def reference_sd(sys, s):
@@ -78,7 +79,7 @@ def reference_witness(sys, s):
 
 def subspace_sets(q, n, k):
     zero = (0,) * n
-    return [sorted(subspace_points(m, q, n) - {zero}) for m in enumerate_subspaces(q, n, k).members]
+    return [sorted(span(m, q, n) - {zero}) for m in enumerate_subspaces(q, n, k).members]
 
 
 def assert_gkk_matches_reference(sys, sets):
@@ -209,21 +210,92 @@ class TestAxiomVerification:
         with pytest.raises(CapacityError, match="field size"):
             system_from_name("qlinear:2,17", 2)
 
-    def test_qlinear_trial_divides_q_once(self, monkeypatch):
-        # every rank test asks whether q is prime, and only the first is answered by trial division
-        ranks = []
-        monkeypatch.setattr(qlinalg, "rref", lambda rows, q, whole=qlinalg.rref: ranks.append(q) or whole(rows, q))
+    def test_qlinear_trial_divides_q_once(self):
+        # q is trial-divided once, when the system checks its field; no lookup or span asks again
         qlinalg.is_prime.cache_clear()
-        report, status = cli.run(["forbidding", "verify", "--system", "qlinear:5,2", "--d", "3"])
-        assert status == 0 and report["quantities"]["exhaustive"] and set(ranks) == {5}
+        plane = ";".join(f"{a},{b}" for a, b in product(range(5), repeat=2) if a or b)
+        for action in (["verify"], ["sd", "--set", plane]):
+            report, status = cli.run(["forbidding", *action, "--system", "qlinear:5,2", "--d", "3"])
+            assert status == 0
         info = qlinalg.is_prime.cache_info()
-        assert (info.misses, info.currsize, info.hits) == (1, 1, len(ranks))
+        assert (info.misses, info.currsize, info.hits) == (1, 1, 1)
 
     def test_builtin_names(self):
         assert system_from_name("repeats", 3, universe_size=5).name == "repeats"
         assert system_from_name("qlinear:2,3", 2).name == "qlinear:2,3"
         with pytest.raises(ValidationError):
             system_from_name("mystery", 3)
+
+
+def good_multisets(sys):
+    """Every good sorted multiset of size < d, the empty one included."""
+    return [ms for k in range(sys.d) for ms in combinations_with_replacement(sys.universe, k) if not ms or sys.is_good(ms)]
+
+
+def dropping_one(sys):
+    """sys with `forbidden` short of its largest element wherever it has one."""
+    return ForbiddingSystem(sys.universe, sys.d, sys._classify, sys.c_vector, sys.name,
+                            lambda ms: sorted(sys.forbidden(ms))[:-1] if ms else ())
+
+
+def classifier_only(sys):
+    """sys without `forbidden`: the walk asks the memoized classifier instead."""
+    return ForbiddingSystem(sys.universe, sys.d, sys._classify, sys.c_vector, sys.name)
+
+
+def walked(sys, inside):
+    """The walk's outcome on a set, or the message it refuses with."""
+    try:
+        return forbidding._walk(sys, tuple(sorted(inside)))
+    except ValidationError as exc:
+        return str(exc)
+
+
+BUILT_IN = [(repeats_system, (n, d)) for n in range(1, 6) for d in range(1, min(n + 1, 4) + 1)] + [
+    (qlinear_system, (q, n, d)) for q, n in [(2, 3), (3, 2), (2, 4)] for d in range(1, 4)]
+
+
+class TestForbidden:
+    @pytest.mark.parametrize("make, shape", BUILT_IN)
+    def test_forbidden_is_the_bad_extensions(self, make, shape):
+        sys = make(*shape)
+        multisets = good_multisets(sys)
+        assert len(multisets) > sys.d - 1
+        for ms in multisets:
+            bad = {x for x in sys.universe if not sys.is_good(ms + (x,))}
+            assert len(sys.forbidden(ms)) == ((0,) + sys.c_vector)[len(ms)]
+            assert set(sys.forbidden(ms)) == bad
+
+    @pytest.mark.parametrize("make, shape, inside", [
+        (repeats_system, (4, 3), range(4)),
+        (qlinear_system, (2, 3, 3), [(0, 1, 0), (1, 0, 0), (1, 1, 0)]),
+        (qlinear_system, (3, 2, 2), [(1, 0), (2, 0)]),
+    ])
+    def test_dropping_one_element_is_refused(self, make, shape, inside):
+        sys = make(*shape)
+        assert verify_forbidding_axioms(sys).ok and isinstance(walked(sys, inside), tuple)
+        mutant = dropping_one(sys)
+        report = verify_forbidding_axioms(mutant)
+        assert not report.ok and re.fullmatch(r"forbidden\(.*\) and the classifier disagree on its extension by .*",
+                                              report.violation)
+        assert re.fullmatch(r"forbidden\(.*\) has \d+ elements, declared c_\d = \d+", walked(mutant, inside))
+        with pytest.raises(ValidationError, match="forbidden"):
+            sd_orbits(mutant, [inside])
+
+    @pytest.mark.parametrize("q, n", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_walk_by_forbidden_matches_the_classifier(self, q, n, d):
+        # every subset of the universe: the same members, witness and refusal either way
+        sys = qlinear_system(q, n, d)
+        plain = classifier_only(sys)
+        outcomes = set()
+        for size in range(len(sys.universe) + 1):
+            for inside in combinations(sys.universe, size):
+                outcome = walked(sys, inside)
+                assert outcome == walked(plain, inside)
+                outcomes.add(outcome[0] is None if isinstance(outcome, tuple) else "refused")
+        # a set misses a bad extension only where one multiset has two or more: c_{d-1} = q^(d-1) - 1 > 1
+        assert True in outcomes and (False in outcomes) == (q ** (d - 1) > 2)
 
 
 class TestCompatibility:
@@ -315,19 +387,20 @@ class TestEnumerateSd:
         [(members, size)] = sd_orbits(sys, [plane])
         assert len(members) == 3 and size == 6  # 3 * (3 - 1) ordered bases
 
-    def test_qlinear_skips_rank_tests_that_cannot_succeed(self, monkeypatch):
-        # 6 vectors of F_2^5 are always dependent, so the last level needs no rref
-        sizes = []
-
-        def counted(rows, q):
-            sizes.append(len(rows))
-            return rref(rows, q)
-
-        monkeypatch.setattr(qlinalg, "rref", counted)
+    def test_qlinear_skips_rank_tests_that_cannot_succeed(self, monkeypatch, tmp_path):
+        # sd and gkk extend each good multiset by the vectors outside its span: no rank test, no reduction
+        calls = []
+        for name in ("rref", "_echelon", "_reduce"):
+            monkeypatch.setattr(qlinalg, name, lambda *args, name=name: calls.append(name))
         vectors = ";".join(",".join(map(str, v)) for v in product(range(2), repeat=5) if any(v))
         report, status = cli.run(["forbidding", "sd", "--system", "qlinear:2,5", "--d", "6", "--set", vectors])
         assert status == 0 and report["quantities"]["tuples"] == 0
-        assert sizes and max(sizes) == 5
+        planes = tmp_path / "planes.json"
+        planes.write_text(json.dumps({"q": 3, "n": 3, "d": 2, "members": [list(map(list, m)) for m in
+                                                                           enumerate_subspaces(3, 3, 2).members]}))
+        report, status = cli.run(["forbidding", "gkk", "--system", "qlinear:3,3", "--d", "2", "--subspaces", str(planes)])
+        assert status == 0 and report["quantities"]["family_size"] == 13 * 8 * 6
+        assert calls == []
 
     def test_wrong_c_vector_rejected(self):
         # the repeats classifier has c = (1, 2): 5*4*3 = 60 tuples, not the declared 5*4*4 = 80
