@@ -247,49 +247,52 @@ def complete_family(m: int, d: int) -> SetFamily:
     return SetFamily.make(m, combinations(range(m), d), d=d)
 
 
-def _lift(args) -> Construction:
-    if not args.input:
+def _lift(path: str | None) -> Construction:
+    if not path:
         raise ValidationError("lift needs --input")
-    return kappa_lift(formats.load_hypergraph(args.input))
+    return kappa_lift(formats.load_hypergraph(path))
 
 
-# the graph constructions by name; each entry looks its generator up when called, so a
+# each construction by name: the options it reads, by argparse dest, with their defaults, and its generator,
+# called with their values; it refuses the other options. Each entry looks its generator up when called, so a
 # generator rebound on the module after import is the one that runs
 _CONSTRUCTIONS = {
-    "k4-blowup": lambda args: k4_blowup(args.n),
-    "rainbow-tripartite": lambda args: rainbow_tripartite(args.a, args.b, args.c),
-    "matching": lambda args: matching_construction(args.d),
-    "lift": _lift,
-    "tetrahedra8": lambda args: tetrahedra8(),
-    "flats": lambda args: flats_example(),
-    "tripartite-mixed": lambda args: tripartite_mixed(args.n),
+    "k4-blowup": ({"n": 1}, lambda n: k4_blowup(n)),
+    "rainbow-tripartite": ({"a": 1, "b": 1, "c": 1}, lambda a, b, c: rainbow_tripartite(a, b, c)),
+    "matching": ({"d": 3}, lambda d: matching_construction(d)),
+    "lift": ({"input": None}, _lift),
+    "tetrahedra8": ({}, lambda: tetrahedra8()),
+    "flats": ({}, lambda: flats_example()),
+    "tripartite-mixed": ({"n": 1}, lambda n: tripartite_mixed(n)),
+    "complete-family": ({"m": 3, "d": 3}, lambda m, d: complete_family(m, d)),  # a set family, not a graph
 }
+_SIZES = ("n", "a", "b", "c", "d", "m")  # the integer options, in the order the help lists them
 
 
 def _construct_options(p) -> None:
-    p.add_argument("name", choices=[*_CONSTRUCTIONS, "complete-family"])
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--a", type=int, default=1)
-    p.add_argument("--b", type=int, default=1)
-    p.add_argument("--c", type=int, default=1)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--m", type=int, default=3)
+    p.add_argument("name", choices=list(_CONSTRUCTIONS))
+    for dest in _SIZES:  # each left out is None here, and its construction's default in `_cmd_construct`
+        p.add_argument(f"--{dest}", type=int)
     p.add_argument("--input")
     p.add_argument("--out")
 
 
 def _cmd_construct(args) -> tuple[dict, list, list[str]]:
-    if args.input and args.name != "lift":  # refused before any --out is written
-        raise ValidationError(f"--input applies only to lift, not {args.name}")
-    if args.name == "complete-family":  # a set family, not a graph
-        fam = complete_family(args.m, args.d)
+    defaults, generate = _CONSTRUCTIONS[args.name]
+    for dest in (*_SIZES, "input"):  # refused before any --out is written
+        if getattr(args, dest) is None:
+            setattr(args, dest, defaults.get(dest))
+        elif dest not in defaults:
+            readers = " and ".join(name for name, (options, _) in _CONSTRUCTIONS.items() if dest in options)
+            raise ValidationError(f"--{dest} applies only to {readers}, not {args.name}")
+    built = generate(*[getattr(args, dest) for dest in defaults])
+    if isinstance(built, SetFamily):
         if args.out:
-            _dump(args.out, set_family_to_obj(fam))
-        return {"name": args.name, "family_size": len(fam), "d": fam.d, "self_check": "passed"}, [], []
-    c = _CONSTRUCTIONS[args.name](args)
+            _dump(args.out, set_family_to_obj(built))
+        return {"name": args.name, "family_size": len(built), "d": built.d, "self_check": "passed"}, [], []
     if args.out:
-        _dump(args.out, hypergraph_to_obj(c.graph))
-    q = {"name": c.name, "vertices": c.graph.n, "edges": len(c.graph.edges), "self_check": "passed"}
-    for key, value in c.expected.items():
+        _dump(args.out, hypergraph_to_obj(built.graph))
+    q = {"name": built.name, "vertices": built.graph.n, "edges": len(built.graph.edges), "self_check": "passed"}
+    for key, value in built.expected.items():
         q[f"expected_{key}"] = value
     return q, [], []

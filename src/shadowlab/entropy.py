@@ -3,7 +3,7 @@
 Probabilities are exact rationals end to end; base-2 logarithms enter only
 inside entropy evaluation; the key inequality needs only integer subset
 degrees.  Every inequality check runs at absolute tolerance 1e-9.  The
-`entropy` command is here.
+`entropy` command and the distribution reader are here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
 
-from . import formats
+from . import formats, hypergraph as hg
 from .errors import ValidationError, check_cap, parse_ints
 from .record import Record
 from .reports import BoundReport, lower_report, upper_report
@@ -65,6 +65,30 @@ class ExactDistribution(Record):
             key = tuple(values[i] for i in cs)
             out[key] = out.get(key, Fraction(0)) + p
         return out
+
+
+def distribution_from_obj(obj: object) -> ExactDistribution:
+    """The distribution of {"arity": int, "support": [{"values": [...], "p": "num/den"}]}, unknown fields refused;
+    p may also be an int, a finite float or a decimal string. A refusal names the first bad entry in file order."""
+    if not isinstance(obj, dict):
+        raise ValidationError("distribution JSON must be an object")
+    formats._require_keys(obj, {"arity", "support"}, set(), "distribution")
+    pairs = []
+    for i, item in enumerate(formats._list(obj["support"], "support")):
+        if not isinstance(item, dict):
+            raise ValidationError(f"support item {i} must be an object")
+        formats._require_keys(item, {"values", "p"}, set(), f"support item {i}")
+        values = tuple(v if isinstance(v, str) else formats._int(v, f"support item {i} value")
+                       for v in formats._list(item["values"], f"support item {i} values"))
+        p = item["p"]
+        try:  # Fraction builds 10^|exponent|, so none past the 4300 digits an int string may have
+            if isinstance(p, bool) or isinstance(p, str) and abs(int(p.lower().partition("e")[2] or 0)) > 4300:
+                raise ValueError
+            p = Fraction(p)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise ValidationError(f"support item {i}: bad probability {p!r}") from exc
+        pairs.append((values, p))
+    return ExactDistribution.from_pairs(formats._int(obj["arity"], "arity"), pairs)
 
 
 def _h(probs: Iterable[Fraction]) -> float:
@@ -268,25 +292,40 @@ def _entropy_options(p) -> None:
     p.add_argument("--dist")
     p.add_argument("--coords")
     p.add_argument("--shearer", help="cover subsets, e.g. '0,1;1,2;0,2'")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=int)  # None when left out: --shearer's default is 1, the other modes refuse it
     p.add_argument("--key", action="store_true", help="key inequality for a set family")
     p.add_argument("--family")
 
 
+# each option by argparse dest, the modes that read it and where it applies: the other modes refuse it
+_ENTROPY_OPTIONS = (
+    ("family", {"key"}, "entropy --key"),
+    ("dist", {"shearer", "coords"}, "entropy without --key"),
+    ("shearer", {"shearer"}, "entropy without --key"),
+    ("coords", {"coords"}, "entropy without --key or --shearer"),
+    ("k", {"shearer"}, "entropy --shearer"),
+)
+
+
 def _cmd_entropy(args) -> tuple[dict, list[BoundReport], list[str]]:
+    mode = "key" if args.key else "coords" if args.shearer is None else "shearer"
+    for dest, modes, where in _ENTROPY_OPTIONS:  # refused before any file is read
+        if getattr(args, dest) is not None and mode not in modes:
+            raise ValidationError(f"--{dest} applies only to {where}")
     if args.key:
         if not args.family:
             raise ValidationError("--key needs --family")
-        fam = formats.set_family_from_obj(formats.load_json(args.family))
+        fam = hg.set_family_from_obj(formats.load_json(args.family))
         rep = check_key_inequality(fam)
         return {"sizes": list(rep.sizes), "gaps": list(rep.gaps), "ok": rep.ok}, [rep.report], []
     if not args.dist:
         raise ValidationError("entropy needs --dist (or --key with --family)")
-    dist = formats.distribution_from_obj(formats.load_json(args.dist))
-    if args.shearer:
+    dist = distribution_from_obj(formats.load_json(args.dist))
+    if mode == "shearer":
         subsets = tuple(tuple(parse_ints(part)) for part in args.shearer.split(";") if part.strip())
-        rep = check_shearer(dist, CoverSpec(dist.arity, subsets, args.k))
-        return {"k": args.k, "slack": rep.extra["slack"]}, [rep], []
+        k = 1 if args.k is None else args.k
+        rep = check_shearer(dist, CoverSpec(dist.arity, subsets, k))
+        return {"k": k, "slack": rep.extra["slack"]}, [rep], []
     coords = parse_ints(args.coords) if args.coords else None
     value = entropy(dist, coords)
     return {"H": value, "coords": coords if coords else "all", "support": len(dist.support)}, [], []

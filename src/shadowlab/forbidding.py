@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Collection, Hashable, Iterable, Sequence
 from itertools import combinations, combinations_with_replacement, product
 
-from . import formats
-from . import qlinalg as ql
+from . import formats, hypergraph as hg, qlinalg as ql
 from .errors import BoundViolationError, ValidationError, check_cap, parse_ints
 from .numkit import _c_vector, product_falling, shadow_bound
 from .record import Record
@@ -190,13 +189,18 @@ class AxiomReport(Record):
 def _extensions(sys: ForbiddingSystem, ms: Multiset) -> list[bool]:
     """Whether ms + (x,) is good, for each universe element x in order.
 
-    The universe elements between two cuts at elements of the sorted ms go in after the elements of ms up
-    to them, so the keys need no sort.  They are looked up in the memo all at once, and those it lacks are
-    classified into it.
+    The universe is cut before each distinct element of the sorted ms, and the elements between two cuts
+    go in before the first place of the later one in ms, so the keys need no sort.  They are looked up in
+    the memo all at once, and those it lacks are classified into it.
     """
-    universe = sys.universe
-    cuts = [0, *(bisect_left(universe, y) for y in ms), len(universe)]
-    splits = [(ms[:j], ms[j:], universe[lo:hi]) for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi]
+    universe, splits, lo, j = sys.universe, [], 0, 0
+    while j < len(ms):  # ms[j] is the first of its value in ms
+        hi = bisect_left(universe, ms[j])
+        if lo < hi:
+            splits.append((ms[:j], ms[j:], universe[lo:hi]))
+        lo, j = hi, bisect_right(ms, ms[j], j)
+    if lo < len(universe):
+        splits.append((ms, (), universe[lo:]))
     keys = [head + (x,) + tail for head, tail, xs in splits for x in xs]
     found = list(map(sys._memo.get, keys))
     for i in [i for i, good in enumerate(found) if good is None]:
@@ -421,7 +425,7 @@ def _parse_set(sys_name: str, text: str):
 
 
 def _verify(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[str]]:
-    rep = verify_forbidding_axioms(system, seed=args.seed)
+    rep = verify_forbidding_axioms(system, seed=args.seed or 0)
     if not rep.ok:
         raise BoundViolationError(f"forbidding axioms failed: {rep.violation}")
     q = {"system": system.name, "ok": rep.ok, "exhaustive": rep.exhaustive, "checked": rep.checked,
@@ -450,9 +454,9 @@ def _sd(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[s
 
 def _gkk(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[str]]:
     if args.family:
-        sets = formats.set_family_from_obj(formats.load_json(args.family)).sets
+        sets = hg.set_family_from_obj(formats.load_json(args.family)).sets
     elif args.subspaces:
-        sub = formats.subspace_family_from_obj(formats.load_json(args.subspaces))
+        sub = ql.subspace_family_from_obj(formats.load_json(args.subspaces))
         if system.name != (name := f"qlinear:{sub.q},{sub.n}"):  # refused before any member's q^d points are built
             raise ValidationError(f"subspaces of F_{sub.q}^{sub.n} need --system {name}, got {system.name}")
         sets = [_span(member, sub.q) for member in sub.members]
@@ -464,6 +468,8 @@ def _gkk(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[
 
 # the forbidding actions by name, each run on the system that --system and --d name
 _FORBIDDING_ACTIONS = {"verify": _verify, "compatible": _compatible, "sd": _sd, "gkk": _gkk}
+# each action's own options by argparse dest: the other actions refuse them
+_ACTION_OPTIONS = {"set": ("compatible", "sd"), "family": ("gkk",), "subspaces": ("gkk",), "seed": ("verify",)}
 
 
 def _forbidding_options(p) -> None:
@@ -474,9 +480,17 @@ def _forbidding_options(p) -> None:
     p.add_argument("--set", help="elements: ints '0,1,2' or vectors '1,0;0,1'")
     p.add_argument("--family")
     p.add_argument("--subspaces")
-    p.add_argument("--seed", type=int, default=0, help="seed of verify's spot-check")
+    # None when left out: verify's default is 0, the other actions refuse it
+    p.add_argument("--seed", type=int, help="seed of verify's spot-check")
 
 
 def _cmd_forbidding(args) -> tuple[dict, list[BoundReport], list[str]]:
+    for dest, actions in _ACTION_OPTIONS.items():  # refused before any file is read
+        if getattr(args, dest) is not None and args.action not in actions:
+            raise ValidationError(f"--{dest} applies only to forbidding {' and '.join(actions)}")
+    if args.family is not None and args.subspaces is not None:
+        raise ValidationError("gkk takes --family or --subspaces, not both")
+    if args.universe_size is not None and args.system.startswith("qlinear:"):
+        raise ValidationError(f"--universe-size applies only to the repeats system, not {args.system}")
     system = system_from_name(args.system, args.d, universe_size=args.universe_size)
     return _FORBIDDING_ACTIONS[args.action](args, system)

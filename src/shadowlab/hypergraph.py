@@ -5,9 +5,9 @@ here is safe to call concurrently.  `_edges` is the one entry check of every
 graph count and `_form` the compact form it counts on; the counts are in
 `problems`, with the registry of the ratio problems, and in `checks`, which
 the set-family commands (`kk`, `entropy --key`, `forbidding gkk --family`)
-never compile.  The `validate`, `shadow` and `kk` commands and the `--out`
-writers are here; `formats` and `numkit` compile only once a file is read or
-a shadow bounded.
+never compile.  The `validate`, `shadow` and `kk` commands, the set-family
+reader and the `--out` writers are here; `formats` and `numkit` compile only
+once a file is read or a shadow bounded.
 """
 
 from __future__ import annotations
@@ -92,15 +92,14 @@ class SetFamily(Record):
 
         A family whose members are already in form is accepted in bulk; any other is checked member
         by member, which names the first bad one in sorted order. A non-int element is named before a
-        bad member, as the family reader names it. The members are then sorted, which takes one pass
-        if they already are, and must strictly increase.
+        bad member, as the family reader names it. Members that do not strictly increase are sorted,
+        once none repeats.
         """
         members = list(map(tuple, sets))
         k = len(members[0]) if d is None and members else d
         if not _canonical(members, k, n):
-            for v in chain.from_iterable(members):  # named as the family readers name it
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise ValidationError(f"element must be an integer, got {v!r}")
+            for v in chain.from_iterable(members):  # named as the family reader names it
+                formats._int(v, "element")
             members = sorted(map(tuple, map(sorted, members)))
             if not _canonical(members, k, n):  # name the first bad member in sorted order
                 if k is None:
@@ -113,9 +112,10 @@ class SetFamily(Record):
                         raise ValidationError(f"member {s} repeats an element")
                     if s and (s[0] < 0 or s[-1] >= n):
                         raise ValidationError(f"member {s} outside ground set [0, {n})")
-        members.sort()
         if not all(map(lt, members, members[1:])):
-            raise ValidationError("duplicate member sets")
+            if len(set(members)) != len(members):
+                raise ValidationError("duplicate member sets")
+            members.sort()
         return cls(n=n, d=k, sets=tuple(members))
 
     def __len__(self) -> int:
@@ -225,6 +225,22 @@ def hypergraph_to_obj(h: ColoredHypergraph) -> dict:
     return {"vertices": h.n, "edges": edges}
 
 
+def set_family_from_obj(obj: object) -> SetFamily:
+    """The family of {"n": int, "d": int, "sets": [[ints]]}, unknown fields refused. A refusal names the first
+    bad entry in file order, a non-int element before a bad d; only a file that fails the bulk checks here
+    (members are lists) and in `make` (types) is read again entry by entry."""
+    if not isinstance(obj, dict):
+        raise ValidationError("set family JSON must be an object")
+    formats._require_keys(obj, {"n", "d", "sets"}, set(), "set family")
+    n = formats._int(obj["n"], "n")
+    sets = formats._list(obj["sets"], "sets")
+    if not (formats._lists(sets) and type(obj["d"]) is int):  # name the first bad entry, before a bad d
+        for s in sets:
+            for v in formats._list(s, "set"):
+                formats._int(v, "element")
+    return SetFamily.make(n, sets, d=formats._int(obj["d"], "d"))
+
+
 def set_family_to_obj(fam: SetFamily) -> dict:
     """The family's JSON object, its members the family's own tuples: `json.dumps` writes a tuple as
     an array, so the text is that of lists, and no list is built per member."""
@@ -256,7 +272,7 @@ def _shadow_options(p) -> None:
 
 
 def _cmd_shadow(args) -> tuple[dict, list[BoundReport], list[str]]:
-    fam = formats.set_family_from_obj(formats.load_json(args.family))
+    fam = set_family_from_obj(formats.load_json(args.family))
     sh = shadow(fam)
     if args.out:
         _dump(args.out, set_family_to_obj(sh))
@@ -268,5 +284,5 @@ def _kk_options(p) -> None:
 
 
 def _cmd_kk(args) -> tuple[dict, list[BoundReport], list[str]]:
-    fam = formats.set_family_from_obj(formats.load_json(args.family))
+    fam = set_family_from_obj(formats.load_json(args.family))
     return _shadow_check(check_kruskal_katona(fam), family_size=len(fam), d=fam.d)

@@ -4,7 +4,7 @@ Subspaces of F_q^n are identified with their reduced row-echelon matrices,
 which gives a unique hashable representative per subspace.  q is restricted
 to primes so field arithmetic is plain mod-q integer arithmetic; the theorem
 also holds for prime powers but those would need polynomial field towers.
-The `qkk` command is here.
+The `qkk` command and the subspace-family reader are here.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ def _check_field(q: int, n: int) -> None:
 
 
 def _reduce(rows: Matrix, v: Sequence[int], q: int) -> Sequence[int]:
-    """v, with entries in [0, q), less its component along reduced echelon rows: zero exactly when v lies in their span."""
+    """v, with entries in [0, q), less its component along reduced echelon rows: zero exactly when v lies
+    in their span."""
     for row in rows:
         if c := v[row.index(1)]:  # a reduced echelon row leads with 1, so its first 1 is its pivot
             v = [(a - c * b) % q for a, b in zip(v, row)]
@@ -131,9 +132,8 @@ class SubspaceFamily(Record):
         """
         canon = [tuple(map(tuple, m)) for m in members]
         if not (q <= SHAPE_CAP and is_prime(q) and 0 <= d <= n and _in_echelon_form(canon, q, n, d)):
-            for x in chain.from_iterable(chain.from_iterable(canon)):
-                if isinstance(x, bool) or not isinstance(x, int):
-                    raise ValidationError(f"subspace entry must be an integer, got {x!r}")
+            for x in chain.from_iterable(chain.from_iterable(canon)):  # named as the family reader names it
+                formats._int(x, "subspace entry")
             # a member of dimension 2 or more over a larger field has more hyperplanes than the shadow takes
             _check_prime(q, SHAPE_CAP)
             if not (0 <= d <= n):
@@ -155,6 +155,23 @@ class SubspaceFamily(Record):
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+def subspace_family_from_obj(obj: object) -> SubspaceFamily:
+    """The family of {"q": int, "n": int, "d": int, "members": [[[ints mod q]]]}, unknown fields refused. A
+    refusal names the first bad entry in file order, a non-int entry before a bad d or q; only a file that
+    fails the bulk checks here (members and rows are lists) and in `make` (types) is read again entry by entry."""
+    if not isinstance(obj, dict):
+        raise ValidationError("subspace family JSON must be an object")
+    formats._require_keys(obj, {"q", "n", "d", "members"}, set(), "subspace family")
+    q, n, d = formats._int(obj["q"], "q"), formats._int(obj["n"], "n"), formats._int(obj["d"], "d")
+    members = formats._list(obj["members"], "members")
+    if not (formats._lists(members) and formats._lists(chain.from_iterable(members))):
+        for m in members:  # name the first bad entry
+            for row in formats._list(m, "member"):
+                for x in formats._list(row, "member row"):
+                    formats._int(x, "subspace entry")
+    return SubspaceFamily.make(q, n, d, members)
 
 
 def enumerate_subspaces(q: int, n: int, d: int) -> SubspaceFamily:
@@ -250,5 +267,5 @@ def _qkk_options(p) -> None:
 
 
 def _cmd_qkk(args) -> tuple[dict, list[BoundReport], list[str]]:
-    fam = formats.subspace_family_from_obj(formats.load_json(args.family))
+    fam = subspace_family_from_obj(formats.load_json(args.family))
     return _shadow_check(check_q_kruskal_katona(fam), family_size=len(fam), q=fam.q, d=fam.d)

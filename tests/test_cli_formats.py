@@ -15,16 +15,11 @@ import pytest
 from conftest import fig1_k4
 from shadowlab import cli, search
 from shadowlab.errors import ValidationError
-from shadowlab.formats import (
-    distribution_from_obj,
-    hypergraph_from_obj,
-    hypergraph_from_text,
-    set_family_from_obj,
-    subspace_family_from_obj,
-)
-from shadowlab.hypergraph import SetFamily, hypergraph_to_obj, set_family_to_obj
+from shadowlab.entropy import distribution_from_obj
+from shadowlab.formats import hypergraph_from_obj, hypergraph_from_text
+from shadowlab.hypergraph import SetFamily, hypergraph_to_obj, set_family_from_obj, set_family_to_obj
 from shadowlab.problems import RGB
-from shadowlab.qlinalg import enumerate_subspaces
+from shadowlab.qlinalg import enumerate_subspaces, subspace_family_from_obj
 from shadowlab.reports import dumps_canonical, upper_report
 
 

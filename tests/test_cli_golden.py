@@ -138,6 +138,10 @@ CASES = [
     "entropy --key --family fam.json",
     "entropy --key",
     "entropy",
+    # each mode refuses the options it does not read: exit 3, before any file is read
+    "entropy --key --family fam.json --dist dist.json",
+    "entropy --dist dist.json --family fam.json",
+    "entropy --dist dist.json --shearer 0,1;1,2;0,2 --coords 0,2",
     "forbidding verify --system repeats --universe-size 4 --d 3",
     "forbidding verify --system qlinear:2,3 --d 2",
     "forbidding verify --system repeats --universe-size 100 --d 5",  # the spot check, at seed 0
@@ -149,6 +153,12 @@ CASES = [
     "forbidding gkk --system repeats --universe-size 5 --d 3 --family fam.json",
     "forbidding gkk --system qlinear:2,3 --d 2 --subspaces subs.json",
     "forbidding gkk --system qlinear:3,3 --d 2 --subspaces subs.json",  # subspaces of F_2^3: refused
+    # each action refuses the options it does not read: exit 3, before any file is read
+    "forbidding verify --system repeats --universe-size 5 --d 2 --family fam.json",
+    "forbidding gkk --system repeats --universe-size 5 --d 3 --family fam.json --subspaces subs.json",
+    "forbidding verify --system repeats --universe-size 4 --d 3 --set 0,1",
+    "forbidding sd --system repeats --universe-size 6 --d 3 --set 0,1,2,3 --seed 1",
+    "forbidding verify --system qlinear:2,3 --universe-size 7 --d 2",
     "construct k4-blowup --n 2 --out k4-out.json",
     "construct k4-blowup --n 17",
     "construct rainbow-tripartite --a 1 --b 2 --c 3",
@@ -156,6 +166,7 @@ CASES = [
     "construct lift --input k4.json --out lift-out.json",
     "construct lift",
     "construct k4-blowup --n 2 --input missing.json --out g.json",  # only lift reads --input: exit 3, g.json unwritten
+    "construct k4-blowup --n 2 --a 5 --m 9 --out g.json",  # only rainbow-tripartite reads --a: exit 3, g.json unwritten
     "construct tetrahedra8",
     "construct flats",
     "construct tripartite-mixed --n 2",

@@ -16,9 +16,8 @@ from itertools import combinations
 import pytest
 
 from shadowlab.errors import ValidationError
-from shadowlab.formats import set_family_from_obj, subspace_family_from_obj
-from shadowlab.hypergraph import SetFamily
-from shadowlab.qlinalg import SubspaceFamily, enumerate_subspaces, is_prime
+from shadowlab.hypergraph import SetFamily, set_family_from_obj
+from shadowlab.qlinalg import SubspaceFamily, enumerate_subspaces, is_prime, subspace_family_from_obj
 
 
 def _require_keys(obj, required, optional, what):

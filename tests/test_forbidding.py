@@ -229,7 +229,8 @@ class TestAxiomVerification:
 
 def good_multisets(sys):
     """Every good sorted multiset of size < d, the empty one included."""
-    return [ms for k in range(sys.d) for ms in combinations_with_replacement(sys.universe, k) if not ms or sys.is_good(ms)]
+    return [ms for k in range(sys.d) for ms in combinations_with_replacement(sys.universe, k)
+            if not ms or sys.is_good(ms)]
 
 
 def dropping_one(sys):
@@ -249,6 +250,19 @@ def walked(sys, inside):
         return forbidding._walk(sys, tuple(sorted(inside)))
     except ValidationError as exc:
         return str(exc)
+
+
+@pytest.mark.parametrize("make", [lambda: repeats_system(3, 6), lambda: all_good_system(3, 6),
+                                  lambda: repeats_system(2, 9), lambda: qlinear_system(2, 2, 5),
+                                  lambda: ForbiddingSystem("abcd", 5, lambda ms: ms.count("b") < 3, (0,) * 4)])
+def test_extensions_match_is_good_on_repeated_elements(make):
+    # every multiset below size d, most repeating an element: one cut per distinct element, the keys in order
+    sys, plain = make(), make()
+    multisets = [ms for k in range(sys.d) for ms in combinations_with_replacement(sys.universe, k)]
+    assert sum(len(set(ms)) < len(ms) for ms in multisets) > len(multisets) // 2
+    for ms in multisets:
+        assert forbidding._extensions(sys, ms) == [plain.is_good(ms + (x,)) for x in sys.universe], ms
+    assert sys._memo == plain._memo  # is_good sorts its keys: each key went in sorted
 
 
 BUILT_IN = [(repeats_system, (n, d)) for n in range(1, 6) for d in range(1, min(n + 1, 4) + 1)] + [
@@ -398,7 +412,8 @@ class TestEnumerateSd:
         planes = tmp_path / "planes.json"
         planes.write_text(json.dumps({"q": 3, "n": 3, "d": 2, "members": [list(map(list, m)) for m in
                                                                            enumerate_subspaces(3, 3, 2).members]}))
-        report, status = cli.run(["forbidding", "gkk", "--system", "qlinear:3,3", "--d", "2", "--subspaces", str(planes)])
+        report, status = cli.run(["forbidding", "gkk", "--system", "qlinear:3,3", "--d", "2",
+                                  "--subspaces", str(planes)])
         assert status == 0 and report["quantities"]["family_size"] == 13 * 8 * 6
         assert calls == []
 

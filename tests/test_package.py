@@ -4,6 +4,7 @@ Importing `shadowlab` registers every layer module in `sys.modules` and
 compiles none of them; a layer runs on its first attribute access.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -153,6 +154,31 @@ def test_trace_launcher_wraps_layers_that_load_late(tmp_path, command, layer, co
     trace = json.loads(spans.read_text())
     assert layer in {span[2] for span in trace["spans"]}
     assert trace["counters"][counter] > 0
+
+
+def _shadowlab_imports(tree: ast.Module) -> set[str]:
+    """The shadowlab modules a module's source imports, by their names in the package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "shadowlab":
+            names |= {node.module.partition(".")[2]} if "." in node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name.partition(".")[2] for alias in node.names if alias.name.startswith("shadowlab.")}
+    return names
+
+
+def test_formats_imports_only_hypergraph_and_errors():
+    """Each family reader is beside its type, so `formats` imports no other layer, and no layer reads another
+    out of `sys.modules`: only the package, which registers them, and `cli`, whose command table names them."""
+    package = ROOT / "src" / "shadowlab"
+    assert _shadowlab_imports(ast.parse((package / "formats.py").read_text())) == {"hypergraph", "errors"}
+    for path in sorted(package.glob("*.py")):
+        if path.stem not in {"__init__", "cli"}:
+            tree = ast.parse(path.read_text())
+            assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "modules"
+                        and isinstance(node.value, ast.Name) and node.value.id == "sys"], path.name
 
 
 def test_kk_starts_without_openssl_or_typing(tmp_path):
