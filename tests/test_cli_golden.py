@@ -208,6 +208,10 @@ CASES = [
     # usage errors, whose message argparse wraps at COLUMNS
     "kk",
     "qkk --family",
+    # the help of the program and of each command, wrapped at COLUMNS too
+    "--help",
+    *(f"{name} --help" for name in ("validate", "count", "kappa", "shadow", "kk", "qkk", "entropy", "forbidding",
+                                    "construct", "search", "weighted", "partial-shadow")),
 ]
 
 
