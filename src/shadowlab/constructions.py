@@ -17,7 +17,7 @@ from itertools import combinations, product
 
 from . import formats
 from . import problems as pb
-from .errors import BoundViolationError, CapacityError, ValidationError, check_cap
+from .errors import REQUIRED, BoundViolationError, CapacityError, ValidationError, check_cap, mode_options
 from .hypergraph import VERTEX_CAP, ColoredHypergraph, SetFamily, _dump, hypergraph_to_obj, set_family_to_obj
 from .record import Record
 
@@ -247,26 +247,21 @@ def complete_family(m: int, d: int) -> SetFamily:
     return SetFamily.make(m, combinations(range(m), d), d=d)
 
 
-def _lift(path: str | None) -> Construction:
-    if not path:
-        raise ValidationError("lift needs --input")
-    return kappa_lift(formats.load_hypergraph(path))
-
-
-# each construction by name: the options it reads, by argparse dest, with their defaults, and its generator,
-# called with their values; it refuses the other options. Each entry looks its generator up when called, so a
+# each construction by name: the options it reads, by argparse dest, with their defaults as `mode_options`
+# reads them, and its generator, called with their values. Each entry looks its generator up when called, so a
 # generator rebound on the module after import is the one that runs
 _CONSTRUCTIONS = {
     "k4-blowup": ({"n": 1}, lambda n: k4_blowup(n)),
     "rainbow-tripartite": ({"a": 1, "b": 1, "c": 1}, lambda a, b, c: rainbow_tripartite(a, b, c)),
     "matching": ({"d": 3}, lambda d: matching_construction(d)),
-    "lift": ({"input": None}, _lift),
+    "lift": ({"input": REQUIRED}, lambda path: kappa_lift(formats.load_hypergraph(path))),
     "tetrahedra8": ({}, lambda: tetrahedra8()),
     "flats": ({}, lambda: flats_example()),
     "tripartite-mixed": ({"n": 1}, lambda n: tripartite_mixed(n)),
     "complete-family": ({"m": 3, "d": 3}, lambda m, d: complete_family(m, d)),  # a set family, not a graph
 }
 _SIZES = ("n", "a", "b", "c", "d", "m")  # the integer options, in the order the help lists them
+_MODE_OPTIONS = {name: options for name, (options, _) in _CONSTRUCTIONS.items()}
 
 
 def _construct_options(p) -> None:
@@ -278,14 +273,8 @@ def _construct_options(p) -> None:
 
 
 def _cmd_construct(args) -> tuple[dict, list, list[str]]:
-    defaults, generate = _CONSTRUCTIONS[args.name]
-    for dest in (*_SIZES, "input"):  # refused before any --out is written
-        if getattr(args, dest) is None:
-            setattr(args, dest, defaults.get(dest))
-        elif dest not in defaults:
-            readers = " and ".join(name for name, (options, _) in _CONSTRUCTIONS.items() if dest in options)
-            raise ValidationError(f"--{dest} applies only to {readers}, not {args.name}")
-    built = generate(*[getattr(args, dest) for dest in defaults])
+    values = mode_options(args, "construct", args.name, _MODE_OPTIONS).values()  # refused before any --out is written
+    built = _CONSTRUCTIONS[args.name][1](*values)
     if isinstance(built, SetFamily):
         if args.out:
             _dump(args.out, set_family_to_obj(built))

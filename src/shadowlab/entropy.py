@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import formats, hypergraph as hg
-from .errors import ValidationError, check_cap, parse_ints
+from .errors import REQUIRED, ValidationError, check_cap, mode_options, parse_ints
 from .record import Record
 from .reports import BoundReport, lower_report, upper_report
 
@@ -292,40 +292,31 @@ def _entropy_options(p) -> None:
     p.add_argument("--dist")
     p.add_argument("--coords")
     p.add_argument("--shearer", help="cover subsets, e.g. '0,1;1,2;0,2'")
-    p.add_argument("--k", type=int)  # None when left out: --shearer's default is 1, the other modes refuse it
+    p.add_argument("--k", type=int)  # None when left out, and --shearer's default in `_cmd_entropy`
     p.add_argument("--key", action="store_true", help="key inequality for a set family")
     p.add_argument("--family")
 
 
-# each option by argparse dest, the modes that read it and where it applies: the other modes refuse it
-_ENTROPY_OPTIONS = (
-    ("family", {"key"}, "entropy --key"),
-    ("dist", {"shearer", "coords"}, "entropy without --key"),
-    ("shearer", {"shearer"}, "entropy without --key"),
-    ("coords", {"coords"}, "entropy without --key or --shearer"),
-    ("k", {"shearer"}, "entropy --shearer"),
-)
+# each mode, by the option that selects it, with its options and their defaults, by argparse dest, as
+# `mode_options` reads them: --key, else --shearer, else the plain mode --dist
+_MODE_OPTIONS = {"--key": {"family": REQUIRED}, "--shearer": {"dist": None, "shearer": None, "k": 1},
+                 "--dist": {"dist": None, "coords": None}}
 
 
 def _cmd_entropy(args) -> tuple[dict, list[BoundReport], list[str]]:
-    mode = "key" if args.key else "coords" if args.shearer is None else "shearer"
-    for dest, modes, where in _ENTROPY_OPTIONS:  # refused before any file is read
-        if getattr(args, dest) is not None and mode not in modes:
-            raise ValidationError(f"--{dest} applies only to {where}")
+    mode = "--key" if args.key else "--dist" if args.shearer is None else "--shearer"
+    mode_options(args, "entropy", mode, _MODE_OPTIONS)  # refused before any file is read
     if args.key:
-        if not args.family:
-            raise ValidationError("--key needs --family")
         fam = hg.set_family_from_obj(formats.load_json(args.family))
         rep = check_key_inequality(fam)
         return {"sizes": list(rep.sizes), "gaps": list(rep.gaps), "ok": rep.ok}, [rep.report], []
     if not args.dist:
         raise ValidationError("entropy needs --dist (or --key with --family)")
     dist = distribution_from_obj(formats.load_json(args.dist))
-    if mode == "shearer":
+    if mode == "--shearer":
         subsets = tuple(tuple(parse_ints(part)) for part in args.shearer.split(";") if part.strip())
-        k = 1 if args.k is None else args.k
-        rep = check_shearer(dist, CoverSpec(dist.arity, subsets, k))
-        return {"k": k, "slack": rep.extra["slack"]}, [rep], []
+        rep = check_shearer(dist, CoverSpec(dist.arity, subsets, args.k))
+        return {"k": args.k, "slack": rep.extra["slack"]}, [rep], []
     coords = parse_ints(args.coords) if args.coords else None
     value = entropy(dist, coords)
     return {"H": value, "coords": coords if coords else "all", "support": len(dist.support)}, [], []

@@ -1,4 +1,5 @@
-"""Shared exception types, capacity-cap handling, and the integer lists that options give."""
+"""Shared exception types, capacity-cap handling, the integer lists that options give, and the one rule
+for the options that each mode of a command reads, `mode_options`."""
 
 from __future__ import annotations
 
@@ -31,3 +32,23 @@ def parse_ints(text: str) -> list[int]:
         return [int(x) for x in text.split(",") if x != ""]
     except ValueError as exc:
         raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
+
+
+REQUIRED = object()  # the default of an option that its mode cannot run without
+
+
+def mode_options(args, command: str, mode: str, reads: dict[str, dict]) -> dict:
+    """The options that `mode` reads, by argparse dest, with their values; `reads` maps each mode to its defaults.
+
+    In the order the options first appear in `reads`: an option given (not None) that the mode does not read
+    is refused, then one it needs (default REQUIRED) that is left out; each other one left out takes its default."""
+    own = reads[mode]
+    for dest in dict.fromkeys(dest for options in reads.values() for dest in options):
+        if dest not in own and getattr(args, dest) is not None:
+            raise ValidationError(f"--{dest.replace('_', '-')} does not apply to {command} {mode}")
+    for dest, default in own.items():
+        if getattr(args, dest) is None:
+            if default is REQUIRED:
+                raise ValidationError(f"{command} {mode} needs --{dest.replace('_', '-')}")
+            setattr(args, dest, default)
+    return {dest: getattr(args, dest) for dest in own}

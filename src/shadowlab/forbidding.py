@@ -27,7 +27,7 @@ from collections.abc import Callable, Collection, Hashable, Iterable, Sequence
 from itertools import combinations, combinations_with_replacement, product
 
 from . import formats, hypergraph as hg, qlinalg as ql
-from .errors import BoundViolationError, ValidationError, check_cap, parse_ints
+from .errors import REQUIRED, BoundViolationError, ValidationError, check_cap, mode_options, parse_ints
 from .numkit import _c_vector, product_falling, shadow_bound
 from .record import Record
 from .reports import BoundReport, _shadow_check, lower_report
@@ -425,7 +425,7 @@ def _parse_set(sys_name: str, text: str):
 
 
 def _verify(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[str]]:
-    rep = verify_forbidding_axioms(system, seed=args.seed or 0)
+    rep = verify_forbidding_axioms(system, seed=args.seed)
     if not rep.ok:
         raise BoundViolationError(f"forbidding axioms failed: {rep.violation}")
     q = {"system": system.name, "ok": rep.ok, "exhaustive": rep.exhaustive, "checked": rep.checked,
@@ -435,8 +435,6 @@ def _verify(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], li
 
 
 def _compatible(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[str]]:
-    if args.set is None:
-        raise ValidationError("compatible needs --set")
     result = is_compatible(system, _parse_set(args.system, args.set))
     q = {"system": system.name, "compatible": result.ok}
     if result.witness:
@@ -446,8 +444,6 @@ def _compatible(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport]
 
 
 def _sd(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[str]]:
-    if args.set is None:
-        raise ValidationError("sd needs --set")
     [(_, size)] = sd_orbits(system, [_parse_set(args.system, args.set)])
     return {"system": system.name, "tuples": size, "d": system.d}, [], []
 
@@ -468,8 +464,9 @@ def _gkk(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[
 
 # the forbidding actions by name, each run on the system that --system and --d name
 _FORBIDDING_ACTIONS = {"verify": _verify, "compatible": _compatible, "sd": _sd, "gkk": _gkk}
-# each action's own options by argparse dest: the other actions refuse them
-_ACTION_OPTIONS = {"set": ("compatible", "sd"), "family": ("gkk",), "subspaces": ("gkk",), "seed": ("verify",)}
+# each action's options and their defaults, by argparse dest, as `mode_options` reads them
+_MODE_OPTIONS = {"verify": {"seed": 0}, "compatible": {"set": REQUIRED}, "sd": {"set": REQUIRED},
+                 "gkk": {"family": None, "subspaces": None}}
 
 
 def _forbidding_options(p) -> None:
@@ -480,14 +477,12 @@ def _forbidding_options(p) -> None:
     p.add_argument("--set", help="elements: ints '0,1,2' or vectors '1,0;0,1'")
     p.add_argument("--family")
     p.add_argument("--subspaces")
-    # None when left out: verify's default is 0, the other actions refuse it
+    # None when left out, and verify's default in `_cmd_forbidding`
     p.add_argument("--seed", type=int, help="seed of verify's spot-check")
 
 
 def _cmd_forbidding(args) -> tuple[dict, list[BoundReport], list[str]]:
-    for dest, actions in _ACTION_OPTIONS.items():  # refused before any file is read
-        if getattr(args, dest) is not None and args.action not in actions:
-            raise ValidationError(f"--{dest} applies only to forbidding {' and '.join(actions)}")
+    mode_options(args, "forbidding", args.action, _MODE_OPTIONS)  # refused before any file is read
     if args.family is not None and args.subspaces is not None:
         raise ValidationError("gkk takes --family or --subspaces, not both")
     if args.universe_size is not None and args.system.startswith("qlinear:"):

@@ -20,7 +20,7 @@ from functools import cache
 from itertools import combinations
 
 from . import formats
-from .errors import ValidationError, check_cap
+from .errors import ValidationError, check_cap, mode_options
 from .hypergraph import VERTEX_CAP, ColoredHypergraph, Form, _edges, _facets, _form, _members
 from .record import Record
 from .reports import BoundReport, upper_report
@@ -310,31 +310,29 @@ def get_problem(name: str) -> Problem:
     return PROBLEMS[name]
 
 
-# the count kinds by name, each a ratio problem of the registry
+# the count kinds by name, each a ratio problem of the registry, and the options each reads, by argparse dest,
+# with their defaults as `mode_options` reads them
 _COUNT_PROBLEMS = {"good6": "good6", "mixed4": "mixed4", "covering": "covering_delta"}
+_MODE_OPTIONS = {"good6": {}, "mixed4": {}, "covering": {"delta": 0}}
 
 
 def _count_options(p) -> None:
     p.add_argument("kind", choices=list(_COUNT_PROBLEMS))
     p.add_argument("--input", required=True)
-    p.add_argument("--delta", type=int)  # None when left out: covering's default is 0, the others refuse it
+    p.add_argument("--delta", type=int)  # None when left out, and covering's default in `_cmd_count`
 
 
 def _cmd_count(args) -> tuple[dict, list[BoundReport], list[str]]:
-    if args.kind != "covering" and args.delta is not None:
-        raise ValidationError("--delta applies only to count covering")
-    delta = args.delta or 0
+    read = mode_options(args, "count", args.kind, _MODE_OPTIONS)  # refused before the file is read
     h = formats.load_hypergraph(args.input)
     problem = PROBLEMS[_COUNT_PROBLEMS[args.kind]]
-    q, ratio = problem.exact(h, delta=delta)
+    q, ratio = problem.exact(h, **read)
     bounds, notes = [], []
     if ratio is not None:  # the ratio, its bounds and its note exist only with every class nonempty
         q["ratio"] = ratio
-        bounds = problem.reports(ratio, delta=delta)
+        bounds = problem.reports(ratio, **read)
         notes = list(problem.notes)
-    if args.kind == "covering":
-        q["delta"] = delta
-    return q, bounds, notes
+    return {**q, **read}, bounds, notes
 
 
 def _kappa_options(p) -> None:

@@ -29,7 +29,7 @@ from itertools import accumulate, combinations, compress, permutations, product,
 from math import comb, isqrt
 from operator import add, and_, itemgetter, not_, or_
 
-from .errors import BoundViolationError, ValidationError, check_cap
+from .errors import BoundViolationError, ValidationError, check_cap, mode_options
 from .hypergraph import VERTEX_CAP, ColoredHypergraph, _dump, hypergraph_to_obj
 from .problems import PROBLEMS, RGB, Problem, get_problem
 from .record import Record
@@ -322,8 +322,8 @@ _SCANS = {
 }
 
 
-# each mode's options and their defaults, by argparse dest: a mode refuses the other mode's options
-_MODE_OPTIONS = {"scan": {"max_vertices": 4},
+# each mode's options and their defaults, by argparse dest, as `mode_options` reads them
+_MODE_OPTIONS = {**{scan: {"max_vertices": 4} for scan in _SCANS},
                  "probe": {"problem": "rainbow_d", "vertices": 8, "trials": 1000, "d": 3, "delta": 0, "seed": 0}}
 
 
@@ -341,14 +341,7 @@ def _search_options(p) -> None:
 
 
 def _cmd_search(args) -> tuple[dict, list, list[str]]:
-    own, other = ("probe", "scan") if args.mode == "probe" else ("scan", "probe")
-    refused = [f"--{dest.replace('_', '-')}" for dest in _MODE_OPTIONS[other] if getattr(args, dest) is not None]
-    if refused:
-        where = "search probe" if other == "probe" else f"the exhaustive scans ({', '.join(_SCANS)})"
-        raise ValidationError(f"{', '.join(refused)} {'applies' if len(refused) == 1 else 'apply'} only to {where}")
-    for dest, default in _MODE_OPTIONS[own].items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
+    mode_options(args, "search", args.mode, _MODE_OPTIONS)
     if args.mode == "probe":
         params = {"vertices": args.vertices, "d": args.d, "delta": args.delta}
         res = random_probe(args.problem, params, args.trials, seed=args.seed)
