@@ -41,7 +41,8 @@ def mode_options(args, command: str, mode: str, reads: dict[str, dict]) -> dict:
     """The options that `mode` reads, by argparse dest, with their values; `reads` maps each mode to its defaults.
 
     In the order the options first appear in `reads`: an option given (not None) that the mode does not read
-    is refused, then one it needs (default REQUIRED) that is left out; each other one left out takes its default."""
+    is refused, then one it needs (default REQUIRED) that is left out; each other one left out takes its default.
+    """
     own = reads[mode]
     for dest in dict.fromkeys(dest for options in reads.values() for dest in options):
         if dest not in own and getattr(args, dest) is not None:

@@ -328,7 +328,7 @@ _MODE_OPTIONS = {**{scan: {"max_vertices": 4} for scan in _SCANS},
 
 
 def _search_options(p) -> None:
-    p.add_argument("mode", choices=[*_SCANS, "probe"])
+    p.add_argument("mode", choices=list(_MODE_OPTIONS))
     # each option left out is None here, and its mode's default in `_cmd_search`
     p.add_argument("--max-vertices", type=int)
     p.add_argument("--problem", choices=list(PROBLEMS))
