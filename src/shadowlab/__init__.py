@@ -32,7 +32,7 @@ _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names.spli
 __all__ = list(_HOME)
 __version__ = "0.1.0"
 
-for _layer in (*_EXPORTS, "record", "constructions", "formats"):
+for _layer in (*_EXPORTS, "constructions", "formats"):
     _spec = find_spec(f"{__name__}.{_layer}")
     _spec.loader = LazyLoader(_spec.loader)
     sys.modules[_spec.name] = _module = module_from_spec(_spec)

@@ -15,8 +15,7 @@ import math
 from . import formats, numkit
 from .errors import ValidationError, check_cap
 from .hypergraph import VERTEX_CAP, ColoredHypergraph, _edges, _facets, _form, _members
-from .record import Record
-from .reports import BoundReport, lower_report, upper_report
+from .reports import BoundReport, Record, lower_report, upper_report
 
 TRACE_TOL = 1e-6  # relative float slack of the spectral trace checks, scaled by each identity's magnitude
 

@@ -1,11 +1,11 @@
-"""Command-line surface: the command table, the input digest, the run and the report's text.
+"""Command-line surface: the command table, the input digest, the run, and the report's shape, JSON and text.
 
 Exit codes: 0 success, 2 usage error, 3 invalid input, 4 capacity exceeded,
 5 proven-bound violation (a bug or a genuine counterexample, labeled loudly).
 Conjecture exceedances never affect the exit status.
 
-This module holds only what every command runs, and imports only `errors`,
-`record` and `reports`.  A command's handler `_cmd_<name>` and options
+This module holds only what every command runs, and imports only `errors`
+and `reports`.  A command's handler `_cmd_<name>` and options
 `_<name>_options` are in the layer it drives, named in `_COMMANDS`, and are
 read only when that command parses.  So a command compiles only the layers it
 runs: `kk` never loads `problems`, `qkk` neither it nor `hypergraph`, and
@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import os
 import sys
 from fractions import Fraction
 
 from .errors import BoundViolationError, CapacityError, ValidationError
-from .reports import VIOLATED, VIOLATION_EXIT, BoundReport, dumps_canonical, exit_status, verdict
+from .reports import VIOLATED, VIOLATION_EXIT, BoundReport, exit_status, verdict
 
 try:
     from _sha2 import sha256  # Python 3.12+
@@ -68,11 +69,39 @@ def _bound_obj(r: BoundReport) -> dict:
     return {**{name: getattr(r, name) for name in r._fields}, "extra": dict(r.extra)}
 
 
+def _real(x: float) -> str:
+    """A real as both renderings of a report write it: 12 significant digits."""
+    return format(x, ".12g")
+
+
+def canonical(value: object) -> object:
+    """Map a report tree onto JSON-stable types: numbers become strings."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, float):
+        return _real(value)
+    if isinstance(value, dict):
+        return {str(k): canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [canonical(v) for v in value]
+    raise TypeError(f"cannot canonicalize {type(value).__name__}")
+
+
+def dumps_canonical(obj: object) -> str:
+    """The report as canonical JSON: exact values as decimal strings, so JSON consumers never truncate them at
+    53 bits, and keys sorted, so a parsed-and-reserialized report is byte-identical."""
+    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
+
+
 def _render_value(v) -> str:
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, float):
-        return format(v, ".12g")
+        return _real(v)
     if isinstance(v, (list, tuple)):
         if v and all(isinstance(x, (list, tuple)) for x in v):  # a set of vectors, in the --set syntax
             return ";".join(",".join(map(_render_value, x)) for x in v)

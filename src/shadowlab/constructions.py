@@ -19,7 +19,7 @@ from . import formats
 from . import problems as pb
 from .errors import REQUIRED, BoundViolationError, CapacityError, ValidationError, check_cap, mode_options
 from .hypergraph import VERTEX_CAP, ColoredHypergraph, SetFamily, _dump, hypergraph_to_obj, set_family_to_obj
-from .record import Record
+from .reports import Record
 
 PLAIN = "plain"
 

@@ -29,8 +29,7 @@ from itertools import combinations, combinations_with_replacement, product
 from . import formats, hypergraph as hg, qlinalg as ql
 from .errors import REQUIRED, BoundViolationError, ValidationError, check_cap, mode_options, parse_ints
 from .numkit import _c_vector, product_falling, shadow_bound
-from .record import Record
-from .reports import BoundReport, _shadow_check, lower_report
+from .reports import BoundReport, Record, _shadow_check, lower_report
 
 SYSTEM_UNIVERSE_CAP = 2**16  # elements of the repeats universe; qlinalg.FIELD_CAP bounds the qlinear one
 # measured 0.6-0.9 µs a good d-multiset for repeats, 0.6-4 µs for qlinear (the span of each good (d-1)-multiset)

@@ -20,8 +20,7 @@ from operator import lt
 
 from . import formats, numkit
 from .errors import ValidationError, check_cap
-from .record import Record
-from .reports import BoundReport, ValidationReport, _shadow_check, lower_report
+from .reports import BoundReport, Record, ValidationReport, _shadow_check, lower_report
 
 VERTEX_CAP = 64
 _set = object.__setattr__  # fills a record's field; one lookup fewer in the hot constructors

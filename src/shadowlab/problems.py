@@ -22,8 +22,7 @@ from itertools import combinations
 from . import formats
 from .errors import ValidationError, check_cap, mode_options
 from .hypergraph import VERTEX_CAP, ColoredHypergraph, Form, _edges, _facets, _form, _members
-from .record import Record
-from .reports import BoundReport, upper_report
+from .reports import BoundReport, Record, upper_report
 
 
 def _count(pairs: Iterable[tuple[int, int]]) -> int:

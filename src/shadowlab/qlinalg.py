@@ -18,8 +18,7 @@ from operator import itemgetter, lt
 from . import formats
 from .errors import CapacityError, ValidationError, check_cap
 from .numkit import _member_bound, gaussian_binom
-from .record import Record
-from .reports import BoundReport, _shadow_check, lower_report
+from .reports import BoundReport, Record, _shadow_check, lower_report
 
 FIELD_CAP = 2**16  # q and q^n of a field whose points or subspaces are built
 SHAPE_CAP, ENTRY_CAP = 10**6, 2 * 10**7  # the shadow's: hyperplanes of a member, entries of all hyperplanes

@@ -1,5 +1,6 @@
-"""Bound reports: one computed quantity compared against one bound value.
+"""Result records and bound reports: the value base of every layer, and the one verdict rule.
 
+A bound report compares one computed quantity against one bound value.
 Counts stay exact (int or Fraction); the float side only appears at the
 reporting boundary.  When both sides are exact the comparison is exact; a
 caller that decided its bound itself (an irrational bound exactly, or a
@@ -7,21 +8,82 @@ float identity at its own tolerance) passes its verdict as `holds`;
 otherwise the absolute tolerance DEFAULT_TOL applies.  An exact bound beyond
 the float range displays as inf, and its ratio comes from the exact quotient.
 
-A command's report is written as canonical JSON (`dumps_canonical`): exact
-values are serialized as decimal strings so JSON consumers never truncate them
-at 53 bits; reals are fixed at 12 significant digits, which makes
-serialization canonical and byte-stable under round-trips.
+This module imports no other layer; every layer takes `Record` from here.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from numbers import Rational
 
-from .record import Record
+
+class Record:
+    """Immutable value record: the base class of every result and value type.
+
+    A record's fields are the annotations of its class, in MRO order, and a
+    field's default is the class attribute of the same name.  A record is
+    built from its fields positionally or by keyword; it equals a record of
+    the same class with equal fields, hashes like the tuple of its fields,
+    prints as `Class(field=value, ...)`, and refuses assignment and deletion.
+    No code is generated per class, so defining a record costs about what
+    defining a class costs.  A class built in a loop declares `__slots__` and
+    writes its own `__init__`, which sets each field with `object.__setattr__`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields: list[str] = []
+        for klass in reversed(cls.__mro__):
+            fields += [f for f in vars(klass).get("__annotations__", ()) if f not in fields]
+        cls._fields = tuple(fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        if len(args) > len(self._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(self._fields)} arguments, got {len(args)}")
+        values = dict(zip(self._fields, args))
+        for name, value in kwargs.items():
+            if name not in self._fields or name in values:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
+            values[name] = value
+        for name in self._fields:
+            if name not in values and not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+            object.__setattr__(self, name, values[name] if name in values else getattr(cls, name))
+        self._post_init()
+
+    def _post_init(self) -> None:
+        """Check or normalize the fields once they are set (nothing by default)."""
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through __init__; their default restores slots by setattr
+        return type(self), self._key()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
 
 DEFAULT_TOL = 1e-9
 
@@ -137,27 +199,6 @@ def lower_report(
 def _shadow_check(rep: BoundReport, **first) -> tuple[dict, list[BoundReport], list[str]]:
     """The result of a shadow bound command (kk, qkk, gkk): `first`, then t, the shadow size and the bound."""
     return {**first, "t": rep.extra["t"], "shadow_size": rep.computed, "bound": rep.bound}, [rep], []
-
-
-def canonical(value: object) -> object:
-    """Map a report tree onto JSON-stable types: numbers become strings."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    if isinstance(value, dict):
-        return {str(k): canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [canonical(v) for v in value]
-    raise TypeError(f"cannot canonicalize {type(value).__name__}")
-
-
-def dumps_canonical(obj: object) -> str:
-    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
 
 
 class ValidationReport(Record):

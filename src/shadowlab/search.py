@@ -32,7 +32,7 @@ from operator import add, and_, itemgetter, not_, or_
 from .errors import BoundViolationError, ValidationError, check_cap, mode_options
 from .hypergraph import VERTEX_CAP, ColoredHypergraph, _dump, hypergraph_to_obj
 from .problems import PROBLEMS, RGB, Problem, get_problem
-from .record import Record
+from .reports import Record
 
 # states certified a second, measured on a 2-vCPU Xeon: rainbow 1.4e8 at n = 5 (7.4 ms) and 5.8e8 at
 # n = 6 (1.9 s, 971 of its 16,384 outer states); mixed 2.2e8 at n = 5 (4.7 ms).  Mixed n = 6 is 3.4e10

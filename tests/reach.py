@@ -37,11 +37,14 @@ def _trace(frame, event, arg):  # lines are traced only in the frames of src/sha
 
 
 def _golden() -> tuple[list[str], dict]:
-    """CASES and INPUTS of the golden test, evaluated without importing it (it imports pytest)."""
+    """CASES and INPUTS of the golden test, evaluated with its own imports but without importing it (it imports
+    pytest and the tests' conftest), so a case may name what the test module imports, such as `cli._COMMANDS`."""
     tree = ast.parse((ROOT / "tests" / "test_cli_golden.py").read_text(encoding="utf-8"))
     keep = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_graph"
-            or isinstance(node, ast.Assign) and node.targets[0].id in ("_FLATS", "INPUTS", "CASES")]
-    space = {"combinations": __import__("itertools").combinations}
+            or isinstance(node, ast.Assign) and node.targets[0].id in ("_FLATS", "INPUTS", "CASES")
+            or isinstance(node, ast.Import) and not {alias.name for alias in node.names} & {"pytest", "conftest"}
+            or isinstance(node, ast.ImportFrom) and node.module not in ("pytest", "conftest")]
+    space: dict = {}
     exec(compile(ast.Module(keep, []), "test_cli_golden.py", "exec"), space)
     return space["CASES"], space["INPUTS"]
 
@@ -54,12 +57,12 @@ def _codes(code):
 
 
 def main() -> None:
-    cases, inputs = _golden()
     blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S | re.M)
     sys.path.insert(0, str(SRC.parent))
     cwd = os.getcwd()
-    sys.settrace(_trace)
+    sys.settrace(_trace)  # before the golden test's imports run, so the lines they run count as reached
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()), tempfile.TemporaryDirectory() as tmp:
+        cases, inputs = _golden()
         from shadowlab import cli
         os.chdir(tmp)
         try:

@@ -14,13 +14,14 @@ import pytest
 
 from conftest import fig1_k4
 from shadowlab import cli, search
+from shadowlab.cli import dumps_canonical
 from shadowlab.errors import ValidationError
 from shadowlab.entropy import distribution_from_obj
 from shadowlab.formats import hypergraph_from_obj, hypergraph_from_text
 from shadowlab.hypergraph import SetFamily, hypergraph_to_obj, set_family_from_obj, set_family_to_obj
 from shadowlab.problems import RGB
 from shadowlab.qlinalg import enumerate_subspaces, subspace_family_from_obj
-from shadowlab.reports import dumps_canonical, upper_report
+from shadowlab.reports import upper_report
 
 
 class TestHypergraphJson:
@@ -126,6 +127,20 @@ class TestCanonicalJson:
         rep = upper_report("x", 10**400, Fraction(2 * 10**400), "s")
         assert rep.satisfied
         assert dumps_canonical({"bound": rep.bound, "ratio": rep.ratio}) == '{"bound":"inf","ratio":"0.5"}'
+
+    def test_one_rule_for_reals(self):
+        """A float prints with the same 12 significant digits in the text report and in its JSON."""
+        rep = upper_report("t", 1 / 7, Fraction(1, 6), "s")
+        report = {"command": ["kk"], "input_digest": "sha256:0", "notes": [], "status": 0,
+                  "quantities": {"t": 1 / 7, "size": 2**70, "ratio": Fraction(2, 3), "members": [(1, 0), (0, 1)]},
+                  "bounds": [cli._bound_obj(rep)]}
+        text = cli._render_text(report).splitlines()
+        assert text[2:6] == ["t       = 0.142857142857", f"size    = {2**70}", "ratio   = 2/3", "members = 1,0;0,1"]
+        assert text[6] == "check: t = 0.142857142857 <= 0.166666666667  [s]  ok"
+        obj = json.loads(dumps_canonical(report))
+        assert obj["quantities"] == {"t": "0.142857142857", "size": str(2**70), "ratio": "2/3",
+                                     "members": [["1", "0"], ["0", "1"]]}
+        assert (obj["bounds"][0]["computed"], obj["bounds"][0]["bound"]) == ("0.142857142857", "0.166666666667")
 
 
 class TestCli:

@@ -210,8 +210,7 @@ CASES = [
     "qkk --family",
     # the help of the program and of each command, wrapped at COLUMNS too
     "--help",
-    *(f"{name} --help" for name in ("validate", "count", "kappa", "shadow", "kk", "qkk", "entropy", "forbidding",
-                                    "construct", "search", "weighted", "partial-shadow")),
+    *(f"{name} --help" for name, _, _ in cli._COMMANDS),
 ]
 
 

@@ -8,6 +8,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -81,14 +82,15 @@ def _child(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
 
 
 # the parser, the digest, the report's writer and the exit rule: all that `import shadowlab.cli` runs
-BASE_LAYERS = {"cli", "errors", "record", "reports"}
+BASE_LAYERS = {"cli", "errors", "reports"}
 READ_LAYERS = BASE_LAYERS | {"formats"}  # the file readers
 GRAPH_LAYERS = READ_LAYERS | {"hypergraph"}  # a graph or a set family, read from a file
 # the graph counts and the ratio-problem registry, with no file read; the set-family commands never load them
 PROBLEM_LAYERS = BASE_LAYERS | {"hypergraph", "problems"}
 
 
-@pytest.mark.parametrize("command, layers", [
+# each command with the layers it compiles
+LOADS = [
     ("kk --family fam.json", GRAPH_LAYERS | {"numkit"}),
     ("entropy --key --family fam.json", GRAPH_LAYERS | {"entropy"}),
     ("qkk --family sub.json", READ_LAYERS | {"numkit", "qlinalg"}),
@@ -115,7 +117,10 @@ PROBLEM_LAYERS = BASE_LAYERS | {"hypergraph", "problems"}
     ("construct complete-family --m 4 --d 2 --out family.json", BASE_LAYERS | {"constructions", "hypergraph"}),
     ("search rainbow-triangle --max-vertices 4 --out witness.json", PROBLEM_LAYERS | {"search"}),
     ("search mixed4 --max-vertices 4 --out witness.json", PROBLEM_LAYERS | {"search"}),
-])
+]
+
+
+@pytest.mark.parametrize("command, layers", LOADS)
 def test_command_loads_only_the_layers_it_runs(tmp_path, command, layers):
     """The layers a command compiles; the empty command only imports `shadowlab.cli`."""
     _inputs(tmp_path)
@@ -126,6 +131,24 @@ def test_command_loads_only_the_layers_it_runs(tmp_path, command, layers):
     out = _child([sys.executable, "-c", code, *argv], tmp_path)
     assert out.returncode == 0, out.stderr
     assert {name.split(".", 1)[1] for name in json.loads(out.stdout.splitlines()[-1])} == layers
+
+
+def test_readme_start_up_counts_the_lines_each_command_compiles():
+    """README's "Start-up" counts of compiled source lines are the `wc -l` sums of the module files, the
+    package's `__init__` included, that `search` and `kk` load by LOADS."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    found = re.search(r"A `search` job compiles ([\d,]+) source lines of `shadowlab` in (\d+) modules\s+"
+                      r"\([^)]*\), `kk` ([\d,]+) \(", readme)
+    assert found, "README's Start-up paragraph no longer states the counts"
+    search_lines, modules, kk_lines = found.groups()
+    loads = dict(LOADS)
+
+    def compiled(layers: set[str]) -> tuple[int, int]:
+        files = [ROOT / "src" / "shadowlab" / f"{name}.py" for name in {"__init__", *layers}]
+        return sum(path.read_text(encoding="utf-8").count("\n") for path in files), len(files)
+
+    assert compiled(loads["search probe --trials 5"]) == (int(search_lines.replace(",", "")), int(modules))
+    assert compiled(loads["kk --family fam.json"])[0] == int(kk_lines.replace(",", ""))
 
 
 def test_bench_reference_imports_nothing_of_shadowlab(tmp_path):
