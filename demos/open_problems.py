@@ -5,7 +5,7 @@ reports keep the two separate, and random probes only ever tighten the
 evidence, never settle anything.
 """
 
-from shadowlab import PROBLEMS, ColoredHypergraph, spectral_trace_check, weighted_joint_sum
+from shadowlab import PROBLEMS, ColoredHypergraph, weighted_joint_sum
 from shadowlab.constructions import flats_example, tripartite_mixed
 from shadowlab.search import random_probe, search_mixed_4subsets
 
@@ -34,15 +34,12 @@ for b in PROBLEMS["covering_delta"].reports(ratio, delta=1):
     print(f"  {tag}: ratio <= {b.bound:g} [{b.source}] -> {b.satisfied}")
 print()
 
-print("== weighted cliques and the spectral identity ==")
+print("== weighted cliques ==")
 h = ColoredHypergraph.from_edges(
     4, [(p, "plain", w) for p, w in zip([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], [1, 4, 9, 1, 4, 1])]
 )
 ws = weighted_joint_sum(h, 3)
-spec = spectral_trace_check(h)
-print(f"sum of w(triangle)^(3/2) = {ws.value:.6f} <= {ws.report.bound:.6f}")
-print(f"tr(M^2) = {spec.trace2:.1f} = 2N, tr(M^3) = {spec.trace3:.6f} = 6 * sum")
-print(f"tr(M^2)^3 >= tr(M^3)^2: {spec.trace2**3:.1f} >= {spec.trace3**2:.1f}\n")
+print(f"sum of w(triangle)^(3/2) = {ws.value:.6f} <= {ws.report.bound:.6f}\n")
 
 print("== seeded random probes ==")
 res = random_probe("good6", {"vertices": 8}, 2000, seed=7)

@@ -17,7 +17,7 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 _EXPORTS = {
     "entropy": "CoverSpec ExactDistribution check_cregular_corollary check_key_inequality "
                "check_lemma_disjoint_support check_shearer conditional_entropy entropy",
-    "checks": "check_partial_shadow_bound count_partial_shadow_targets spectral_trace_check weighted_joint_sum",
+    "checks": "check_partial_shadow_bound count_partial_shadow_targets weighted_joint_sum",
     "errors": "BoundViolationError CapacityError ValidationError",
     "forbidding": "ForbiddingSystem check_generalized_kk is_compatible qlinear_system repeats_system "
                   "verify_forbidding_axioms",

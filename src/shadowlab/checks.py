@@ -1,6 +1,6 @@
-"""The graph checks that no ratio problem reads: the partial shadow bound,
-the geometric-mean weighted clique sum and its spectral trace identities, with
-the `partial-shadow` and `weighted` commands.
+"""The graph checks that no ratio problem reads: the partial shadow bound and
+the geometric-mean weighted clique sum, with the `partial-shadow` and
+`weighted` commands.
 
 They read their edges through `hypergraph._edges` and count on the compact
 form of `hypergraph._form`, as every graph count does, but read nothing of the
@@ -16,8 +16,6 @@ from . import formats, numkit
 from .errors import ValidationError, check_cap
 from .hypergraph import VERTEX_CAP, ColoredHypergraph, _edges, _facets, _form, _members
 from .reports import BoundReport, Record, lower_report, upper_report
-
-TRACE_TOL = 1e-6  # relative float slack of the spectral trace checks, scaled by each identity's magnitude
 
 
 def count_partial_shadow_targets(h: ColoredHypergraph, r: int, k: int) -> int:
@@ -66,7 +64,6 @@ class WeightedSumReport(Record):
     terms: tuple[int, ...]  # nonzero facet-weight products, one per d-subset
     value: float
     report: BoundReport
-    weights: dict[tuple[int, ...], int]  # each facet's weight, 1 where the edge has none
 
 
 def weighted_joint_sum(h: ColoredHypergraph, d: int) -> WeightedSumReport:
@@ -101,74 +98,18 @@ def weighted_joint_sum(h: ColoredHypergraph, d: int) -> WeightedSumReport:
     report = upper_report("weighted clique sum", value, bound,
                           "geometric-mean weight bound ((d-1)!)^{1/(d-1)}/d * N^{d/(d-1)}",
                           extra={"total_weight": total})
-    return WeightedSumReport(d=d, total_weight=total, terms=tuple(terms), value=value, report=report, weights=table)
-
-
-class SpectralReport(Record):
-    trace2: float
-    trace3: float
-    total_weight: int
-    checks: tuple[BoundReport, ...]
-
-
-def spectral_trace_check(h: ColoredHypergraph, weighted: WeightedSumReport | None = None) -> SpectralReport:
-    """d=3 trace identities for M = entrywise sqrt of the weight matrix.
-
-    tr(M^2) = 2N, tr(M^3) = 6 * sum of w(triangle)^{3/2}, and
-    tr(M^2)^3 >= tr(M^3)^2.  Each identity holds to TRACE_TOL times its
-    right side (at least 1), the inequality to TRACE_TOL times tr(M^2)^3.
-    `weighted` is h's d = 3 weighted clique sum when the caller has it.
-    """
-    if weighted is None:
-        weighted = weighted_joint_sum(h, 3)
-    elif weighted.d != 3:
-        raise ValidationError(f"the spectral check takes the d = 3 weighted sum, got d = {weighted.d}")
-    table, total, terms = weighted.weights, weighted.total_weight, weighted.terms
-    try:
-        # M is symmetric with a zero diagonal: traces are sums over closed walks
-        adj: dict[int, dict[int, float]] = {v: {} for v in range(h.n)}
-        for (i, j), w in table.items():
-            adj[i][j] = adj[j][i] = math.sqrt(w)
-        # fsum rounds each sum once, so the traces do not depend on how the Python version sums floats
-        tr2 = math.fsum(x * x for row in adj.values() for x in row.values())
-        tr3 = math.fsum(
-            mij * mjk * adj[k].get(i, 0.0)
-            for i, row in adj.items()
-            for j, mij in row.items()
-            for k, mjk in adj[j].items()
-        )
-        sum_w32 = math.fsum(math.sqrt(p) for p in terms)
-        diff2, diff3, power = abs(tr2 - 2 * total), abs(tr3 - 6 * sum_w32), tr2**3 - tr3**2
-        tol2, tol3 = TRACE_TOL * max(1.0, 2 * total), TRACE_TOL * max(1.0, 6 * sum_w32)
-        power_tol = TRACE_TOL * max(1.0, tr2**3)
-    except OverflowError:
-        raise ValidationError("edge weights too large: a trace or tr(M^2)^3 overflows a float") from None
-    checks = (
-        upper_report("|tr(M^2) - 2N|", diff2, tol2, "trace identity 2N", holds=diff2 <= tol2),
-        upper_report("|tr(M^3) - 6 sum w^{3/2}|", diff3, tol3, "trace identity 6S", holds=diff3 <= tol3),
-        lower_report("tr(M^2)^3 - tr(M^3)^2", power, 0.0, "trace power inequality", holds=power >= -power_tol),
-    )
-    return SpectralReport(trace2=tr2, trace3=tr3, total_weight=total, checks=checks)
+    return WeightedSumReport(d=d, total_weight=total, terms=tuple(terms), value=value, report=report)
 
 
 def _weighted_options(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--d", type=int, default=3)
-    p.add_argument("--spectral", action="store_true")
 
 
 def _cmd_weighted(args) -> tuple[dict, list[BoundReport], list[str]]:
-    if args.spectral and args.d != 3:
-        raise ValidationError("--spectral applies only to d = 3")
-    h = formats.load_hypergraph(args.input)
-    rep = weighted_joint_sum(h, args.d)
-    bounds = [rep.report]
+    rep = weighted_joint_sum(formats.load_hypergraph(args.input), args.d)
     q = {"d": args.d, "total_weight": rep.total_weight, "sum": rep.value, "bound": rep.report.bound}
-    if args.spectral:
-        spec = spectral_trace_check(h, rep)
-        q.update(trace_m2=spec.trace2, trace_m3=spec.trace3)
-        bounds.extend(spec.checks)
-    return q, bounds, []
+    return q, [rep.report], []
 
 
 def _partial_shadow_options(p) -> None:

@@ -150,7 +150,6 @@ _COMMANDS = (
     ("validate", "check hypergraph invariants", "hypergraph"),
     ("count", "exact counts and ratio: good6/mixed4/covering", "problems"),
     ("kappa", "clique ratio T^{d-1}/(C_1...C_d) with bounds", "problems"),
-    ("shadow", "set-family shadow", "hypergraph"),
     ("kk", "shadow bound check for set families", "hypergraph"),
     ("qkk", "shadow bound check for subspace families", "qlinalg"),
     ("entropy", "entropy of exact distributions; shearer/key checks", "entropy"),
@@ -171,6 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_line, layer in _COMMANDS:
         # `count` takes no abbreviated options: `--d`, which the other commands take, would read as `--delta`
         sub.add_parser(name, help=help_line, command=name, layer=layer, allow_abbrev=name != "count")
+    # one usage line on every Python, where argparse wraps a long generated one differently from 3.13 on;
+    # set after the subparsers are added, since argparse builds their prog from the usage
+    parser.usage = "%(prog)s [-h] {" + ",".join(name for name, _, _ in _COMMANDS) + "} ..."
     return parser
 
 

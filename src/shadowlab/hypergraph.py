@@ -5,9 +5,9 @@ here is safe to call concurrently.  `_edges` is the one entry check of every
 graph count and `_form` the compact form it counts on; the counts are in
 `problems`, with the registry of the ratio problems, and in `checks`, which
 the set-family commands (`kk`, `entropy --key`, `forbidding gkk --family`)
-never compile.  The `validate`, `shadow` and `kk` commands, the set-family
-reader and the `--out` writers are here; `formats` and `numkit` compile only
-once a file is read or a shadow bounded.
+never compile.  The `validate` and `kk` commands, the set-family reader and
+the `--out` writers are here; `formats` and `numkit` compile only once a file
+is read or a shadow bounded.
 """
 
 from __future__ import annotations
@@ -201,14 +201,15 @@ def shadow(fam: SetFamily) -> SetFamily:
     return SetFamily(n=fam.n, d=fam.d - 1, sets=tuple(sorted(_shadow(fam))))
 
 
-def check_kruskal_katona(fam: SetFamily) -> BoundReport:
+def check_kruskal_katona(fam: SetFamily, counted: SetFamily | None = None) -> BoundReport:
     """|shadow| >= binom(t, d-1) where binom(t, d) = |family|, t real >= d.
 
-    The verdict is exact; t and the bound are for display.
+    The verdict is exact; t and the bound are for display.  `counted` is
+    `shadow(fam)` when the caller has it, so the shadow is counted once.
     """
     if len(fam) < 1:
         raise ValidationError("family must be nonempty")
-    shadow_size = len(_shadow(fam))
+    shadow_size = len(_shadow(fam) if counted is None else counted)
     holds, t, bound = numkit._member_bound(shadow_size, len(fam), range(1, fam.d + 1))
     return lower_report("shadow size", shadow_size, bound, "kruskal-katona (lovasz form)", holds=holds,
                         extra={"t": t, "family_size": len(fam)})
@@ -265,23 +266,15 @@ def _cmd_validate(args) -> tuple[dict, list[BoundReport], list[str]]:
     return {"vertices": h.n, "edges": len(h.edges), "valid": True}, [], []
 
 
-def _shadow_options(p) -> None:
+def _kk_options(p) -> None:
     p.add_argument("--family", required=True)
     p.add_argument("--out")
 
 
-def _cmd_shadow(args) -> tuple[dict, list[BoundReport], list[str]]:
-    fam = set_family_from_obj(formats.load_json(args.family))
-    sh = shadow(fam)
-    if args.out:
-        _dump(args.out, set_family_to_obj(sh))
-    return {"family_size": len(fam), "d": fam.d, "shadow_size": len(sh)}, [], []
-
-
-def _kk_options(p) -> None:
-    p.add_argument("--family", required=True)
-
-
 def _cmd_kk(args) -> tuple[dict, list[BoundReport], list[str]]:
     fam = set_family_from_obj(formats.load_json(args.family))
-    return _shadow_check(check_kruskal_katona(fam), family_size=len(fam), d=fam.d)
+    sh = shadow(fam) if args.out else None
+    report = check_kruskal_katona(fam, sh)  # an empty family is refused here, before the file is written
+    if args.out:
+        _dump(args.out, set_family_to_obj(sh))
+    return _shadow_check(report, family_size=len(fam), d=fam.d)

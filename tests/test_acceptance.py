@@ -45,7 +45,6 @@ from shadowlab.hypergraph import ColoredHypergraph, check_kruskal_katona
 from shadowlab.checks import (
     check_partial_shadow_bound,
     count_partial_shadow_targets,
-    spectral_trace_check,
     weighted_joint_sum,
 )
 from shadowlab.numkit import product_falling
@@ -229,19 +228,14 @@ def test_criterion_11_section5_examples():
     passed(11, "flats example gives 28/14 = ratio 2/7; tripartite ratios within caps; delta=0 matches rainbow counting")
 
 
-def test_criterion_12_weighted_bound_and_traces():
+def test_criterion_12_weighted_bound():
     rng = random.Random(1212)
     for _ in range(1000):
         d = rng.choice((3, 4))
         n = rng.randint(d, 7)
         h = random_weighted_complete(rng, n, d, wmax=9)
-        rep = weighted_joint_sum(h, d)
-        assert rep.report.satisfied
-        if d == 3:
-            spec = spectral_trace_check(h)
-            assert abs(spec.trace3 - 6 * rep.value) <= 1e-6
-            assert spec.trace2**3 >= spec.trace3**2 - 1e-6 * max(1.0, spec.trace2**3)
-    passed(12, "10^3 weighted instances obey the geometric-mean cap; d=3 traces match to 1e-6")
+        assert weighted_joint_sum(h, d).report.satisfied
+    passed(12, "10^3 weighted instances obey the geometric-mean cap")
 
 
 def test_criterion_13_entropy_identities():

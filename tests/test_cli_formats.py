@@ -12,13 +12,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import fig1_k4
+from conftest import fig1_k4, random_set_family
 from shadowlab import cli, search
 from shadowlab.cli import dumps_canonical
 from shadowlab.errors import ValidationError
 from shadowlab.entropy import distribution_from_obj
 from shadowlab.formats import hypergraph_from_obj, hypergraph_from_text
-from shadowlab.hypergraph import SetFamily, hypergraph_to_obj, set_family_from_obj, set_family_to_obj
+from shadowlab.hypergraph import SetFamily, hypergraph_to_obj, set_family_from_obj, set_family_to_obj, shadow
 from shadowlab.problems import RGB
 from shadowlab.qlinalg import enumerate_subspaces, subspace_family_from_obj
 from shadowlab.reports import upper_report
@@ -87,7 +87,7 @@ class TestFamilyJson:
         assert cli.run(["construct", "complete-family", "--m", str(m), "--d", str(d), "--out", str(out)])[1] == 0
         assert out.read_text() == json.dumps(lists)
         if d:
-            assert cli.run(["shadow", "--family", str(out), "--out", str(shadow_out)])[1] == 0
+            assert cli.run(["kk", "--family", str(out), "--out", str(shadow_out)])[1] == 0
             shadow = {"n": m, "d": d - 1, "sets": [list(s) for s in combinations(range(m), d - 1)]}
             assert shadow_out.read_text() == json.dumps(shadow)
 
@@ -232,8 +232,7 @@ class TestCli:
         "validate": ([], ["--input"]),
         "count": (["{good6,mixed4,covering}"], ["--input", "--delta"]),
         "kappa": ([], ["--input", "--d", "--colors"]),
-        "shadow": ([], ["--family", "--out"]),
-        "kk": ([], ["--family"]),
+        "kk": ([], ["--family", "--out"]),
         "qkk": ([], ["--family"]),
         "entropy": ([], ["--dist", "--coords", "--shearer", "--k", "--key", "--family"]),
         "forbidding": (["{verify,compatible,sd,gkk}"],
@@ -242,7 +241,7 @@ class TestCli:
                        "complete-family}"], ["--n", "--a", "--b", "--c", "--d", "--m", "--input", "--out"]),
         "search": (["{rainbow-triangle,mixed4,probe}"],
                    ["--max-vertices", "--problem", "--vertices", "--trials", "--d", "--delta", "--out", "--seed"]),
-        "weighted": ([], ["--input", "--d", "--spectral"]),
+        "weighted": ([], ["--input", "--d"]),
         "partial-shadow": ([], ["--input", "--r", "--k"]),
     }
 
@@ -265,6 +264,14 @@ class TestCli:
         commands = self._help(["--help"], capsys, monkeypatch)["positional arguments"]
         assert [line.split()[0] for line in commands if line.startswith("    ") and line[4] != " "] == list(self.HELP)
 
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    def test_program_usage_is_one_line(self, monkeypatch, columns):
+        # argparse lays a generated usage out differently from Python 3.13 on; the given one it prints as is
+        monkeypatch.setenv("COLUMNS", columns)
+        assert cli.build_parser().format_usage() == (
+            "usage: shadowlab [-h] {validate,count,kappa,kk,qkk,entropy,forbidding,construct,search,weighted,"
+            "partial-shadow} ...\n")
+
     def test_unknown_command_names_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -281,34 +288,6 @@ class TestCli:
         listed = [word.rstrip(",") for line in sections["options"] if line.startswith("  -")
                   for word in line.split("  ")[1].split() if word.startswith("-")]
         assert listed == ["-h", "--help", *options, "--json"]
-
-    def test_weighted_spectral(self, tmp_path):
-        g = str(tmp_path / "w.json")
-        with open(g, "w") as fh:
-            json.dump(
-                {
-                    "vertices": 4,
-                    "edges": [
-                        {"v": [a, b], "color": "plain", "weight": 1}
-                        for a in range(4)
-                        for b in range(a + 1, 4)
-                    ],
-                },
-                fh,
-            )
-        report = self.run_ok(["weighted", "--input", g, "--d", "3", "--spectral"])
-        assert report["quantities"]["sum"] == pytest.approx(4.0)
-        assert report["quantities"]["trace_m2"] == pytest.approx(12.0)
-
-    def test_weighted_spectral_large_weights(self, tmp_path, capsys):
-        # K12 with weights near 10^15: an absolute 10^-6 slack on the trace identities called this a violation
-        g = tmp_path / "w.json"
-        g.write_text(json.dumps({"vertices": 12, "edges": [
-            {"v": [i, j], "color": "plain", "weight": 10**15 + 7 * i + j}
-            for i, j in combinations(range(12), 2)
-        ]}))
-        assert cli.main(["weighted", "--input", str(g), "--spectral"]) == 0
-        assert "VIOLATED" not in capsys.readouterr().out
 
     def test_partial_shadow_command(self, tmp_path):
         g = str(tmp_path / "star.txt")
@@ -539,16 +518,28 @@ class TestCli:
         assert out.returncode == 0
         assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
 
-    def test_shadow_out(self, tmp_path):
+    def test_kk_out(self, tmp_path):
         fam = str(tmp_path / "fam.json")
         out = str(tmp_path / "sh.json")
         with open(fam, "w") as fh:
             json.dump({"n": 3, "d": 3, "sets": [[0, 1, 2]]}, fh)
-        report = self.run_ok(["shadow", "--family", fam, "--out", out])
+        report = self.run_ok(["kk", "--family", fam, "--out", out])
         assert report["quantities"]["shadow_size"] == 3
         with open(out) as fh:
             written = set_family_from_obj(json.load(fh))
         assert len(written) == 3
+
+    def test_kk_out_writes_the_shadow_of_the_library(self, tmp_path):
+        # the file is `shadow(fam)` as its family file, from the one shadow that kk also counts
+        rng = random.Random(46)
+        fam_path, out = tmp_path / "fam.json", tmp_path / "sh.json"
+        for _ in range(20):
+            n = rng.randint(2, 8)
+            fam = random_set_family(rng, n, rng.randint(1, n), 12)
+            fam_path.write_text(json.dumps({"n": fam.n, "d": fam.d, "sets": [list(reversed(s)) for s in fam.sets]}))
+            report = self.run_ok(["kk", "--family", str(fam_path), "--out", str(out)])
+            assert out.read_text() == json.dumps(set_family_to_obj(shadow(fam)))
+            assert report["quantities"]["shadow_size"] == len(shadow(fam))
 
 
 @pytest.mark.parametrize("vertices, edges, code", [
@@ -572,7 +563,6 @@ def _weighted_graph(n, weights):
 OVERSIZED = {
     "huge.json": _weighted_graph(3, [([0, 1], 10**400)]),
     "triangle.json": _weighted_graph(3, [([0, 1], 10**103), ([0, 2], 10**103), ([1, 2], 10**103)]),
-    "path.json": _weighted_graph(3, [([0, 1], 10**110), ([1, 2], 10**110)]),
     "points.json": _weighted_graph(2, [([0], 10**200)]),
     "f.json": {"n": 3, "d": 2, "sets": [[1, 2]]},
     "wide.json": {"n": 15000, "d": 15000, "sets": [list(range(15000))]},
@@ -605,13 +595,10 @@ CHILD = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2
     ("construct matching --d 2001", 4, "vertex count = 2002 exceeds cap 64"),
     # a cap's value too long to print: 2^15000 subset visits
     ("entropy --key --family wide.json", 4, "(members x 2^d) = a 15001-bit number exceeds cap 10000000"),
-    # weights whose float evaluation overflows: one weight, a triangle's product, N^2 at d = 2, tr(M^2)^3
+    # weights whose float evaluation overflows: one weight, a triangle's product, N^2 at d = 2
     ("weighted --input huge.json", 3, "edge weights too large"),
-    ("weighted --input huge.json --spectral", 3, "edge weights too large"),
     ("weighted --input triangle.json", 3, "a term or the bound N^{d/(d-1)} overflows a float"),
-    ("weighted --input triangle.json --spectral", 3, "edge weights too large"),
     ("weighted --input points.json --d 2", 3, "a term or the bound N^{d/(d-1)} overflows a float"),
-    ("weighted --input path.json --spectral", 3, "a trace or tr(M^2)^3 overflows a float"),
     # the q-analog shadow's work, refused before any row is combined: the 2^20 - 1 hyperplanes of
     # F_2^20, and 2^18 - 1 hyperplanes of one 18-space of F_2^100, 100 entries each
     ("qkk --family space20.json", 4, "hyperplanes of a member [d, 1]_q = 1048575 exceeds cap 1000000"),

@@ -141,8 +141,8 @@ GROWING = {
     "count mixed4": ("count mixed4 --input graph2_{}.json",),
     "count covering": ("count covering --input graph3_{}.json --delta 1",),
     "kappa": ("kappa --input graph2_{}.json --d 3",),
-    "shadow": ("shadow --family C7_3.json --out sh.json", "shadow --family C14_4.json --out sh.json"),
     "kk": ("kk --family C10_4.json", "kk --family C18_5.json"),
+    "kk --out": ("kk --family C7_3.json --out sh.json", "kk --family C14_4.json --out sh.json"),
     "qkk": ("qkk --family F2_4_2.json", "qkk --family F2_6_3.json"),
     "entropy key": ("entropy --key --family C7_3.json", "entropy --key --family C14_4.json"),
     "entropy dist": ("entropy --dist dist_{}.json",),
@@ -159,7 +159,7 @@ GROWING = {
     "search rainbow-triangle": ("search rainbow-triangle --max-vertices 3",
                                 "search rainbow-triangle --max-vertices 5"),
     "search mixed4": ("search mixed4 --max-vertices 4", "search mixed4 --max-vertices 5"),
-    "weighted": ("weighted --input weighted_{}.json --d 3 --spectral",),
+    "weighted": ("weighted --input weighted_{}.json --d 3",),
     "partial-shadow": ("partial-shadow --input graph2_{}.json --r 3 --k 1",),
 }
 

@@ -63,9 +63,10 @@ INPUTS = {
     "cover.txt": "red 0 1 2\ngreen 0 1 3\nblue 0 2 3\nred 1 2 3\n",
     "star.txt": "plain 0 1\nplain 0 2\nplain 0 3\n",
     "w.json": _graph(4, [(p, "plain", 1 + i) for i, p in enumerate(combinations(range(4), 2))]),
-    # weights near 10^15: the trace identities hold to the last float digit, not to 10^-6 absolute
+    # weights near 10^15: the terms and N^{3/2} are floats far past 2^53
     "huge.json": _graph(12, [((i, j), "plain", 10**15 + 7 * i + j) for i, j in combinations(range(12), 2)]),
     "fam.json": {"n": 5, "d": 3, "sets": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [0, 1, 4]]},
+    "empty.json": {"n": 5, "d": 3, "sets": []},
     "subs.json": {"q": 2, "n": 3, "d": 2, "members": [[[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]]]},
     # malformed family files, each with more than one bad entry where the first one named matters
     "fam-true.json": {"n": 5, "d": 3, "sets": [[0, 1, 2], [0, 1, True], [0, 1, "2"]]},
@@ -109,9 +110,10 @@ CASES = [
     "count good6 --input missing.json --delta 1",  # refused before the file is read
     "kappa --input k4.json --d 3",
     "kappa --input k4.json --d 3 --colors red,green,yellow",
-    "shadow --family fam.json --out shadow-out.json",
-    "shadow --family fam.json --out ./fam.json",  # refused: the output would overwrite its input
     "kk --family fam.json",
+    "kk --family fam.json --out shadow-out.json",
+    "kk --family fam.json --out ./fam.json",  # refused: the output would overwrite its input
+    "kk --family empty.json --out e.json",  # refused: e.json unwritten
     "qkk --family subs.json",
     "kk --family fam-true.json",
     "kk --family fam-string.json",
@@ -121,7 +123,7 @@ CASES = [
     "kk --family fam-size.json",
     "kk --family fam-dup.json",
     "kk --family fam-unsorted.json",
-    "shadow --family fam-unsorted.json --out shadow-unsorted.json",
+    "kk --family fam-unsorted.json --out shadow-unsorted.json",
     "qkk --family subs-float.json",
     "qkk --family subs-short.json",
     "qkk --family subs-echelon.json",
@@ -201,9 +203,8 @@ CASES = [
     # C(45, 6) x 45 literals: refused before any draw
     "search probe --problem good6 --vertices 45 --trials 1",
     "weighted --input w.json",
-    "weighted --input w.json --spectral",
-    "weighted --input huge.json --spectral",
-    "weighted --input missing.json --spectral --d 4",  # refused before the file is read
+    "weighted --input w.json --spectral",  # a usage error: weighted takes no --spectral
+    "weighted --input huge.json",
     "partial-shadow --input star.txt --r 3 --k 1",
     # usage errors, whose message argparse wraps at COLUMNS
     "kk",

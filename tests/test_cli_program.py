@@ -33,19 +33,20 @@ MARKER = "atexit marker"
 MARKER_CHILD = (f"import atexit, runpy; atexit.register(print, {MARKER!r}); "
                 "runpy.run_module('shadowlab.cli', run_name='__main__')")
 
-# one golden case per command, (command, --json); exit 3 and 4 end in a message and no report
+# one golden case per command, and `kk` with its shadow file, (command, --json); exit 3 and 4 end in a
+# message and no report
 PROGRAM_CASES = [
     ("validate --input bad.json", False),  # exit 3
     ("count good6 --input flats.txt", True),
     ("kappa --input k4.json --d 3", False),
-    ("shadow --family fam.json --out shadow-out.json", True),
     ("kk --family fam.json", False),
+    ("kk --family fam.json --out shadow-out.json", True),
     ("qkk --family subs-float.json", True),  # exit 3
     ("entropy --dist dist.json --shearer 0,1;1,2;0,2 --k 2", False),
     ("forbidding gkk --system repeats --universe-size 5 --d 3 --family fam.json", True),
     ("construct k4-blowup --n 17", False),  # exit 4
     ("search probe --problem rainbow_d --vertices 13 --trials 40 --seed 5 --out p11.json", True),
-    ("weighted --input w.json --spectral", False),
+    ("weighted --input w.json", False),
     ("partial-shadow --input star.txt --r 3 --k 1", True),
 ]
 # a report (exit 0), invalid input (exit 3) and a capacity refusal (exit 4)
@@ -95,7 +96,7 @@ def test_program_bytes_match_golden(golden, workdir, command, json_mode):
 
 def test_block_buffered_report_is_whole(golden, workdir):
     # stdout to a regular file is block-buffered: nothing reaches the file unless the program flushes
-    argv = ["weighted", "--input", "huge.json", "--spectral", "--json"]
+    argv = ["weighted", "--input", "huge.json", "--json"]
     with open("report.json", "wb") as fh:
         done = subprocess.run([sys.executable, "-m", "shadowlab.cli", *argv], env=ENV, stdout=fh,
                               stderr=subprocess.PIPE, timeout=60)

@@ -24,12 +24,10 @@ from conftest import (
 )
 from shadowlab import checks, hypergraph, problems
 from shadowlab.errors import CapacityError, ValidationError
-from shadowlab.reports import exit_status
 from shadowlab.hypergraph import ColoredHypergraph, SetFamily, check_kruskal_katona, shadow, validate
 from shadowlab.checks import (
     check_partial_shadow_bound,
     count_partial_shadow_targets,
-    spectral_trace_check,
     weighted_joint_sum,
 )
 from shadowlab.problems import PROBLEMS, rainbow_cliques
@@ -521,52 +519,6 @@ class TestWeightedJointSum:
             weighted_joint_sum(ColoredHypergraph.from_edges(64, edges), 5)
 
 
-class TestSpectralTrace:
-    def test_k4_unit(self):
-        h = ColoredHypergraph.from_edges(4, [(p, "plain", 1) for p in combinations(range(4), 2)])
-        rep = spectral_trace_check(h)
-        assert rep.trace2 == pytest.approx(12.0, abs=1e-9)
-        assert rep.trace3 == pytest.approx(24.0, abs=1e-9)
-        assert exit_status(rep.checks) == 0
-        assert 12.0**3 >= 24.0**2
-
-    def test_zero_graph(self):
-        h = ColoredHypergraph.from_edges(4, [])
-        rep = spectral_trace_check(h)
-        assert rep.trace2 == 0.0
-        assert rep.trace3 == 0.0
-        assert exit_status(rep.checks) == 0
-
-    def test_random_instances_match_combinatorial_sum(self):
-        rng = random.Random(55)
-        for _ in range(100):
-            h = random_weighted_complete(rng, 6, 3, wmax=9)
-            rep = spectral_trace_check(h)
-            ws = weighted_joint_sum(h, 3)
-            assert rep.trace3 == pytest.approx(6 * ws.value, abs=1e-6)
-            assert rep.trace2**3 >= rep.trace3**2 - 1e-6 * max(1.0, rep.trace2**3)
-            assert exit_status(rep.checks) == 0
-            assert spectral_trace_check(h, ws) == rep
-
-    def test_given_weighted_sum_must_be_d3(self):
-        h = ColoredHypergraph.from_edges(4, [((i, j), "plain", 2) for i, j in combinations(range(4), 2)])
-        points = ColoredHypergraph.from_edges(4, [((0,), "plain")])
-        with pytest.raises(ValidationError, match="d = 3 weighted sum, got d = 2"):
-            spectral_trace_check(h, weighted_joint_sum(points, 2))
-
-    def test_identities_scaled_by_their_magnitude(self):
-        # weights near 10^15: tr(M^3) misses 6S in float by far more than 10^-6, far less than 10^-6 of 6S
-        h = ColoredHypergraph.from_edges(12, [
-            ((i, j), "plain", (31 * i + 17 * j) % 97 * 10**13 + i * j + 1) for i, j in combinations(range(12), 2)
-        ])
-        rep = spectral_trace_check(h)
-        two_n, six_s = rep.checks[0], rep.checks[1]
-        assert six_s.computed > 1.0
-        assert two_n.bound == checks.TRACE_TOL * 2 * rep.total_weight
-        assert six_s.bound == pytest.approx(checks.TRACE_TOL * rep.trace3)
-        assert exit_status(rep.checks) == 0
-
-
 class TestCapacity:
     def test_vertex_cap(self):
         from shadowlab.errors import CapacityError
@@ -592,7 +544,7 @@ class TestCapacity:
         edges = [(e, "plain") for size in (2, 3) for e in combinations(range(64), size)]
         assert problem_count("mixed4", ColoredHypergraph.from_edges(64, edges)) == math.comb(64, 4)
 
-    # each count and the spectral check, with the edge size it reads and one size it refuses
+    # each count, with the edge size it reads and one size it refuses
     ENTRIES = {
         "rainbow": (lambda h: problem_count("rainbow_d", h, colors=RGB), 2, 3),
         "good6": (lambda h: problem_count("good6", h), 4, 3),
@@ -600,7 +552,6 @@ class TestCapacity:
         "covering": (lambda h: problem_count("covering_delta", h, delta=1), 3, 2),
         "partial": (lambda h: count_partial_shadow_targets(h, 3, 1), 2, 3),
         "weighted": (lambda h: weighted_joint_sum(h, 3), 2, 3),
-        "spectral": (spectral_trace_check, 2, 1),
     }
 
     @pytest.mark.parametrize("entry", ENTRIES)

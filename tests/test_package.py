@@ -26,8 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PUBLIC = {
     "entropy": ["CoverSpec", "ExactDistribution", "check_cregular_corollary", "check_key_inequality",
                 "check_lemma_disjoint_support", "check_shearer", "conditional_entropy", "entropy"],
-    "checks": ["check_partial_shadow_bound", "count_partial_shadow_targets", "spectral_trace_check",
-               "weighted_joint_sum"],
+    "checks": ["check_partial_shadow_bound", "count_partial_shadow_targets", "weighted_joint_sum"],
     "errors": ["BoundViolationError", "CapacityError", "ValidationError"],
     "forbidding": ["ForbiddingSystem", "check_generalized_kk", "is_compatible", "qlinear_system", "repeats_system",
                    "verify_forbidding_axioms"],
@@ -106,13 +105,13 @@ LOADS = [
     ("count covering --input graph.json", GRAPH_LAYERS | {"problems"}),
     ("construct k4-blowup --n 1", PROBLEM_LAYERS | {"constructions"}),
     ("", BASE_LAYERS),
-    ("shadow --family fam.json --out shadow.json", GRAPH_LAYERS),
+    ("kk --family fam.json --out shadow.json", GRAPH_LAYERS | {"numkit"}),
     ("entropy --dist dist.json", READ_LAYERS | {"entropy"}),
     ("entropy --dist dist.json --shearer 0;1", READ_LAYERS | {"entropy"}),
     ("forbidding sd --system repeats --universe-size 4 --d 2 --set 0,1,2", BASE_LAYERS | {"forbidding", "numkit"}),
     ("forbidding compatible --system repeats --universe-size 4 --d 2 --set 0,1,2",
      BASE_LAYERS | {"forbidding", "numkit"}),
-    ("weighted --input graph.json --spectral", GRAPH_LAYERS | {"checks"}),
+    ("weighted --input graph.json", GRAPH_LAYERS | {"checks"}),
     ("partial-shadow --input graph.json --r 3 --k 1", GRAPH_LAYERS | {"checks", "numkit"}),
     ("construct complete-family --m 4 --d 2 --out family.json", BASE_LAYERS | {"constructions", "hypergraph"}),
     ("search rainbow-triangle --max-vertices 4 --out witness.json", PROBLEM_LAYERS | {"search"}),

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from shadowlab.checks import SpectralReport, WeightedSumReport
+from shadowlab.checks import WeightedSumReport
 from shadowlab.constructions import Construction
 from shadowlab.entropy import CoverSpec, ExactDistribution, KeyInequalityReport
 from shadowlab.errors import ValidationError
@@ -61,13 +61,9 @@ CASES = [
     (ColoredHypergraph, (2, (EDGE,)), 0, (), f"ColoredHypergraph(n=2, edges=({EDGE_REPR},))", True,
      ("n", 3)),
     (SetFamily, (3, 2, ((0, 1),)), 0, (), "SetFamily(n=3, d=2, sets=((0, 1),))", True, ("d", 1)),
-    (WeightedSumReport, (3, 4, (2, 2), 1.5, REPORT, {(0, 1): 4}), 0, (),
-     f"WeightedSumReport(d=3, total_weight=4, terms=(2, 2), value=1.5, report={REPORT_REPR}, weights={{(0, 1): 4}})",
-     False,
+    (WeightedSumReport, (3, 4, (2, 2), 1.5, REPORT), 0, (),
+     f"WeightedSumReport(d=3, total_weight=4, terms=(2, 2), value=1.5, report={REPORT_REPR})", False,
      ("value", 2.5)),
-    (SpectralReport, (2.0, 0.0, 1, (REPORT,)), 0, (),
-     f"SpectralReport(trace2=2.0, trace3=0.0, total_weight=1, checks=({REPORT_REPR},))", False,
-     ("trace3", 6.0)),
     (Problem, ("p", "x / y", _form, _count, _exponents, ("J", ("N",)), _bounds, ("note",), _draws, _structures), 0,
      (), f"Problem(name='p', quantity='x / y', form={_form!r}, count={_count!r}, exponents={_exponents!r}, "
      f"names=('J', ('N',)), bounds={_bounds!r}, notes=('note',), draws={_draws!r}, structures={_structures!r})",
@@ -100,8 +96,7 @@ FIELDS = {
     Edge: ("verts", "color", "weight"),
     ColoredHypergraph: ("n", "edges"),
     SetFamily: ("n", "d", "sets"),
-    WeightedSumReport: ("d", "total_weight", "terms", "value", "report", "weights"),
-    SpectralReport: ("trace2", "trace3", "total_weight", "checks"),
+    WeightedSumReport: ("d", "total_weight", "terms", "value", "report"),
     Problem: ("name", "quantity", "form", "count", "exponents", "names", "bounds", "notes", "draws", "structures"),
     BoundReport: ("quantity", "computed", "bound", "ratio", "satisfied", "source", "kind", "conjecture",
                   "extra"),
@@ -120,7 +115,7 @@ IDS = [case[0].__name__ for case in CASES]
 
 
 def test_every_record_is_covered():
-    assert len(CASES) == len(FIELDS) == 16
+    assert len(CASES) == len(FIELDS) == 15
     assert {case[0] for case in CASES} == set(FIELDS)
 
 
