@@ -541,6 +541,55 @@ class TestCli:
             assert out.read_text() == json.dumps(set_family_to_obj(shadow(fam)))
             assert report["quantities"]["shadow_size"] == len(shadow(fam))
 
+    def test_kk_out_refuses_an_empty_family_and_writes_nothing(self, tmp_path, capsys):
+        fam, out = tmp_path / "fam.json", tmp_path / "sh.json"
+        fam.write_text(json.dumps({"n": 4, "d": 2, "sets": []}))
+        assert cli.main(["kk", "--family", str(fam), "--out", str(out)]) == 3
+        assert "family must be nonempty" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sets", [
+        [[0, 1], [0, 5]],  # out of range
+        [[0, 1], [2, 2]],  # a repeated element
+        [[0, 1], [0, 1, 2]],  # a member of the wrong size
+        [[0, 1], [1, 0]],  # the same member twice
+    ])
+    def test_kk_out_writes_nothing_for_a_refused_family(self, tmp_path, sets):
+        fam, out = tmp_path / "fam.json", tmp_path / "sh.json"
+        fam.write_text(json.dumps({"n": 4, "d": 2, "sets": sets}))
+        assert cli.main(["kk", "--family", str(fam), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["fam.json", "./fam.json", "sub/../fam.json", "link.json"])
+    def test_kk_out_refuses_to_overwrite_its_family(self, tmp_path, capsys, spelling):
+        fam = tmp_path / "fam.json"
+        text = json.dumps({"n": 3, "d": 2, "sets": [[0, 1], [1, 2]]})
+        fam.write_text(text)
+        (tmp_path / "link.json").symlink_to(fam)
+        assert cli.main(["kk", "--family", str(fam), "--out", str(tmp_path / spelling)]) == 3
+        assert "is an input file" in capsys.readouterr().err
+        assert fam.read_text() == text
+
+    @pytest.mark.parametrize("argv, message", [
+        (["shadow", "--family", "fam.json", "--out", "sh.json"], "invalid choice"),
+        (["weighted", "--input", "w.json", "--spectral"], "unrecognized arguments: --spectral"),
+    ])
+    def test_removed_command_and_option_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_weighted_large_weights(self, tmp_path, capsys):
+        # K12 with weights near 10^15: the terms and N^{3/2} are floats far past 2^53
+        g = tmp_path / "w.json"
+        g.write_text(json.dumps({"vertices": 12, "edges": [
+            {"v": [i, j], "color": "plain", "weight": 10**15 + 7 * i + j}
+            for i, j in combinations(range(12), 2)
+        ]}))
+        assert cli.main(["weighted", "--input", str(g)]) == 0
+        assert "VIOLATED" not in capsys.readouterr().out
+
 
 @pytest.mark.parametrize("vertices, edges, code", [
     # the vertex cap comes before the edge-size rule, whatever the edges' size

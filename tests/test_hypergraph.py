@@ -497,6 +497,26 @@ class TestWeightedJointSum:
             assert rep.terms == tuple(brute)
             assert rep.value == float(sum(p ** (1.0 / (d - 1)) for p in brute))
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_no_edges(self, d):
+        rep = weighted_joint_sum(ColoredHypergraph.from_edges(d + 1, []), d)
+        assert (rep.value, rep.total_weight, rep.terms) == (0.0, 0, ())
+        assert rep.report.satisfied
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_scaled_weights_scale_the_sum_and_the_bound_alike(self, d):
+        # each term is a product of d weights, so S and N^{d/(d-1)} are both of degree d/(d-1) in the weights
+        rng = random.Random(19 + d)
+        for _ in range(30):
+            h = random_weighted_complete(rng, rng.randint(d, 7), d, wmax=9)
+            c = rng.choice((2, 3, 10))
+            scaled = ColoredHypergraph.from_edges(h.n, [(e.verts, e.color, c * e.weight) for e in h.edges])
+            rep, big = weighted_joint_sum(h, d), weighted_joint_sum(scaled, d)
+            assert big.terms == tuple(c**d * t for t in rep.terms)
+            assert big.value == pytest.approx(c ** (d / (d - 1)) * rep.value, rel=1e-12)
+            assert big.report.bound == pytest.approx(c ** (d / (d - 1)) * rep.report.bound, rel=1e-12)
+            assert big.report.satisfied
+
     def test_negative_weight_rejected(self):
         h = ColoredHypergraph.from_edges(3, [((0, 1), "plain", -2)])
         with pytest.raises(ValidationError):
@@ -552,6 +572,8 @@ class TestCapacity:
         "covering": (lambda h: problem_count("covering_delta", h, delta=1), 3, 2),
         "partial": (lambda h: count_partial_shadow_targets(h, 3, 1), 2, 3),
         "weighted": (lambda h: weighted_joint_sum(h, 3), 2, 3),
+        "weighted2": (lambda h: weighted_joint_sum(h, 2), 1, 2),
+        "weighted4": (lambda h: weighted_joint_sum(h, 4), 3, 2),
     }
 
     @pytest.mark.parametrize("entry", ENTRIES)
