@@ -14,7 +14,7 @@ Hypergraph JSON (unknown fields are rejected):
 The text format is one edge per line, `color v1 v2 ...`, with `#` comments
 and an optional `vertices N` header; without the header the vertex count is
 one past the largest index.  The `--out` writers are in `hypergraph` and the
-report's JSON in `reports`, so a command that reads no file never compiles this.
+report's JSON in `cli`, so a command that reads no file never compiles this.
 """
 
 from __future__ import annotations

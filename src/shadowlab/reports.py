@@ -3,8 +3,8 @@
 A bound report compares one computed quantity against one bound value.
 Counts stay exact (int or Fraction); the float side only appears at the
 reporting boundary.  When both sides are exact the comparison is exact; a
-caller that decided its bound itself (an irrational bound exactly, or a
-float identity at its own tolerance) passes its verdict as `holds`;
+caller that decided an irrational bound exactly itself (the checks behind
+`kk`, `qkk`, `gkk` and `partial-shadow`) passes its verdict as `holds`;
 otherwise the absolute tolerance DEFAULT_TOL applies.  An exact bound beyond
 the float range displays as inf, and its ratio comes from the exact quotient.
 

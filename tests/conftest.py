@@ -1,15 +1,24 @@
-"""Shared builders, seeded-random generators and brute-force references for the test suite.
+"""Shared builders, seeded-random generators and brute-force references for the test suite, and the one
+runner of the program as a child process.
 
 `ref` is `bench/reference.py`, the benchmark's counts from the definitions; it imports nothing of shadowlab.
 """
 
 import importlib.util
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
+import tempfile
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
+from typing import NamedTuple
 
 from shadowlab.constructions import round_robin_matchings
 from shadowlab.entropy import CoverSpec, ExactDistribution
@@ -23,6 +32,52 @@ REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
 _spec = importlib.util.spec_from_file_location("bench_reference", REFERENCE)
 ref = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ref)
+SRC = REFERENCE.parents[1] / "src"
+
+
+class Finished(NamedTuple):
+    """A child that ran to its end: the process, its wall time in seconds and its peak RSS in bytes."""
+    done: subprocess.CompletedProcess
+    wall: float
+    peak_rss: int
+
+
+def run_program(argv, cwd=None, *, prefix=("-m", "shadowlab.cli"), limit=None, timeout=60.0, env=None,
+                stdout=None, text=False) -> Finished:
+    """`python -m shadowlab.cli *argv`, or `python *prefix *argv`, as a child in `cwd` with `src` on its path.
+
+    `limit` caps its address space in bytes (RLIMIT_AS, from before the interpreter starts); one still running after
+    `timeout` seconds is killed, and raises `subprocess.TimeoutExpired`.  Each entry of `env` overrides the inherited
+    environment, and one whose value is None is removed.  stdout goes to `stdout` if given, else like stderr to a
+    regular file, as a shell's redirection gives it (so block-buffered), read back as bytes or, with `text`, as text.
+    The peak RSS is the child's own, from `os.wait4` (whose `ru_maxrss` Linux counts in KiB).
+    """
+    environ = {**os.environ, "PYTHONPATH": str(SRC), **(env or {})}
+    cap = (lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))) if limit else None
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        child = subprocess.Popen([sys.executable, *prefix, *argv], cwd=cwd, preexec_fn=cap,
+                                 env={k: v for k, v in environ.items() if v is not None},
+                                 stdout=out if stdout is None else stdout, stderr=err)
+        ended = []  # the wait status, usage and wall time, once the child exits
+        waiter = threading.Thread(target=lambda: ended.extend([*os.wait4(child.pid, 0)[1:],
+                                                               time.perf_counter() - start]))
+        waiter.start()
+        waiter.join(timeout)
+        if waiter.is_alive():
+            child.kill()
+        waiter.join()
+        status, usage, wall = ended
+        child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen must not wait for it
+        if wall >= timeout:
+            raise subprocess.TimeoutExpired(child.args, timeout)
+        for stream in out, err:
+            stream.seek(0)
+        captured = [stream.read().decode() if text else stream.read() for stream in (out, err)]
+        if stdout is not None:
+            captured[0] = None
+        done = subprocess.CompletedProcess(child.args, child.returncode, *captured)
+    return Finished(done, wall, usage.ru_maxrss * 1024)
 
 
 def edge_list(h: ColoredHypergraph) -> list:

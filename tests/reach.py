@@ -1,16 +1,14 @@
 """Which lines of src/shadowlab the golden command-line cases, the demos and the README blocks reach.
 
-Runs every command of CASES in tests/test_cli_golden.py (text and --json, over its INPUTS), every
+Runs every command of CASES in tests/golden.py (text and --json, over its INPUTS), every
 demos/*.py and every ```python block of README.md in this process under `sys.settrace`, then prints
 each named function and each line of src/shadowlab that never ran.  It exits 1, naming each one,
 when a function of `shadowlab.__all__` never ran.  Standard library only; pytest does not collect it.
 Run it from a checkout as `python tests/reach.py`.
 """
 
-import ast
 import inspect
 import io
-import json
 import os
 import re
 import runpy
@@ -36,19 +34,6 @@ def _trace(frame, event, arg):  # lines are traced only in the frames of src/sha
     return _trace
 
 
-def _golden() -> tuple[list[str], dict]:
-    """CASES and INPUTS of the golden test, evaluated with its own imports but without importing it (it imports
-    pytest and the tests' conftest), so a case may name what the test module imports, such as `cli._COMMANDS`."""
-    tree = ast.parse((ROOT / "tests" / "test_cli_golden.py").read_text(encoding="utf-8"))
-    keep = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_graph"
-            or isinstance(node, ast.Assign) and node.targets[0].id in ("_FLATS", "INPUTS", "CASES")
-            or isinstance(node, ast.Import) and not {alias.name for alias in node.names} & {"pytest", "conftest"}
-            or isinstance(node, ast.ImportFrom) and node.module not in ("pytest", "conftest")]
-    space: dict = {}
-    exec(compile(ast.Module(keep, []), "test_cli_golden.py", "exec"), space)
-    return space["CASES"], space["INPUTS"]
-
-
 def _codes(code):
     yield code
     for const in code.co_consts:
@@ -60,15 +45,14 @@ def main() -> None:
     blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S | re.M)
     sys.path.insert(0, str(SRC.parent))
     cwd = os.getcwd()
-    sys.settrace(_trace)  # before the golden test's imports run, so the lines they run count as reached
+    sys.settrace(_trace)  # before the golden module's imports run, so the lines they run count as reached
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()), tempfile.TemporaryDirectory() as tmp:
-        cases, inputs = _golden()
+        import golden
         from shadowlab import cli
         os.chdir(tmp)
         try:
-            for argv in (command.split() + flag for command in cases for flag in ([], ["--json"])):
-                for name, content in inputs.items():
-                    Path(name).write_text(content if isinstance(content, str) else json.dumps(content))
+            for argv in (command.split() + flag for command in golden.CASES for flag in ([], ["--json"])):
+                golden.write_inputs(Path())
                 try:
                     cli.main(argv)
                 except SystemExit:  # argparse's exit on a usage error

@@ -1,16 +1,12 @@
 """The input digest: the built-in sha256 and `hashlib`'s fallback give `hashlib.sha256`'s bytes."""
 
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import run_program
 from shadowlab import cli
 
-ROOT = Path(__file__).resolve().parents[1]
 INPUTS = [b"", b'{"n": 4, "d": 2, "sets": [[0, 1]]}', bytes(range(256)) * 4097]  # empty, short, over 1 MiB
 
 
@@ -37,7 +33,6 @@ def test_digests_equal_hashlib_without_the_builtin_modules(tmp_path):
     code = ("import hashlib, sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
             "from shadowlab import cli; assert cli.sha256 is hashlib.sha256; "
             "print(*[cli._digest_files([p]) for p in sys.argv[1:]], cli._digest_params('x' * 2**20))")
-    out = subprocess.run([sys.executable, "-c", code, *map(str, paths)], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    out = run_program(list(map(str, paths)), prefix=["-c", code], text=True).done
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == [*map(_expected, INPUTS), _expected(b"x" * 2**20)]

@@ -1,18 +1,16 @@
 """File formats, canonical JSON reports, and the command-line surface."""
 
 import json
-import math
 import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from conftest import fig1_k4, random_set_family
+from conftest import SRC, fig1_k4, random_set_family, run_program
+from golden import INPUTS, write_input
 from shadowlab import cli, search
 from shadowlab.cli import dumps_canonical
 from shadowlab.errors import ValidationError
@@ -157,17 +155,13 @@ class TestCli:
         assert all(b["satisfied"] for b in report["bounds"])
 
     def test_kk_command(self, tmp_path):
-        fam = str(tmp_path / "fam.json")
-        with open(fam, "w") as fh:
-            json.dump({"n": 4, "d": 3, "sets": [[0, 1, 2], [0, 1, 3]]}, fh)
+        fam = write_input(tmp_path, "fam.json", {"n": 4, "d": 3, "sets": [[0, 1, 2], [0, 1, 3]]})
         report = self.run_ok(["kk", "--family", fam])
         assert report["quantities"]["shadow_size"] == 5
         assert report["quantities"]["t"] == pytest.approx(3.434841368, abs=1e-6)
 
     def test_key_tight_family_prints_zero(self, tmp_path):
-        fam = str(tmp_path / "fam.json")
-        with open(fam, "w") as fh:
-            json.dump({"n": 9, "d": 5, "sets": [list(s) for s in combinations(range(9), 5)]}, fh)
+        fam = write_input(tmp_path, "fam.json", {"n": 9, "d": 5, "sets": [list(s) for s in combinations(range(9), 5)]})
         report = self.run_ok(["entropy", "--key", "--family", fam, "--json"])
         assert min(report["quantities"]["gaps"]) == 0.0
         # the largest violation, when the smallest gap is exactly 0, is +0, not -0
@@ -186,16 +180,12 @@ class TestCli:
         assert dumps_canonical(a) == dumps_canonical(b)
 
     def test_validate_command(self, tmp_path):
-        good = str(tmp_path / "good.json")
-        with open(good, "w") as fh:
-            json.dump({"vertices": 3, "edges": [{"v": [0, 1], "color": "red"}]}, fh)
+        good = write_input(tmp_path, "good.json", {"vertices": 3, "edges": [{"v": [0, 1], "color": "red"}]})
         report = self.run_ok(["validate", "--input", good])
         assert report["quantities"]["valid"] is True
 
     def test_invalid_input_exit_code(self, tmp_path, capsys):
-        bad = str(tmp_path / "bad.json")
-        with open(bad, "w") as fh:
-            json.dump({"vertices": 1, "edges": [{"v": [0, 5], "color": "red"}]}, fh)
+        bad = write_input(tmp_path, "bad.json", {"vertices": 1, "edges": [{"v": [0, 5], "color": "red"}]})
         assert cli.main(["validate", "--input", bad]) == 3
 
     def test_capacity_exit_code(self):
@@ -290,25 +280,19 @@ class TestCli:
         assert listed == ["-h", "--help", *options, "--json"]
 
     def test_partial_shadow_command(self, tmp_path):
-        g = str(tmp_path / "star.txt")
-        with open(g, "w") as fh:
-            fh.write("plain 0 1\nplain 0 2\nplain 0 3\n")
+        g = write_input(tmp_path, "star.txt", "plain 0 1\nplain 0 2\nplain 0 3\n")
         report = self.run_ok(["partial-shadow", "--input", g, "--r", "3", "--k", "1"])
         assert report["quantities"]["m"] == 3
         assert report["bounds"][0]["satisfied"]
 
     def test_count_covering(self, tmp_path):
-        g = str(tmp_path / "c.txt")
-        with open(g, "w") as fh:
-            fh.write("red 0 1 2\ngreen 0 1 3\nblue 0 2 3\n")
+        g = write_input(tmp_path, "c.txt", "red 0 1 2\ngreen 0 1 3\nblue 0 2 3\n")
         report = self.run_ok(["count", "covering", "--input", g, "--delta", "1"])
         assert report["quantities"]["J"] == 1
         assert any(b["conjecture"] for b in report["bounds"])
 
     def test_count_delta_only_for_covering(self, tmp_path, capsys):
-        g = str(tmp_path / "c.txt")
-        with open(g, "w") as fh:
-            fh.write("red 0 1\ngreen 0 2\nblue 1 2\n")
+        g = write_input(tmp_path, "c.txt", "red 0 1\ngreen 0 2\nblue 1 2\n")
         assert self.run_ok(["count", "covering", "--input", g])["quantities"]["delta"] == 0
         for kind in ("good6", "mixed4"):
             for delta in ("0", "1"):
@@ -316,10 +300,8 @@ class TestCli:
                 assert capsys.readouterr().err == f"error: --delta does not apply to count {kind}\n"
 
     def test_forbidding_qlinear_gkk(self, tmp_path):
-        subs = str(tmp_path / "subs.json")
         fam = enumerate_subspaces(2, 4, 2)
-        with open(subs, "w") as fh:
-            json.dump({"q": 2, "n": 4, "d": 2, "members": [[list(row) for row in m] for m in fam.members]}, fh)
+        subs = write_input(tmp_path, "subs.json", {"q": 2, "n": 4, "d": 2, "members": fam.members})
         report = self.run_ok(
             ["forbidding", "gkk", "--system", "qlinear:2,4", "--d", "2", "--subspaces", subs]
         )
@@ -330,17 +312,13 @@ class TestCli:
         everything = ",".join(str(i) for i in range(30))
         assert cli.main(["forbidding", "sd", "--system", "repeats", "--universe-size", "30",
                          "--d", "6", "--set", everything]) == 4
-        fam = str(tmp_path / "one.json")
-        with open(fam, "w") as fh:
-            json.dump({"n": 30, "d": 30, "sets": [list(range(30))]}, fh)
+        fam = write_input(tmp_path, "one.json", {"n": 30, "d": 30, "sets": [list(range(30))]})
         assert cli.main(["forbidding", "gkk", "--system", "repeats", "--universe-size", "30",
                          "--d", "6", "--family", fam]) == 4
 
     def test_forbidding_desk_scale_within_caps(self, tmp_path):
         # 924 sets: the walk's lookups repeat across sets and hit the shared memo
-        fam = str(tmp_path / "sixes.json")
-        with open(fam, "w") as fh:
-            json.dump({"n": 12, "d": 6, "sets": [list(s) for s in combinations(range(12), 6)]}, fh)
+        fam = write_input(tmp_path, "sixes.json", {"n": 12, "d": 6, "sets": list(combinations(range(12), 6))})
         report = self.run_ok(["forbidding", "gkk", "--system", "repeats", "--universe-size", "12",
                               "--d", "6", "--family", fam])
         assert report["quantities"]["family_size"] == 924 * 720
@@ -396,9 +374,7 @@ class TestCli:
         assert "witness_multiset  = 0,1,0;1,0,0" in lines and "witness_extension = 1 1 0" in lines
 
     def test_malformed_integer_lists_exit_3(self, tmp_path, capsys):
-        dist = str(tmp_path / "dist.json")
-        with open(dist, "w") as fh:
-            json.dump({"arity": 2, "support": [{"values": [0, 1], "p": "1"}]}, fh)
+        dist = write_input(tmp_path, "dist.json", {"arity": 2, "support": [{"values": [0, 1], "p": "1"}]})
         for argv in (["forbidding", "compatible", "--system", "repeats", "--universe-size", "5",
                       "--d", "2", "--set", "a"],
                      ["entropy", "--dist", dist, "--coords", "0,x"],
@@ -434,9 +410,7 @@ class TestCli:
                      id="kk-nesting"),
     ])
     def test_malformed_file_exits_3(self, tmp_path, capsys, command, name, content):
-        path = tmp_path / name
-        path.write_text(content if isinstance(content, str) else json.dumps(content))
-        assert cli.main([*command, str(path)]) == 3
+        assert cli.main([*command, write_input(tmp_path, name, content)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         if name == "digits.json":  # the limit is stated, without advice that a file cannot follow
@@ -444,24 +418,19 @@ class TestCli:
 
     def test_kk_on_a_family_of_empty_sets_exits_3(self, tmp_path, capsys):
         # d = 0: the family is in form, with no column for the bulk range test to read, and the shadow refuses it
-        path = tmp_path / "empty.json"
-        path.write_text(json.dumps({"n": 3, "d": 0, "sets": [[]]}))
-        assert cli.main(["kk", "--family", str(path)]) == 3
+        path = write_input(tmp_path, "empty.json", {"n": 3, "d": 0, "sets": [[]]})
+        assert cli.main(["kk", "--family", path]) == 3
         assert capsys.readouterr().err == "error: shadow needs d >= 1\n"
 
     def test_json_flag_read_from_parsed_arguments(self, tmp_path, capsys):
         # argparse accepts the unambiguous prefix --js for --json
-        fam = str(tmp_path / "fam.json")
-        with open(fam, "w") as fh:
-            json.dump({"n": 4, "d": 3, "sets": [[0, 1, 2], [0, 1, 3]]}, fh)
+        fam = write_input(tmp_path, "fam.json", {"n": 4, "d": 3, "sets": [[0, 1, 2], [0, 1, 3]]})
         assert cli.main(["kk", "--family", fam, "--js"]) == 0
         assert json.loads(capsys.readouterr().out)["quantities"]["shadow_size"] == "5"
 
     def test_kk_target_beyond_float_range(self, tmp_path):
         # one 180-set: binom(t, 180) = 1 puts 180! into the inversion
-        fam = str(tmp_path / "big.json")
-        with open(fam, "w") as fh:
-            json.dump({"n": 200, "d": 180, "sets": [list(range(180))]}, fh)
+        fam = write_input(tmp_path, "big.json", {"n": 200, "d": 180, "sets": [list(range(180))]})
         report = self.run_ok(["kk", "--family", fam, "--json"])
         assert report["quantities"]["shadow_size"] == 180
         assert report["quantities"]["t"] == pytest.approx(180.0, abs=1e-6)
@@ -469,11 +438,8 @@ class TestCli:
 
     def test_kappa_bound_beyond_float_range(self, tmp_path, capsys):
         # d = 40 puts the shearer bound (39!)^40 past the float range
-        g = str(tmp_path / "g.json")
-        with open(g, "w") as fh:
-            json.dump({"vertices": 64, "edges": [
-                {"v": sorted((i + j) % 64 for j in range(39)), "color": f"c{i}"} for i in range(40)
-            ]}, fh)
+        g = write_input(tmp_path, "g.json", {"vertices": 64, "edges": [
+            {"v": sorted((i + j) % 64 for j in range(39)), "color": f"c{i}"} for i in range(40)]})
         assert cli.main(["kappa", "--input", g, "--d", "40", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         shearer = report["bounds"][0]
@@ -481,48 +447,38 @@ class TestCli:
         assert (shearer["bound"], shearer["ratio"], shearer["satisfied"]) == ("inf", "0", True)
 
     def test_import_leaves_numpy_out(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
         code = "import sys, shadowlab.cli; print('numpy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        done = run_program([], prefix=["-c", code], text=True).done
+        assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr
 
     def test_import_set(self):
-        # Every layer is in sys.modules after `import shadowlab.cli`, where the benchmark's trace
+        # Every module of the package is in sys.modules after `import shadowlab.cli`, where the benchmark's trace
         # launcher finds and wraps it; the package registers most of them lazily, compiled on first use.
-        # The records build without `dataclasses`, which alone pulls in inspect, ast and dis.
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        layers = ("cli", "formats", "hypergraph", "problems", "entropy", "qlinalg", "forbidding", "numkit",
-                  "reports", "search", "constructions")
+        # The records build without `dataclasses`, which alone pulls in inspect, ast and dis.  Under `-S` no
+        # site-packages hook imports any of them first.
+        modules = {f"shadowlab.{path.stem}" for path in (SRC / "shadowlab").glob("*.py") if path.stem != "__init__"}
         code = "import json, sys, shadowlab.cli; print(json.dumps(list(sys.modules)))"
-        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                             capture_output=True, text=True, check=True)
-        loaded = set(json.loads(out.stdout))
+        done = run_program([], prefix=["-S", "-c", code], text=True).done
+        assert done.returncode == 0, done.stderr
+        loaded = set(json.loads(done.stdout))
         assert not {"dataclasses", "inspect", "ast", "dis"} & loaded
-        assert {f"shadowlab.{m}" for m in layers} <= loaded
+        assert modules and modules <= loaded
 
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_closed_stdout_exits_quietly(self, tmp_path, unbuffered):
-        fam = str(tmp_path / "fam.json")
-        with open(fam, "w") as fh:
-            json.dump({"n": 8, "d": 3, "sets": [list(c) for c in combinations(range(8), 3)]}, fh)
-        src = os.path.dirname(os.path.dirname(cli.__file__))
+        fam = write_input(tmp_path, "fam.json", {"n": 8, "d": 3, "sets": [list(c) for c in combinations(range(8), 3)]})
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the command writes, as under `| head -c 0`
         try:
-            out = subprocess.run([sys.executable, "-m", "shadowlab.cli", "kk", "--family", fam, "--json"],
-                                 env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered},
-                                 stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+            out = run_program(["kk", "--family", fam, "--json"], env={"PYTHONUNBUFFERED": unbuffered},
+                              stdout=write_end, text=True).done
         finally:
             os.close(write_end)
         assert out.returncode == 0
         assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
 
     def test_kk_out(self, tmp_path):
-        fam = str(tmp_path / "fam.json")
-        out = str(tmp_path / "sh.json")
-        with open(fam, "w") as fh:
-            json.dump({"n": 3, "d": 3, "sets": [[0, 1, 2]]}, fh)
+        fam, out = write_input(tmp_path, "fam.json", {"n": 3, "d": 3, "sets": [[0, 1, 2]]}), str(tmp_path / "sh.json")
         report = self.run_ok(["kk", "--family", fam, "--out", out])
         assert report["quantities"]["shadow_size"] == 3
         with open(out) as fh:
@@ -582,12 +538,7 @@ class TestCli:
 
     def test_weighted_large_weights(self, tmp_path, capsys):
         # K12 with weights near 10^15: the terms and N^{3/2} are floats far past 2^53
-        g = tmp_path / "w.json"
-        g.write_text(json.dumps({"vertices": 12, "edges": [
-            {"v": [i, j], "color": "plain", "weight": 10**15 + 7 * i + j}
-            for i, j in combinations(range(12), 2)
-        ]}))
-        assert cli.main(["weighted", "--input", str(g)]) == 0
+        assert cli.main(["weighted", "--input", write_input(tmp_path, "w.json", INPUTS["huge.json"])]) == 0
         assert "VIOLATED" not in capsys.readouterr().out
 
 
@@ -598,134 +549,6 @@ class TestCli:
     (4, [[0, 1], [1, 2, 3], [0, 3]], 3),
 ])
 def test_lift_refusal_exit_codes(tmp_path, vertices, edges, code):
-    g = str(tmp_path / "g.json")
-    with open(g, "w") as fh:
-        json.dump({"vertices": vertices, "edges": [{"v": v, "color": c} for v, c in zip(edges, RGB)]}, fh)
+    g = write_input(tmp_path, "g.json", {"vertices": vertices,
+                                         "edges": [{"v": v, "color": c} for v, c in zip(edges, RGB)]})
     assert cli.main(["construct", "lift", "--input", g]) == code
-
-
-def _weighted_graph(n, weights):
-    return {"vertices": n, "edges": [{"v": v, "color": "plain", "weight": w} for v, w in weights]}
-
-
-# inputs whose caps or float evaluation once ended in a traceback (exit 1)
-OVERSIZED = {
-    "huge.json": _weighted_graph(3, [([0, 1], 10**400)]),
-    "triangle.json": _weighted_graph(3, [([0, 1], 10**103), ([0, 2], 10**103), ([1, 2], 10**103)]),
-    "points.json": _weighted_graph(2, [([0], 10**200)]),
-    "f.json": {"n": 3, "d": 2, "sets": [[1, 2]]},
-    "wide.json": {"n": 15000, "d": 15000, "sets": [list(range(15000))]},
-    "space20.json": {"q": 2, "n": 20, "d": 20, "members": [[[int(i == j) for j in range(20)] for i in range(20)]]},
-    "space18.json": {"q": 2, "n": 100, "d": 18, "members": [[[int(i == j) for j in range(100)] for i in range(18)]]},
-    "huge_p.json": {"arity": 1, "support": [{"values": [0], "p": "1e400000000"}]},
-    "tiny_p.json": {"arity": 1, "support": [{"values": [0], "p": "1e-400000000"}]},
-    "edgeless.json": _weighted_graph(3, []),
-    "big_q.json": {"q": 10**400 + 1, "n": 2, "d": 1, "members": [[[1, 0]]]},
-    "q999983.json": {"q": 999983, "n": 2, "d": 1, "members": [[[1, 0]]]},
-    "plane999983.json": {"q": 999983, "n": 2, "d": 2, "members": [[[1, 0], [0, 1]]]},
-}
-CHILD = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-         "sys.argv[0] = 'shadowlab'; runpy.run_module('shadowlab.cli', run_name='__main__')")
-
-
-@pytest.mark.parametrize("argv,code,err", [
-    # q^n and C(m, d) are refused without being formed, and d < 0 is refused as input
-    ("forbidding verify --system qlinear:2,100000 --d 2", 4, "field size q^n = 2^100000 exceeds cap 65536"),
-    ("forbidding gkk --system qlinear:3,1000000 --d 2 --family f.json", 4, "q^n = 3^1000000 exceeds"),
-    ("construct complete-family --m 100000 --d 50000", 4, "C(m, d) = C(100000, 50000) exceeds cap 1000000"),
-    ("construct complete-family --m 1000000 --d 500000", 4, "C(m, d) = C(1000000, 500000) exceeds"),
-    ("construct complete-family --m 4000000 --d 2000000", 4, "C(m, d) = C(4000000, 2000000) exceeds"),
-    ("construct complete-family --m 3 --d -1", 3, "need 0 <= d <= m, got m=3, d=-1"),
-    # a negative dimension, which reached itertools.product; from depth 1 on it met the depth cap first
-    ("forbidding verify --system qlinear:2,-1 --d 0", 3, "n must be nonnegative, got -1"),
-    ("forbidding verify --system qlinear:2,-1 --d 1", 3, "n must be nonnegative, got -1"),
-    ("forbidding verify --system repeats --universe-size -5 --d 1", 3, "universe size must be nonnegative, got -5"),
-    # the matching construction's d + 1 vertices are capped before its C(d + 1, 2) edges are built
-    ("construct matching --d 2001", 4, "vertex count = 2002 exceeds cap 64"),
-    # a cap's value too long to print: 2^15000 subset visits
-    ("entropy --key --family wide.json", 4, "(members x 2^d) = a 15001-bit number exceeds cap 10000000"),
-    # weights whose float evaluation overflows: one weight, a triangle's product, N^2 at d = 2
-    ("weighted --input huge.json", 3, "edge weights too large"),
-    ("weighted --input triangle.json", 3, "a term or the bound N^{d/(d-1)} overflows a float"),
-    ("weighted --input points.json --d 2", 3, "a term or the bound N^{d/(d-1)} overflows a float"),
-    # the q-analog shadow's work, refused before any row is combined: the 2^20 - 1 hyperplanes of
-    # F_2^20, and 2^18 - 1 hyperplanes of one 18-space of F_2^100, 100 entries each
-    ("qkk --family space20.json", 4, "hyperplanes of a member [d, 1]_q = 1048575 exceeds cap 1000000"),
-    ("qkk --family space18.json", 4, "(members x [d, 1]_q x n) = 26214300 exceeds cap 20000000"),
-    # a negative vertex count, which reached math.comb
-    ("search probe --vertices -1", 3, "vertex count must be nonnegative, got -1"),
-    # a probability whose exponent Fraction would expand to 400,000,000 digits
-    ("entropy --dist huge_p.json", 3, "support item 0: bad probability '1e400000000'"),
-    ("entropy --dist tiny_p.json", 3, "support item 0: bad probability '1e-400000000'"),
-])
-def test_oversized_input_exits_without_traceback(tmp_path, argv, code, err):
-    out, elapsed = run_child(tmp_path, argv)
-    assert (out.returncode, out.stdout) == (code, "")
-    assert "Traceback" not in out.stderr and err in out.stderr
-    assert elapsed < 5.0
-
-
-def run_child(tmp_path, argv: str) -> tuple[subprocess.CompletedProcess, float]:
-    """The program on argv, in a child under a timeout, in a directory holding the OVERSIZED inputs,
-    and its wall time."""
-    for name, obj in OVERSIZED.items():
-        (tmp_path / name).write_text(json.dumps(obj))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    start = time.perf_counter()
-    out = subprocess.run([sys.executable, "-c", CHILD, *argv.split()], cwd=tmp_path, capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=10)
-    return out, time.perf_counter() - start
-
-
-# q = 10^400 + 1 overflowed is_prime's float square root, and the prime 2^61 - 1 kept trial division busy for
-# over 20 s; an edgeless graph at d = 10^8 formed (d - 1)!, and at d = 200 overflowed a float on a weight of 0
-@pytest.mark.parametrize("argv, err", [
-    ("qkk --family big_q.json", "field order q = {big} exceeds cap 1000000"),
-    ("forbidding verify --system qlinear:{big},1 --d 1", "field order q = {big} exceeds cap 65536"),
-    ("forbidding verify --system qlinear:{prime},1 --d 1", "field order q = {prime} exceeds cap 65536"),
-    ("forbidding verify --system qlinear:{prime},0 --d 1", "field order q = {prime} exceeds cap 65536"),
-    ("weighted --input edgeless.json --d 100000000", "weighted edge size d - 1 = 99999999 exceeds cap 64"),
-    ("weighted --input edgeless.json --d 200", "weighted edge size d - 1 = 199 exceeds cap 64"),
-])
-def test_oversized_order_or_edge_size_refused_at_once(tmp_path, argv, err):
-    big = {"big": 10**400 + 1, "prime": 2**61 - 1}
-    out, elapsed = run_child(tmp_path, argv.format(**big))
-    assert (out.returncode, out.stdout) == (4, "")
-    assert "Traceback" not in out.stderr and err.format(**big) in out.stderr
-    assert elapsed < 2.0
-
-
-# gkk --subspaces built the 10^12 points of this plane under any system, and was still running at 20 s
-@pytest.mark.parametrize("system", ["qlinear:2,2", "repeats --universe-size 4"])
-def test_subspaces_over_a_field_other_than_the_systems_refused_at_once(tmp_path, system):
-    out, elapsed = run_child(tmp_path, f"forbidding gkk --system {system} --d 2 --subspaces plane999983.json")
-    assert (out.returncode, out.stdout) == (3, "")
-    assert "Traceback" not in out.stderr
-    assert f"subspaces of F_999983^2 need --system qlinear:999983,2, got {system.split()[0]}" in out.stderr
-    assert elapsed < 2.0
-
-
-def test_largest_field_order_a_file_may_have_is_accepted(tmp_path):
-    out, _ = run_child(tmp_path, "qkk --family q999983.json --json")
-    assert out.returncode == 0 and json.loads(out.stdout)["quantities"]["q"] == "999983"
-
-
-def test_weighted_at_its_cap(tmp_path):
-    # 156,250 seeded 4-edges of 64 vertices: 10^7 coface visits, the cap itself
-    rng = random.Random(18)
-    chosen = set(rng.sample(range(math.comb(64, 4)), 156_250))
-    lines = [f"plain {' '.join(map(str, c))}" for i, c in enumerate(combinations(range(64), 4)) if i in chosen]
-    (tmp_path / "cap.txt").write_text("\n".join(["vertices 64", *lines]) + "\n")
-    # a child that runs the command in-process, then prints its peak resident set size (KiB on Linux) to
-    # stderr; the program path ends at the report, before any exit-time code could read it
-    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-             "from shadowlab import cli; status = cli.main(sys.argv[1:]); "
-             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(status)")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    start = time.perf_counter()
-    out = subprocess.run([sys.executable, "-c", child, "weighted", "--input", "cap.txt", "--d", "5"], cwd=tmp_path,
-                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    elapsed = time.perf_counter() - start
-    assert out.returncode == 0 and "weighted clique sum" in out.stdout
-    assert elapsed < 10.0
-    assert int(out.stderr.split()[-1]) * 1024 < 400 * 10**6

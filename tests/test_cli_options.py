@@ -9,10 +9,10 @@ their defaults.
 
 import argparse
 import importlib
-import json
 
 import pytest
 
+from golden import write_input
 from shadowlab import cli
 from shadowlab.errors import REQUIRED
 
@@ -123,9 +123,8 @@ def run_ok(argv):
 
 
 def test_read_options_keep_their_defaults(tmp_path):
-    dist = str(tmp_path / "dist.json")
-    with open(dist, "w") as fh:
-        json.dump({"arity": 2, "support": [{"values": [0, 0], "p": "1/2"}, {"values": [1, 1], "p": "1/2"}]}, fh)
+    support = [{"values": [0, 0], "p": "1/2"}, {"values": [1, 1], "p": "1/2"}]
+    dist = write_input(tmp_path, "dist.json", {"arity": 2, "support": support})
     assert run_ok(["entropy", "--dist", dist, "--shearer", "0;1"])["quantities"]["k"] == 1
     spot = ["forbidding", "verify", "--system", "repeats", "--universe-size", "100", "--d", "5"]
     assert run_ok(spot)["quantities"] == run_ok([*spot, "--seed", "0"])["quantities"]

@@ -10,24 +10,19 @@ a returned status, and still runs after an exception escapes `main`.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
-import os
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 
+from conftest import run_program
+from golden import GOLDEN, key, record, sha, write_inputs
 from shadowlab import cli
-from test_cli_golden import GOLDEN, INPUTS, _key
 
 # the digests are of UTF-8 bytes, and COLUMNS fixes argparse's help width in both processes; stdout is
 # buffered, as a shell gives it, whatever PYTHONUNBUFFERED the tests inherit
-ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
-       "PYTHONPATH": str(Path(cli.__file__).parents[1]), "PYTHONIOENCODING": "utf-8", "COLUMNS": "80"}
+ENV = {"PYTHONUNBUFFERED": None, "PYTHONIOENCODING": "utf-8", "COLUMNS": "80"}
 MARKER = "atexit marker"
 # the program, as `runpy` runs it for `python -m`, in a process that registered an exit handler first
 MARKER_CHILD = (f"import atexit, runpy; atexit.register(print, {MARKER!r}); "
@@ -55,7 +50,7 @@ STATUS_CASES = [("kk --family fam.json", True), ("validate --input bad.json", Fa
 
 
 def _ids(cases):
-    return [_key(command, json_mode) for command, json_mode in cases]
+    return [key(command, json_mode) for command, json_mode in cases]
 
 
 @pytest.fixture(scope="module")
@@ -66,42 +61,28 @@ def golden() -> dict:
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     """A directory holding the golden inputs under their relative names, made the current one."""
-    for name, content in INPUTS.items():
-        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
 
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _program(argv: list[str], prefix: list[str], **kwargs) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, *prefix, *argv], env=ENV, capture_output=True, timeout=60, **kwargs)
-
-
-def _record(done: subprocess.CompletedProcess, argv: list[str]) -> dict:
-    record = {"exit": done.returncode, "stdout": _sha(done.stdout), "stderr": _sha(done.stderr)}
-    if "--out" in argv:
-        out_file = Path(argv[argv.index("--out") + 1])
-        record["out"] = _sha(out_file.read_bytes()) if out_file.exists() else None
-    return record
+def _program(argv: list[str], prefix=("-m", "shadowlab.cli")):
+    return run_program(argv, prefix=prefix, env=ENV).done
 
 
 @pytest.mark.parametrize("command, json_mode", PROGRAM_CASES, ids=_ids(PROGRAM_CASES))
 def test_program_bytes_match_golden(golden, workdir, command, json_mode):
     argv = command.split() + ["--json"] * json_mode
-    assert _record(_program(argv, ["-m", "shadowlab.cli"]), argv) == golden[_key(command, json_mode)]
+    done = _program(argv)
+    assert record(done.returncode, done.stdout, done.stderr, argv) == golden[key(command, json_mode)]
 
 
 def test_block_buffered_report_is_whole(golden, workdir):
-    # stdout to a regular file is block-buffered: nothing reaches the file unless the program flushes
+    # the runner's stdout is a regular file, so block-buffered: nothing reaches it unless the program flushes
     argv = ["weighted", "--input", "huge.json", "--json"]
-    with open("report.json", "wb") as fh:
-        done = subprocess.run([sys.executable, "-m", "shadowlab.cli", *argv], env=ENV, stdout=fh,
-                              stderr=subprocess.PIPE, timeout=60)
+    done = _program(argv)
     assert (done.returncode, done.stderr) == (0, b"")
-    assert _sha(Path("report.json").read_bytes()) == golden[_key(" ".join(argv[:-1]), True)]["stdout"]
+    assert sha(done.stdout) == golden[key(" ".join(argv[:-1]), True)]["stdout"]
 
 
 @pytest.mark.parametrize("command, json_mode", STATUS_CASES, ids=_ids(STATUS_CASES))
@@ -109,7 +90,7 @@ def test_returned_status_ends_the_program_before_exit_handlers(golden, workdir, 
     argv = command.split() + ["--json"] * json_mode
     done = _program(argv, ["-c", MARKER_CHILD])
     assert MARKER.encode() not in done.stdout
-    assert _record(done, argv) == golden[_key(command, json_mode)]
+    assert record(done.returncode, done.stdout, done.stderr, argv) == golden[key(command, json_mode)]
     # in-process, main returns the same status, so callers such as the benchmark's trace launcher go on
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

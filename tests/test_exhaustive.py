@@ -35,7 +35,7 @@ from shadowlab.entropy import check_key_inequality
 from shadowlab.hypergraph import ColoredHypergraph, SetFamily
 from shadowlab.problems import PROBLEMS, RGB
 from shadowlab.qlinalg import enumerate_subspaces
-from test_soundness import cascade_shadow
+from test_soundness import cascade_shadow, run_kk, run_qkk
 
 KK_SIZES = [(n, d) for n in range(3, 8) for d in range(2, n) if comb(n, d) <= 21]
 
@@ -74,18 +74,6 @@ def subspace_pool(q: int, n: int, d: int) -> tuple[list, list[int]]:
     pool = list(enumerate_subspaces(q, n, d).members)
     below = list(subspaces_by_span(q, n, d - 1))
     return pool, [sum(1 << j for j, p in enumerate(below) if p <= span(m, q, n)) for m in pool]
-
-
-def run_kk(path, n: int, d: int, sets) -> tuple[dict, int]:
-    path.write_text(json.dumps({"n": n, "d": d, "sets": [list(s) for s in sets]}))
-    report, status = cli.run(["kk", "--family", str(path)])
-    return report["bounds"][0], status
-
-
-def run_qkk(path, q: int, n: int, d: int, members) -> tuple[dict, int]:
-    path.write_text(json.dumps({"q": q, "n": n, "d": d, "members": [list(map(list, m)) for m in members]}))
-    report, status = cli.run(["qkk", "--family", str(path)])
-    return report["bounds"][0], status
 
 
 def run_gkk(path, system: str, d: int) -> tuple[dict, dict, int]:

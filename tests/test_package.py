@@ -7,9 +7,7 @@ compiles none of them; a layer runs on its first attribute access.
 import ast
 import importlib
 import json
-import os
 import re
-import subprocess
 import sys
 import types
 from itertools import combinations
@@ -18,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import shadowlab
-from conftest import REFERENCE
+from conftest import REFERENCE, run_program
+from golden import INPUTS, write_inputs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,20 +63,12 @@ def test_star_import_binds_exactly_the_public_names():
 
 
 def _inputs(path: Path) -> None:
-    (path / "fam.json").write_text(json.dumps({"n": 6, "d": 3, "sets": [list(c) for c in combinations(range(6), 3)]}))
     members = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]], [[1, 0, 0, 1], [0, 1, 1, 0]]]
-    (path / "sub.json").write_text(json.dumps({"q": 2, "n": 4, "d": 2, "members": members}))
-    # the K4 whose opposite edges share a colour
-    edges = [{"v": list(v), "color": c} for v, c in [((0, 1), "red"), ((2, 3), "red"), ((0, 3), "blue"),
-                                                      ((1, 2), "blue"), ((0, 2), "green"), ((1, 3), "green")]]
-    (path / "graph.json").write_text(json.dumps({"vertices": 4, "edges": edges}))
     support = [{"values": [0, 0], "p": "1/2"}, {"values": [1, 1], "p": "1/2"}]
-    (path / "dist.json").write_text(json.dumps({"arity": 2, "support": support}))
-
-
-def _child(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
-    return subprocess.run(argv, cwd=cwd, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                          capture_output=True, text=True, timeout=60)
+    write_inputs(path, {"fam.json": {"n": 6, "d": 3, "sets": list(combinations(range(6), 3))},
+                        "sub.json": {"q": 2, "n": 4, "d": 2, "members": members},
+                        "graph.json": INPUTS["k4.json"],  # the K4 whose opposite edges share a colour
+                        "dist.json": {"arity": 2, "support": support}})
 
 
 # the parser, the digest, the report's writer and the exit rule: all that `import shadowlab.cli` runs
@@ -127,7 +118,7 @@ def test_command_loads_only_the_layers_it_runs(tmp_path, command, layers):
             "print(json.dumps([name for name, m in sys.modules.items() "
             "if name.startswith('shadowlab.') and type(m) is types.ModuleType])); sys.exit(status)")
     argv = [*command.split(), "--json"] if command else []
-    out = _child([sys.executable, "-c", code, *argv], tmp_path)
+    out = run_program(argv, tmp_path, prefix=["-c", code], text=True).done
     assert out.returncode == 0, out.stderr
     assert {name.split(".", 1)[1] for name in json.loads(out.stdout.splitlines()[-1])} == layers
 
@@ -158,7 +149,7 @@ def test_bench_reference_imports_nothing_of_shadowlab(tmp_path):
             "ref = importlib.util.module_from_spec(spec); spec.loader.exec_module(ref); "
             "print(json.dumps([ref.rainbow_count(3, [((0, 1), 'r'), ((0, 2), 'g'), ((1, 2), 'b')], 'rgb', 3), "
             "sorted(name for name in sys.modules if name.split('.')[0] == 'shadowlab')]))")
-    out = _child([sys.executable, "-c", code, str(REFERENCE)], tmp_path)
+    out = run_program([str(REFERENCE)], tmp_path, prefix=["-c", code], text=True).done
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == [1, []]
 
@@ -170,8 +161,8 @@ def test_bench_reference_imports_nothing_of_shadowlab(tmp_path):
 def test_trace_launcher_wraps_layers_that_load_late(tmp_path, command, layer, counter):
     _inputs(tmp_path)
     spans = tmp_path / "spans.json"
-    out = _child([sys.executable, str(ROOT / "bench" / "trace_launcher.py"), str(spans), "job", "--",
-                  *command.split(), "--json"], tmp_path)
+    out = run_program([str(spans), "job", "--", *command.split(), "--json"], tmp_path,
+                      prefix=[str(ROOT / "bench" / "trace_launcher.py")], text=True).done
     assert out.returncode == 0, out.stderr
     trace = json.loads(spans.read_text())
     assert layer in {span[2] for span in trace["spans"]}
@@ -209,12 +200,11 @@ def test_kk_starts_without_openssl_or_typing(tmp_path):
     _inputs(tmp_path)
     code = ("import json, sys, shadowlab.cli; status = shadowlab.cli.main(sys.argv[1:]); "
             "print(json.dumps(sorted(sys.modules))); sys.exit(status)")
-    out = _child([sys.executable, "-S", "-c", code, "kk", "--family", "fam.json", "--json"], tmp_path)
+    out = run_program(["kk", "--family", "fam.json", "--json"], tmp_path, prefix=["-S", "-c", code], text=True).done
     assert out.returncode == 0, out.stderr
     assert not {"_hashlib", "hashlib", "typing"} & set(json.loads(out.stdout.splitlines()[-1]))
     for argv in (["--help"], ["kk", "--help"]):
-        helps = [subprocess.run([sys.executable, *flags, "-m", "shadowlab.cli", *argv], cwd=tmp_path,
-                                env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"},
-                                capture_output=True, timeout=60) for flags in (["-S"], [])]
+        helps = [run_program(argv, tmp_path, prefix=[*flags, "-m", "shadowlab.cli"], env={"COLUMNS": "80"}).done
+                 for flags in (["-S"], [])]
         assert [h.returncode for h in helps] == [0, 0]
         assert helps[0].stdout == helps[1].stdout and b"usage: shadowlab" in helps[0].stdout

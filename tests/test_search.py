@@ -1,15 +1,10 @@
 """Exhaustive searches and the seeded random probe."""
 
-import os
 import random
-import subprocess
-import sys
-import time
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
 from math import comb
-from pathlib import Path
 
 import pytest
 
@@ -20,8 +15,6 @@ from shadowlab.hypergraph import ColoredHypergraph
 from shadowlab.problems import PROBLEMS, Problem
 from shadowlab.search import (LITERAL_CAP, PROBE_CAP, RECOUNT_CAP, _best_in_blocks, _draws, _orbit_least, _vertex_maps,
                               random_probe, search_mixed_4subsets, search_rainbow_triangle)
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 RGB = ("red", "green", "blue")
 
@@ -600,52 +593,18 @@ def test_probe_work_capped_before_drawing(monkeypatch):
         random_probe("rainbow_d", {"vertices": 23, "d": 18}, 1)
 
 
-def probe_child(argv, limit):
-    """`search probe` with these options and `--json`, in a child whose address space is capped at `limit`
-    bytes: the finished process, and its wall time."""
-    child = ("import resource, runpy, sys; limit = int(sys.argv.pop(1)); "
-             "resource.setrlimit(resource.RLIMIT_AS, (limit, limit)); "
-             "sys.argv[0] = 'shadowlab'; runpy.run_module('shadowlab.cli', run_name='__main__')")
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", child, str(limit), "search", "probe", *argv.split(), "--json"],
-                          capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": str(SRC)})
-    return done, time.perf_counter() - start
-
-
-@pytest.mark.parametrize("argv", [
-    # edge sizes past the vertex cap: 2^31 colour names, or combinations' index array of 2^31 + 2
-    "--d 2147483648 --vertices 4 --trials 2",
-    "--problem covering_delta --delta 2147483648 --vertices 4 --trials 2",
-    # no subset of [n] has the drawn size, so trials x draws is 0 and the cap never applies
-    "--problem good6 --vertices 3 --trials 1000000",
-    "--d 1000000 --vertices 4",
-])
-def test_probe_drawing_nothing_answers_at_once(argv):
-    done, elapsed = probe_child(argv, 2 << 30)
-    assert done.returncode == 0, done.stderr
-    trials = int(argv.split("--trials ")[1]) if "--trials" in argv else 1000
-    assert '"best_ratio":"none"' in done.stdout and f'"explored":"{trials}"' in done.stdout
-    assert elapsed < 2.0
-
-
-def test_costliest_probe_under_the_cap_finishes_within_budget():
-    # of every problem's probes at the most vertices and trials the three caps admit (rainbow_d and covering_delta
-    # to d = delta = 40), one trial of covering_delta with delta = 3 on 30 vertices is among the slowest: 3.6-4.6 s
-    # and 141 MB peak RSS on a 2-vCPU x86 VM with Python 3.11, against a budget of 10 s and 256 MB of address space.
-    # One more vertex passes neither cap, and a second trial not PROBE_CAP
+def test_costliest_probe_under_the_cap_is_at_the_draw_and_literal_caps():
+    # one trial of covering_delta with delta = 3 on 30 vertices, a run of tests/test_caps.py: one more vertex
+    # passes neither cap, and a second trial not PROBE_CAP
     assert draws("covering_delta", 30, 3, 3) <= PROBE_CAP < 2 * draws("covering_delta", 30, 3, 3)
     assert draws("covering_delta", 31, 3, 3) > PROBE_CAP
     assert literal_count("covering_delta", 30, 3, 3) <= LITERAL_CAP < literal_count("covering_delta", 31, 3, 3)
-    done, _ = probe_child("--problem covering_delta --delta 3 --vertices 30 --trials 1", 1 << 28)
-    assert done.returncode == 0, done.stderr
 
 
-def test_largest_recount_under_the_cap_finishes_within_budget():
-    # of the same probes, one trial of rainbow_d with d = 28 on 31 vertices takes the most memory: 849,555 facets
-    # to recount, 2.4-3.0 s and 215 MB peak RSS on the same VM.  One more vertex passes not RECOUNT_CAP
+def test_largest_recount_under_the_cap_is_at_the_facet_cap():
+    # one trial of rainbow_d with d = 28 on 31 vertices, a run of tests/test_caps.py: one more vertex passes not
+    # RECOUNT_CAP
     assert facet_count("rainbow_d", 31, 28, 0) <= RECOUNT_CAP < facet_count("rainbow_d", 32, 28, 0)
-    done, _ = probe_child("--d 28 --vertices 31 --trials 1", 1 << 28)
-    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("name", PROBLEMS)

@@ -1,6 +1,7 @@
 """Proven bounds as their own oracle: exact Kruskal-Katona on colex initial segments, the sharp
 rainbow-triangle bound T^2 <= 2RGB on its tight cases, and the q-analog against the generalized
-bound, through the command line.
+bound, through the command line; there too, kk on every complete family C([m], d) and qkk on all
+d-subspaces of F_q^n, each tight, and one member short of it.
 
 By Kruskal (1963) and Katona (1968), the first m d-sets of [n] in colex order
 have the least shadow of any m d-sets.  Its size is read from the d-cascade
@@ -88,6 +89,33 @@ def test_one_step_off_a_segment_never_beats_it(n, d):
             fam = SetFamily.make(n, [*order[:m - 1], later], d=d)
             rep = check_kruskal_katona(fam)
             assert rep.computed == len(shadow(fam)) >= least and rep.satisfied, (m, later)
+
+
+def run_kk(path, n: int, d: int, sets) -> tuple[dict, int]:
+    """`kk` on the family written to path: its bound report and its status."""
+    path.write_text(json.dumps({"n": n, "d": d, "sets": [list(s) for s in sets]}))
+    report, status = cli.run(["kk", "--family", str(path)])
+    return report["bounds"][0], status
+
+
+def run_qkk(path, q: int, n: int, d: int, members) -> tuple[dict, int]:
+    """`qkk` on the subspace family written to path: its bound report and its status."""
+    path.write_text(json.dumps({"q": q, "n": n, "d": d, "members": [list(map(list, m)) for m in members]}))
+    report, status = cli.run(["qkk", "--family", str(path)])
+    return report["bounds"][0], status
+
+
+@pytest.mark.parametrize("m, d", SIZES)
+def test_kk_on_a_complete_family_through_the_cli(tmp_path, monkeypatch, m, d):
+    # C([m], d) meets Lovasz's form with equality at t = m; each family one member short exits 0 too
+    path, sets = tmp_path / "fam.json", list(combinations(range(m), d))
+    bound, status = run_kk(path, m, d, sets)
+    assert status == 0 and bound["satisfied"] and bound["computed"] == comb(m, d - 1)
+    for i in range(len(sets) if d < m else 0):
+        bound, status = run_kk(path, m, d, sets[:i] + sets[i + 1:])
+        assert status == 0 and bound["satisfied"], sets[i]
+    monkeypatch.setattr(hypergraph, "_shadow", lambda fam, whole=hypergraph._shadow: set(sorted(whole(fam))[1:]))
+    assert run_kk(path, m, d, sets)[1] == 5
 
 
 def kappa(path) -> tuple[dict, int]:
@@ -190,12 +218,27 @@ def test_q_analog_matches_the_generalized_bound_on_subspaces(tmp_path, q, n, d):
         assert q_analog_disagreements(tmp_path, q, n, d, members) == [], members
 
 
-def test_q_analog_oracle_fails_on_a_shadow_one_hyperplane_short(tmp_path, monkeypatch):
-    def short(fam, whole=qlinalg._subspace_shadow):
-        shadow, ids = whole(fam)
-        return set(sorted(shadow)[1:]), ids
+def one_hyperplane_short(fam, whole=qlinalg._subspace_shadow):
+    """The q-analog shadow less its least hyperplane, with the row ids."""
+    shadow, ids = whole(fam)
+    return set(sorted(shadow)[1:]), ids
 
-    monkeypatch.setattr(qlinalg, "_subspace_shadow", short)
+
+def test_q_analog_oracle_fails_on_a_shadow_one_hyperplane_short(tmp_path, monkeypatch):
+    monkeypatch.setattr(qlinalg, "_subspace_shadow", one_hyperplane_short)
     for q, n, d in [(2, 4, 2), (3, 3, 2), (2, 5, 3)]:
         for members in subspace_families(q, n, d):
             assert "shadow size" in q_analog_disagreements(tmp_path, q, n, d, members), members
+
+
+@pytest.mark.parametrize("q, n, d", SUBSPACE_SHAPES)
+def test_qkk_on_all_subspaces_through_the_cli(tmp_path, monkeypatch, q, n, d):
+    # all d-subspaces of F_q^n meet the q-analog with equality; each family one member short exits 0 too
+    path, members = tmp_path / "subspaces.json", subspace_families(q, n, d)[0]
+    bound, status = run_qkk(path, q, n, d, members)
+    assert status == 0 and bound["satisfied"] and bound["computed"] == len(enumerate_subspaces(q, n, d - 1).members)
+    for i in range(len(members) if len(members) > 1 else 0):
+        bound, status = run_qkk(path, q, n, d, members[:i] + members[i + 1:])
+        assert status == 0 and bound["satisfied"], members[i]
+    monkeypatch.setattr(qlinalg, "_subspace_shadow", one_hyperplane_short)
+    assert run_qkk(path, q, n, d, members)[1] == 5
