@@ -8,7 +8,6 @@ from itertools import combinations, permutations
 
 from shadowlab import SetFamily, rainbow_cliques
 from shadowlab.entropy import (
-    CoverSpec,
     ExactDistribution,
     check_cregular_corollary,
     check_key_inequality,
@@ -20,16 +19,16 @@ from shadowlab.entropy import (
 from shadowlab.constructions import k4_blowup
 
 print("== basic quantities ==")
-bit = ExactDistribution.uniform(1, [(0,), (1,)])
+bit = ExactDistribution.uniform([(0,), (1,)])
 print(f"H(fair bit) = {entropy(bit)}")
-pair = ExactDistribution.uniform(2, [(a, b) for a in (0, 1) for b in (0, 1)])
+pair = ExactDistribution.uniform([(a, b) for a in (0, 1) for b in (0, 1)])
 print(f"independent bits: H(X,Y) = {entropy(pair)}, H(X|Y) = {conditional_entropy(pair, [0], [1])}\n")
 
 print("== shearer on ordered rainbow triangles of the K4 coloring ==")
 graph = k4_blowup(1).graph
-triangles = rainbow_cliques(graph, 3, ("red", "green", "blue"))
-dist = ExactDistribution.uniform(3, [p for t in triangles for p in permutations(t)])
-rep = check_shearer(dist, CoverSpec(3, ((0, 1), (1, 2), (0, 2)), 2))
+triangles = rainbow_cliques(graph, ("red", "green", "blue"))
+dist = ExactDistribution.uniform([p for t in triangles for p in permutations(t)])
+rep = check_shearer(dist, ((0, 1), (1, 2), (0, 2)))
 print(f"2 H(X1,X2,X3) <= sum of pair entropies: slack = {rep.extra['slack']:.6f} = log2(3)")
 print("shearer is NOT tight on the tight example; closing that gap is the whole game\n")
 
@@ -43,7 +42,7 @@ rep = check_key_inequality(fam)
 print(f"a ragged family still satisfies every gap >= 0: {rep.ok}\n")
 
 print("== disjoint-support lemma and the c-regular corollary ==")
-dist = ExactDistribution.uniform(3, [("a", "b", 0), ("b", "a", 1)])
+dist = ExactDistribution.uniform([("a", "b", 0), ("b", "a", 1)])
 rep = check_lemma_disjoint_support(dist, {("a", 0), ("b", 1)}, {("b", 0), ("a", 1)})
 print(f"2^H(X1) = {rep.extra['lhs']:.4f} >= {rep.extra['rhs']:.4f} = 2^H(X1|Y) + 2^H(X2|Y)")
 bad = [(i, i) for i in range(3)]

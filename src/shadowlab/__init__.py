@@ -15,7 +15,7 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 
 # each public name by the layer that defines it
 _EXPORTS = {
-    "entropy": "CoverSpec ExactDistribution check_cregular_corollary check_key_inequality "
+    "entropy": "ExactDistribution check_cregular_corollary check_key_inequality "
                "check_lemma_disjoint_support check_shearer conditional_entropy entropy",
     "checks": "check_partial_shadow_bound count_partial_shadow_targets weighted_joint_sum",
     "errors": "BoundViolationError CapacityError ValidationError",

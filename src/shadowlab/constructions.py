@@ -148,7 +148,7 @@ def kappa_lift(h: ColoredHypergraph) -> Construction:
     if new_color in colors:
         raise ValidationError(f"new color {new_color!r} already used")
     # every edge carries a listed color, so this refuses any edge not of size d - 1, after the vertex cap
-    cliques = pb.rainbow_cliques(h, d, colors)
+    cliques = pb.rainbow_cliques(h, colors)
     v = h.n
     edges = [(e.verts + (v,), e.color) for e in h.edges]
     edges.extend((delta, new_color) for delta in cliques)

@@ -48,9 +48,10 @@ class ExactDistribution(Record):
         return cls(arity=arity, support=support)
 
     @classmethod
-    def uniform(cls, arity: int, tuples: Iterable[Sequence]) -> "ExactDistribution":
-        items = list(tuples)
-        return cls.from_pairs(arity, [(t, 1) for t in items])
+    def uniform(cls, tuples: Iterable[Sequence]) -> "ExactDistribution":
+        """Uniform on distinct tuples, each as long as the first."""
+        items = [tuple(t) for t in tuples]
+        return cls.from_pairs(len(items[0]) if items else 0, [(t, 1) for t in items])
 
     def marginal(self, coords: Sequence[int]) -> dict[tuple, Fraction]:
         """Exact marginal over the given coordinate subset (order-normalized)."""
@@ -118,41 +119,29 @@ def conditional_entropy(dist: ExactDistribution, target: Sequence[int], given: S
     return entropy(dist, sorted(tset | gset)) - entropy(dist, sorted(gset))
 
 
-class CoverSpec(Record):
-    """Index subsets I_1..I_m covering each coordinate at least k times."""
-
-    n: int
-    subsets: tuple[tuple[int, ...], ...]
-    k: int
-
-    def _post_init(self) -> None:
-        if self.k < 1:
-            raise ValidationError(f"k must be positive, got {self.k}")
-        cover = [0] * self.n
-        for subset in self.subsets:
-            if not subset:
-                raise ValidationError("cover subsets must be nonempty")
-            for i in subset:
-                if not (0 <= i < self.n):
-                    raise ValidationError(f"index {i} outside [0, {self.n})")
-                cover[i] += 1
-        short = [i for i, c in enumerate(cover) if c < self.k]
-        if short:
-            raise ValidationError(f"coordinates {short} covered fewer than k={self.k} times")
-
-
-def check_shearer(dist: ExactDistribution, cover: CoverSpec) -> BoundReport:
-    """k * H(X_1..X_n) <= sum_j H((X_i)_{i in I_j})."""
-    if cover.n != dist.arity:
-        raise ValidationError(f"cover is for arity {cover.n}, distribution has {dist.arity}")
-    lhs = cover.k * entropy(dist)
-    rhs = sum(entropy(dist, subset) for subset in cover.subsets)
+def check_shearer(dist: ExactDistribution, subsets: Iterable[Sequence[int]]) -> BoundReport:
+    """k * H(X_1..X_n) <= sum_j H((X_i)_{i in I_j}), with k the fewest subsets I_j that hold a coordinate:
+    the strongest k the cover allows, which implies every smaller one since H >= 0."""
+    subsets = [set(subset) for subset in subsets]
+    cover = [0] * dist.arity
+    for subset in subsets:
+        if not subset:
+            raise ValidationError("cover subsets must be nonempty")
+        for i in subset:
+            if not (0 <= i < dist.arity):
+                raise ValidationError(f"index {i} outside [0, {dist.arity})")
+            cover[i] += 1
+    if 0 in cover:
+        raise ValidationError(f"coordinates {[i for i, c in enumerate(cover) if not c]} are in no cover subset")
+    k = min(cover, default=0)  # arity 0 has no coordinate, and `entropy` refuses it below
+    lhs = k * entropy(dist)
+    rhs = sum(entropy(dist, subset) for subset in subsets)
     return upper_report(
         "k * H(all)",
         lhs,
         rhs,
         "shearer inequality",
-        extra={"k": cover.k, "slack": rhs - lhs},
+        extra={"k": k, "slack": rhs - lhs},
     )
 
 
@@ -291,14 +280,13 @@ def _entropy_options(p) -> None:
     p.add_argument("--dist")
     p.add_argument("--coords")
     p.add_argument("--shearer", help="cover subsets, e.g. '0,1;1,2;0,2'")
-    p.add_argument("--k", type=int)  # None when left out, and --shearer's default in `_cmd_entropy`
     p.add_argument("--key", action="store_true", help="key inequality for a set family")
     p.add_argument("--family")
 
 
 # each mode, by the option that selects it, with its options and their defaults, by argparse dest, as
 # `mode_options` reads them: --key, else --shearer, else the plain mode --dist
-_MODE_OPTIONS = {"--key": {"family": REQUIRED}, "--shearer": {"dist": None, "shearer": None, "k": 1},
+_MODE_OPTIONS = {"--key": {"family": REQUIRED}, "--shearer": {"dist": None, "shearer": None},
                  "--dist": {"dist": None, "coords": None}}
 
 
@@ -313,9 +301,8 @@ def _cmd_entropy(args) -> tuple[dict, list[BoundReport], list[str]]:
         raise ValidationError("entropy needs --dist (or --key with --family)")
     dist = distribution_from_obj(formats.load_json(args.dist))
     if mode == "--shearer":
-        subsets = tuple(tuple(parse_ints(part)) for part in args.shearer.split(";") if part.strip())
-        rep = check_shearer(dist, CoverSpec(dist.arity, subsets, args.k))
-        return {"k": args.k, "slack": rep.extra["slack"]}, [rep], []
+        rep = check_shearer(dist, [parse_ints(part) for part in args.shearer.split(";") if part.strip()])
+        return {"k": rep.extra["k"], "slack": rep.extra["slack"]}, [rep], []
     coords = parse_ints(args.coords) if args.coords else None
     value = entropy(dist, coords)
     return {"H": value, "coords": coords if coords else "all", "support": len(dist.support)}, [], []

@@ -78,10 +78,14 @@ class ForbiddingSystem:
         key = tuple(sorted(multiset))
         if len(key) > self.d:
             raise ValidationError(f"multiset {key} larger than d = {self.d}")
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self._memo[key] = bool(self._classify(key))
-        return cached
+        return self._good(key)
+
+    def _good(self, key: Multiset) -> bool:
+        """The memoized verdict on a sorted multiset, classified and stored on a miss."""
+        good = self._memo.get(key)
+        if good is None:
+            good = self._memo[key] = bool(self._classify(key))
+        return good
 
 
 def repeats_system(n: int, d: int) -> ForbiddingSystem:
@@ -189,8 +193,7 @@ def _extensions(sys: ForbiddingSystem, ms: Multiset) -> list[bool]:
     """Whether ms + (x,) is good, for each universe element x in order.
 
     The universe is cut before each distinct element of the sorted ms, and the elements between two cuts
-    go in before the first place of the later one in ms, so the keys need no sort.  They are looked up in
-    the memo all at once, and those it lacks are classified into it.
+    go in before the first place of the later one in ms, so the keys need no sort.
     """
     universe, splits, lo, j = sys.universe, [], 0, 0
     while j < len(ms):  # ms[j] is the first of its value in ms
@@ -200,11 +203,7 @@ def _extensions(sys: ForbiddingSystem, ms: Multiset) -> list[bool]:
         lo, j = hi, bisect_right(ms, ms[j], j)
     if lo < len(universe):
         splits.append((ms, (), universe[lo:]))
-    keys = [head + (x,) + tail for head, tail, xs in splits for x in xs]
-    found = list(map(sys._memo.get, keys))
-    for i in [i for i, good in enumerate(found) if good is None]:
-        found[i] = sys._memo[keys[i]] = bool(sys._classify(keys[i]))
-    return found
+    return [sys._good(head + (x,) + tail) for head, tail, xs in splits for x in xs]
 
 
 def _check_multiset(sys: ForbiddingSystem, ms: Multiset) -> str | None:
@@ -223,15 +222,15 @@ def _check_multiset(sys: ForbiddingSystem, ms: Multiset) -> str | None:
     return None
 
 
-def verify_forbidding_axioms(sys: ForbiddingSystem, seed: int = 0) -> AxiomReport:
+def verify_forbidding_axioms(sys: ForbiddingSystem) -> AxiomReport:
     """Check the two axioms over all multisets of size < d (or SPOT_TRIALS random ones).
 
     Runs exhaustively when the C(|U|+d, d) - 1 multisets of size 1..d it
-    classifies and memoizes are within VERIFY_CAP, and falls back to a seeded
-    spot-check beyond that; the report carries which one ran.  A memoized
-    multiset holds up to d elements, so d times the number either branch
-    classifies is held within 10 x VERIFY_CAP, which binds only for d > 10
-    over a small universe.
+    classifies and memoizes are within VERIFY_CAP, and falls back to a
+    spot-check seeded with 0 beyond that; the report carries which one ran.
+    A memoized multiset holds up to d elements, so d times the number either
+    branch classifies is held within 10 x VERIFY_CAP, which binds only for
+    d > 10 over a small universe.
     """
     checked = 0
     multisets = math.comb(len(sys.universe) + sys.d, sys.d) - 1
@@ -247,7 +246,7 @@ def verify_forbidding_axioms(sys: ForbiddingSystem, seed: int = 0) -> AxiomRepor
         lookups = SPOT_TRIALS * len(sys.universe)
         check_cap("spot-check lookups (trials x universe size)", lookups, VERIFY_CAP)
         check_cap("spot-check memo elements (trials x universe size x d)", lookups * sys.d, 10 * VERIFY_CAP)
-        rng = random.Random(seed)
+        rng = random.Random(0)
         draws = (tuple(sorted(rng.choice(sys.universe) for _ in range(rng.randint(1, max(1, sys.d - 1)))))
                  for _ in range(SPOT_TRIALS))
     for ms in draws:
@@ -304,7 +303,7 @@ def _walk(sys: ForbiddingSystem, inside: tuple) -> tuple[tuple | None, list[Mult
     unknown = sorted(set(inside).difference(sys._members))
     if unknown:
         raise ValidationError(f"elements {unknown} are not in the universe")
-    memo, classify, forbidden = sys._memo, sys._classify, sys.forbidden
+    good_of, forbidden = sys._good, sys.forbidden
     level: list[tuple[Multiset, int, int]] = [((), 0, 1)]  # (multiset, index of its last element, orderings)
     expected = 1
     for size, c in enumerate((0,) + sys.c_vector, 1):  # c_0 = 0: all |S| singletons are good
@@ -316,13 +315,7 @@ def _walk(sys: ForbiddingSystem, inside: tuple) -> tuple[tuple | None, list[Mult
                 raise ValidationError(f"forbidden({ms}) has {len(bad)} elements, declared c_{size - 1} = {c}")
             for i in range(start, len(inside)):
                 key = ms + (inside[i],)
-                if bad is None:
-                    good = memo.get(key)
-                    if good is None:
-                        good = memo[key] = bool(classify(key))
-                else:
-                    good = inside[i] not in bad
-                if good:
+                if good_of(key) if bad is None else inside[i] not in bad:
                     orderings = count * size // key.count(inside[i])
                     grown.append((key, i, orderings))
                     found += orderings
@@ -424,7 +417,7 @@ def _parse_set(sys_name: str, text: str):
 
 
 def _verify(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[str]]:
-    rep = verify_forbidding_axioms(system, seed=args.seed)
+    rep = verify_forbidding_axioms(system)
     if not rep.ok:
         raise BoundViolationError(f"forbidding axioms failed: {rep.violation}")
     q = {"system": system.name, "ok": rep.ok, "exhaustive": rep.exhaustive, "checked": rep.checked,
@@ -464,7 +457,7 @@ def _gkk(args, system: ForbiddingSystem) -> tuple[dict, list[BoundReport], list[
 # the forbidding actions by name, each run on the system that --system and --d name
 _FORBIDDING_ACTIONS = {"verify": _verify, "compatible": _compatible, "sd": _sd, "gkk": _gkk}
 # each action's options and their defaults, by argparse dest, as `mode_options` reads them
-_MODE_OPTIONS = {"verify": {"seed": 0}, "compatible": {"set": REQUIRED}, "sd": {"set": REQUIRED},
+_MODE_OPTIONS = {"verify": {}, "compatible": {"set": REQUIRED}, "sd": {"set": REQUIRED},
                  "gkk": {"family": None, "subspaces": None}}
 
 
@@ -476,8 +469,6 @@ def _forbidding_options(p) -> None:
     p.add_argument("--set", help="elements: ints '0,1,2' or vectors '1,0;0,1'")
     p.add_argument("--family")
     p.add_argument("--subspaces")
-    # None when left out, and verify's default in `_cmd_forbidding`
-    p.add_argument("--seed", type=int, help="seed of verify's spot-check")
 
 
 def _cmd_forbidding(args) -> tuple[dict, list[BoundReport], list[str]]:

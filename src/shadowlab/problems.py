@@ -61,9 +61,9 @@ def _rainbow_form(h: ColoredHypergraph, d: int, colors: Sequence[str]) -> Form:
     return _form(d, items)
 
 
-def rainbow_cliques(h: ColoredHypergraph, d: int, colors: Sequence[str]) -> tuple[tuple[int, ...], ...]:
-    """All d-subsets whose d facets are edges carrying the d listed colors once each."""
-    pairs = _rainbow(_rainbow_form(h, d, tuple(colors)))  # each base edge with the vertices completing it
+def rainbow_cliques(h: ColoredHypergraph, colors: Sequence[str]) -> tuple[tuple[int, ...], ...]:
+    """All d-subsets, for d listed colors, whose d facets are edges carrying the listed colors once each."""
+    pairs = _rainbow(_rainbow_form(h, len(colors), tuple(colors)))  # each base edge with the vertices completing it
     return tuple(sorted(_members(e | 1 << v) for e, x in pairs for v in _members(x)))
 
 

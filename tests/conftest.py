@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from shadowlab.constructions import round_robin_matchings
-from shadowlab.entropy import CoverSpec, ExactDistribution
+from shadowlab.entropy import ExactDistribution
 from shadowlab.hypergraph import ColoredHypergraph, SetFamily
 from shadowlab.problems import PROBLEMS, Problem
 
@@ -111,9 +111,9 @@ def problem_count(name: str, h: ColoredHypergraph, d: int = 3, delta: int = 0, c
     return problem.exact(h, d, delta, colors)[0][problem.names[0]]
 
 
-def leave_one_out(n: int) -> CoverSpec:
+def leave_one_out(n: int) -> tuple[tuple[int, ...], ...]:
     """The n subsets of [n] that each leave one index out, covering every index n - 1 times."""
-    return CoverSpec(n, tuple(tuple(j for j in range(n) if j != i) for i in range(n)), n - 1)
+    return tuple(tuple(j for j in range(n) if j != i) for i in range(n))
 
 
 def is_opposite_edge_k4(h: ColoredHypergraph) -> bool:

@@ -113,7 +113,7 @@ CASES = [
     "qkk --family subs-above.json",
     "entropy --dist dist.json",
     "entropy --dist dist.json --coords 0,2",
-    "entropy --dist dist.json --shearer 0,1;1,2;0,2 --k 2",
+    "entropy --dist dist.json --shearer 0,1;1,2;0,2",
     "entropy --key --family fam.json",
     "entropy --key",
     "entropy",

@@ -261,7 +261,7 @@ def test_criterion_13_entropy_identities():
         ) <= TOL
         # uniform bound, equality exactly for the uniform version
         assert entropy(dist) <= math.log2(len(dist.support)) + TOL
-        uniform = ExactDistribution.uniform(arity, [v for v, _ in dist.support])
+        uniform = ExactDistribution.uniform([v for v, _ in dist.support])
         assert abs(entropy(uniform) - math.log2(len(uniform.support))) <= TOL
         # shearer with the leave-one-out cover
         assert check_shearer(dist, leave_one_out(arity)).satisfied

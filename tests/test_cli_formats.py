@@ -224,9 +224,9 @@ class TestCli:
         "kappa": ([], ["--input", "--d", "--colors"]),
         "kk": ([], ["--family", "--out"]),
         "qkk": ([], ["--family"]),
-        "entropy": ([], ["--dist", "--coords", "--shearer", "--k", "--key", "--family"]),
+        "entropy": ([], ["--dist", "--coords", "--shearer", "--key", "--family"]),
         "forbidding": (["{verify,compatible,sd,gkk}"],
-                       ["--system", "--d", "--universe-size", "--set", "--family", "--subspaces", "--seed"]),
+                       ["--system", "--d", "--universe-size", "--set", "--family", "--subspaces"]),
         "construct": (["{k4-blowup,rainbow-tripartite,matching,lift,tetrahedra8,flats,tripartite-mixed,"
                        "complete-family}"], ["--n", "--a", "--b", "--c", "--d", "--m", "--input", "--out"]),
         "search": (["{rainbow-triangle,mixed4,probe}"],
@@ -529,6 +529,10 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["shadow", "--family", "fam.json", "--out", "sh.json"], "invalid choice"),
         (["weighted", "--input", "w.json", "--spectral"], "unrecognized arguments: --spectral"),
+        # argparse reads the prefix --k as --key, which takes no value
+        (["entropy", "--dist", "dist.json", "--shearer", "0;1", "--k", "1"], "unrecognized arguments: 1"),
+        (["forbidding", "verify", "--system", "repeats", "--universe-size", "4", "--d", "3", "--seed", "0"],
+         "unrecognized arguments: --seed 0"),
     ])
     def test_removed_command_and_option_are_usage_errors(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -37,7 +37,7 @@ PROGRAM_CASES = [
     ("kk --family fam.json", False),
     ("kk --family fam.json --out shadow-out.json", True),
     ("qkk --family subs-float.json", True),  # exit 3
-    ("entropy --dist dist.json --shearer 0,1;1,2;0,2 --k 2", False),
+    ("entropy --dist dist.json --shearer 0,1;1,2;0,2", False),
     ("forbidding gkk --system repeats --universe-size 5 --d 3 --family fam.json", True),
     ("construct k4-blowup --n 17", False),  # exit 4
     ("search probe --problem rainbow_d --vertices 13 --trials 40 --seed 5 --out p11.json", True),

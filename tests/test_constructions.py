@@ -129,7 +129,7 @@ class TestTetrahedra8:
     def test_rainbow_census(self):
         # the 48 cliques split 16 + 16 + 16 across three listed families
         c = tetrahedra8()
-        cliques = set(rainbow_cliques(c.graph, 4, ("red", "blue", "green", "yellow")))
+        cliques = set(rainbow_cliques(c.graph, ("red", "blue", "green", "yellow")))
         u, v = list(range(4)), list(range(4, 8))
         fam1 = {tuple(sorted(su + (vi,))) for su in combinations(u, 3) for vi in v}
         fam2 = {tuple(sorted((ui,) + sv)) for ui in u for sv in combinations(v, 3)}

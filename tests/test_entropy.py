@@ -10,7 +10,6 @@ import pytest
 
 from conftest import fig1_k4, leave_one_out, random_distribution, random_set_family, ref
 from shadowlab.entropy import (
-    CoverSpec,
     ExactDistribution,
     check_cregular_corollary,
     check_key_inequality,
@@ -46,11 +45,11 @@ def conditional_entropy_defining_sum(dist, target, given):
 
 class TestEntropy:
     def test_uniform_four_tuples(self):
-        dist = ExactDistribution.uniform(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        dist = ExactDistribution.uniform([(0, 0), (0, 1), (1, 0), (1, 1)])
         assert entropy(dist) == pytest.approx(2.0, abs=1e-12)
 
     def test_fair_bit(self):
-        dist = ExactDistribution.uniform(1, [(0,), (1,)])
+        dist = ExactDistribution.uniform([(0,), (1,)])
         assert entropy(dist) == pytest.approx(1.0, abs=1e-12)
 
     def test_bernoulli_quarter(self):
@@ -58,8 +57,17 @@ class TestEntropy:
         expected = 2 - Fraction(3, 4) * math.log2(3)
         assert entropy(dist) == pytest.approx(float(expected), abs=1e-12)
 
+    def test_uniform_takes_the_first_tuples_length(self):
+        assert ExactDistribution.uniform([(0, 1, 2)]).arity == 3
+        assert ExactDistribution.uniform(iter([[0, 1], [1, 0]])).support == (((0, 1), Fraction(1, 2)),
+                                                                              ((1, 0), Fraction(1, 2)))
+        with pytest.raises(ValidationError, match="empty support"):
+            ExactDistribution.uniform([])
+        with pytest.raises(ValidationError, match=r"tuple \(1,\) has length 1, expected 2"):
+            ExactDistribution.uniform([(0, 1), (1,)])
+
     def test_empty_coords_rejected(self):
-        dist = ExactDistribution.uniform(1, [(0,)])
+        dist = ExactDistribution.uniform([(0,)])
         with pytest.raises(ValidationError):
             entropy(dist, [])
 
@@ -78,20 +86,20 @@ class TestEntropy:
 
 class TestConditionalEntropy:
     def test_perfectly_correlated(self):
-        dist = ExactDistribution.uniform(2, [(0, 0), (1, 1)])
+        dist = ExactDistribution.uniform([(0, 0), (1, 1)])
         assert conditional_entropy(dist, [0], [1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_independent_bits(self):
-        dist = ExactDistribution.uniform(2, [(a, b) for a in (0, 1) for b in (0, 1)])
+        dist = ExactDistribution.uniform([(a, b) for a in (0, 1) for b in (0, 1)])
         assert conditional_entropy(dist, [0], [1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_triangle_graph_ordered_pairs(self):
         pairs = [(a, b) for a, b in permutations(range(3), 2)]
-        dist = ExactDistribution.uniform(2, pairs)
+        dist = ExactDistribution.uniform(pairs)
         assert conditional_entropy(dist, [1], [0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_overlap_rejected(self):
-        dist = ExactDistribution.uniform(2, [(0, 0), (1, 1)])
+        dist = ExactDistribution.uniform([(0, 0), (1, 1)])
         with pytest.raises(ValidationError):
             conditional_entropy(dist, [0], [0])
 
@@ -111,29 +119,26 @@ class TestConditionalEntropy:
 
 class TestShearer:
     def test_independent_bits_equality(self):
-        dist = ExactDistribution.uniform(3, [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
-        cover = CoverSpec(3, ((0, 1), (1, 2), (0, 2)), 2)
-        rep = check_shearer(dist, cover)
+        dist = ExactDistribution.uniform([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+        rep = check_shearer(dist, ((0, 1), (1, 2), (0, 2)))
         assert rep.satisfied
         assert rep.extra["slack"] == pytest.approx(0.0, abs=1e-9)
 
     def test_fig1_ordered_rainbow_triangles(self):
         h = fig1_k4()
-        tris = rainbow_cliques(h, 3, ("red", "green", "blue"))
+        tris = rainbow_cliques(h, ("red", "green", "blue"))
         tuples = [perm for tri in tris for perm in permutations(tri)]
         assert len(tuples) == 24
-        dist = ExactDistribution.uniform(3, tuples)
-        cover = CoverSpec(3, ((0, 1), (1, 2), (0, 2)), 2)
-        rep = check_shearer(dist, cover)
+        dist = ExactDistribution.uniform(tuples)
+        rep = check_shearer(dist, ((0, 1), (1, 2), (0, 2)))
         assert rep.satisfied
         # pair marginals are uniform over the 12 ordered K4 edges, so the
         # slack is 3 log2(12) - 2 log2(24) = log2(3); not tight
         assert rep.extra["slack"] == pytest.approx(math.log2(3), abs=1e-9)
 
     def test_deterministic_tuple(self):
-        dist = ExactDistribution.uniform(3, [(1, 2, 3)])
-        cover = leave_one_out(3)
-        rep = check_shearer(dist, cover)
+        dist = ExactDistribution.uniform([(1, 2, 3)])
+        rep = check_shearer(dist, leave_one_out(3))
         assert rep.satisfied
         assert rep.extra["slack"] == pytest.approx(0.0, abs=1e-12)
 
@@ -145,9 +150,24 @@ class TestShearer:
             rep = check_shearer(dist, leave_one_out(arity))
             assert rep.satisfied
 
-    def test_invalid_cover(self):
-        with pytest.raises(ValidationError):
-            CoverSpec(3, ((0, 1),), 2)
+    @pytest.mark.parametrize("subsets, message", [
+        (((0,), ()), "nonempty"),
+        (((0,), (2,)), r"index 2 outside \[0, 2\)"),
+        (((0,), (0,)), r"coordinates \[1\] are in no cover subset"),
+    ])
+    def test_cover_is_checked(self, subsets, message):
+        dist = ExactDistribution.uniform([(0, 0), (1, 1)])
+        with pytest.raises(ValidationError, match=message):
+            check_shearer(dist, subsets)
+
+    def test_k_is_the_least_multiplicity(self):
+        dist = ExactDistribution.uniform([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+        assert check_shearer(dist, ((0, 1), (1, 2), (0, 2))).extra["k"] == 2
+        assert check_shearer(dist, ((0, 1), (1, 2), (0, 2), (0,))).extra["k"] == 2
+        assert check_shearer(dist, ((0, 1), (1, 2))).extra["k"] == 1
+        # an index repeated inside one subset holds its coordinate once
+        rep = check_shearer(dist, ((0, 0, 1, 1, 2),))
+        assert rep.extra["k"] == 1 and rep.satisfied
 
 
 class TestKeyInequality:
@@ -213,7 +233,7 @@ class TestKeyInequality:
 class TestDisjointSupportLemma:
     def test_two_point_equality(self):
         # Y a fair bit; X1 = a iff Y = 0, X2 = a iff Y = 1
-        dist = ExactDistribution.uniform(3, [("a", "b", 0), ("b", "a", 1)])
+        dist = ExactDistribution.uniform([("a", "b", 0), ("b", "a", 1)])
         d1 = {("a", 0), ("b", 1)}
         d2 = {("b", 0), ("a", 1)}
         rep = check_lemma_disjoint_support(dist, d1, d2)
@@ -222,7 +242,7 @@ class TestDisjointSupportLemma:
         assert rep.extra["rhs"] == pytest.approx(2.0, abs=1e-9)
 
     def test_unequal_laws_rejected(self):
-        dist = ExactDistribution.uniform(3, [("a", "b", 0), ("a", "c", 1)])
+        dist = ExactDistribution.uniform([("a", "b", 0), ("a", "c", 1)])
         d1 = {("a", 0), ("a", 1), ("b", 0), ("c", 0)}
         d2 = {("b", 1), ("c", 1)}
         with pytest.raises(ValidationError):
@@ -231,19 +251,19 @@ class TestDisjointSupportLemma:
     def test_laws_differing_alone_rejected(self):
         # X1 = a and X2 = b always: D1 = {(a, 0)} and D2 = {(b, 0)} are disjoint, cover {a, b} x {0}
         # and hold the support, so only the laws differ
-        dist = ExactDistribution.uniform(3, [("a", "b", 0)])
+        dist = ExactDistribution.uniform([("a", "b", 0)])
         with pytest.raises(ValidationError, match="X1 and X2 must have identical laws"):
             check_lemma_disjoint_support(dist, {("a", 0)}, {("b", 0)})
 
     def test_overlapping_partition_rejected(self):
-        dist = ExactDistribution.uniform(3, [("a", "b", 0)])
+        dist = ExactDistribution.uniform([("a", "b", 0)])
         with pytest.raises(ValidationError):
             check_lemma_disjoint_support(dist, {("a", 0), ("b", 0)}, {("b", 0)})
 
     def test_corollary_instance(self):
         # diagonal bad cells on [3]x[3]: X uniform off-diagonal, X2 = Y
         tuples = [(x, y, y) for y in range(3) for x in range(3) if x != y]
-        dist = ExactDistribution.uniform(3, tuples)
+        dist = ExactDistribution.uniform(tuples)
         d2 = {(y, y) for y in range(3)}
         d1 = {(x, y) for x in range(3) for y in range(3) if x != y}
         rep = check_lemma_disjoint_support(dist, d1, d2)

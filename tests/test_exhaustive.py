@@ -35,7 +35,7 @@ from shadowlab.entropy import check_key_inequality
 from shadowlab.hypergraph import ColoredHypergraph, SetFamily
 from shadowlab.problems import PROBLEMS, RGB
 from shadowlab.qlinalg import enumerate_subspaces
-from test_soundness import cascade_shadow, run_kk, run_qkk
+from test_soundness import cascade_shadow, run_gkk, run_kk, run_qkk
 
 KK_SIZES = [(n, d) for n in range(3, 8) for d in range(2, n) if comb(n, d) <= 21]
 
@@ -74,14 +74,6 @@ def subspace_pool(q: int, n: int, d: int) -> tuple[list, list[int]]:
     pool = list(enumerate_subspaces(q, n, d).members)
     below = list(subspaces_by_span(q, n, d - 1))
     return pool, [sum(1 << j for j, p in enumerate(below) if p <= span(m, q, n)) for m in pool]
-
-
-def run_gkk(path, system: str, d: int) -> tuple[dict, dict, int]:
-    """`forbidding gkk --system <system>`, its words split into arguments (so `repeats` carries its
-    `--universe-size`), on the family file that run_kk or run_qkk last wrote to path."""
-    option = "--family" if system.startswith("repeats") else "--subspaces"
-    report, status = cli.run(["forbidding", "gkk", "--system", *system.split(), "--d", str(d), option, str(path)])
-    return report["quantities"], report["bounds"][0], status
 
 
 def is_tight(bound: dict) -> bool:

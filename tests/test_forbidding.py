@@ -148,7 +148,7 @@ class TestAxiomVerification:
 
     def test_spot_mode_flags_not_exhaustive(self):
         # C(204, 4) - 1 = 70,058,750 multisets of size 1..4 are past the exhaustive bound
-        report = verify_forbidding_axioms(repeats_system(200, 4), seed=1)
+        report = verify_forbidding_axioms(repeats_system(200, 4))
         assert report.ok and not report.exhaustive and report.checked == forbidding.SPOT_TRIALS
 
     def test_spot_check_capped_before_classifying(self):

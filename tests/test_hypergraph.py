@@ -120,7 +120,14 @@ class TestRainbowCliques:
                 quad for quad in combinations(range(h.n), 4)
                 if sorted(lookup.get(f, "") for f in combinations(quad, 3)) == sorted(listed)
             )
-            assert rainbow_cliques(h, 4, listed) == brute
+            assert rainbow_cliques(h, listed) == brute
+
+    def test_rainbow_cliques_take_d_from_the_colors(self):
+        h = fig1_k4()
+        assert rainbow_cliques(h, RGB) == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+        for colors, message in [(("red",), "need d >= 2, got 1"), (("red", "red", "blue"), "3 distinct colors")]:
+            with pytest.raises(ValidationError, match=message):
+                rainbow_cliques(h, colors)
 
     def test_listed_color_with_no_edges_is_zero(self):
         h = ColoredHypergraph.from_edges(3, [((0, 1), "red"), ((1, 2), "green")])

@@ -23,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # every name the package exported when each layer was imported eagerly, by the layer that now defines it
 PUBLIC = {
-    "entropy": ["CoverSpec", "ExactDistribution", "check_cregular_corollary", "check_key_inequality",
+    "entropy": ["ExactDistribution", "check_cregular_corollary", "check_key_inequality",
                 "check_lemma_disjoint_support", "check_shearer", "conditional_entropy", "entropy"],
     "checks": ["check_partial_shadow_bound", "count_partial_shadow_targets", "weighted_joint_sum"],
     "errors": ["BoundViolationError", "CapacityError", "ValidationError"],

@@ -13,8 +13,7 @@ import pytest
 
 from shadowlab.checks import WeightedSumReport
 from shadowlab.constructions import Construction
-from shadowlab.entropy import CoverSpec, ExactDistribution, KeyInequalityReport
-from shadowlab.errors import ValidationError
+from shadowlab.entropy import ExactDistribution, KeyInequalityReport
 from shadowlab.forbidding import AxiomReport, CompatibilityResult
 from shadowlab.hypergraph import ColoredHypergraph, Edge, SetFamily
 from shadowlab.problems import Problem
@@ -74,8 +73,6 @@ CASES = [
      ("violations", ("bad",))),
     (ExactDistribution, (1, (((0,), Fraction(1)),)), 0, (),
      "ExactDistribution(arity=1, support=(((0,), Fraction(1, 1)),))", True, ("arity", 2)),
-    (CoverSpec, (2, ((0,), (1,)), 1), 0, (), "CoverSpec(n=2, subsets=((0,), (1,)), k=1)", True,
-     ("subsets", ((0, 1),))),
     (KeyInequalityReport, ((2.0, 1.0), (0.0,), REPORT), 0, (),
      f"KeyInequalityReport(sizes=(2.0, 1.0), gaps=(0.0,), report={REPORT_REPR})", False, ("gaps", (1.0,))),
     (AxiomReport, (True, True, 3, None), 1, (None,),
@@ -102,7 +99,6 @@ FIELDS = {
                   "extra"),
     ValidationReport: ("ok", "violations"),
     ExactDistribution: ("arity", "support"),
-    CoverSpec: ("n", "subsets", "k"),
     KeyInequalityReport: ("sizes", "gaps", "report"),
     AxiomReport: ("ok", "exhaustive", "checked", "violation"),
     CompatibilityResult: ("ok", "witness"),
@@ -115,7 +111,7 @@ IDS = [case[0].__name__ for case in CASES]
 
 
 def test_every_record_is_covered():
-    assert len(CASES) == len(FIELDS) == 15
+    assert len(CASES) == len(FIELDS) == 14
     assert {case[0] for case in CASES} == set(FIELDS)
 
 
@@ -200,22 +196,8 @@ def test_bound_report_kind_is_checked():
         BoundReport(quantity="q", computed=1, bound=2.0, ratio=0.5, satisfied=True, source="src", kind="")
 
 
-@pytest.mark.parametrize("n, subsets, k, message", [
-    (2, ((0,), (1,)), 0, "k must be positive"),
-    (2, ((0,), ()), 1, "nonempty"),
-    (2, ((0,), (2,)), 1, "outside"),
-    (2, ((0,), (0,)), 1, "covered fewer"),
-    (3, ((0, 1), (1, 2)), 2, "covered fewer"),
-])
-def test_cover_spec_is_checked(n, subsets, k, message):
-    with pytest.raises(ValidationError, match=message):
-        CoverSpec(n, subsets, k)
-    with pytest.raises(ValidationError, match=message):
-        CoverSpec(n=n, subsets=subsets, k=k)
-
-
 def test_classmethods_build_records():
     assert ColoredHypergraph.from_edges(2, [((1, 0), "red")]) == GRAPH
     assert SetFamily.make(3, [(1, 0)]) == SetFamily(3, 2, ((0, 1),))
     assert SubspaceFamily.make(2, 2, 1, [[(0, 1)]]) == SubspaceFamily(2, 2, 1, (((0, 1),),))
-    assert ExactDistribution.uniform(1, [(0,)]) == ExactDistribution(1, (((0,), Fraction(1)),))
+    assert ExactDistribution.uniform([(0,)]) == ExactDistribution(1, (((0,), Fraction(1)),))

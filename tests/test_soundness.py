@@ -1,7 +1,8 @@
 """Proven bounds as their own oracle: exact Kruskal-Katona on colex initial segments, the sharp
 rainbow-triangle bound T^2 <= 2RGB on its tight cases, and the q-analog against the generalized
 bound, through the command line; there too, kk on every complete family C([m], d) and qkk on all
-d-subspaces of F_q^n, each tight, and one member short of it.
+d-subspaces of F_q^n, each tight, and one member short of it; the key inequality on C([m], d), Shearer's
+inequality on uniform [b]^k and gkk on one whole compatible set, each tight.
 
 By Kruskal (1963) and Katona (1968), the first m d-sets of [n] in colex order
 have the least shadow of any m d-sets.  Its size is read from the d-cascade
@@ -24,13 +25,14 @@ So gkk on the subspaces of a family counts |F| |GL_d(q)| tuples and a shadow
 import json
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
-from conftest import RGB, gl_order, replaced
-from shadowlab import cli, hypergraph, qlinalg
+from conftest import RGB, gl_order, leave_one_out, replaced
+from shadowlab import cli, forbidding, hypergraph, qlinalg
+from shadowlab.entropy import ExactDistribution
 from shadowlab.hypergraph import SetFamily, check_kruskal_katona, shadow
 from shadowlab.problems import PROBLEMS
 from shadowlab.qlinalg import enumerate_subspaces
@@ -103,6 +105,14 @@ def run_qkk(path, q: int, n: int, d: int, members) -> tuple[dict, int]:
     path.write_text(json.dumps({"q": q, "n": n, "d": d, "members": [list(map(list, m)) for m in members]}))
     report, status = cli.run(["qkk", "--family", str(path)])
     return report["bounds"][0], status
+
+
+def run_gkk(path, system: str, d: int) -> tuple[dict, dict, int]:
+    """`forbidding gkk --system <system>`, its words split into arguments (so `repeats` carries its
+    `--universe-size`), on the family file that run_kk or run_qkk last wrote to path."""
+    option = "--family" if system.startswith("repeats") else "--subspaces"
+    report, status = cli.run(["forbidding", "gkk", "--system", *system.split(), "--d", str(d), option, str(path)])
+    return report["quantities"], report["bounds"][0], status
 
 
 @pytest.mark.parametrize("m, d", SIZES)
@@ -242,3 +252,73 @@ def test_qkk_on_all_subspaces_through_the_cli(tmp_path, monkeypatch, q, n, d):
         assert status == 0 and bound["satisfied"], members[i]
     monkeypatch.setattr(qlinalg, "_subspace_shadow", one_hyperplane_short)
     assert run_qkk(path, q, n, d, members)[1] == 5
+
+
+@pytest.mark.parametrize("m, d", [(m, d) for m in range(1, 9) for d in range(1, m + 1)])
+def test_key_inequality_on_a_complete_family_through_the_cli(tmp_path, m, d):
+    # each k-subset of a member of C([m], d) lies in C(m - k, d - k) members, so s_k = m - k + 1
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"n": m, "d": d, "sets": [list(s) for s in combinations(range(m), d)]}))
+    report, status = cli.run(["entropy", "--key", "--family", str(path)])
+    assert status == 0 and report["bounds"][0]["satisfied"] and report["quantities"]["ok"]
+    assert report["quantities"]["sizes"] == pytest.approx([m - k + 1 for k in range(1, d + 1)], abs=1e-12)
+
+
+def run_shearer(path, b: int, k: int) -> tuple[dict, int]:
+    """`entropy --shearer` with the leave-one-out cover on the uniform distribution on [b]^k."""
+    support = [{"values": list(v), "p": f"1/{b**k}"} for v in product(range(b), repeat=k)]
+    path.write_text(json.dumps({"arity": k, "support": support}))
+    cover = ";".join(",".join(map(str, subset)) for subset in leave_one_out(k))
+    return cli.run(["entropy", "--dist", str(path), "--shearer", cover])
+
+
+@pytest.mark.parametrize("b, k", [(b, k) for b in range(2, 6) for k in range(2, 6)])
+def test_shearer_on_a_uniform_cube_through_the_cli(tmp_path, b, k):
+    # each coordinate is left out once: (k - 1) k log2 b on both sides
+    report, status = run_shearer(tmp_path / "dist.json", b, k)
+    assert status == 0 and report["bounds"][0]["satisfied"] and report["quantities"]["k"] == k - 1
+    assert report["bounds"][0]["computed"] == pytest.approx((k - 1) * k * math.log2(b), rel=1e-12)
+
+
+def test_shearer_fails_on_marginals_one_atom_short(tmp_path, monkeypatch):
+    # each marginal of [2]^3 less one of its largest atoms: 2 (7/8) 3 = 5.25 against 3 (3/4) 2 = 4.5
+    whole = ExactDistribution.marginal
+    monkeypatch.setattr(ExactDistribution, "marginal",
+                        lambda dist, coords: dict(sorted(whole(dist, coords).items(), key=lambda a: a[1])[:-1]))
+    report, status = run_shearer(tmp_path / "dist.json", 2, 3)
+    assert status == 5 and report["bounds"][0]["computed"] == 5.25 and report["bounds"][0]["bound"] == 4.5
+
+
+def one_sub_multiset_short(ms, k, whole=combinations):
+    return list(whole(ms, k))[1:]
+
+
+def tuples(n: int, q: int | None, k: int) -> int:
+    """The good ordered k-tuples of a whole set: n!/(n - k)! of [n] under repeats (q None), and
+    (q^n - 1)(q^n - q)...(q^n - q^(k-1)) of F_q^n minus zero under qlinear:q,n."""
+    return math.prod(n - i if q is None else q**n - q**i for i in range(k))
+
+
+def whole_system(n: int, q: int | None) -> str:
+    return f"repeats --universe-size {n}" if q is None else f"qlinear:{q},{n}"
+
+
+# (n, q) of the whole sets: [n] under repeats (q None), and F_q^n under qlinear:q,n
+WHOLE_SETS = [(n, None) for n in range(2, 8)] + [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 5)]
+WHOLE_SET_RUNS = [(n, q, d) for n, q in WHOLE_SETS for d in range(2, n + 1)]
+
+
+@pytest.mark.parametrize("n, q, d", WHOLE_SET_RUNS, ids=[f"{whole_system(n, q)}-{d}" for n, q, d in WHOLE_SET_RUNS])
+def test_gkk_on_one_whole_compatible_set_through_the_cli(tmp_path, monkeypatch, n, q, d):
+    # S^(d) is every good ordered d-tuple of S, and its shadow every good (d-1)-tuple: the bound is met exactly
+    path = tmp_path / "fam.json"
+    if q is None:
+        run_kk(path, n, n, [range(n)])
+    else:
+        run_qkk(path, q, n, n, [[[int(i == j) for j in range(n)] for i in range(n)]])
+    quantities, bound, status = run_gkk(path, whole_system(n, q), d)
+    assert status == 0 and bound["satisfied"]
+    assert (quantities["family_size"], quantities["shadow_size"]) == (tuples(n, q, d), tuples(n, q, d - 1))
+    assert quantities["bound"] == pytest.approx(tuples(n, q, d - 1), rel=1e-12)
+    monkeypatch.setattr(forbidding, "combinations", one_sub_multiset_short)
+    assert run_gkk(path, whole_system(n, q), d)[2] == 5
