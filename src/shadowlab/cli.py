@@ -9,12 +9,15 @@ and `reports`.  A command's handler `_cmd_<name>` and options
 `_<name>_options` are in the layer it drives, named in `_COMMANDS`, and are
 read only when that command parses.  So a command compiles only the layers it
 runs: `kk` never loads `problems`, `qkk` neither it nor `hypergraph`, and
-`search` neither `formats` nor `numkit`.  The input digest is the built-in
-sha256, which loads without `hashlib`'s OpenSSL binding; a build without it
-takes `hashlib`'s, and the digest bytes are the same.
+`search` neither `formats` nor `numkit`.  A plain command line is read from
+the command's own declarations, and `argparse` is imported only for help, a
+usage error or any other line, whose output it writes as before.  The input
+digest is the built-in sha256, which loads without `hashlib`'s OpenSSL
+binding; a build without it takes `hashlib`'s, and the digest bytes are the
+same.
 
-`main` runs with the cyclic garbage collector off, from before it builds the
-parser (so also while the layers compile) until it returns, and then restores
+`main` runs with the cyclic garbage collector off, from before it parses the
+argv (so also while the layers compile) until it returns, and then restores
 the state it found.  A command leaves a few hundred cyclic objects whatever
 the size of its input (`tests/test_cli_gc.py` pins that for every command, on
 a small and a large input), so a collection frees nothing worth its cost,
@@ -30,11 +33,11 @@ errors and `--help` too, takes the normal exit.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
+import types
 from fractions import Fraction
 
 from .errors import BoundViolationError, CapacityError, ValidationError
@@ -127,24 +130,6 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Command(argparse.ArgumentParser):
-    """One command's parser: on its first parse it reads `_<name>_options` and `_cmd_<name>` from the
-    command's layer, adds the options, then `--json` and the handler."""
-
-    def __init__(self, *, command: str, layer: str, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self._pending = command.replace("-", "_"), layer
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._pending:
-            (name, layer), self._pending = self._pending, None
-            module = sys.modules[f"{__package__}.{layer}"]
-            getattr(module, f"_{name}_options")(self)
-            self.add_argument("--json", action="store_true", help="emit a canonical JSON report")
-            self.set_defaults(handler=getattr(module, f"_cmd_{name}"))
-        return super().parse_known_args(args, namespace)
-
-
 # each command's name, help line and layer, the module that holds its handler and options
 _COMMANDS = (
     ("validate", "check hypergraph invariants", "hypergraph"),
@@ -161,7 +146,27 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """argparse's parser of the program: it reads the lines `_parse` leaves to it, and writes all help and usage."""
+    import argparse
+
+    class _Command(argparse.ArgumentParser):
+        """One command's parser: on its first parse it reads `_<name>_options` and `_cmd_<name>` from the
+        command's layer, adds the options, then `--json` and the handler."""
+
+        def __init__(self, *, command: str, layer: str, **kwargs) -> None:
+            super().__init__(**kwargs)
+            self._pending = command.replace("-", "_"), layer
+
+        def parse_known_args(self, args=None, namespace=None):
+            if self._pending:
+                (name, layer), self._pending = self._pending, None
+                module = sys.modules[f"{__package__}.{layer}"]
+                getattr(module, f"_{name}_options")(self)
+                self.add_argument("--json", action="store_true", help="emit a canonical JSON report")
+                self.set_defaults(handler=getattr(module, f"_cmd_{name}"))
+            return super().parse_known_args(args, namespace)
+
     parser = argparse.ArgumentParser(
         prog="shadowlab",
         description="Exact counting and bound verification for shadow/clique extremal problems",
@@ -176,16 +181,69 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Declared:
+    """A command's options as its `_<name>_options` adds them, then `--json`: `add_argument` with the keywords in
+    use today; any other declaration leaves all the command's lines to argparse."""
+
+    def __init__(self) -> None:
+        self.options, self.positionals, self.plain = {"--json": ("json", {"action": "store_true"})}, [], True
+
+    def add_argument(self, flag: str, *more, **kw) -> None:
+        option = flag.startswith("--")
+        known = {"type", "choices", "help"} | ({"required", "default", "action"} if option else set())
+        self.plain &= (not more and kw.keys() <= known and kw.get("action", "store_true") == "store_true"
+                       and flag not in self.options and (option or not flag.startswith("-")))
+        if option:
+            self.options[flag] = flag[2:].replace("-", "_"), kw
+        else:
+            self.positionals.append((flag, kw))
+
+    def read(self, argv: list[str]) -> dict | None:
+        """The values of a plain line by dest, as argparse sets them; None for any other line."""
+        tokens, positionals, given = iter(argv), iter(self.positionals), {}
+        try:  # an undeclared option, a missing value or an extra positional stops here, as does a bad value
+            for token in tokens:
+                dest, kw = self.options[token] if token.startswith("-") else next(positionals)
+                text = "" if kw.get("action") else next(tokens) if token.startswith("-") else token
+                value, choices = True if kw.get("action") else (kw.get("type") or str)(text), kw.get("choices")
+                if dest in given or text.startswith("-") or choices is not None and value not in choices:
+                    return None
+                given[dest] = value
+            for dest, kw in self.options.values():
+                if dest not in given:
+                    if kw.get("required"):
+                        return None
+                    default = kw.get("default", False if kw.get("action") else None)
+                    given[dest] = (kw.get("type") or str)(default) if isinstance(default, str) else default
+        except Exception:
+            return None
+        return given if self.plain and next(positionals, None) is None else None
+
+
+def _parse(argv: list[str]):
+    """A command line's arguments: a plain line (exact long options each given once, their values, positionals)
+    from its command's declarations, any other (help, a usage error, an abbreviation, `--a=b`) from argparse."""
+    layer = next((layer for name, _, layer in _COMMANDS if argv[:1] == [name]), None)
+    if layer:
+        module, name = sys.modules[f"{__package__}.{layer}"], argv[0].replace("-", "_")
+        declared = _Declared()
+        getattr(module, f"_{name}_options")(declared)
+        given = declared.read(argv[1:])
+        if given is not None:
+            return types.SimpleNamespace(cmd=argv[0], **given, handler=getattr(module, f"_cmd_{name}"))
+    return build_parser().parse_args(argv)
+
+
 def _input_paths(args) -> list[str]:
     return [path for path in (getattr(args, a, None) for a in ("input", "family", "dist", "subspaces")) if path]
 
 
 def run(argv: list[str]) -> tuple[dict, int]:
     """Execute one command; returns (report dict, exit code)."""
-    return _execute(build_parser().parse_args(argv), argv)
+    return _execute(_parse(argv), argv)
 
 
-def _execute(args: argparse.Namespace, argv: list[str]) -> tuple[dict, int]:
+def _execute(args, argv: list[str]) -> tuple[dict, int]:
     # the inputs are digested once the handler has read them, so an --out that is an input is refused first
     paths = _input_paths(args)
     out = getattr(args, "out", None)
@@ -216,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _main(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         report, status = _execute(args, argv)
     except (ValidationError, OSError) as exc:

@@ -88,7 +88,10 @@ def distribution_from_obj(obj: object) -> ExactDistribution:
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ValidationError(f"support item {i}: bad probability {p!r}") from exc
         pairs.append((values, p))
-    return ExactDistribution.from_pairs(formats._int(obj["arity"], "arity"), pairs)
+    arity = formats._int(obj["arity"], "arity")
+    if arity < 1:
+        raise ValidationError(f"arity must be positive, got {arity}")
+    return ExactDistribution.from_pairs(arity, pairs)
 
 
 def _h(probs: Iterable[Fraction]) -> float:

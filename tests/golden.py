@@ -74,6 +74,7 @@ INPUTS = {
                                                             [[1, 1, 0, 2], [0, 1, 0, 1]]]},
     "dist.json": {"arity": 3, "support": [{"values": [0, 0, 1], "p": "1/4"}, {"values": [0, 1, 1], "p": "1/4"},
                                           {"values": [1, 0, 0], "p": "1/3"}, {"values": [1, 1, 0], "p": "1/6"}]},
+    "a0.json": {"arity": 0, "support": [{"values": [], "p": "1"}]},  # one empty tuple: refused by its arity
 }
 
 CASES = [
@@ -114,6 +115,7 @@ CASES = [
     "entropy --dist dist.json",
     "entropy --dist dist.json --coords 0,2",
     "entropy --dist dist.json --shearer 0,1;1,2;0,2",
+    "entropy --dist a0.json",
     "entropy --key --family fam.json",
     "entropy --key",
     "entropy",

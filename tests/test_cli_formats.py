@@ -422,6 +422,14 @@ class TestCli:
         assert cli.main(["kk", "--family", path]) == 3
         assert capsys.readouterr().err == "error: shadow needs d >= 1\n"
 
+    @pytest.mark.parametrize("arity, values", [(0, []), (-1, [0])])
+    def test_distribution_of_arity_below_one_exits_3(self, tmp_path, capsys, arity, values):
+        # arity 0 is in form, one empty tuple of probability 1, and refused by the reader, not by a later mode
+        path = write_input(tmp_path, "a.json", {"arity": arity, "support": [{"values": values, "p": "1"}]})
+        for argv in (["--dist", path], ["--dist", path, "--shearer", ";"], ["--dist", path, "--coords", "0"]):
+            assert cli.main(["entropy", *argv]) == 3
+            assert capsys.readouterr().err == f"error: arity must be positive, got {arity}\n"
+
     def test_json_flag_read_from_parsed_arguments(self, tmp_path, capsys):
         # argparse accepts the unambiguous prefix --js for --json
         fam = write_input(tmp_path, "fam.json", {"n": 4, "d": 3, "sets": [[0, 1, 2], [0, 1, 3]]})

@@ -5,13 +5,21 @@ options, by argparse dest, with their defaults, `REQUIRED` for one the mode cann
 below are generated from those tables.  A refusal exits 3 before any file is read or written: the files
 named do not exist, and no file, `--out` included, is left behind.  The options a command does read keep
 their defaults.
+
+A plain command line is read from the command's own declarations without argparse, and any other line by
+argparse; the last tests pin that rule against argparse's reading of the same declarations.
 """
 
 import argparse
 import importlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from golden import CASES
 from shadowlab import cli
 from shadowlab.errors import REQUIRED
 
@@ -35,7 +43,7 @@ def _layer(command):
 
 def _parser(command):
     parser = argparse.ArgumentParser()
-    getattr(_layer(command), f"_{command}_options")(parser)
+    getattr(_layer(command), f"_{command.replace('-', '_')}_options")(parser)
     return parser
 
 
@@ -127,3 +135,107 @@ def test_read_options_keep_their_defaults():
                              ("complete-family", {"family_size": 1, "d": 3})]:
         q = run_ok(["construct", name])["quantities"]
         assert {key: q[key] for key in quantities} == quantities, name
+
+
+COMMANDS = [name for name, _, _ in cli._COMMANDS]
+
+
+def _declared(command):
+    """The option actions of a command, `--json` too, and its positional ones, as argparse reads the declarations."""
+    parser = _parser(command)
+    parser.add_argument("--json", action="store_true")
+    return ([a for a in parser._actions if a.option_strings and a.dest != "help"],
+            [a for a in parser._actions if not a.option_strings])
+
+
+class _LeftToArgparse(Exception):
+    pass
+
+
+def _no_argparse():
+    raise _LeftToArgparse
+
+
+def _taken(argv):
+    """`vars` of the namespace `_parse` makes of a line without argparse; None for a line it leaves to argparse."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "build_parser", _no_argparse)
+        try:
+            return vars(cli._parse(argv))
+        except _LeftToArgparse:
+            return None
+
+
+def _argparse(argv):
+    """`vars` of argparse's namespace of a line; None for a line it refuses (or answers with help)."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _is_plain(argv):
+    """No token after the command that starts with `-` is other than a declared option, and none is given twice:
+    no abbreviation, `--opt=value`, `-h`, `--`, repeated option or value starting with `-`."""
+    flags = {flag for action in _declared(argv[0])[0] for flag in action.option_strings}
+    dashed = [token for token in argv[1:] if token.startswith("-")]
+    return set(dashed) <= flags and len(dashed) == len(set(dashed))
+
+
+def _same_reading(argv):
+    """A plain line that argparse accepts is read without it into argparse's namespace; every other is argparse's."""
+    slow = _argparse(argv)
+    assert _taken(argv) == (slow if _is_plain(argv) else None), argv
+    return slow is not None and _is_plain(argv)
+
+
+TEXT = ["", "x", "none.json", "0,1", "0;1", "repeats", "qlinear:2,3", "a b", "1.5", "nope"]
+
+
+def _values(action):
+    """A value for an action: one of its choices, an int (negative too), or text, the empty string too."""
+    return st.one_of(st.sampled_from(list(action.choices or ["none.json"])), st.integers(-3, 40).map(str),
+                     st.sampled_from(TEXT))
+
+
+@st.composite
+def command_lines(draw):
+    """A command line drawn from a command's declarations, with hostile tokens mixed in: an abbreviation,
+    `--opt=value`, `-h`, `--help`, `--`, a repeated option, a value outside `choices` or not an int, a
+    required option or positional left out, and an extra positional."""
+    command = draw(st.sampled_from(COMMANDS))
+    options, positionals = _declared(command)
+    items = [[draw(_values(a))] for a in positionals]
+    items += [[a.option_strings[0], draw(_values(a))] for a in options if a.required]
+    items = [item for item in items if draw(st.integers(0, 7))]  # each left out one time in eight
+    for _ in range(draw(st.integers(0, 4))):
+        action = draw(st.sampled_from(options))
+        flag, value = action.option_strings[0], draw(_values(action))
+        given = [flag] if action.nargs == 0 else [flag, value]
+        items.append(draw(st.sampled_from([given, given, [flag[:-1], *given[1:]], [f"{flag}={value}"], ["-h"],
+                                           ["--help"], ["--"], [flag], ["extra"]])))  # an option given, 2 in 9
+    return [command, *(token for item in draw(st.permutations(items)) for token in item)]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(command_lines())
+def test_plain_lines_are_read_as_argparse_reads_them(argv):
+    _same_reading(argv)
+
+
+def test_plain_golden_lines_are_read_without_argparse():
+    lines = [[*case.split(), *json] for case in CASES for json in ([], ["--json"]) if case.split()[0] in COMMANDS]
+    assert sum(map(_same_reading, lines)) == 196  # all that argparse accepts, of 226
+
+
+@pytest.mark.parametrize("flags, keywords", [
+    (["--x"], {"nargs": "?"}), (["--x"], {"action": "count"}), (["--x"], {"action": "store_false"}),
+    (["--x"], {"dest": "y"}), (["--x"], {"metavar": "X"}), (["--x"], {"action": "store_const", "const": 1}),
+    (["-x"], {}), (["-x", "--x"], {}), (["x"], {"nargs": "?"}), (["x"], {"default": "a", "nargs": "?"})])
+def test_other_declarations_leave_the_command_to_argparse(monkeypatch, flags, keywords):
+    """A declaration with a keyword or an action not in use sends every line of its command to argparse."""
+    layer, declare = _layer("kk"), _layer("kk")._kk_options
+    monkeypatch.setattr(layer, "_kk_options", lambda p: (declare(p), p.add_argument(*flags, **keywords)))
+    assert _taken(["kk", "--family", "fam.json"]) is None
+    assert _argparse(["kk", "--family", "fam.json"])["family"] == "fam.json"

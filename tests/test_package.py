@@ -107,20 +107,35 @@ LOADS = [
     ("construct complete-family --m 4 --d 2 --out family.json", BASE_LAYERS | {"constructions", "hypergraph"}),
     ("search rainbow-triangle --max-vertices 4 --out witness.json", PROBLEM_LAYERS | {"search"}),
     ("search mixed4 --max-vertices 4 --out witness.json", PROBLEM_LAYERS | {"search"}),
+    # help and a usage error, which argparse writes: the layer of the command's options, and no more
+    ("kk --help", BASE_LAYERS | {"hypergraph"}),
+    ("kk", BASE_LAYERS | {"hypergraph"}),
 ]
+# the rows that argparse reads, with their exit statuses; every other row exits 0
+ARGPARSE = {"kk --help": 0, "kk": 2}
 
 
 @pytest.mark.parametrize("command, layers", LOADS)
 def test_command_loads_only_the_layers_it_runs(tmp_path, command, layers):
-    """The layers a command compiles; the empty command only imports `shadowlab.cli`."""
+    """The layers a command compiles; the empty command only imports `shadowlab.cli`.  Under `python -S`, where no
+    site-packages hook imports them first, a plain command line is read from its command's declarations, so
+    neither it nor `import shadowlab.cli` loads `argparse`, `gettext` or `locale`; help and usage errors are
+    argparse's."""
     _inputs(tmp_path)
-    code = ("import json, sys, types, shadowlab.cli; status = shadowlab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
-            "print(json.dumps([name for name, m in sys.modules.items() "
-            "if name.startswith('shadowlab.') and type(m) is types.ModuleType])); sys.exit(status)")
+    code = ("import json, sys, types, shadowlab.cli\n"
+            "try:\n    status = shadowlab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "except SystemExit as exc:  # argparse's exit after help or a usage error\n    status = exc.code\n"
+            "print(json.dumps([sorted(sys.modules), [name for name, m in sys.modules.items() "
+            "if name.startswith('shadowlab.') and type(m) is types.ModuleType]])); sys.exit(status)")
     argv = [*command.split(), "--json"] if command else []
-    out = run_program(argv, tmp_path, prefix=["-c", code], text=True).done
-    assert out.returncode == 0, out.stderr
-    assert {name.split(".", 1)[1] for name in json.loads(out.stdout.splitlines()[-1])} == layers
+    out = run_program(argv, tmp_path, prefix=["-S", "-c", code], text=True).done
+    assert out.returncode == ARGPARSE.get(command, 0), out.stderr
+    modules, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert {name.split(".", 1)[1] for name in loaded} == layers
+    if command in ARGPARSE:
+        assert "argparse" in modules
+    else:
+        assert not {"argparse", "gettext", "locale"} & set(modules)
 
 
 def test_readme_start_up_counts_the_lines_each_command_compiles():

@@ -22,6 +22,7 @@ So gkk on the subspaces of a family counts |F| |GL_d(q)| tuples and a shadow
 |GL_{d-1}(q)| times qkk's, and its t is y = q^t - 1 for qkk's t.
 """
 
+import importlib
 import json
 import math
 import random
@@ -262,6 +263,18 @@ def test_key_inequality_on_a_complete_family_through_the_cli(tmp_path, m, d):
     report, status = cli.run(["entropy", "--key", "--family", str(path)])
     assert status == 0 and report["bounds"][0]["satisfied"] and report["quantities"]["ok"]
     assert report["quantities"]["sizes"] == pytest.approx([m - k + 1 for k in range(1, d + 1)], abs=1e-12)
+
+
+@pytest.mark.parametrize("size, gaps", [(1, (0.816, -0.345)), (2, (-0.263, 0.448))])
+def test_key_inequality_fails_on_one_degree_one_short(tmp_path, monkeypatch, size, gaps):
+    # the first member of C([5], 3) less one of its size-subsets: that subset's degree is one short
+    monkeypatch.setattr(importlib.import_module("shadowlab.entropy"), "combinations",
+                        lambda s, k, whole=combinations: list(whole(s, k))[k == size and tuple(s) == (0, 1, 2):])
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"n": 5, "d": 3, "sets": [list(s) for s in combinations(range(5), 3)]}))
+    report, status = cli.run(["entropy", "--key", "--family", str(path)])
+    assert status == 5 and not report["bounds"][0]["satisfied"] and not report["quantities"]["ok"]
+    assert report["quantities"]["gaps"] == pytest.approx(gaps, abs=1e-3)
 
 
 def run_shearer(path, b: int, k: int) -> tuple[dict, int]:
