@@ -29,7 +29,9 @@ class ExactDistribution(Record):
 
     @classmethod
     def from_pairs(cls, arity: int, pairs: Iterable[tuple[Sequence, Fraction | int]]) -> "ExactDistribution":
-        """Build from (tuple, weight) pairs; weights are normalized exactly."""
+        """Build from (tuple, weight) pairs; weights are normalized exactly.  The arity is at least 1."""
+        if arity < 1:
+            raise ValidationError(f"arity must be positive, got {arity}")
         table: dict[tuple, Fraction] = {}
         for values, w in pairs:
             t = tuple(values)
@@ -51,7 +53,9 @@ class ExactDistribution(Record):
     def uniform(cls, tuples: Iterable[Sequence]) -> "ExactDistribution":
         """Uniform on distinct tuples, each as long as the first."""
         items = [tuple(t) for t in tuples]
-        return cls.from_pairs(len(items[0]) if items else 0, [(t, 1) for t in items])
+        if not items:
+            raise ValidationError("empty support")
+        return cls.from_pairs(len(items[0]), [(t, 1) for t in items])
 
     def marginal(self, coords: Sequence[int]) -> dict[tuple, Fraction]:
         """Exact marginal over the given coordinate subset (order-normalized)."""
@@ -88,10 +92,7 @@ def distribution_from_obj(obj: object) -> ExactDistribution:
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ValidationError(f"support item {i}: bad probability {p!r}") from exc
         pairs.append((values, p))
-    arity = formats._int(obj["arity"], "arity")
-    if arity < 1:
-        raise ValidationError(f"arity must be positive, got {arity}")
-    return ExactDistribution.from_pairs(arity, pairs)
+    return ExactDistribution.from_pairs(formats._int(obj["arity"], "arity"), pairs)
 
 
 def _h(probs: Iterable[Fraction]) -> float:

@@ -20,6 +20,7 @@ from itertools import combinations, product
 from pathlib import Path
 from typing import NamedTuple
 
+from shadowlab import hypergraph
 from shadowlab.constructions import round_robin_matchings
 from shadowlab.entropy import ExactDistribution
 from shadowlab.hypergraph import ColoredHypergraph, SetFamily
@@ -131,6 +132,12 @@ def orderings(ms) -> int:
 def replaced(problem: Problem, **fields) -> Problem:
     """The registry problem with the given fields replaced."""
     return Problem(**{**{f: getattr(problem, f) for f in Problem._fields}, **fields})
+
+
+def one_facet_short(mp) -> None:
+    """Patch the shadow count that `kk` and `check_kruskal_katona` run to miss one facet: every family that meets
+    Kruskal-Katona with equality then fails it."""
+    mp.setattr(hypergraph, "_shadow_keys", lambda fam, whole=hypergraph._shadow_keys: set(sorted(whole(fam))[1:]))
 
 
 def fig1_k4() -> ColoredHypergraph:

@@ -1,4 +1,5 @@
-"""The input digest: the built-in sha256 and `hashlib`'s fallback give `hashlib.sha256`'s bytes."""
+"""The input digest: the built-in sha256, `hashlib`'s fallback and `hashlib`'s for large inputs give
+`hashlib.sha256`'s bytes."""
 
 import hashlib
 
@@ -36,3 +37,17 @@ def test_digests_equal_hashlib_without_the_builtin_modules(tmp_path):
     out = run_program(list(map(str, paths)), prefix=["-c", code], text=True).done
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == [*map(_expected, INPUTS), _expected(b"x" * 2**20)]
+
+
+@pytest.mark.parametrize("size", [cli.OPENSSL_DIGEST_BYTES, cli.OPENSSL_DIGEST_BYTES + 1])
+def test_kk_digests_a_family_on_either_side_of_the_openssl_threshold(tmp_path, monkeypatch, size):
+    """A family file of the threshold's size takes the built-in sha256, one a byte larger `hashlib`'s."""
+    data = b'{"n": 4, "d": 2, "sets": [[0, 1], [0, 2]]}'
+    data += b" " * (size - len(data))  # JSON whitespace
+    (tmp_path / "fam.json").write_bytes(data)
+    built_in = []
+    monkeypatch.setattr(cli, "sha256", lambda *args, sha256=cli.sha256: built_in.append(size) or sha256(*args))
+    report, status = cli.run(["kk", "--family", str(tmp_path / "fam.json")])
+    assert status == 0 and report["quantities"]["shadow_size"] == 3
+    assert report["input_digest"] == _expected(data)
+    assert built_in == ([size] if size <= cli.OPENSSL_DIGEST_BYTES else [])

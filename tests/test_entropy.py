@@ -61,10 +61,19 @@ class TestEntropy:
         assert ExactDistribution.uniform([(0, 1, 2)]).arity == 3
         assert ExactDistribution.uniform(iter([[0, 1], [1, 0]])).support == (((0, 1), Fraction(1, 2)),
                                                                               ((1, 0), Fraction(1, 2)))
-        with pytest.raises(ValidationError, match="empty support"):
+        with pytest.raises(ValidationError, match="^empty support$"):  # no tuple, so no arity to refuse
             ExactDistribution.uniform([])
+        with pytest.raises(ValidationError, match="^arity must be positive, got 0$"):
+            ExactDistribution.uniform([()])
         with pytest.raises(ValidationError, match=r"tuple \(1,\) has length 1, expected 2"):
             ExactDistribution.uniform([(0, 1), (1,)])
+
+    @pytest.mark.parametrize("arity", [0, -1])
+    def test_arity_below_one_is_refused_for_every_caller(self, arity):
+        # the reader's message, before any tuple is checked against the arity
+        for pairs in ([((), 1)], [((0,), 1)], []):
+            with pytest.raises(ValidationError, match=rf"^arity must be positive, got {arity}$"):
+                ExactDistribution.from_pairs(arity, pairs)
 
     def test_empty_coords_rejected(self):
         dist = ExactDistribution.uniform([(0,)])

@@ -29,7 +29,7 @@ from math import comb, factorial, inf
 
 import pytest
 
-from conftest import gl_order, replaced, span, subspaces_by_span
+from conftest import gl_order, one_facet_short, replaced, span, subspaces_by_span
 from shadowlab import cli, forbidding, hypergraph, qlinalg
 from shadowlab.entropy import check_key_inequality
 from shadowlab.hypergraph import ColoredHypergraph, SetFamily
@@ -123,13 +123,13 @@ def test_kk_one_short_fails_some_minimizer(tmp_path, monkeypatch):
     n, d = 5, 3
     pool, masks = subset_pool(n, d)
     least = least_shadows(masks)
-    monkeypatch.setattr(hypergraph, "_shadow", lambda fam, whole=hypergraph._shadow: set(sorted(whole(fam))[1:]))
+    one_facet_short(monkeypatch)
     failed = []
     for m, (s, family) in enumerate(least[1:], 1):
         sets = members_of(family, pool)
         if run_kk(tmp_path / "fam.json", n, d, sets)[1] == 5:
             failed.append(m)
-            assert len(hypergraph._shadow(SetFamily.make(n, sets, d=d))) != s, m
+            assert len(hypergraph._shadow_keys(SetFamily.make(n, sets, d=d))) != s, m
     assert failed
 
 

@@ -10,6 +10,8 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     RGB,
@@ -262,6 +264,90 @@ class TestKruskalKatona:
         rep = check_kruskal_katona(SetFamily.make(m, combinations(range(m), d)))
         assert rep.computed == math.comb(m, d - 1)
         assert rep.satisfied
+
+
+# per column width in bytes: the largest n it holds, and the widest d whose d - 1 columns fit one 8-byte word
+PACKING_EDGES = [(1, 1 << 8, 9), (2, 1 << 16, 5), (4, 1 << 32, 3), (8, 1 << 64, 2)]
+
+
+@pytest.mark.parametrize("w, top, fit", PACKING_EDGES)
+def test_packing_at_its_edges(w, top, fit):
+    # n = top takes columns of w bytes, one more element the next width; past 2^64, or past 8 bytes of facet,
+    # the family is kept and counted as tuples
+    for n in (top, top + 1):
+        members = [tuple(range(fit - 1)) + (n - 1,), tuple(range(1, fit)) + (n - 1,)]
+        fam = SetFamily.make(n, members)
+        width = w if n == top else 2 * w if w < 8 else None
+        assert fam._rows == (b"".join(v.to_bytes(width, "big") for s in members for v in s) if width else None)
+        for k in (fit, fit + 1):
+            fam = SetFamily.make(n, [tuple(range(k - 1)) + (n - 1,)])
+            keys = hypergraph._shadow_keys(fam)
+            assert {type(key) for key in keys} == ({int} if width and (k - 1) * width <= 8 else {tuple})
+            assert len(keys) == check_kruskal_katona(fam).computed == k
+
+
+def _made(n, sets, d):
+    """`SetFamily.make`'s family, or its refusal's message."""
+    try:
+        return SetFamily.make(n, sets, d=d)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@st.composite
+def families_near_packing_edges(draw):
+    """(n, members, d): members on both sides of a packing edge, or dense on a small ground set, in order or not,
+    then perhaps one defect."""
+    w, top, fit = draw(st.sampled_from(PACKING_EDGES))
+    d = draw(st.sampled_from([1, 2, 3, fit, fit + 1]))
+    n = draw(st.sampled_from([top - 1, top, top + 1, 2 * d + 2]))
+    values = sorted({*range(d + 2), *(v for v in (255, 256, 65535, 65536, top - 1, n - 1) if v < n)})
+    member = st.lists(st.sampled_from(values), min_size=d, max_size=d, unique=True).map(sorted)
+    size = draw(st.sampled_from([0, 1, 2, 3, 4, 6]))
+    sets = sorted(draw(st.lists(member, min_size=size, max_size=size, unique_by=tuple)))
+    j = draw(st.integers(0, d - 1))
+    order = draw(st.sampled_from(["sorted", "shuffled", "by all columns but one"]))
+    if order == "shuffled":
+        sets = draw(st.permutations(sets))
+    elif order == "by all columns but one":
+        sets.sort(key=lambda s: s[:j] + s[j + 1:])
+    defect = draw(st.sampled_from(["none"] * 6 + ["reversed", "repeat", "duplicate", "bool", "float", "negative",
+                                                  "outside", "short", "no d"]))
+    if sets and defect != "none":
+        i = draw(st.integers(0, len(sets) - 1))
+        if defect == "reversed":
+            sets[i].reverse()
+        elif defect == "repeat" and d > 1:
+            sets[i][j] = sets[i][j - 1]
+        elif defect == "duplicate":
+            sets.insert(i, list(sets[i]))
+        elif defect in ("bool", "float", "negative", "outside"):
+            value = {"bool": bool(sets[i][j] & 1), "float": float(sets[i][j]), "negative": -1, "outside": n}
+            sets[i][j] = value[defect]
+        elif defect == "short":
+            del sets[i][j]
+    return n, sets, None if defect == "no d" else d
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(families_near_packing_edges())
+# out of order in ways the draw rarely makes: in order but for the first column, or the middle one, or
+# read little-endian
+@example((9, [[1, 2], [0, 3]], 2))
+@example((7, [[0, 2, 5], [0, 1, 6]], 3))
+@example((65536, [[0, 256], [0, 2]], 2))
+def test_packed_families_match_the_member_by_member_path(case):
+    """`make`'s bulk accept and the packed shadow count against `make` with no bulk accept, which checks every member
+    and counts the shadow's tuples, and against the benchmark's count."""
+    n, sets, d = case
+    fam = _made(n, sets, d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypergraph, "_pack", lambda members, k, n: None)
+        expected = _made(n, sets, d)
+        counted = len(hypergraph._shadow_keys(expected)) if isinstance(expected, SetFamily) and expected.d else None
+    assert fam == expected
+    if isinstance(fam, SetFamily) and len(fam) and fam.d:
+        assert check_kruskal_katona(fam).computed == counted == ref.set_shadow_size(fam.sets)
 
 
 class TestGood6Subsets:

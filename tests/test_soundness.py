@@ -31,8 +31,8 @@ from math import comb
 
 import pytest
 
-from conftest import RGB, gl_order, leave_one_out, replaced
-from shadowlab import cli, forbidding, hypergraph, qlinalg
+from conftest import RGB, gl_order, leave_one_out, one_facet_short, replaced
+from shadowlab import cli, forbidding, qlinalg
 from shadowlab.entropy import ExactDistribution
 from shadowlab.hypergraph import SetFamily, check_kruskal_katona, shadow
 from shadowlab.problems import PROBLEMS
@@ -78,7 +78,7 @@ def test_colex_segments_meet_the_cascade_exactly(monkeypatch, n, d):
         if any(comb(a, d) == m for a in range(d, n + 1)):
             # integer t: Lovasz's form is the cascade's one term, so a shadow one smaller fails it
             with monkeypatch.context() as mp:
-                mp.setattr(hypergraph, "_shadow", lambda fam, whole=hypergraph._shadow: sorted(whole(fam))[1:])
+                one_facet_short(mp)
                 assert not check_kruskal_katona(fam).satisfied, m
 
 
@@ -125,7 +125,7 @@ def test_kk_on_a_complete_family_through_the_cli(tmp_path, monkeypatch, m, d):
     for i in range(len(sets) if d < m else 0):
         bound, status = run_kk(path, m, d, sets[:i] + sets[i + 1:])
         assert status == 0 and bound["satisfied"], sets[i]
-    monkeypatch.setattr(hypergraph, "_shadow", lambda fam, whole=hypergraph._shadow: set(sorted(whole(fam))[1:]))
+    one_facet_short(monkeypatch)
     assert run_kk(path, m, d, sets)[1] == 5
 
 
