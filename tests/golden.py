@@ -125,7 +125,7 @@ CASES = [
     "entropy --dist dist.json --shearer 0,1;1,2;0,2 --coords 0,2",
     "forbidding verify --system repeats --universe-size 4 --d 3",
     "forbidding verify --system qlinear:2,3 --d 2",
-    "forbidding verify --system repeats --universe-size 100 --d 5",  # the spot check, at seed 0
+    "forbidding verify --system repeats --universe-size 100 --d 5",  # C(105, 5) - 1 multisets: refused, exit 4
     "forbidding compatible --system repeats --universe-size 6 --d 3 --set 0,1,2",
     "forbidding compatible --system repeats --universe-size 6 --d 3",
     "forbidding compatible --system qlinear:2,3 --d 3 --set 1,0,0;0,1,0",  # incompatible, with a witness

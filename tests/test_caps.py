@@ -121,6 +121,14 @@ RUNS = [
     *(_refused_at_once(f"forbidding gkk --system {system} --d 2 --subspaces plane999983.json", 3,
                        f"subspaces of F_999983^2 need --system qlinear:999983,2, got {system.split()[0]}")
       for system in ["qlinear:2,2", "repeats --universe-size 4"]),
+    # verify at its multiset cap: 988,259 multisets of size 1..3 over 179 elements, 1.8-2.5 s on a 2-vCPU x86 VM;
+    # 180 elements need 1,004,730, and qlinear:2,8 at d = 3 needs 2,829,055
+    Run("forbidding verify --system repeats --universe-size 179 --d 3 --json", 0,
+        ('"checked":"16468"', '"exhaustive":true'), budget=10.0),
+    _refused_at_once("forbidding verify --system repeats --universe-size 180 --d 3", 4,
+                     "multisets of size 1..d = 1004730 exceeds cap 1000000"),
+    _refused_at_once("forbidding verify --system qlinear:2,8 --d 3", 4,
+                     "multisets of size 1..d = 2829055 exceeds cap 1000000"),
     # the largest field order a file may have
     Run("qkk --family q999983.json --json", 0, ('"q":"999983"',), budget=10.0),
     # 10^7 coface visits, the cap itself

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import SRC, fig1_k4, random_set_family, run_program
 from golden import INPUTS, write_input
-from shadowlab import cli, search
+from shadowlab import cli, forbidding, search
 from shadowlab.cli import dumps_canonical
 from shadowlab.errors import ValidationError
 from shadowlab.entropy import distribution_from_obj
@@ -331,24 +331,22 @@ class TestCli:
                               "--universe-size", "65536", "--d", "2", "--set", "0,1,2,3,4,5,6,7"])
         assert report["quantities"]["compatible"] is True
 
-    def test_forbidding_verify_spot_check_cap(self, capsys):
-        # C(65538, 2) - 1 multisets are too many to classify, and a spot-check of 2000 trials
-        # x 65,536 elements too many lookups; each trial classifies every extension of its multiset
-        assert cli.main(["forbidding", "verify", "--system", "repeats", "--universe-size", "65536",
-                         "--d", "2"]) == 4
-        assert "spot-check lookups" in capsys.readouterr().err
-        # 100 elements at d = 60: 2000 x 100 memoized multisets of up to 60 elements each
-        assert cli.main(["forbidding", "verify", "--system", "repeats", "--universe-size", "100",
-                         "--d", "60"]) == 4
-        assert "spot-check memo elements" in capsys.readouterr().err
-        # one element at d = 8000: no good multiset has more than one element, so S^(d) is empty
-        assert cli.main(["forbidding", "verify", "--system", "repeats", "--universe-size", "1",
-                         "--d", "8000"]) == 4
-        assert "depth d (largest good multiset + 1) = 8000 exceeds cap 2" in capsys.readouterr().err
+    def test_forbidding_verify_cap(self, capsys, monkeypatch):
         # C(244, 2) - 1 = 29,645 multisets of size 1..2 over 242 vectors: classified exhaustively
         report = self.run_ok(["forbidding", "verify", "--system", "qlinear:3,5", "--d", "2"])
         assert report["quantities"]["ok"] is True
         assert report["quantities"]["exhaustive"] is True
+        # one element at d = 8000: no good multiset has more than one element, so S^(d) is empty
+        assert cli.main(["forbidding", "verify", "--system", "repeats", "--universe-size", "1",
+                         "--d", "8000"]) == 4
+        assert "depth d (largest good multiset + 1) = 8000 exceeds cap 2" in capsys.readouterr().err
+        # C(65538, 2) - 1 multisets of size 1..2 are too many to classify: refused before any is
+        calls = []
+        monkeypatch.setattr(forbidding.ForbiddingSystem, "_good", lambda system, key: calls.append(key))
+        assert cli.main(["forbidding", "verify", "--system", "repeats", "--universe-size", "65536",
+                         "--d", "2"]) == 4
+        assert "multisets of size 1..d = 2147581952 exceeds cap 1000000\n" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("system", [["repeats", "--universe-size", "3"], ["qlinear:2,3"]])
     @pytest.mark.parametrize("action", ["verify", "gkk"])

@@ -111,11 +111,11 @@ def not_downward_closed():
 class TestAxiomVerification:
     def test_repeats_valid(self):
         report = verify_forbidding_axioms(repeats_system(5, 3))
-        assert report.ok and report.exhaustive
+        assert report.ok and report.checked == 5 + 5 + 15  # the singletons, then every multiset of size 1..2
 
     def test_qlinear_valid(self):
         report = verify_forbidding_axioms(qlinear_system(2, 3, 2))
-        assert report.ok and report.exhaustive
+        assert report.ok and report.checked == 7 + 7
 
     def test_wrong_declaration_detected(self):
         sys = ForbiddingSystem(
@@ -146,41 +146,7 @@ class TestAxiomVerification:
             )
             assert not verify_forbidding_axioms(mutant).ok
 
-    def test_spot_mode_flags_not_exhaustive(self):
-        # C(204, 4) - 1 = 70,058,750 multisets of size 1..4 are past the exhaustive bound
-        report = verify_forbidding_axioms(repeats_system(200, 4))
-        assert report.ok and not report.exhaustive and report.checked == forbidding.SPOT_TRIALS
-
-    def test_spot_check_capped_before_classifying(self):
-        calls = []
-
-        def classify(ms):
-            calls.append(ms)
-            return len(set(ms)) == len(ms)
-
-        # C(504, 3) - 1 multisets of size 1..3 are past the exhaustive bound, and so are 2000 x 501 lookups
-        with pytest.raises(CapacityError, match=r"spot-check lookups \(trials x universe size\) = 1002000"):
-            verify_forbidding_axioms(ForbiddingSystem(range(501), 3, classify, (1, 2)))
-        assert calls == []
-        # 2000 trials x 500 elements is exactly the cap
-        report = verify_forbidding_axioms(ForbiddingSystem(range(500), 3, classify, (1, 2)))
-        assert report.ok and not report.exhaustive and report.checked == 2000
-
-    def test_spot_check_memo_capped_by_depth(self):
-        calls = []
-
-        def classify(ms):
-            calls.append(ms)
-            return len(set(ms)) == len(ms)
-
-        # one element at d = 8000: 2000 trials x 1 lookup is within the lookup cap, but each
-        # memoized multiset holds up to 8000 elements, 1.6 x 10^7 in all
-        system = ForbiddingSystem(range(1), 8000, classify, range(1, 8000))
-        with pytest.raises(CapacityError, match=r"memo elements \(trials x universe size x d\) = 16000000"):
-            verify_forbidding_axioms(system)
-        assert calls == []
-
-    def test_exhaustive_bound_counts_the_multisets_it_classifies(self, monkeypatch):
+    def test_multiset_cap_refuses_before_classifying(self, monkeypatch):
         # C(6 + 3, 3) - 1 = 83 multisets of size 1..3 over 6 elements; 7 elements need 119
         monkeypatch.setattr(forbidding, "VERIFY_CAP", 83)
         calls = []
@@ -190,19 +156,36 @@ class TestAxiomVerification:
             return len(set(ms)) == len(ms)
 
         report = verify_forbidding_axioms(ForbiddingSystem(range(6), 3, classify, (1, 2)))
-        assert report.ok and report.exhaustive
+        assert report.ok and report.checked == 6 + 6 + 21
         assert 0 < len(set(calls)) <= 83
         calls.clear()
-        # past both bounds: the spot-check's 2000 x 7 lookups are refused too
-        with pytest.raises(CapacityError, match=r"spot-check lookups \(trials x universe size\) = 14000"):
+        with pytest.raises(CapacityError, match=r"^multisets of size 1\.\.d = 119 exceeds cap 83$"):
             verify_forbidding_axioms(ForbiddingSystem(range(7), 3, classify, (1, 2)))
         assert calls == []
 
-    def test_exhaustive_bound_counts_key_elements(self):
+    def test_memo_cap_counts_key_elements(self):
         # 2 elements at d = 300: C(302, 2) - 1 = 45,450 multisets, but of up to 300 elements each
-        assert verify_forbidding_axioms(repeats_system(2, 100)).exhaustive
-        report = verify_forbidding_axioms(repeats_system(2, 300))
-        assert report.ok and not report.exhaustive
+        assert verify_forbidding_axioms(repeats_system(2, 100)).ok
+        system, calls = repeats_system(2, 300), []
+        classify = system._classify
+        system._classify = lambda ms: calls.append(ms) or classify(ms)
+        with pytest.raises(CapacityError, match=r"^memo elements \(multisets x d\) = 13635000 exceeds cap 10000000$"):
+            verify_forbidding_axioms(system)
+        assert calls == []
+
+    def test_memo_cap_refuses_a_deep_system(self):
+        calls = []
+
+        def classify(ms):
+            calls.append(ms)
+            return len(set(ms)) == len(ms)
+
+        # one element at d = 8000: 8000 multisets are within the multiset cap, but each memoized
+        # multiset holds up to 8000 elements, 6.4 x 10^7 in all
+        system = ForbiddingSystem(range(1), 8000, classify, range(1, 8000))
+        with pytest.raises(CapacityError, match=r"^memo elements \(multisets x d\) = 64000000 exceeds cap 10000000$"):
+            verify_forbidding_axioms(system)
+        assert calls == []
 
     def test_builtin_universe_capped(self):
         with pytest.raises(CapacityError, match="universe size"):

@@ -75,8 +75,8 @@ CASES = [
      "ExactDistribution(arity=1, support=(((0,), Fraction(1, 1)),))", True, ("arity", 2)),
     (KeyInequalityReport, ((2.0, 1.0), (0.0,), REPORT), 0, (),
      f"KeyInequalityReport(sizes=(2.0, 1.0), gaps=(0.0,), report={REPORT_REPR})", False, ("gaps", (1.0,))),
-    (AxiomReport, (True, True, 3, None), 1, (None,),
-     "AxiomReport(ok=True, exhaustive=True, checked=3, violation=None)", True, ("checked", 4)),
+    (AxiomReport, (True, 3, None), 1, (None,),
+     "AxiomReport(ok=True, checked=3, violation=None)", True, ("checked", 4)),
     (CompatibilityResult, (True, None), 1, (None,), "CompatibilityResult(ok=True, witness=None)", True,
      ("witness", ((0,), 1))),
     (SubspaceFamily, (2, 2, 1, (((0, 1),),)), 0, (),
@@ -100,7 +100,7 @@ FIELDS = {
     ValidationReport: ("ok", "violations"),
     ExactDistribution: ("arity", "support"),
     KeyInequalityReport: ("sizes", "gaps", "report"),
-    AxiomReport: ("ok", "exhaustive", "checked", "violation"),
+    AxiomReport: ("ok", "checked", "violation"),
     CompatibilityResult: ("ok", "witness"),
     SubspaceFamily: ("q", "n", "d", "members"),
     SearchResult: ("problem", "best", "witness", "explored", "exhaustive"),

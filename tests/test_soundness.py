@@ -2,7 +2,8 @@
 rainbow-triangle bound T^2 <= 2RGB on its tight cases, and the q-analog against the generalized
 bound, through the command line; there too, kk on every complete family C([m], d) and qkk on all
 d-subspaces of F_q^n, each tight, and one member short of it; the key inequality on C([m], d), Shearer's
-inequality on uniform [b]^k and gkk on one whole compatible set, each tight.
+inequality on uniform [b]^k and gkk on one whole compatible set, each tight; and one step off the last two: the
+key inequality strict on C([m], d) less one member, gkk strict on two sets sharing d - 1 elements.
 
 By Kruskal (1963) and Katona (1968), the first m d-sets of [n] in colex order
 have the least shadow of any m d-sets.  Its size is read from the d-cascade
@@ -265,6 +266,19 @@ def test_key_inequality_on_a_complete_family_through_the_cli(tmp_path, m, d):
     assert report["quantities"]["sizes"] == pytest.approx([m - k + 1 for k in range(1, d + 1)], abs=1e-12)
 
 
+@pytest.mark.parametrize("drop", [0, -1])
+@pytest.mark.parametrize("m, d", [(m, d) for m in range(3, 9) for d in range(2, m)])
+def test_key_inequality_one_member_off_a_complete_family(tmp_path, m, d, drop):
+    # C([m], d) less its first or its last member is strict at every k, the least gap 6.1e-4 (m = 8, d = 5)
+    sets = [list(s) for s in combinations(range(m), d)]
+    del sets[drop]
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"n": m, "d": d, "sets": sets}))
+    report, status = cli.run(["entropy", "--key", "--family", str(path)])
+    assert status == 0 and report["bounds"][0]["satisfied"] and report["quantities"]["ok"]
+    assert min(report["quantities"]["gaps"]) > 1e-4
+
+
 @pytest.mark.parametrize("size, gaps", [(1, (0.816, -0.345)), (2, (-0.263, 0.448))])
 def test_key_inequality_fails_on_one_degree_one_short(tmp_path, monkeypatch, size, gaps):
     # the first member of C([5], 3) less one of its size-subsets: that subset's degree is one short
@@ -335,3 +349,13 @@ def test_gkk_on_one_whole_compatible_set_through_the_cli(tmp_path, monkeypatch, 
     assert quantities["bound"] == pytest.approx(tuples(n, q, d - 1), rel=1e-12)
     monkeypatch.setattr(forbidding, "combinations", one_sub_multiset_short)
     assert run_gkk(path, whole_system(n, q), d)[2] == 5
+
+
+@pytest.mark.parametrize("n, d", SIZES)
+def test_gkk_on_two_sets_sharing_d_minus_one_elements(tmp_path, n, d):
+    # [0, n) and [n - d + 1, 2n - d + 1) share d - 1 elements, so no good d-tuple lies in both: their S^(d)
+    # are disjoint, and the shadow of their union exceeds the bound (414 against 336 at n = 7, d = 4)
+    universe, path = 2 * n - d + 1, tmp_path / "fam.json"
+    run_kk(path, universe, n, [range(n), range(n - d + 1, universe)])
+    quantities, bound, status = run_gkk(path, f"repeats --universe-size {universe}", d)
+    assert status == 0 and bound["satisfied"] and quantities["shadow_size"] > quantities["bound"]
