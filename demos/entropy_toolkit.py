@@ -43,7 +43,7 @@ print(f"a ragged family still satisfies every gap >= 0: {rep.ok}\n")
 
 print("== disjoint-support lemma and the c-regular corollary ==")
 dist = ExactDistribution.uniform([("a", "b", 0), ("b", "a", 1)])
-rep = check_lemma_disjoint_support(dist, {("a", 0), ("b", 1)}, {("b", 0), ("a", 1)})
+rep = check_lemma_disjoint_support(dist, {("a", 0), ("b", 1)})
 print(f"2^H(X1) = {rep.extra['lhs']:.4f} >= {rep.extra['rhs']:.4f} = 2^H(X1|Y) + 2^H(X2|Y)")
 bad = [(i, i) for i in range(3)]
 rep = check_cregular_corollary(3, 3, bad, [(range(3), range(3), 1)])

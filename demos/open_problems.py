@@ -38,7 +38,7 @@ print("== weighted cliques ==")
 h = ColoredHypergraph.from_edges(
     4, [(p, "plain", w) for p, w in zip([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], [1, 4, 9, 1, 4, 1])]
 )
-ws = weighted_joint_sum(h, 3)
+ws = weighted_joint_sum(h)
 print(f"sum of w(triangle)^(3/2) = {ws.value:.6f} <= {ws.report.bound:.6f}\n")
 
 print("== seeded random probes ==")

@@ -1,6 +1,6 @@
 """The graph checks that no ratio problem reads: the partial shadow bound and
-the geometric-mean weighted clique sum, with the `partial-shadow` and
-`weighted` commands.
+the geometric-mean weighted clique sum over d-cliques, d one more than the
+size of the graph's edges, with the `partial-shadow` and `weighted` commands.
 
 They read their edges through `hypergraph._edges` and count on the compact
 form of `hypergraph._form`, as every graph count does, but read nothing of the
@@ -14,7 +14,7 @@ import math
 
 from . import formats, numkit
 from .errors import ValidationError, check_cap
-from .hypergraph import VERTEX_CAP, ColoredHypergraph, _edges, _facets, _form, _members
+from .hypergraph import ColoredHypergraph, _edges, _facets, _form, _members
 from .reports import BoundReport, Record, lower_report, upper_report
 
 
@@ -66,16 +66,19 @@ class WeightedSumReport(Record):
     report: BoundReport
 
 
-def weighted_joint_sum(h: ColoredHypergraph, d: int) -> WeightedSumReport:
-    """Sum over d-subsets of (geometric mean of facet weights)^{d/(d-1)}.
+def weighted_joint_sum(h: ColoredHypergraph) -> WeightedSumReport:
+    """Sum over d-subsets of (geometric mean of facet weights)^{d/(d-1)}, for the (d-1)-uniform edges of h.
 
+    d is one more than the first edge's size, which every edge must have; a graph with no edge is refused,
+    after the vertex cap and the validity checks.
     The term for a d-subset equals (product of its d facet weights)^{1/(d-1)},
     so each term is an exact integer raised to a fixed real power.
     """
-    if d < 2:
-        raise ValidationError(f"need d >= 2, got {d}")
-    check_cap("weighted edge size d - 1", d - 1, VERTEX_CAP)  # before (d-1)! is formed: no edge is that large
-    table = {e.verts: 1 if e.weight is None else e.weight for e in _edges(h, d - 1, what="weighted counting")}
+    edges = _edges(h, *(len(e.verts) for e in h.edges[:1]), what="weighted counting")
+    if not edges:
+        raise ValidationError("weighted counting needs at least one edge")
+    d = len(edges[0].verts) + 1  # from 2 to the vertex cap + 1: no edge is empty or repeats a vertex
+    table = {e.verts: 1 if e.weight is None else e.weight for e in edges}
     total = sum(table.values())
     bases = sorted(f for f, w in table.items() if w)
     check_cap("coface visits (nonzero edges x n)", len(bases) * h.n, 10**7)  # measured 0.11-0.55 µs a visit
@@ -103,12 +106,11 @@ def weighted_joint_sum(h: ColoredHypergraph, d: int) -> WeightedSumReport:
 
 def _weighted_options(p) -> None:
     p.add_argument("--input", required=True)
-    p.add_argument("--d", type=int, default=3)
 
 
 def _cmd_weighted(args) -> tuple[dict, list[BoundReport], list[str]]:
-    rep = weighted_joint_sum(formats.load_hypergraph(args.input), args.d)
-    q = {"d": args.d, "total_weight": rep.total_weight, "sum": rep.value, "bound": rep.report.bound}
+    rep = weighted_joint_sum(formats.load_hypergraph(args.input))
+    q = {"d": rep.d, "total_weight": rep.total_weight, "sum": rep.value, "bound": rep.report.bound}
     return q, [rep.report], []
 
 

@@ -184,29 +184,18 @@ def check_key_inequality(fam) -> KeyInequalityReport:
     return KeyInequalityReport(sizes=sizes, gaps=gaps, report=report)
 
 
-def check_lemma_disjoint_support(
-    dist: ExactDistribution,
-    d1: Iterable[tuple],
-    d2: Iterable[tuple],
-) -> BoundReport:
-    """For (X1, X2, Y) with (Xi, Y) supported in Di and equal laws of X1, X2:
+def check_lemma_disjoint_support(dist: ExactDistribution, d1: Iterable[tuple]) -> BoundReport:
+    """For (X1, X2, Y) with (X1, Y) supported in D1, (X2, Y) in its complement D2, and equal laws of X1, X2:
     2^{H(X1)} >= 2^{H(X1|Y)} + 2^{H(X2|Y)}.
     """
     if dist.arity != 3:
         raise ValidationError("expected a joint distribution of (X1, X2, Y)")
-    part1, part2 = set(d1), set(d2)
-    if part1 & part2:
-        raise ValidationError("D1 and D2 must be disjoint")
-    xvals = {v for (x1, x2, y), _ in dist.support for v in (x1, x2)}
-    yvals = {y for (_, _, y), _ in dist.support}
-    missing = {(x, y) for x in xvals for y in yvals} - part1 - part2
-    if missing:
-        raise ValidationError(f"D1 and D2 do not cover the product of value sets: {sorted(missing)[:4]}")
+    part1 = set(d1)
     for (x1, x2, y), _ in dist.support:
         if (x1, y) not in part1:
             raise ValidationError(f"support point has (X1,Y)=({x1},{y}) outside D1")
-        if (x2, y) not in part2:
-            raise ValidationError(f"support point has (X2,Y)=({x2},{y}) outside D2")
+        if (x2, y) in part1:
+            raise ValidationError(f"support point has (X2,Y)=({x2},{y}) in D1")
     law1 = dist.marginal([0])
     law2 = dist.marginal([1])
     if law1 != law2:

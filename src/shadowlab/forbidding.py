@@ -1,12 +1,13 @@
 """Forbidding systems: good/bad multiset oracles with declared c-vectors.
 
-A system classifies every multiset of size <= d over a finite universe as
-good or bad, subject to two axioms: bad multisets stay bad under extension
-(and every singleton is good), and every good k-multiset has exactly c_k bad
-extensions.  Compatible subsets then yield symmetric tuple families S^(d)
-whose unions obey a falling-product shadow bound.  Compatibility is decided
-by that count: S is compatible exactly when its good ordered k-tuples number
-|S|(|S|-c_1)...(|S|-c_{k-1}) at every size k <= d.
+A system with c-vector (c_1, ..., c_{d-1}) classifies every multiset of size
+<= d over a finite universe as good or bad, subject to two axioms: bad
+multisets stay bad under extension (and every singleton is good), and every
+good k-multiset has exactly c_k bad extensions.  Compatible subsets then
+yield symmetric tuple families S^(d) whose unions obey a falling-product
+shadow bound.  Compatibility is decided by that count: S is compatible
+exactly when its good ordered k-tuples number |S|(|S|-c_1)...(|S|-c_{k-1})
+at every size k <= d.
 
 A system may also declare `forbidden(ms)`, the c_k bad extensions of a good
 k-multiset: for `repeats` its own elements, for `qlinear` its span minus zero.
@@ -44,14 +45,15 @@ Multiset = tuple  # sorted tuple with repetition, canonical by element order
 
 
 class ForbiddingSystem:
-    """Good/bad multiset oracle over a finite universe with a declared c-vector.
+    """Good/bad multiset oracle over a finite universe with a declared c-vector (c_1, ..., c_{d-1}).
 
+    The depth d, the size of the largest multiset classified, is one more than the c-vector's length.
     `forbidden`, if given, maps a good sorted multiset of size k < d to its c_k bad extensions, as a
     container of universe elements; the walk then extends by the elements outside it and classifies
     nothing, and `verify_forbidding_axioms` holds it to the classifier.
     """
 
-    def __init__(self, universe: Iterable[Hashable], d: int,
+    def __init__(self, universe: Iterable[Hashable],
                  classify_good: Callable[[Multiset], bool],
                  c_vector: Sequence[int], name: str = "custom",
                  forbidden: Callable[[Multiset], Collection] | None = None):
@@ -59,14 +61,8 @@ class ForbiddingSystem:
         self.universe = tuple(sorted(self._members))
         if not self.universe:
             raise ValidationError("universe must be nonempty")
-        if d < 1:
-            raise ValidationError(f"d must be positive, got {d}")
-        self.d = d
         self.c_vector = _c_vector(c_vector)
-        if len(self.c_vector) != d - 1:
-            raise ValidationError(
-                f"c-vector has length {len(self.c_vector)}, expected d-1 = {d - 1}"
-            )
+        self.d = len(self.c_vector) + 1
         self.name = name
         self._classify = classify_good
         self._memo: dict[Multiset, bool] = {}
@@ -91,7 +87,6 @@ def repeats_system(n: int, d: int) -> ForbiddingSystem:
     check_cap("universe size", n, SYSTEM_UNIVERSE_CAP)
     return ForbiddingSystem(
         universe=range(n),
-        d=d,
         classify_good=lambda ms: len(set(ms)) == len(ms),
         c_vector=tuple(range(1, d)),
         name="repeats",
@@ -152,7 +147,7 @@ def qlinear_system(q: int, n: int, d: int) -> ForbiddingSystem:
         return points
 
     # no function here refers to itself or to the system, so a system leaves no reference cycle
-    return ForbiddingSystem(whole, d, classify, tuple(q**k - 1 for k in range(1, d)), f"qlinear:{q},{n}", forbidden)
+    return ForbiddingSystem(whole, classify, tuple(q**k - 1 for k in range(1, d)), f"qlinear:{q},{n}", forbidden)
 
 
 def system_from_name(name: str, d: int, universe_size: int | None = None) -> ForbiddingSystem:
@@ -160,7 +155,8 @@ def system_from_name(name: str, d: int, universe_size: int | None = None) -> For
 
     No good multiset has more than |U| elements under repeats, or more than n
     vectors under qlinear:q,n, so S^(d) is empty past that size plus one: a
-    deeper d is refused before its c-vector is built, after a negative size.
+    deeper d is refused before its c-vector is built, after a negative size
+    and a d below 1, which no c-vector's length gives.
     """
     if name == "repeats":
         if universe_size is None:
@@ -176,6 +172,8 @@ def system_from_name(name: str, d: int, universe_size: int | None = None) -> For
         raise ValidationError(f"unknown system {name!r}")
     if size < 0:
         raise ValidationError(f"{what} must be nonnegative, got {size}")
+    if d < 1:
+        raise ValidationError(f"d must be positive, got {d}")
     check_cap("depth d (largest good multiset + 1)", d, size + 1)
     return repeats_system(size, d) if name == "repeats" else qlinear_system(q, size, d)
 

@@ -140,6 +140,12 @@ def one_facet_short(mp) -> None:
     mp.setattr(hypergraph, "_shadow_keys", lambda fam, whole=hypergraph._shadow_keys: set(sorted(whole(fam))[1:]))
 
 
+def one_subset_short(mp) -> None:
+    """Patch the shadow that `shadow` builds, the one `kk --out` writes and counts, to miss one (d-1)-subset: every
+    family that meets Kruskal-Katona with equality then fails it there, where `one_facet_short` reaches no count."""
+    mp.setattr(hypergraph, "_shadow", lambda fam, whole=hypergraph._shadow: set(sorted(whole(fam))[1:]))
+
+
 def fig1_k4() -> ColoredHypergraph:
     """K4 with opposite edges sharing a color: 2 edges per color, 4 rainbow triangles."""
     return ColoredHypergraph.from_edges(

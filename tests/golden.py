@@ -42,6 +42,7 @@ INPUTS = {
     "w.json": _graph(4, [(p, "plain", 1 + i) for i, p in enumerate(combinations(range(4), 2))]),
     # weights near 10^15: the terms and N^{3/2} are floats far past 2^53
     "huge.json": _graph(12, [((i, j), "plain", 10**15 + 7 * i + j) for i, j in combinations(range(12), 2)]),
+    "edgeless.json": _graph(3, []),
     "fam.json": {"n": 5, "d": 3, "sets": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [0, 1, 4]]},
     "empty.json": {"n": 5, "d": 3, "sets": []},
     "subs.json": {"q": 2, "n": 3, "d": 2, "members": [[[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]]]},
@@ -184,6 +185,7 @@ CASES = [
     "weighted --input w.json",
     "weighted --input w.json --spectral",  # a usage error: weighted takes no --spectral
     "weighted --input huge.json",
+    "weighted --input edgeless.json",  # refused: no edge gives the clique size
     "partial-shadow --input star.txt --r 3 --k 1",
     # usage errors, whose message argparse wraps at COLUMNS
     "kk",

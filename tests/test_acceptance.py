@@ -234,7 +234,7 @@ def test_criterion_12_weighted_bound():
         d = rng.choice((3, 4))
         n = rng.randint(d, 7)
         h = random_weighted_complete(rng, n, d, wmax=9)
-        assert weighted_joint_sum(h, d).report.satisfied
+        assert weighted_joint_sum(h).report.satisfied
     passed(12, "10^3 weighted instances obey the geometric-mean cap")
 
 

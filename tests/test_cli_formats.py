@@ -231,7 +231,7 @@ class TestCli:
                        "complete-family}"], ["--n", "--a", "--b", "--c", "--d", "--m", "--input", "--out"]),
         "search": (["{rainbow-triangle,mixed4,probe}"],
                    ["--max-vertices", "--problem", "--vertices", "--trials", "--d", "--delta", "--out", "--seed"]),
-        "weighted": ([], ["--input", "--d"]),
+        "weighted": ([], ["--input"]),
         "partial-shadow": ([], ["--input", "--r", "--k"]),
     }
 

@@ -159,7 +159,7 @@ GROWING = {
     "search rainbow-triangle": ("search rainbow-triangle --max-vertices 3",
                                 "search rainbow-triangle --max-vertices 5"),
     "search mixed4": ("search mixed4 --max-vertices 4", "search mixed4 --max-vertices 5"),
-    "weighted": ("weighted --input weighted_{}.json --d 3",),
+    "weighted": ("weighted --input weighted_{}.json",),
     "partial-shadow": ("partial-shadow --input graph2_{}.json --r 3 --k 1",),
 }
 

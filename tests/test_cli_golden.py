@@ -52,7 +52,7 @@ def _miscounted(mp):
 def _misdeclared(mp):
     """The repeats system declaring c_2 = 1 where it is 2: its axioms fail."""
     mp.setattr(forb, "repeats_system", lambda n, d: forb.ForbiddingSystem(
-        range(n), d, lambda ms: len(set(ms)) == len(ms), (1, 1), name="repeats"))
+        range(n), lambda ms: len(set(ms)) == len(ms), (1, 1), name="repeats"))
 
 
 # name -> (patch, command, exit code); the golden key is "name: command"

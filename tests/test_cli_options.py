@@ -226,7 +226,7 @@ def test_plain_lines_are_read_as_argparse_reads_them(argv):
 
 def test_plain_golden_lines_are_read_without_argparse():
     lines = [[*case.split(), *json] for case in CASES for json in ([], ["--json"]) if case.split()[0] in COMMANDS]
-    assert sum(map(_same_reading, lines)) == 196  # all that argparse accepts, of 226
+    assert sum(map(_same_reading, lines)) == 198  # all that argparse accepts, of 228
 
 
 @pytest.mark.parametrize("flags, keywords", [

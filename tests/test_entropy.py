@@ -243,9 +243,7 @@ class TestDisjointSupportLemma:
     def test_two_point_equality(self):
         # Y a fair bit; X1 = a iff Y = 0, X2 = a iff Y = 1
         dist = ExactDistribution.uniform([("a", "b", 0), ("b", "a", 1)])
-        d1 = {("a", 0), ("b", 1)}
-        d2 = {("b", 0), ("a", 1)}
-        rep = check_lemma_disjoint_support(dist, d1, d2)
+        rep = check_lemma_disjoint_support(dist, {("a", 0), ("b", 1)})
         assert rep.satisfied
         assert rep.extra["lhs"] == pytest.approx(2.0, abs=1e-9)
         assert rep.extra["rhs"] == pytest.approx(2.0, abs=1e-9)
@@ -253,29 +251,32 @@ class TestDisjointSupportLemma:
     def test_unequal_laws_rejected(self):
         dist = ExactDistribution.uniform([("a", "b", 0), ("a", "c", 1)])
         d1 = {("a", 0), ("a", 1), ("b", 0), ("c", 0)}
-        d2 = {("b", 1), ("c", 1)}
         with pytest.raises(ValidationError):
-            check_lemma_disjoint_support(dist, d1, d2)
+            check_lemma_disjoint_support(dist, d1)
 
     def test_laws_differing_alone_rejected(self):
-        # X1 = a and X2 = b always: D1 = {(a, 0)} and D2 = {(b, 0)} are disjoint, cover {a, b} x {0}
-        # and hold the support, so only the laws differ
+        # X1 = a and X2 = b always: D1 = {(a, 0)} holds (X1, Y) and its complement (X2, Y), so only the laws differ
         dist = ExactDistribution.uniform([("a", "b", 0)])
         with pytest.raises(ValidationError, match="X1 and X2 must have identical laws"):
-            check_lemma_disjoint_support(dist, {("a", 0)}, {("b", 0)})
+            check_lemma_disjoint_support(dist, {("a", 0)})
 
-    def test_overlapping_partition_rejected(self):
+    def test_x2_in_d1_rejected(self):
+        # D2 is the complement of D1, so an (X2, Y) in D1 lies outside D2
         dist = ExactDistribution.uniform([("a", "b", 0)])
-        with pytest.raises(ValidationError):
-            check_lemma_disjoint_support(dist, {("a", 0), ("b", 0)}, {("b", 0)})
+        with pytest.raises(ValidationError, match=r"^support point has \(X2,Y\)=\(b,0\) in D1$"):
+            check_lemma_disjoint_support(dist, {("a", 0), ("b", 0)})
+
+    def test_x1_outside_d1_rejected(self):
+        dist = ExactDistribution.uniform([("a", "b", 0)])
+        with pytest.raises(ValidationError, match=r"^support point has \(X1,Y\)=\(a,0\) outside D1$"):
+            check_lemma_disjoint_support(dist, {("b", 1)})
 
     def test_corollary_instance(self):
         # diagonal bad cells on [3]x[3]: X uniform off-diagonal, X2 = Y
         tuples = [(x, y, y) for y in range(3) for x in range(3) if x != y]
         dist = ExactDistribution.uniform(tuples)
-        d2 = {(y, y) for y in range(3)}
         d1 = {(x, y) for x in range(3) for y in range(3) if x != y}
-        rep = check_lemma_disjoint_support(dist, d1, d2)
+        rep = check_lemma_disjoint_support(dist, d1)
         assert rep.satisfied
         assert rep.extra["lhs"] == pytest.approx(3.0, abs=1e-9)
         assert rep.extra["rhs"] == pytest.approx(3.0, abs=1e-9)

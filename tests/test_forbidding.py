@@ -100,12 +100,12 @@ def assert_gkk_matches_reference(sys, sets):
 
 def all_good_system(n, d):
     """Every multiset is good, c = (0, ..., 0): S^(d) is every d-tuple over S, repeats included."""
-    return ForbiddingSystem(range(n), d, lambda ms: True, (0,) * (d - 1), name="all-good")
+    return ForbiddingSystem(range(n), lambda ms: True, (0,) * (d - 1), name="all-good")
 
 
 def not_downward_closed():
     """Declared (1, 2) like repeats, but (0, 1) is bad while (0, 1, 2) is good."""
-    return ForbiddingSystem(range(4), 3, lambda ms: len(set(ms)) == len(ms) and ms != (0, 1), (1, 2))
+    return ForbiddingSystem(range(4), lambda ms: len(set(ms)) == len(ms) and ms != (0, 1), (1, 2))
 
 
 class TestAxiomVerification:
@@ -120,7 +120,6 @@ class TestAxiomVerification:
     def test_wrong_declaration_detected(self):
         sys = ForbiddingSystem(
             universe=range(5),
-            d=3,
             classify_good=lambda ms: len(set(ms)) == len(ms),
             c_vector=(1, 1),
             name="repeats-misdeclared",
@@ -139,7 +138,6 @@ class TestAxiomVerification:
             flipped = rng.choice(all_multisets)
             mutant = ForbiddingSystem(
                 universe=range(4),
-                d=3,
                 classify_good=lambda ms, f=flipped: (len(set(ms)) == len(ms)) ^ (ms == f),
                 c_vector=(1, 2),
                 name="mutant",
@@ -155,12 +153,12 @@ class TestAxiomVerification:
             calls.append(ms)
             return len(set(ms)) == len(ms)
 
-        report = verify_forbidding_axioms(ForbiddingSystem(range(6), 3, classify, (1, 2)))
+        report = verify_forbidding_axioms(ForbiddingSystem(range(6), classify, (1, 2)))
         assert report.ok and report.checked == 6 + 6 + 21
         assert 0 < len(set(calls)) <= 83
         calls.clear()
         with pytest.raises(CapacityError, match=r"^multisets of size 1\.\.d = 119 exceeds cap 83$"):
-            verify_forbidding_axioms(ForbiddingSystem(range(7), 3, classify, (1, 2)))
+            verify_forbidding_axioms(ForbiddingSystem(range(7), classify, (1, 2)))
         assert calls == []
 
     def test_memo_cap_counts_key_elements(self):
@@ -182,7 +180,7 @@ class TestAxiomVerification:
 
         # one element at d = 8000: 8000 multisets are within the multiset cap, but each memoized
         # multiset holds up to 8000 elements, 6.4 x 10^7 in all
-        system = ForbiddingSystem(range(1), 8000, classify, range(1, 8000))
+        system = ForbiddingSystem(range(1), classify, range(1, 8000))
         with pytest.raises(CapacityError, match=r"^memo elements \(multisets x d\) = 64000000 exceeds cap 10000000$"):
             verify_forbidding_axioms(system)
         assert calls == []
@@ -209,6 +207,13 @@ class TestAxiomVerification:
         with pytest.raises(ValidationError):
             system_from_name("mystery", 3)
 
+    @pytest.mark.parametrize("system", [["repeats", "--universe-size", "4"], ["qlinear:2,3"]])
+    @pytest.mark.parametrize("d", ["0", "-2"])
+    def test_depth_below_one_refused(self, system, d):
+        # no c-vector has a negative length, so the command line's --d is refused before any system is built
+        with pytest.raises(ValidationError, match=f"^d must be positive, got {d}$"):
+            cli.run(["forbidding", "verify", "--system", *system, "--d", d])
+
 
 def good_multisets(sys):
     """Every good sorted multiset of size < d, the empty one included."""
@@ -218,13 +223,13 @@ def good_multisets(sys):
 
 def dropping_one(sys):
     """sys with `forbidden` short of its largest element wherever it has one."""
-    return ForbiddingSystem(sys.universe, sys.d, sys._classify, sys.c_vector, sys.name,
+    return ForbiddingSystem(sys.universe, sys._classify, sys.c_vector, sys.name,
                             lambda ms: sorted(sys.forbidden(ms))[:-1] if ms else ())
 
 
 def classifier_only(sys):
     """sys without `forbidden`: the walk asks the memoized classifier instead."""
-    return ForbiddingSystem(sys.universe, sys.d, sys._classify, sys.c_vector, sys.name)
+    return ForbiddingSystem(sys.universe, sys._classify, sys.c_vector, sys.name)
 
 
 def walked(sys, inside):
@@ -237,7 +242,7 @@ def walked(sys, inside):
 
 @pytest.mark.parametrize("make", [lambda: repeats_system(3, 6), lambda: all_good_system(3, 6),
                                   lambda: repeats_system(2, 9), lambda: qlinear_system(2, 2, 5),
-                                  lambda: ForbiddingSystem("abcd", 5, lambda ms: ms.count("b") < 3, (0,) * 4)])
+                                  lambda: ForbiddingSystem("abcd", lambda ms: ms.count("b") < 3, (0,) * 4)])
 def test_extensions_match_is_good_on_repeated_elements(make):
     # every multiset below size d, most repeating an element: one cut per distinct element, the keys in order
     sys, plain = make(), make()
@@ -341,7 +346,7 @@ class TestCompatibility:
         def classify(ms):
             return len(set(ms)) == len(ms) and ms not in {(0,), (0, 1, 2)}
 
-        sys = ForbiddingSystem(range(3), 3, classify, (1, 2))
+        sys = ForbiddingSystem(range(3), classify, (1, 2))
         assert reference_witness(sys, [0, 1]) == ((0, 1), 2)
         with pytest.raises(ValidationError, match=re.escape("|S^(1)| = 1 but the declared c-vector predicts 2")):
             is_compatible(sys, [0, 1])
@@ -356,7 +361,7 @@ class TestCompatibility:
                 seen.append(ms)
                 return len(set(ms)) == len(ms)
 
-            return ForbiddingSystem(range(10**4), 4, classify, (1, 2, 3)), seen
+            return ForbiddingSystem(range(10**4), classify, (1, 2, 3)), seen
 
         sys, seen = recording_system()
         assert is_compatible(sys, s) == CompatibilityResult(True, None)
@@ -402,7 +407,7 @@ class TestEnumerateSd:
 
     def test_wrong_c_vector_rejected(self):
         # the repeats classifier has c = (1, 2): 5*4*3 = 60 tuples, not the declared 5*4*4 = 80
-        sys = ForbiddingSystem(range(5), 3, lambda ms: len(set(ms)) == len(ms), (1, 1))
+        sys = ForbiddingSystem(range(5), lambda ms: len(set(ms)) == len(ms), (1, 1))
         with pytest.raises(ValidationError, match="c-vector predicts 80"):
             sd_orbits(sys, [range(5)])
 
@@ -411,10 +416,18 @@ class TestEnumerateSd:
             return len(set(ms)) == len(ms)
 
         with pytest.raises(ValidationError, match=r"c-vector entries must be nonnegative integers: \(-1, 2\)"):
-            ForbiddingSystem(range(5), 3, classify, [-1, 2])
+            ForbiddingSystem(range(5), classify, [-1, 2])
         with pytest.raises(ValidationError, match=r"c-vector entries must be nondecreasing: \(2, 1\)"):
-            ForbiddingSystem(range(5), 3, classify, (2, 1))
-        assert ForbiddingSystem(range(5), 3, classify, [1, 2]).c_vector == (1, 2)
+            ForbiddingSystem(range(5), classify, (2, 1))
+        assert ForbiddingSystem(range(5), classify, [1, 2]).c_vector == (1, 2)
+
+    def test_depth_is_one_more_than_the_c_vector(self):
+        def classify(ms):
+            return len(set(ms)) == len(ms)
+
+        assert ForbiddingSystem(range(4), classify, (1, 2)).d == 3
+        assert ForbiddingSystem(range(4), classify, ()).d == 1
+        assert (repeats_system(5, 4).d, qlinear_system(2, 3, 2).d) == (4, 2)
 
     def test_incompatible_set_rejected(self):
         sys = qlinear_system(2, 3, 3)
@@ -447,14 +460,14 @@ class TestEnumerateSd:
             calls.append(ms)
             return len(set(ms)) == len(ms)
 
-        sys = ForbiddingSystem(range(40), 6, classify, (1, 2, 3, 4, 5))
+        sys = ForbiddingSystem(range(40), classify, (1, 2, 3, 4, 5))
         with pytest.raises(CapacityError, match="good d-multisets = 593775"):
             check_generalized_kk(sys, [range(30)])  # binom(30, 6)
         with pytest.raises(CapacityError, match="good d-multisets = 593775"):
             sd_orbits(sys, [range(30)])
         with pytest.raises(CapacityError, match="good d-multisets = 593775"):
             is_compatible(sys, range(30))  # the compatibility walk also goes to size d
-        pairs = ForbiddingSystem(range(2000), 2, classify, (1,))
+        pairs = ForbiddingSystem(range(2000), classify, (1,))
         with pytest.raises(CapacityError, match="good d-multisets = 500028"):
             check_generalized_kk(pairs, [range(1000), range(1000, 1033)])  # binom(1000, 2) + binom(33, 2)
         assert calls == []

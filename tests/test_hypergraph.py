@@ -548,7 +548,7 @@ class TestWeightedJointSum:
         )
 
     def test_k4_unit_weights(self):
-        rep = weighted_joint_sum(self.k4_unit(), 3)
+        rep = weighted_joint_sum(self.k4_unit())
         assert rep.value == pytest.approx(4.0, abs=1e-12)
         assert rep.total_weight == 6
         assert rep.report.bound == pytest.approx(math.sqrt(2) / 3 * 6**1.5, abs=1e-9)
@@ -556,14 +556,14 @@ class TestWeightedJointSum:
 
     def test_single_edge(self):
         h = ColoredHypergraph.from_edges(4, [((0, 1), "plain", 5)])
-        rep = weighted_joint_sum(h, 3)
+        rep = weighted_joint_sum(h)
         assert rep.value == 0.0
         assert rep.report.satisfied
 
     @pytest.mark.parametrize("m", [1, 4, 9])
     def test_k3_uniform_weight(self, m):
         h = ColoredHypergraph.from_edges(3, [(p, "plain", m) for p in combinations(range(3), 2)])
-        rep = weighted_joint_sum(h, 3)
+        rep = weighted_joint_sum(h)
         assert rep.value == pytest.approx(m**1.5, rel=1e-12)
         assert rep.value <= math.sqrt(2) / 3 * (3 * m) ** 1.5 + 1e-9
 
@@ -586,15 +586,19 @@ class TestWeightedJointSum:
                 prod = math.prod(table.get(f, 0) for f in combinations(s, d - 1))
                 if prod:
                     brute.append(prod)
-            rep = weighted_joint_sum(h, d)
-            assert rep.terms == tuple(brute)
+            rep = weighted_joint_sum(h)
+            assert rep.d == d and rep.terms == tuple(brute)
             assert rep.value == float(sum(p ** (1.0 / (d - 1)) for p in brute))
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_no_edges(self, d):
-        rep = weighted_joint_sum(ColoredHypergraph.from_edges(d + 1, []), d)
-        assert (rep.value, rep.total_weight, rep.terms) == (0.0, 0, ())
-        assert rep.report.satisfied
+    def test_no_edge_refused_after_the_graph_checks(self):
+        # d is one more than the edge size, so a graph with no edge has none
+        for n in (0, 3, 64):
+            with pytest.raises(ValidationError, match="^weighted counting needs at least one edge$"):
+                weighted_joint_sum(ColoredHypergraph.from_edges(n, []))
+        with pytest.raises(CapacityError, match="vertex count = 65 exceeds cap 64"):
+            weighted_joint_sum(ColoredHypergraph.from_edges(65, []))
+        with pytest.raises(ValidationError, match="vertex count -1 is negative"):
+            weighted_joint_sum(ColoredHypergraph.from_edges(-1, []))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_scaled_weights_scale_the_sum_and_the_bound_alike(self, d):
@@ -604,7 +608,7 @@ class TestWeightedJointSum:
             h = random_weighted_complete(rng, rng.randint(d, 7), d, wmax=9)
             c = rng.choice((2, 3, 10))
             scaled = ColoredHypergraph.from_edges(h.n, [(e.verts, e.color, c * e.weight) for e in h.edges])
-            rep, big = weighted_joint_sum(h, d), weighted_joint_sum(scaled, d)
+            rep, big = weighted_joint_sum(h), weighted_joint_sum(scaled)
             assert big.terms == tuple(c**d * t for t in rep.terms)
             assert big.value == pytest.approx(c ** (d / (d - 1)) * rep.value, rel=1e-12)
             assert big.report.bound == pytest.approx(c ** (d / (d - 1)) * rep.report.bound, rel=1e-12)
@@ -613,13 +617,13 @@ class TestWeightedJointSum:
     def test_negative_weight_rejected(self):
         h = ColoredHypergraph.from_edges(3, [((0, 1), "plain", -2)])
         with pytest.raises(ValidationError):
-            weighted_joint_sum(h, 3)
+            weighted_joint_sum(h)
 
     def test_cap_counts_coface_visits_not_d_subsets(self):
         # the 5-subsets of [7]: 21 edges x 64 vertices visits, although C(64, 6) > 10^7
         edges = [(f, "plain", 1) for f in combinations(range(7), 5)]
         for n in (40, 64):
-            assert weighted_joint_sum(ColoredHypergraph.from_edges(n, edges), 6).value == 7.0
+            assert weighted_joint_sum(ColoredHypergraph.from_edges(n, edges)).value == 7.0
 
     def test_cap_refuses_before_counting(self, monkeypatch):
         def no_counting(*args):
@@ -629,7 +633,7 @@ class TestWeightedJointSum:
         # 156,251 edges x 64 vertices > 10^7 visits
         edges = [(f, "plain", 1) for f in islice(combinations(range(64), 4), 156_251)]
         with pytest.raises(CapacityError, match="coface visits"):
-            weighted_joint_sum(ColoredHypergraph.from_edges(64, edges), 5)
+            weighted_joint_sum(ColoredHypergraph.from_edges(64, edges))
 
 
 class TestCapacity:
@@ -664,9 +668,9 @@ class TestCapacity:
         "mixed4": (lambda h: problem_count("mixed4", h), 3, 4),
         "covering": (lambda h: problem_count("covering_delta", h, delta=1), 3, 2),
         "partial": (lambda h: count_partial_shadow_targets(h, 3, 1), 2, 3),
-        "weighted": (lambda h: weighted_joint_sum(h, 3), 2, 3),
-        "weighted2": (lambda h: weighted_joint_sum(h, 2), 1, 2),
-        "weighted4": (lambda h: weighted_joint_sum(h, 4), 3, 2),
+        "weighted": (weighted_joint_sum, 2, 3),
+        "weighted2": (weighted_joint_sum, 1, 2),
+        "weighted4": (weighted_joint_sum, 3, 2),
     }
 
     @pytest.mark.parametrize("entry", ENTRIES)

@@ -2,8 +2,9 @@
 rainbow-triangle bound T^2 <= 2RGB on its tight cases, and the q-analog against the generalized
 bound, through the command line; there too, kk on every complete family C([m], d) and qkk on all
 d-subspaces of F_q^n, each tight, and one member short of it; the key inequality on C([m], d), Shearer's
-inequality on uniform [b]^k and gkk on one whole compatible set, each tight; and one step off the last two: the
-key inequality strict on C([m], d) less one member, gkk strict on two sets sharing d - 1 elements.
+inequality on uniform [b]^k and on a product of non-uniform marginals, and gkk on one whole compatible set, each
+tight; and one step off three of them: the key inequality strict on C([m], d) less one member, Shearer's on [b]^k
+less one atom, gkk on two sets sharing d - 1 elements.
 
 By Kruskal (1963) and Katona (1968), the first m d-sets of [n] in colex order
 have the least shadow of any m d-sets.  Its size is read from the d-cascade
@@ -27,12 +28,13 @@ import importlib
 import json
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
 import pytest
 
-from conftest import RGB, gl_order, leave_one_out, one_facet_short, replaced
+from conftest import RGB, gl_order, leave_one_out, one_facet_short, one_subset_short, replaced
 from shadowlab import cli, forbidding, qlinalg
 from shadowlab.entropy import ExactDistribution
 from shadowlab.hypergraph import SetFamily, check_kruskal_katona, shadow
@@ -95,10 +97,10 @@ def test_one_step_off_a_segment_never_beats_it(n, d):
             assert rep.computed == len(shadow(fam)) >= least and rep.satisfied, (m, later)
 
 
-def run_kk(path, n: int, d: int, sets) -> tuple[dict, int]:
-    """`kk` on the family written to path: its bound report and its status."""
+def run_kk(path, n: int, d: int, sets, *options: str) -> tuple[dict, int]:
+    """`kk` with these options on the family written to path: its bound report and its status."""
     path.write_text(json.dumps({"n": n, "d": d, "sets": [list(s) for s in sets]}))
-    report, status = cli.run(["kk", "--family", str(path)])
+    report, status = cli.run(["kk", "--family", str(path), *options])
     return report["bounds"][0], status
 
 
@@ -128,6 +130,18 @@ def test_kk_on_a_complete_family_through_the_cli(tmp_path, monkeypatch, m, d):
         assert status == 0 and bound["satisfied"], sets[i]
     one_facet_short(monkeypatch)
     assert run_kk(path, m, d, sets)[1] == 5
+
+
+@pytest.mark.parametrize("m, d", [(m, d) for m, d in SIZES if m <= 6])
+def test_kk_out_on_a_complete_family_through_the_cli(tmp_path, monkeypatch, m, d):
+    # with --out, kk counts the shadow it writes, built by `shadow`: C([m], d) is tight there too, and fails it
+    # with one (d-1)-subset short
+    path, out = tmp_path / "fam.json", str(tmp_path / "shadow.json")
+    bound, status = run_kk(path, m, d, combinations(range(m), d), "--out", out)
+    assert status == 0 and bound["satisfied"] and bound["computed"] == comb(m, d - 1)
+    assert len(json.loads((tmp_path / "shadow.json").read_text())["sets"]) == comb(m, d - 1)
+    one_subset_short(monkeypatch)
+    assert run_kk(path, m, d, combinations(range(m), d), "--out", out)[1] == 5
 
 
 def kappa(path) -> tuple[dict, int]:
@@ -291,12 +305,20 @@ def test_key_inequality_fails_on_one_degree_one_short(tmp_path, monkeypatch, siz
     assert report["quantities"]["gaps"] == pytest.approx(gaps, abs=1e-3)
 
 
-def run_shearer(path, b: int, k: int) -> tuple[dict, int]:
-    """`entropy --shearer` with the leave-one-out cover on the uniform distribution on [b]^k."""
-    support = [{"values": list(v), "p": f"1/{b**k}"} for v in product(range(b), repeat=k)]
-    path.write_text(json.dumps({"arity": k, "support": support}))
-    cover = ";".join(",".join(map(str, subset)) for subset in leave_one_out(k))
-    return cli.run(["entropy", "--dist", str(path), "--shearer", cover])
+def shearer(path, atoms: dict, cover) -> tuple[dict, int]:
+    """`entropy --shearer` with the cover's subsets on the distribution of these {values: probability} atoms."""
+    support = [{"values": list(v), "p": str(p)} for v, p in atoms.items()]
+    path.write_text(json.dumps({"arity": len(next(iter(atoms))), "support": support}))
+    return cli.run(["entropy", "--dist", str(path), "--shearer", ";".join(",".join(map(str, c)) for c in cover)])
+
+
+def run_shearer(path, b: int, k: int, drop: int | None = None) -> tuple[dict, int]:
+    """`entropy --shearer` with the leave-one-out cover on the uniform distribution on [b]^k, less the atom at
+    index `drop` of [b]^k in lexicographic order when one is given."""
+    cube = list(product(range(b), repeat=k))
+    if drop is not None:
+        del cube[drop]
+    return shearer(path, dict.fromkeys(cube, Fraction(1, len(cube))), leave_one_out(k))
 
 
 @pytest.mark.parametrize("b, k", [(b, k) for b in range(2, 6) for k in range(2, 6)])
@@ -314,6 +336,38 @@ def test_shearer_fails_on_marginals_one_atom_short(tmp_path, monkeypatch):
                         lambda dist, coords: dict(sorted(whole(dist, coords).items(), key=lambda a: a[1])[:-1]))
     report, status = run_shearer(tmp_path / "dist.json", 2, 3)
     assert status == 5 and report["bounds"][0]["computed"] == 5.25 and report["bounds"][0]["bound"] == 4.5
+
+
+@pytest.mark.parametrize("drop", [0, -1])
+@pytest.mark.parametrize("b, k", [(b, k) for b in range(2, 5) for k in range(2, 4)])
+def test_shearer_one_atom_off_a_uniform_cube(tmp_path, b, k, drop):
+    # [b]^k less one atom has N = b^k - 1 atoms; on k - 1 coordinates the atom's cell keeps mass (b - 1)/N and the
+    # b^(k-1) - 1 others b/N each, so the slack is k H(cells) - (k - 1) log2 N: log2 3 - 4/3 = 0.2516 for [2]^2
+    # less (1, 1) under the cover 0;1, and least, 0.0366, at b = 4, k = 3
+    n = b**k - 1
+    cells = -((b - 1) / n * math.log2((b - 1) / n) + (b ** (k - 1) - 1) * b / n * math.log2(b / n))
+    report, status = run_shearer(tmp_path / "dist.json", b, k, drop)
+    slack = report["quantities"]["slack"]
+    assert status == 0 and report["bounds"][0]["satisfied"] and slack > 0.03
+    assert slack == pytest.approx(k * cells - (k - 1) * math.log2(n), rel=1e-12)
+
+
+@pytest.mark.parametrize("factors, cover", [
+    ([(Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 4), Fraction(3, 4))], [(0,), (1,)]),
+    ([(Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 5), Fraction(4, 5))],
+     [(0, 1), (1, 2), (0, 2)]),
+])
+def test_shearer_on_a_product_of_non_uniform_marginals(tmp_path, factors, cover):
+    # Shearer's other equality case: independent coordinates, each in k of the cover's subsets, make both sides
+    # k (H(X_1) + ... + H(X_n)); the float slack is 0.0 for both products
+    atoms = {values: math.prod(law[v] for law, v in zip(factors, values))
+             for values in product(range(2), repeat=len(factors))}
+    report, status = shearer(tmp_path / "dist.json", atoms, cover)
+    k = sum(0 in subset for subset in cover)
+    marginals = sum(-float(p) * math.log2(p) for law in factors for p in law)
+    assert status == 0 and report["bounds"][0]["satisfied"] and report["quantities"]["k"] == k
+    assert report["bounds"][0]["computed"] == pytest.approx(k * marginals, rel=1e-12)
+    assert abs(report["quantities"]["slack"]) < 1e-12
 
 
 def one_sub_multiset_short(ms, k, whole=combinations):
